@@ -22,7 +22,7 @@ Table 4 image scenario (CPU1, default environment):
   versus the PR 4 fused per-goal path (``lockstep=False``).  Results
   are value-identical (``tests/test_lockstep_parity.py``); the section
   also records the decision-path health counters (stacked batch
-  sizes, memo hit rates) from
+  sizes) from
   :data:`repro.runtime.loop.LOCKSTEP_TELEMETRY`.
 * **Cross-scheme** — the *full* Table 4 zoo (all nine schemes,
   oracles included) over a 3×5 goal grid, fused + lockstep with
@@ -222,7 +222,7 @@ def bench_cell_fusion(
         for fused in (True, False):
             evaluate_schemes(
                 scenario, goals, schemes, n_inputs=n_inputs, fuse_cells=fused
-            )  # warm-up (grids, profiles, memos)
+            )  # warm-up (grids, profiles)
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -269,7 +269,7 @@ def bench_lockstep(
         evaluate_schemes(
             scenario, goals, TABLE4_SCHEMES, n_inputs=n_inputs,
             fuse_cells=True, lockstep=lockstep,
-        )  # warm-up (grids, profiles, memos)
+        )  # warm-up (grids, profiles)
         best = float("inf")
         for _ in range(repeats):
             LOCKSTEP_TELEMETRY.reset()
@@ -302,7 +302,7 @@ def bench_lockstep(
             "step; per_goal is the PR 4 fused path (lockstep=False).  "
             "Results are value-identical "
             "(tests/test_lockstep_parity.py); decision_path holds the "
-            "stacked batch-size and memo counters of the measured run."
+            "stacked batch-size counters of the measured run."
         ),
     }
 
@@ -319,7 +319,7 @@ def bench_cross_scheme(
         evaluate_schemes(
             scenario, goals, SCHEMES, n_inputs=n_inputs,
             fuse_cells=True, lockstep=True, cross_scheme=cross,
-        )  # warm-up (grids, profiles, memos)
+        )  # warm-up (grids, profiles)
     # Interleave the two modes inside each repeat: the paths are close
     # enough (~5%) that measuring one mode's whole block first lets
     # clock/load drift masquerade as a speedup (or slowdown) on noisy
@@ -808,7 +808,7 @@ def quick_metrics(min_seconds: float = 0.1) -> dict:
             n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
         ),
         # Also carries the decision-path health counters (stacked
-        # batch sizes, memo hits) of the measured lockstep run, so the
+        # batch sizes) of the measured lockstep run, so the
         # smoke/CI artifact shows per-run scheduler health alongside
         # the gated ratio.
         "lockstep": bench_lockstep(

@@ -147,11 +147,9 @@ class SysOnlyCellController:
     every goal's ξ filter per input, and one
     :meth:`~repro.core.selector.ConfigSelector.select_many` pass
     computes every goal's power decision.  φ is the profiled constant
-    the scalar scheduler recomputes per decision; there is no decision
-    memo (the scalar path has none, and parity means *same* decisions,
-    not just similar ones).  Each goal's trajectory is bit-identical
-    to a fresh :class:`SysOnlyScheduler` serving that goal alone
-    (``tests/test_lockstep_parity.py``).
+    the scalar scheduler recomputes per decision.  Each goal's
+    trajectory is bit-identical to a fresh :class:`SysOnlyScheduler`
+    serving that goal alone (``tests/test_lockstep_parity.py``).
     """
 
     def __init__(
@@ -209,7 +207,7 @@ class SysOnlyCellController:
         )
 
     def decide_many(self, goals) -> list:
-        """One selection per goal — every goal, every step (no memo)."""
+        """One selection per goal — every goal, every step."""
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"

@@ -95,8 +95,11 @@ _ERF_SATURATION = 6.5
 
 
 def _polevl(x: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
-    result = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
+    # ``x * c0`` is the first Horner product ``c0 * x`` itself, without
+    # filling a buffer with ``c0`` first.
+    result = x * coeffs[0]
+    result += coeffs[1]
+    for c in coeffs[2:]:
         result *= x
         result += c
     return result
@@ -118,7 +121,12 @@ def _erf_array(x: np.ndarray) -> np.ndarray:
     zero (small ξ sigma pushes them toward saturation) and skipping
     the unused rational costs one cheap reduction.
     """
-    x = np.clip(np.asarray(x, dtype=np.float64), -_ERF_SATURATION, _ERF_SATURATION)
+    # minimum(maximum()) clips to the same values as np.clip, with less
+    # per-call overhead on the small arrays decisions pass.
+    x = np.minimum(
+        np.maximum(np.asarray(x, dtype=np.float64), -_ERF_SATURATION),
+        _ERF_SATURATION,
+    )
     a = np.abs(x)
     z = x * x
     small_mask = a < 1.0

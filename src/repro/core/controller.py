@@ -21,9 +21,9 @@ scheduler at 0.6-1.7% of an input's inference time, and subtracts its
 worst case from the deadline so the scheduler never causes the
 violation it is preventing.  Two mechanisms keep the real cost far
 below that reservation: selection runs on the vectorized batch
-estimator (see :mod:`repro.core.batch_estimator`), and a decision memo
-keyed on the quantized ``(goal, xi_mean, xi_sigma, phi, tail)`` state
-lets converged Kalman phases skip re-estimation entirely.
+estimator (see :mod:`repro.core.batch_estimator`), and the kernel
+reuses a goal's selection exactly until the next observation changes
+its belief (see :class:`~repro.core.kernel.AlertKernel`).
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def lockstep_stats_dict(
     n_goals: int,
     stacked_calls: int,
     stacked_states: int,
-    memo_hits: int = 0,
-    memo_misses: int = 0,
 ) -> dict:
     """The decision-path health counters of one lockstep cell.
 
@@ -72,19 +70,12 @@ def lockstep_stats_dict(
         "mean_batch_size": (
             stacked_states / stacked_calls if stacked_calls else 0.0
         ),
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
     }
 
 
 #: Fraction of the mean profiled latency charged as worst-case
 #: scheduler overhead (the paper's measured range is 0.6-1.7%).
 DEFAULT_OVERHEAD_FRACTION = 0.017
-
-#: Memo entries kept before the oldest half is evicted (dict insertion
-#: order); bounds memory on very long runs with drifting environments
-#: without restarting the cache cold.
-DEFAULT_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -104,9 +95,9 @@ class AlertController:
     transitions live in the owned :class:`~repro.core.kernel.AlertKernel`
     (exposed as :attr:`kernel`, the object serving drivers feed
     directly).  Every pre-split attribute — ``slowdown``,
-    ``idle_filter``, ``selector``, the memo internals — remains
-    readable here via delegating properties, so trace consumers and
-    the stacking fingerprint are unaffected by the split.
+    ``idle_filter``, ``selector`` — remains readable here via
+    delegating properties, so trace consumers and the stacking
+    fingerprint are unaffected by the split.
 
     Parameters
     ----------
@@ -130,15 +121,6 @@ class AlertController:
     confidence:
         Per-constraint confidence floor for feasibility (see
         :class:`repro.core.estimator.AlertEstimator`).
-    decision_memo:
-        When True (default) :meth:`decide` caches selections keyed on
-        the quantized filter state, so converged Kalman phases — where
-        successive states round to the same key — skip re-estimation
-        entirely.  Selections are always *computed* from the exact
-        state; quantization only controls cache-key identity.
-    memo_decimals:
-        Decimal places the state is rounded to when forming memo keys
-        (default 4: states within 1e-4 of each other share a decision).
     keep_xi_history:
         Retain every observed slowdown ratio for trace consumers
         (Figure 11).  Off by default — see
@@ -155,8 +137,6 @@ class AlertController:
         q0: float = 0.1,
         overhead_fraction: float = DEFAULT_OVERHEAD_FRACTION,
         confidence: float = 0.95,
-        decision_memo: bool = True,
-        memo_decimals: int = 4,
         keep_xi_history: bool = False,
     ) -> None:
         if overhead_fraction < 0 or overhead_fraction > 0.2:
@@ -186,9 +166,6 @@ class AlertController:
             ),
             idle_filter=IdlePowerFilter(phi0=idle_ratio),
             overhead_s=overhead_fraction * mean_latency,
-            decision_memo=decision_memo,
-            memo_decimals=memo_decimals,
-            memo_cap=DEFAULT_MEMO_CAP,
         )
 
     # ------------------------------------------------------------------
@@ -257,22 +234,6 @@ class AlertController:
         return self.kernel.overhead_s
 
     @property
-    def _memo(self) -> dict | None:
-        return self.kernel.memo
-
-    @property
-    def _memo_decimals(self) -> int:
-        return self.kernel.memo_decimals
-
-    @property
-    def _MEMO_CAP(self) -> int:
-        return self.kernel.memo_cap
-
-    @_MEMO_CAP.setter
-    def _MEMO_CAP(self, value: int) -> None:
-        self.kernel.memo_cap = value
-
-    @property
     def worst_case_overhead_s(self) -> float:
         """The per-decision overhead reserved from each deadline."""
         return self.kernel.overhead_s
@@ -281,11 +242,6 @@ class AlertController:
     def last_selection(self) -> SelectionResult | None:
         """The most recent selection (None before the first decide)."""
         return self.kernel.last_selection
-
-    @property
-    def memo_stats(self) -> tuple[int, int]:
-        """(hits, misses) of the decision memo since construction."""
-        return self.kernel.memo_hits, self.kernel.memo_misses
 
     def state(self) -> ControllerState:
         """Snapshot of the filters for traces and tests."""
@@ -306,13 +262,12 @@ class AlertCellController(AlertCellKernel):
 
     Every goal of a fused cell consumes the same input sequence, so
     their independent ALERT states — ξ filter, idle-power filter, tail
-    model, decision memo — can advance in lockstep: one stacked
-    :meth:`observe_many` pass folds in all goals' measurements, and one
+    model — can advance in lockstep: one stacked :meth:`observe_many`
+    pass folds in all goals' measurements, and one
     :meth:`~repro.core.kernel.AlertCellKernel.decide_many` pass
     computes every goal's selection through
     :meth:`repro.core.selector.ConfigSelector.select_many` (single
-    fused erf + lexsort per step, covering exactly the goals whose
-    quantized state missed their memo).  Each goal's trajectory is
+    fused erf + lexsort per step).  Each goal's trajectory is
     bit-identical to a fresh :class:`AlertController` serving that goal
     alone (``tests/test_lockstep_parity.py``).
 
@@ -325,9 +280,9 @@ class AlertCellController(AlertCellKernel):
 
     Build through :meth:`from_controllers`, which validates that the
     per-goal controllers are fresh and structurally identical (same
-    candidate space, estimator settings, filter parameters, memo
-    configuration) and returns ``None`` when they are not — callers
-    fall back to the sequential per-goal path.
+    candidate space, estimator settings, filter parameters) and
+    returns ``None`` when they are not — callers fall back to the
+    sequential per-goal path.
     """
 
     @classmethod
@@ -340,7 +295,7 @@ class AlertCellController(AlertCellKernel):
         be stacked: not plain :class:`AlertController` instances, not
         fresh (any filter already observed, any decision already
         made), or structurally different (candidate space, estimator
-        mode, overhead, filter or memo parameters).  Custom controller
+        mode, overhead, filter parameters).  Custom controller
         subclasses are rejected on purpose: their overridden behaviour
         must keep running on the sequential reference path.
         """
@@ -354,8 +309,6 @@ class AlertCellController(AlertCellKernel):
                 or controller.idle_filter.updates != 0
                 or controller.last_selection is not None
             ):
-                return None
-            if controller._memo is not None and controller._memo:
                 return None
             # ξ-history retention is a trace contract the stacked
             # estimator does not replicate; such runs stay sequential
@@ -378,9 +331,6 @@ class AlertCellController(AlertCellKernel):
                 controller.estimator.variance_aware,
                 controller.estimator.confidence,
                 controller._overhead_s,
-                controller._memo is not None,
-                controller._memo_decimals,
-                controller._MEMO_CAP,
                 (xi.mu, xi.var, xi.gain, xi.measurement_noise, xi.q_cap, xi.alpha),
                 (
                     controller.slowdown._min_sigma,
@@ -413,9 +363,6 @@ class AlertCellController(AlertCellKernel):
             idle_m0=idle.variance,
             idle_s=idle.process_noise,
             idle_v=idle.measurement_noise,
-            memo_decimals=first._memo_decimals,
-            memo_cap=first._MEMO_CAP,
-            decision_memo=first._memo is not None,
         )
 
     # ------------------------------------------------------------------
@@ -458,17 +405,10 @@ class AlertCellController(AlertCellKernel):
         return self.slowdown.mean, self.slowdown.sigma
 
     @property
-    def memo_stats(self) -> tuple[int, int]:
-        """(hits, misses) across all goals since construction."""
-        return self.memo_hits, self.memo_misses
-
-    @property
     def lockstep_stats(self) -> dict:
         """Decision-path health counters for benches and telemetry."""
         return lockstep_stats_dict(
             self.n_goals,
             self.stacked_calls,
             self.stacked_states,
-            self.memo_hits,
-            self.memo_misses,
         )

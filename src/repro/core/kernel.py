@@ -20,7 +20,7 @@ event loop (:mod:`repro.serve`).  This module pins that boundary:
   filter gets a sample — is resolved *by the driver* via
   :func:`measurement_from_outcome`.
 * :class:`AlertKernel` owns ALERT's scalar belief state and the
-  estimate/select step (including the quantized-state decision memo).
+  estimate/select step, with an exact per-belief selection cache.
   :class:`repro.core.controller.AlertController` is a thin adapter
   that builds the candidate machinery and delegates here.
 * :class:`AlertCellKernel` is the stacked (lockstep) twin: one belief
@@ -40,7 +40,6 @@ suites pin the adapters bit-identical to their pre-split trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -144,33 +143,46 @@ def kernel_of(scheduler):
     return kernel if kernel is not None else scheduler
 
 
-def evict_oldest_half(memo: dict) -> None:
-    """Drop the least-recently-inserted half of a decision memo.
+#: Adjusted goals kept before a cache restarts; group-adjusted
+#: deadlines make a fresh goal per input on sentence tasks.
+_GOAL_CACHE_CAP = 4096
 
-    Dict insertion order is the age order here (entries are only ever
-    added), so this keeps the newer half — the states a converged or
-    slowly drifting filter is actually revisiting — instead of
-    restarting cold, which made every memo hit vanish each time the
-    cap was crossed.
+
+def _adjusted(cache: dict, goal: Goal, overhead_s: float) -> Goal:
+    """``goal`` with ``overhead_s`` reserved from its deadline, cached.
+
+    Drivers re-decide the same goals for thousands of inputs, so the
+    dataclass replace and validation are paid once per goal value.
     """
-    for key in list(islice(iter(memo), len(memo) // 2)):
-        del memo[key]
+    effective = cache.get(goal)
+    if effective is None:
+        effective = goal
+        adjusted = max(1e-6, goal.deadline_s - overhead_s)
+        if adjusted != goal.deadline_s:
+            effective = goal.with_deadline(adjusted)
+        if len(cache) >= _GOAL_CACHE_CAP:
+            cache.clear()
+        cache[goal] = effective
+    return effective
 
 
 class AlertKernel:
     """ALERT's belief state and estimate/select step, clock-free.
 
-    Owns the global-slowdown ξ filter, the idle-power filter, and the
-    quantized-state decision memo; knows nothing about periods, input
-    streams, or how outcomes are realised.  Construction happens in
-    :class:`repro.core.controller.AlertController`, which builds the
-    candidate space and selector and passes them in.
+    Owns the global-slowdown ξ filter and the idle-power filter; knows
+    nothing about periods, input streams, or how outcomes are realised.
+    Construction happens in :class:`repro.core.controller.AlertController`,
+    which builds the candidate space and selector and passes them in.
 
     Parameters mirror the controller's: ``selector`` runs steps 3-4,
-    ``profile`` anchors observed latencies, ``overhead_s`` is the
-    worst-case scheduler overhead reserved from every deadline, and
-    the memo parameters control the decision cache (``memo_cap`` may
-    be reassigned at any time; it is read per decide).
+    ``profile`` anchors observed latencies, and ``overhead_s`` is the
+    worst-case scheduler overhead reserved from every deadline.
+
+    ``decide`` is a pure function of the goal and the belief state, and
+    the belief only changes in :meth:`observe`.  So the kernel keeps the
+    selections made since the last observation, one per goal, and
+    answers a repeated goal from them exactly — the cost-aware fleet
+    probes every replica's ``decide`` before dispatching to one.
     """
 
     def __init__(
@@ -180,29 +192,24 @@ class AlertKernel:
         slowdown: GlobalSlowdownEstimator,
         idle_filter: IdlePowerFilter,
         overhead_s: float,
-        decision_memo: bool = True,
-        memo_decimals: int = 4,
-        memo_cap: int = 4096,
     ) -> None:
         self.selector = selector
         self.profile = profile
         self.slowdown = slowdown
         self.idle_filter = idle_filter
         self.overhead_s = overhead_s
-        self.memo: dict[tuple, SelectionResult] | None = (
-            {} if decision_memo else None
-        )
-        self.memo_decimals = memo_decimals
-        self.memo_cap = memo_cap
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.last_selection: SelectionResult | None = None
+        # Selections under the current belief; observe() clears them.
+        self._selections: dict[Goal, SelectionResult] = {}
+        # Overhead-adjusted goals, a pure function of (goal, overhead_s).
+        self._effective: dict[Goal, Goal] = {}
 
     # ------------------------------------------------------------------
     # Step 1: measurement feedback
     # ------------------------------------------------------------------
     def observe(self, measurement: Measurement) -> float:
         """Fold one measurement in; returns the observed slowdown."""
+        self._selections.clear()
         t_prof = self.profile.latency(
             measurement.model_name, measurement.power_cap_w
         )
@@ -224,39 +231,19 @@ class AlertKernel:
         the kernel additionally reserves its own worst-case overhead
         from the deadline.
         """
-        effective = goal
-        adjusted_deadline = max(1e-6, goal.deadline_s - self.overhead_s)
-        if adjusted_deadline != goal.deadline_s:
-            effective = goal.with_deadline(adjusted_deadline)
-        xi_mean, xi_sigma = self.slowdown.snapshot()
-        phi = self.idle_filter.phi
-        tail = (self.slowdown.tail_fraction, self.slowdown.tail_ratio)
-
-        key: tuple | None = None
-        if self.memo is not None:
-            nd = self.memo_decimals
-            key = (
-                goal,
-                round(xi_mean, nd),
-                round(xi_sigma, nd),
-                round(phi, nd),
-                round(tail[0], nd),
-                round(tail[1], nd),
+        result = self._selections.get(goal)
+        if result is None:
+            effective = _adjusted(self._effective, goal, self.overhead_s)
+            slowdown = self.slowdown
+            xi_mean, xi_sigma = slowdown.snapshot()
+            result = self.selector.select(
+                effective,
+                xi_mean,
+                xi_sigma,
+                self.idle_filter.phi,
+                tail=(slowdown.tail_fraction, slowdown.tail_ratio),
             )
-            cached = self.memo.get(key)
-            if cached is not None:
-                self.memo_hits += 1
-                self.last_selection = cached
-                return cached
-
-        result = self.selector.select(
-            effective, xi_mean, xi_sigma, phi, tail=tail
-        )
-        if self.memo is not None and key is not None:
-            self.memo_misses += 1
-            if len(self.memo) >= self.memo_cap:
-                evict_oldest_half(self.memo)
-            self.memo[key] = result
+            self._selections[goal] = result
         self.last_selection = result
         return result
 
@@ -269,10 +256,10 @@ class AlertCellKernel:
     in, and one :meth:`decide_many` pass computes every goal's
     selection through
     :meth:`~repro.core.selector.ConfigSelector.select_many` (single
-    fused erf + lexsort per step, covering exactly the goals whose
-    quantized state missed their memo).  Knows nothing about periods or
-    outcome records — :class:`repro.core.controller.AlertCellController`
-    adapts the harness's outcome convention onto it.
+    fused erf + lexsort per step, covering every goal).  Knows nothing
+    about periods or outcome records —
+    :class:`repro.core.controller.AlertCellController` adapts the
+    harness's outcome convention onto it.
     """
 
     def __init__(
@@ -289,9 +276,6 @@ class AlertCellKernel:
         idle_m0: float,
         idle_s: float,
         idle_v: float,
-        memo_decimals: int,
-        memo_cap: int,
-        decision_memo: bool = True,
     ) -> None:
         if n_goals < 1:
             raise ConfigurationError(f"need at least one goal, got {n_goals}")
@@ -309,23 +293,14 @@ class AlertCellKernel:
         self.idle_filter = StackedIdlePowerFilter(
             phi0, m0=idle_m0, s=idle_s, v=idle_v
         )
-        self._memos: list[dict] | None = (
-            [{} for _ in range(n_goals)] if decision_memo else None
-        )
-        self._memo_decimals = memo_decimals
-        self._memo_cap = memo_cap
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.stacked_calls = 0
         self.stacked_states = 0
-        # Overhead-adjusted goals are pure functions of the goal; the
-        # serving loop re-decides the same Goal objects for thousands
-        # of inputs, so the dataclass replace + validation is cached.
+        # Overhead-adjusted goals, a pure function of (goal, overhead_s).
         self._effective: dict[Goal, Goal] = {}
         # The lockstep loops pass the identical goal-list objects every
         # step; resolving the whole list through ``_effective`` per
-        # step would hash every (frozen, hash-recomputing) Goal three
-        # times per input.  One id-tuple lookup replaces all of it;
+        # step would hash every (frozen, hash-recomputing) Goal on
+        # every input.  One id-tuple lookup replaces all of it;
         # the entry pins its goals, keeping the ids stable.
         self._adjusted_lists: dict[tuple, tuple[list, list]] = {}
 
@@ -372,113 +347,42 @@ class AlertCellKernel:
     def decide_many(self, goals) -> list[SelectionResult]:
         """One selection per goal (already group-adjusted), stacked.
 
-        Per-goal memo keys quantize each goal's own filter state
-        exactly like :meth:`AlertKernel.decide`; only the goals that
-        miss go into the stacked
-        :meth:`~repro.core.selector.ConfigSelector.select_many` pass.
+        Every goal goes into one
+        :meth:`~repro.core.selector.ConfigSelector.select_many` pass:
+        :meth:`observe_many` moves every goal's belief each step, so
+        no selection could be reused from the step before.
         """
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
-        xi_mean = self.slowdown.mean
-        xi_sigma = self.slowdown.sigma
-        phi = self.idle_filter.phi
-        tail_fraction = self.slowdown.tail_fraction
-        tail_ratio = self.slowdown.tail_ratio
-        nd = self._memo_decimals
-
-        results: list[SelectionResult | None] = [None] * self.n_goals
         ids = tuple(map(id, goals))
         adjusted_entry = self._adjusted_lists.get(ids)
         if adjusted_entry is None:
-            effectives = []
-            for goal in goals:
-                effective = self._effective.get(goal)
-                if effective is None:
-                    effective = goal
-                    adjusted = max(1e-6, goal.deadline_s - self.overhead_s)
-                    if adjusted != goal.deadline_s:
-                        effective = goal.with_deadline(adjusted)
-                    if len(self._effective) >= 4096:
-                        self._flush_goal_caches()
-                    self._effective[goal] = effective
-                effectives.append(effective)
+            effectives = [
+                _adjusted(self._effective, goal, self.overhead_s)
+                for goal in goals
+            ]
             if len(self._adjusted_lists) >= 64:
-                self._flush_goal_caches()
-            # Pin the goals and their adjusted twins: live references
-            # keep every id in the key (and in the memo keys below)
+                self._adjusted_lists.clear()
+            # Pin the goals: live references keep every id in the key
             # unambiguous.
             self._adjusted_lists[ids] = (list(goals), effectives)
         else:
             effectives = adjusted_entry[1]
 
-        # One bulk tolist per state vector: identical doubles to
+        slowdown = self.slowdown
+        # One bulk tolist per tail vector: identical doubles to
         # per-element float() casts, without G numpy scalar reads.
-        means = xi_mean.tolist()
-        sigmas = xi_sigma.tolist()
-        phis = phi.tolist()
-        fractions = tail_fraction.tolist()
-        ratios = tail_ratio.tolist()
-
-        miss_goals: list[Goal] = []
-        miss_index: list[int] = []
-        miss_keys: list[tuple | None] = []
-        for g in range(self.n_goals):
-            effective = effectives[g]
-            key: tuple | None = None
-            if self._memos is not None:
-                # id(effective) stands in for the goal value: the
-                # adjusted goals are interned per value through
-                # ``_effective`` and pinned by ``_adjusted_lists``, so
-                # equal goals share one id and ids never alias while
-                # any memo entry can still be reached.
-                key = (
-                    id(effective),
-                    round(means[g], nd),
-                    round(sigmas[g], nd),
-                    round(phis[g], nd),
-                    round(fractions[g], nd),
-                    round(ratios[g], nd),
-                )
-                cached = self._memos[g].get(key)
-                if cached is not None:
-                    self.memo_hits += 1
-                    results[g] = cached
-                    continue
-            miss_goals.append(effective)
-            miss_index.append(g)
-            miss_keys.append(key)
-
-        if miss_goals:
-            index = np.array(miss_index)
-            selections = self.selector.select_many(
-                miss_goals,
-                xi_mean[index],
-                xi_sigma[index],
-                phi[index],
-                tails=[(fractions[g], ratios[g]) for g in miss_index],
-            )
-            self.stacked_calls += 1
-            self.stacked_states += len(miss_goals)
-            for g, key, selection in zip(miss_index, miss_keys, selections):
-                if self._memos is not None and key is not None:
-                    self.memo_misses += 1
-                    memo = self._memos[g]
-                    if len(memo) >= self._memo_cap:
-                        evict_oldest_half(memo)
-                    memo[key] = selection
-                results[g] = selection
-        return results
-
-    def _flush_goal_caches(self) -> None:
-        """Drop the goal-resolution caches *and* the decision memos.
-
-        Evicting ``_effective`` / ``_adjusted_lists`` entries un-pins
-        goal objects, so a recycled id could otherwise match a stale
-        id-keyed memo entry; flushing together makes that impossible.
-        """
-        self._effective.clear()
-        self._adjusted_lists.clear()
-        if self._memos is not None:
-            self._memos = [{} for _ in range(self.n_goals)]
+        tails = list(
+            zip(slowdown.tail_fraction.tolist(), slowdown.tail_ratio.tolist())
+        )
+        self.stacked_calls += 1
+        self.stacked_states += self.n_goals
+        return self.selector.select_many(
+            effectives,
+            slowdown.mean,
+            slowdown.sigma,
+            self.idle_filter.phi,
+            tails=tails,
+        )

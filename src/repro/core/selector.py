@@ -281,7 +281,7 @@ class ConfigSelector:
         """One selection per (goal, filter-state) pair, in one pass.
 
         The lockstep serving path calls this once per input step with
-        every goal of the cell that missed its decision memo.  The
+        every goal of the cell.  The
         estimates come from one stacked
         :meth:`~repro.core.batch_estimator.BatchAlertEstimator.estimate_many`
         query (single fused erf evaluation), and the 4-stage priority

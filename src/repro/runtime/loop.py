@@ -90,7 +90,7 @@ class LockstepTelemetry:
 
     Benches and smoke artifacts read these to show decision-path
     health (how many runs took the lockstep path, the stacked batch
-    sizes, memo hit rates) without threading plumbing through every
+    sizes) without threading plumbing through every
     result type.  Counters are per-process: pool workers accumulate
     their own and the numbers are meaningful for ``workers=1`` runs,
     which is how the benches use them.
@@ -105,8 +105,6 @@ class LockstepTelemetry:
         self.fallback_runs = 0
         self.stacked_calls = 0
         self.stacked_states = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
         self.sequential_inputs = 0
         self.cross_cells = 0
         self.cross_lanes = 0
@@ -125,8 +123,6 @@ class LockstepTelemetry:
         self.lockstep_runs += stats["goals"]
         self.stacked_calls += stats["stacked_calls"]
         self.stacked_states += stats["stacked_states"]
-        self.memo_hits += stats["memo_hits"]
-        self.memo_misses += stats["memo_misses"]
 
     def record_fallback(self, n_runs: int = 1) -> None:
         self.fallback_runs += n_runs
@@ -148,7 +144,6 @@ class LockstepTelemetry:
 
     def snapshot(self) -> dict:
         calls = self.stacked_calls
-        memo_total = self.memo_hits + self.memo_misses
         return {
             "lockstep_cells": self.lockstep_cells,
             "lockstep_runs": self.lockstep_runs,
@@ -157,13 +152,6 @@ class LockstepTelemetry:
             "stacked_states": self.stacked_states,
             "mean_batch_size": (
                 round(self.stacked_states / calls, 2) if calls else 0.0
-            ),
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            # The ROADMAP's "memo never hits in-run" observation, kept
-            # honest by the artifact: the benches surface this rate.
-            "memo_hit_rate": (
-                round(self.memo_hits / memo_total, 4) if memo_total else 0.0
             ),
             "sequential_inputs": self.sequential_inputs,
             "cross_cells": self.cross_cells,

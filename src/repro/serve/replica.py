@@ -109,8 +109,9 @@ class Replica:
     def expected_latency_s(self, goal) -> float | None:
         """The kernel's current latency belief for ``goal``, or ``None``.
 
-        Probes ``kernel.decide`` — which mutates only memo counters,
-        never filter state — and reads the selection's estimate.
+        Probes ``kernel.decide`` — which never touches filter state,
+        and whose selection the dispatch under the same belief reuses
+        exactly — and reads the selection's estimate.
         Kernels that return a bare configuration (no estimate record)
         yield ``None`` and the cost-aware policy degrades gracefully.
         """

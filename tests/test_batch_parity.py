@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import batch_estimator as be
 from repro.core.batch_estimator import BatchAlertEstimator, normal_cdf_array
 from repro.core.config_space import ConfigurationSpace
 from repro.core.controller import AlertController
@@ -143,6 +144,45 @@ def test_normal_cdf_array_matches_math_erf():
     assert normal_cdf_array(np.array([-50.0]))[0] == 0.0
 
 
+def _erf_clip_fill_reference(x: np.ndarray) -> np.ndarray:
+    """The erf kernel as first written: ``np.clip`` and a filled Horner."""
+
+    def polevl(v, coeffs):
+        result = np.full_like(v, coeffs[0])
+        for c in coeffs[1:]:
+            result *= v
+            result += c
+        return result
+
+    x = np.clip(np.asarray(x, dtype=np.float64), -6.5, 6.5)
+    a = np.abs(x)
+    z = x * x
+    small_mask = a < 1.0
+    small = x * polevl(z, be._ERF_T) / be._p1evl(z, be._ERF_U)
+    erfc = np.exp(-z) * (polevl(a, be._ERFC_P) / be._p1evl(a, be._ERFC_Q))
+    large = np.sign(x) * (1.0 - erfc)
+    return np.where(small_mask, small, large)
+
+
+def test_erf_kernel_bit_identical_to_clip_fill_reference():
+    specials = np.array(
+        [np.inf, -np.inf, 6.5, -6.5, 1.0, -1.0, 0.0, -0.0, 1e9, -1e9]
+    )
+    grid = np.concatenate([np.linspace(-9.0, 9.0, 2001), specials])
+    rng = np.random.default_rng(5)
+    inputs = [grid, specials]
+    # Decision-sized calls (143-300 elements) on every branch mix:
+    # all |x| < 1, all |x| >= 1, and both.
+    for size in (143, 300):
+        inputs.append(rng.uniform(-0.99, 0.99, size))
+        inputs.append(rng.uniform(1.0, 7.0, size) * rng.choice([-1, 1], size))
+        inputs.append(rng.uniform(-7.0, 7.0, size))
+    for x in inputs:
+        got = be._erf_array(x)
+        want = _erf_clip_fill_reference(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_erf_saturation_matches_math():
     # The clip point must agree with math.erf's own rounding to +/-1.
     for x in (6.5, 7.0, 10.0, 1e6):
@@ -245,47 +285,122 @@ def test_selection_identical_across_paths(paths):
 
 
 # ----------------------------------------------------------------------
-# Controller decision memo
+# The kernel's exact per-belief selection cache
 # ----------------------------------------------------------------------
-def test_decision_memo_hits_on_converged_state(cpu1_profile):
+def _count_selects(monkeypatch, controller) -> list:
+    """Record every ``select`` the controller's selector runs."""
+    calls = []
+    real = controller.selector.select
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(controller.selector, "select", counting)
+    return calls
+
+
+def _fresh_selection(controller, goal):
+    """``select`` under the adjusted goal and the exact current belief."""
+    slowdown = controller.slowdown
+    xi_mean, xi_sigma = slowdown.snapshot()
+    adjusted = goal.with_deadline(
+        max(1e-6, goal.deadline_s - controller.worst_case_overhead_s)
+    )
+    return controller.selector.select(
+        adjusted,
+        xi_mean,
+        xi_sigma,
+        controller.idle_filter.phi,
+        tail=(slowdown.tail_fraction, slowdown.tail_ratio),
+    )
+
+
+def test_repeated_decide_reuses_one_select(cpu1_profile, monkeypatch):
     controller = AlertController(cpu1_profile)
+    calls = _count_selects(monkeypatch, controller)
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.4,
         accuracy_min=0.9,
     )
     first = controller.decide(goal)
-    second = controller.decide(goal)  # identical state: memo hit
+    second = controller.decide(goal)  # no observe in between
     assert second is first
-    hits, misses = controller.memo_stats
-    assert hits == 1 and misses == 1
+    assert controller.last_selection is first
+    assert len(calls) == 1
 
 
-def test_decision_memo_invalidates_on_state_change(cpu1_profile):
+def test_sub_quantum_observe_forces_fresh_select(cpu1_profile, monkeypatch):
+    """Any observation invalidates, however little it moves the belief.
+
+    A cache keyed on the state rounded to 1e-4 would answer the second
+    decide with the selection made for the previous state.
+    """
     controller = AlertController(cpu1_profile)
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.4,
         accuracy_min=0.9,
     )
+    name, power = "sparse_resnet50_dense", 45.0
+    t_prof = cpu1_profile.latency(name, power)
+    for _ in range(300):  # converge the ξ filter on a steady 1.2x
+        controller.observe(name, power, 1.2 * t_prof)
+
+    def belief():
+        slowdown = controller.slowdown
+        return (
+            *slowdown.snapshot(),
+            controller.idle_filter.phi,
+            slowdown.tail_fraction,
+            slowdown.tail_ratio,
+        )
+
+    calls = _count_selects(monkeypatch, controller)
     controller.decide(goal)
-    choice = controller.last_selection.config
-    t_prof = cpu1_profile.latency(choice.model.name, choice.power_w)
-    controller.observe(choice.model.name, choice.power_w, 2.5 * t_prof)
-    controller.decide(goal)
-    hits, misses = controller.memo_stats
-    assert misses == 2 and hits == 0
+    before = belief()
+    controller.observe(name, power, 1.2 * t_prof)
+    after = belief()
+    assert after != before
+    assert all(abs(a - b) < 1e-4 for a, b in zip(after, before))
+    assert [round(v, 4) for v in after] == [round(v, 4) for v in before]
+
+    result = controller.decide(goal)
+    assert len(calls) == 2
+    assert result == _fresh_selection(controller, goal)
 
 
-def test_decision_memo_can_be_disabled(cpu1_profile):
-    controller = AlertController(cpu1_profile, decision_memo=False)
-    goal = Goal(
-        objective=ObjectiveKind.MINIMIZE_ENERGY,
-        deadline_s=0.4,
-        accuracy_min=0.9,
-    )
-    a = controller.decide(goal)
-    b = controller.decide(goal)
-    assert a is not b
-    assert controller.memo_stats == (0, 0)
-    assert a.config.key == b.config.key
+def test_decide_is_exact_along_a_trajectory(cpu1_profile):
+    """Every decide equals a fresh select on the exact belief state."""
+    controller = AlertController(cpu1_profile)
+    rng = np.random.default_rng(12)
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=0.4,
+            accuracy_min=0.9,
+        ),
+        Goal(
+            objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+            deadline_s=0.3,
+            energy_budget_j=7.0,
+            prob_threshold=0.9,
+        ),
+    ]
+    for _ in range(200):
+        # Zero to three decides per belief epoch, over both goals.
+        for _ in range(int(rng.integers(0, 4))):
+            goal = goals[int(rng.integers(len(goals)))]
+            assert controller.decide(goal) == _fresh_selection(controller, goal)
+        selection = controller.decide(goals[0])
+        assert selection == _fresh_selection(controller, goals[0])
+        config = selection.config
+        ratio = float(rng.lognormal(0.1, 0.3))
+        idle = float(rng.uniform(2.0, 8.0)) if rng.random() < 0.5 else None
+        controller.observe(
+            config.model.name,
+            config.power_w,
+            ratio * cpu1_profile.latency(config.model.name, config.power_w),
+            idle,
+        )

@@ -219,40 +219,6 @@ def test_controller_adapts_to_slowdown(cpu1_profile):
     assert stormy_result.estimate.latency_mean_s <= goal.deadline_s
 
 
-def test_memo_hits_survive_cap_crossing(cpu1_profile):
-    """Regression: crossing the memo cap used to drop the whole cache.
-
-    Eviction must keep the newer half, so decisions the controller is
-    actively revisiting still hit right after the cap is crossed.
-    """
-    controller = AlertController(cpu1_profile)
-    controller._MEMO_CAP = 8
-
-    def goal(i: int) -> Goal:
-        # Distinct deadlines give distinct memo keys at a fixed state.
-        return Goal(
-            objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=0.4 + i * 1e-3,
-            accuracy_min=0.9,
-        )
-
-    for i in range(8):
-        controller.decide(goal(i))
-    assert controller.memo_stats == (0, 8)
-    # The 9th distinct state crosses the cap: the oldest half (0-3) is
-    # evicted, the newer half survives.
-    controller.decide(goal(8))
-    for i in (5, 6, 7, 8):
-        controller.decide(goal(i))
-    hits, misses = controller.memo_stats
-    assert hits == 4, "recently memoised decisions must survive the cap"
-    assert misses == 9
-    # The evicted oldest half misses again, without another eviction.
-    for i in (0, 1, 2):
-        controller.decide(goal(i))
-    assert controller.memo_stats == (4, 12)
-
-
 # ----------------------------------------------------------------------
 # Goal adjustment
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ top of the clock-free decision kernel.
 
 import pytest
 
+from repro.core.kernel import AlertKernel
+from repro.core.selector import ConfigSelector
 from repro.errors import ConfigurationError
 from repro.runtime.clock import SimulatedClock, VirtualClock, WallClock
 from repro.serve import FleetConfig, PowerBudget, build_fleet, make_policy
@@ -131,6 +133,47 @@ def test_cost_aware_weighs_backlog_by_kernel_estimate():
     # Without estimates anywhere, degrade to least-loaded.
     blind = [StubReplica(0, 3, None), StubReplica(1, 1, None)]
     assert policy.select(blind, None).replica_id == 1
+
+
+def test_cost_aware_fleet_selects_once_per_belief_epoch(monkeypatch):
+    """Probes and the dispatch between two observations share a select.
+
+    Every replica's kernel answers repeated decides from its cache until
+    its next observation, so selects are bounded by observations plus
+    the one decide each replica makes before its first observation —
+    and the fleet serves exactly what it serves with the cache bypassed.
+    """
+    config = FleetConfig(replicas=4, policy="cost-aware")
+    counts = {"select": 0, "observe": 0}
+    real_select = ConfigSelector.select
+    real_observe = AlertKernel.observe
+
+    def counting_select(self, *args, **kwargs):
+        counts["select"] += 1
+        return real_select(self, *args, **kwargs)
+
+    def counting_observe(self, measurement):
+        counts["observe"] += 1
+        return real_observe(self, measurement)
+
+    monkeypatch.setattr(ConfigSelector, "select", counting_select)
+    monkeypatch.setattr(AlertKernel, "observe", counting_observe)
+    summary = build_fleet(config).run_requests(300)
+    assert summary["served"] == 300
+    assert counts["select"] <= counts["observe"] + config.replicas
+    cached_selects = counts["select"]
+
+    real_decide = AlertKernel.decide
+
+    def uncached_decide(self, goal):
+        self._selections.clear()
+        return real_decide(self, goal)
+
+    monkeypatch.setattr(AlertKernel, "decide", uncached_decide)
+    counts["select"] = 0
+    assert build_fleet(config).run_requests(300) == summary
+    # Bypassed, every probe pays its own select.
+    assert counts["select"] > 2 * cached_selects
 
 
 def test_policy_factory():

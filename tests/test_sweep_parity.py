@@ -10,8 +10,7 @@ corrupted or truncated trailing checkpoint line); pooled execution
 must equal serial.  Also covers the satellites riding along: the
 LRU-bounded :class:`repro.runtime.executor._WorkerState` caches, the
 read-only guarantee of shared-buffer-adopted
-:class:`~repro.models.inference.BatchOutcomeGrid` arrays, and the
-``memo_hit_rate`` telemetry surface.
+:class:`~repro.models.inference.BatchOutcomeGrid` arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.runtime.executor import (
     timing_grid,
 )
 from repro.runtime.grid_store import SharedGridStore
-from repro.runtime.loop import LockstepTelemetry
 from repro.runtime.results import RunResult
 from repro.runtime.sweep import (
     CellSummary,
@@ -664,17 +662,6 @@ def test_worker_state_serves_default_space_from_store(memory_scenario):
         assert not second.latency_s.flags.writeable
         np.testing.assert_array_equal(first.latency_s, second.latency_s)
         assert store.stats()["grids"] == 1
-
-
-# ----------------------------------------------------------------------
-# Satellite: memo hit-rate telemetry
-# ----------------------------------------------------------------------
-def test_snapshot_surfaces_memo_hit_rate():
-    telemetry = LockstepTelemetry()
-    assert telemetry.snapshot()["memo_hit_rate"] == 0.0
-    telemetry.memo_hits = 3
-    telemetry.memo_misses = 1
-    assert telemetry.snapshot()["memo_hit_rate"] == pytest.approx(0.75)
 
 
 # ----------------------------------------------------------------------
