@@ -1,4 +1,4 @@
-"""Harness throughput: serving, cell fusion, lockstep, multi-worker.
+"""Harness throughput: serving, fleet front-end, multi-worker, sweep.
 
 Four layers of the spec → executor → loop stack are measured on the
 Table 4 image scenario (CPU1, default environment):
@@ -7,43 +7,16 @@ Table 4 image scenario (CPU1, default environment):
   precomputed grid, OracleStatic, App-only), one run served by the
   sequential per-input round trip (``batch=False``) versus the batch
   fast path (``batch=True``), in inputs/second.
-* **Cell fusion** — whole (goal × scheme) cells evaluated by
-  :func:`repro.experiments.harness.evaluate_schemes` with
-  ``fuse_cells=True`` (one outcome grid per timing serving every
-  scheme through a trusted grid view) versus ``fuse_cells=False``
-  (the PR 3 path: isolated per-run realisations), in cells/second —
-  once for the feedback-free scheme subset and once for the full
-  Table 4 zoo.  Fused results are bit-identical to unfused, so this
-  too is purely a wall-clock measurement.
-* **Lockstep** — the full Table 4 zoo over a Table-3-shaped goal grid,
-  fused with the lockstep multi-goal decision engine
-  (``lockstep=True``: every ALERT-family and Sys-only scheme advances
-  all goals together, one stacked estimator/selector pass per input)
-  versus the PR 4 fused per-goal path (``lockstep=False``).  Results
-  are value-identical (``tests/test_lockstep_parity.py``); the section
-  also records the decision-path health counters (stacked batch
-  sizes) from
-  :data:`repro.runtime.loop.LOCKSTEP_TELEMETRY`.
-* **Cross-scheme** — the *full* Table 4 zoo (all nine schemes,
-  oracles included) over a 3×5 goal grid, fused + lockstep with
-  ``cross_scheme=True`` (every stacking scheme advances the input
-  stream as a lane of one
-  :class:`repro.runtime.loop.CrossSchemeLockstepLoop`, sharing the
-  per-input grid reads; records realised goal-major after the run)
-  versus ``cross_scheme=False`` (the PR 5 per-scheme lockstep cells).
-  Results are value-identical (``tests/test_cross_scheme_parity.py``);
-  the section records the cross-scheme decision-path counters
-  (``cross_cells``/``cross_lanes``/``sequential_inputs``) so the
-  zero-per-input-Python property is visible in the artifact.
 * **Serving front-end** — the open-loop fleet (:mod:`repro.serve`)
   against the sequential harness: a one-replica fleet serves the same
   outcomes through the virtual-time event loop, so the ratio isolates
   the front-end's per-request overhead; multi-replica per-policy rates
   ride along as absolute context.
-* **Run executor** — a table4-style cell plan (constraint-grid goals ×
-  schemes, ALERT included so the plan carries real feedback work)
-  executed by :class:`repro.runtime.executor.RunExecutor` with 1, 2,
-  and 4 workers, in cells/second.  Parallel results are bit-identical
+* **Run executor** — a table4-style plan of one-goal
+  :class:`repro.runtime.executor.CellSpec` cells (constraint-grid
+  goals, ALERT among the schemes so the plan carries real feedback
+  work) executed by :class:`repro.runtime.executor.RunExecutor` with
+  1, 2, and 4 workers, in cells/second.  Parallel results are bit-identical
   to serial, so this is purely a wall-clock measurement; speedup is
   bounded by the machine's core count, which is recorded alongside
   (``parallel_efficiency`` is speedup divided by usable workers —
@@ -94,17 +67,17 @@ from pathlib import Path
 
 from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
-from repro.experiments.harness import SCHEMES, evaluate_schemes, make_scheme
+from repro.experiments.harness import make_scheme
 from repro.models.inference import shared_grid_layout
 from repro.runtime.executor import (
+    CellSpec,
     RunExecutor,
-    RunSpec,
     ScenarioKey,
     _WorkerState,
     timing_grid,
 )
 from repro.runtime.grid_store import SharedGridStore
-from repro.runtime.loop import LOCKSTEP_TELEMETRY, ServingLoop
+from repro.runtime.loop import ServingLoop
 from repro.runtime.sweep import SweepSpec, compile_sweep, summarize_cell
 from repro.serve import FleetConfig, build_fleet
 from repro.serve.policies import POLICY_KINDS
@@ -114,15 +87,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_harness.json"
 
 FEEDBACK_FREE_SCHEMES = ("Oracle", "OracleStatic", "App-only")
-TABLE4_SCHEMES = (
-    "ALERT",
-    "ALERT-Any",
-    "Sys-only",
-    "App-only",
-    "No-coord",
-    "Oracle",
-    "OracleStatic",
-)
 PLAN_SCHEMES = ("ALERT", "Oracle", "OracleStatic", "App-only")
 WORKER_COUNTS = (1, 2, 4)
 
@@ -187,181 +151,6 @@ def bench_serving(n_inputs: int, min_seconds: float) -> dict:
         "cpu_count": os.cpu_count(),
         "schemes": schemes,
         "min_speedup": min(entry["speedup"] for entry in schemes.values()),
-    }
-
-
-def _table3_goals(scenario, n_deadlines: int, n_floors: int) -> list[Goal]:
-    """A Table-3-shaped constraint subset: floors nested per deadline.
-
-    This is the shape real cells have (35 settings = 7 deadlines × 5
-    accuracy floors), so goals sharing a timing — and therefore one
-    outcome grid — appear in realistic proportion.
-    """
-    goals = list(constraint_grid(scenario).min_energy_goals)
-    deadlines: dict[float, list[Goal]] = {}
-    for goal in goals:
-        deadlines.setdefault(goal.deadline_s, []).append(goal)
-    subset: list[Goal] = []
-    for deadline in sorted(deadlines)[:n_deadlines]:
-        subset.extend(deadlines[deadline][:n_floors])
-    return subset
-
-
-def bench_cell_fusion(
-    n_deadlines: int, n_floors: int, n_inputs: int, repeats: int = 3
-) -> dict:
-    """Fused vs. unfused whole-cell evaluation, per scheme subset."""
-    scenario = _scenario()
-    goals = _table3_goals(scenario, n_deadlines, n_floors)
-    sections: dict = {}
-    for label, schemes in (
-        ("feedback_free", FEEDBACK_FREE_SCHEMES),
-        ("table4", TABLE4_SCHEMES),
-    ):
-        timings = {}
-        for fused in (True, False):
-            evaluate_schemes(
-                scenario, goals, schemes, n_inputs=n_inputs, fuse_cells=fused
-            )  # warm-up (grids, profiles)
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                evaluate_schemes(
-                    scenario, goals, schemes, n_inputs=n_inputs,
-                    fuse_cells=fused,
-                )
-                best = min(best, time.perf_counter() - start)
-            timings[fused] = best
-        sections[label] = {
-            "schemes": list(schemes),
-            "fused_seconds": round(timings[True], 4),
-            "unfused_seconds": round(timings[False], 4),
-            "fused_cells_per_sec": round(len(goals) / timings[True], 2),
-            "unfused_cells_per_sec": round(len(goals) / timings[False], 2),
-            "speedup": round(timings[False] / timings[True], 2),
-        }
-    return {
-        "n_goals": len(goals),
-        "n_deadlines": n_deadlines,
-        "n_floors": n_floors,
-        "n_inputs": n_inputs,
-        "cpu_count": os.cpu_count(),
-        "feedback_free": sections["feedback_free"],
-        "table4": sections["table4"],
-        "note": (
-            "fused = evaluate_schemes(fuse_cells=True): one outcome grid "
-            "per timing serves every scheme of the cell; unfused is the "
-            "PR 3 isolated-run path.  Results are bit-identical "
-            "(tests/test_cell_fusion_parity.py); speedup is wall-clock."
-        ),
-    }
-
-
-def bench_lockstep(
-    n_deadlines: int, n_floors: int, n_inputs: int, repeats: int = 3
-) -> dict:
-    """Fused+lockstep vs. fused per-goal, full Table 4 zoo cell."""
-    scenario = _scenario()
-    goals = _table3_goals(scenario, n_deadlines, n_floors)
-    timings = {}
-    telemetry = None
-    for lockstep in (True, False):
-        evaluate_schemes(
-            scenario, goals, TABLE4_SCHEMES, n_inputs=n_inputs,
-            fuse_cells=True, lockstep=lockstep,
-        )  # warm-up (grids, profiles)
-        best = float("inf")
-        for _ in range(repeats):
-            LOCKSTEP_TELEMETRY.reset()
-            start = time.perf_counter()
-            evaluate_schemes(
-                scenario, goals, TABLE4_SCHEMES, n_inputs=n_inputs,
-                fuse_cells=True, lockstep=lockstep,
-            )
-            best = min(best, time.perf_counter() - start)
-            if lockstep:
-                telemetry = LOCKSTEP_TELEMETRY.snapshot()
-        timings[lockstep] = best
-    return {
-        "n_goals": len(goals),
-        "n_deadlines": n_deadlines,
-        "n_floors": n_floors,
-        "n_inputs": n_inputs,
-        "cpu_count": os.cpu_count(),
-        "schemes": list(TABLE4_SCHEMES),
-        "lockstep_seconds": round(timings[True], 4),
-        "per_goal_seconds": round(timings[False], 4),
-        "lockstep_cells_per_sec": round(len(goals) / timings[True], 2),
-        "per_goal_cells_per_sec": round(len(goals) / timings[False], 2),
-        "speedup": round(timings[False] / timings[True], 2),
-        "decision_path": telemetry,
-        "note": (
-            "lockstep = evaluate_schemes(fuse_cells=True, lockstep=True): "
-            "ALERT-family and Sys-only runs advance the whole goal grid "
-            "together, one stacked estimator/selector pass per input "
-            "step; per_goal is the PR 4 fused path (lockstep=False).  "
-            "Results are value-identical "
-            "(tests/test_lockstep_parity.py); decision_path holds the "
-            "stacked batch-size counters of the measured run."
-        ),
-    }
-
-
-def bench_cross_scheme(
-    n_deadlines: int, n_floors: int, n_inputs: int, repeats: int = 3
-) -> dict:
-    """Cross-scheme fused cells vs. per-scheme lockstep, full zoo."""
-    scenario = _scenario()
-    goals = _table3_goals(scenario, n_deadlines, n_floors)
-    timings = {True: float("inf"), False: float("inf")}
-    telemetry = None
-    for cross in (True, False):
-        evaluate_schemes(
-            scenario, goals, SCHEMES, n_inputs=n_inputs,
-            fuse_cells=True, lockstep=True, cross_scheme=cross,
-        )  # warm-up (grids, profiles)
-    # Interleave the two modes inside each repeat: the paths are close
-    # enough (~5%) that measuring one mode's whole block first lets
-    # clock/load drift masquerade as a speedup (or slowdown) on noisy
-    # single-core runners; alternating exposes both modes to the same
-    # drift and best-of-``repeats`` does the rest.
-    for _ in range(repeats):
-        for cross in (False, True):
-            LOCKSTEP_TELEMETRY.reset()
-            start = time.perf_counter()
-            evaluate_schemes(
-                scenario, goals, SCHEMES, n_inputs=n_inputs,
-                fuse_cells=True, lockstep=True, cross_scheme=cross,
-            )
-            timings[cross] = min(
-                timings[cross], time.perf_counter() - start
-            )
-            if cross:
-                telemetry = LOCKSTEP_TELEMETRY.snapshot()
-    return {
-        "n_goals": len(goals),
-        "n_deadlines": n_deadlines,
-        "n_floors": n_floors,
-        "n_inputs": n_inputs,
-        "cpu_count": os.cpu_count(),
-        "schemes": list(SCHEMES),
-        "cross_seconds": round(timings[True], 4),
-        "per_scheme_seconds": round(timings[False], 4),
-        "cross_cells_per_sec": round(len(goals) / timings[True], 2),
-        "per_scheme_cells_per_sec": round(len(goals) / timings[False], 2),
-        "speedup": round(timings[False] / timings[True], 2),
-        "decision_path": telemetry,
-        "note": (
-            "cross = evaluate_schemes(cross_scheme=True): all stacking "
-            "schemes of the cell (ALERT family, Sys-only, No-coord) step "
-            "the input stream together as lanes of one "
-            "CrossSchemeLockstepLoop, sharing the per-input grid reads; "
-            "per_scheme is the PR 5 lockstep path (cross_scheme=False).  "
-            "Results are value-identical "
-            "(tests/test_cross_scheme_parity.py); decision_path shows "
-            "sequential_inputs=0 — zero per-input Python decide/observe "
-            "calls for the stacked schemes."
-        ),
     }
 
 
@@ -472,7 +261,7 @@ def bench_serving_frontend(
     }
 
 
-def _cell_plan(n_goals: int, n_inputs: int) -> list[RunSpec]:
+def _cell_plan(n_goals: int, n_inputs: int) -> list[CellSpec]:
     scenario = _scenario()
     key = ScenarioKey.for_scenario(scenario)
     assert key is not None
@@ -480,9 +269,11 @@ def _cell_plan(n_goals: int, n_inputs: int) -> list[RunSpec]:
     stride = max(1, len(goals) // n_goals)
     subset = goals[::stride][:n_goals]
     return [
-        RunSpec(scenario=key, goal=goal, scheme=name, n_inputs=n_inputs)
+        CellSpec(
+            scenario=key, goals=(goal,), schemes=PLAN_SCHEMES,
+            n_inputs=n_inputs,
+        )
         for goal in subset
-        for name in PLAN_SCHEMES
     ]
 
 
@@ -491,11 +282,10 @@ def bench_executor(
 ) -> dict:
     """A table4-style cell plan across 1, 2, and 4 workers."""
     plan = _cell_plan(n_goals, n_inputs)
-    chunk = len(PLAN_SCHEMES)
     timings: dict[str, dict] = {}
     base_seconds = None
     for workers in worker_counts:
-        executor = RunExecutor(workers=workers, chunksize=chunk)
+        executor = RunExecutor(workers=workers)
         executor.run_plan(plan)  # warm-up (pool spin-up, caches)
         elapsed = float("inf")
         for _ in range(3):
@@ -558,10 +348,10 @@ def _sweep_worker(units, client, queue, barrier) -> None:
     """
     state = _WorkerState(grid_store=client)
     warm = dataclasses.replace(units[0], n_inputs=16)
-    summarize_cell(warm.schemes, state.execute(warm.cell_spec()))
+    summarize_cell(warm.schemes, state.execute(warm.cell_spec())[0])
     barrier.wait()
     for unit in units:
-        runs = state.execute(unit.cell_spec())
+        (runs,) = state.execute(unit.cell_spec())
         summarize_cell(unit.schemes, runs)
     queue.put(len(units))
 
@@ -704,11 +494,11 @@ def bench_sweep(
         for shared in (False, True)
     }
     store_stats = None
-    # Interleave the arms inside each repeat (see bench_cross_scheme):
-    # every measurement forks fresh worker processes — and, for the
-    # store arms, builds a fresh store — because duplicated
-    # realisation across fresh caches is exactly the effect under
-    # measurement.
+    # Interleave the arms inside each repeat so clock/load drift hits
+    # every arm alike.  Every measurement forks fresh worker processes
+    # — and, for the store arms, builds a fresh store — because
+    # duplicated realisation across fresh caches is exactly the effect
+    # under measurement.
     for _ in range(repeats):
         for shared in (False, True):
             for workers in (1, 2):
@@ -776,15 +566,6 @@ def run(
         "platform": "CPU1",
         "task": "image",
         "serving": bench_serving(n_inputs, min_seconds),
-        "cell_fusion": bench_cell_fusion(
-            n_deadlines=3, n_floors=5, n_inputs=n_inputs, repeats=5
-        ),
-        "lockstep": bench_lockstep(
-            n_deadlines=3, n_floors=5, n_inputs=n_inputs, repeats=5
-        ),
-        "cross_scheme": bench_cross_scheme(
-            n_deadlines=3, n_floors=5, n_inputs=n_inputs, repeats=5
-        ),
         "serving_frontend": bench_serving_frontend(
             n_requests=n_inputs, min_seconds=min_seconds
         ),
@@ -798,29 +579,12 @@ def quick_metrics(min_seconds: float = 0.1) -> dict:
 
     The CI bench-regression gate compares the *ratio* metrics of this
     against the committed ``BENCH_harness.json`` — ratios (batch vs
-    sequential, fused vs unfused) are machine-relative, so they
+    sequential, fleet vs harness) are machine-relative, so they
     transfer across runner hardware where absolute throughput does
     not.
     """
     return {
         "serving": bench_serving(n_inputs=120, min_seconds=min_seconds),
-        "cell_fusion": bench_cell_fusion(
-            n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
-        ),
-        # Also carries the decision-path health counters (stacked
-        # batch sizes) of the measured lockstep run, so the
-        # smoke/CI artifact shows per-run scheduler health alongside
-        # the gated ratio.
-        "lockstep": bench_lockstep(
-            n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
-        ),
-        # The full-zoo cross-scheme ratio plus its decision-path
-        # telemetry (cross_cells/cross_lanes/sequential_inputs), so
-        # the CI artifact shows the fused cell's zero-per-input-Python
-        # property alongside the gated speedup.
-        "cross_scheme": bench_cross_scheme(
-            n_deadlines=3, n_floors=5, n_inputs=120, repeats=3
-        ),
         # The fleet front-end's event-loop overhead ratio (one-replica
         # fleet vs. the sequential harness serving identical outcomes).
         "serving_frontend": bench_serving_frontend(
@@ -848,22 +612,6 @@ def smoke() -> None:
     """Seconds-scale end-to-end exercise of every bench path (for CI)."""
     serving = bench_serving(n_inputs=20, min_seconds=0.05)
     assert set(serving["schemes"]) == set(FEEDBACK_FREE_SCHEMES)
-    fusion = bench_cell_fusion(
-        n_deadlines=1, n_floors=2, n_inputs=10, repeats=1
-    )
-    assert fusion["n_goals"] == 2
-    assert set(fusion["feedback_free"]["schemes"]) == set(FEEDBACK_FREE_SCHEMES)
-    lockstep = bench_lockstep(
-        n_deadlines=1, n_floors=2, n_inputs=10, repeats=1
-    )
-    assert lockstep["n_goals"] == 2
-    assert lockstep["decision_path"]["lockstep_runs"] > 0
-    cross = bench_cross_scheme(
-        n_deadlines=1, n_floors=2, n_inputs=10, repeats=1
-    )
-    assert cross["n_goals"] == 2
-    assert cross["decision_path"]["sequential_inputs"] == 0
-    assert cross["decision_path"]["cross_cells"] >= 1
     frontend = bench_serving_frontend(n_requests=15, min_seconds=0.05)
     assert frontend["relative_throughput"] > 0
     assert set(frontend["fleet_requests_per_sec"]) == set(POLICY_KINDS)
@@ -871,7 +619,7 @@ def smoke() -> None:
     executor = bench_executor(
         n_goals=2, n_inputs=10, worker_counts=(1, 2)
     )
-    assert executor["plan_cells"] == 2 * len(PLAN_SCHEMES)
+    assert executor["plan_cells"] == 2
     sweep = bench_sweep(
         n_inputs=40, stride=9, repeats=1, rss_inputs=10, rss_strides=(9, 3)
     )
@@ -902,19 +650,6 @@ def main() -> None:
     print(json.dumps(result, indent=2))
     if result["serving"]["min_speedup"] < 5.0:
         print("WARNING: batch serving path below the 5x target")
-    if result["cell_fusion"]["feedback_free"]["speedup"] < 2.0:
-        print("WARNING: fused feedback-free cells below the 2x target")
-    if result["lockstep"]["speedup"] < 1.5:
-        print("WARNING: lockstep full-zoo cells below the 1.5x target")
-    # Cross-scheme and per-scheme lockstep run the same per-lane fast
-    # path — cross only *removes* repeated column resolution — so the
-    # true ratio is >= 1.0 with a few percent of measurement noise on
-    # top (interleaved best-of-N bounds it, it cannot eliminate it).
-    # Warn only when the gap exceeds that noise band.
-    if result["cross_scheme"]["speedup"] < 0.95:
-        print("WARNING: cross-scheme fused cells slower than per-scheme")
-    if result["cell_fusion"]["table4"]["speedup"] < 3.0:
-        print("WARNING: fused table4 cells below the 3x target")
     if result["serving_frontend"]["relative_throughput"] < 0.5:
         print("WARNING: fleet front-end overhead above 2x the harness")
     if result["sweep"]["workers"]["2"]["store_speedup"] < 1.5:

@@ -3,7 +3,7 @@
 Re-measures the repository's throughput benchmarks with short windows
 and compares their *speedup ratios* against the committed
 ``BENCH_*.json`` baselines at the repository root.  Ratios (batch vs
-scalar, fused vs unfused) are machine-relative, so they transfer from
+scalar, fleet vs harness) are machine-relative, so they transfer from
 the box that wrote the baseline to whatever runner CI lands on, where
 absolute throughput numbers would not.  A measured ratio more than
 ``--tolerance`` (default 30%) below its committed value fails the
@@ -69,10 +69,6 @@ CHECKS = (
         "measure": lambda module: module.quick_metrics(min_seconds=0.15),
         "metrics": (
             "serving.min_speedup",
-            "cell_fusion.feedback_free.speedup",
-            "cell_fusion.table4.speedup",
-            "lockstep.speedup",
-            "cross_scheme.speedup",
             "serving_frontend.relative_throughput",
             "serving_frontend.batching.speedup",
         ),

@@ -26,7 +26,7 @@ scheduler precomputes once; the per-decision loops in
 :meth:`NoCoordScheduler._sys_decide_power` are the pinned scalar
 reference, and :class:`NoCoordCellController` is the lockstep twin that
 advances a whole goal grid per input with the same arithmetic evaluated
-as feasibility masks (``tests/test_cross_scheme_parity.py`` pins the
+as feasibility masks (``tests/test_lockstep_parity.py`` pins the
 two elementwise bit-identical).
 """
 
@@ -249,7 +249,7 @@ class NoCoordCellController:
     reduction that reproduces the scalar loops' pick exactly.  Each
     goal's trajectory is bit-identical to a fresh
     :class:`NoCoordScheduler` serving that goal alone
-    (``tests/test_cross_scheme_parity.py``).
+    (``tests/test_lockstep_parity.py``).
     """
 
     def __init__(

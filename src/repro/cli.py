@@ -39,27 +39,17 @@ matrix (policies x autoscaling x budget) under one bursty arrival
 timeline and emits a fig-style JSON/CSV comparison.
 
 The grid-evaluating commands (``table4``, ``table5``, ``fig08``) take
-``--workers N`` to fan their (goal × scheme) run plans out over a
-process pool via :class:`repro.runtime.executor.RunExecutor`,
-``--fuse-cells/--no-fuse-cells`` (fused by default) to serve every
-scheme of a cell from one shared engine realisation, and
-``--lockstep/--no-lockstep`` (on by default for fused cells) to
-advance each ALERT-family scheme's runs across the whole goal grid
-together — all goals' decisions in one stacked pass per input — and
-``--cross-scheme/--no-cross-scheme`` (on by default when
-lockstepping) to fuse one level further: every stacking scheme of a
-cell steps the input stream together off one shared grid, so
-cross-scheme implies fused cells and composes with ``--lockstep``.
-Results are value-identical whichever way the plan executes, so all
-four flags are purely wall-clock knobs (use roughly the machine's
-core count for ``--workers``; the ``--no-…`` forms are escape
-hatches for measuring or debugging the isolated paths).
+``--workers N`` to fan their cell plans out over a process pool via
+:class:`repro.runtime.executor.RunExecutor` (use roughly the machine's
+core count).  Every cell serves all its schemes from one shared
+outcome grid per timing, and a cell wide enough in goals advances its
+stacking schemes in lockstep; results are bit-identical whichever way
+the plan executes, so ``--workers`` is purely a wall-clock knob.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 
 from repro import experiments
 from repro._version import __version__
@@ -72,9 +62,8 @@ from repro.serve import (
     BUDGET_KINDS,
     POLICY_KINDS,
     FleetConfig,
-    FleetFrontend,
+    build_fleet,
 )
-from repro.serve import build_fleet as _assemble_fleet
 from repro.serve.fleet import CLOCK_KINDS
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.traces import ARRIVAL_KINDS
@@ -98,28 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes to fan runs out over (default 1 = serial; "
         "results are bit-identical either way)"
     )
-    fuse_help = (
-        "serve every scheme of a cell from one shared engine "
-        "realisation (default on; bit-identical either way)"
-    )
-    lockstep_help = (
-        "advance each ALERT-family scheme's runs across the goal grid "
-        "together, deciding for all goals in one stacked pass per "
-        "input (default on for fused cells; value-identical either "
-        "way — pass --no-lockstep to force the per-goal sequential "
-        "decision path, e.g. to time it or to debug one goal in "
-        "isolation)"
-    )
-    cross_help = (
-        "fuse the cell across schemes: every scheme whose schedulers "
-        "stack (ALERT family, Sys-only, No-coord) advances the input "
-        "stream together off one shared outcome grid, sharing the "
-        "per-input grid reads (default on when lockstepping; implies "
-        "fused cells, so it composes with --lockstep and is rejected "
-        "with --no-fuse-cells or --no-lockstep; value-identical either "
-        "way — pass --no-cross-scheme to keep per-scheme lockstep "
-        "cells)"
-    )
 
     table4 = sub.add_parser("table4", help="regenerate a Table 4 cell")
     table4.add_argument("--platform", default="CPU1")
@@ -128,48 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     table4.add_argument("--inputs", type=int, default=100)
     table4.add_argument("--stride", type=int, default=3)
     table4.add_argument("--workers", type=int, default=1, help=workers_help)
-    table4.add_argument(
-        "--fuse-cells",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=fuse_help,
-    )
-    table4.add_argument(
-        "--lockstep",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=lockstep_help,
-    )
-    table4.add_argument(
-        "--cross-scheme",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=cross_help,
-    )
 
     table5 = sub.add_parser("table5", help="regenerate Table 5")
     table5.add_argument("--platform", default="CPU1")
     table5.add_argument("--inputs", type=int, default=100)
     table5.add_argument("--stride", type=int, default=3)
     table5.add_argument("--workers", type=int, default=1, help=workers_help)
-    table5.add_argument(
-        "--fuse-cells",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=fuse_help,
-    )
-    table5.add_argument(
-        "--lockstep",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=lockstep_help,
-    )
-    table5.add_argument(
-        "--cross-scheme",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=cross_help,
-    )
 
     fig08 = sub.add_parser("fig08", help="regenerate the Figure 8 whiskers")
     fig08.add_argument("--platform", default="CPU1")
@@ -177,24 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig08.add_argument("--inputs", type=int, default=100)
     fig08.add_argument("--stride", type=int, default=3)
     fig08.add_argument("--workers", type=int, default=1, help=workers_help)
-    fig08.add_argument(
-        "--fuse-cells",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=fuse_help,
-    )
-    fig08.add_argument(
-        "--lockstep",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=lockstep_help,
-    )
-    fig08.add_argument(
-        "--cross-scheme",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=cross_help,
-    )
 
     serve = sub.add_parser("serve", help="run ALERT over one scenario")
     serve.add_argument("--platform", default="CPU1")
@@ -457,56 +370,6 @@ def _run_serve(args: argparse.Namespace) -> str:
     return f"{goal.describe()}\n{result.describe()}"
 
 
-def build_fleet(
-    *,
-    platform: str = "CPU1",
-    task: str = "image",
-    env: str = "memory",
-    replicas: int = 4,
-    arrivals: str = "poisson",
-    rate_hz: float | None = None,
-    policy: str = "cost-aware",
-    power_budget_w: float | None = None,
-    queue_capacity: int | None = 64,
-    deadline_factor: float = 1.25,
-    accuracy_min: float = 0.90,
-    seed: int = 20200417,
-    arrival_seed: int = 7,
-    trace=None,
-) -> FleetFrontend:
-    """Deprecated kwarg shim over :func:`repro.serve.build_fleet`.
-
-    Fleet assembly moved behind :class:`repro.serve.FleetConfig`; this
-    wrapper only survives so callers migrating from the old CLI helper
-    get a pointer instead of an ImportError.  It builds exactly the
-    fleet the equivalent config would.
-    """
-    warnings.warn(
-        "repro.cli.build_fleet is deprecated; build a "
-        "repro.serve.FleetConfig and pass it to repro.serve.build_fleet",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _assemble_fleet(
-        FleetConfig(
-            platform=platform,
-            task=task,
-            env=env,
-            replicas=replicas,
-            arrivals=arrivals,
-            rate_hz=rate_hz,
-            policy=policy,
-            power_budget_w=power_budget_w,
-            queue_capacity=queue_capacity,
-            deadline_factor=deadline_factor,
-            accuracy_min=accuracy_min,
-            seed=seed,
-            arrival_seed=arrival_seed,
-            trace=trace,
-        )
-    )
-
-
 def _fleet_config(args: argparse.Namespace) -> FleetConfig:
     """Map the ``repro fleet`` argument namespace onto a FleetConfig."""
     return FleetConfig(
@@ -536,7 +399,7 @@ def _run_fleet(args: argparse.Namespace) -> str:
     if args.smoke:
         args.replicas = 2
         args.duration = 20.0
-    fleet = _assemble_fleet(_fleet_config(args))
+    fleet = build_fleet(_fleet_config(args))
     summary = fleet.serve(args.duration)
     if args.smoke and summary["served"] == 0:
         raise SimulationError("fleet smoke run served no requests")
@@ -634,9 +497,6 @@ def main(argv: list[str] | None = None) -> int:
                 settings_stride=args.stride,
                 n_inputs=args.inputs,
                 workers=args.workers,
-                fuse_cells=args.fuse_cells,
-                lockstep=args.lockstep,
-                cross_scheme=args.cross_scheme,
             ).describe()
         )
     elif args.command == "fig09":
@@ -658,9 +518,6 @@ def main(argv: list[str] | None = None) -> int:
                 settings_stride=args.stride,
                 n_inputs=args.inputs,
                 workers=args.workers,
-                fuse_cells=args.fuse_cells,
-                lockstep=args.lockstep,
-                cross_scheme=args.cross_scheme,
             ).describe()
         )
     elif args.command == "table5":
@@ -670,9 +527,6 @@ def main(argv: list[str] | None = None) -> int:
                 settings_stride=args.stride,
                 n_inputs=args.inputs,
                 workers=args.workers,
-                fuse_cells=args.fuse_cells,
-                lockstep=args.lockstep,
-                cross_scheme=args.cross_scheme,
             ).describe()
         )
     elif args.command == "serve":

@@ -66,19 +66,11 @@ def run(
     n_inputs: int = 100,
     seed: int = 20200909,
     workers: int = 1,
-    fuse_cells: bool = True,
-    lockstep: bool | None = None,
-    cross_scheme: bool | None = None,
 ) -> Fig08Result:
     """Collect the Figure 8 whiskers for one platform/task.
 
     ``workers`` > 1 fans each environment's runs out over a process
-    pool; ``fuse_cells`` shares one engine realisation per cell;
-    ``lockstep`` (on by default when fused) advances each ALERT-family
-    scheme's runs across the goal grid together; ``cross_scheme``
-    (on by default when lockstepping) steps every stacking scheme of
-    a cell together off one shared grid — cross-scheme implies fused
-    cells.  All are value-identical to the serial isolated run.
+    pool (results are bit-identical to serial).
     """
     whiskers: list[Whisker] = []
     for env in envs:
@@ -86,9 +78,7 @@ def run(
         grid = constraint_grid(scenario)
         goals = list(grid.min_energy_goals)[::settings_stride]
         runs = evaluate_schemes(
-            scenario, goals, SCHEMES, n_inputs, workers=workers,
-            fuse_cells=fuse_cells, lockstep=lockstep,
-            cross_scheme=cross_scheme,
+            scenario, goals, SCHEMES, n_inputs, workers=workers
         )
         for scheme in SCHEMES:
             energies = [r.mean_energy_j for r in runs.scheme_runs(scheme)]

@@ -6,29 +6,21 @@ drivers go through this module so the scheme definitions exist in
 exactly one place.
 
 **Architecture (spec → executor → loop).**  :func:`evaluate_schemes`
-no longer runs anything itself: it compiles the cell into a plan and
-hands it to a :class:`repro.runtime.executor.RunExecutor`.  By default
-the plan is *fused* — one
-:class:`repro.runtime.executor.CellSpec` per goal, grouping every
-scheme of the (scenario, goal) cell so the executing process realises
-the (configuration × input) outcome grid once per timing and serves
-all schemes from it (feedback-free schemes via the serving loop's
-batch fast path over grid slices, feedback-driven schemes
-sequentially with their engine outcomes read from the same grid).
-``fuse_cells=False`` compiles the pre-fusion plan instead — one
-:class:`repro.runtime.executor.RunSpec` per (goal, scheme) — which is
-value-identical (``tests/test_cell_fusion_parity.py``) but realises
-engine outcomes per run.  Either way specs are picklable and rebuilt
-from the scenario's seeds in whichever process executes them: with
-``workers=1`` the plan runs in-process, with more across a process
-pool, and the merged :class:`CellResult` is bit-identical regardless
-of worker count (common random numbers).  Each executing process
-caches oracle outcome grids keyed on
-``(scenario, deadline_s, period_s, n_inputs)`` plus the candidate
-fingerprint, so all goals sharing a timing share one grid.  Custom
-``scheme_factory`` callables that are not importable by dotted path
-(closures, lambdas) fall back to an equivalent in-process loop,
-fused the same way.
+does not run anything itself: it compiles the cell into a plan of
+:class:`repro.runtime.executor.CellSpec` entries and hands it to a
+:class:`repro.runtime.executor.RunExecutor`.  Serially the plan is one
+spec holding every goal; with ``workers`` > 1 it is one spec per
+timing, so the plan fans out across the pool while each spec still
+shares its outcome grid.  The executing process realises the
+(configuration × input) outcome grid once per timing and serves every
+scheme from it; how a stacking scheme is served (lockstep lanes or
+per-goal loops) follows the spec's goal count, never a caller's flag.
+Specs are picklable and rebuilt from the scenario's seeds in whichever
+process executes them, so the merged :class:`CellResult` is
+bit-identical regardless of worker count (common random numbers).
+Custom ``scheme_factory`` callables that are not importable by dotted
+path (closures, lambdas) fall back to an equivalent in-process loop
+that serves every run per goal from the same shared grids.
 """
 
 from __future__ import annotations
@@ -51,13 +43,8 @@ from repro.errors import ConfigurationError
 from repro.models.inference import BatchOutcomeGrid, GridView
 from repro.runtime.executor import (
     CellSpec,
-    LockstepCellSpec,
     RunExecutor,
-    RunSpec,
     ScenarioKey,
-    TableCellSpec,
-    factory_accepts,
-    factory_accepts_oracle_grid,
     factory_path,
     run_single,
     space_fingerprint,
@@ -68,9 +55,6 @@ from repro.runtime.scheduler import Scheduler
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["SCHEMES", "make_scheme", "evaluate_schemes", "CellResult"]
-
-#: Schemes that read the perfect-knowledge outcome grid.
-_ORACLE_SCHEMES = frozenset({"Oracle", "OracleStatic"})
 
 #: Scheme names in the paper's presentation order.
 SCHEMES = (
@@ -176,54 +160,25 @@ class CellResult:
         return self.runs[name]
 
 
-def _grid_sharing(
-    scheme_factory: Callable[..., Scheduler],
-    schemes: tuple[str, ...],
-    share_oracle_grid: bool | None,
-) -> bool:
-    """Whether the cell should share per-timing oracle outcome grids.
-
-    The gate is on the *factory's signature*, not its identity: any
-    factory accepting an ``oracle_grid`` keyword (the default
-    :func:`make_scheme`, wrappers around it, ``**kwargs`` factories)
-    participates.  ``share_oracle_grid`` forces the choice: False opts
-    out entirely; True shares even for cells without oracle schemes
-    (useful when a custom factory feeds the grid to other policies, and
-    an error when the factory cannot receive one); None (the default)
-    shares exactly when an oracle scheme is present.
-    """
-    accepts = factory_accepts_oracle_grid(scheme_factory)
-    if share_oracle_grid is not None:
-        if share_oracle_grid and not accepts:
-            raise ConfigurationError(
-                "share_oracle_grid=True needs a scheme factory that "
-                "accepts an oracle_grid keyword argument"
-            )
-        return share_oracle_grid
-    return accepts and bool(_ORACLE_SCHEMES.intersection(schemes))
-
-
 def _evaluate_in_process(
     scenario: Scenario,
     goals: tuple[Goal, ...],
     schemes: tuple[str, ...],
     n_inputs: int,
     scheme_factory: Callable[..., Scheduler],
-    share_grid: bool,
-    fuse: bool,
     requirement_trace=None,
 ) -> dict[str, list[RunResult]]:
     """Fallback for factories that cannot cross a process boundary.
 
-    Mirrors the executor's behaviour exactly — same run construction
-    (:func:`repro.runtime.executor.run_single`), same per-timing grid
-    cache (candidate-fingerprinted), same fused grid-view serving —
-    but calls the factory object directly.
+    Serves every run per goal through
+    :func:`repro.runtime.executor.run_single` from one shared
+    engine/stream realisation and a per-timing grid cache
+    (candidate-fingerprinted), calling the factory object directly.
     """
     grids: dict[tuple, BatchOutcomeGrid] = {}
     default_fingerprint = space_fingerprint(scheme_space(scenario))
-    shared_engine = scenario.make_engine() if fuse else None
-    shared_stream = scenario.make_stream() if fuse else None
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
 
     def cached_grid(goal: Goal, space=None) -> BatchOutcomeGrid:
         fingerprint = (
@@ -234,32 +189,28 @@ def _evaluate_in_process(
         if grid is None:
             grid = timing_grid(
                 scenario, goal, n_inputs, space=space,
-                engine=shared_engine, stream=shared_stream,
+                engine=engine, stream=stream,
             )
             grids[timing] = grid
         return grid
 
-    accepts_provider = factory_accepts(scheme_factory, "grid_provider")
     runs: dict[str, list[RunResult]] = {name: [] for name in schemes}
     for goal in goals:
-        grid = None
-        view = None
-        if fuse or share_grid:
-            grid = cached_grid(goal)
-        if fuse:
-            view = GridView(grid, trusted=True)
-        provider = None
-        if accepts_provider:
-            provider = lambda space, _goal=goal: cached_grid(_goal, space)  # noqa: E731
+        grid = cached_grid(goal)
+        view = GridView(grid, trusted=True)
+
+        def provider(space, _goal=goal):
+            return cached_grid(_goal, space)
+
         for name in schemes:
             runs[name].append(
                 run_single(
                     scenario, goal, name, n_inputs, scheme_factory,
-                    oracle_grid=grid if share_grid else None,
+                    oracle_grid=grid,
                     grid_view=view,
                     grid_provider=provider,
-                    engine=shared_engine,
-                    stream=shared_stream,
+                    engine=engine,
+                    stream=stream,
                     requirement_trace=requirement_trace,
                 )
             )
@@ -273,59 +224,22 @@ def evaluate_schemes(
     n_inputs: int = 100,
     scheme_factory: Callable[..., Scheduler] = make_scheme,
     workers: int = 1,
-    share_oracle_grid: bool | None = None,
-    fuse_cells: bool | None = None,
-    lockstep: bool | None = None,
-    cross_scheme: bool | None = None,
     requirement_trace=None,
     grid_store=None,
 ) -> CellResult:
     """Run every scheme over every constraint setting of a cell.
 
-    Every (scheme, goal) run gets a *fresh* engine and stream built
-    from the scenario's seed, so all schemes face bit-identical
-    environments (common random numbers) — and so the cell can be
-    executed by any number of ``workers`` with bit-identical results.
-    That same property lets the engine realisation itself be shared:
-    by default each (scenario, goal) cell is *fused* — one outcome
-    grid per timing serves every scheme (see the module docstring) —
-    and the oracle grid handed to capable factories is the same
-    object.  ``fuse_cells`` overrides the default: None fuses unless
-    ``share_oracle_grid=False`` opted the cell out of shared
-    realisations entirely; True/False force the choice (True together
-    with ``share_oracle_grid=False`` is contradictory and raises).
-    ``share_oracle_grid`` keeps its pre-fusion meaning for the factory
-    handoff (see :func:`_grid_sharing`).
-
-    ``lockstep`` controls the multi-goal decision engine on fused
-    cells: all of a scheme's ALERT-family runs advance input-by-input
-    together, with every goal's decision computed in one stacked
-    estimator/selector pass per step
-    (:class:`repro.runtime.executor.LockstepCellSpec`).  None (the
-    default) locksteps whenever the cell fuses and the factory is
-    importable by dotted path; False forces the per-goal path (the
-    escape hatch, also value-identical); True demands lockstep and
-    raises when fusion is off or the factory cannot cross the executor
-    boundary (closures fall back to the per-goal fused path).  With
-    ``workers`` > 1 the goal grid is split into one lockstep cell per
-    timing so the plan still fans out across the pool.
-
-    ``cross_scheme`` stacks the lockstep cells one level further: all
-    schemes whose schedulers stack advance the input stream *together*
-    as lanes of one
-    :class:`repro.runtime.loop.CrossSchemeLockstepLoop`
-    (:class:`repro.runtime.executor.TableCellSpec`), sharing the
-    per-input grid reads across the whole Table-4 cell.  None (the
-    default) fuses across schemes whenever the cell locksteps; False
-    keeps the per-scheme lockstep cells; True demands the cross-scheme
-    path and raises when fusion/lockstep is off or the factory cannot
-    cross the executor boundary.  All settings are value-identical
-    (``tests/test_cross_scheme_parity.py``).
+    Every (scheme, goal) run faces the environment drawn from the
+    scenario's seed, so all schemes face bit-identical environments
+    (common random numbers) and the cell can be executed by any number
+    of ``workers`` with bit-identical results.  One outcome grid per
+    timing serves every scheme (see the module docstring), and factories
+    accepting an ``oracle_grid`` keyword receive that same grid.
 
     ``requirement_trace`` applies one mid-run goal-override trace
     (Figure 9's dynamic requirements) to every run of the cell; traced
     cells take the per-step serving paths but keep full parity across
-    worker counts and fusion settings.
+    worker counts.
 
     ``grid_store`` optionally plugs a
     :class:`repro.runtime.grid_store.GridStoreClient` under every
@@ -337,125 +251,46 @@ def evaluate_schemes(
     scheme_list = tuple(schemes)
     if not goal_list:
         raise ConfigurationError("need at least one constraint setting")
-    share_grid = _grid_sharing(scheme_factory, scheme_list, share_oracle_grid)
-    if fuse_cells and share_oracle_grid is False:
-        raise ConfigurationError(
-            "fuse_cells=True contradicts share_oracle_grid=False: a fused "
-            "cell is exactly a shared realisation"
-        )
-    fuse = share_oracle_grid is not False if fuse_cells is None else fuse_cells
-    if lockstep and not fuse:
-        raise ConfigurationError(
-            "lockstep=True needs fused cells: the lockstep engine serves "
-            "all goals from the cell's shared realisation"
-        )
-    if cross_scheme and (not fuse or lockstep is False):
-        raise ConfigurationError(
-            "cross_scheme=True needs fused lockstep cells: the cross-scheme "
-            "loop steps every scheme off the cell's shared realisation"
-        )
 
     key = ScenarioKey.for_scenario(scenario)
     path = factory_path(scheme_factory)
     if key is None or path is None:
-        if lockstep:
-            raise ConfigurationError(
-                "lockstep=True needs a scheme factory importable by dotted "
-                "path; closures fall back to the per-goal fused path"
-            )
-        if cross_scheme:
-            raise ConfigurationError(
-                "cross_scheme=True needs a scheme factory importable by "
-                "dotted path; closures fall back to the per-goal fused path"
-            )
         runs = _evaluate_in_process(
             scenario, goal_list, scheme_list, n_inputs, scheme_factory,
-            share_grid, fuse, requirement_trace=requirement_trace,
-        )
-        return CellResult(scenario=scenario, goals=goal_list, runs=runs)
-
-    if fuse and lockstep is not False:
-        # One lockstep cell spans goals sharing a worker: the whole
-        # grid when serial (maximum stacking width), one cell per
-        # timing when pooled (keeps the plan parallelisable while
-        # every cell still shares its outcome grid).  Either grouping
-        # is value-identical — each goal's trajectory is independent.
-        if workers == 1:
-            groups = [list(range(len(goal_list)))]
-        else:
-            by_timing: dict[tuple, list[int]] = {}
-            for position, goal in enumerate(goal_list):
-                by_timing.setdefault(
-                    (goal.deadline_s, goal.period), []
-                ).append(position)
-            groups = list(by_timing.values())
-        spec_type = (
-            TableCellSpec if cross_scheme is not False else LockstepCellSpec
-        )
-        plan = [
-            spec_type(
-                scenario=key,
-                goals=tuple(goal_list[position] for position in group),
-                schemes=scheme_list,
-                n_inputs=n_inputs,
-                factory=path,
-                use_oracle_grid=share_grid,
-                requirement_trace=requirement_trace,
-            )
-            for group in groups
-        ]
-        executor = RunExecutor(
-            workers=workers, chunksize=1, grid_store=grid_store
-        )
-        grid_results = executor.run_plan(plan, scenarios={key: scenario})
-        runs = {name: [None] * len(goal_list) for name in scheme_list}
-        for group, cell_lists in zip(groups, grid_results):
-            for local, position in enumerate(group):
-                for name, result in zip(scheme_list, cell_lists[local]):
-                    runs[name][position] = result
-        return CellResult(scenario=scenario, goals=goal_list, runs=runs)
-
-    if fuse:
-        plan = [
-            CellSpec(
-                scenario=key,
-                goal=goal,
-                schemes=scheme_list,
-                n_inputs=n_inputs,
-                factory=path,
-                use_oracle_grid=share_grid,
-                requirement_trace=requirement_trace,
-            )
-            for goal in goal_list
-        ]
-        executor = RunExecutor(
-            workers=workers, chunksize=1, grid_store=grid_store
-        )
-        cell_results = executor.run_plan(plan, scenarios={key: scenario})
-        runs = {name: [] for name in scheme_list}
-        for cell in cell_results:
-            for name, result in zip(scheme_list, cell):
-                runs[name].append(result)
-        return CellResult(scenario=scenario, goals=goal_list, runs=runs)
-
-    plan = [
-        RunSpec(
-            scenario=key,
-            goal=goal,
-            scheme=name,
-            n_inputs=n_inputs,
-            factory=path,
-            use_oracle_grid=share_grid,
             requirement_trace=requirement_trace,
         )
-        for goal in goal_list
-        for name in scheme_list
+        return CellResult(scenario=scenario, goals=goal_list, runs=runs)
+
+    # One spec spans the goals sharing a worker: the whole grid when
+    # serial (maximum stacking width), one spec per timing when pooled
+    # (keeps the plan parallelisable while every spec still shares its
+    # outcome grid).  Either grouping is value-identical — each goal's
+    # trajectory is independent.
+    if workers == 1:
+        groups = [list(range(len(goal_list)))]
+    else:
+        by_timing: dict[tuple, list[int]] = {}
+        for position, goal in enumerate(goal_list):
+            by_timing.setdefault((goal.deadline_s, goal.period), []).append(
+                position
+            )
+        groups = list(by_timing.values())
+    plan = [
+        CellSpec(
+            scenario=key,
+            goals=tuple(goal_list[position] for position in group),
+            schemes=scheme_list,
+            n_inputs=n_inputs,
+            factory=path,
+            requirement_trace=requirement_trace,
+        )
+        for group in groups
     ]
-    executor = RunExecutor(
-        workers=workers, chunksize=len(scheme_list), grid_store=grid_store
-    )
-    results = executor.run_plan(plan, scenarios={key: scenario})
-    runs = {name: [] for name in scheme_list}
-    for spec, result in zip(plan, results):
-        runs[spec.scheme].append(result)
+    executor = RunExecutor(workers=workers, grid_store=grid_store)
+    cell_results = executor.run_plan(plan, scenarios={key: scenario})
+    runs = {name: [None] * len(goal_list) for name in scheme_list}
+    for group, per_goal in zip(groups, cell_results):
+        for local, position in enumerate(group):
+            for name, result in zip(scheme_list, per_goal[local]):
+                runs[name][position] = result
     return CellResult(scenario=scenario, goals=goal_list, runs=runs)

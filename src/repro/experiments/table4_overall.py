@@ -123,25 +123,13 @@ def run(
     n_inputs: int = 100,
     seed: int = 20200707,
     workers: int = 1,
-    fuse_cells: bool = True,
-    lockstep: bool | None = None,
-    cross_scheme: bool | None = None,
 ) -> Table4Result:
     """Evaluate the Table 4 grid over the requested subsets.
 
     ``settings_stride`` subsamples the 35-setting grids (stride 3
     keeps 12 settings per cell); the GPU platform skips the sentence
     task, as in the paper.  ``workers`` > 1 fans each cell's runs out
-    over a process pool (results are bit-identical to serial);
-    ``fuse_cells`` serves each (goal × scheme) cell from one shared
-    engine realisation (also bit-identical — it is purely a
-    throughput knob); ``lockstep`` (on by default when fused) advances
-    each ALERT-family scheme's runs across the goal grid together,
-    computing all goals' decisions in one stacked pass per input
-    (value-identical; ``lockstep=False`` is the escape hatch);
-    ``cross_scheme`` (on by default when lockstepping) additionally
-    steps every stacking scheme of a cell together off one shared
-    grid — cross-scheme implies fused cells (also value-identical).
+    over a process pool (results are bit-identical to serial).
     """
     if "OracleStatic" not in schemes:
         raise ConfigurationError(
@@ -164,8 +152,7 @@ def run(
                     subset = list(goals)[::settings_stride]
                     cell_runs = evaluate_schemes(
                         scenario, subset, schemes, n_inputs=n_inputs,
-                        workers=workers, fuse_cells=fuse_cells,
-                        lockstep=lockstep, cross_scheme=cross_scheme,
+                        workers=workers,
                     )
                     baseline = cell_runs.scheme_runs("OracleStatic")
                     cell: dict[str, SchemeCell] = {}

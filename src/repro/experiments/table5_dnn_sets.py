@@ -69,20 +69,11 @@ def run(
     n_inputs: int = 100,
     seed: int = 20200808,
     workers: int = 1,
-    fuse_cells: bool = True,
-    lockstep: bool | None = None,
-    cross_scheme: bool | None = None,
 ) -> Table5Result:
     """Evaluate the candidate-set comparison on the image task.
 
-    ``workers`` > 1 fans each cell's runs out over a process pool;
-    ``fuse_cells`` shares one engine realisation per (goal × scheme)
-    cell; ``lockstep`` (on by default when fused) advances each
-    ALERT-family scheme's runs across the goal grid together;
-    ``cross_scheme`` (on by default when lockstepping) steps every
-    stacking scheme of a cell together off one shared grid —
-    cross-scheme implies fused cells.  All are value-identical to the
-    serial isolated run.
+    ``workers`` > 1 fans each cell's runs out over a process pool
+    (results are bit-identical to serial).
     """
     result = Table5Result()
     for platform in platforms:
@@ -97,9 +88,7 @@ def run(
                 )
                 subset = list(goals)[::settings_stride]
                 runs = evaluate_schemes(
-                    scenario, subset, SCHEMES, n_inputs, workers=workers,
-                    fuse_cells=fuse_cells, lockstep=lockstep,
-                    cross_scheme=cross_scheme,
+                    scenario, subset, SCHEMES, n_inputs, workers=workers
                 )
                 baseline = runs.scheme_runs("OracleStatic")
                 cell = {

@@ -11,11 +11,11 @@
   :class:`RunResult` with the violation accounting the paper's tables
   use (a setting "violates" when more than 10% of its inputs break a
   constraint).
-* :mod:`repro.runtime.executor` — :class:`RunSpec`,
-  :class:`CellSpec`, and :class:`RunExecutor`: declarative
-  (scenario × goal × scheme) run plans — isolated runs or fused cells
-  sharing one outcome-grid realisation per timing — executed serially
-  or across a process pool with a deterministic, bit-identical merge.
+* :mod:`repro.runtime.executor` — :class:`CellSpec` and
+  :class:`RunExecutor`: declarative plans of cells (every scheme ×
+  every goal of one scenario, sharing one outcome-grid realisation per
+  timing) executed serially or across a process pool with a
+  deterministic, bit-identical merge.
 """
 
 from repro.runtime.loop import ServingLoop
@@ -23,7 +23,7 @@ from repro.runtime.results import RunResult, ServedInput
 from repro.runtime.scheduler import AlertScheduler, Scheduler, StaticScheduler
 
 # Imported last: the executor builds on the loop and results modules.
-from repro.runtime.executor import CellSpec, RunExecutor, RunSpec, ScenarioKey
+from repro.runtime.executor import CellSpec, RunExecutor, ScenarioKey
 
 __all__ = [
     "ServingLoop",
@@ -33,7 +33,6 @@ __all__ = [
     "AlertScheduler",
     "StaticScheduler",
     "RunExecutor",
-    "RunSpec",
     "CellSpec",
     "ScenarioKey",
 ]

@@ -1,45 +1,31 @@
-"""The run executor: declarative run specs, serial or parallel.
+"""The run executor: declarative cell specs, serial or parallel.
 
-The experiment stack evaluates large (scenario × goal × scheme) grids,
-and every run in such a grid is independent: it gets a *fresh* engine
-and input stream rebuilt from the scenario's root seed (common random
+The experiment stack evaluates (scenario × goal × scheme) grids, and
+every run in such a grid is independent: each derives its engine
+draws and input stream from the scenario's root seed (common random
 numbers), so no state crosses run boundaries.  This module turns that
 independence into an execution plan:
 
 * :class:`ScenarioKey` — the picklable identity of a scenario
   (platform, task, env, candidate set, seed) from which a worker can
   rebuild the full :class:`~repro.workloads.scenarios.Scenario`;
-* :class:`RunSpec` — one unit of work: a scenario key, a goal, a
-  scheme name, an input count, and a dotted path to the scheme
+* :class:`CellSpec` — the one unit of work: every scheme × every goal
+  of one scenario, plus an input count and a dotted path to the scheme
   factory.  Specs are plain picklable data, so a plan can cross a
-  process boundary;
-* :class:`CellSpec` — one *fused* unit of work: every scheme of one
-  (scenario, goal) cell.  The executing process realises the
-  (configuration × input) outcome grid for the cell's timing once and
-  serves all schemes from it: feedback-free schemes ride the serving
-  loop's batch fast path over grid column slices, and feedback-driven
-  schemes (ALERT and friends) still run sequentially but read their
-  latency/energy columns from the same grid instead of calling
-  :meth:`~repro.models.inference.InferenceEngine.run` per input —
-  the amortize-the-simulation trick of trace-driven schedulers:
-  many policies, one realisation.  Fused results are value-identical
-  to the equivalent isolated :class:`RunSpec` runs
-  (``tests/test_cell_fusion_parity.py``);
-* :class:`LockstepCellSpec` — one fused *goal-grid* cell: every scheme
-  × every goal of a scenario's constraint grid.  On top of the shared
-  realisation, schemes that opt in (ALERT & co., Sys-only) advance all
-  goals **in lockstep** through a
-  :class:`~repro.runtime.loop.LockstepServingLoop` — each input step
-  computes every goal's decision in one stacked estimator/selector
-  pass (``tests/test_lockstep_parity.py`` pins value-identity to the
-  per-goal path);
-* :class:`TableCellSpec` — one whole Table-4 cell, *cross-scheme*: all
-  stacking schemes advance as lanes of one
-  :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`, sharing the
-  per-input grid reads; the rest run per-goal (feedback-free schemes on
-  the batch fast path), so a fully fused cell serves zero inputs via
-  per-input Python ``decide``/``observe``
-  (``tests/test_cross_scheme_parity.py``);
+  process boundary.  The executing process realises the
+  (configuration × input) outcome grid once per timing and serves
+  every run of the cell from it: feedback-free schemes ride the
+  serving loop's batch path over grid column slices, feedback schemes
+  read their latency/energy from the same grid instead of calling
+  :meth:`~repro.models.inference.InferenceEngine.run` per input.  How
+  a stacking scheme (the ALERT family, Sys-only, No-coord) is served
+  follows the cell's width: with at least :data:`LOCKSTEP_MIN_GOALS`
+  goals its runs become one lane of a
+  :class:`~repro.runtime.loop.CrossSchemeLockstepLoop` (one stacked
+  decide/observe pass per input for all goals), below that each goal
+  runs alone through :class:`~repro.runtime.loop.ServingLoop`.  Both
+  are value-identical to the sequential reference
+  (``tests/test_lockstep_parity.py``);
 * :class:`RunExecutor` — executes a plan either serially in-process or
   across a ``concurrent.futures`` process pool.  Results are merged
   back in plan order, so the output is *bit-identical* regardless of
@@ -50,13 +36,13 @@ Each worker keeps a small per-process cache of oracle outcome grids
 keyed on ``(scenario, deadline_s, period_s, n_inputs)`` plus the
 fingerprint of the candidate configuration list the grid covers — the
 grid depends only on the run's *timing* and its configuration rows,
-not on the accuracy/energy constraint — so the many goals of a
-constraint grid that share one deadline reuse one grid instead of
-recomputing it per goal, while schemes evaluating *different*
-candidate sets under one timing still get distinct grids.  Scheme
-factories can tap the same cache directly by accepting a
+not on the accuracy/energy constraint — so the goals of a constraint
+grid that share one deadline reuse one grid, while schemes evaluating
+*different* candidate sets under one timing still get distinct grids.
+Scheme factories receive the grid as ``oracle_grid`` when they accept
+that keyword, and can tap the cache directly by accepting a
 ``grid_provider`` keyword: a callable ``(space) -> BatchOutcomeGrid``
-bound to the executing process's cache and the spec's timing.
+bound to the executing process's cache and the run's timing.
 """
 
 from __future__ import annotations
@@ -83,10 +69,8 @@ from repro.workloads.traces import RequirementTrace
 
 __all__ = [
     "ScenarioKey",
-    "RunSpec",
     "CellSpec",
-    "LockstepCellSpec",
-    "TableCellSpec",
+    "LOCKSTEP_MIN_GOALS",
     "RunExecutor",
     "run_single",
     "factory_path",
@@ -99,6 +83,12 @@ __all__ = [
 
 #: Default dotted path of the scheme factory (module:attribute).
 DEFAULT_FACTORY = "repro.experiments.harness:make_scheme"
+
+#: Fewest goals a cell needs before its stacking schemes advance in
+#: lockstep.  Measured on CPU1 and GPU image cells (table4's seven
+#: schemes): lockstep loses to per-goal serving at one goal (0.4-0.5×),
+#: ties around three to four, and wins from six goals up (1.4-1.5×).
+LOCKSTEP_MIN_GOALS = 6
 
 #: Upper bound on per-process cached oracle outcome grids.  The cache
 #: is LRU: a hit refreshes recency, so a long interleaved plan evicts
@@ -171,85 +161,17 @@ class ScenarioKey:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """One planned run: scheme × goal × scenario × horizon.
+class CellSpec:
+    """One cell: every scheme × every goal of one scenario.
 
-    ``factory`` is a dotted ``"module:attribute"`` path so the spec
-    stays picklable; it is resolved in the executing process.  When
-    ``use_oracle_grid`` is True and the resolved factory accepts an
-    ``oracle_grid`` keyword, the executor supplies the cached
-    (configuration × input) outcome grid for the spec's timing.
+    The unit of the paper's Table-4 protocol: all ``schemes`` over the
+    cell's constraint ``goals``, on the scenario's common random
+    numbers.  ``factory`` is a dotted ``"module:attribute"`` path so
+    the spec stays picklable; it is resolved in the executing process.
     ``requirement_trace`` optionally rewrites goals mid-run (Figure 9's
     dynamic requirements); traces are plain picklable data, so they
-    cross the process boundary with the spec.
-    """
-
-    scenario: ScenarioKey
-    goal: Goal
-    scheme: str
-    n_inputs: int
-    factory: str = DEFAULT_FACTORY
-    use_oracle_grid: bool = True
-    requirement_trace: RequirementTrace | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_inputs < 1:
-            raise ConfigurationError(
-                f"need at least one input, got {self.n_inputs}"
-            )
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One fused cell: every scheme of one (scenario, goal) pair.
-
-    The executing process realises the cell's outcome grid once (via
-    the per-process timing cache) and serves all ``schemes`` from it
-    through a trusted :class:`~repro.models.inference.GridView`; runs
-    come back aligned one-to-one with ``schemes``.  ``use_oracle_grid``
-    gates only whether the grid is additionally handed to the scheme
-    factory as its ``oracle_grid`` keyword — grid-view serving is what
-    makes the cell fused and is always on.
-    """
-
-    scenario: ScenarioKey
-    goal: Goal
-    schemes: tuple[str, ...]
-    n_inputs: int
-    factory: str = DEFAULT_FACTORY
-    use_oracle_grid: bool = True
-    requirement_trace: RequirementTrace | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.schemes, tuple):
-            object.__setattr__(self, "schemes", tuple(self.schemes))
-        if not self.schemes:
-            raise ConfigurationError("a cell needs at least one scheme")
-        if self.n_inputs < 1:
-            raise ConfigurationError(
-                f"need at least one input, got {self.n_inputs}"
-            )
-
-
-@dataclass(frozen=True)
-class LockstepCellSpec:
-    """One fused *goal-grid* cell: every scheme × every goal, lockstep.
-
-    The multi-goal generalisation of :class:`CellSpec`: the executing
-    process realises one outcome grid per timing (shared across the
-    goals and schemes that use it) and serves each scheme's runs over
-    **all** ``goals`` together.  ALERT-family runs advance in lockstep
-    through one :class:`~repro.runtime.loop.LockstepServingLoop` —
-    every input step computes all goals' decisions in one stacked
-    estimator/selector pass — while feedback-free schemes and any
-    scheduler that cannot stack (custom types, warm state) run
-    per-goal exactly as a :class:`CellSpec` would.  Results come back
-    goal-major: one list per goal, aligned with ``schemes``, each
-    value-identical to the equivalent :class:`CellSpec` runs
-    (``tests/test_lockstep_parity.py``).
-
-    ``lockstep=False`` keeps the grouped plan shape but forces every
-    run onto the per-goal path (the benches' A/B knob).
+    cross the process boundary with the spec.  Results come back
+    goal-major: one list per goal, aligned with ``schemes``.
     """
 
     scenario: ScenarioKey
@@ -257,8 +179,6 @@ class LockstepCellSpec:
     schemes: tuple[str, ...]
     n_inputs: int
     factory: str = DEFAULT_FACTORY
-    use_oracle_grid: bool = True
-    lockstep: bool = True
     requirement_trace: RequirementTrace | None = None
 
     def __post_init__(self) -> None:
@@ -267,39 +187,13 @@ class LockstepCellSpec:
         if not isinstance(self.schemes, tuple):
             object.__setattr__(self, "schemes", tuple(self.schemes))
         if not self.goals:
-            raise ConfigurationError("a lockstep cell needs at least one goal")
+            raise ConfigurationError("a cell needs at least one goal")
         if not self.schemes:
             raise ConfigurationError("a cell needs at least one scheme")
         if self.n_inputs < 1:
             raise ConfigurationError(
                 f"need at least one input, got {self.n_inputs}"
             )
-
-
-@dataclass(frozen=True)
-class TableCellSpec(LockstepCellSpec):
-    """One whole Table-4 cell: every scheme × every goal, cross-scheme.
-
-    The cross-scheme generalisation of :class:`LockstepCellSpec`: all
-    schemes whose schedulers stack become lanes of **one**
-    :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`, stepping the
-    input stream together off the shared grid views — the per-input
-    column resolution is computed once for the whole cell and every
-    lane's records are realised goal-major after the run.  Schemes
-    that cannot stack (feedback-free schedulers, custom types, warm
-    state) run per-goal exactly as a :class:`LockstepCellSpec` would —
-    feedback-free schemes ride the batch fast path, so a fully fused
-    cell serves zero inputs through per-input Python
-    ``decide``/``observe`` calls.  Results are goal-major and
-    value-identical to the equivalent :class:`LockstepCellSpec` /
-    sequential runs (``tests/test_cross_scheme_parity.py``).
-
-    ``cross_scheme=False`` (or ``lockstep=False``) degrades to the
-    per-scheme :class:`LockstepCellSpec` behaviour — the benches' A/B
-    knob.
-    """
-
-    cross_scheme: bool = True
 
 
 def resolve_factory(path: str) -> Callable:
@@ -352,8 +246,8 @@ def factory_accepts(
     """Whether a scheme factory can receive ``keyword`` as a kwarg.
 
     ``var_keyword`` additionally counts a ``**kwargs`` catch-all as
-    accepting.  The legacy ``oracle_grid`` handoff keeps that loose
-    contract; the newer ``grid_view``/``grid_provider`` hooks require
+    accepting.  The ``oracle_grid`` handoff keeps that loose
+    contract; the ``grid_view``/``grid_provider`` hooks require
     the parameter to be named explicitly, so ``**kwargs`` wrappers
     around grid-unaware factories never get surprise keywords (the
     fused serving path does not need the factory's cooperation — the
@@ -445,23 +339,23 @@ def run_single(
 ) -> RunResult:
     """Execute one run: one engine + stream, one serving loop.
 
-    The single place both the serial and the pooled paths (and the
-    harness's in-process fallback) funnel through, so "one run" means
-    exactly the same thing everywhere.  ``grid_view`` feeds the
-    serving loop's shared-realisation path; ``grid_view`` and
-    ``grid_provider`` are additionally offered to the factory when its
-    signature accepts them.  ``engine``/``stream`` default to fresh
-    per-run builds; the fused cell path passes shared ones — engines
-    are deterministic functions of the scenario seed (actuator and
-    meter state never feed back into outcomes) and streams memoise
-    their items, so sharing changes wall-clock, not results.
+    The harness's in-process fallback serves every run through here;
+    with the defaults (fresh engine and stream, no grid) it is also the
+    sequential reference the parity suites compare against.
+    ``grid_view`` feeds the serving loop's shared-realisation path;
+    ``oracle_grid``, ``grid_view`` and ``grid_provider`` are offered to
+    the factory when its signature accepts them.  ``engine``/``stream``
+    may be shared across runs — engines are deterministic functions of
+    the scenario seed (actuator and meter state never feed back into
+    outcomes) and streams memoise their items, so sharing changes
+    wall-clock, not results.
     """
     if engine is None:
         engine = scenario.make_engine()
     if stream is None:
         stream = scenario.make_stream()
     kwargs = {}
-    if oracle_grid is not None:
+    if oracle_grid is not None and factory_accepts_oracle_grid(factory):
         kwargs["oracle_grid"] = oracle_grid
     if grid_view is not None and factory_accepts(factory, "grid_view"):
         kwargs["grid_view"] = grid_view
@@ -650,77 +544,26 @@ class _WorkerState:
 
         return provider
 
-    def execute(
-        self, spec: "RunSpec | CellSpec | LockstepCellSpec | TableCellSpec"
-    ):
-        # TableCellSpec subclasses LockstepCellSpec: most-derived first.
-        if isinstance(spec, TableCellSpec):
-            return self.execute_table_cell(spec)
-        if isinstance(spec, LockstepCellSpec):
-            return self.execute_lockstep_cell(spec)
-        if isinstance(spec, CellSpec):
-            return self.execute_cell(spec)
-        scenario = self.scenario(spec.scenario)
-        factory = self.factory(spec.factory)
-        grid = None
-        if spec.use_oracle_grid and factory_accepts_oracle_grid(factory):
-            grid = self.grid(spec.scenario, spec.goal, spec.n_inputs)
-        provider = None
-        if factory_accepts(factory, "grid_provider"):
-            provider = self._grid_provider(spec.scenario, spec.goal, spec.n_inputs)
-        return run_single(
-            scenario, spec.goal, spec.scheme, spec.n_inputs, factory,
-            oracle_grid=grid, grid_provider=provider,
-            requirement_trace=spec.requirement_trace,
-        )
+    def execute(self, spec: CellSpec) -> list[list[RunResult]]:
+        """Serve every scheme over every goal of one cell.
 
-    def execute_cell(self, spec: CellSpec) -> list[RunResult]:
-        """Realise one grid, serve every scheme of the cell from it.
-
-        The grid comes from the same per-timing cache the isolated
-        path uses, so consecutive cells sharing a timing (a constraint
-        grid's goals) still build it once.  The view is trusted: the
-        grid and every run's engine derive from the same scenario
-        seed, so their environment draws are identical by
-        construction.
+        One grid and one trusted view per timing (the per-timing cache
+        dedupes goals sharing a deadline, and the grid and every run's
+        engine derive from the same scenario seed), one shared
+        engine/stream realisation.  When the cell holds at least
+        :data:`LOCKSTEP_MIN_GOALS` goals, every scheme whose schedulers
+        stack becomes a lane of one
+        :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; every
+        other run goes through :class:`ServingLoop` with its goal's
+        view, where feedback-free schemes take the batch path.
+        Results are goal-major, aligned with ``spec.goals`` ×
+        ``spec.schemes``.
         """
         scenario = self.scenario(spec.scenario)
         factory = self.factory(spec.factory)
-        grid = self.grid(spec.scenario, spec.goal, spec.n_inputs)
-        view = GridView(grid, trusted=True)
-        oracle_grid = None
-        if spec.use_oracle_grid and factory_accepts_oracle_grid(factory):
-            oracle_grid = grid
-        provider = None
-        if factory_accepts(factory, "grid_provider"):
-            provider = self._grid_provider(spec.scenario, spec.goal, spec.n_inputs)
-        engine, stream = self.realisation(spec.scenario)
-        return [
-            run_single(
-                scenario, spec.goal, scheme, spec.n_inputs, factory,
-                oracle_grid=oracle_grid, grid_view=view, grid_provider=provider,
-                engine=engine, stream=stream,
-                requirement_trace=spec.requirement_trace,
-            )
-            for scheme in spec.schemes
-        ]
-
-    def _lockstep_setup(self, spec: LockstepCellSpec):
-        """Shared grid/view/scheduler plumbing of the goal-grid cells.
-
-        Returns ``(engine, stream, views, make_schedulers)`` where
-        ``make_schedulers(scheme)`` builds the scheme's per-goal
-        schedulers with whatever grid keywords the factory accepts.
-        One grid/view per timing (the per-timing cache dedupes goals
-        sharing a deadline), one shared engine/stream realisation.
-        """
-        scenario = self.scenario(spec.scenario)
-        factory = self.factory(spec.factory)
+        offers_grid = factory_accepts_oracle_grid(factory)
         accepts_view = factory_accepts(factory, "grid_view")
         accepts_provider = factory_accepts(factory, "grid_provider")
-        share_grid = spec.use_oracle_grid and factory_accepts_oracle_grid(
-            factory
-        )
         engine, stream = self.realisation(spec.scenario)
 
         grids = []
@@ -735,11 +578,17 @@ class _WorkerState:
             grids.append(grid)
             views.append(view)
 
-        def make_schedulers(scheme: str) -> list:
+        lockstep = len(spec.goals) >= LOCKSTEP_MIN_GOALS
+        results: list[list[RunResult | None]] = [
+            [None] * len(spec.schemes) for _ in spec.goals
+        ]
+        lanes: list = []
+        lane_positions: list[int] = []
+        for position, scheme in enumerate(spec.schemes):
             schedulers = []
             for g, goal in enumerate(spec.goals):
                 kwargs = {}
-                if share_grid:
+                if offers_grid:
                     kwargs["oracle_grid"] = grids[g]
                 if accepts_view:
                     kwargs["grid_view"] = views[g]
@@ -753,74 +602,12 @@ class _WorkerState:
                         spec.n_inputs, **kwargs,
                     )
                 )
-            return schedulers
-
-        return engine, stream, views, make_schedulers
-
-    def execute_lockstep_cell(
-        self, spec: LockstepCellSpec
-    ) -> list[list[RunResult]]:
-        """Serve every scheme over the whole goal grid of one cell.
-
-        Per scheme: a :class:`LockstepServingLoop` when the built
-        schedulers stack, the per-goal :class:`CellSpec`-equivalent
-        path otherwise.  Results are goal-major, aligned with
-        ``spec.goals`` × ``spec.schemes``.
-        """
-        engine, stream, views, make_schedulers = self._lockstep_setup(spec)
-        results: list[list[RunResult | None]] = [
-            [None] * len(spec.schemes) for _ in spec.goals
-        ]
-        for position, scheme in enumerate(spec.schemes):
-            schedulers = make_schedulers(scheme)
-            lock = None
-            if spec.lockstep:
-                lock = LockstepServingLoop.for_schedulers(
+            lane = None
+            if lockstep:
+                lane = LockstepServingLoop.for_schedulers(
                     engine, stream, schedulers, spec.goals, views,
                     requirement_trace=spec.requirement_trace,
                 )
-            if lock is not None:
-                for g, run in enumerate(lock.run(spec.n_inputs)):
-                    results[g][position] = run
-                continue
-            LOCKSTEP_TELEMETRY.record_fallback(len(spec.goals))
-            for g, goal in enumerate(spec.goals):
-                results[g][position] = ServingLoop(
-                    engine, stream, schedulers[g], goal,
-                    requirement_trace=spec.requirement_trace,
-                    grid_view=views[g],
-                ).run(spec.n_inputs)
-        return results
-
-    def execute_table_cell(
-        self, spec: TableCellSpec
-    ) -> list[list[RunResult]]:
-        """Serve a whole Table-4 cell in one cross-scheme fused pass.
-
-        Every scheme whose schedulers stack becomes a lane of one
-        :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; all lanes
-        step the input stream together, sharing the per-input grid
-        reads.  Non-stacking schemes (feedback-free, custom types)
-        run per-goal as in :meth:`execute_lockstep_cell` — the
-        feedback-free ones ride the batch fast path.  Results are
-        goal-major, aligned with ``spec.goals`` × ``spec.schemes``,
-        value-identical to the per-scheme path
-        (``tests/test_cross_scheme_parity.py``).
-        """
-        if not (spec.cross_scheme and spec.lockstep):
-            return self.execute_lockstep_cell(spec)
-        engine, stream, views, make_schedulers = self._lockstep_setup(spec)
-        results: list[list[RunResult | None]] = [
-            [None] * len(spec.schemes) for _ in spec.goals
-        ]
-        lanes: list = []
-        lane_positions: list[int] = []
-        for position, scheme in enumerate(spec.schemes):
-            schedulers = make_schedulers(scheme)
-            lane = LockstepServingLoop.for_schedulers(
-                engine, stream, schedulers, spec.goals, views,
-                requirement_trace=spec.requirement_trace,
-            )
             if lane is not None:
                 lanes.append(lane)
                 lane_positions.append(position)
@@ -859,7 +646,7 @@ def _pool_initializer(grid_store=None) -> None:
     _POOL_GRID_STORE = grid_store
 
 
-def _pool_execute(spec: "RunSpec | CellSpec | LockstepCellSpec | TableCellSpec"):
+def _pool_execute(spec: CellSpec) -> list[list[RunResult]]:
     """Top-level pool entry point (must be picklable by reference)."""
     global _POOL_STATE
     if _POOL_STATE is None:
@@ -868,22 +655,16 @@ def _pool_execute(spec: "RunSpec | CellSpec | LockstepCellSpec | TableCellSpec")
 
 
 class RunExecutor:
-    """Executes a plan of :class:`RunSpec`/:class:`CellSpec` entries.
+    """Executes a plan of :class:`CellSpec` entries.
 
     Parameters
     ----------
     workers:
-        1 executes in-process; >1 fans runs out over a
-        ``ProcessPoolExecutor`` of that many workers.  Results come
-        back in plan order either way, and because every run rebuilds
-        its environment from the scenario seed, parallel output is
-        bit-identical to serial output.
-    chunksize:
-        How many consecutive specs one worker task takes.  Isolated
-        plans are typically ordered goal-major, so a chunk the size of
-        the scheme list keeps one goal's runs (which share an oracle
-        grid) on one worker; fused plans carry one :class:`CellSpec`
-        per goal, so the default chunk of 1 is already cell-granular.
+        1 executes in-process; >1 fans cells out over a
+        ``ProcessPoolExecutor`` of that many workers, one cell per
+        task.  Results come back in plan order either way, and because
+        every run rebuilds its environment from the scenario seed,
+        parallel output is bit-identical to serial output.
     grid_store:
         Optional :class:`repro.runtime.grid_store.GridStoreClient`.
         When given, every executing process (serial or pooled) attaches
@@ -893,35 +674,26 @@ class RunExecutor:
         cache.
     """
 
-    def __init__(
-        self, workers: int = 1, chunksize: int = 1, grid_store=None
-    ) -> None:
+    def __init__(self, workers: int = 1, grid_store=None) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"need at least one worker, got {workers}"
             )
-        if chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be at least 1, got {chunksize}"
-            )
         self.workers = workers
-        self.chunksize = chunksize
         self.grid_store = grid_store
 
     def run_plan(
         self,
-        specs: Iterable["RunSpec | CellSpec | LockstepCellSpec"],
+        specs: Iterable[CellSpec],
         scenarios: Mapping[ScenarioKey, Scenario] | None = None,
-    ) -> list:
+    ) -> list[list[list[RunResult]]]:
         """Execute every spec; results align one-to-one with the plan.
 
-        A :class:`RunSpec` yields one :class:`RunResult`; a
-        :class:`CellSpec` yields a list of them, aligned with its
-        ``schemes``; a :class:`LockstepCellSpec` or
-        :class:`TableCellSpec` yields a goal-major list of such lists.
-        ``scenarios`` optionally seeds the serial path's
-        scenario cache with already-built objects (preserving their
-        memoised profiles); pool workers always rebuild from keys.
+        Each :class:`CellSpec` yields a goal-major list of per-goal
+        lists aligned with its ``schemes``.  ``scenarios`` optionally
+        seeds the serial path's scenario cache with already-built
+        objects (preserving their memoised profiles); pool workers
+        always rebuild from keys.
         """
         plan = list(specs)
         if not plan:
@@ -935,6 +707,4 @@ class RunExecutor:
             initializer=_pool_initializer,
             initargs=(self.grid_store,),
         ) as pool:
-            return list(
-                pool.map(_pool_execute, plan, chunksize=self.chunksize)
-            )
+            return list(pool.map(_pool_execute, plan))

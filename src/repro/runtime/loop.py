@@ -9,13 +9,14 @@ policy's declared overhead reservation.
 
 In the spec → executor → loop architecture the loop is the innermost
 layer: :class:`repro.runtime.executor.RunExecutor` turns a declarative
-plan of runs into ``ServingLoop.run`` calls (serially or across a
-process pool), and the experiment harness builds those plans.
+plan of cells into serving-loop runs (serially or across a process
+pool), and the experiment harness builds those plans.
 
 **Three serving paths.**  A run is served one of three ways — the two
-:class:`ServingLoop` paths below, plus the multi-goal
-:class:`LockstepServingLoop` at the bottom of this module, which
-advances every goal of a fused cell's feedback-scheme runs together:
+:class:`ServingLoop` paths below, plus lockstep at the bottom of this
+module: in a cell with enough goals, every stacking scheme's runs
+become one :class:`LockstepServingLoop` lane, and all lanes of the
+cell advance together through one :class:`CrossSchemeLockstepLoop`:
 
 * the *sequential* path — the faithful per-input round trip above,
   required whenever the policy's decisions can depend on observed
@@ -48,7 +49,8 @@ fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input,
 unknown configuration, quantized cap, trace-adjusted deadline —
 falls back to the live engine per input, so a view is always an
 optimisation, never a semantics change
-(``tests/test_cell_fusion_parity.py`` pins fused ≡ unfused).  The view
+(``tests/test_cell_fusion_parity.py`` pins grid-served runs to the
+live-engine reference).  The view
 comes from the ``grid_view`` constructor argument, or, failing that,
 from an optional ``grid_view`` attribute on the scheduler (the
 baselines accept one).
@@ -106,8 +108,6 @@ class LockstepTelemetry:
         self.stacked_calls = 0
         self.stacked_states = 0
         self.sequential_inputs = 0
-        self.cross_cells = 0
-        self.cross_lanes = 0
 
     def record_cell(self, cell) -> None:
         """Fold in one finished cell's counters.
@@ -132,15 +132,10 @@ class LockstepTelemetry:
 
         Incremented by the sequential reference path only; a fully
         fused cell (stacked schemes in lockstep, feedback-free schemes
-        on the batch path) leaves this at zero, which the cross-scheme
-        acceptance tests assert.
+        on the batch path) leaves this at zero, which the lockstep
+        parity tests assert.
         """
         self.sequential_inputs += n_inputs
-
-    def record_cross(self, n_lanes: int) -> None:
-        """Count one cross-scheme fused pass over ``n_lanes`` schemes."""
-        self.cross_cells += 1
-        self.cross_lanes += n_lanes
 
     def snapshot(self) -> dict:
         calls = self.stacked_calls
@@ -154,8 +149,6 @@ class LockstepTelemetry:
                 round(self.stacked_states / calls, 2) if calls else 0.0
             ),
             "sequential_inputs": self.sequential_inputs,
-            "cross_cells": self.cross_cells,
-            "cross_lanes": self.cross_lanes,
         }
 
 
@@ -398,7 +391,7 @@ class ServingLoop:
         baselines.
 
         Also the "input served" commit point: every non-batch path
-        (sequential, lockstep stepwise, cross-scheme) records through
+        (sequential, lockstep stepwise, lockstep fused) records through
         here, so this is where the simulated clock advances by the
         input's occupied time.
         """
@@ -867,8 +860,11 @@ class CrossSchemeLockstepLoop:
     """Advance a whole Table-4 cell — every scheme's lockstep lanes —
     over one input stream.
 
-    Each *lane* is a :class:`LockstepServingLoop` (one scheme, all
-    goals).  Lanes share the per-input grid bookkeeping: the per-view
+    The one lockstep path: the executor puts every stacking scheme of
+    a wide enough cell here, and a lone
+    :meth:`LockstepServingLoop.run` is a single-lane pass.  Each *lane*
+    is a :class:`LockstepServingLoop` (one scheme, all goals).  Lanes
+    share the per-input grid bookkeeping: the per-view
     column resolution is computed once per (view, engine) pair and
     reused by every lane and goal that reads that view, and each lane's
     records are realised *after* the stepping loop in one goal-major
@@ -885,21 +881,21 @@ class CrossSchemeLockstepLoop:
     mid-group) runs on the per-step reference path
     (:meth:`LockstepServingLoop._run_stepwise`) instead; either way
     every goal's :class:`RunResult` is value-identical to serving that
-    goal alone sequentially (``tests/test_cross_scheme_parity.py``:
+    goal alone sequentially (``tests/test_lockstep_parity.py``:
     discrete exact, floats ≤ 1e-12, pool ≡ serial).
     """
 
     def __init__(self, lanes: "list[LockstepServingLoop]") -> None:
         if not lanes:
             raise ConfigurationError(
-                "a cross-scheme cell needs at least one lockstep lane"
+                "a lockstep cell needs at least one lane"
             )
         stream = lanes[0].loops[0].stream
         for lane in lanes:
             for loop in lane.loops:
                 if loop.stream is not stream:
                     raise ConfigurationError(
-                        "cross-scheme lanes must share one input stream"
+                        "lockstep lanes must share one input stream"
                     )
         self.lanes = lanes
         self.stream = stream
@@ -913,8 +909,6 @@ class CrossSchemeLockstepLoop:
         grouped = self.stream.has_groups and any(
             item.group_size > 1 for item in items
         )
-        if len(self.lanes) > 1:
-            LOCKSTEP_TELEMETRY.record_cross(len(self.lanes))
         column_cache: dict[tuple[int, int], np.ndarray] = {}
         results = []
         for lane in self.lanes:
@@ -976,7 +970,7 @@ class CrossSchemeLockstepLoop:
         deadlines = [adjusted.deadline_s for adjusted in adjusteds]
 
         # Column resolution is shared across every lane and goal
-        # reading one view — the cross-scheme win on the read side.
+        # reading one view.
         cols: list[np.ndarray | None] = []
         for g, loop in enumerate(loops):
             view = loop.grid_view

@@ -4,8 +4,8 @@ The experiment drivers evaluate one Table-4 cell at a time and hold
 every run's full per-input record list in the driver.  This module is
 the production-scale front: a **declarative sweep spec** (platforms ×
 tasks × envs × seeds × the constraint grid × schemes) compiles into
-the executor's existing :class:`~repro.runtime.executor.CellSpec`
-plan, executes serially or across a process pool, and scales along
+a plan of one-goal :class:`~repro.runtime.executor.CellSpec` units,
+executes serially or across a process pool, and scales along
 three axes the drivers do not:
 
 * **zero-copy grids** — with a
@@ -159,10 +159,10 @@ class SweepUnit:
     factory: str = DEFAULT_FACTORY
 
     def cell_spec(self) -> CellSpec:
-        """The executor spec this unit runs as."""
+        """The executor spec this unit runs as: a one-goal cell."""
         return CellSpec(
             scenario=self.scenario,
-            goal=self.goal,
+            goals=(self.goal,),
             schemes=self.schemes,
             n_inputs=self.n_inputs,
             factory=self.factory,
@@ -440,7 +440,7 @@ def _sweep_execute(unit: SweepUnit, keep_runs: bool):
         from repro.runtime.executor import _WorkerState
 
         _SWEEP_STATE = _WorkerState(grid_store=_SWEEP_GRID_STORE)
-    runs = _SWEEP_STATE.execute(unit.cell_spec())
+    (runs,) = _SWEEP_STATE.execute(unit.cell_spec())
     summaries = summarize_cell(unit.schemes, runs)
     return summaries, (runs if keep_runs else None)
 
@@ -609,7 +609,7 @@ def run_sweep(
 
             state = _WorkerState(grid_store=client)
             for position in pending:
-                unit_runs = state.execute(units[position].cell_spec())
+                (unit_runs,) = state.execute(units[position].cell_spec())
                 summaries = summarize_cell(units[position].schemes, unit_runs)
                 record(
                     position, summaries, unit_runs if keep_runs else None

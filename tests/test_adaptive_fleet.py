@@ -299,13 +299,3 @@ def test_run_wall_serves_real_traffic():
     assert summary["arrived"] > 0
     assert summary["admitted"] + summary["dropped"] == summary["arrived"]
 
-
-# ----------------------------------------------------------------------
-# Deprecated construction path
-# ----------------------------------------------------------------------
-def test_cli_build_fleet_kwargs_shim_warns():
-    from repro.cli import build_fleet as deprecated_build_fleet
-
-    with pytest.warns(DeprecationWarning, match="FleetConfig"):
-        fleet = deprecated_build_fleet(replicas=2, seed=5)
-    assert len(fleet.replicas) == 2

@@ -1,14 +1,15 @@
-"""Parity suite for the cell-fused execution path.
+"""Parity suite for the shared-realisation execution path.
 
-Pins the contract of the shared-realisation machinery: a fused cell
-(one outcome grid per timing serving every scheme, via
+Pins the contract of the grid machinery: a cell (one outcome grid per
+timing serving every scheme, via
 :class:`repro.runtime.executor.CellSpec` and the serving loop's
 :class:`~repro.models.inference.GridView` path) must reproduce the
-isolated per-run path — discrete record fields exactly, float fields
-to ≤1e-12 relative — for feedback-free *and* feedback-driven schemes,
-serially and across a process pool.  Also covers the grid machinery
-itself: one grid build per timing per cell, zero
-:meth:`InferenceEngine.run` calls on fused runs, the untrusted view's
+sequential reference — every run alone on a fresh engine, no grid —
+discrete record fields exactly, float fields to ≤1e-12 relative, for
+feedback-free *and* feedback-driven schemes, serially and across a
+process pool.  Also covers the grid machinery itself: one grid build
+per timing per cell, zero :meth:`InferenceEngine.run` calls on
+grid-served runs, the untrusted view's
 environment guard, and the candidate-fingerprinted grid cache
 (regression: two schemes evaluating different candidate sets in one
 cell must not alias one grid).
@@ -21,7 +22,6 @@ import pytest
 import repro.baselines.oracle as oracle_module
 import repro.runtime.executor as executor_module
 from repro.baselines.oracle import OracleScheduler
-from repro.cli import build_parser
 from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
@@ -88,10 +88,10 @@ def _goals(scenario, objective=ObjectiveKind.MINIMIZE_ENERGY):
     ]
 
 
-def _assert_cells_match(fused, unfused, schemes):
-    assert fused.goals == unfused.goals
+def _assert_cells_match(cell, reference, schemes):
+    assert cell.goals == reference.goals
     for name in schemes:
-        for a, b in zip(fused.scheme_runs(name), unfused.scheme_runs(name)):
+        for a, b in zip(cell.scheme_runs(name), reference.scheme_runs(name)):
             assert a.scheduler_name == b.scheduler_name
             assert len(a.records) == len(b.records)
             for ra, rb in zip(a.records, b.records):
@@ -115,7 +115,7 @@ def _assert_cells_match(fused, unfused, schemes):
 
 
 # ----------------------------------------------------------------------
-# Fused == unfused, whole scheme zoo
+# Grid-served cells == the sequential reference, whole scheme zoo
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     ("platform", "task", "env", "seed"),
@@ -131,26 +131,21 @@ def _assert_cells_match(fused, unfused, schemes):
     "objective",
     [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
 )
-def test_fused_matches_unfused(platform, task, env, seed, objective):
+def test_cell_matches_reference(
+    platform, task, env, seed, objective, reference_cell
+):
     scenario = build_scenario(platform, task, env, "standard", seed=seed)
     goals = _goals(scenario, objective)
-    fused = evaluate_schemes(
-        scenario, goals, ALL_SCHEMES, n_inputs=18, fuse_cells=True
-    )
-    unfused = evaluate_schemes(
-        scenario, goals, ALL_SCHEMES, n_inputs=18, fuse_cells=False
-    )
-    _assert_cells_match(fused, unfused, ALL_SCHEMES)
+    cell = evaluate_schemes(scenario, goals, ALL_SCHEMES, n_inputs=18)
+    reference = reference_cell(scenario, goals, ALL_SCHEMES, 18)
+    _assert_cells_match(cell, reference, ALL_SCHEMES)
 
 
-def test_fused_pool_bit_identical_to_fused_serial(image_scenario):
+def test_pool_bit_identical_to_serial(image_scenario):
     goals = _goals(image_scenario)
-    serial = evaluate_schemes(
-        image_scenario, goals, ALL_SCHEMES, n_inputs=15, fuse_cells=True
-    )
+    serial = evaluate_schemes(image_scenario, goals, ALL_SCHEMES, n_inputs=15)
     pooled = evaluate_schemes(
-        image_scenario, goals, ALL_SCHEMES, n_inputs=15, fuse_cells=True,
-        workers=2,
+        image_scenario, goals, ALL_SCHEMES, n_inputs=15, workers=2
     )
     for name in ALL_SCHEMES:
         for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
@@ -159,8 +154,8 @@ def test_fused_pool_bit_identical_to_fused_serial(image_scenario):
                 assert ra == rb  # frozen dataclasses: bit-identity
 
 
-def test_closure_factory_falls_back_fused(image_scenario):
-    """The in-process fallback fuses the same way the executor does."""
+def test_closure_factory_falls_back_to_shared_grids(image_scenario):
+    """The in-process fallback serves from grids like the executor."""
     goals = _goals(image_scenario)[:2]
 
     def closure_factory(
@@ -175,18 +170,16 @@ def test_closure_factory_falls_back_fused(image_scenario):
     schemes = ("Oracle", "ALERT", "OracleStatic")
     via_closure = evaluate_schemes(
         image_scenario, goals, schemes, n_inputs=12,
-        scheme_factory=closure_factory, fuse_cells=True,
+        scheme_factory=closure_factory,
     )
-    via_executor = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12, fuse_cells=True
-    )
+    via_executor = evaluate_schemes(image_scenario, goals, schemes, n_inputs=12)
     _assert_cells_match(via_closure, via_executor, schemes)
 
 
 # ----------------------------------------------------------------------
 # Grid machinery: one realisation per timing, no live engine calls
 # ----------------------------------------------------------------------
-def test_fused_cell_builds_one_grid_per_timing(image_scenario, monkeypatch):
+def test_cell_builds_one_grid_per_timing(image_scenario, monkeypatch):
     anchor = image_scenario.anchor_latency_s()
     goals = [
         Goal(
@@ -204,14 +197,12 @@ def test_fused_cell_builds_one_grid_per_timing(image_scenario, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle_module, "oracle_outcome_grid", counting)
-    evaluate_schemes(
-        image_scenario, goals, ALL_SCHEMES, n_inputs=10, fuse_cells=True
-    )
+    evaluate_schemes(image_scenario, goals, ALL_SCHEMES, n_inputs=10)
     # Three goals, one shared timing, seven schemes: one grid build.
     assert len(calls) == 1
 
 
-def test_fused_feedback_run_never_calls_engine_run(
+def test_grid_served_feedback_run_never_calls_engine_run(
     image_scenario, monkeypatch
 ):
     from repro.models.inference import InferenceEngine
@@ -227,7 +218,7 @@ def test_fused_feedback_run_never_calls_engine_run(
     goal = _goals(image_scenario)[0]
     evaluate_schemes(
         image_scenario, [goal], ("ALERT", "Sys-only", "No-coord"),
-        n_inputs=20, fuse_cells=True,
+        n_inputs=20,
     )
     assert calls == []
 
@@ -238,38 +229,29 @@ def test_cellspec_validation():
         objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1, accuracy_min=0.9
     )
     with pytest.raises(ConfigurationError):
-        CellSpec(scenario=key, goal=goal, schemes=(), n_inputs=5)
+        CellSpec(scenario=key, goals=(), schemes=("Oracle",), n_inputs=5)
     with pytest.raises(ConfigurationError):
-        CellSpec(scenario=key, goal=goal, schemes=("Oracle",), n_inputs=0)
-    spec = CellSpec(scenario=key, goal=goal, schemes=["Oracle"], n_inputs=5)
+        CellSpec(scenario=key, goals=(goal,), schemes=(), n_inputs=5)
+    with pytest.raises(ConfigurationError):
+        CellSpec(scenario=key, goals=(goal,), schemes=("Oracle",), n_inputs=0)
+    spec = CellSpec(scenario=key, goals=[goal], schemes=["Oracle"], n_inputs=5)
+    assert spec.goals == (goal,)
     assert spec.schemes == ("Oracle",)
 
 
-def test_cellspec_results_align_with_schemes(image_scenario):
+def test_cellspec_results_are_goal_major(image_scenario):
     key = ScenarioKey.for_scenario(image_scenario)
     assert key is not None
-    goal = _goals(image_scenario)[0]
+    goals = tuple(_goals(image_scenario)[:2])
     schemes = ("Oracle", "App-only", "ALERT")
-    spec = CellSpec(scenario=key, goal=goal, schemes=schemes, n_inputs=8)
+    spec = CellSpec(scenario=key, goals=goals, schemes=schemes, n_inputs=8)
     (results,) = RunExecutor(workers=1).run_plan(
         [spec], scenarios={key: image_scenario}
     )
-    assert [r.scheduler_name for r in results] == list(schemes)
-
-
-def test_fuse_cells_contradicts_grid_opt_out(image_scenario):
-    goal = _goals(image_scenario)[0]
-    with pytest.raises(ConfigurationError):
-        evaluate_schemes(
-            image_scenario, [goal], ("Oracle",), n_inputs=5,
-            fuse_cells=True, share_oracle_grid=False,
-        )
-    # The opt-out alone silently disables fusion instead.
-    isolated = evaluate_schemes(
-        image_scenario, [goal], ("Oracle",), n_inputs=5,
-        share_oracle_grid=False,
-    )
-    assert isolated.scheme_runs("Oracle")[0].n_inputs == 5
+    assert len(results) == len(goals)
+    for per_goal, goal in zip(results, goals):
+        assert [r.scheduler_name for r in per_goal] == list(schemes)
+        assert all(r.goal == goal for r in per_goal)
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +356,7 @@ def test_grid_cache_keys_on_candidate_fingerprint(image_scenario):
     goal = _goals(image_scenario)[0]
     cell = evaluate_schemes(
         image_scenario, [goal], ("Oracle", "Oracle-small"), n_inputs=10,
-        scheme_factory=_two_space_factory, fuse_cells=True,
+        scheme_factory=_two_space_factory,
     )
     # The reduced-space oracle must match an isolated reduced-space run.
     profile = image_scenario.profile()
@@ -410,19 +392,9 @@ def test_grid_provider_caches_per_fingerprint(image_scenario, monkeypatch):
     goal = _goals(image_scenario)[0]
     evaluate_schemes(
         image_scenario, [goal], ("Oracle", "Oracle-small", "Oracle"),
-        n_inputs=8, scheme_factory=_two_space_factory, fuse_cells=True,
+        n_inputs=8, scheme_factory=_two_space_factory,
     )
     # One cell grid (full space, reused for both "Oracle" provider
     # requests) + one reduced-space grid.
     assert len(calls) == 2
 
-
-# ----------------------------------------------------------------------
-# CLI plumbing
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("command", ["table4", "table5", "fig08"])
-def test_cli_fuse_cells_flags(command):
-    parser = build_parser()
-    assert parser.parse_args([command]).fuse_cells is True
-    assert parser.parse_args([command, "--no-fuse-cells"]).fuse_cells is False
-    assert parser.parse_args([command, "--fuse-cells"]).fuse_cells is True

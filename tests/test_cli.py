@@ -4,15 +4,54 @@ from __future__ import annotations
 
 import pytest
 
+from repro import experiments
 from repro.cli import build_parser, main
 
 
 def test_parser_knows_all_commands():
     parser = build_parser()
-    for command in ("fig02", "fig03", "fig06", "fig09", "fig10", "fig11",
-                    "table4", "table5", "serve", "fleet", "overload"):
+    for command in ("fig02", "fig03", "fig06", "fig08", "fig09", "fig10",
+                    "fig11", "table4", "table5", "serve", "fleet", "overload",
+                    "sweep"):
         args = parser.parse_args([command])
         assert args.command == command
+
+
+#: The grid-evaluating commands and the experiment module each drives.
+CELL_COMMANDS = {
+    "table4": "table4_overall",
+    "table5": "table5_dnn_sets",
+    "fig08": "fig08_oracle_comparison",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CELL_COMMANDS))
+def test_cli_cell_commands_forward_options(command, monkeypatch, capsys):
+    """Each grid command hands its size and pool options to the
+    experiment's ``run`` and prints the result."""
+    received = {}
+
+    class _Result:
+        def describe(self):
+            return f"{command} described"
+
+    def fake_run(**kwargs):
+        received.update(kwargs)
+        return _Result()
+
+    module = getattr(experiments, CELL_COMMANDS[command])
+    monkeypatch.setattr(module, "run", fake_run)
+    code = main(
+        [command, "--platform", "GPU", "--inputs", "7", "--stride", "5",
+         "--workers", "2"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.strip() == f"{command} described"
+    assert received["n_inputs"] == 7
+    assert received["settings_stride"] == 5
+    assert received["workers"] == 2
+    platform = received.get("platform", received.get("platforms"))
+    assert platform in ("GPU", ("GPU",))
 
 
 def test_fleet_adaptive_arguments_parsed():

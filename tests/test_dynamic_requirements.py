@@ -5,8 +5,8 @@
 These tests give that scenario coverage: the example itself runs and
 returns its result, the harness threads a
 :class:`~repro.workloads.traces.RequirementTrace` through every
-execution path, and traced cells keep full parity between the fused /
-lockstep / cross-scheme paths and the per-run sequential reference.
+execution path, and traced cells keep full parity between the
+per-goal and lockstep serving paths and the sequential reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import pytest
 
 from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
-from repro.experiments.harness import SCHEMES, evaluate_schemes
+from repro.experiments.harness import SCHEMES, evaluate_schemes, make_scheme
+from repro.runtime.executor import LOCKSTEP_MIN_GOALS
 from repro.runtime.loop import ServingLoop
 from repro.runtime.results import RunResult
 from repro.workloads.scenarios import build_scenario
@@ -94,15 +95,15 @@ def test_example_matches_direct_serving_loop():
     assert via_example == direct
 
 
-def _goals(scenario):
+def _goals(scenario, n_goals=3):
     anchor = scenario.anchor_latency_s()
     return [
         Goal(
             objective=ObjectiveKind.MINIMIZE_ENERGY,
             deadline_s=1.6 * anchor,
-            accuracy_min=q,
+            accuracy_min=0.85 + 0.01 * g,
         )
-        for q in (0.85, 0.88, 0.9)
+        for g in range(n_goals)
     ]
 
 
@@ -114,11 +115,8 @@ def test_harness_trace_matches_per_run_serving_loop():
     goals = _goals(scenario)
     schemes = ("ALERT", "No-coord")
     cell = evaluate_schemes(
-        scenario, goals, schemes, n_inputs=n_inputs,
-        fuse_cells=False, lockstep=False, requirement_trace=trace,
+        scenario, goals, schemes, n_inputs=n_inputs, requirement_trace=trace
     )
-    from repro.experiments.harness import make_scheme
-
     for scheme in schemes:
         for goal, run in zip(goals, cell.scheme_runs(scheme)):
             engine = scenario.make_engine()
@@ -132,21 +130,20 @@ def test_harness_trace_matches_per_run_serving_loop():
             assert run == reference, scheme
 
 
-@pytest.mark.parametrize("cross_scheme", [False, None])
-def test_traced_cell_parity_across_serving_paths(cross_scheme):
-    """Mid-run goal changes keep lockstep ≡ sequential, full zoo."""
+@pytest.mark.parametrize("n_goals", [1, 3, LOCKSTEP_MIN_GOALS])
+def test_traced_cell_parity_across_serving_paths(n_goals, reference_cell):
+    """Mid-run goal changes keep per-goal and lockstep cells ≡ the
+    sequential reference, full zoo."""
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
     anchor = scenario.anchor_latency_s()
     n_inputs = 12
     trace = _event_trace(anchor, n_inputs)
-    goals = _goals(scenario)
+    goals = _goals(scenario, n_goals)
     fused = evaluate_schemes(
-        scenario, goals, SCHEMES, n_inputs=n_inputs,
-        cross_scheme=cross_scheme, requirement_trace=trace,
+        scenario, goals, SCHEMES, n_inputs=n_inputs, requirement_trace=trace
     )
-    sequential = evaluate_schemes(
-        scenario, goals, SCHEMES, n_inputs=n_inputs,
-        fuse_cells=False, lockstep=False, requirement_trace=trace,
+    sequential = reference_cell(
+        scenario, goals, SCHEMES, n_inputs, requirement_trace=trace
     )
     assert fused.goals == sequential.goals
     for scheme in SCHEMES:

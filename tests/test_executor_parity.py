@@ -4,10 +4,10 @@ Pins the contract of :mod:`repro.runtime.executor`: a plan executed
 across a process pool must return results *bit-identical* to the same
 plan executed serially (common random numbers — every run rebuilds its
 environment from the scenario seed), and the per-timing oracle grid
-cache must never change a run's outcome.  Also covers the grid-sharing
-gate of :func:`repro.experiments.harness.evaluate_schemes`: sharing is
-keyed on the factory's *signature* (an ``oracle_grid`` kwarg), not on
-its identity, with an explicit opt-out.
+cache must never change a run's outcome.  Also covers the grid
+handoff of :func:`repro.experiments.harness.evaluate_schemes`: any
+factory whose *signature* accepts an ``oracle_grid`` kwarg receives
+the cell's grid, whatever its identity.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes, make_scheme
 from repro.runtime.executor import (
+    CellSpec,
     RunExecutor,
-    RunSpec,
     ScenarioKey,
     factory_accepts_oracle_grid,
     factory_path,
@@ -46,9 +46,8 @@ def _goals(scenario, objective=ObjectiveKind.MINIMIZE_ENERGY):
 
 def _spec_plan(key, goals, schemes, n_inputs):
     return [
-        RunSpec(scenario=key, goal=goal, scheme=name, n_inputs=n_inputs)
+        CellSpec(scenario=key, goals=(goal,), schemes=schemes, n_inputs=n_inputs)
         for goal in goals
-        for name in schemes
     ]
 
 
@@ -65,23 +64,14 @@ def _assert_runs_identical(a, b):
 # ----------------------------------------------------------------------
 # Spec plumbing
 # ----------------------------------------------------------------------
-def test_runspec_is_picklable():
+def test_cellspec_is_picklable():
     key = ScenarioKey("CPU1", "image", "memory")
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1, accuracy_min=0.9
     )
-    spec = RunSpec(scenario=key, goal=goal, scheme="Oracle", n_inputs=10)
+    spec = CellSpec(scenario=key, goals=(goal,), schemes=("Oracle",), n_inputs=10)
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
-
-
-def test_runspec_rejects_empty_horizon():
-    key = ScenarioKey("CPU1", "image", "default")
-    goal = Goal(
-        objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1, accuracy_min=0.9
-    )
-    with pytest.raises(ConfigurationError):
-        RunSpec(scenario=key, goal=goal, scheme="Oracle", n_inputs=0)
 
 
 def test_scenario_key_roundtrip():
@@ -169,10 +159,11 @@ def test_parallel_plan_bit_identical_to_serial(platform, task, env, seed):
     plan = _spec_plan(key, _goals(scenario), schemes, n_inputs=15)
 
     serial = RunExecutor(workers=1).run_plan(plan, scenarios={key: scenario})
-    pooled = RunExecutor(workers=2, chunksize=len(schemes)).run_plan(plan)
+    pooled = RunExecutor(workers=2).run_plan(plan)
     assert len(serial) == len(pooled) == len(plan)
-    for a, b in zip(serial, pooled):
-        _assert_runs_identical(a, b)
+    for (runs_a,), (runs_b,) in zip(serial, pooled):
+        for a, b in zip(runs_a, runs_b):
+            _assert_runs_identical(a, b)
 
 
 def test_evaluate_schemes_workers_bit_identical(image_scenario):
@@ -231,8 +222,6 @@ def test_custom_dotted_factory_pool_matches_closure_fallback(image_scenario):
 def test_executor_rejects_bad_configuration():
     with pytest.raises(ConfigurationError):
         RunExecutor(workers=0)
-    with pytest.raises(ConfigurationError):
-        RunExecutor(workers=1, chunksize=0)
     assert RunExecutor(workers=1).run_plan([]) == []
 
 
@@ -285,46 +274,61 @@ def test_custom_factory_with_oracle_grid_kwarg_gets_shared_grid(image_scenario):
     assert received and all(grid is not None for grid in received)
 
 
-def test_share_oracle_grid_opt_out(image_scenario):
+def test_oracle_grid_offered_without_oracle_schemes(image_scenario):
+    """The grid goes to every capable factory, not only oracle cells."""
     goal = _goals(image_scenario)[0]
     received = []
 
-    def recording_factory(
-        name, scenario, engine, stream, goal, n_inputs, oracle_grid=None
-    ):
-        received.append(oracle_grid)
-        return make_scheme(
-            name, scenario, engine, stream, goal, n_inputs,
-            oracle_grid=oracle_grid,
-        )
-
-    evaluate_schemes(
-        image_scenario, [goal], ("Oracle",), n_inputs=10,
-        scheme_factory=recording_factory, share_oracle_grid=False,
-    )
-    assert received == [None]
-
-
-def test_share_oracle_grid_true_demands_capable_factory(image_scenario):
-    goal = _goals(image_scenario)[0]
-
-    def gridless_factory(name, scenario, engine, stream, goal, n_inputs):
+    def recording_factory(name, scenario, engine, stream, goal, n_inputs, **extras):
+        received.append(extras.get("oracle_grid"))
         return make_scheme(name, scenario, engine, stream, goal, n_inputs)
 
-    with pytest.raises(ConfigurationError):
-        evaluate_schemes(
-            image_scenario, [goal], ("Oracle",), n_inputs=5,
-            scheme_factory=gridless_factory, share_oracle_grid=True,
+    evaluate_schemes(
+        image_scenario, [goal], ("ALERT",), n_inputs=10,
+        scheme_factory=recording_factory,
+    )
+    assert received and all(grid is not None for grid in received)
+
+
+def _grid_unaware_factory(name, scenario, engine, stream, goal, n_inputs):
+    """A dotted-path factory that accepts none of the grid keywords."""
+    return make_scheme(name, scenario, engine, stream, goal, n_inputs)
+
+
+def test_grid_unaware_factory_matches_reference(image_scenario, reference_cell):
+    """A factory offered no grid still serves a wide (lockstep) cell,
+    pooled or serial, identically to the sequential reference."""
+    assert factory_path(_grid_unaware_factory) is not None
+    assert not factory_accepts_oracle_grid(_grid_unaware_factory)
+    anchor = image_scenario.anchor_latency_s()
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * factor,
+            accuracy_min=floor,
         )
+        for factor in (1.0, 1.5)
+        for floor in (0.85, 0.9, 0.95)
+    ]
+    schemes = ("ALERT", "Oracle", "No-coord")
+    reference = reference_cell(
+        image_scenario, goals, schemes, 10, _grid_unaware_factory
+    )
+    for workers in (1, 2):
+        cell = evaluate_schemes(
+            image_scenario, goals, schemes, n_inputs=10,
+            scheme_factory=_grid_unaware_factory, workers=workers,
+        )
+        for name in schemes:
+            for a, b in zip(cell.scheme_runs(name), reference.scheme_runs(name)):
+                _assert_runs_identical(a, b)
 
 
-def test_shared_grid_does_not_change_runs(image_scenario):
+def test_shared_grid_does_not_change_runs(image_scenario, reference_cell):
     goal = _goals(image_scenario)[0]
     schemes = ("Oracle", "OracleStatic")
     shared = evaluate_schemes(image_scenario, [goal], schemes, n_inputs=12)
-    isolated = evaluate_schemes(
-        image_scenario, [goal], schemes, n_inputs=12, share_oracle_grid=False
-    )
+    isolated = reference_cell(image_scenario, [goal], schemes, 12)
     for name in schemes:
         for a, b in zip(shared.scheme_runs(name), isolated.scheme_runs(name)):
             assert a.scheduler_name == b.scheduler_name

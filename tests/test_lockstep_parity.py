@@ -1,18 +1,30 @@
 """Parity suite for the lockstep multi-goal decision engine.
 
-Pins the contract of PR 5's stacked-state machinery at every layer:
+Pins the contract of the stacked-state machinery at every layer:
 
-* stacked Kalman / idle-power filters ≡ scalar filters, elementwise,
-  across randomized measurement sequences;
+* stacked Kalman / idle-power / slowdown filters ≡ scalar filters,
+  elementwise, across randomized measurement sequences;
 * ``BatchAlertEstimator.estimate_many`` ≡ per-state ``estimate_batch``
   (single fused erf pass, same numbers);
 * ``ConfigSelector.select_many`` ≡ per-state ``select`` (segment-wise
   lexsort picks identical winners at identical fallback stages);
-* lockstep-served fused cells ≡ the per-goal sequential fused path for
-  ALERT-family schemes — discrete record fields exactly, float fields
-  to ≤1e-12 relative — across platforms, objectives, and goal grids;
-* the fallback contract: custom scheduler types and warm controllers
-  must land on the sequential path, never on a wrong lockstep one.
+* the stacked No-coord cell controller ≡ fresh scalar
+  ``NoCoordScheduler`` runs, elementwise bit-identical;
+* the width rule: a cell with at least ``LOCKSTEP_MIN_GOALS`` goals
+  advances every stacking scheme as a lane of one
+  :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`, a narrower one
+  serves each goal alone — both ≡ the sequential reference, and the
+  whole nine-scheme zoo ≡ the reference across platforms and
+  objectives (discrete record fields exactly, floats ≤1e-12 relative);
+* the loops themselves are width-agnostic: hand-driven lanes of a
+  narrow cell, alone or together, ≡ the reference; a wide cell ≡ the
+  same goals as one-goal cells, and ≡ the in-process fallback;
+* pool execution ≡ serial; a wide cell serves **zero** inputs through
+  per-input Python ``decide``/``observe``; grid-complete lanes never
+  call ``InferenceEngine.run``;
+* the fallback contract: custom scheduler types, warm controllers and
+  mismatched ladders must land on the sequential path, never on a
+  wrong lockstep one.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import build_parser
+from repro.baselines import NoCoordCellController, NoCoordScheduler
 from repro.core.config_space import ConfigurationSpace
 from repro.core.controller import AlertCellController, AlertController
 from repro.core.estimator import AlertEstimator
@@ -34,9 +46,26 @@ from repro.core.kalman import (
 from repro.core.selector import ConfigSelector
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
-from repro.experiments.harness import evaluate_schemes, make_scheme
-from repro.runtime.executor import LockstepCellSpec, RunExecutor, ScenarioKey
-from repro.runtime.loop import LOCKSTEP_TELEMETRY, LockstepServingLoop
+from repro.experiments.harness import (
+    SCHEMES,
+    CellResult,
+    evaluate_schemes,
+    make_scheme,
+)
+from repro.models.inference import GridView, InferenceEngine
+from repro.runtime.executor import (
+    LOCKSTEP_MIN_GOALS,
+    CellSpec,
+    RunExecutor,
+    ScenarioKey,
+    timing_grid,
+)
+from repro.runtime.loop import (
+    LOCKSTEP_TELEMETRY,
+    CrossSchemeLockstepLoop,
+    LockstepServingLoop,
+    ServingLoop,
+)
 from repro.runtime.scheduler import AlertScheduler
 from repro.workloads.scenarios import build_scenario
 
@@ -44,7 +73,20 @@ from repro.workloads.scenarios import build_scenario
 #: practice the stacked state advances bit-identically).
 REL_TOL = 1e-12
 
-FEEDBACK_SCHEMES = ("ALERT", "ALERT*", "ALERT-Any")
+#: Schemes whose schedulers never stack (feedback-free: they ride the
+#: batch fast path instead).
+FEEDBACK_FREE = ("Oracle", "OracleStatic", "App-only")
+
+#: The schemes whose schedulers stack into a lockstep lane.
+STACKING = ("ALERT", "Sys-only", "No-coord")
+
+#: Every stacking member of the zoo.
+LOCKSTEP_SCHEMES = tuple(s for s in SCHEMES if s not in FEEDBACK_FREE)
+
+#: Width of the hand-driven lockstep cells: below the width rule, so
+#: the executor would serve them per goal — only a loop driven directly
+#: advances them in lockstep.
+NARROW = 4
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +280,126 @@ def test_select_many_matches_select(seed):
 
 
 # ----------------------------------------------------------------------
-# Lockstep fused cells ≡ per-goal sequential fused cells
+# Stacked No-coord ≡ scalar No-coord
+# ----------------------------------------------------------------------
+def _grid_goals(scenario, objective):
+    """A six-goal grid: two deadlines × three floors or budgets."""
+    anchor = scenario.anchor_latency_s()
+    if objective is ObjectiveKind.MINIMIZE_ENERGY:
+        return [
+            Goal(objective=objective, deadline_s=anchor * f, accuracy_min=q)
+            for f in (1.0, 1.5)
+            for q in (0.85, 0.9, 0.95)
+        ]
+    budget = scenario.machine.default_power() * anchor * 0.6
+    return [
+        Goal(objective=objective, deadline_s=anchor * f, energy_budget_j=b)
+        for f in (1.0, 1.5)
+        for b in (budget, budget * 1.25, budget * 1.5)
+    ]
+
+
+def _no_coord(scenario):
+    return NoCoordScheduler(scenario.profile(), scenario.candidates.anytime)
+
+
+class _Measured:
+    """Minimal outcome stub carrying what No-coord's observe reads."""
+
+    def __init__(self, full_latency_s: float, power_cap_w: float) -> None:
+        self.full_latency_s = full_latency_s
+        self.power_cap_w = power_cap_w
+
+
+@pytest.mark.parametrize("seed", [0, 11, 42])
+@pytest.mark.parametrize(
+    "objective",
+    [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
+)
+def test_stacked_no_coord_matches_scalar(seed, objective):
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=9)
+    goals = _grid_goals(scenario, objective)
+    scalars = [_no_coord(scenario) for _ in goals]
+    cell = NoCoordScheduler.stack_into_cell(
+        [_no_coord(scenario) for _ in goals]
+    )
+    assert isinstance(cell, NoCoordCellController)
+
+    rng = np.random.default_rng(seed)
+    item = scenario.make_stream().item(0)
+    powers = scalars[0].powers
+    for _ in range(25):
+        stacked = cell.decide_many(goals)
+        for g, (scheduler, goal) in enumerate(zip(scalars, goals)):
+            config = scheduler.decide(item, goal)
+            assert stacked[g].config.model is config.model
+            assert stacked[g].config.rung_cap == config.rung_cap
+            assert stacked[g].config.power_w == config.power_w
+        outcomes = [
+            _Measured(
+                full_latency_s=float(rng.uniform(0.01, 0.3)),
+                power_cap_w=float(rng.choice(powers)),
+            )
+            for _ in goals
+        ]
+        cell.observe_many(outcomes)
+        for scheduler, outcome in zip(scalars, outcomes):
+            scheduler.observe(outcome)
+        for g, scheduler in enumerate(scalars):
+            assert cell._app.mean[g] == scheduler._app_filter.mean
+            assert cell._app.sigma[g] == scheduler._app_filter.sigma
+            assert cell._sys.mean[g] == scheduler._sys_filter.mean
+            assert cell._sys.sigma[g] == scheduler._sys_filter.sigma
+
+
+def test_no_coord_stats_and_snapshot_contract():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=9)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
+    cell = NoCoordScheduler.stack_into_cell([_no_coord(scenario) for _ in goals])
+    assert cell.xi_snapshot() is None
+    cell.decide_many(goals)
+    stats = cell.lockstep_stats
+    assert stats["goals"] == len(goals)
+    assert stats["stacked_calls"] == 1
+    assert stats["stacked_states"] == len(goals)
+
+
+def test_no_coord_refuses_warm_schedulers():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=9)
+    warm = _no_coord(scenario)
+    warm.observe(_Measured(0.1, warm.powers[-1]))
+    assert NoCoordScheduler.stack_into_cell([warm, _no_coord(scenario)]) is None
+
+
+def test_no_coord_refuses_subclasses():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=9)
+
+    class Tweaked(NoCoordScheduler):
+        pass
+
+    tweaked = Tweaked(scenario.profile(), scenario.candidates.anytime)
+    assert NoCoordCellController.from_schedulers([tweaked]) is None
+
+
+def test_no_coord_refuses_mismatched_ladders():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=9)
+    profile = scenario.profile()
+    anytime = scenario.candidates.anytime
+    reduced = NoCoordScheduler(
+        profile, anytime, powers=list(profile.powers)[:2]
+    )
+    assert (
+        NoCoordCellController.from_schedulers([_no_coord(scenario), reduced])
+        is None
+    )
+
+
+def test_no_coord_refuses_empty():
+    assert NoCoordCellController.from_schedulers([]) is None
+
+
+# ----------------------------------------------------------------------
+# Cells ≡ the sequential reference
 # ----------------------------------------------------------------------
 FLOAT_FIELDS = (
     "latency_s",
@@ -262,12 +423,10 @@ DISCRETE_FIELDS = (
 )
 
 
-def _assert_runs_match(lockstep_cell, sequential_cell, schemes):
-    assert lockstep_cell.goals == sequential_cell.goals
+def _assert_runs_match(cell, reference, schemes):
+    assert cell.goals == reference.goals
     for name in schemes:
-        pairs = zip(
-            lockstep_cell.scheme_runs(name), sequential_cell.scheme_runs(name)
-        )
+        pairs = zip(cell.scheme_runs(name), reference.scheme_runs(name))
         for a, b in pairs:
             assert a.scheduler_name == b.scheduler_name
             assert len(a.records) == len(b.records)
@@ -290,22 +449,6 @@ def _assert_runs_match(lockstep_cell, sequential_cell, schemes):
                 )
 
 
-def _grid_goals(scenario, objective):
-    anchor = scenario.anchor_latency_s()
-    if objective is ObjectiveKind.MINIMIZE_ENERGY:
-        return [
-            Goal(objective=objective, deadline_s=anchor * f, accuracy_min=q)
-            for f in (1.0, 1.5)
-            for q in (0.85, 0.9, 0.95)
-        ]
-    budget = scenario.machine.default_power() * anchor * 0.6
-    return [
-        Goal(objective=objective, deadline_s=anchor * f, energy_budget_j=b)
-        for f in (1.0, 1.5)
-        for b in (budget, budget * 1.5)
-    ]
-
-
 @pytest.mark.parametrize(
     ("platform", "task", "env", "seed"),
     [
@@ -320,51 +463,190 @@ def _grid_goals(scenario, objective):
     "objective",
     [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
 )
-def test_lockstep_matches_sequential(platform, task, env, seed, objective):
+def test_zoo_cell_matches_reference(
+    platform, task, env, seed, objective, reference_cell
+):
     scenario = build_scenario(platform, task, env, "standard", seed=seed)
     goals = _grid_goals(scenario, objective)
-    lockstep = evaluate_schemes(
-        scenario, goals, FEEDBACK_SCHEMES, n_inputs=16, fuse_cells=True
-    )
-    sequential = evaluate_schemes(
-        scenario, goals, FEEDBACK_SCHEMES, n_inputs=16, fuse_cells=True,
-        lockstep=False,
-    )
-    _assert_runs_match(lockstep, sequential, FEEDBACK_SCHEMES)
+    n_inputs = 12
+    LOCKSTEP_TELEMETRY.reset()
+    cell = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=n_inputs)
+    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] > 0
+    reference = reference_cell(scenario, goals, SCHEMES, n_inputs)
+    _assert_runs_match(cell, reference, SCHEMES)
 
 
-def test_lockstep_pool_bit_identical_to_serial(image_scenario):
+def _lanes(scenario, goals, schemes, n_inputs, engine, stream, views):
+    """One hand-built lockstep lane per scheme over ``goals``."""
+    lanes = []
+    for scheme in schemes:
+        schedulers = [
+            make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
+            for goal in goals
+        ]
+        lane = LockstepServingLoop.for_schedulers(
+            engine, stream, schedulers, goals, views
+        )
+        assert lane is not None, scheme
+        lanes.append(lane)
+    return lanes
+
+
+def _trusted_views(scenario, goals, n_inputs, engine, stream):
+    """One trusted view per timing, shared by the goals that hold it."""
+    by_timing = {}
+    views = []
+    for goal in goals:
+        timing = (goal.deadline_s, goal.period)
+        if timing not in by_timing:
+            grid = timing_grid(
+                scenario, goal, n_inputs, engine=engine, stream=stream
+            )
+            by_timing[timing] = GridView(grid, trusted=True)
+        views.append(by_timing[timing])
+    return views
+
+
+CELLS = [
+    ("CPU1", "image", "default", 5),
+    ("CPU2", "image", "memory", 17),
+    ("GPU", "image", "compute", 23),
+    ("CPU1", "sentence", "compute", 29),
+    ("EMBEDDED", "image", "memory", 41),
+]
+
+
+@pytest.mark.parametrize(("platform", "task", "env", "seed"), CELLS)
+@pytest.mark.parametrize(
+    "objective",
+    [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
+)
+def test_lockstep_matches_sequential(
+    platform, task, env, seed, objective, reference_cell
+):
+    """Each stacking scheme's lane, run alone on a live engine (no
+    grid view) over a narrow cell, ≡ the sequential reference."""
+    scenario = build_scenario(platform, task, env, "standard", seed=seed)
+    goals = tuple(_grid_goals(scenario, objective)[:NARROW])
+    assert len(goals) < LOCKSTEP_MIN_GOALS
+    n_inputs = 12
+    runs = {}
+    for scheme in LOCKSTEP_SCHEMES:
+        engine = scenario.make_engine()
+        stream = scenario.make_stream()
+        (lane,) = _lanes(
+            scenario, goals, (scheme,), n_inputs, engine, stream,
+            [None] * len(goals),
+        )
+        runs[scheme] = lane.run(n_inputs)
+    lockstep = CellResult(scenario=scenario, goals=goals, runs=runs)
+    reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
+    _assert_runs_match(lockstep, reference, LOCKSTEP_SCHEMES)
+
+
+@pytest.mark.parametrize(("platform", "task", "env", "seed"), CELLS)
+@pytest.mark.parametrize(
+    "objective",
+    [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
+)
+def test_multi_lane_loop_matches_lone_lanes_and_reference(
+    platform, task, env, seed, objective, reference_cell
+):
+    """The multi-lane loop over grid-served lanes ≡ each lane run
+    alone ≡ the sequential reference, whatever the cell's width."""
+    scenario = build_scenario(platform, task, env, "standard", seed=seed)
+    goals = tuple(_grid_goals(scenario, objective)[:NARROW])
+    n_inputs = 12
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    views = _trusted_views(scenario, goals, n_inputs, engine, stream)
+    lanes = _lanes(
+        scenario, goals, LOCKSTEP_SCHEMES, n_inputs, engine, stream, views
+    )
+    cross = CellResult(
+        scenario=scenario,
+        goals=goals,
+        runs=dict(
+            zip(LOCKSTEP_SCHEMES, CrossSchemeLockstepLoop(lanes).run(n_inputs))
+        ),
+    )
+    per_lane = {}
+    for scheme in LOCKSTEP_SCHEMES:
+        engine = scenario.make_engine()
+        stream = scenario.make_stream()
+        views = _trusted_views(scenario, goals, n_inputs, engine, stream)
+        (lane,) = _lanes(
+            scenario, goals, (scheme,), n_inputs, engine, stream, views
+        )
+        per_lane[scheme] = lane.run(n_inputs)
+    alone = CellResult(scenario=scenario, goals=goals, runs=per_lane)
+    reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
+    _assert_runs_match(cross, alone, LOCKSTEP_SCHEMES)
+    _assert_runs_match(cross, reference, LOCKSTEP_SCHEMES)
+
+
+@pytest.mark.parametrize(
+    "n_goals",
+    [1, LOCKSTEP_MIN_GOALS - 1, LOCKSTEP_MIN_GOALS, 2 * LOCKSTEP_MIN_GOALS],
+)
+def test_width_rule_picks_the_serving_path(n_goals, reference_cell):
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    anchor = scenario.anchor_latency_s()
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * (1.0 + 0.1 * g),
+            accuracy_min=0.85 + 0.01 * g,
+        )
+        for g in range(n_goals)
+    ]
+    n_inputs = 10
+    LOCKSTEP_TELEMETRY.reset()
+    cell = evaluate_schemes(scenario, goals, STACKING, n_inputs=n_inputs)
+    snapshot = LOCKSTEP_TELEMETRY.snapshot()
+    if n_goals < LOCKSTEP_MIN_GOALS:
+        assert snapshot["lockstep_runs"] == 0
+        assert snapshot["fallback_runs"] == len(STACKING) * n_goals
+    else:
+        assert snapshot["lockstep_runs"] == len(STACKING) * n_goals
+        assert snapshot["sequential_inputs"] == 0
+    reference = reference_cell(scenario, goals, STACKING, n_inputs)
+    for name in STACKING:
+        for run, expected in zip(
+            cell.scheme_runs(name), reference.scheme_runs(name)
+        ):
+            assert run == expected, name
+
+
+def test_wide_cell_serves_zero_sequential_inputs():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
+    LOCKSTEP_TELEMETRY.reset()
+    evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
+    snapshot = LOCKSTEP_TELEMETRY.snapshot()
+    # Every stacked scheme advanced through decide_many/observe_many;
+    # the feedback-free schemes rode the batch fast path.  Nothing
+    # went through the per-input sequential reference loop.
+    assert snapshot["sequential_inputs"] == 0
+    assert snapshot["fallback_runs"] == len(FEEDBACK_FREE) * len(goals)
+    assert snapshot["lockstep_runs"] == (
+        (len(SCHEMES) - len(FEEDBACK_FREE)) * len(goals)
+    )
+
+
+def test_lockstep_telemetry_counts(image_scenario):
     goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)
-    serial = evaluate_schemes(
-        image_scenario, goals, FEEDBACK_SCHEMES, n_inputs=12, fuse_cells=True
-    )
-    pooled = evaluate_schemes(
-        image_scenario, goals, FEEDBACK_SCHEMES, n_inputs=12, fuse_cells=True,
-        workers=2,
-    )
-    for name in FEEDBACK_SCHEMES:
-        for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
-            for ra, rb in zip(a.records, b.records):
-                assert ra == rb  # frozen dataclasses: bit-identity
-
-
-def test_lockstep_zoo_cell_matches_per_goal_cellspec(image_scenario):
-    """The whole Table 4 zoo through one lockstep grid cell."""
-    schemes = ("ALERT", "ALERT-Any", "Sys-only", "App-only", "Oracle")
-    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)
-    lockstep = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12, fuse_cells=True
-    )
-    per_goal = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12, fuse_cells=True,
-        lockstep=False,
-    )
-    _assert_runs_match(lockstep, per_goal, schemes)
+    LOCKSTEP_TELEMETRY.reset()
+    evaluate_schemes(image_scenario, goals, ("ALERT", "Oracle"), n_inputs=10)
+    snapshot = LOCKSTEP_TELEMETRY.snapshot()
+    assert snapshot["lockstep_cells"] == 1
+    assert snapshot["lockstep_runs"] == len(goals)
+    assert snapshot["fallback_runs"] == len(goals)  # Oracle runs per goal
+    assert snapshot["stacked_calls"] >= 1
+    assert snapshot["stacked_states"] >= snapshot["stacked_calls"]
 
 
 def test_lockstep_never_calls_engine_run(image_scenario, monkeypatch):
-    from repro.models.inference import InferenceEngine
-
     calls = []
     real = InferenceEngine.run
 
@@ -373,27 +655,182 @@ def test_lockstep_never_calls_engine_run(image_scenario, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(InferenceEngine, "run", counting)
-    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:3]
-    evaluate_schemes(
-        image_scenario, goals, ("ALERT", "ALERT*"), n_inputs=15,
-        fuse_cells=True,
-    )
+    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)
+    LOCKSTEP_TELEMETRY.reset()
+    evaluate_schemes(image_scenario, goals, ("ALERT", "ALERT*"), n_inputs=15)
+    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] == 2 * len(goals)
     assert calls == []
 
 
-def test_lockstep_telemetry_counts(image_scenario):
-    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)
-    LOCKSTEP_TELEMETRY.reset()
-    evaluate_schemes(
-        image_scenario, goals, ("ALERT", "Oracle"), n_inputs=10,
-        fuse_cells=True,
+def test_grid_complete_cell_never_calls_engine_run(monkeypatch):
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    anchor = scenario.anchor_latency_s()
+    # One shared timing across goals: one grid serves the whole cell.
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * 1.4,
+            accuracy_min=q,
+        )
+        for q in (0.85, 0.9, 0.95)
+    ]
+    n_inputs = 10
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    grid = timing_grid(
+        scenario, goals[0], n_inputs, engine=engine, stream=stream
     )
-    snapshot = LOCKSTEP_TELEMETRY.snapshot()
-    assert snapshot["lockstep_cells"] == 1
-    assert snapshot["lockstep_runs"] == len(goals)
-    assert snapshot["fallback_runs"] == len(goals)  # Oracle runs per goal
-    assert snapshot["stacked_calls"] >= 1
-    assert snapshot["stacked_states"] >= snapshot["stacked_calls"]
+    view = GridView(grid, trusted=True)
+    lanes = []
+    for scheme in STACKING:
+        schedulers = [
+            make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
+            for goal in goals
+        ]
+        lane = LockstepServingLoop.for_schedulers(
+            engine, stream, schedulers, goals, [view] * len(goals)
+        )
+        assert lane is not None
+        lanes.append(lane)
+
+    def boom(self, **kwargs):
+        raise AssertionError("engine.run must not be called on a full grid")
+
+    monkeypatch.setattr(InferenceEngine, "run", boom)
+    results = CrossSchemeLockstepLoop(lanes).run(n_inputs)
+    assert len(results) == len(lanes)
+    for lane_runs in results:
+        for run in lane_runs:
+            assert len(run.records) == n_inputs
+            assert all(record is not None for record in run.records)
+
+
+def test_lockstep_loop_rejects_empty_and_mixed_streams():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2]
+    engine = scenario.make_engine()
+    with pytest.raises(ConfigurationError):
+        CrossSchemeLockstepLoop([])
+    lanes = []
+    for _ in range(2):
+        stream = scenario.make_stream()
+        schedulers = [
+            make_scheme("ALERT", scenario, engine, stream, goal, 4)
+            for goal in goals
+        ]
+        lanes.append(
+            LockstepServingLoop.for_schedulers(
+                engine, stream, schedulers, goals, [None] * len(goals)
+            )
+        )
+    with pytest.raises(ConfigurationError):
+        CrossSchemeLockstepLoop(lanes)
+
+
+def test_lockstep_loop_rejects_empty_horizon():
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2]
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    lanes = _lanes(
+        scenario, goals, STACKING, 4, engine, stream, [None] * len(goals)
+    )
+    with pytest.raises(ConfigurationError):
+        CrossSchemeLockstepLoop(lanes).run(0)
+
+
+# ----------------------------------------------------------------------
+# One wide cell ≡ the same goals served narrow
+# ----------------------------------------------------------------------
+def test_wide_cell_matches_one_goal_cells():
+    """A lockstep cell and the same goals as one-goal cells (the
+    sweep's shape) return equal runs, goal-major."""
+    key = ScenarioKey("CPU1", "image", "memory", "standard", 13)
+    scenario = key.build()
+    goals = tuple(_grid_goals(scenario, ObjectiveKind.MAXIMIZE_ACCURACY))
+    assert len(goals) >= LOCKSTEP_MIN_GOALS
+    executor = RunExecutor(workers=1)
+    (wide,) = executor.run_plan(
+        [CellSpec(scenario=key, goals=goals, schemes=SCHEMES, n_inputs=10)]
+    )
+    narrow = executor.run_plan(
+        [
+            CellSpec(scenario=key, goals=(goal,), schemes=SCHEMES, n_inputs=10)
+            for goal in goals
+        ]
+    )
+    assert len(wide) == len(goals)
+    for goal, wide_runs, (narrow_runs,) in zip(goals, wide, narrow):
+        assert [r.scheduler_name for r in wide_runs] == [
+            r.scheduler_name for r in narrow_runs
+        ]
+        for a, b in zip(wide_runs, narrow_runs):
+            assert a.goal == b.goal == goal
+            assert a.records == b.records
+
+
+def test_pooled_timing_split_matches_serial_wide_cell():
+    """Serial evaluation serves the grid as one lockstep cell; pooled
+    evaluation splits it per timing into narrow per-goal cells.  Both
+    paths return identical runs."""
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
+    timings = {(goal.deadline_s, goal.period) for goal in goals}
+    assert len(goals) >= LOCKSTEP_MIN_GOALS
+    assert all(
+        sum((g.deadline_s, g.period) == t for g in goals) < LOCKSTEP_MIN_GOALS
+        for t in timings
+    )
+    serial = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
+    pooled = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10, workers=2)
+    for name in SCHEMES:
+        for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
+            assert a.records == b.records, name
+
+
+def test_closure_factory_wide_cell_matches_executor():
+    """The in-process fallback (always per goal) ≡ the executor's
+    lockstep path on a cell wide enough to lockstep."""
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
+
+    def closure_factory(*args, **kwargs):
+        return make_scheme(*args, **kwargs)
+
+    LOCKSTEP_TELEMETRY.reset()
+    in_process = evaluate_schemes(
+        scenario, goals, SCHEMES, n_inputs=10, scheme_factory=closure_factory
+    )
+    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] == 0
+    executed = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
+    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] > 0
+    _assert_runs_match(in_process, executed, SCHEMES)
+
+
+# ----------------------------------------------------------------------
+# Pool ≡ serial
+# ----------------------------------------------------------------------
+def test_wide_cell_pool_matches_serial():
+    key = ScenarioKey("CPU1", "image", "default", "standard", 7)
+    scenario = key.build()
+    plan = [
+        CellSpec(
+            scenario=key,
+            goals=tuple(_grid_goals(scenario, objective)),
+            schemes=SCHEMES,
+            n_inputs=10,
+        )
+        for objective in (
+            ObjectiveKind.MINIMIZE_ENERGY,
+            ObjectiveKind.MAXIMIZE_ACCURACY,
+        )
+    ]
+    serial = RunExecutor(workers=1).run_plan(plan)
+    pooled = RunExecutor(workers=2).run_plan(plan)
+    for cell_a, cell_b in zip(serial, pooled):
+        for runs_a, runs_b in zip(cell_a, cell_b):
+            for ra, rb in zip(runs_a, runs_b):
+                assert ra == rb
 
 
 # ----------------------------------------------------------------------
@@ -483,81 +920,8 @@ def test_lockstep_factory_built_cell_matches_direct_loop(image_scenario):
             "ALERT", image_scenario, reference_engine, reference_stream,
             goal, 10,
         )
-        from repro.runtime.loop import ServingLoop
-
         reference = ServingLoop(
             reference_engine, reference_stream, scheduler, goal
         ).run(10)
         for ra, rb in zip(run.records, reference.records):
             assert ra == rb
-
-
-# ----------------------------------------------------------------------
-# Spec plumbing and CLI
-# ----------------------------------------------------------------------
-def test_lockstep_cellspec_validation():
-    key = ScenarioKey("CPU1", "image", "default")
-    goal = Goal(
-        objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1,
-        accuracy_min=0.9,
-    )
-    with pytest.raises(ConfigurationError):
-        LockstepCellSpec(
-            scenario=key, goals=(), schemes=("ALERT",), n_inputs=5
-        )
-    with pytest.raises(ConfigurationError):
-        LockstepCellSpec(
-            scenario=key, goals=(goal,), schemes=(), n_inputs=5
-        )
-    with pytest.raises(ConfigurationError):
-        LockstepCellSpec(
-            scenario=key, goals=(goal,), schemes=("ALERT",), n_inputs=0
-        )
-    spec = LockstepCellSpec(
-        scenario=key, goals=[goal], schemes=["ALERT"], n_inputs=5
-    )
-    assert spec.goals == (goal,)
-    assert spec.schemes == ("ALERT",)
-
-
-def test_lockstep_cellspec_results_align(image_scenario):
-    key = ScenarioKey.for_scenario(image_scenario)
-    assert key is not None
-    goals = tuple(_grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2])
-    schemes = ("ALERT", "Oracle")
-    spec = LockstepCellSpec(
-        scenario=key, goals=goals, schemes=schemes, n_inputs=8
-    )
-    (results,) = RunExecutor(workers=1).run_plan(
-        [spec], scenarios={key: image_scenario}
-    )
-    assert len(results) == len(goals)
-    for per_goal, goal in zip(results, goals):
-        assert [r.scheduler_name for r in per_goal] == list(schemes)
-        assert all(r.goal == goal for r in per_goal)
-
-
-def test_lockstep_true_demands_fusion_and_importable_factory(image_scenario):
-    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:1]
-    with pytest.raises(ConfigurationError):
-        evaluate_schemes(
-            image_scenario, goals, ("ALERT",), n_inputs=5,
-            fuse_cells=False, lockstep=True,
-        )
-
-    def closure_factory(name, scenario, engine, stream, goal, n_inputs):
-        return make_scheme(name, scenario, engine, stream, goal, n_inputs)
-
-    with pytest.raises(ConfigurationError):
-        evaluate_schemes(
-            image_scenario, goals, ("ALERT",), n_inputs=5,
-            scheme_factory=closure_factory, lockstep=True,
-        )
-
-
-@pytest.mark.parametrize("command", ["table4", "table5", "fig08"])
-def test_cli_lockstep_flags(command):
-    parser = build_parser()
-    assert parser.parse_args([command]).lockstep is None
-    assert parser.parse_args([command, "--no-lockstep"]).lockstep is False
-    assert parser.parse_args([command, "--lockstep"]).lockstep is True

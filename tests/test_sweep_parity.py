@@ -325,10 +325,10 @@ def test_summary_single_pass_matches_run_properties(memory_scenario):
     key = ScenarioKey.for_scenario(memory_scenario)
     from repro.runtime.executor import CellSpec
 
-    runs = state.execute(
+    (runs,) = state.execute(
         CellSpec(
             scenario=key,
-            goal=goal,
+            goals=(goal,),
             schemes=("OracleStatic", "ALERT"),
             n_inputs=24,
         )
@@ -359,9 +359,9 @@ def test_batch_run_defers_records_and_arrays_match(memory_scenario):
     key = ScenarioKey.for_scenario(memory_scenario)
     from repro.runtime.executor import CellSpec
 
-    (run,) = state.execute(
+    ((run,),) = state.execute(
         CellSpec(
-            scenario=key, goal=goal, schemes=("OracleStatic",), n_inputs=24
+            scenario=key, goals=(goal,), schemes=("OracleStatic",), n_inputs=24
         )
     )
     arrays = run.arrays
@@ -402,9 +402,9 @@ def test_deferred_run_pickles_with_records(memory_scenario):
     key = ScenarioKey.for_scenario(memory_scenario)
     from repro.runtime.executor import CellSpec
 
-    (run,) = state.execute(
+    ((run,),) = state.execute(
         CellSpec(
-            scenario=key, goal=goal, schemes=("OracleStatic",), n_inputs=12
+            scenario=key, goals=(goal,), schemes=("OracleStatic",), n_inputs=12
         )
     )
     assert run._records is None
