@@ -309,16 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--inputs", type=int, default=100)
     sweep.add_argument("--workers", type=int, default=1, help=workers_help)
     sweep.add_argument(
-        "--grid-store",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "share realised outcome grids across workers through "
-            "shared memory (default: on when --workers > 1; "
-            "bit-identical either way)"
-        ),
-    )
-    sweep.add_argument(
         "--checkpoint",
         default=None,
         help="JSONL file completed cells append to (enables resume)",
@@ -328,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="skip cells already in the checkpoint (default on)",
-    )
-    sweep.add_argument(
-        "--keep-runs",
-        action="store_true",
-        help=(
-            "also collect full per-input RunResults (driver memory "
-            "grows to O(inputs); summaries alone are the default)"
-        ),
     )
     sweep.add_argument(
         "--cell-limit",
@@ -469,10 +451,8 @@ def _run_sweep(args: argparse.Namespace) -> str:
     result = run_sweep(
         spec,
         workers=args.workers,
-        grid_store=args.grid_store,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        keep_runs=args.keep_runs,
         cell_limit=args.cell_limit,
     )
     if args.smoke and not result.complete:

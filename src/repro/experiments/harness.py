@@ -1,9 +1,9 @@
-"""Shared evaluation harness for the Table 3 scheme zoo.
+"""The Table 3 scheme zoo and the cell evaluator.
 
-Builds each scheme the paper compares (Table 3, bottom) for a given
-scenario and evaluates whole (goal × scheme) cells.  All experiment
-drivers go through this module so the scheme definitions exist in
-exactly one place.
+:func:`make_scheme` builds each scheme the paper compares (Table 3,
+bottom) for a given scenario.  It is the one place the scheme
+definitions exist: every cell — table4, table5, fig08, the sweep, the
+CLI and the examples — builds its schedulers through it.
 
 **Architecture (spec → executor → loop).**  :func:`evaluate_schemes`
 does not run anything itself: it compiles the cell into a plan of
@@ -17,15 +17,14 @@ scheme from it; how a stacking scheme is served (lockstep lanes or
 per-goal loops) follows the spec's goal count, never a caller's flag.
 Specs are picklable and rebuilt from the scenario's seeds in whichever
 process executes them, so the merged :class:`CellResult` is
-bit-identical regardless of worker count (common random numbers).
-Custom ``scheme_factory`` callables that are not importable by dotted
-path (closures, lambdas) fall back to an equivalent in-process loop
-that serves every run per goal from the same shared grids.
+bit-identical regardless of worker count (common random numbers).  A
+hand-built scenario that its key cannot rebuild runs the same plan
+serially, from the live scenario object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.baselines import (
@@ -41,15 +40,7 @@ from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal
 from repro.errors import ConfigurationError
 from repro.models.inference import BatchOutcomeGrid, GridView
-from repro.runtime.executor import (
-    CellSpec,
-    RunExecutor,
-    ScenarioKey,
-    factory_path,
-    run_single,
-    space_fingerprint,
-    timing_grid,
-)
+from repro.runtime.executor import CellSpec, RunExecutor, ScenarioKey
 from repro.runtime.results import RunResult
 from repro.runtime.scheduler import Scheduler
 from repro.workloads.scenarios import Scenario
@@ -160,72 +151,13 @@ class CellResult:
         return self.runs[name]
 
 
-def _evaluate_in_process(
-    scenario: Scenario,
-    goals: tuple[Goal, ...],
-    schemes: tuple[str, ...],
-    n_inputs: int,
-    scheme_factory: Callable[..., Scheduler],
-    requirement_trace=None,
-) -> dict[str, list[RunResult]]:
-    """Fallback for factories that cannot cross a process boundary.
-
-    Serves every run per goal through
-    :func:`repro.runtime.executor.run_single` from one shared
-    engine/stream realisation and a per-timing grid cache
-    (candidate-fingerprinted), calling the factory object directly.
-    """
-    grids: dict[tuple, BatchOutcomeGrid] = {}
-    default_fingerprint = space_fingerprint(scheme_space(scenario))
-    engine = scenario.make_engine()
-    stream = scenario.make_stream()
-
-    def cached_grid(goal: Goal, space=None) -> BatchOutcomeGrid:
-        fingerprint = (
-            default_fingerprint if space is None else space_fingerprint(space)
-        )
-        timing = (goal.deadline_s, goal.period, n_inputs, fingerprint)
-        grid = grids.get(timing)
-        if grid is None:
-            grid = timing_grid(
-                scenario, goal, n_inputs, space=space,
-                engine=engine, stream=stream,
-            )
-            grids[timing] = grid
-        return grid
-
-    runs: dict[str, list[RunResult]] = {name: [] for name in schemes}
-    for goal in goals:
-        grid = cached_grid(goal)
-        view = GridView(grid, trusted=True)
-
-        def provider(space, _goal=goal):
-            return cached_grid(_goal, space)
-
-        for name in schemes:
-            runs[name].append(
-                run_single(
-                    scenario, goal, name, n_inputs, scheme_factory,
-                    oracle_grid=grid,
-                    grid_view=view,
-                    grid_provider=provider,
-                    engine=engine,
-                    stream=stream,
-                    requirement_trace=requirement_trace,
-                )
-            )
-    return runs
-
-
 def evaluate_schemes(
     scenario: Scenario,
     goals: Iterable[Goal],
     schemes: Iterable[str],
     n_inputs: int = 100,
-    scheme_factory: Callable[..., Scheduler] = make_scheme,
     workers: int = 1,
     requirement_trace=None,
-    grid_store=None,
 ) -> CellResult:
     """Run every scheme over every constraint setting of a cell.
 
@@ -233,19 +165,14 @@ def evaluate_schemes(
     scenario's seed, so all schemes face bit-identical environments
     (common random numbers) and the cell can be executed by any number
     of ``workers`` with bit-identical results.  One outcome grid per
-    timing serves every scheme (see the module docstring), and factories
-    accepting an ``oracle_grid`` keyword receive that same grid.
+    timing serves every scheme (see the module docstring).  A scenario
+    that :meth:`ScenarioKey.for_scenario` cannot round-trip runs in
+    this process, whatever ``workers`` asks for.
 
     ``requirement_trace`` applies one mid-run goal-override trace
     (Figure 9's dynamic requirements) to every run of the cell; traced
     cells take the per-step serving paths but keep full parity across
     worker counts.
-
-    ``grid_store`` optionally plugs a
-    :class:`repro.runtime.grid_store.GridStoreClient` under every
-    executing process, so pooled cells attach shared-memory outcome
-    grids instead of realising per-process copies (the sweep engine's
-    zero-copy path; value-identical either way).
     """
     goal_list = tuple(goals)
     scheme_list = tuple(schemes)
@@ -253,13 +180,11 @@ def evaluate_schemes(
         raise ConfigurationError("need at least one constraint setting")
 
     key = ScenarioKey.for_scenario(scenario)
-    path = factory_path(scheme_factory)
-    if key is None or path is None:
-        runs = _evaluate_in_process(
-            scenario, goal_list, scheme_list, n_inputs, scheme_factory,
-            requirement_trace=requirement_trace,
-        )
-        return CellResult(scenario=scenario, goals=goal_list, runs=runs)
+    if key is None:
+        # A worker would rebuild the stock scenario, not this one: serve
+        # the plan here, from the live object seeded under its name.
+        key = ScenarioKey.of(scenario)
+        workers = 1
 
     # One spec spans the goals sharing a worker: the whole grid when
     # serial (maximum stacking width), one spec per timing when pooled
@@ -281,12 +206,11 @@ def evaluate_schemes(
             goals=tuple(goal_list[position] for position in group),
             schemes=scheme_list,
             n_inputs=n_inputs,
-            factory=path,
             requirement_trace=requirement_trace,
         )
         for group in groups
     ]
-    executor = RunExecutor(workers=workers, grid_store=grid_store)
+    executor = RunExecutor(workers=workers)
     cell_results = executor.run_plan(plan, scenarios={key: scenario})
     runs = {name: [None] * len(goal_list) for name in scheme_list}
     for group, per_goal in zip(groups, cell_results):

@@ -10,22 +10,21 @@ independence into an execution plan:
   (platform, task, env, candidate set, seed) from which a worker can
   rebuild the full :class:`~repro.workloads.scenarios.Scenario`;
 * :class:`CellSpec` — the one unit of work: every scheme × every goal
-  of one scenario, plus an input count and a dotted path to the scheme
-  factory.  Specs are plain picklable data, so a plan can cross a
-  process boundary.  The executing process realises the
-  (configuration × input) outcome grid once per timing and serves
-  every run of the cell from it: feedback-free schemes ride the
-  serving loop's batch path over grid column slices, feedback schemes
-  read their latency/energy from the same grid instead of calling
+  of one scenario, plus an input count.  Specs are plain picklable
+  data, so a plan can cross a process boundary.  The executing process
+  realises the (configuration × input) outcome grid once per timing
+  and builds every scheduler with
+  :func:`~repro.experiments.harness.make_scheme` over it:
+  feedback-free schemes ride the serving loop's batch path over grid
+  column slices, feedback schemes read their latency/energy from the
+  same grid instead of calling
   :meth:`~repro.models.inference.InferenceEngine.run` per input.  How
   a stacking scheme (the ALERT family, Sys-only, No-coord) is served
   follows the cell's width: with at least :data:`LOCKSTEP_MIN_GOALS`
   goals its runs become one lane of a
   :class:`~repro.runtime.loop.CrossSchemeLockstepLoop` (one stacked
   decide/observe pass per input for all goals), below that each goal
-  runs alone through :class:`~repro.runtime.loop.ServingLoop`.  Both
-  are value-identical to the sequential reference
-  (``tests/test_lockstep_parity.py``);
+  runs alone through :class:`~repro.runtime.loop.ServingLoop`;
 * :class:`RunExecutor` — executes a plan either serially in-process or
   across a ``concurrent.futures`` process pool.  Results are merged
   back in plan order, so the output is *bit-identical* regardless of
@@ -33,24 +32,22 @@ independence into an execution plan:
   which worker ran it or in what order.
 
 Each worker keeps a small per-process cache of oracle outcome grids
-keyed on ``(scenario, deadline_s, period_s, n_inputs)`` plus the
-fingerprint of the candidate configuration list the grid covers — the
-grid depends only on the run's *timing* and its configuration rows,
-not on the accuracy/energy constraint — so the goals of a constraint
-grid that share one deadline reuse one grid, while schemes evaluating
-*different* candidate sets under one timing still get distinct grids.
-Scheme factories receive the grid as ``oracle_grid`` when they accept
-that keyword, and can tap the cache directly by accepting a
-``grid_provider`` keyword: a callable ``(space) -> BatchOutcomeGrid``
-bound to the executing process's cache and the run's timing.
+keyed on ``(scenario, deadline_s, period_s, n_inputs)`` — the grid
+depends only on the run's *timing*, not on the accuracy/energy
+constraint, so the goals of a constraint grid that share one deadline
+reuse one grid — plus the fingerprint of the candidate configurations
+the grid's rows hold (see :func:`space_fingerprint`).
+
+:func:`run_single` is the sequential reference: one run alone on a
+fresh engine and stream, no grid.  No production path calls it; the
+parity suites compare every grid-served, lockstep and pooled path
+against it (``tests/test_lockstep_parity.py``).
 """
 
 from __future__ import annotations
 
-import importlib
-import inspect
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -73,16 +70,9 @@ __all__ = [
     "LOCKSTEP_MIN_GOALS",
     "RunExecutor",
     "run_single",
-    "factory_path",
-    "resolve_factory",
-    "factory_accepts",
-    "factory_accepts_oracle_grid",
     "space_fingerprint",
     "structural_space_fingerprint",
 ]
-
-#: Default dotted path of the scheme factory (module:attribute).
-DEFAULT_FACTORY = "repro.experiments.harness:make_scheme"
 
 #: Fewest goals a cell needs before its stacking schemes advance in
 #: lockstep.  Measured on CPU1 and GPU image cells (table4's seven
@@ -99,8 +89,6 @@ _GRID_CACHE_CAPACITY = 32
 #: scenarios through one worker; unbounded maps would pin every
 #: engine's memoised environment draws for the life of the process.
 _SCENARIO_CACHE_CAPACITY = 16
-#: Upper bound on resolved scheme-factory callables (keyed by path).
-_FACTORY_CACHE_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -126,6 +114,17 @@ class ScenarioKey:
         )
 
     @classmethod
+    def of(cls, scenario: Scenario) -> "ScenarioKey":
+        """The key naming a scenario, without checking that it rebuilds."""
+        return cls(
+            platform=scenario.machine.name,
+            task=scenario.task.kind.value,
+            env=scenario.env.value,
+            candidates=scenario.candidates.name,
+            seed=scenario.seed,
+        )
+
+    @classmethod
     def for_scenario(cls, scenario: Scenario) -> "ScenarioKey | None":
         """The key of a scenario, or None when it cannot round-trip.
 
@@ -137,13 +136,7 @@ class ScenarioKey:
         explicitly injected ``_profile`` is the one customization this
         cannot see; workers always re-derive the analytic profile.)
         """
-        key = cls(
-            platform=scenario.machine.name,
-            task=scenario.task.kind.value,
-            env=scenario.env.value,
-            candidates=scenario.candidates.name,
-            seed=scenario.seed,
-        )
+        key = cls.of(scenario)
         try:
             rebuilt = key.build()
         except ConfigurationError:
@@ -166,11 +159,9 @@ class CellSpec:
 
     The unit of the paper's Table-4 protocol: all ``schemes`` over the
     cell's constraint ``goals``, on the scenario's common random
-    numbers.  ``factory`` is a dotted ``"module:attribute"`` path so
-    the spec stays picklable; it is resolved in the executing process.
-    ``requirement_trace`` optionally rewrites goals mid-run (Figure 9's
-    dynamic requirements); traces are plain picklable data, so they
-    cross the process boundary with the spec.  Results come back
+    numbers.  ``requirement_trace`` optionally rewrites goals mid-run
+    (Figure 9's dynamic requirements); traces are plain picklable data,
+    so they cross the process boundary with the spec.  Results come back
     goal-major: one list per goal, aligned with ``schemes``.
     """
 
@@ -178,7 +169,6 @@ class CellSpec:
     goals: tuple[Goal, ...]
     schemes: tuple[str, ...]
     n_inputs: int
-    factory: str = DEFAULT_FACTORY
     requirement_trace: RequirementTrace | None = None
 
     def __post_init__(self) -> None:
@@ -196,106 +186,19 @@ class CellSpec:
             )
 
 
-def resolve_factory(path: str) -> Callable:
-    """Import a scheme factory from its ``"module:attribute"`` path."""
-    module_name, sep, attribute = path.partition(":")
-    if not sep or not module_name or not attribute:
-        raise ConfigurationError(
-            f"factory path must look like 'module:attribute', got {path!r}"
-        )
-    module = importlib.import_module(module_name)
-    target = module
-    for part in attribute.split("."):
-        target = getattr(target, part)
-    return target
-
-
-def factory_path(factory: Callable) -> str | None:
-    """The importable ``"module:attribute"`` path of a factory, if any.
-
-    Returns None for closures, lambdas, bound methods, and anything
-    else that does not resolve back to the same object — those can
-    only run in-process.
-    """
-    module = getattr(factory, "__module__", None)
-    qualname = getattr(factory, "__qualname__", None)
-    if not module or not qualname or "<locals>" in qualname:
-        return None
-    path = f"{module}:{qualname}"
-    try:
-        resolved = resolve_factory(path)
-    except (ConfigurationError, ImportError, AttributeError):
-        return None
-    return path if resolved is factory else None
-
-
-#: Memo of per-(factory, keyword, mode) signature probes, keyed on
-#: identity with the factory kept alive (ids cannot be recycled).
-#: FIFO-bounded: the closure-fallback path can feed per-call factory
-#: objects through here, and an unbounded map would pin every one —
-#: plus everything it captured — for the life of the process.
-_ACCEPTS_CACHE: OrderedDict[tuple[int, str, bool], tuple[Callable, bool]] = (
-    OrderedDict()
-)
-_ACCEPTS_CACHE_CAPACITY = 256
-
-
-def factory_accepts(
-    factory: Callable, keyword: str, var_keyword: bool = False
-) -> bool:
-    """Whether a scheme factory can receive ``keyword`` as a kwarg.
-
-    ``var_keyword`` additionally counts a ``**kwargs`` catch-all as
-    accepting.  The ``oracle_grid`` handoff keeps that loose
-    contract; the ``grid_view``/``grid_provider`` hooks require
-    the parameter to be named explicitly, so ``**kwargs`` wrappers
-    around grid-unaware factories never get surprise keywords (the
-    fused serving path does not need the factory's cooperation — the
-    executor hands the view to the serving loop directly).
-    """
-    cache_key = (id(factory), keyword, var_keyword)
-    cached = _ACCEPTS_CACHE.get(cache_key)
-    if cached is not None and cached[0] is factory:
-        return cached[1]
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
-        signature = None
-    accepts = False
-    if signature is not None:
-        for parameter in signature.parameters.values():
-            if var_keyword and parameter.kind is inspect.Parameter.VAR_KEYWORD:
-                accepts = True
-                break
-            if parameter.name == keyword and parameter.kind in (
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                inspect.Parameter.KEYWORD_ONLY,
-            ):
-                accepts = True
-                break
-    if len(_ACCEPTS_CACHE) >= _ACCEPTS_CACHE_CAPACITY:
-        _ACCEPTS_CACHE.popitem(last=False)
-    _ACCEPTS_CACHE[cache_key] = (factory, accepts)
-    return accepts
-
-
-def factory_accepts_oracle_grid(factory: Callable) -> bool:
-    """Whether a scheme factory can receive an ``oracle_grid`` kwarg."""
-    return factory_accepts(factory, "oracle_grid", var_keyword=True)
-
-
 def space_fingerprint(configs: Iterable) -> tuple:
     """A hashable identity of a candidate configuration list.
 
-    Grids are cached per timing, but two grids over the same timing
-    are interchangeable only when their configuration rows match; this
-    fingerprint is what the cache keys on.  It includes ``id(model)``
-    alongside the display name so two *different* model objects that
-    happen to share a name can never alias one grid — safe per process
-    because every cached grid keeps its configuration (and therefore
-    model) objects alive, pinning the ids in its key; and stable
-    because consumers rebuild spaces from the scenario's memoised
-    model objects, not fresh copies.
+    Grids are cached per timing, but a cached grid serves a run only
+    when its configuration rows hold the very model objects the run's
+    schedulers pick from: :meth:`~repro.models.inference.GridView.row_for`
+    resolves rows by model identity.  A scenario evicted from the
+    bounded scenario cache and rebuilt has new model objects; keying
+    on ``id(model)`` gives it a fresh grid instead of the old one,
+    whose rows it could never resolve (every decision would fall back
+    to the live engine).  Safe per process because every cached grid
+    keeps its configuration (and therefore model) objects alive,
+    pinning the ids in its key.
     """
     return tuple(
         (
@@ -329,42 +232,24 @@ def run_single(
     goal: Goal,
     scheme: str,
     n_inputs: int,
-    factory: Callable,
-    oracle_grid=None,
-    grid_view: GridView | None = None,
-    grid_provider: Callable | None = None,
-    engine=None,
-    stream=None,
     requirement_trace: RequirementTrace | None = None,
 ) -> RunResult:
-    """Execute one run: one engine + stream, one serving loop.
+    """The sequential reference: one run alone, nothing shared.
 
-    The harness's in-process fallback serves every run through here;
-    with the defaults (fresh engine and stream, no grid) it is also the
-    sequential reference the parity suites compare against.
-    ``grid_view`` feeds the serving loop's shared-realisation path;
-    ``oracle_grid``, ``grid_view`` and ``grid_provider`` are offered to
-    the factory when its signature accepts them.  ``engine``/``stream``
-    may be shared across runs — engines are deterministic functions of
-    the scenario seed (actuator and meter state never feed back into
-    outcomes) and streams memoise their items, so sharing changes
-    wall-clock, not results.
+    A fresh engine and stream, the scheme built by
+    :func:`~repro.experiments.harness.make_scheme` with no grid, and one
+    :class:`ServingLoop` run.  No production path calls it; the parity
+    suites compare every grid-served, lockstep and pooled cell against
+    it.
     """
-    if engine is None:
-        engine = scenario.make_engine()
-    if stream is None:
-        stream = scenario.make_stream()
-    kwargs = {}
-    if oracle_grid is not None and factory_accepts_oracle_grid(factory):
-        kwargs["oracle_grid"] = oracle_grid
-    if grid_view is not None and factory_accepts(factory, "grid_view"):
-        kwargs["grid_view"] = grid_view
-    if grid_provider is not None and factory_accepts(factory, "grid_provider"):
-        kwargs["grid_provider"] = grid_provider
-    scheduler = factory(scheme, scenario, engine, stream, goal, n_inputs, **kwargs)
+    # Imported lazily: the harness imports this module.
+    from repro.experiments.harness import make_scheme
+
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    scheduler = make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
     return ServingLoop(
-        engine, stream, scheduler, goal,
-        requirement_trace=requirement_trace, grid_view=grid_view,
+        engine, stream, scheduler, goal, requirement_trace=requirement_trace
     ).run(n_inputs)
 
 
@@ -382,10 +267,10 @@ def timing_grid(
     The grid realises every candidate configuration on every input
     under the goal's deadline and period; it does not depend on the
     accuracy floor or energy budget, so every goal sharing the timing
-    shares the grid.  ``space`` overrides the scenario's full candidate
-    space (custom factories evaluating reduced sets);
-    ``engine``/``stream`` reuse an existing realisation (one engine's
-    memoised draws serve every timing of a scenario); ``allocator``
+    shares the grid.  ``space`` passes the scenario's candidate space
+    when the caller already holds it; ``engine``/``stream`` reuse an
+    existing realisation (one engine's memoised draws serve every
+    timing of a scenario); ``allocator``
     (see :func:`repro.models.inference.buffer_grid_allocator`) lets a
     grid store realise the arrays directly inside a shared segment.
     """
@@ -405,7 +290,7 @@ def timing_grid(
 
 
 class _WorkerState:
-    """Per-process caches: scenarios, factories, spaces, outcome grids.
+    """Per-process caches: scenarios, spaces, outcome grids.
 
     Every cache is LRU-bounded (hit refreshes recency, insertion at
     capacity evicts the least recently used entry), so a worker that
@@ -424,7 +309,6 @@ class _WorkerState:
         self._scenarios: OrderedDict[ScenarioKey, Scenario] = OrderedDict(
             scenarios or {}
         )
-        self._factories: OrderedDict[str, Callable] = OrderedDict()
         self._spaces: OrderedDict[ScenarioKey, object] = OrderedDict()
         self._grids: OrderedDict[tuple, object] = OrderedDict()
         self._realisations: OrderedDict[ScenarioKey, tuple] = OrderedDict()
@@ -449,15 +333,6 @@ class _WorkerState:
             cached = key.build()
             self._cache_put(
                 self._scenarios, key, cached, _SCENARIO_CACHE_CAPACITY
-            )
-        return cached
-
-    def factory(self, path: str) -> Callable:
-        cached = self._cache_get(self._factories, path)
-        if cached is None:
-            cached = resolve_factory(path)
-            self._cache_put(
-                self._factories, path, cached, _FACTORY_CACHE_CAPACITY
             )
         return cached
 
@@ -486,12 +361,10 @@ class _WorkerState:
             )
         return cached
 
-    def grid(self, key: ScenarioKey, goal: Goal, n_inputs: int, space=None):
-        if space is None:
-            space = self.space(key)
-        # The fingerprint keeps grids over *different* candidate lists
-        # (grid_provider requests from custom factories) from aliasing
-        # under a shared timing.
+    def grid(self, key: ScenarioKey, goal: Goal, n_inputs: int):
+        space = self.space(key)
+        # The fingerprint keeps a rebuilt scenario off a grid over its
+        # evicted predecessor's model objects (see space_fingerprint).
         cache_key = (
             key,
             goal.deadline_s,
@@ -508,11 +381,9 @@ class _WorkerState:
     def _build_grid(self, key: ScenarioKey, goal: Goal, n_inputs: int, space):
         """Attach the shared copy when a store is plugged in, else realise.
 
-        The store only serves the scenario's *default* candidate space:
-        its cross-process keys are structural, and only the default
-        space's row enumeration is a deterministic function of the
-        scenario key (custom ``grid_provider`` spaces stay on the local
-        per-process cache).
+        The store's cross-process keys are structural: the scenario's
+        candidate space enumerates its rows deterministically from the
+        scenario key, so every process derives the same key.
         """
 
         def realize(allocator=None):
@@ -523,7 +394,7 @@ class _WorkerState:
             )
 
         store = self._grid_store
-        if store is None or space is not self.space(key):
+        if store is None:
             return realize()
         store_key = (
             key,
@@ -536,21 +407,15 @@ class _WorkerState:
             store_key, tuple(space), realize, n_inputs=n_inputs
         )
 
-    def _grid_provider(self, key: ScenarioKey, goal: Goal, n_inputs: int):
-        """The cache-backed grid hook offered to capable factories."""
-
-        def provider(space):
-            return self.grid(key, goal, n_inputs, space=space)
-
-        return provider
-
     def execute(self, spec: CellSpec) -> list[list[RunResult]]:
         """Serve every scheme over every goal of one cell.
 
         One grid and one trusted view per timing (the per-timing cache
         dedupes goals sharing a deadline, and the grid and every run's
         engine derive from the same scenario seed), one shared
-        engine/stream realisation.  When the cell holds at least
+        engine/stream realisation; every scheduler is built by
+        :func:`~repro.experiments.harness.make_scheme` with its goal's
+        grid and view.  When the cell holds at least
         :data:`LOCKSTEP_MIN_GOALS` goals, every scheme whose schedulers
         stack becomes a lane of one
         :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; every
@@ -559,11 +424,10 @@ class _WorkerState:
         Results are goal-major, aligned with ``spec.goals`` ×
         ``spec.schemes``.
         """
+        # Imported lazily: the harness imports this module.
+        from repro.experiments.harness import make_scheme
+
         scenario = self.scenario(spec.scenario)
-        factory = self.factory(spec.factory)
-        offers_grid = factory_accepts_oracle_grid(factory)
-        accepts_view = factory_accepts(factory, "grid_view")
-        accepts_provider = factory_accepts(factory, "grid_provider")
         engine, stream = self.realisation(spec.scenario)
 
         grids = []
@@ -585,23 +449,13 @@ class _WorkerState:
         lanes: list = []
         lane_positions: list[int] = []
         for position, scheme in enumerate(spec.schemes):
-            schedulers = []
-            for g, goal in enumerate(spec.goals):
-                kwargs = {}
-                if offers_grid:
-                    kwargs["oracle_grid"] = grids[g]
-                if accepts_view:
-                    kwargs["grid_view"] = views[g]
-                if accepts_provider:
-                    kwargs["grid_provider"] = self._grid_provider(
-                        spec.scenario, goal, spec.n_inputs
-                    )
-                schedulers.append(
-                    factory(
-                        scheme, scenario, engine, stream, goal,
-                        spec.n_inputs, **kwargs,
-                    )
+            schedulers = [
+                make_scheme(
+                    scheme, scenario, engine, stream, goal, spec.n_inputs,
+                    oracle_grid=grids[g], grid_view=views[g],
                 )
+                for g, goal in enumerate(spec.goals)
+            ]
             lane = None
             if lockstep:
                 lane = LockstepServingLoop.for_schedulers(
@@ -629,28 +483,25 @@ class _WorkerState:
 
 #: Lazily-created state of a pool worker process.
 _POOL_STATE: _WorkerState | None = None
-#: Grid-store client handed to this pool's workers at initialisation.
-_POOL_GRID_STORE = None
 
 
-def _pool_initializer(grid_store=None) -> None:
-    """Pool-worker setup: reset state, remember the grid store.
+def _pool_initializer() -> None:
+    """Pool-worker setup: reset state.
 
     Runs once per worker process.  Resetting ``_POOL_STATE`` matters
     under fork start methods: a forked worker inherits whatever module
     globals the parent had, and stale state must not leak between
     pools.
     """
-    global _POOL_STATE, _POOL_GRID_STORE
+    global _POOL_STATE
     _POOL_STATE = None
-    _POOL_GRID_STORE = grid_store
 
 
 def _pool_execute(spec: CellSpec) -> list[list[RunResult]]:
     """Top-level pool entry point (must be picklable by reference)."""
     global _POOL_STATE
     if _POOL_STATE is None:
-        _POOL_STATE = _WorkerState(grid_store=_POOL_GRID_STORE)
+        _POOL_STATE = _WorkerState()
     return _POOL_STATE.execute(spec)
 
 
@@ -665,22 +516,14 @@ class RunExecutor:
         task.  Results come back in plan order either way, and because
         every run rebuilds its environment from the scenario seed,
         parallel output is bit-identical to serial output.
-    grid_store:
-        Optional :class:`repro.runtime.grid_store.GridStoreClient`.
-        When given, every executing process (serial or pooled) attaches
-        shared-memory outcome grids from the store before realising its
-        own — each grid is realised once *per sweep* instead of once
-        per worker.  Absent, behaviour is exactly the per-process grid
-        cache.
     """
 
-    def __init__(self, workers: int = 1, grid_store=None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"need at least one worker, got {workers}"
             )
         self.workers = workers
-        self.grid_store = grid_store
 
     def run_plan(
         self,
@@ -699,12 +542,10 @@ class RunExecutor:
         if not plan:
             return []
         if self.workers == 1 or len(plan) == 1:
-            state = _WorkerState(scenarios, grid_store=self.grid_store)
+            state = _WorkerState(scenarios)
             return [state.execute(spec) for spec in plan]
         n_workers = min(self.workers, len(plan))
         with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_pool_initializer,
-            initargs=(self.grid_store,),
+            max_workers=n_workers, initializer=_pool_initializer
         ) as pool:
             return list(pool.map(_pool_execute, plan))

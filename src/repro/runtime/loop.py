@@ -390,10 +390,12 @@ class ServingLoop:
         same thing to the bookkeeping and to the perfect-knowledge
         baselines.
 
-        Also the "input served" commit point: every non-batch path
-        (sequential, lockstep stepwise, lockstep fused) records through
-        here, so this is where the simulated clock advances by the
-        input's occupied time.
+        Also the "input served" commit point: the sequential and
+        lockstep stepwise paths record every input through here (the
+        fused lockstep path its engine-served ones), so this is where
+        the simulated clock advances by the input's occupied time.  The
+        batch path and the fused lockstep fill build their records
+        directly and tick the same occupied time with ``tick_many``.
         """
         latency = outcome.latency_s
         period = outcome.period_s
@@ -1120,7 +1122,9 @@ class CrossSchemeLockstepLoop:
         sequential records field by field); engine-fallback steps reuse
         :meth:`ServingLoop._record` on their stored outcomes.  ξ per
         record comes from the per-step history snapshots, matching what
-        the per-step path reads right after each ``observe_many``.
+        the per-step path reads right after each ``observe_many``.  The
+        loop's clock advances by every step's occupied time, grid-served
+        steps in one ``tick_many`` as on the batch path.
         """
         records: list[ServedInput | None] = [None] * n
         deadline = adjusted.deadline_s
@@ -1129,6 +1133,7 @@ class CrossSchemeLockstepLoop:
             view = loop.grid_view
             grid = view.grid
             fill = object.__setattr__
+            occupied = 0.0
             for row in np.unique(rows_g[served]).tolist():
                 positions = served[rows_g[served] == row]
                 columns = cols_g[positions]
@@ -1140,6 +1145,7 @@ class CrossSchemeLockstepLoop:
                 quality_row = grid.quality[row, columns]
                 energy_row = grid.energy_j[row, columns]
                 latency = grid.latency_s[row, columns].tolist()
+                occupied += sum(t if t > period else period for t in latency)
                 full = grid.full_latency_s[row, columns].tolist()
                 rungs = grid.completed_rungs[row, columns].tolist()
                 inference_j = grid.inference_j[row, columns].tolist()
@@ -1209,6 +1215,7 @@ class CrossSchemeLockstepLoop:
                         ),
                     })
                     records[position] = record
+            loop.clock.tick_many(occupied, int(served.size))
         for step, outcome in fallback_g.items():
             records[step] = loop._record(
                 item_goal=base,

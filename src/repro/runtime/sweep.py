@@ -8,11 +8,11 @@ a plan of one-goal :class:`~repro.runtime.executor.CellSpec` units,
 executes serially or across a process pool, and scales along
 three axes the drivers do not:
 
-* **zero-copy grids** — with a
-  :class:`~repro.runtime.grid_store.SharedGridStore` (the default for
-  pooled sweeps), each (scenario, timing) outcome grid is realised
-  once per *sweep* and published via ``multiprocessing.shared_memory``;
-  workers attach read-only views instead of re-realising per process;
+* **zero-copy grids** — whenever the sweep runs a process pool, a
+  :class:`~repro.runtime.grid_store.SharedGridStore` realises each
+  (scenario, timing) outcome grid once per *sweep* and publishes it
+  via ``multiprocessing.shared_memory``; workers attach read-only
+  views instead of re-realising per process;
 * **streaming aggregation** — workers return compact per-cell
   :class:`CellSummary` rows (violation rate, means, latency
   percentiles, normalized scores), so driver memory is O(cells), not
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
-from repro.runtime.executor import DEFAULT_FACTORY, CellSpec, ScenarioKey
+from repro.runtime.executor import CellSpec, ScenarioKey, _WorkerState
 from repro.runtime.results import VIOLATION_SETTING_THRESHOLD, RunResult
 from repro.workloads.scenarios import constraint_grid
 
@@ -73,9 +73,10 @@ class SweepSpec:
     ``objectives`` picks which halves of each scenario's constraint
     grid participate (``"min_energy"`` / ``"min_error"``);
     ``settings_stride`` subsamples each half's settings (the drivers'
-    ``--stride`` convention).  Invalid (platform, task) combinations —
-    e.g. a sentence task on a platform without sentence candidates —
-    are skipped at compile time, mirroring the Table-4 driver.
+    ``--stride`` convention).  The GPU column reports only the image
+    task, as in the Table-4 driver, so GPU × non-image combinations
+    are skipped at compile time; an unknown platform, task, env or
+    candidate-set name raises :class:`~repro.errors.ConfigurationError`.
     """
 
     platforms: tuple[str, ...] = ("CPU1",)
@@ -87,7 +88,6 @@ class SweepSpec:
     n_inputs: int = 100
     seeds: tuple[int, ...] = (20200417,)
     candidates: str = "standard"
-    factory: str = DEFAULT_FACTORY
 
     def __post_init__(self) -> None:
         for name in ("platforms", "tasks", "envs", "schemes", "objectives"):
@@ -127,7 +127,6 @@ class SweepSpec:
             "n_inputs": self.n_inputs,
             "seeds": list(self.seeds),
             "candidates": self.candidates,
-            "factory": self.factory,
         }
         return _digest(payload)
 
@@ -156,7 +155,6 @@ class SweepUnit:
     goal: Goal
     schemes: tuple[str, ...]
     n_inputs: int
-    factory: str = DEFAULT_FACTORY
 
     def cell_spec(self) -> CellSpec:
         """The executor spec this unit runs as: a one-goal cell."""
@@ -165,7 +163,6 @@ class SweepUnit:
             goals=(self.goal,),
             schemes=self.schemes,
             n_inputs=self.n_inputs,
-            factory=self.factory,
         )
 
     def fingerprint(self) -> str:
@@ -179,7 +176,6 @@ class SweepUnit:
             "goal": _goal_identity(self.goal),
             "schemes": list(self.schemes),
             "n_inputs": self.n_inputs,
-            "factory": self.factory,
         }
         return _digest(payload)
 
@@ -191,8 +187,9 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
     sharing a deadline are consecutive), so both the per-process grid
     cache and the shared grid store see each grid's whole unit group
     back to back.  Combinations the Table-4 driver would not report
-    (GPU × non-image) and scenario construction failures skip that
-    combination rather than failing the sweep.
+    (GPU × non-image) are skipped; a name that builds no scenario
+    raises :class:`~repro.errors.ConfigurationError` instead of
+    compiling to an empty sweep.
     """
     units: list[SweepUnit] = []
     stride = spec.settings_stride
@@ -211,11 +208,7 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
                         candidates=spec.candidates,
                         seed=seed,
                     )
-                    try:
-                        scenario = key.build()
-                    except ConfigurationError:
-                        continue
-                    grid = constraint_grid(scenario)
+                    grid = constraint_grid(key.build())
                     goals: list[Goal] = []
                     if "min_energy" in spec.objectives:
                         goals.extend(grid.min_energy_goals[::stride])
@@ -230,7 +223,6 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
                             goal=goal,
                             schemes=spec.schemes,
                             n_inputs=spec.n_inputs,
-                            factory=spec.factory,
                         )
                         for goal in goals
                     )
@@ -437,8 +429,6 @@ def _sweep_execute(unit: SweepUnit, keep_runs: bool):
     """Pool entry point: run one cell, return its compact summaries."""
     global _SWEEP_STATE
     if _SWEEP_STATE is None:
-        from repro.runtime.executor import _WorkerState
-
         _SWEEP_STATE = _WorkerState(grid_store=_SWEEP_GRID_STORE)
     (runs,) = _SWEEP_STATE.execute(unit.cell_spec())
     summaries = summarize_cell(unit.schemes, runs)
@@ -514,7 +504,6 @@ class SweepResult:
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
-    grid_store: bool | None = None,
     checkpoint_path: str | None = None,
     resume: bool = True,
     keep_runs: bool = False,
@@ -526,13 +515,11 @@ def run_sweep(
     ----------
     workers:
         1 runs in-process; >1 fans cells out over a process pool.
-        Output is bit-identical either way (plan-ordered merge).
-    grid_store:
-        True shares realised outcome grids across workers through a
-        :class:`~repro.runtime.grid_store.SharedGridStore`; False keeps
-        the per-process caches; None (default) enables the store
-        exactly when it can pay for itself (``workers > 1``).  Store
-        construction failures degrade to per-process caches.
+        Output is bit-identical either way (plan-ordered merge).  A
+        pooled sweep shares realised outcome grids across its workers
+        through a :class:`~repro.runtime.grid_store.SharedGridStore`
+        (a store construction failure degrades to per-process caches);
+        an in-process sweep keeps its one process's grid cache.
     checkpoint_path:
         JSONL file completed cells append to.  With ``resume`` (the
         default) cells already checkpointed under this spec's
@@ -574,10 +561,10 @@ def run_sweep(
     if cell_limit is not None:
         pending = pending[:cell_limit]
 
+    pooled = workers > 1 and len(pending) > 1
     store = None
     client = None
-    use_store = grid_store if grid_store is not None else workers > 1
-    if use_store and pending:
+    if pooled:
         from repro.runtime.grid_store import SharedGridStore
 
         try:
@@ -604,17 +591,15 @@ def run_sweep(
                 )
                 handle.flush()
 
-        if workers == 1 or len(pending) <= 1:
-            from repro.runtime.executor import _WorkerState
-
-            state = _WorkerState(grid_store=client)
+        if not pooled:
+            state = _WorkerState()
             for position in pending:
                 (unit_runs,) = state.execute(units[position].cell_spec())
                 summaries = summarize_cell(units[position].schemes, unit_runs)
                 record(
                     position, summaries, unit_runs if keep_runs else None
                 )
-        elif pending:
+        else:
             n_workers = min(workers, len(pending))
             with ProcessPoolExecutor(
                 max_workers=n_workers,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.harness import CellResult, make_scheme
+from repro.experiments.harness import CellResult
 from repro.hw.contention import ContentionKind, ContentionProcess
 from repro.hw.machine import CPU1, CPU2
 from repro.models.families import depth_nest_anytime, sparse_resnet_family
@@ -67,12 +67,7 @@ def memory_scenario():
 
 
 def _reference_cell(
-    scenario,
-    goals,
-    schemes,
-    n_inputs,
-    scheme_factory=make_scheme,
-    requirement_trace=None,
+    scenario, goals, schemes, n_inputs, requirement_trace=None
 ) -> CellResult:
     """Every (goal, scheme) run alone: fresh engine and stream, no grid.
 
@@ -84,7 +79,7 @@ def _reference_cell(
     runs = {
         name: [
             run_single(
-                scenario, goal, name, n_inputs, scheme_factory,
+                scenario, goal, name, n_inputs,
                 requirement_trace=requirement_trace,
             )
             for goal in goals

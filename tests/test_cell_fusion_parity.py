@@ -9,10 +9,9 @@ discrete record fields exactly, float fields to ≤1e-12 relative, for
 feedback-free *and* feedback-driven schemes, serially and across a
 process pool.  Also covers the grid machinery itself: one grid build
 per timing per cell, zero :meth:`InferenceEngine.run` calls on
-grid-served runs, the untrusted view's
-environment guard, and the candidate-fingerprinted grid cache
-(regression: two schemes evaluating different candidate sets in one
-cell must not alias one grid).
+grid-served runs, the untrusted view's environment guard, and the
+model-fingerprinted grid cache (regression: a scenario rebuilt after
+eviction must not be handed a grid over its predecessor's models).
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from __future__ import annotations
 import pytest
 
 import repro.baselines.oracle as oracle_module
-import repro.runtime.executor as executor_module
-from repro.baselines.oracle import OracleScheduler
-from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes, make_scheme
@@ -31,6 +27,7 @@ from repro.runtime.executor import (
     CellSpec,
     RunExecutor,
     ScenarioKey,
+    _WorkerState,
     timing_grid,
 )
 from repro.runtime.loop import ServingLoop
@@ -152,28 +149,6 @@ def test_pool_bit_identical_to_serial(image_scenario):
             assert a.scheduler_name == b.scheduler_name
             for ra, rb in zip(a.records, b.records):
                 assert ra == rb  # frozen dataclasses: bit-identity
-
-
-def test_closure_factory_falls_back_to_shared_grids(image_scenario):
-    """The in-process fallback serves from grids like the executor."""
-    goals = _goals(image_scenario)[:2]
-
-    def closure_factory(
-        name, scenario, engine, stream, goal, n_inputs, oracle_grid=None,
-        grid_view=None,
-    ):
-        return make_scheme(
-            name, scenario, engine, stream, goal, n_inputs,
-            oracle_grid=oracle_grid, grid_view=grid_view,
-        )
-
-    schemes = ("Oracle", "ALERT", "OracleStatic")
-    via_closure = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12,
-        scheme_factory=closure_factory,
-    )
-    via_executor = evaluate_schemes(image_scenario, goals, schemes, n_inputs=12)
-    _assert_cells_match(via_closure, via_executor, schemes)
 
 
 # ----------------------------------------------------------------------
@@ -324,77 +299,23 @@ def test_scheduler_carried_view_is_probed(image_scenario):
 
 
 # ----------------------------------------------------------------------
-# Regression: grid cache must key on the candidate configuration list
+# Regression: the grid cache keys on the scenario's model objects
 # ----------------------------------------------------------------------
-def _two_space_factory(
-    name, scenario, engine, stream, goal, n_inputs,
-    oracle_grid=None, grid_view=None, grid_provider=None,
-):
-    """Builds oracles over *different* candidate spaces per scheme.
-
-    Module-level on purpose: resolvable by dotted path, so the
-    executor (not the in-process fallback) runs it.
-    """
-    profile = scenario.profile()
-    if name == "Oracle-small":
-        space = ConfigurationSpace(
-            list(scenario.candidates.traditional), list(profile.powers)
-        )
-    else:
-        space = ConfigurationSpace(
-            list(scenario.candidates.models), list(profile.powers)
-        )
-    grid = grid_provider(space) if grid_provider is not None else None
-    return OracleScheduler(engine, space, name=name, grid=grid)
-
-
-def test_grid_cache_keys_on_candidate_fingerprint(image_scenario):
-    """Two schemes with different candidate sets in one cell must get
-    grids over their own spaces — the shared timing must not alias
-    them (the OracleScheduler constructor rejects a wrong-space grid,
-    so aliasing would raise here)."""
+def test_rebuilt_scenario_gets_a_grid_over_its_own_models(image_scenario):
+    """A scenario evicted from the worker's cache and rebuilt has new
+    model objects; a grid over the old ones would never resolve a row,
+    sending every decision to the live engine."""
+    key = ScenarioKey.for_scenario(image_scenario)
     goal = _goals(image_scenario)[0]
-    cell = evaluate_schemes(
-        image_scenario, [goal], ("Oracle", "Oracle-small"), n_inputs=10,
-        scheme_factory=_two_space_factory,
-    )
-    # The reduced-space oracle must match an isolated reduced-space run.
-    profile = image_scenario.profile()
-    small_space = ConfigurationSpace(
-        list(image_scenario.candidates.traditional), list(profile.powers)
-    )
-    engine = image_scenario.make_engine()
-    stream = image_scenario.make_stream()
-    reference = ServingLoop(
-        engine, stream,
-        OracleScheduler(engine, small_space, name="Oracle-small"),
-        goal,
-    ).run(10)
-    small = cell.scheme_runs("Oracle-small")[0]
-    assert [r.outcome.model_name for r in small.records] == [
-        r.outcome.model_name for r in reference.records
-    ]
-    assert [r.outcome.power_cap_w for r in small.records] == [
-        r.outcome.power_cap_w for r in reference.records
-    ]
-
-
-def test_grid_provider_caches_per_fingerprint(image_scenario, monkeypatch):
-    """Same space twice → one build; distinct spaces → distinct grids."""
-    calls = []
-    real = executor_module.timing_grid
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(executor_module, "timing_grid", counting)
-    goal = _goals(image_scenario)[0]
-    evaluate_schemes(
-        image_scenario, [goal], ("Oracle", "Oracle-small", "Oracle"),
-        n_inputs=8, scheme_factory=_two_space_factory,
-    )
-    # One cell grid (full space, reused for both "Oracle" provider
-    # requests) + one reduced-space grid.
-    assert len(calls) == 2
-
+    state = _WorkerState()
+    first = state.grid(key, goal, 8)
+    state._scenarios.clear()
+    state._spaces.clear()
+    state._realisations.clear()
+    rebuilt = state.grid(key, goal, 8)
+    assert rebuilt is not first
+    view = GridView(rebuilt, trusted=True)
+    for config in state.space(key):
+        row = view.row_for(config.model, config.power_w, config.rung_cap)
+        assert row is not None
+    assert state.grid(key, goal, 8) is rebuilt

@@ -4,30 +4,31 @@ Pins the contract of :mod:`repro.runtime.executor`: a plan executed
 across a process pool must return results *bit-identical* to the same
 plan executed serially (common random numbers — every run rebuilds its
 environment from the scenario seed), and the per-timing oracle grid
-cache must never change a run's outcome.  Also covers the grid
-handoff of :func:`repro.experiments.harness.evaluate_schemes`: any
-factory whose *signature* accepts an ``oracle_grid`` kwarg receives
-the cell's grid, whatever its identity.
+cache must never change a run's outcome.  Also covers hand-built
+scenarios that a worker cannot rebuild from their key: they run
+in-process from the live object, whatever ``workers`` asks for.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import pickle
+from pathlib import Path
 
 import pytest
 
 import repro.baselines.oracle as oracle_module
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
-from repro.experiments.harness import evaluate_schemes, make_scheme
+from repro.experiments.harness import evaluate_schemes
 from repro.runtime.executor import (
+    LOCKSTEP_MIN_GOALS,
     CellSpec,
     RunExecutor,
     ScenarioKey,
-    factory_accepts_oracle_grid,
-    factory_path,
 )
+from repro.runtime.loop import LOCKSTEP_TELEMETRY
 from repro.workloads.scenarios import Scenario, build_scenario
 
 
@@ -87,11 +88,9 @@ def test_scenario_key_roundtrip():
     ] == [scenario.make_stream().item(i).work_factor for i in range(5)]
 
 
-def test_scenario_key_rejects_customized_stock_platform():
-    """Regression: a tweaked MachineSpec reusing a stock name must not
-    round-trip — a worker would silently rebuild the stock machine."""
-    stock = build_scenario("CPU1", "image", "memory", "standard", seed=3)
-    tweaked = Scenario(
+def _tweaked(stock):
+    """``stock`` with a customized machine that keeps the stock name."""
+    return Scenario(
         name=stock.name,
         machine=dataclasses.replace(stock.machine, peak_power_w=21.0),
         task=stock.task,
@@ -99,8 +98,17 @@ def test_scenario_key_rejects_customized_stock_platform():
         env=stock.env,
         seed=stock.seed,
     )
+
+
+def test_scenario_key_rejects_customized_stock_platform():
+    """Regression: a tweaked MachineSpec reusing a stock name must not
+    round-trip — a worker would silently rebuild the stock machine."""
+    stock = build_scenario("CPU1", "image", "memory", "standard", seed=3)
+    tweaked = _tweaked(stock)
     assert ScenarioKey.for_scenario(stock) is not None
     assert ScenarioKey.for_scenario(tweaked) is None
+    # It still has a name: the stock key it would wrongly rebuild as.
+    assert ScenarioKey.of(tweaked) == ScenarioKey.for_scenario(stock)
 
 
 def test_scenario_key_rejects_unregistered_platform():
@@ -114,30 +122,6 @@ def test_scenario_key_rejects_unregistered_platform():
         seed=scenario.seed,
     )
     assert ScenarioKey.for_scenario(custom) is None
-
-
-def test_factory_path_roundtrips_module_level_functions():
-    path = factory_path(make_scheme)
-    assert path == "repro.experiments.harness:make_scheme"
-
-    def local_factory(name, scenario, engine, stream, goal, n_inputs):
-        return make_scheme(name, scenario, engine, stream, goal, n_inputs)
-
-    assert factory_path(local_factory) is None
-    assert factory_path(lambda *a, **k: None) is None
-
-
-def test_factory_accepts_oracle_grid_by_signature():
-    assert factory_accepts_oracle_grid(make_scheme)
-
-    def with_kwargs(name, scenario, engine, stream, goal, n_inputs, **extras):
-        return None
-
-    def without(name, scenario, engine, stream, goal, n_inputs):
-        return None
-
-    assert factory_accepts_oracle_grid(with_kwargs)
-    assert not factory_accepts_oracle_grid(without)
 
 
 # ----------------------------------------------------------------------
@@ -179,46 +163,6 @@ def test_evaluate_schemes_workers_bit_identical(image_scenario):
             _assert_runs_identical(a, b)
 
 
-def _renaming_factory(
-    name, scenario, engine, stream, goal, n_inputs,
-    oracle_grid=None, grid_view=None,
-):
-    """A dotted-path-resolvable custom factory (module level)."""
-    scheduler = make_scheme(
-        name, scenario, engine, stream, goal, n_inputs,
-        oracle_grid=oracle_grid, grid_view=grid_view,
-    )
-    scheduler.name = f"custom:{scheduler.name}"
-    return scheduler
-
-
-def test_custom_dotted_factory_pool_matches_closure_fallback(image_scenario):
-    """A dotted-path custom factory rides the pool; wrapping the same
-    factory in a closure forces the in-process fallback — both must
-    produce bit-identical runs (and actually take those two paths)."""
-    assert factory_path(_renaming_factory) is not None
-    goals = _goals(image_scenario)
-    schemes = ("ALERT", "Oracle", "OracleStatic")
-
-    def closure_wrapper(*args, **kwargs):
-        return _renaming_factory(*args, **kwargs)
-
-    assert factory_path(closure_wrapper) is None
-    pooled = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12,
-        scheme_factory=_renaming_factory, workers=2,
-    )
-    in_process = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12,
-        scheme_factory=closure_wrapper,
-    )
-    assert pooled.goals == in_process.goals
-    for name in schemes:
-        for a, b in zip(pooled.scheme_runs(name), in_process.scheme_runs(name)):
-            assert a.scheduler_name == f"custom:{name}"
-            _assert_runs_identical(a, b)
-
-
 def test_executor_rejects_bad_configuration():
     with pytest.raises(ConfigurationError):
         RunExecutor(workers=0)
@@ -226,7 +170,74 @@ def test_executor_rejects_bad_configuration():
 
 
 # ----------------------------------------------------------------------
-# Grid sharing: per-timing cache and the signature-based gate
+# Hand-built scenarios run in-process, from the live object
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("wide", [False, True])
+def test_hand_built_scenario_matches_reference(workers, wide, reference_cell):
+    """A scenario its key cannot rebuild ≡ the sequential reference at
+    any ``workers``; a wide cell still takes the lockstep path."""
+    stock = build_scenario("CPU1", "image", "memory", "standard", seed=3)
+    tweaked = _tweaked(stock)
+    assert ScenarioKey.for_scenario(tweaked) is None
+    anchor = tweaked.anchor_latency_s()
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * factor,
+            accuracy_min=floor,
+        )
+        for factor in (1.0, 1.5)
+        for floor in (0.85, 0.9, 0.95)
+    ]
+    if not wide:
+        goals = goals[::3]
+    assert (len(goals) >= LOCKSTEP_MIN_GOALS) is wide
+    schemes = ("ALERT", "Oracle", "OracleStatic", "No-coord")
+    LOCKSTEP_TELEMETRY.reset()
+    cell = evaluate_schemes(
+        tweaked, goals, schemes, n_inputs=10, workers=workers
+    )
+    # The cell ran in this process (the telemetry is process-global).
+    lockstep_runs = LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"]
+    assert (lockstep_runs > 0) is wide
+    reference = reference_cell(tweaked, goals, schemes, 10)
+    for name in schemes:
+        for a, b in zip(cell.scheme_runs(name), reference.scheme_runs(name)):
+            _assert_runs_identical(a, b)
+    # The tweak shows: a worker-side stock rebuild could not pass.
+    stock_cell = evaluate_schemes(stock, goals, schemes, n_inputs=10)
+    assert any(
+        a.records != b.records
+        for name in schemes
+        for a, b in zip(cell.scheme_runs(name), stock_cell.scheme_runs(name))
+    )
+
+
+def test_image_serving_example_prints_every_scheme(capsys):
+    """``examples/image_serving_comparison.py`` serves its cell through
+    :func:`evaluate_schemes` and prints one row per scheme, in order."""
+    path = (
+        Path(__file__).resolve().parent.parent
+        / "examples"
+        / "image_serving_comparison.py"
+    )
+    spec = importlib.util.spec_from_file_location(
+        "image_serving_comparison_example", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    rows = [
+        line.split("|")[0].strip()
+        for line in capsys.readouterr().out.splitlines()
+        if "|" in line
+    ]
+    assert rows == ["scheme", *module.SCHEMES]
+
+
+# ----------------------------------------------------------------------
+# Grid sharing: one grid per timing
 # ----------------------------------------------------------------------
 def test_goals_sharing_timing_share_one_grid(image_scenario, monkeypatch):
     anchor = image_scenario.anchor_latency_s()
@@ -251,77 +262,6 @@ def test_goals_sharing_timing_share_one_grid(image_scenario, monkeypatch):
     )
     # Three goals, one shared deadline/period: one grid build.
     assert len(calls) == 1
-
-
-def test_custom_factory_with_oracle_grid_kwarg_gets_shared_grid(image_scenario):
-    """Regression: sharing used to be disabled for any custom factory."""
-    goal = _goals(image_scenario)[0]
-    received = []
-
-    def recording_factory(
-        name, scenario, engine, stream, goal, n_inputs, oracle_grid=None
-    ):
-        received.append(oracle_grid)
-        return make_scheme(
-            name, scenario, engine, stream, goal, n_inputs,
-            oracle_grid=oracle_grid,
-        )
-
-    evaluate_schemes(
-        image_scenario, [goal], ("Oracle", "OracleStatic"), n_inputs=10,
-        scheme_factory=recording_factory,
-    )
-    assert received and all(grid is not None for grid in received)
-
-
-def test_oracle_grid_offered_without_oracle_schemes(image_scenario):
-    """The grid goes to every capable factory, not only oracle cells."""
-    goal = _goals(image_scenario)[0]
-    received = []
-
-    def recording_factory(name, scenario, engine, stream, goal, n_inputs, **extras):
-        received.append(extras.get("oracle_grid"))
-        return make_scheme(name, scenario, engine, stream, goal, n_inputs)
-
-    evaluate_schemes(
-        image_scenario, [goal], ("ALERT",), n_inputs=10,
-        scheme_factory=recording_factory,
-    )
-    assert received and all(grid is not None for grid in received)
-
-
-def _grid_unaware_factory(name, scenario, engine, stream, goal, n_inputs):
-    """A dotted-path factory that accepts none of the grid keywords."""
-    return make_scheme(name, scenario, engine, stream, goal, n_inputs)
-
-
-def test_grid_unaware_factory_matches_reference(image_scenario, reference_cell):
-    """A factory offered no grid still serves a wide (lockstep) cell,
-    pooled or serial, identically to the sequential reference."""
-    assert factory_path(_grid_unaware_factory) is not None
-    assert not factory_accepts_oracle_grid(_grid_unaware_factory)
-    anchor = image_scenario.anchor_latency_s()
-    goals = [
-        Goal(
-            objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=anchor * factor,
-            accuracy_min=floor,
-        )
-        for factor in (1.0, 1.5)
-        for floor in (0.85, 0.9, 0.95)
-    ]
-    schemes = ("ALERT", "Oracle", "No-coord")
-    reference = reference_cell(
-        image_scenario, goals, schemes, 10, _grid_unaware_factory
-    )
-    for workers in (1, 2):
-        cell = evaluate_schemes(
-            image_scenario, goals, schemes, n_inputs=10,
-            scheme_factory=_grid_unaware_factory, workers=workers,
-        )
-        for name in schemes:
-            for a, b in zip(cell.scheme_runs(name), reference.scheme_runs(name)):
-                _assert_runs_identical(a, b)
 
 
 def test_shared_grid_does_not_change_runs(image_scenario, reference_cell):

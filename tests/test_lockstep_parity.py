@@ -18,10 +18,11 @@ Pins the contract of the stacked-state machinery at every layer:
   objectives (discrete record fields exactly, floats ≤1e-12 relative);
 * the loops themselves are width-agnostic: hand-driven lanes of a
   narrow cell, alone or together, ≡ the reference; a wide cell ≡ the
-  same goals as one-goal cells, and ≡ the in-process fallback;
+  same goals as one-goal cells;
 * pool execution ≡ serial; a wide cell serves **zero** inputs through
   per-input Python ``decide``/``observe``; grid-complete lanes never
-  call ``InferenceEngine.run``;
+  call ``InferenceEngine.run``; every lane's simulated clock ends where
+  the sequential run's does;
 * the fallback contract: custom scheduler types, warm controllers and
   mismatched ladders must land on the sequential path, never on a
   wrong lockstep one.
@@ -705,6 +706,45 @@ def test_grid_complete_cell_never_calls_engine_run(monkeypatch):
             assert all(record is not None for record in run.records)
 
 
+@pytest.mark.parametrize(
+    ("platform", "task", "env", "seed"),
+    [("CPU1", "image", "default", 5), ("CPU1", "sentence", "compute", 29)],
+)
+def test_lockstep_lanes_advance_their_clocks(platform, task, env, seed):
+    """Regression: the fused fill built grid-served records without
+    ticking, so every lane's clock read 0 after a run.  Each lane loop
+    must tick once per input, by the occupied time the sequential run
+    ticks."""
+    scenario = build_scenario(platform, task, env, "standard", seed=seed)
+    goals = tuple(_grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY))
+    assert len(goals) >= LOCKSTEP_MIN_GOALS
+    n_inputs = 20
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    views = _trusted_views(scenario, goals, n_inputs, engine, stream)
+    lanes = _lanes(scenario, goals, STACKING, n_inputs, engine, stream, views)
+    CrossSchemeLockstepLoop(lanes).run(n_inputs)
+    for scheme, lane in zip(STACKING, lanes):
+        for goal, loop in zip(goals, lane.loops):
+            reference_engine = scenario.make_engine()
+            reference_stream = scenario.make_stream()
+            reference = ServingLoop(
+                reference_engine,
+                reference_stream,
+                make_scheme(
+                    scheme, scenario, reference_engine, reference_stream,
+                    goal, n_inputs,
+                ),
+                goal,
+            )
+            reference.run(n_inputs)
+            assert loop.clock.ticks == reference.clock.ticks == n_inputs
+            assert reference.clock.now() > 0.0
+            assert loop.clock.now() == pytest.approx(
+                reference.clock.now(), rel=REL_TOL, abs=0.0
+            ), scheme
+
+
 def test_lockstep_loop_rejects_empty_and_mixed_streams():
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
     goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2]
@@ -786,25 +826,6 @@ def test_pooled_timing_split_matches_serial_wide_cell():
     for name in SCHEMES:
         for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
             assert a.records == b.records, name
-
-
-def test_closure_factory_wide_cell_matches_executor():
-    """The in-process fallback (always per goal) ≡ the executor's
-    lockstep path on a cell wide enough to lockstep."""
-    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
-    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
-
-    def closure_factory(*args, **kwargs):
-        return make_scheme(*args, **kwargs)
-
-    LOCKSTEP_TELEMETRY.reset()
-    in_process = evaluate_schemes(
-        scenario, goals, SCHEMES, n_inputs=10, scheme_factory=closure_factory
-    )
-    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] == 0
-    executed = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
-    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"] > 0
-    _assert_runs_match(in_process, executed, SCHEMES)
 
 
 # ----------------------------------------------------------------------

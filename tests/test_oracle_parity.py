@@ -22,7 +22,7 @@ from repro.baselines.oracle import (
 )
 from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
-from repro.experiments.harness import evaluate_schemes, make_scheme
+from repro.experiments.harness import evaluate_schemes
 from repro.workloads.inputs import InputItem
 from repro.workloads.scenarios import build_scenario
 
@@ -252,7 +252,7 @@ def test_oracle_static_grid_equivalence(image_scenario):
     assert with_grid.decide(item, goal).key == without.decide(item, goal).key
 
 
-def test_evaluate_schemes_shared_grid_unchanged(image_scenario):
+def test_evaluate_schemes_shared_grid_unchanged(image_scenario, reference_cell):
     """The harness's per-cell grid reuse must not change any run."""
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
@@ -261,14 +261,7 @@ def test_evaluate_schemes_shared_grid_unchanged(image_scenario):
     )
     schemes = ("Oracle", "OracleStatic")
     shared = evaluate_schemes(image_scenario, [goal], schemes, n_inputs=20)
-
-    def no_grid_factory(name, scenario, engine, stream, goal, n_inputs):
-        return make_scheme(name, scenario, engine, stream, goal, n_inputs)
-
-    fresh = evaluate_schemes(
-        image_scenario, [goal], schemes, n_inputs=20,
-        scheme_factory=no_grid_factory,
-    )
+    fresh = reference_cell(image_scenario, [goal], schemes, 20)
     for name in schemes:
         a = shared.scheme_runs(name)[0]
         b = fresh.scheme_runs(name)[0]

@@ -1,9 +1,9 @@
 """Parity and crash-resume suite for the zero-copy sweep engine.
 
-Pins the sweep engine's contract (ISSUE 8): a shared-store sweep, a
-per-process-cache sweep, and the in-process
-:func:`repro.experiments.harness.evaluate_schemes` reference must all
-produce the same cells — discrete record fields exactly, float fields
+Pins the sweep engine's contract: a pooled shared-store sweep, a
+serial per-process-cache sweep, and
+:func:`repro.experiments.harness.evaluate_schemes` must all produce
+the same cells — discrete record fields exactly, float fields
 to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
 must merge bit-identically with an uninterrupted run (including a
 corrupted or truncated trailing checkpoint line); pooled execution
@@ -15,6 +15,7 @@ read-only guarantee of shared-buffer-adopted
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,7 +33,6 @@ from repro.models.inference import (
     write_shared_grid,
 )
 from repro.runtime.executor import (
-    _FACTORY_CACHE_CAPACITY,
     _GRID_CACHE_CAPACITY,
     _SCENARIO_CACHE_CAPACITY,
     ScenarioKey,
@@ -139,6 +139,18 @@ def test_compile_skips_unavailable_combinations():
     assert compile_sweep(spec) == []
 
 
+@pytest.mark.parametrize(
+    ("field", "name"),
+    [("platforms", "CPU9"), ("envs", "memroy"), ("tasks", "imgae")],
+)
+def test_compile_rejects_unknown_names(field, name):
+    """Regression: a misspelled name compiled to an empty sweep that
+    reported itself complete."""
+    spec = dataclasses.replace(SPEC, **{field: (name,)})
+    with pytest.raises(ConfigurationError):
+        compile_sweep(spec)
+
+
 def test_fingerprints_are_deterministic_and_distinct():
     units = compile_sweep(SPEC)
     fingerprints = [unit.fingerprint() for unit in units]
@@ -170,7 +182,7 @@ def test_spec_validation():
 
 
 # ----------------------------------------------------------------------
-# Parity: store == cache == in-process evaluate_schemes
+# Parity: pooled store == serial cache == evaluate_schemes
 # ----------------------------------------------------------------------
 def test_sweep_matches_evaluate_schemes():
     result = run_sweep(SPEC, workers=1, keep_runs=True)
@@ -201,45 +213,23 @@ def test_sweep_matches_evaluate_schemes():
 
 def test_pool_and_store_match_serial():
     serial = run_sweep(SPEC, workers=1)
-    pooled_store = run_sweep(SPEC, workers=2)  # store on by default
-    pooled_cache = run_sweep(SPEC, workers=2, grid_store=False)
-    assert pooled_store.cells == serial.cells
-    assert pooled_cache.cells == serial.cells
-    assert pooled_store.grid_store_stats is not None
-    assert pooled_store.grid_store_stats["grids"] > 0
-    assert pooled_store.grid_store_stats["failed"] == 0
+    pooled = run_sweep(SPEC, workers=2)
+    assert pooled.cells == serial.cells
+    # The store is on exactly when the sweep starts a pool.
+    assert serial.grid_store_stats is None
+    assert pooled.grid_store_stats is not None
+    assert pooled.grid_store_stats["grids"] > 0
+    assert pooled.grid_store_stats["failed"] == 0
 
 
-def test_store_on_serial_matches_plain_serial():
-    plain = run_sweep(SPEC, workers=1, grid_store=False)
-    stored = run_sweep(SPEC, workers=1, grid_store=True)
-    assert stored.cells == plain.cells
-
-
-def test_evaluate_schemes_accepts_grid_store(memory_scenario):
-    goals = (
-        Goal(
-            objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=memory_scenario.anchor_latency_s(),
-            accuracy_min=0.9,
-        ),
-    )
-    plain = evaluate_schemes(
-        memory_scenario, goals, ("Oracle", "OracleStatic"), n_inputs=10
-    )
-    with SharedGridStore() as store:
-        shared = evaluate_schemes(
-            memory_scenario,
-            goals,
-            ("Oracle", "OracleStatic"),
-            n_inputs=10,
-            workers=2,
-            grid_store=store.client(),
-        )
-        assert store.stats()["grids"] > 0
-    for name in ("Oracle", "OracleStatic"):
-        for a, b in zip(plain.scheme_runs(name), shared.scheme_runs(name)):
-            _assert_runs_match(a, b)
+def test_single_pending_cell_runs_in_process_without_store():
+    """With one cell left to run, a pooled request starts no pool, so
+    it also starts no store."""
+    serial = run_sweep(SPEC, workers=1, cell_limit=1)
+    one = run_sweep(SPEC, workers=2, cell_limit=1)
+    assert one.executed == 1
+    assert one.grid_store_stats is None
+    assert one.cells == serial.cells
 
 
 # ----------------------------------------------------------------------
@@ -450,15 +440,11 @@ def test_worker_caches_are_bounded():
             state._realisations, ("key", i), object(), _SCENARIO_CACHE_CAPACITY
         )
         state._cache_put(
-            state._factories, f"path{i}", object(), _FACTORY_CACHE_CAPACITY
-        )
-        state._cache_put(
             state._grids, ("grid", i), object(), _GRID_CACHE_CAPACITY
         )
     assert len(state._scenarios) <= _SCENARIO_CACHE_CAPACITY
     assert len(state._spaces) <= _SCENARIO_CACHE_CAPACITY
     assert len(state._realisations) <= _SCENARIO_CACHE_CAPACITY
-    assert len(state._factories) <= _FACTORY_CACHE_CAPACITY
     assert len(state._grids) <= _GRID_CACHE_CAPACITY
 
 
@@ -676,7 +662,6 @@ def test_cli_sweep_parser_flags():
             "GPU",
             "--workers",
             "2",
-            "--no-grid-store",
             "--checkpoint",
             "out.jsonl",
             "--cell-limit",
@@ -685,11 +670,17 @@ def test_cli_sweep_parser_flags():
     )
     assert args.platforms == ["CPU1", "GPU"]
     assert args.workers == 2
-    assert args.grid_store is False
     assert args.checkpoint == "out.jsonl"
     assert args.cell_limit == 5
     assert args.resume is True
-    assert args.keep_runs is False
+
+
+def test_cli_sweep_rejects_unknown_platform(capsys):
+    """Regression: ``repro sweep --platforms CPU9`` printed an empty
+    "complete" sweep and exited 0."""
+    with pytest.raises(ConfigurationError):
+        main(["sweep", "--platforms", "CPU9", "--inputs", "5"])
+    assert "complete" not in capsys.readouterr().out
 
 
 def test_cli_sweep_smoke_writes_checkpoint(tmp_path, capsys):
