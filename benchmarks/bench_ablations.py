@@ -1,4 +1,4 @@
-"""Benches: the DESIGN.md section 6 ablations."""
+"""Benches: the ablations of ``repro.experiments.ablations``."""
 
 from __future__ import annotations
 

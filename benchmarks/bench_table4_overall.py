@@ -1,7 +1,7 @@
 """Bench: regenerate a Table 4 / Figure 7 cell (the headline result).
 
 One (platform, task, environment) cell with all schemes and both
-objectives; the full-sweep numbers live in EXPERIMENTS.md.
+objectives; ``repro sweep`` runs the full grid.
 """
 
 from __future__ import annotations

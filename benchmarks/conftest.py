@@ -2,8 +2,7 @@
 
 Each bench regenerates one paper figure/table at a reduced-but-
 meaningful scale and asserts its shape claims; pytest-benchmark
-records the generation cost.  EXPERIMENTS.md records the paper-vs-
-measured numbers from full-scale runs of the same drivers.
+records the generation cost.
 """
 
 from __future__ import annotations

@@ -34,7 +34,9 @@ The package is organised as:
     Violation accounting, harmonic means, convex hulls, distribution
     fits, and table rendering.
 ``repro.experiments``
-    One driver per paper figure/table; see DESIGN.md for the index.
+    One driver per paper figure/table, each module named after the
+    artifact it reproduces (``fig08_oracle_comparison``,
+    ``table4_overall``); ``python -m repro --help`` lists the commands.
 """
 
 from repro._version import __version__

@@ -3,9 +3,10 @@
 Every driver exposes a ``run(...)`` function with sensible
 small-by-default parameters (the benches call them with even smaller
 ones) returning a plain dataclass of rows/series that mirrors what the
-paper plots, plus a ``describe()`` rendering for humans.  See
-DESIGN.md section 4 for the experiment index and EXPERIMENTS.md for
-paper-vs-measured numbers.
+paper plots, plus a ``describe()`` rendering for humans.  Each
+module is named after the figure or table it reproduces, and its
+docstring states the paper's claim; ``ablations`` and
+``overload_study`` go beyond the paper.
 """
 
 from repro.experiments import (

@@ -1,4 +1,4 @@
-"""Ablations of ALERT's design decisions (DESIGN.md section 6).
+"""Ablations of ALERT's design decisions.
 
 * :func:`run_global_xi` — the global slowdown factor versus one Kalman
   filter *per configuration* (Idea 1).  Per-config filters starve:

@@ -8,8 +8,8 @@ them as the superscript), and aggregate with harmonic means.
 The full paper grid (3 platforms x 2 tasks x 3 environments x 70
 settings x 7 schemes) is expensive; ``run`` takes platform/task/env
 subsets, a settings stride, and an input count so callers choose their
-budget.  The bench uses a single cell; EXPERIMENTS.md records a larger
-sweep.
+budget.  The bench uses a single cell; ``repro.runtime.sweep`` runs
+larger grids with checkpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.stats import SchemeCell, harmonic_mean, summarize_runs
 from repro.analysis.tables import render_table
-from repro.core.goals import ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes
 from repro.workloads.scenarios import build_scenario, constraint_grid
@@ -128,8 +127,10 @@ def run(
 
     ``settings_stride`` subsamples the 35-setting grids (stride 3
     keeps 12 settings per cell); the GPU platform skips the sentence
-    task, as in the paper.  ``workers`` > 1 fans each cell's runs out
-    over a process pool (results are bit-identical to serial).
+    task, as in the paper, and a request that leaves no cell raises
+    :class:`ConfigurationError`.  ``workers`` > 1 fans each cell's
+    runs out over a process pool (results are bit-identical to
+    serial).
     """
     if "OracleStatic" not in schemes:
         raise ConfigurationError(
@@ -167,11 +168,9 @@ def run(
                         objective=objective,
                     )
                     result.cells[key] = cell
+    if not result.cells:
+        raise ConfigurationError(
+            "no Table 4 cell left to evaluate: the GPU platform reports "
+            "the image task only, as in the paper"
+        )
     return result
-
-
-def _maximize_objective_name(kind: ObjectiveKind) -> str:  # pragma: no cover
-    """Kept for symmetry with the goals module naming."""
-    return (
-        "min_energy" if kind is ObjectiveKind.MINIMIZE_ENERGY else "min_error"
-    )

@@ -84,7 +84,7 @@ LOCKSTEP_MIN_GOALS = 6
 #: is LRU: a hit refreshes recency, so a long interleaved plan evicts
 #: the grid touched longest ago, not the one inserted first.
 _GRID_CACHE_CAPACITY = 32
-#: Upper bound on the per-scenario caches (scenarios, spaces, shared
+#: Upper bound on the per-scenario caches (scenarios and shared
 #: engine/stream realisations).  A production sweep walks hundreds of
 #: scenarios through one worker; unbounded maps would pin every
 #: engine's memoised environment draws for the life of the process.
@@ -290,7 +290,7 @@ def timing_grid(
 
 
 class _WorkerState:
-    """Per-process caches: scenarios, spaces, outcome grids.
+    """Per-process caches: scenarios, engine/stream realisations, grids.
 
     Every cache is LRU-bounded (hit refreshes recency, insertion at
     capacity evicts the least recently used entry), so a worker that
@@ -309,7 +309,6 @@ class _WorkerState:
         self._scenarios: OrderedDict[ScenarioKey, Scenario] = OrderedDict(
             scenarios or {}
         )
-        self._spaces: OrderedDict[ScenarioKey, object] = OrderedDict()
         self._grids: OrderedDict[tuple, object] = OrderedDict()
         self._realisations: OrderedDict[ScenarioKey, tuple] = OrderedDict()
         self._grid_store = grid_store
@@ -337,11 +336,7 @@ class _WorkerState:
         return cached
 
     def space(self, key: ScenarioKey):
-        cached = self._cache_get(self._spaces, key)
-        if cached is None:
-            cached = self.scenario(key).space()
-            self._cache_put(self._spaces, key, cached, _SCENARIO_CACHE_CAPACITY)
-        return cached
+        return self.scenario(key).space()
 
     def realisation(self, key: ScenarioKey) -> tuple:
         """One shared (engine, stream) pair per scenario.

@@ -1,54 +1,62 @@
-"""The serving loop: one policy, one scenario, one constraint setting.
+"""The serving loops: one policy, one scenario, one constraint setting.
 
 Implements the paper's deployment model: inputs arrive periodically;
 before each input the policy picks a (DNN, power, rung) configuration;
 the engine realises latency, quality, and energy; measurements feed
-back to the policy.  The loop owns goal adjustment (workflow step 2):
+back to the policy.  The loops own goal adjustment (workflow step 2):
 requirement-trace overrides, shared sentence deadlines, and the
 policy's declared overhead reservation.
 
-In the spec → executor → loop architecture the loop is the innermost
+In the spec → executor → loop architecture the loops are the innermost
 layer: :class:`repro.runtime.executor.RunExecutor` turns a declarative
 plan of cells into serving-loop runs (serially or across a process
 pool), and the experiment harness builds those plans.
 
-**Three serving paths.**  A run is served one of three ways — the two
-:class:`ServingLoop` paths below, plus lockstep at the bottom of this
-module: in a cell with enough goals, every stacking scheme's runs
-become one :class:`LockstepServingLoop` lane, and all lanes of the
-cell advance together through one :class:`CrossSchemeLockstepLoop`:
+**Three serving paths.**
 
-* the *sequential* path — the faithful per-input round trip above,
-  required whenever the policy's decisions can depend on observed
-  outcomes (ALERT and every feedback scheme), a requirement trace
-  rewrites goals mid-run, or inputs share group deadlines (NLP
-  sentences), since all three thread state from one input to the next;
-* the *batch fast path* — when the policy declares itself
-  **feedback-free** (``scheduler.feedback_free`` is True: decisions
-  never read observations and ``observe`` is a no-op, e.g. Oracle,
-  OracleStatic, App-only) and no cross-input goal state applies, every
-  decision is known up front, so the loop realises the whole run as
-  one :meth:`~repro.models.inference.InferenceEngine.evaluate_batch`
-  pass per distinct configuration plus vectorized violation
-  bookkeeping instead of ``n_inputs`` engine round trips.  The fast
-  path is pure with respect to the engine's RAPL meter (nothing is
-  metered) and matches the sequential records exactly up to
-  floating-point associativity (≤ 1 ulp; discrete fields identical),
-  pinned by ``tests/test_serving_batch_parity.py``.
+* the *sequential* path (:class:`ServingLoop`) — the faithful
+  per-input round trip above, one run at a time.  It is the reference
+  the other two are pinned to, and it serves every run they do not;
+* the *batch* path (:class:`ServingLoop`) — when the policy declares
+  itself **feedback-free** (``scheduler.feedback_free`` is True:
+  decisions never read observations and ``observe`` is a no-op, e.g.
+  Oracle, OracleStatic, App-only) and the run's goal cannot change
+  from one input to the next, every decision is known up front, so the
+  loop realises the whole run as one
+  :meth:`~repro.models.inference.InferenceEngine.evaluate_batch` pass
+  per distinct configuration plus vectorized violation bookkeeping
+  instead of ``n_inputs`` engine round trips.  The batch path is pure
+  with respect to the engine's RAPL meter (nothing is metered) and
+  matches the sequential records exactly up to floating-point
+  associativity (≤ 1 ulp; discrete fields identical), pinned by
+  ``tests/test_serving_batch_parity.py``;
+* the *lockstep* path — in a cell with enough goals, every stacking
+  scheme's runs become one :class:`LockstepServingLoop` lane, and all
+  lanes of the cell advance together through one
+  :class:`CrossSchemeLockstepLoop`: one stacked decide and one stacked
+  observe pass per lane per input.  A lane whose goals can change
+  between inputs (shared sentence deadlines, a requirement trace)
+  re-derives them at every input; any other lane keeps one adjusted
+  goal per goal for the whole run.
 
-**Shared realisations.**  Both paths can additionally serve from a
+The batch path and the lockstep lanes build their records the same
+way: the outcomes of one grid row are read into plain lists once
+(:func:`_read_rows`) and the records are filled straight into
+``__dict__`` (:func:`_fill_group`).
+
+**Shared realisations.**  Every path can additionally serve from a
 :class:`~repro.models.inference.GridView` over a precomputed
 (configuration × input) outcome grid — the fused-cell execution path
 realises one grid per (scenario, timing) and every scheme of the cell
-reads it.  On the sequential path each decision that resolves to a
-grid (row, column) is answered from the grid instead of
-:meth:`InferenceEngine.run` (the actuator is still driven, so effective
-caps and end state match the live path; nothing is metered); on the
-batch path whole configuration groups become column slices instead of
-fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input,
-unknown configuration, quantized cap, trace-adjusted deadline —
-falls back to the live engine per input, so a view is always an
-optimisation, never a semantics change
+reads it.  On the sequential path and in the lockstep lanes each
+decision that resolves to a grid (row, column) is answered from the
+grid instead of :meth:`InferenceEngine.run` (the actuator is still
+driven, so effective caps and end state match the live path; nothing
+is metered); on the batch path whole configuration groups become
+column slices instead of fresh ``evaluate_batch`` passes.  Any lookup
+miss — off-grid input, unknown configuration, quantized cap,
+trace-adjusted deadline — falls back to the live engine per input, so
+a view is always an optimisation, never a semantics change
 (``tests/test_cell_fusion_parity.py`` pins grid-served runs to the
 live-engine reference).  The view
 comes from the ``grid_view`` constructor argument, or, failing that,
@@ -65,6 +73,8 @@ Violation bookkeeping follows the paper:
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,6 +180,145 @@ class _CapOverride:
         self.model = model
         self.power_w = power_w
         self.rung_cap = rung_cap
+
+
+class _RowGroup(NamedTuple):
+    """One grid row's outcomes over a group of inputs, as plain lists.
+
+    The per-input lists align with the group's positions.  Holding no
+    array, a deferred record build that keeps groups pins no grid.
+    """
+
+    model_name: str
+    effective_cap_w: float
+    inference_power_w: float
+    latency: list
+    full_latency: list
+    met: list
+    quality: list
+    metric: list
+    rungs: list
+    inference_j: list
+    idle_j: list
+    idle_power: list
+    env: list
+    latency_violation: list
+    accuracy_violation: list
+    energy_violation: list
+
+
+def _flags(violated, size: int) -> list:
+    """A constraint check as a list: elementwise, or one constant
+    repeated when the constraint does not apply to the goal."""
+    if isinstance(violated, np.ndarray):
+        return violated.tolist()
+    return [bool(violated)] * size
+
+
+def _read_rows(
+    planes, row: int, columns, model, effective_cap_w: float, goal: Goal
+) -> _RowGroup:
+    """Read one row group of an outcome grid into plain lists.
+
+    ``planes`` is a :class:`~repro.models.inference.BatchOutcomeGrid`:
+    a shared grid read at ``row`` over the ``columns`` index array, or
+    a one-row ``evaluate_batch`` column read at row 0 over every
+    column.  ``effective_cap_w`` is the cap the actuator enforced,
+    which a column realised at a quantized cap does not carry.  The
+    violation flags are checked against ``goal`` with the tolerances of
+    :mod:`repro.core.goals`, shared with :meth:`ServingLoop._record`
+    and the oracles' feasibility masks.
+    """
+    met_row = planes.met_deadline[row, columns]
+    quality_row = planes.quality[row, columns]
+    quality = quality_row.tolist()
+    size = len(quality)
+    return _RowGroup(
+        model.name,
+        effective_cap_w,
+        float(planes.inference_power_w[row]),
+        planes.latency_s[row, columns].tolist(),
+        planes.full_latency_s[row, columns].tolist(),
+        met_row.tolist(),
+        quality,
+        model.task.quality_to_metric_list(quality),
+        planes.completed_rungs[row, columns].tolist(),
+        planes.inference_j[row, columns].tolist(),
+        planes.idle_j[row, columns].tolist(),
+        planes.idle_power_w[row, columns].tolist(),
+        planes.env_factor[columns].tolist(),
+        np.logical_not(met_row).tolist(),
+        _flags(goal.quality_violated(quality_row), size),
+        _flags(goal.energy_violated(planes.energy_j[row, columns]), size),
+    )
+
+
+def _fill_group(
+    records: list,
+    positions: list[int],
+    group: _RowGroup,
+    goal: Goal,
+    deadline_s: float,
+    period_s: float,
+    indices: list[int],
+    caps: list[float],
+    xi_means: list[float],
+    xi_sigmas: list[float],
+) -> None:
+    """Assemble one row group's records into ``records``.
+
+    ``positions`` are the group's inputs, in the order of its lists;
+    ``records``, ``indices``, ``caps`` (requested caps) and the ξ lists
+    align with the whole run.  Records are assembled by direct
+    ``__dict__`` fill: the frozen dataclass ``__init__`` (one
+    ``object.__setattr__`` per field) is this build's dominant cost,
+    and these classes have no ``__post_init__`` to skip.  The parity
+    suites pin the result against constructor-built sequential records
+    field by field.
+    """
+    (
+        model_name, effective, power, latency, full, met, quality, metric,
+        rungs, inference_j, idle_j, idle_power, env,
+        latency_violation, accuracy_violation, energy_violation,
+    ) = group
+    fill = object.__setattr__  # frozen dataclasses veto assignment
+    for j, position in enumerate(positions):
+        energy = object.__new__(EnergyBreakdown)
+        fill(energy, "__dict__", {
+            "inference_j": inference_j[j],
+            "idle_j": idle_j[j],
+        })
+        outcome = object.__new__(InferenceOutcome)
+        fill(outcome, "__dict__", {
+            "index": indices[position],
+            "model_name": model_name,
+            "power_cap_w": caps[position],
+            "effective_cap_w": effective,
+            "latency_s": latency[j],
+            "full_latency_s": full[j],
+            "met_deadline": met[j],
+            "quality": quality[j],
+            "metric_value": metric[j],
+            "completed_rungs": rungs[j],
+            "energy": energy,
+            "inference_power_w": power,
+            "idle_power_w": idle_power[j],
+            "env_factor": env[j],
+            "deadline_s": deadline_s,
+            "period_s": period_s,
+        })
+        record = object.__new__(ServedInput)
+        fill(record, "__dict__", {
+            "outcome": outcome,
+            "goal": goal,
+            "effective_deadline_s": deadline_s,
+            "latency_violation": latency_violation[j],
+            "accuracy_violation": accuracy_violation[j],
+            "energy_violation": energy_violation[j],
+            "xi_mean": xi_means[position],
+            "xi_sigma": xi_sigmas[position],
+        })
+        records[position] = record
 
 
 class ServingLoop:
@@ -383,19 +532,20 @@ class ServingLoop:
         xi_mean: float = 0.0,
         xi_sigma: float = 0.0,
     ) -> ServedInput:
-        """Build the per-input record with violation flags.
+        """Build one input's record with violation flags.
 
         Tolerances live in one place — :mod:`repro.core.goals` — shared
         with the oracles' feasibility masks, so "violated" means the
         same thing to the bookkeeping and to the perfect-knowledge
         baselines.
 
-        Also the "input served" commit point: the sequential and
-        lockstep stepwise paths record every input through here (the
-        fused lockstep path its engine-served ones), so this is where
-        the simulated clock advances by the input's occupied time.  The
-        batch path and the fused lockstep fill build their records
-        directly and tick the same occupied time with ``tick_many``.
+        Also the "input served" commit point for the inputs recorded
+        here — every input of the sequential path, and each lockstep
+        lane's engine-served inputs: the simulated clock advances by
+        the input's occupied time.  The inputs recorded through
+        :func:`_fill_group` (the batch path's, and the lanes'
+        grid-served ones) tick the same occupied time with
+        ``tick_many``.
         """
         latency = outcome.latency_s
         period = outcome.period_s
@@ -449,7 +599,6 @@ class ServingLoop:
             configs = [scheduler.decide(item, adjusted) for item in items]
 
         engine = self.engine
-        clamp = engine.machine.clamp_power
         deadline = adjusted.deadline_s
         period = base_goal.period
         item_indices = [item.index for item in items]
@@ -470,15 +619,15 @@ class ServingLoop:
                 bucket.append(position)
 
         n = len(items)
-        # Whole-run series, filled group by group from the same numpy
-        # rows the records are built from (so aggregates over either
-        # are bit-identical).
+        # Whole-run series, filled group by group from the same planes
+        # the records are built from (so aggregates over either are
+        # bit-identical).
         arr_latency = np.empty(n)
         arr_quality = np.empty(n)
         arr_energy = np.empty(n)
         arr_metric = np.empty(n)
-        arr_violated = np.empty(n, dtype=bool)
-        arr_missed = np.empty(n, dtype=bool)
+        arr_met = np.empty(n, dtype=bool)
+        arr_caps = np.empty(n)
         # Per-group payloads captured for the deferred record build.
         group_payloads = []
         # Occupied simulated time across the run (the per-input ticks
@@ -522,152 +671,72 @@ class ServingLoop:
             config = group_config[key]
             model = config.model
             effective = engine.actuator.set_power_cap(config.power_w)
-            requested = clamp(config.power_w)
+            # One index array per group: indexing with the list itself
+            # would convert it again on every access.
+            index = np.fromiter(positions, np.intp, len(positions))
             row = None
             if grid is not None:
                 row = view.row_for(model, effective, config.rung_cap)
             if row is not None:
-                cols = grid_columns[positions]
-                power = float(grid.inference_power_w[row])
-                met_row = grid.met_deadline[row, cols]
-                quality_row = grid.quality[row, cols]
-                energy_row = grid.energy_j[row, cols]
-                latency_row = grid.latency_s[row, cols]
-                latency = latency_row.tolist()
-                full = grid.full_latency_s[row, cols].tolist()
-                rungs = grid.completed_rungs[row, cols].tolist()
-                inference_j = grid.inference_j[row, cols].tolist()
-                idle_j = grid.idle_j[row, cols].tolist()
-                idle_power = grid.idle_power_w[row, cols].tolist()
-                env = grid.env_factor[cols].tolist()
+                planes, columns = grid, grid_columns[index]
             else:
                 shim_key = (id(model), effective, config.rung_cap)
                 shim = self._batch_configs.get(shim_key)
                 if shim is None:
                     shim = (_CapOverride(model, effective, config.rung_cap),)
                     self._batch_configs[shim_key] = shim
-                column = engine.evaluate_batch(
+                planes = engine.evaluate_batch(
                     configs=shim,
                     indices=[item_indices[p] for p in positions],
                     deadline_s=deadline,
                     period_s=period,
                     work_factors=[items[p].work_factor for p in positions],
                 )
-                power = float(column.inference_power_w[0])
-                met_row = column.met_deadline[0]
-                quality_row = column.quality[0]
-                energy_row = column.energy_j[0]
-                latency_row = column.latency_s[0]
-                latency = latency_row.tolist()
-                full = column.full_latency_s[0].tolist()
-                rungs = column.completed_rungs[0].tolist()
-                inference_j = column.inference_j[0].tolist()
-                idle_j = column.idle_j[0].tolist()
-                idle_power = column.idle_power_w[0].tolist()
-                env = column.env_factor.tolist()
-
-            model_name = model.name
-            total_occupied += sum(
-                t if t > period else period for t in latency
+                row, columns = 0, slice(None)
+            group = _read_rows(
+                planes, row, columns, model, effective, base_goal
             )
-            met = met_row.tolist()
-            quality = quality_row.tolist()
-            metric = model.task.quality_to_metric_list(quality)
-
-            # Vectorized violation bookkeeping (one place of tolerance
-            # truth: repro.core.goals, shared with the sequential
-            # _record and the oracles' feasibility masks).
-            missed_row = np.logical_not(met_row)
-            latency_violation = missed_row.tolist()
-            accuracy = base_goal.quality_violated(quality_row)
-            if isinstance(accuracy, np.ndarray):
-                accuracy_row = accuracy
-            else:
-                accuracy_row = np.full(len(positions), bool(accuracy))
-            accuracy_violation = accuracy_row.tolist()
-            budget = base_goal.energy_violated(energy_row)
-            if isinstance(budget, np.ndarray):
-                budget_row = budget
-            else:
-                budget_row = np.full(len(positions), bool(budget))
-            energy_violation = budget_row.tolist()
-
-            arr_latency[positions] = latency_row
-            arr_quality[positions] = quality_row
-            arr_energy[positions] = energy_row
-            arr_metric[positions] = metric
-            arr_violated[positions] = missed_row | accuracy_row | budget_row
-            arr_missed[positions] = missed_row
-
-            group_payloads.append((
-                positions, model_name, power, requested, effective,
-                met, quality, metric, latency, full, rungs,
-                inference_j, idle_j, idle_power, env,
-                latency_violation, accuracy_violation, energy_violation,
-            ))
+            total_occupied += sum(
+                t if t > period else period for t in group.latency
+            )
+            arr_latency[index] = planes.latency_s[row, columns]
+            arr_quality[index] = planes.quality[row, columns]
+            arr_energy[index] = planes.energy_j[row, columns]
+            arr_metric[index] = group.metric
+            arr_met[index] = planes.met_deadline[row, columns]
+            arr_caps[index] = engine.machine.clamp_power(config.power_w)
+            group_payloads.append((positions, group))
         # The sequential path leaves the actuator at the last decision.
         engine.actuator.set_power_cap(configs[-1].power_w)
         self.clock.tick_many(total_occupied, n)
 
+        # Vectorized violation bookkeeping (one place of tolerance
+        # truth: repro.core.goals, shared with _read_rows, the
+        # sequential _record and the oracles' feasibility masks).
+        arr_missed = np.logical_not(arr_met)
         arrays = RunArrays(
             latency_s=arr_latency, quality=arr_quality, energy_j=arr_energy,
-            metric_value=arr_metric, violated=arr_violated,
+            metric_value=arr_metric,
+            violated=(
+                arr_missed
+                | base_goal.quality_violated(arr_quality)
+                | base_goal.energy_violated(arr_energy)
+            ),
             latency_violation=arr_missed,
         )
+        caps = arr_caps.tolist()
 
         def materialize() -> list[ServedInput]:
-            # Records are assembled by direct __dict__ fill: the frozen
-            # dataclass __init__ (one object.__setattr__ per field) is
-            # this build's dominant cost, and these classes have no
-            # __post_init__ to skip.  The parity suite pins the result
-            # against constructor-built sequential records field by
-            # field.  The closure holds only plain per-group lists —
-            # no engine or grid references.
+            # The closure holds only plain lists — no engine or grid
+            # references.
             records: list[ServedInput | None] = [None] * n
-            fill = object.__setattr__  # frozen dataclasses veto assignment
-            for (
-                positions, model_name, power, requested, effective,
-                met, quality, metric, latency, full, rungs,
-                inference_j, idle_j, idle_power, env,
-                latency_violation, accuracy_violation, energy_violation,
-            ) in group_payloads:
-                for j, position in enumerate(positions):
-                    energy = object.__new__(EnergyBreakdown)
-                    fill(energy, "__dict__", {
-                        "inference_j": inference_j[j],
-                        "idle_j": idle_j[j],
-                    })
-                    outcome = object.__new__(InferenceOutcome)
-                    fill(outcome, "__dict__", {
-                        "index": item_indices[position],
-                        "model_name": model_name,
-                        "power_cap_w": requested,
-                        "effective_cap_w": effective,
-                        "latency_s": latency[j],
-                        "full_latency_s": full[j],
-                        "met_deadline": met[j],
-                        "quality": quality[j],
-                        "metric_value": metric[j],
-                        "completed_rungs": rungs[j],
-                        "energy": energy,
-                        "inference_power_w": power,
-                        "idle_power_w": idle_power[j],
-                        "env_factor": env[j],
-                        "deadline_s": deadline,
-                        "period_s": period,
-                    })
-                    record = object.__new__(ServedInput)
-                    fill(record, "__dict__", {
-                        "outcome": outcome,
-                        "goal": base_goal,
-                        "effective_deadline_s": deadline,
-                        "latency_violation": latency_violation[j],
-                        "accuracy_violation": accuracy_violation[j],
-                        "energy_violation": energy_violation[j],
-                        "xi_mean": xi_mean,
-                        "xi_sigma": xi_sigma,
-                    })
-                    records[position] = record
+            xi_means = [xi_mean] * n
+            xi_sigmas = [xi_sigma] * n
+            for positions, group in group_payloads:
+                _fill_group(
+                    records, positions, group, base_goal, deadline, period,
+                    item_indices, caps, xi_means, xi_sigmas,
+                )
             return records
 
         return arrays, materialize
@@ -682,9 +751,9 @@ class LockstepServingLoop:
     step), each goal's outcome is read from its timing's shared
     :class:`~repro.models.inference.GridView` (live-engine fallback on
     any miss), and one stacked ``observe_many`` pass folds all
-    measurements back in.  Per-goal goal adjustment, violation
-    bookkeeping, and record assembly reuse the sequential
-    :class:`ServingLoop` helpers, so each goal's :class:`RunResult` is
+    measurements back in.  Each goal keeps its own :class:`ServingLoop`
+    for goal adjustment (requirement trace, adjuster), simulated clock
+    and engine-served records, so each goal's :class:`RunResult` is
     value-identical to serving that goal alone on the sequential path
     (``tests/test_lockstep_parity.py``; the acceptance bar is
     discrete-exact + floats ≤1e-12).
@@ -755,85 +824,9 @@ class LockstepServingLoop:
         """Serve ``n_inputs`` inputs for every goal; results align with
         the constructor's run order.
 
-        Delegates to a single-lane :class:`CrossSchemeLockstepLoop`, so
-        even a lone scheme's lockstep run gets the deferred goal-major
-        record fill when it is eligible.
+        A single-lane :class:`CrossSchemeLockstepLoop` pass.
         """
         return CrossSchemeLockstepLoop([self]).run(n_inputs)[0]
-
-    def _run_stepwise(self, items: list[InputItem]) -> list[RunResult]:
-        """The per-step reference path: adjust → decide_many → serve →
-        observe_many → record, one input at a time.
-
-        Required whenever per-step state threads between inputs beyond
-        the stacked filters themselves (a requirement trace rewriting
-        goals, deadline-sharing groups); the fused fast path in
-        :class:`CrossSchemeLockstepLoop` matches it bit-for-bit when
-        neither applies.
-        """
-        loops = self.loops
-        cell = self.cell
-        n_goals = len(loops)
-        records: list[list[ServedInput]] = [[] for _ in range(n_goals)]
-        bases: list[Goal] = [None] * n_goals  # type: ignore[list-item]
-        adjusted: list[Goal] = [None] * n_goals  # type: ignore[list-item]
-        outcomes: list[InferenceOutcome] = [None] * n_goals  # type: ignore[list-item]
-
-        for item in items:
-            for g, loop in enumerate(loops):
-                base = loop._base_goal_at(item.index)
-                bases[g] = base
-                adjusted[g] = loop.adjuster.adjust(base, item)
-            selections = cell.decide_many(adjusted)
-            for g, loop in enumerate(loops):
-                config = selections[g].config
-                outcome = None
-                view = loop.grid_view
-                if view is not None and view.matches_timing(
-                    adjusted[g].deadline_s, bases[g].period
-                ):
-                    outcome = loop._grid_outcome(
-                        view, config, item, adjusted[g], bases[g].period
-                    )
-                if outcome is None:
-                    outcome = loop.engine.run(
-                        model=config.model,
-                        power_cap_w=config.power_w,
-                        index=item.index,
-                        deadline_s=adjusted[g].deadline_s,
-                        period_s=bases[g].period,
-                        work_factor=item.work_factor,
-                        rung_cap=config.rung_cap,
-                    )
-                outcomes[g] = outcome
-            cell.observe_many(outcomes)
-            # Schedulers without a ``state`` attribute record 0/0 on
-            # the sequential path; a cell returning None mirrors that.
-            snapshot = cell.xi_snapshot()
-            for g, loop in enumerate(loops):
-                loop.adjuster.consume(item, outcomes[g].latency_s)
-                records[g].append(
-                    loop._record(
-                        item_goal=bases[g],
-                        adjusted=adjusted[g],
-                        outcome=outcomes[g],
-                        xi_mean=(
-                            float(snapshot[0][g]) if snapshot is not None else 0.0
-                        ),
-                        xi_sigma=(
-                            float(snapshot[1][g]) if snapshot is not None else 0.0
-                        ),
-                    )
-                )
-        LOCKSTEP_TELEMETRY.record_cell(cell)
-        return [
-            RunResult(
-                scheduler_name=loop.scheduler.name,
-                goal=loop.goal,
-                records=records[g],
-            )
-            for g, loop in enumerate(loops)
-        ]
 
 
 class _ObservedProxy:
@@ -843,9 +836,9 @@ class _ObservedProxy:
     conventions read (``observe_many`` over ALERT, Sys-only, No-coord):
     the proxy contract.  One mutable instance per goal is refilled from
     the grid arrays each step — ``observe_many`` consumes the values
-    immediately, so nothing is retained — sparing the fused loop a full
-    :class:`~repro.models.inference.InferenceOutcome` construction per
-    (goal, input) just to feed six numbers to the filters.
+    immediately, so nothing is retained — sparing the lockstep loop a
+    full :class:`~repro.models.inference.InferenceOutcome` construction
+    per (goal, input) just to feed six numbers to the filters.
     """
 
     __slots__ = (
@@ -865,26 +858,29 @@ class CrossSchemeLockstepLoop:
     The one lockstep path: the executor puts every stacking scheme of
     a wide enough cell here, and a lone
     :meth:`LockstepServingLoop.run` is a single-lane pass.  Each *lane*
-    is a :class:`LockstepServingLoop` (one scheme, all goals).  Lanes
-    share the per-input grid bookkeeping: the per-view
-    column resolution is computed once per (view, engine) pair and
-    reused by every lane and goal that reads that view, and each lane's
-    records are realised *after* the stepping loop in one goal-major
-    direct-``__dict__`` fill from the grid columns (the PR 3 batch-path
-    fill, extended to feedback schemes) instead of per-(goal, input)
-    Python record construction.  During the stepping loop only the
-    stacked filters advance: one ``decide_many`` and one
-    ``observe_many`` per lane per step, fed by lightweight
-    :class:`_ObservedProxy` reads — zero per-input Python
-    ``decide``/``observe`` calls.
+    is a :class:`LockstepServingLoop` (one scheme, all goals).  During
+    the stepping loop only the stacked filters advance: one
+    ``decide_many`` and one ``observe_many`` per lane per step, fed by
+    lightweight :class:`_ObservedProxy` reads of the grid — zero
+    per-input Python ``decide``/``observe`` calls.  Lanes share the
+    per-view column resolution, computed once per (view, engine) pair.
 
-    A lane that threads per-step state beyond its filters (a
-    requirement trace, deadline-sharing groups, an adjuster already
-    mid-group) runs on the per-step reference path
-    (:meth:`LockstepServingLoop._run_stepwise`) instead; either way
-    every goal's :class:`RunResult` is value-identical to serving that
-    goal alone sequentially (``tests/test_lockstep_parity.py``:
-    discrete exact, floats ≤ 1e-12, pool ≡ serial).
+    Goals are re-derived per step only where they can change.  When
+    inputs share group deadlines, a requirement trace is set, or an
+    adjuster is already mid-group, each step re-derives every goal's
+    base and adjusted goal through that goal's own
+    :class:`ServingLoop`, serves the goal from the grid only when the
+    step's timing is the grid's, and hands the realised latency back
+    to the goal's adjuster.  Otherwise every goal keeps one base and
+    adjusted goal for the run.
+
+    Records are built after the stepping loop, goal by goal: the
+    grid-served steps of one row (and one base goal) through the same
+    read-and-fill helpers as the batch path, the engine-served steps
+    through :meth:`ServingLoop._record`.  Either way every goal's
+    :class:`RunResult` is value-identical to serving that goal alone
+    sequentially (``tests/test_lockstep_parity.py``: discrete exact,
+    floats ≤ 1e-12, pool ≡ serial).
     """
 
     def __init__(self, lanes: "list[LockstepServingLoop]") -> None:
@@ -912,29 +908,10 @@ class CrossSchemeLockstepLoop:
             item.group_size > 1 for item in items
         )
         column_cache: dict[tuple[int, int], np.ndarray] = {}
-        results = []
-        for lane in self.lanes:
-            if self._fast_eligible(lane, grouped):
-                results.append(self._run_fast(lane, items, column_cache))
-            else:
-                results.append(lane._run_stepwise(items))
-        return results
-
-    @staticmethod
-    def _fast_eligible(lane: "LockstepServingLoop", grouped: bool) -> bool:
-        """Whether a lane's goal state is constant across the run.
-
-        Mirrors :meth:`ServingLoop.batch_eligible` minus the
-        feedback-free requirement: the stacked filters *are* the
-        feedback, but the per-goal base and adjusted goals must not
-        change from one input to the next.
-        """
-        if grouped:
-            return False
-        return all(
-            loop.trace.is_empty and not loop.adjuster.mid_group
-            for loop in lane.loops
-        )
+        return [
+            self._run_lane(lane, items, grouped, column_cache)
+            for lane in self.lanes
+        ]
 
     def _columns(
         self, view: GridView, engine: InferenceEngine, items: list[InputItem]
@@ -951,10 +928,11 @@ class CrossSchemeLockstepLoop:
             positions[position] = column
         return positions
 
-    def _run_fast(
+    def _run_lane(
         self,
         lane: "LockstepServingLoop",
         items: list[InputItem],
+        grouped: bool,
         column_cache: dict,
     ) -> "list[RunResult]":
         loops = lane.loops
@@ -962,22 +940,33 @@ class CrossSchemeLockstepLoop:
         n_goals = len(loops)
         n = len(items)
 
-        # Goal state is constant across the run (the eligibility
-        # gate): one base/adjusted pair per goal, like the batch path.
-        bases = [loop.goal for loop in loops]
-        adjusteds = [
-            loop.adjuster.adjust(loop.goal, items[0]) for loop in loops
-        ]
-        periods = [base.period for base in bases]
-        deadlines = [adjusted.deadline_s for adjusted in adjusteds]
+        # Constant goals are built once: a fresh Goal per step would
+        # miss the stacked plan cache and the cell kernel's
+        # adjusted-goal cache, both keyed on goal identity.
+        varying = grouped or any(
+            not loop.trace.is_empty or loop.adjuster.mid_group
+            for loop in loops
+        )
+        if varying:
+            step_bases: list[list[Goal]] = []
+            step_adjusteds: list[list[Goal]] = []
+        else:
+            bases = [loop.goal for loop in loops]
+            adjusteds = [
+                loop.adjuster.adjust(loop.goal, items[0]) for loop in loops
+            ]
+            periods = [base.period for base in bases]
+            step_bases = [bases] * n
+            step_adjusteds = [adjusteds] * n
 
         # Column resolution is shared across every lane and goal
         # reading one view.
         cols: list[np.ndarray | None] = []
         for g, loop in enumerate(loops):
             view = loop.grid_view
-            if view is None or not view.matches_timing(
-                deadlines[g], periods[g]
+            if view is None or not (
+                varying
+                or view.matches_timing(adjusteds[g].deadline_s, periods[g])
             ):
                 cols.append(None)
                 continue
@@ -988,8 +977,12 @@ class CrossSchemeLockstepLoop:
                 column_cache[cache_key] = cached
             cols.append(cached)
 
-        rows = np.full((n_goals, n), -1, dtype=np.int64)
-        requested = np.zeros((n_goals, n), dtype=np.float64)
+        # Grid-served steps per goal, keyed by row — and by base goal
+        # on a varying lane, the one thing that can change between
+        # them — with their requested caps; engine-served outcomes per
+        # goal by step.
+        served: list[dict] = [{} for _ in range(n_goals)]
+        caps = [[0.0] * n for _ in range(n_goals)]
         fallbacks: list[dict[int, InferenceOutcome]] = [
             {} for _ in range(n_goals)
         ]
@@ -1002,59 +995,78 @@ class CrossSchemeLockstepLoop:
         row_memo: dict[tuple[int, int], tuple[int, float]] = {}
         xi_mean_hist: np.ndarray | None = None
         xi_sigma_hist: np.ndarray | None = None
-        last_config = None
 
         for step, item in enumerate(items):
+            if varying:
+                bases = [loop._base_goal_at(item.index) for loop in loops]
+                adjusteds = [
+                    loop.adjuster.adjust(base, item)
+                    for loop, base in zip(loops, bases)
+                ]
+                periods = [base.period for base in bases]
+                step_bases.append(bases)
+                step_adjusteds.append(adjusteds)
             selections = cell.decide_many(adjusteds)
             for g, loop in enumerate(loops):
                 config = selections[g].config
+                period = periods[g]
+                view = loop.grid_view
                 columns = cols[g]
-                column = columns[step] if columns is not None else -1
                 row = -1
-                cap = 0.0
-                if column >= 0:
-                    view = loop.grid_view
-                    memo_key = (id(view), id(config))
-                    entry = row_memo.get(memo_key)
-                    if entry is None:
-                        engine = loop.engine
-                        effective = engine.actuator.set_power_cap(
-                            config.power_w
-                        )
-                        resolved = view.row_for(
-                            config.model, effective, config.rung_cap
-                        )
-                        entry = (
-                            resolved if resolved is not None else -1,
-                            engine.machine.clamp_power(config.power_w),
-                        )
-                        row_memo[memo_key] = entry
-                    row, cap = entry
+                if columns is not None and (
+                    not varying
+                    or view.matches_timing(adjusteds[g].deadline_s, period)
+                ):
+                    column = columns[step]
+                    if column >= 0:
+                        memo_key = (id(view), id(config))
+                        entry = row_memo.get(memo_key)
+                        if entry is None:
+                            engine = loop.engine
+                            effective = engine.actuator.set_power_cap(
+                                config.power_w
+                            )
+                            resolved = view.row_for(
+                                config.model, effective, config.rung_cap
+                            )
+                            entry = (
+                                resolved if resolved is not None else -1,
+                                engine.machine.clamp_power(config.power_w),
+                            )
+                            row_memo[memo_key] = entry
+                        row, cap = entry
                 if row >= 0:
-                    grid = loop.grid_view.grid
-                    rows[g, step] = row
-                    requested[g, step] = cap
+                    grid = view.grid
+                    key = (row, bases[g]) if varying else row
+                    steps = served[g].get(key)
+                    if steps is None:
+                        served[g][key] = [step]
+                    else:
+                        steps.append(step)
+                    caps[g][step] = cap
                     proxy = proxies[g]
                     proxy.model_name = grid.configs[row].model.name
                     proxy.power_cap_w = cap
-                    proxy.latency_s = grid.latency_s[row, column]
+                    proxy.latency_s = latency = grid.latency_s[row, column]
                     proxy.full_latency_s = grid.full_latency_s[row, column]
                     proxy.idle_power_w = grid.idle_power_w[row, column]
-                    proxy.period_s = periods[g]
+                    proxy.period_s = period
                     observed[g] = proxy
                 else:
                     outcome = loop.engine.run(
                         model=config.model,
                         power_cap_w=config.power_w,
                         index=item.index,
-                        deadline_s=deadlines[g],
-                        period_s=periods[g],
+                        deadline_s=adjusteds[g].deadline_s,
+                        period_s=period,
                         work_factor=item.work_factor,
                         rung_cap=config.rung_cap,
                     )
                     fallbacks[g][step] = outcome
                     observed[g] = outcome
-                last_config = config
+                    latency = outcome.latency_s
+                if varying:
+                    loop.adjuster.consume(item, float(latency))
             cell.observe_many(observed)
             snapshot = cell.xi_snapshot()
             if snapshot is not None:
@@ -1067,27 +1079,52 @@ class CrossSchemeLockstepLoop:
                 xi_sigma_hist[step] = snapshot[1]
 
         # The sequential path leaves the actuator at the last decision.
-        if last_config is not None:
-            loops[-1].engine.actuator.set_power_cap(last_config.power_w)
+        loops[-1].engine.actuator.set_power_cap(selections[-1].config.power_w)
 
         item_indices = [item.index for item in items]
+        # Cells without a ξ belief record 0/0, as the sequential path
+        # does for schedulers without a ``state``.
+        zeros = [0.0] * n
         results = []
         for g, loop in enumerate(loops):
-            records = self._fill_records(
-                loop=loop,
-                base=bases[g],
-                adjusted=adjusteds[g],
-                period=periods[g],
-                rows_g=rows[g],
-                cols_g=cols[g],
-                requested_g=requested[g],
-                fallback_g=fallbacks[g],
-                item_indices=item_indices,
-                xi_mean_hist=xi_mean_hist,
-                xi_sigma_hist=xi_sigma_hist,
-                g=g,
-                n=n,
-            )
+            if xi_mean_hist is None:
+                xi_means = xi_sigmas = zeros
+            else:
+                xi_means = xi_mean_hist[:, g].tolist()
+                xi_sigmas = xi_sigma_hist[:, g].tolist()
+            records: list[ServedInput | None] = [None] * n
+            occupied = 0.0
+            n_served = 0
+            for key, positions in served[g].items():
+                # Grid-served steps all run at the grid's timing, so
+                # the group's first step carries the group's deadline.
+                first = positions[0]
+                base = step_bases[first][g]
+                period = base.period
+                grid = loop.grid_view.grid
+                row = key[0] if varying else key
+                group = _read_rows(
+                    grid, row, cols[g][positions], grid.configs[row].model,
+                    float(grid.power_cap_w[row]), base,
+                )
+                occupied += sum(
+                    t if t > period else period for t in group.latency
+                )
+                n_served += len(positions)
+                _fill_group(
+                    records, positions, group, base,
+                    step_adjusteds[first][g].deadline_s, period,
+                    item_indices, caps[g], xi_means, xi_sigmas,
+                )
+            loop.clock.tick_many(occupied, n_served)
+            for step, outcome in fallbacks[g].items():
+                records[step] = loop._record(
+                    item_goal=step_bases[step][g],
+                    adjusted=step_adjusteds[step][g],
+                    outcome=outcome,
+                    xi_mean=xi_means[step],
+                    xi_sigma=xi_sigmas[step],
+                )
             results.append(
                 RunResult(
                     scheduler_name=loop.scheduler.name,
@@ -1097,139 +1134,3 @@ class CrossSchemeLockstepLoop:
             )
         LOCKSTEP_TELEMETRY.record_cell(cell)
         return results
-
-    @staticmethod
-    def _fill_records(
-        loop: ServingLoop,
-        base: Goal,
-        adjusted: Goal,
-        period: float,
-        rows_g: np.ndarray,
-        cols_g: "np.ndarray | None",
-        requested_g: np.ndarray,
-        fallback_g: "dict[int, InferenceOutcome]",
-        item_indices: list[int],
-        xi_mean_hist: "np.ndarray | None",
-        xi_sigma_hist: "np.ndarray | None",
-        g: int,
-        n: int,
-    ) -> list[ServedInput]:
-        """One goal's records, goal-major from the grid columns.
-
-        Grid-served steps are grouped by row and realised with the
-        batch path's vectorized slices + direct ``__dict__`` fill (the
-        parity suite pins the result against constructor-built
-        sequential records field by field); engine-fallback steps reuse
-        :meth:`ServingLoop._record` on their stored outcomes.  ξ per
-        record comes from the per-step history snapshots, matching what
-        the per-step path reads right after each ``observe_many``.  The
-        loop's clock advances by every step's occupied time, grid-served
-        steps in one ``tick_many`` as on the batch path.
-        """
-        records: list[ServedInput | None] = [None] * n
-        deadline = adjusted.deadline_s
-        served = np.nonzero(rows_g >= 0)[0]
-        if served.size:
-            view = loop.grid_view
-            grid = view.grid
-            fill = object.__setattr__
-            occupied = 0.0
-            for row in np.unique(rows_g[served]).tolist():
-                positions = served[rows_g[served] == row]
-                columns = cols_g[positions]
-                model = grid.configs[row].model
-                model_name = model.name
-                effective = float(grid.power_cap_w[row])
-                power = float(grid.inference_power_w[row])
-                met_row = grid.met_deadline[row, columns]
-                quality_row = grid.quality[row, columns]
-                energy_row = grid.energy_j[row, columns]
-                latency = grid.latency_s[row, columns].tolist()
-                occupied += sum(t if t > period else period for t in latency)
-                full = grid.full_latency_s[row, columns].tolist()
-                rungs = grid.completed_rungs[row, columns].tolist()
-                inference_j = grid.inference_j[row, columns].tolist()
-                idle_j = grid.idle_j[row, columns].tolist()
-                idle_power = grid.idle_power_w[row, columns].tolist()
-                env = grid.env_factor[columns].tolist()
-                met = met_row.tolist()
-                quality = quality_row.tolist()
-                metric = model.task.quality_to_metric_list(quality)
-                caps = requested_g[positions].tolist()
-
-                latency_violation = np.logical_not(met_row).tolist()
-                accuracy = base.quality_violated(quality_row)
-                if isinstance(accuracy, np.ndarray):
-                    accuracy_violation = accuracy.tolist()
-                else:
-                    accuracy_violation = [bool(accuracy)] * len(positions)
-                budget = base.energy_violated(energy_row)
-                if isinstance(budget, np.ndarray):
-                    energy_violation = budget.tolist()
-                else:
-                    energy_violation = [bool(budget)] * len(positions)
-                if xi_mean_hist is not None:
-                    xi_means = xi_mean_hist[positions, g].tolist()
-                    xi_sigmas = xi_sigma_hist[positions, g].tolist()
-                else:
-                    xi_means = xi_sigmas = None
-
-                for j, position in enumerate(positions.tolist()):
-                    energy = object.__new__(EnergyBreakdown)
-                    fill(energy, "__dict__", {
-                        "inference_j": inference_j[j],
-                        "idle_j": idle_j[j],
-                    })
-                    outcome = object.__new__(InferenceOutcome)
-                    fill(outcome, "__dict__", {
-                        "index": item_indices[position],
-                        "model_name": model_name,
-                        "power_cap_w": caps[j],
-                        "effective_cap_w": effective,
-                        "latency_s": latency[j],
-                        "full_latency_s": full[j],
-                        "met_deadline": met[j],
-                        "quality": quality[j],
-                        "metric_value": metric[j],
-                        "completed_rungs": rungs[j],
-                        "energy": energy,
-                        "inference_power_w": power,
-                        "idle_power_w": idle_power[j],
-                        "env_factor": env[j],
-                        "deadline_s": deadline,
-                        "period_s": period,
-                    })
-                    record = object.__new__(ServedInput)
-                    fill(record, "__dict__", {
-                        "outcome": outcome,
-                        "goal": base,
-                        "effective_deadline_s": deadline,
-                        "latency_violation": latency_violation[j],
-                        "accuracy_violation": accuracy_violation[j],
-                        "energy_violation": energy_violation[j],
-                        "xi_mean": (
-                            xi_means[j] if xi_means is not None else 0.0
-                        ),
-                        "xi_sigma": (
-                            xi_sigmas[j] if xi_sigmas is not None else 0.0
-                        ),
-                    })
-                    records[position] = record
-            loop.clock.tick_many(occupied, int(served.size))
-        for step, outcome in fallback_g.items():
-            records[step] = loop._record(
-                item_goal=base,
-                adjusted=adjusted,
-                outcome=outcome,
-                xi_mean=(
-                    float(xi_mean_hist[step, g])
-                    if xi_mean_hist is not None
-                    else 0.0
-                ),
-                xi_sigma=(
-                    float(xi_sigma_hist[step, g])
-                    if xi_sigma_hist is not None
-                    else 0.0
-                ),
-            )
-        return records

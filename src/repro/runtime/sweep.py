@@ -75,8 +75,9 @@ class SweepSpec:
     ``settings_stride`` subsamples each half's settings (the drivers'
     ``--stride`` convention).  The GPU column reports only the image
     task, as in the Table-4 driver, so GPU × non-image combinations
-    are skipped at compile time; an unknown platform, task, env or
-    candidate-set name raises :class:`~repro.errors.ConfigurationError`.
+    are skipped at compile time (:func:`run_sweep` refuses a spec left
+    with none); an unknown platform, task, env or candidate-set name
+    raises :class:`~repro.errors.ConfigurationError`.
     """
 
     platforms: tuple[str, ...] = ("CPU1",)
@@ -542,6 +543,11 @@ def run_sweep(
     started = time.perf_counter()
     spec_fp = spec.fingerprint()
     units = compile_sweep(spec)
+    if not units:
+        raise ConfigurationError(
+            "sweep compiles to no cell: the GPU platform reports the "
+            "image task only, as in the Table-4 driver"
+        )
     fingerprints = [unit.fingerprint() for unit in units]
 
     checkpointed: dict[str, tuple[CellSummary, ...]] = {}

@@ -310,7 +310,6 @@ def test_rebuilt_scenario_gets_a_grid_over_its_own_models(image_scenario):
     state = _WorkerState()
     first = state.grid(key, goal, 8)
     state._scenarios.clear()
-    state._spaces.clear()
     state._realisations.clear()
     rebuilt = state.grid(key, goal, 8)
     assert rebuilt is not first

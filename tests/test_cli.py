@@ -6,6 +6,7 @@ import pytest
 
 from repro import experiments
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def test_parser_knows_all_commands():
@@ -52,6 +53,22 @@ def test_cli_cell_commands_forward_options(command, monkeypatch, capsys):
     assert received["workers"] == 2
     platform = received.get("platform", received.get("platforms"))
     assert platform in ("GPU", ("GPU",))
+
+
+def test_cli_table4_rejects_gpu_sentence(capsys):
+    """Regression: ``repro table4 --platform GPU --task sentence``
+    printed a Table 4 with no rows and exited 0.  The GPU column reports
+    the image task only; a mixed request still skips just that pair."""
+    with pytest.raises(ConfigurationError, match="GPU"):
+        main(["table4", "--platform", "GPU", "--task", "sentence",
+              "--inputs", "5"])
+    assert "Table 4" not in capsys.readouterr().out
+    mixed = experiments.table4_overall.run(
+        platforms=("GPU", "CPU1"), tasks=("sentence",), envs=("default",),
+        schemes=("Oracle", "OracleStatic"), objectives=("min_energy",),
+        settings_stride=35, n_inputs=4,
+    )
+    assert [key.platform for key in mixed.cells] == ["CPU1"]
 
 
 def test_fleet_adaptive_arguments_parsed():

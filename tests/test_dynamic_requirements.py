@@ -20,7 +20,7 @@ from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
 from repro.experiments.harness import SCHEMES, evaluate_schemes, make_scheme
 from repro.runtime.executor import LOCKSTEP_MIN_GOALS
-from repro.runtime.loop import ServingLoop
+from repro.runtime.loop import LOCKSTEP_TELEMETRY, ServingLoop
 from repro.runtime.results import RunResult
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.traces import RequirementChange, RequirementTrace
@@ -130,18 +130,45 @@ def test_harness_trace_matches_per_run_serving_loop():
             assert run == reference, scheme
 
 
-@pytest.mark.parametrize("n_goals", [1, 3, LOCKSTEP_MIN_GOALS])
-def test_traced_cell_parity_across_serving_paths(n_goals, reference_cell):
+#: Outcome fields compared exactly, and to 1e-12 relative.
+DISCRETE_FIELDS = (
+    "index", "model_name", "power_cap_w", "effective_cap_w",
+    "met_deadline", "completed_rungs", "deadline_s", "period_s",
+)
+FLOAT_FIELDS = (
+    "latency_s", "full_latency_s", "quality", "metric_value",
+    "energy_j", "inference_power_w", "idle_power_w", "env_factor",
+)
+
+
+@pytest.mark.parametrize(
+    ("task", "env", "seed", "n_inputs", "n_goals"),
+    [
+        ("image", "default", 5, 12, 1),
+        ("image", "default", 5, 12, 3),
+        ("image", "default", 5, 12, LOCKSTEP_MIN_GOALS),
+        # Shared sentence deadlines under the trace: a wide cell whose
+        # lanes re-derive every goal at every input.
+        ("sentence", "compute", 29, 16, LOCKSTEP_MIN_GOALS),
+    ],
+    ids=["1", "3", str(LOCKSTEP_MIN_GOALS), "sentence"],
+)
+def test_traced_cell_parity_across_serving_paths(
+    task, env, seed, n_inputs, n_goals, reference_cell
+):
     """Mid-run goal changes keep per-goal and lockstep cells ≡ the
-    sequential reference, full zoo."""
-    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+    sequential reference, full zoo: discrete record fields exactly,
+    floats ≤1e-12 relative."""
+    scenario = build_scenario("CPU1", task, env, "standard", seed=seed)
     anchor = scenario.anchor_latency_s()
-    n_inputs = 12
     trace = _event_trace(anchor, n_inputs)
     goals = _goals(scenario, n_goals)
+    LOCKSTEP_TELEMETRY.reset()
     fused = evaluate_schemes(
         scenario, goals, SCHEMES, n_inputs=n_inputs, requirement_trace=trace
     )
+    lockstep_runs = LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"]
+    assert (lockstep_runs > 0) == (n_goals >= LOCKSTEP_MIN_GOALS)
     sequential = reference_cell(
         scenario, goals, SCHEMES, n_inputs, requirement_trace=trace
     )
@@ -150,18 +177,21 @@ def test_traced_cell_parity_across_serving_paths(n_goals, reference_cell):
         for run, reference in zip(
             fused.scheme_runs(scheme), sequential.scheme_runs(scheme)
         ):
-            assert len(run.records) == len(reference.records)
+            assert len(run.records) == len(reference.records) == n_inputs
             for ra, rb in zip(run.records, reference.records):
+                for field in DISCRETE_FIELDS:
+                    assert getattr(ra.outcome, field) == getattr(
+                        rb.outcome, field
+                    ), (scheme, field)
+                for field in FLOAT_FIELDS:
+                    assert getattr(ra.outcome, field) == pytest.approx(
+                        getattr(rb.outcome, field), rel=1e-12, abs=0.0
+                    ), (scheme, field)
+                assert ra.goal == rb.goal, scheme
                 assert ra.effective_deadline_s == rb.effective_deadline_s
-                assert ra.outcome.index == rb.outcome.index
-                assert ra.outcome.model_name == rb.outcome.model_name
-                assert ra.outcome.power_cap_w == rb.outcome.power_cap_w
-                assert ra.outcome.latency_s == pytest.approx(
-                    rb.outcome.latency_s, rel=1e-12, abs=0.0
-                )
-                assert ra.outcome.energy_j == pytest.approx(
-                    rb.outcome.energy_j, rel=1e-12, abs=0.0
-                )
-                assert ra.outcome.quality == pytest.approx(
-                    rb.outcome.quality, rel=1e-12, abs=0.0
+                assert ra.latency_violation == rb.latency_violation
+                assert ra.accuracy_violation == rb.accuracy_violation
+                assert ra.energy_violation == rb.energy_violation
+                assert (ra.xi_mean, ra.xi_sigma) == pytest.approx(
+                    (rb.xi_mean, rb.xi_sigma), rel=1e-12, abs=0.0
                 )

@@ -130,7 +130,7 @@ def test_compile_expands_cross_product():
 def test_compile_skips_unavailable_combinations():
     spec = SweepSpec(
         platforms=("GPU",),
-        tasks=("sentence",),  # no sentence candidates on GPU
+        tasks=("sentence",),  # the GPU column reports the image task only
         envs=("memory",),
         schemes=("OracleStatic",),
         settings_stride=9,
@@ -434,16 +434,12 @@ def test_worker_caches_are_bounded():
             state._scenarios, ("key", i), object(), _SCENARIO_CACHE_CAPACITY
         )
         state._cache_put(
-            state._spaces, ("key", i), object(), _SCENARIO_CACHE_CAPACITY
-        )
-        state._cache_put(
             state._realisations, ("key", i), object(), _SCENARIO_CACHE_CAPACITY
         )
         state._cache_put(
             state._grids, ("grid", i), object(), _GRID_CACHE_CAPACITY
         )
     assert len(state._scenarios) <= _SCENARIO_CACHE_CAPACITY
-    assert len(state._spaces) <= _SCENARIO_CACHE_CAPACITY
     assert len(state._realisations) <= _SCENARIO_CACHE_CAPACITY
     assert len(state._grids) <= _GRID_CACHE_CAPACITY
 
@@ -675,11 +671,16 @@ def test_cli_sweep_parser_flags():
     assert args.resume is True
 
 
-def test_cli_sweep_rejects_unknown_platform(capsys):
-    """Regression: ``repro sweep --platforms CPU9`` printed an empty
-    "complete" sweep and exited 0."""
+@pytest.mark.parametrize(
+    "selection",
+    [["--platforms", "CPU9"], ["--platforms", "GPU", "--tasks", "sentence"]],
+    ids=["unknown-platform", "gpu-sentence"],
+)
+def test_cli_sweep_rejects_unknown_platform(selection, capsys):
+    """Regression: ``repro sweep --platforms CPU9``, and a GPU-only
+    sentence sweep, printed an empty "complete" sweep and exited 0."""
     with pytest.raises(ConfigurationError):
-        main(["sweep", "--platforms", "CPU9", "--inputs", "5"])
+        main(["sweep", *selection, "--inputs", "5"])
     assert "complete" not in capsys.readouterr().out
 
 
