@@ -34,10 +34,10 @@ pool), and the experiment harness builds those plans.
   scheme's runs become one :class:`LockstepServingLoop` lane, and all
   lanes of the cell advance together through one
   :class:`CrossSchemeLockstepLoop`: one stacked decide and one stacked
-  observe pass per lane per input.  A lane whose goals can change
-  between inputs (shared sentence deadlines, a requirement trace)
-  re-derives them at every input; any other lane keeps one adjusted
-  goal per goal for the whole run.
+  observe pass per lane per input.  Each goal is derived at every
+  input through that goal's own :class:`ServingLoop`, as on the
+  sequential path, so shared sentence deadlines and requirement
+  traces need no second loop.
 
 The batch path and the lockstep lanes build their records the same
 way: the outcomes of one grid row are read into plain lists once
@@ -217,7 +217,7 @@ def _flags(violated, size: int) -> list:
 
 def _read_rows(
     planes, row: int, columns, model, effective_cap_w: float, goal: Goal
-) -> _RowGroup:
+) -> tuple[_RowGroup, tuple]:
     """Read one row group of an outcome grid into plain lists.
 
     ``planes`` is a :class:`~repro.models.inference.BatchOutcomeGrid`:
@@ -228,16 +228,27 @@ def _read_rows(
     violation flags are checked against ``goal`` with the tolerances of
     :mod:`repro.core.goals`, shared with :meth:`ServingLoop._record`
     and the oracles' feasibility masks.
+
+    Returns ``(group, series)``: the :class:`_RowGroup`, and the arrays
+    it was read from that the batch path copies into its whole-run
+    series — ``(latency, quality, energy, missed, accuracy, budget)``,
+    where the two constraint checks are one bool when they do not
+    apply to ``goal``.
     """
+    latency_row = planes.latency_s[row, columns]
     met_row = planes.met_deadline[row, columns]
     quality_row = planes.quality[row, columns]
+    energy_row = planes.energy_j[row, columns]
+    missed = np.logical_not(met_row)
+    accuracy = goal.quality_violated(quality_row)
+    budget = goal.energy_violated(energy_row)
     quality = quality_row.tolist()
     size = len(quality)
-    return _RowGroup(
+    group = _RowGroup(
         model.name,
         effective_cap_w,
         float(planes.inference_power_w[row]),
-        planes.latency_s[row, columns].tolist(),
+        latency_row.tolist(),
         planes.full_latency_s[row, columns].tolist(),
         met_row.tolist(),
         quality,
@@ -247,34 +258,36 @@ def _read_rows(
         planes.idle_j[row, columns].tolist(),
         planes.idle_power_w[row, columns].tolist(),
         planes.env_factor[columns].tolist(),
-        np.logical_not(met_row).tolist(),
-        _flags(goal.quality_violated(quality_row), size),
-        _flags(goal.energy_violated(planes.energy_j[row, columns]), size),
+        missed.tolist(),
+        _flags(accuracy, size),
+        _flags(budget, size),
     )
+    series = (latency_row, quality_row, energy_row, missed, accuracy, budget)
+    return group, series
 
 
 def _fill_group(
     records: list,
     positions: list[int],
+    caps: list[float],
     group: _RowGroup,
     goal: Goal,
     deadline_s: float,
     period_s: float,
     indices: list[int],
-    caps: list[float],
     xi_means: list[float],
     xi_sigmas: list[float],
 ) -> None:
     """Assemble one row group's records into ``records``.
 
-    ``positions`` are the group's inputs, in the order of its lists;
-    ``records``, ``indices``, ``caps`` (requested caps) and the ξ lists
-    align with the whole run.  Records are assembled by direct
-    ``__dict__`` fill: the frozen dataclass ``__init__`` (one
-    ``object.__setattr__`` per field) is this build's dominant cost,
-    and these classes have no ``__post_init__`` to skip.  The parity
-    suites pin the result against constructor-built sequential records
-    field by field.
+    ``positions`` are the group's inputs and ``caps`` their requested
+    caps, both in the order of the group's lists; ``records``,
+    ``indices`` and the ξ lists align with the whole run.  Records are
+    assembled by direct ``__dict__`` fill: the frozen dataclass
+    ``__init__`` (one ``object.__setattr__`` per field) is this build's
+    dominant cost, and these classes have no ``__post_init__`` to skip.
+    The parity suites pin the result against constructor-built
+    sequential records field by field.
     """
     (
         model_name, effective, power, latency, full, met, quality, metric,
@@ -292,7 +305,7 @@ def _fill_group(
         fill(outcome, "__dict__", {
             "index": indices[position],
             "model_name": model_name,
-            "power_cap_w": caps[position],
+            "power_cap_w": caps[j],
             "effective_cap_w": effective,
             "latency_s": latency[j],
             "full_latency_s": full[j],
@@ -575,7 +588,7 @@ class ServingLoop:
         scheduler offers it), grouped by configuration, and each group
         is realised with one pure ``evaluate_batch`` pass at the cap
         the actuator would have enforced; violation flags are computed
-        on the whole arrays.  Nothing is metered and ``observe`` is
+        on each group's arrays.  Nothing is metered and ``observe`` is
         never called (feedback-free policies declare it a no-op).
 
         Returns ``(arrays, materialize)``: the run's vectorized
@@ -599,6 +612,7 @@ class ServingLoop:
             configs = [scheduler.decide(item, adjusted) for item in items]
 
         engine = self.engine
+        clamp = engine.machine.clamp_power
         deadline = adjusted.deadline_s
         period = base_goal.period
         item_indices = [item.index for item in items]
@@ -619,15 +633,15 @@ class ServingLoop:
                 bucket.append(position)
 
         n = len(items)
-        # Whole-run series, filled group by group from the same planes
+        # Whole-run series, filled group by group from the same rows
         # the records are built from (so aggregates over either are
         # bit-identical).
         arr_latency = np.empty(n)
         arr_quality = np.empty(n)
         arr_energy = np.empty(n)
         arr_metric = np.empty(n)
-        arr_met = np.empty(n, dtype=bool)
-        arr_caps = np.empty(n)
+        arr_violated = np.empty(n, dtype=bool)
+        arr_missed = np.empty(n, dtype=bool)
         # Per-group payloads captured for the deferred record build.
         group_payloads = []
         # Occupied simulated time across the run (the per-input ticks
@@ -693,38 +707,29 @@ class ServingLoop:
                     work_factors=[items[p].work_factor for p in positions],
                 )
                 row, columns = 0, slice(None)
-            group = _read_rows(
+            group, series = _read_rows(
                 planes, row, columns, model, effective, base_goal
             )
+            latency, quality, energy, missed, accuracy, budget = series
             total_occupied += sum(
                 t if t > period else period for t in group.latency
             )
-            arr_latency[index] = planes.latency_s[row, columns]
-            arr_quality[index] = planes.quality[row, columns]
-            arr_energy[index] = planes.energy_j[row, columns]
+            arr_latency[index] = latency
+            arr_quality[index] = quality
+            arr_energy[index] = energy
             arr_metric[index] = group.metric
-            arr_met[index] = planes.met_deadline[row, columns]
-            arr_caps[index] = engine.machine.clamp_power(config.power_w)
-            group_payloads.append((positions, group))
+            arr_violated[index] = missed | accuracy | budget
+            arr_missed[index] = missed
+            group_payloads.append((positions, clamp(config.power_w), group))
         # The sequential path leaves the actuator at the last decision.
         engine.actuator.set_power_cap(configs[-1].power_w)
         self.clock.tick_many(total_occupied, n)
 
-        # Vectorized violation bookkeeping (one place of tolerance
-        # truth: repro.core.goals, shared with _read_rows, the
-        # sequential _record and the oracles' feasibility masks).
-        arr_missed = np.logical_not(arr_met)
         arrays = RunArrays(
             latency_s=arr_latency, quality=arr_quality, energy_j=arr_energy,
-            metric_value=arr_metric,
-            violated=(
-                arr_missed
-                | base_goal.quality_violated(arr_quality)
-                | base_goal.energy_violated(arr_energy)
-            ),
+            metric_value=arr_metric, violated=arr_violated,
             latency_violation=arr_missed,
         )
-        caps = arr_caps.tolist()
 
         def materialize() -> list[ServedInput]:
             # The closure holds only plain lists — no engine or grid
@@ -732,10 +737,11 @@ class ServingLoop:
             records: list[ServedInput | None] = [None] * n
             xi_means = [xi_mean] * n
             xi_sigmas = [xi_sigma] * n
-            for positions, group in group_payloads:
+            for positions, cap, group in group_payloads:
                 _fill_group(
-                    records, positions, group, base_goal, deadline, period,
-                    item_indices, caps, xi_means, xi_sigmas,
+                    records, positions, [cap] * len(positions), group,
+                    base_goal, deadline, period, item_indices,
+                    xi_means, xi_sigmas,
                 )
             return records
 
@@ -865,14 +871,12 @@ class CrossSchemeLockstepLoop:
     per-input Python ``decide``/``observe`` calls.  Lanes share the
     per-view column resolution, computed once per (view, engine) pair.
 
-    Goals are re-derived per step only where they can change.  When
-    inputs share group deadlines, a requirement trace is set, or an
-    adjuster is already mid-group, each step re-derives every goal's
-    base and adjusted goal through that goal's own
-    :class:`ServingLoop`, serves the goal from the grid only when the
-    step's timing is the grid's, and hands the realised latency back
-    to the goal's adjuster.  Otherwise every goal keeps one base and
-    adjusted goal for the run.
+    Each step derives every goal's base and adjusted goal through that
+    goal's own :class:`ServingLoop` (requirement trace, shared sentence
+    deadline), serves the goal from the grid only when the step's
+    timing is the grid's, and hands the realised latency back to the
+    goal's adjuster — the sequential path's goal plumbing, step for
+    step.
 
     Records are built after the stepping loop, goal by goal: the
     grid-served steps of one row (and one base goal) through the same
@@ -904,13 +908,9 @@ class CrossSchemeLockstepLoop:
         if n_inputs < 1:
             raise ConfigurationError(f"need at least one input, got {n_inputs}")
         items = self.stream.items(n_inputs)
-        grouped = self.stream.has_groups and any(
-            item.group_size > 1 for item in items
-        )
         column_cache: dict[tuple[int, int], np.ndarray] = {}
         return [
-            self._run_lane(lane, items, grouped, column_cache)
-            for lane in self.lanes
+            self._run_lane(lane, items, column_cache) for lane in self.lanes
         ]
 
     def _columns(
@@ -932,7 +932,6 @@ class CrossSchemeLockstepLoop:
         self,
         lane: "LockstepServingLoop",
         items: list[InputItem],
-        grouped: bool,
         column_cache: dict,
     ) -> "list[RunResult]":
         loops = lane.loops
@@ -940,34 +939,12 @@ class CrossSchemeLockstepLoop:
         n_goals = len(loops)
         n = len(items)
 
-        # Constant goals are built once: a fresh Goal per step would
-        # miss the stacked plan cache and the cell kernel's
-        # adjusted-goal cache, both keyed on goal identity.
-        varying = grouped or any(
-            not loop.trace.is_empty or loop.adjuster.mid_group
-            for loop in loops
-        )
-        if varying:
-            step_bases: list[list[Goal]] = []
-            step_adjusteds: list[list[Goal]] = []
-        else:
-            bases = [loop.goal for loop in loops]
-            adjusteds = [
-                loop.adjuster.adjust(loop.goal, items[0]) for loop in loops
-            ]
-            periods = [base.period for base in bases]
-            step_bases = [bases] * n
-            step_adjusteds = [adjusteds] * n
-
         # Column resolution is shared across every lane and goal
         # reading one view.
         cols: list[np.ndarray | None] = []
-        for g, loop in enumerate(loops):
+        for loop in loops:
             view = loop.grid_view
-            if view is None or not (
-                varying
-                or view.matches_timing(adjusteds[g].deadline_s, periods[g])
-            ):
+            if view is None:
                 cols.append(None)
                 continue
             cache_key = (id(view), id(loop.engine))
@@ -977,15 +954,17 @@ class CrossSchemeLockstepLoop:
                 column_cache[cache_key] = cached
             cols.append(cached)
 
-        # Grid-served steps per goal, keyed by row — and by base goal
-        # on a varying lane, the one thing that can change between
-        # them — with their requested caps; engine-served outcomes per
+        # Grid-served steps per goal with their requested caps, keyed
+        # by (row, base goal): every grid-served step runs at the
+        # grid's timing, so the base goal is the one thing that can
+        # change between steps of one row.  Engine-served outcomes per
         # goal by step.
         served: list[dict] = [{} for _ in range(n_goals)]
-        caps = [[0.0] * n for _ in range(n_goals)]
         fallbacks: list[dict[int, InferenceOutcome]] = [
             {} for _ in range(n_goals)
         ]
+        step_bases: list[list[Goal]] = []
+        step_adjusteds: list[list[Goal]] = []
         proxies = [_ObservedProxy() for _ in range(n_goals)]
         observed: list = [None] * n_goals
         # (view, config) -> (row or -1, requested clamped cap).  Config
@@ -997,25 +976,28 @@ class CrossSchemeLockstepLoop:
         xi_sigma_hist: np.ndarray | None = None
 
         for step, item in enumerate(items):
-            if varying:
-                bases = [loop._base_goal_at(item.index) for loop in loops]
-                adjusteds = [
-                    loop.adjuster.adjust(base, item)
-                    for loop, base in zip(loops, bases)
-                ]
-                periods = [base.period for base in bases]
-                step_bases.append(bases)
-                step_adjusteds.append(adjusteds)
+            # Each goal's own loop derives its goal for this input, as
+            # on the sequential path.  A goal that does not change
+            # comes back as the same object every step, which keeps the
+            # identity-keyed plan and adjusted-goal caches hitting.
+            index = item.index
+            bases = [loop._base_goal_at(index) for loop in loops]
+            adjusteds = [
+                loop.adjuster.adjust(base, item)
+                for loop, base in zip(loops, bases)
+            ]
+            step_bases.append(bases)
+            step_adjusteds.append(adjusteds)
             selections = cell.decide_many(adjusteds)
             for g, loop in enumerate(loops):
                 config = selections[g].config
-                period = periods[g]
+                base = bases[g]
+                period = base.period
                 view = loop.grid_view
                 columns = cols[g]
                 row = -1
-                if columns is not None and (
-                    not varying
-                    or view.matches_timing(adjusteds[g].deadline_s, period)
+                if columns is not None and view.matches_timing(
+                    adjusteds[g].deadline_s, period
                 ):
                     column = columns[step]
                     if column >= 0:
@@ -1037,13 +1019,13 @@ class CrossSchemeLockstepLoop:
                         row, cap = entry
                 if row >= 0:
                     grid = view.grid
-                    key = (row, bases[g]) if varying else row
-                    steps = served[g].get(key)
-                    if steps is None:
-                        served[g][key] = [step]
+                    key = (row, base)
+                    group = served[g].get(key)
+                    if group is None:
+                        served[g][key] = ([step], [cap])
                     else:
-                        steps.append(step)
-                    caps[g][step] = cap
+                        group[0].append(step)
+                        group[1].append(cap)
                     proxy = proxies[g]
                     proxy.model_name = grid.configs[row].model.name
                     proxy.power_cap_w = cap
@@ -1056,7 +1038,7 @@ class CrossSchemeLockstepLoop:
                     outcome = loop.engine.run(
                         model=config.model,
                         power_cap_w=config.power_w,
-                        index=item.index,
+                        index=index,
                         deadline_s=adjusteds[g].deadline_s,
                         period_s=period,
                         work_factor=item.work_factor,
@@ -1065,8 +1047,7 @@ class CrossSchemeLockstepLoop:
                     fallbacks[g][step] = outcome
                     observed[g] = outcome
                     latency = outcome.latency_s
-                if varying:
-                    loop.adjuster.consume(item, float(latency))
+                loop.adjuster.consume(item, float(latency))
             cell.observe_many(observed)
             snapshot = cell.xi_snapshot()
             if snapshot is not None:
@@ -1095,15 +1076,10 @@ class CrossSchemeLockstepLoop:
             records: list[ServedInput | None] = [None] * n
             occupied = 0.0
             n_served = 0
-            for key, positions in served[g].items():
-                # Grid-served steps all run at the grid's timing, so
-                # the group's first step carries the group's deadline.
-                first = positions[0]
-                base = step_bases[first][g]
+            for (row, base), (positions, caps) in served[g].items():
                 period = base.period
                 grid = loop.grid_view.grid
-                row = key[0] if varying else key
-                group = _read_rows(
+                group, _ = _read_rows(
                     grid, row, cols[g][positions], grid.configs[row].model,
                     float(grid.power_cap_w[row]), base,
                 )
@@ -1111,10 +1087,12 @@ class CrossSchemeLockstepLoop:
                     t if t > period else period for t in group.latency
                 )
                 n_served += len(positions)
+                # Grid-served steps all run at the grid's timing, so
+                # the group's first step carries the group's deadline.
                 _fill_group(
-                    records, positions, group, base,
-                    step_adjusteds[first][g].deadline_s, period,
-                    item_indices, caps[g], xi_means, xi_sigmas,
+                    records, positions, caps, group, base,
+                    step_adjusteds[positions[0]][g].deadline_s, period,
+                    item_indices, xi_means, xi_sigmas,
                 )
             loop.clock.tick_many(occupied, n_served)
             for step, outcome in fallbacks[g].items():

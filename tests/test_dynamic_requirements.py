@@ -147,8 +147,8 @@ FLOAT_FIELDS = (
         ("image", "default", 5, 12, 1),
         ("image", "default", 5, 12, 3),
         ("image", "default", 5, 12, LOCKSTEP_MIN_GOALS),
-        # Shared sentence deadlines under the trace: a wide cell whose
-        # lanes re-derive every goal at every input.
+        # Shared sentence deadlines under the trace, in a cell wide
+        # enough to serve its stacking schemes as lockstep lanes.
         ("sentence", "compute", 29, 16, LOCKSTEP_MIN_GOALS),
     ],
     ids=["1", "3", str(LOCKSTEP_MIN_GOALS), "sentence"],
