@@ -20,11 +20,13 @@ can be regenerated from a shell::
 
 ``sweep`` is the production-scale front over the same executor: it
 expands a declarative spec (platforms x tasks x envs x seeds x the
-constraint grid x schemes) into fused cells, streams compact per-cell
-summaries back (O(cells) driver memory), shares realised outcome
-grids across pool workers through ``multiprocessing.shared_memory``,
-and checkpoints completed cells to JSONL so a killed sweep resumes
-bit-identically.
+constraint grid x schemes) into one cell per (scenario, goal), runs
+each scenario's cells as one scenario-wide spec (so ALERT and the
+other stacking schemes advance all its goals in lockstep), streams
+compact per-cell summaries back (O(cells) driver memory), shares
+realised outcome grids across pool workers through
+``multiprocessing.shared_memory``, and checkpoints completed cells to
+JSONL so a killed sweep resumes bit-identically.
 
 ``fleet`` is the open-loop counterpart of ``serve``: N replicas (each
 with its own ALERT controller) behind a bounded admission queue and a
@@ -43,8 +45,10 @@ The grid-evaluating commands (``table4``, ``table5``, ``fig08``) take
 :class:`repro.runtime.executor.RunExecutor` (use roughly the machine's
 core count).  Every cell serves all its schemes from one shared
 outcome grid per timing, and a cell wide enough in goals advances its
-stacking schemes in lockstep; results are bit-identical whichever way
-the plan executes, so ``--workers`` is purely a wall-clock knob.
+stacking schemes in lockstep; a cell splits across workers only into
+chunks that stay that wide, so a narrow cell runs serially whatever
+``--workers`` says.  Results are bit-identical whichever way the plan
+executes, so ``--workers`` is purely a wall-clock knob.
 """
 
 from __future__ import annotations
@@ -282,13 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="declarative (scenario x goal x scheme) sweep, resumable",
         description=(
             "Expand a declarative sweep spec (platforms x tasks x envs x "
-            "seeds x the constraint grid x schemes) into the executor's "
-            "cell plan and run it with streaming per-cell summaries "
-            "(driver memory stays O(cells)).  With --workers > 1 a "
-            "shared-memory grid store realises each outcome grid once "
-            "per sweep instead of once per worker; with --checkpoint "
-            "completed cells append to a JSONL file and a restarted "
-            "sweep resumes bit-identically."
+            "seeds x the constraint grid x schemes) into one cell per "
+            "(scenario, goal) and run each scenario's pending cells as "
+            "one scenario-wide spec, with streaming per-cell summaries "
+            "(driver memory stays O(cells)).  With --workers > 1 the "
+            "specs run as pool tasks, parallel across scenarios (a "
+            "scenario splits only when there are fewer scenarios than "
+            "workers), and a shared-memory grid store realises each "
+            "outcome grid once per sweep instead of once per worker.  "
+            "With --checkpoint each cell appends a JSONL line when its "
+            "spec finishes, and a restarted sweep resumes "
+            "bit-identically."
         ),
     )
     sweep.add_argument("--platforms", nargs="+", default=["CPU1"])

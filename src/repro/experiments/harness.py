@@ -6,15 +6,15 @@ definitions exist: every cell — table4, table5, fig08, the sweep, the
 CLI and the examples — builds its schedulers through it.
 
 **Architecture (spec → executor → loop).**  :func:`evaluate_schemes`
-does not run anything itself: it compiles the cell into a plan of
-:class:`repro.runtime.executor.CellSpec` entries and hands it to a
-:class:`repro.runtime.executor.RunExecutor`.  Serially the plan is one
-spec holding every goal; with ``workers`` > 1 it is one spec per
-timing, so the plan fans out across the pool while each spec still
-shares its outcome grid.  The executing process realises the
-(configuration × input) outcome grid once per timing and serves every
-scheme from it; how a stacking scheme is served (lockstep lanes or
-per-goal loops) follows the spec's goal count, never a caller's flag.
+does not run anything itself: it plans the cell through
+:func:`repro.runtime.executor.plan_cells` and hands the plan to a
+:class:`repro.runtime.executor.RunExecutor`.  The plan is one spec
+holding every goal, split only when ``workers`` exceeds one, and then
+into contiguous chunks no narrower than the lockstep width.  The
+executing process realises the (configuration × input) outcome grid
+once per timing and serves every scheme from it; how a stacking
+scheme is served (lockstep lanes or per-goal loops) follows the spec's
+goal count, never a caller's flag.
 Specs are picklable and rebuilt from the scenario's seeds in whichever
 process executes them, so the merged :class:`CellResult` is
 bit-identical regardless of worker count (common random numbers).  A
@@ -40,7 +40,7 @@ from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal
 from repro.errors import ConfigurationError
 from repro.models.inference import BatchOutcomeGrid, GridView
-from repro.runtime.executor import CellSpec, RunExecutor, ScenarioKey
+from repro.runtime.executor import RunExecutor, ScenarioKey, plan_cells
 from repro.runtime.results import RunResult
 from repro.runtime.scheduler import Scheduler
 from repro.workloads.scenarios import Scenario
@@ -165,9 +165,13 @@ def evaluate_schemes(
     scenario's seed, so all schemes face bit-identical environments
     (common random numbers) and the cell can be executed by any number
     of ``workers`` with bit-identical results.  One outcome grid per
-    timing serves every scheme (see the module docstring).  A scenario
-    that :meth:`ScenarioKey.for_scenario` cannot round-trip runs in
-    this process, whatever ``workers`` asks for.
+    timing serves every scheme (see the module docstring).  With
+    ``workers`` > 1 the cell splits into contiguous specs of at least
+    :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS` goals, one per
+    worker where the goals allow; a cell too narrow to split runs in
+    this process.  So does a scenario that
+    :meth:`ScenarioKey.for_scenario` cannot round-trip, whatever
+    ``workers`` asks for.
 
     ``requirement_trace`` applies one mid-run goal-override trace
     (Figure 9's dynamic requirements) to every run of the cell; traced
@@ -186,35 +190,17 @@ def evaluate_schemes(
         key = ScenarioKey.of(scenario)
         workers = 1
 
-    # One spec spans the goals sharing a worker: the whole grid when
-    # serial (maximum stacking width), one spec per timing when pooled
-    # (keeps the plan parallelisable while every spec still shares its
-    # outcome grid).  Either grouping is value-identical — each goal's
-    # trajectory is independent.
-    if workers == 1:
-        groups = [list(range(len(goal_list)))]
-    else:
-        by_timing: dict[tuple, list[int]] = {}
-        for position, goal in enumerate(goal_list):
-            by_timing.setdefault((goal.deadline_s, goal.period), []).append(
-                position
-            )
-        groups = list(by_timing.values())
-    plan = [
-        CellSpec(
-            scenario=key,
-            goals=tuple(goal_list[position] for position in group),
-            schemes=scheme_list,
-            n_inputs=n_inputs,
-            requirement_trace=requirement_trace,
-        )
-        for group in groups
-    ]
+    plan = plan_cells(
+        [(key, goal) for goal in goal_list], scheme_list, n_inputs,
+        workers=workers, requirement_trace=requirement_trace,
+    )
     executor = RunExecutor(workers=workers)
-    cell_results = executor.run_plan(plan, scenarios={key: scenario})
+    cell_results = executor.run_plan(
+        [spec for spec, _positions in plan], scenarios={key: scenario}
+    )
     runs = {name: [None] * len(goal_list) for name in scheme_list}
-    for group, per_goal in zip(groups, cell_results):
-        for local, position in enumerate(group):
-            for name, result in zip(scheme_list, per_goal[local]):
+    for (_spec, positions), per_goal in zip(plan, cell_results):
+        for position, goal_runs in zip(positions, per_goal):
+            for name, result in zip(scheme_list, goal_runs):
                 runs[name][position] = result
     return CellResult(scenario=scenario, goals=goal_list, runs=runs)

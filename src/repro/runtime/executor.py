@@ -25,6 +25,14 @@ independence into an execution plan:
   :class:`~repro.runtime.loop.CrossSchemeLockstepLoop` (one stacked
   decide/observe pass per input for all goals), below that each goal
   runs alone through :class:`~repro.runtime.loop.ServingLoop`;
+* :func:`plan_cells` — the one planning rule: (scenario, goal) work
+  groups into one scenario-wide spec per scenario, so every cell is as
+  wide as its scenario allows.  A plan parallelises across scenarios,
+  never across timings; a scenario splits only when there are fewer
+  scenarios than workers, and then into contiguous chunks of at least
+  :data:`LOCKSTEP_MIN_GOALS` goals.  Both the table drivers (through
+  :func:`~repro.experiments.harness.evaluate_schemes`) and the sweep
+  plan through it;
 * :class:`RunExecutor` — executes a plan either serially in-process or
   across a ``concurrent.futures`` process pool.  Results are merged
   back in plan order, so the output is *bit-identical* regardless of
@@ -46,6 +54,7 @@ against it (``tests/test_lockstep_parity.py``).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +78,7 @@ __all__ = [
     "CellSpec",
     "LOCKSTEP_MIN_GOALS",
     "RunExecutor",
+    "plan_cells",
     "run_single",
     "space_fingerprint",
     "structural_space_fingerprint",
@@ -184,6 +194,57 @@ class CellSpec:
             raise ConfigurationError(
                 f"need at least one input, got {self.n_inputs}"
             )
+
+
+def plan_cells(
+    work: Iterable[tuple[ScenarioKey, Goal]],
+    schemes: tuple[str, ...],
+    n_inputs: int,
+    workers: int = 1,
+    requirement_trace: RequirementTrace | None = None,
+) -> list[tuple[CellSpec, tuple[int, ...]]]:
+    """Group (scenario, goal) work into scenario-wide cell specs.
+
+    Each scenario's goals become one :class:`CellSpec`, in the order
+    they first appear in ``work``, so a cell holds every timing of its
+    scenario and its stacking schemes run as lockstep lanes.  Work is
+    parallelised across scenarios, never across timings: a scenario is
+    split only when the plan has fewer scenarios than ``workers``, and
+    then into contiguous chunks of at least :data:`LOCKSTEP_MIN_GOALS`
+    goals each (as many as give every worker a spec, where the goals
+    allow).  A goal's runs do not depend on the cell holding them, so
+    every grouping returns identical runs.
+
+    Returns one ``(spec, positions)`` pair per cell, in plan order;
+    ``positions`` index the cell's goals in ``work``.
+    """
+    items = list(work)
+    by_scenario: dict[ScenarioKey, list[int]] = {}
+    for position, (key, _goal) in enumerate(items):
+        by_scenario.setdefault(key, []).append(position)
+    if not by_scenario:
+        return []
+    chunks_wanted = math.ceil(workers / len(by_scenario))
+    plan = []
+    for key, positions in by_scenario.items():
+        n_chunks = max(
+            1, min(chunks_wanted, len(positions) // LOCKSTEP_MIN_GOALS)
+        )
+        size, extra = divmod(len(positions), n_chunks)
+        start = 0
+        for chunk in range(n_chunks):
+            stop = start + size + (chunk < extra)
+            group = tuple(positions[start:stop])
+            spec = CellSpec(
+                scenario=key,
+                goals=tuple(items[position][1] for position in group),
+                schemes=schemes,
+                n_inputs=n_inputs,
+                requirement_trace=requirement_trace,
+            )
+            plan.append((spec, group))
+            start = stop
+    return plan
 
 
 def space_fingerprint(configs: Iterable) -> tuple:

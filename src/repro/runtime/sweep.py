@@ -4,26 +4,32 @@ The experiment drivers evaluate one Table-4 cell at a time and hold
 every run's full per-input record list in the driver.  This module is
 the production-scale front: a **declarative sweep spec** (platforms ×
 tasks × envs × seeds × the constraint grid × schemes) compiles into
-a plan of one-goal :class:`~repro.runtime.executor.CellSpec` units,
-executes serially or across a process pool, and scales along
-three axes the drivers do not:
+one-goal :class:`SweepUnit` entries, the checkpoint key and result
+slot of each (scenario, goal) pair.  The units still to run are
+planned by :func:`~repro.runtime.executor.plan_cells` into
+scenario-wide cell specs, so every stacking scheme (the ALERT family,
+Sys-only, No-coord) runs as a lockstep lane across all of a
+scenario's goals.  Specs execute serially or one per pool task, and
+the sweep scales along three axes the drivers do not:
 
 * **zero-copy grids** — whenever the sweep runs a process pool, a
   :class:`~repro.runtime.grid_store.SharedGridStore` realises each
   (scenario, timing) outcome grid once per *sweep* and publishes it
   via ``multiprocessing.shared_memory``; workers attach read-only
-  views instead of re-realising per process;
+  views instead of re-realising per process.  A store that cannot be
+  created degrades to per-process caches, and the result reports why;
 * **streaming aggregation** — workers return compact per-cell
   :class:`CellSummary` rows (violation rate, means, latency
   percentiles, normalized scores), so driver memory is O(cells), not
   O(inputs).  ``keep_runs=True`` additionally returns the full
   :class:`~repro.runtime.results.RunResult` objects and remains the
   parity reference (``tests/test_sweep_parity.py``);
-* **checkpoint/resume** — each completed cell appends one JSONL line
-  keyed by a deterministic :meth:`SweepUnit.fingerprint`; a restarted
-  sweep skips finished cells and merges checkpointed summaries
-  bit-identically with fresh ones (JSON round-trips Python floats
-  exactly).
+* **checkpoint/resume** — each completed unit appends one JSONL line
+  keyed by a deterministic :meth:`SweepUnit.fingerprint`, written when
+  the spec holding it finishes; a restarted sweep skips finished units
+  and merges checkpointed summaries bit-identically with fresh ones
+  (JSON round-trips Python floats exactly, and a goal's runs do not
+  depend on the width of the spec that served it).
 
 Results are merged in plan order, so pooled output is bit-identical
 to serial output (common random numbers, as everywhere in this stack).
@@ -42,7 +48,12 @@ import numpy as np
 
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
-from repro.runtime.executor import CellSpec, ScenarioKey, _WorkerState
+from repro.runtime.executor import (
+    CellSpec,
+    ScenarioKey,
+    _WorkerState,
+    plan_cells,
+)
 from repro.runtime.results import VIOLATION_SETTING_THRESHOLD, RunResult
 from repro.workloads.scenarios import constraint_grid
 
@@ -158,7 +169,11 @@ class SweepUnit:
     n_inputs: int
 
     def cell_spec(self) -> CellSpec:
-        """The executor spec this unit runs as: a one-goal cell."""
+        """This unit alone as a one-goal executor spec.
+
+        :func:`run_sweep` serves units in scenario-wide specs instead;
+        a unit's summaries equal this spec's either way.
+        """
         return CellSpec(
             scenario=self.scenario,
             goals=(self.goal,),
@@ -426,14 +441,20 @@ def _sweep_initializer(grid_store=None) -> None:
     _SWEEP_GRID_STORE = grid_store
 
 
-def _sweep_execute(unit: SweepUnit, keep_runs: bool):
-    """Pool entry point: run one cell, return its compact summaries."""
+def _summarize_spec(state: _WorkerState, cell: CellSpec, keep_runs: bool):
+    """Run one spec; one ``(summaries, runs-or-None)`` pair per goal."""
+    return [
+        (summarize_cell(cell.schemes, runs), runs if keep_runs else None)
+        for runs in state.execute(cell)
+    ]
+
+
+def _sweep_execute(cell: CellSpec, keep_runs: bool):
+    """Pool entry point: run one spec, return its compact summaries."""
     global _SWEEP_STATE
     if _SWEEP_STATE is None:
         _SWEEP_STATE = _WorkerState(grid_store=_SWEEP_GRID_STORE)
-    (runs,) = _SWEEP_STATE.execute(unit.cell_spec())
-    summaries = summarize_cell(unit.schemes, runs)
-    return summaries, (runs if keep_runs else None)
+    return _summarize_spec(_SWEEP_STATE, cell, keep_runs)
 
 
 @dataclass
@@ -444,7 +465,9 @@ class SweepResult:
     for an aborted (``cell_limit``) sweep's unexecuted tail.
     ``runs`` maps unit fingerprints to full per-scheme
     :class:`~repro.runtime.results.RunResult` lists when the sweep ran
-    with ``keep_runs=True``.
+    with ``keep_runs=True``.  ``grid_store_stats`` holds a pooled
+    sweep's store counters; ``grid_store_error`` says why a pooled
+    sweep ran without its store.
     """
 
     spec: SweepSpec
@@ -457,6 +480,7 @@ class SweepResult:
     checkpoint_path: str | None = None
     runs: dict[str, list[RunResult]] | None = None
     grid_store_stats: dict | None = field(default=None)
+    grid_store_error: str | None = None
 
     @property
     def n_cells(self) -> int:
@@ -484,6 +508,11 @@ class SweepResult:
             lines.append(
                 f"  grid store: {stats['grids']} shared grids, "
                 f"{stats['nbytes'] / 1e6:.1f} MB published"
+            )
+        if self.grid_store_error is not None:
+            lines.append(
+                f"  grid store unavailable ({self.grid_store_error}): "
+                "workers realised their grids privately"
             )
         by_scheme: dict[str, list[float]] = {}
         for cell in self.cells:
@@ -515,24 +544,33 @@ def run_sweep(
     Parameters
     ----------
     workers:
-        1 runs in-process; >1 fans cells out over a process pool.
-        Output is bit-identical either way (plan-ordered merge).  A
-        pooled sweep shares realised outcome grids across its workers
-        through a :class:`~repro.runtime.grid_store.SharedGridStore`
-        (a store construction failure degrades to per-process caches);
-        an in-process sweep keeps its one process's grid cache.
+        1 runs in-process; >1 runs each scenario-wide spec as one task
+        of a process pool (see :func:`~repro.runtime.executor.plan_cells`
+        for when a scenario splits).  A plan of one spec runs
+        in-process whatever ``workers`` asks for.  Output is
+        bit-identical either way (plan-ordered merge).  A pooled sweep
+        shares realised outcome grids across its workers through a
+        :class:`~repro.runtime.grid_store.SharedGridStore`; when the
+        store cannot be created (an ``OSError`` from shared memory or
+        semaphores) the workers fall back to per-process caches and
+        ``grid_store_error`` says why.  An in-process sweep keeps its
+        one process's grid cache.
     checkpoint_path:
-        JSONL file completed cells append to.  With ``resume`` (the
-        default) cells already checkpointed under this spec's
-        fingerprint are skipped and their summaries merged as-is —
-        bit-identical to recomputing them.
+        JSONL file completed units append to, one line each, written
+        when the spec holding the unit finishes: a kill loses every
+        unit of the specs in flight (up to one scenario's goals per
+        spec), never a finished one.  With ``resume`` (the default)
+        units already checkpointed under this spec's fingerprint are
+        skipped and their summaries merged as-is — bit-identical to
+        recomputing them.
     keep_runs:
         Additionally collect every cell's full ``RunResult`` lists
         (driver memory grows to O(inputs); the parity reference).
     cell_limit:
-        Execute at most this many *new* cells, then stop — simulating
-        a killed sweep for crash-resume testing; the result reports
-        ``complete=False`` and the unexecuted tail stays None.
+        Execute at most this many *new* units (the first pending ones
+        in plan order), then stop — simulating a killed sweep for
+        crash-resume testing; the result reports ``complete=False`` and
+        the unexecuted tail stays None.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")
@@ -566,19 +604,31 @@ def run_sweep(
             pending.append(position)
     if cell_limit is not None:
         pending = pending[:cell_limit]
+    # Every unit of a sweep shares its spec's schemes and input count.
+    plan = [
+        (cell, tuple(pending[index] for index in group))
+        for cell, group in plan_cells(
+            [(units[position].scenario, units[position].goal)
+             for position in pending],
+            spec.schemes,
+            spec.n_inputs,
+            workers=workers,
+        )
+    ]
 
-    pooled = workers > 1 and len(pending) > 1
+    pooled = workers > 1 and len(plan) > 1
     store = None
     client = None
+    store_error = None
     if pooled:
         from repro.runtime.grid_store import SharedGridStore
 
         try:
             store = SharedGridStore()
+        except OSError as error:
+            store_error = f"{type(error).__name__}: {error}"
+        else:
             client = store.client()
-        except Exception:
-            store = None
-            client = None
 
     runs: dict[str, list[RunResult]] | None = {} if keep_runs else None
     handle = None
@@ -586,36 +636,35 @@ def run_sweep(
         if checkpoint_path is not None and pending:
             handle = open(checkpoint_path, "a", encoding="utf-8")
 
-        def record(position: int, summaries, cell_runs) -> None:
-            cells[position] = summaries
-            if runs is not None and cell_runs is not None:
-                runs[fingerprints[position]] = cell_runs
-            if handle is not None:
-                handle.write(
-                    _checkpoint_line(spec_fp, fingerprints[position], summaries)
-                    + "\n"
-                )
-                handle.flush()
+        def record(positions, results) -> None:
+            """Store and checkpoint a finished spec's units."""
+            for position, (summaries, cell_runs) in zip(positions, results):
+                cells[position] = summaries
+                if runs is not None and cell_runs is not None:
+                    runs[fingerprints[position]] = cell_runs
+                if handle is not None:
+                    handle.write(
+                        _checkpoint_line(
+                            spec_fp, fingerprints[position], summaries
+                        )
+                        + "\n"
+                    )
+                    handle.flush()
 
         if not pooled:
             state = _WorkerState()
-            for position in pending:
-                (unit_runs,) = state.execute(units[position].cell_spec())
-                summaries = summarize_cell(units[position].schemes, unit_runs)
-                record(
-                    position, summaries, unit_runs if keep_runs else None
-                )
+            for cell, positions in plan:
+                record(positions, _summarize_spec(state, cell, keep_runs))
         else:
-            n_workers = min(workers, len(pending))
+            n_workers = min(workers, len(plan))
             with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_sweep_initializer,
                 initargs=(client,),
             ) as pool:
                 futures = {
-                    pool.submit(_sweep_execute, units[position], keep_runs):
-                    position
-                    for position in pending
+                    pool.submit(_sweep_execute, cell, keep_runs): positions
+                    for cell, positions in plan
                 }
                 outstanding = set(futures)
                 while outstanding:
@@ -623,9 +672,7 @@ def run_sweep(
                         outstanding, return_when=FIRST_COMPLETED
                     )
                     for future in done:
-                        position = futures[future]
-                        summaries, cell_runs = future.result()
-                        record(position, summaries, cell_runs)
+                        record(futures[future], future.result())
     finally:
         if handle is not None:
             handle.close()
@@ -646,4 +693,5 @@ def run_sweep(
         checkpoint_path=checkpoint_path,
         runs=runs,
         grid_store_stats=stats,
+        grid_store_error=store_error,
     )

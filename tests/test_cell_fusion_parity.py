@@ -28,6 +28,7 @@ from repro.runtime.executor import (
     RunExecutor,
     ScenarioKey,
     _WorkerState,
+    plan_cells,
     timing_grid,
 )
 from repro.runtime.loop import ServingLoop
@@ -139,7 +140,20 @@ def test_cell_matches_reference(
 
 
 def test_pool_bit_identical_to_serial(image_scenario):
-    goals = _goals(image_scenario)
+    anchor = image_scenario.anchor_latency_s()
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * factor,
+            accuracy_min=floor,
+        )
+        for factor in (1.0, 1.5)
+        for floor in (0.8, 0.83, 0.85, 0.88, 0.9, 0.95)
+    ]
+    # Two workers get two lockstep-wide specs, so the pool starts.
+    key = ScenarioKey.for_scenario(image_scenario)
+    plan = plan_cells([(key, g) for g in goals], ALL_SCHEMES, 15, workers=2)
+    assert [len(spec.goals) for spec, _ in plan] == [6, 6]
     serial = evaluate_schemes(image_scenario, goals, ALL_SCHEMES, n_inputs=15)
     pooled = evaluate_schemes(
         image_scenario, goals, ALL_SCHEMES, n_inputs=15, workers=2

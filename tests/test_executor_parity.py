@@ -4,9 +4,12 @@ Pins the contract of :mod:`repro.runtime.executor`: a plan executed
 across a process pool must return results *bit-identical* to the same
 plan executed serially (common random numbers — every run rebuilds its
 environment from the scenario seed), and the per-timing oracle grid
-cache must never change a run's outcome.  Also covers hand-built
-scenarios that a worker cannot rebuild from their key: they run
-in-process from the live object, whatever ``workers`` asks for.
+cache must never change a run's outcome.  Also pins the one planning
+rule, :func:`~repro.runtime.executor.plan_cells` (one spec per
+scenario, split only for idle workers and never below the lockstep
+width), and covers hand-built scenarios that a worker cannot rebuild
+from their key: they run in-process from the live object, whatever
+``workers`` asks for.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.runtime.executor import (
     CellSpec,
     RunExecutor,
     ScenarioKey,
+    plan_cells,
 )
 from repro.runtime.loop import LOCKSTEP_TELEMETRY
 from repro.workloads.scenarios import Scenario, build_scenario
@@ -151,8 +155,23 @@ def test_parallel_plan_bit_identical_to_serial(platform, task, env, seed):
 
 
 def test_evaluate_schemes_workers_bit_identical(image_scenario):
-    goals = _goals(image_scenario, ObjectiveKind.MAXIMIZE_ACCURACY)
+    anchor = image_scenario.anchor_latency_s()
+    budget = image_scenario.machine.default_power() * anchor * 0.6
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+            deadline_s=anchor * factor,
+            energy_budget_j=budget * scale,
+        )
+        for factor in (1.0, 1.5)
+        for scale in (0.8, 0.9, 1.0, 1.1, 1.25, 1.5)
+    ]
     schemes = ("ALERT", "Oracle", "OracleStatic")
+    key = ScenarioKey.for_scenario(image_scenario)
+    # Wide enough that two workers get two lockstep-wide specs.
+    plan = plan_cells([(key, g) for g in goals], schemes, 12, workers=2)
+    assert len(plan) == 2
+    assert all(len(spec.goals) >= LOCKSTEP_MIN_GOALS for spec, _ in plan)
     one = evaluate_schemes(image_scenario, goals, schemes, n_inputs=12)
     two = evaluate_schemes(
         image_scenario, goals, schemes, n_inputs=12, workers=2
@@ -161,6 +180,58 @@ def test_evaluate_schemes_workers_bit_identical(image_scenario):
     for name in schemes:
         for a, b in zip(one.scheme_runs(name), two.scheme_runs(name)):
             _assert_runs_identical(a, b)
+
+
+# ----------------------------------------------------------------------
+# The planning rule
+# ----------------------------------------------------------------------
+def _work(n_scenarios, n_goals):
+    keys = [
+        ScenarioKey("CPU1", "image", env, seed=1)
+        for env in ("default", "memory", "compute")[:n_scenarios]
+    ]
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=0.1 * (1 + g // 4),
+            accuracy_min=0.5 + 0.01 * g,
+        )
+        for g in range(n_goals)
+    ]
+    return [(key, goal) for key in keys for goal in goals]
+
+
+@pytest.mark.parametrize(
+    ("n_scenarios", "n_goals", "workers", "widths"),
+    [
+        (2, 24, 1, [24, 24]),  # serial: one spec per scenario
+        (2, 24, 2, [24, 24]),  # as many scenarios as workers: no split
+        (3, 24, 2, [24, 24, 24]),  # never split to fill idle workers
+        (1, 24, 2, [12, 12]),  # fewer scenarios than workers: split
+        (1, 24, 4, [6, 6, 6, 6]),
+        (1, 24, 8, [6, 6, 6, 6]),  # chunks never narrower than lockstep
+        (1, 13, 2, [7, 6]),
+        (1, 11, 2, [11]),  # too narrow for two lockstep chunks
+        (2, 14, 4, [7, 7, 7, 7]),
+        (1, 3, 4, [3]),
+        (0, 24, 2, []),  # no work, no plan
+    ],
+)
+def test_plan_cells_groups_by_scenario(n_scenarios, n_goals, workers, widths):
+    work = _work(n_scenarios, n_goals)
+    schemes = ("ALERT", "OracleStatic")
+    plan = plan_cells(work, schemes, 10, workers=workers)
+    assert [len(spec.goals) for spec, _ in plan] == widths
+    covered = []
+    for spec, positions in plan:
+        # One scenario per spec, contiguous goals, in work order.
+        assert {work[p][0] for p in positions} == {spec.scenario}
+        assert positions == tuple(range(positions[0], positions[-1] + 1))
+        assert spec.goals == tuple(work[p][1] for p in positions)
+        assert spec.schemes == schemes
+        assert spec.n_inputs == 10
+        covered.extend(positions)
+    assert covered == list(range(len(work)))
 
 
 def test_executor_rejects_bad_configuration():

@@ -59,6 +59,7 @@ from repro.runtime.executor import (
     CellSpec,
     RunExecutor,
     ScenarioKey,
+    plan_cells,
     timing_grid,
 )
 from repro.runtime.loop import (
@@ -809,18 +810,18 @@ def test_wide_cell_matches_one_goal_cells():
             assert a.records == b.records
 
 
-def test_pooled_timing_split_matches_serial_wide_cell():
-    """Serial evaluation serves the grid as one lockstep cell; pooled
-    evaluation splits it per timing into narrow per-goal cells.  Both
-    paths return identical runs."""
+def test_pooled_split_matches_serial_wide_cell():
+    """Serial evaluation serves all twelve goals as one lockstep cell;
+    pooled evaluation splits them into two contiguous six-goal specs,
+    each still wide enough to lockstep, run by two workers.  Both paths
+    return identical runs."""
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
-    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
-    timings = {(goal.deadline_s, goal.period) for goal in goals}
-    assert len(goals) >= LOCKSTEP_MIN_GOALS
-    assert all(
-        sum((g.deadline_s, g.period) == t for g in goals) < LOCKSTEP_MIN_GOALS
-        for t in timings
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY) + _grid_goals(
+        scenario, ObjectiveKind.MAXIMIZE_ACCURACY
     )
+    key = ScenarioKey.for_scenario(scenario)
+    plan = plan_cells([(key, g) for g in goals], SCHEMES, 10, workers=2)
+    assert [len(spec.goals) for spec, _ in plan] == [LOCKSTEP_MIN_GOALS] * 2
     serial = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
     pooled = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10, workers=2)
     for name in SCHEMES:

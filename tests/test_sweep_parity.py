@@ -6,10 +6,11 @@ serial per-process-cache sweep, and
 the same cells — discrete record fields exactly, float fields
 to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
 must merge bit-identically with an uninterrupted run (including a
-corrupted or truncated trailing checkpoint line); pooled execution
-must equal serial.  Also covers the satellites riding along: the
-LRU-bounded :class:`repro.runtime.executor._WorkerState` caches, the
-read-only guarantee of shared-buffer-adopted
+corrupted or truncated trailing checkpoint line, and a kill inside a
+scenario-wide spec); pooled execution must equal serial, also when
+the grid store cannot be created.  Also covers the LRU-bounded
+:class:`repro.runtime.executor._WorkerState` caches and the read-only
+guarantee of shared-buffer-adopted
 :class:`~repro.models.inference.BatchOutcomeGrid` arrays.
 """
 
@@ -21,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.runtime.grid_store as grid_store_module
 from repro.cli import build_parser, main
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
@@ -35,8 +37,10 @@ from repro.models.inference import (
 from repro.runtime.executor import (
     _GRID_CACHE_CAPACITY,
     _SCENARIO_CACHE_CAPACITY,
+    LOCKSTEP_MIN_GOALS,
     ScenarioKey,
     _WorkerState,
+    plan_cells,
     structural_space_fingerprint,
     timing_grid,
 )
@@ -45,7 +49,6 @@ from repro.runtime.results import RunResult
 from repro.runtime.sweep import (
     CellSummary,
     SweepSpec,
-    SweepUnit,
     compile_sweep,
     load_checkpoint,
     run_sweep,
@@ -87,6 +90,25 @@ SPEC = SweepSpec(
     settings_stride=9,
     n_inputs=12,
     seeds=(99,),
+)
+
+#: The same sweep over two scenarios: with two workers it plans two
+#: specs, so it starts a pool (one scenario would plan one spec and
+#: run in-process).
+TWO_SCENARIOS = dataclasses.replace(SPEC, envs=("memory", "compute"))
+
+#: Two scenarios of 24 goals each (stride 3), with every stacking
+#: scheme family and the normalisation baseline: each scenario is one
+#: lockstep-wide spec.
+WIDE_SPEC = SweepSpec(
+    platforms=("CPU1",),
+    tasks=("image",),
+    envs=("memory", "compute"),
+    schemes=("ALERT", "Sys-only", "No-coord", "OracleStatic"),
+    objectives=("min_energy", "min_error"),
+    settings_stride=3,
+    n_inputs=10,
+    seeds=(7,),
 )
 
 
@@ -212,24 +234,53 @@ def test_sweep_matches_evaluate_schemes():
 
 
 def test_pool_and_store_match_serial():
-    serial = run_sweep(SPEC, workers=1)
-    pooled = run_sweep(SPEC, workers=2)
+    serial = run_sweep(TWO_SCENARIOS, workers=1)
+    pooled = run_sweep(TWO_SCENARIOS, workers=2)
     assert pooled.cells == serial.cells
     # The store is on exactly when the sweep starts a pool.
     assert serial.grid_store_stats is None
     assert pooled.grid_store_stats is not None
     assert pooled.grid_store_stats["grids"] > 0
     assert pooled.grid_store_stats["failed"] == 0
+    assert pooled.grid_store_error is None
 
 
 def test_single_pending_cell_runs_in_process_without_store():
-    """With one cell left to run, a pooled request starts no pool, so
-    it also starts no store."""
+    """With one spec to run, a pooled request starts no pool, so it
+    also starts no store: one cell left, or one scenario whose eight
+    goals are too few to split into two lockstep-wide specs."""
     serial = run_sweep(SPEC, workers=1, cell_limit=1)
     one = run_sweep(SPEC, workers=2, cell_limit=1)
     assert one.executed == 1
     assert one.grid_store_stats is None
     assert one.cells == serial.cells
+
+    units = compile_sweep(SPEC)
+    work = [(unit.scenario, unit.goal) for unit in units]
+    assert len(plan_cells(work, SPEC.schemes, SPEC.n_inputs, workers=2)) == 1
+    whole = run_sweep(SPEC, workers=2)
+    assert whole.executed == len(units)
+    assert whole.grid_store_stats is None
+    assert whole.cells == run_sweep(SPEC, workers=1).cells
+
+
+def test_failed_store_degrades_visibly(monkeypatch):
+    """Regression: a store that could not be created fell back to
+    per-process caches silently, reporting like a serial sweep."""
+
+    def unavailable():
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(grid_store_module, "SharedGridStore", unavailable)
+    serial = run_sweep(TWO_SCENARIOS, workers=1)
+    pooled = run_sweep(TWO_SCENARIOS, workers=2)
+    assert pooled.cells == serial.cells
+    assert pooled.grid_store_stats is None
+    assert "No space left on device" in pooled.grid_store_error
+    described = pooled.describe()
+    assert "grid store unavailable" in described
+    assert "No space left on device" in described
+    assert "unavailable" not in serial.describe()
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +300,58 @@ def test_killed_sweep_resumes_bit_identical(tmp_path):
     assert resumed.resumed == 3
     assert resumed.executed == len(resumed.units) - 3
     assert resumed.cells == uninterrupted.cells
+
+
+@pytest.fixture(scope="module")
+def wide_reference():
+    """WIDE_SPEC's units one goal at a time, plus its uninterrupted run."""
+    units = compile_sweep(WIDE_SPEC)
+    state = _WorkerState()
+    one_goal = []
+    for unit in units:
+        (runs,) = state.execute(unit.cell_spec())
+        one_goal.append(summarize_cell(unit.schemes, runs))
+    return one_goal, run_sweep(WIDE_SPEC, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kill_inside_wide_spec_resumes_bit_identical(
+    workers, wide_reference, tmp_path
+):
+    """A kill lands inside the first scenario's 24-goal spec; the
+    resume serves its other goals as a partial spec beside the second
+    scenario's full one, and every summary equals both the
+    uninterrupted sweep's and the goal's one-goal cell's exactly."""
+    one_goal, uninterrupted = wide_reference
+    units = uninterrupted.units
+    first = sum(unit.scenario == units[0].scenario for unit in units)
+    assert first >= 2 * LOCKSTEP_MIN_GOALS
+    kill = 9
+    assert kill < first
+    assert uninterrupted.cells == one_goal
+
+    checkpoint = tmp_path / "wide.jsonl"
+    partial = run_sweep(
+        WIDE_SPEC, workers=workers, checkpoint_path=str(checkpoint),
+        cell_limit=kill,
+    )
+    assert not partial.complete
+    assert partial.executed == kill
+    assert len(checkpoint.read_text().splitlines()) == kill
+    assert partial.cells[:kill] == one_goal[:kill]
+    assert partial.cells[kill:] == [None] * (len(units) - kill)
+
+    resumed = run_sweep(
+        WIDE_SPEC, workers=workers, checkpoint_path=str(checkpoint)
+    )
+    assert resumed.complete
+    assert resumed.resumed == kill
+    assert resumed.executed == len(units) - kill
+    assert resumed.cells == uninterrupted.cells
+    assert resumed.cells == one_goal
+    # Pooled, the resume ran the partial and the full spec as two tasks
+    # (so it shared grids through the store).
+    assert (resumed.grid_store_stats is not None) == (workers > 1)
 
 
 def test_resume_tolerates_truncated_trailing_line(tmp_path):
