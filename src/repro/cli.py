@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cell-limit",
         type=int,
         default=None,
-        help="execute at most N new cells, then stop (crash simulation)",
+        help="execute at most N new cells, then stop (resume testing)",
     )
     sweep.add_argument(
         "--smoke",

@@ -171,7 +171,11 @@ def evaluate_schemes(
     worker where the goals allow; a cell too narrow to split runs in
     this process.  So does a scenario that
     :meth:`ScenarioKey.for_scenario` cannot round-trip, whatever
-    ``workers`` asks for.
+    ``workers`` asks for.  Pooled specs send every run's records back
+    to this process, and unpickling them costs more than the split
+    saves: on a 2-vCPU box a pooled cell ran slower than a serial one
+    at every size tried, up to 35 goals of 200 inputs (the sweep,
+    whose workers return summaries, is where the split pays).
 
     ``requirement_trace`` applies one mid-run goal-override trace
     (Figure 9's dynamic requirements) to every run of the cell; traced

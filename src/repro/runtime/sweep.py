@@ -197,12 +197,16 @@ class SweepUnit:
 
 
 def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
-    """Expand a sweep spec into its plan-ordered cell units.
+    """Expand a sweep spec into its one-goal units, in checkpoint order.
 
-    Within one scenario, units are ordered timing-major (all goals
-    sharing a deadline are consecutive), so both the per-process grid
-    cache and the shared grid store see each grid's whole unit group
-    back to back.  Combinations the Table-4 driver would not report
+    Units are the checkpoint keys and result slots; :func:`run_sweep`
+    groups the pending ones into scenario-wide specs through
+    :func:`~repro.runtime.executor.plan_cells`.  Within one scenario,
+    units are ordered timing-major (all goals sharing a deadline are
+    consecutive): a spec dedupes its grids by timing in any order, but
+    ``plan_cells`` splits a scenario into contiguous chunks, so this
+    order leaves at most one timing shared by two chunks at each
+    boundary.  Combinations the Table-4 driver would not report
     (GPU × non-image) are skipped; a name that builds no scenario
     raises :class:`~repro.errors.ConfigurationError` instead of
     compiling to an empty sweep.
@@ -568,9 +572,11 @@ def run_sweep(
         (driver memory grows to O(inputs); the parity reference).
     cell_limit:
         Execute at most this many *new* units (the first pending ones
-        in plan order), then stop — simulating a killed sweep for
-        crash-resume testing; the result reports ``complete=False`` and
-        the unexecuted tail stays None.
+        in plan order), then stop, leaving a checkpoint that holds
+        part of the sweep for resume testing (the cut is applied
+        before planning, so it may fall inside a scenario, where a
+        real kill loses the whole in-flight spec); the result reports
+        ``complete=False`` and the unexecuted tail stays None.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")

@@ -6,8 +6,9 @@ serial per-process-cache sweep, and
 the same cells — discrete record fields exactly, float fields
 to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
 must merge bit-identically with an uninterrupted run (including a
-corrupted or truncated trailing checkpoint line, and a kill inside a
-scenario-wide spec); pooled execution must equal serial, also when
+corrupted or truncated trailing checkpoint line, and a checkpoint
+holding part of a scenario); a spec's checkpoint lines land when the
+spec finishes; pooled execution must equal serial, also when
 the grid store cannot be created.  Also covers the LRU-bounded
 :class:`repro.runtime.executor._WorkerState` caches and the read-only
 guarantee of shared-buffer-adopted
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.grid_store as grid_store_module
+import repro.runtime.sweep as sweep_module
 from repro.cli import build_parser, main
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
@@ -302,6 +304,30 @@ def test_killed_sweep_resumes_bit_identical(tmp_path):
     assert resumed.cells == uninterrupted.cells
 
 
+def test_checkpoint_lines_land_when_their_spec_finishes(
+    tmp_path, monkeypatch
+):
+    """A serial sweep runs one spec per scenario, and a spec's lines
+    reach the checkpoint only after the whole spec has run: when the
+    second spec starts, exactly the first spec's lines are on disk."""
+    checkpoint = tmp_path / "specs.jsonl"
+    started = []
+    summarize_spec = sweep_module._summarize_spec
+
+    def spy(state, cell, keep_runs):
+        written = len(checkpoint.read_text().splitlines())
+        started.append((written, len(cell.goals)))
+        return summarize_spec(state, cell, keep_runs)
+
+    monkeypatch.setattr(sweep_module, "_summarize_spec", spy)
+    result = run_sweep(
+        TWO_SCENARIOS, workers=1, checkpoint_path=str(checkpoint)
+    )
+    per_scenario = len(result.units) // 2
+    assert started == [(0, per_scenario), (per_scenario, per_scenario)]
+    assert len(checkpoint.read_text().splitlines()) == len(result.units)
+
+
 @pytest.fixture(scope="module")
 def wide_reference():
     """WIDE_SPEC's units one goal at a time, plus its uninterrupted run."""
@@ -315,38 +341,39 @@ def wide_reference():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_kill_inside_wide_spec_resumes_bit_identical(
+def test_resume_from_part_of_a_wide_scenario_bit_identical(
     workers, wide_reference, tmp_path
 ):
-    """A kill lands inside the first scenario's 24-goal spec; the
-    resume serves its other goals as a partial spec beside the second
+    """Resume from a checkpoint holding part of a scenario: the first
+    run stops after 9 of the first scenario's 24 goals, the resume
+    serves its other goals as a partial spec beside the second
     scenario's full one, and every summary equals both the
     uninterrupted sweep's and the goal's one-goal cell's exactly."""
     one_goal, uninterrupted = wide_reference
     units = uninterrupted.units
     first = sum(unit.scenario == units[0].scenario for unit in units)
     assert first >= 2 * LOCKSTEP_MIN_GOALS
-    kill = 9
-    assert kill < first
+    stop = 9
+    assert stop < first
     assert uninterrupted.cells == one_goal
 
     checkpoint = tmp_path / "wide.jsonl"
     partial = run_sweep(
         WIDE_SPEC, workers=workers, checkpoint_path=str(checkpoint),
-        cell_limit=kill,
+        cell_limit=stop,
     )
     assert not partial.complete
-    assert partial.executed == kill
-    assert len(checkpoint.read_text().splitlines()) == kill
-    assert partial.cells[:kill] == one_goal[:kill]
-    assert partial.cells[kill:] == [None] * (len(units) - kill)
+    assert partial.executed == stop
+    assert len(checkpoint.read_text().splitlines()) == stop
+    assert partial.cells[:stop] == one_goal[:stop]
+    assert partial.cells[stop:] == [None] * (len(units) - stop)
 
     resumed = run_sweep(
         WIDE_SPEC, workers=workers, checkpoint_path=str(checkpoint)
     )
     assert resumed.complete
-    assert resumed.resumed == kill
-    assert resumed.executed == len(units) - kill
+    assert resumed.resumed == stop
+    assert resumed.executed == len(units) - stop
     assert resumed.cells == uninterrupted.cells
     assert resumed.cells == one_goal
     # Pooled, the resume ran the partial and the full spec as two tasks
