@@ -155,7 +155,7 @@ def run(min_seconds: float = 2.0) -> dict:
     profile = Profiler(CPU1).analytic(models)
     space = ConfigurationSpace(models, list(profile.powers))
     estimator = AlertEstimator(profile)
-    selector = ConfigSelector(space, estimator, use_batch=True)
+    selector = ConfigSelector(space, estimator)
 
     workload = [(goal, state) for goal in _goal_mix() for state in STATES]
     batch_dps = _throughput(selector.select, workload, min_seconds)

@@ -5,8 +5,9 @@ Table 4 image scenario (CPU1, default environment):
 
 * **Serving loop** — for each feedback-free scheme (Oracle with a
   precomputed grid, OracleStatic, App-only), one run served by the
-  sequential per-input round trip (``batch=False``) versus the batch
-  fast path (``batch=True``), in inputs/second.
+  sequential per-input round trip (``ServingLoop.run_sequential``)
+  versus the batch fast path ``ServingLoop.run`` takes for it, in
+  inputs/second.
 * **Serving front-end** — the open-loop fleet (:mod:`repro.serve`)
   against the sequential harness: a one-replica fleet serves the same
   outcomes through the virtual-time event loop, so the ratio isolates
@@ -134,13 +135,15 @@ def bench_serving(n_inputs: int, min_seconds: float) -> dict:
             name, scenario, engine, stream, goal, n_inputs, oracle_grid=grid
         )
         loop = ServingLoop(engine, stream, scheduler, goal)
+        # ``run`` falls back to the sequential path for an ineligible
+        # loop, which would make the ratio compare a path with itself.
+        if not loop.batch_eligible(stream.items(n_inputs)):
+            raise RuntimeError(f"{name} cannot take the batch path")
 
         sequential_ips = _best_rate(
-            lambda: loop.run(n_inputs, batch=False), n_inputs, min_seconds
+            lambda: loop.run_sequential(n_inputs), n_inputs, min_seconds
         )
-        batch_ips = _best_rate(
-            lambda: loop.run(n_inputs, batch=True), n_inputs, min_seconds
-        )
+        batch_ips = _best_rate(lambda: loop.run(n_inputs), n_inputs, min_seconds)
         schemes[name] = {
             "sequential_inputs_per_sec": round(sequential_ips, 1),
             "batch_inputs_per_sec": round(batch_ips, 1),
@@ -184,7 +187,7 @@ def bench_serving_frontend(
         ServingLoop(
             scenario.make_engine(), scenario.make_stream(),
             make_alert(profile), goal,
-        ).run(n_requests, batch=False)
+        ).run_sequential(n_requests)
 
     def fleet_once(
         n_replicas: int,
@@ -412,8 +415,8 @@ def _sweep_arm(splits, client) -> float:
 def _sweep_driver_rss(n_inputs: int, strides) -> dict:
     """Driver peak RSS per cell at two plan sizes (streaming claim).
 
-    Each measurement runs ``run_sweep`` (summaries only — no
-    ``keep_runs``) in a fresh subprocess and reads the child's own
+    Each measurement runs ``run_sweep`` (which keeps only summaries)
+    in a fresh subprocess and reads the child's own
     ``ru_maxrss``, so the parent's allocations cannot leak into the
     number.  The plan grows by shrinking the settings stride; flat
     ``kb_per_cell`` growth across a ≥4× cell-count jump is the

@@ -7,7 +7,8 @@ plus the anytime ladder across every CPU1 power level) three ways:
 
 * raw (configuration × input) outcome evaluations/second —
   ``engine.evaluate`` per pair vs. one ``evaluate_batch`` pass;
-* ``best_static_config`` wall time, scalar vs. batch;
+* ``best_static_config`` wall time against its scalar reference
+  ``best_static_config_scalar``;
 * per-input ``OracleScheduler`` decisions/second, scalar vs. batch.
 
 Results land in ``BENCH_oracle.json`` at the repository root so the
@@ -34,7 +35,11 @@ import json
 import time
 from pathlib import Path
 
-from repro.baselines.oracle import OracleScheduler, best_static_config
+from repro.baselines.oracle import (
+    OracleScheduler,
+    best_static_config,
+    best_static_config_scalar,
+)
 from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
 from repro.workloads.scenarios import build_scenario
@@ -103,14 +108,14 @@ def run(min_seconds: float = 1.5) -> dict:
     batch_eps = reps * n_pairs / elapsed
 
     # OracleStatic: the whole-horizon best configuration.
-    def static(use_batch: bool):
-        best_static_config(
-            engine, space, goal, stream, N_INPUTS, use_batch=use_batch
-        )
+    def static(static_config):
+        static_config(engine, space, goal, stream, N_INPUTS)
 
-    reps, elapsed = _repeat(lambda: static(False), min_seconds)
+    reps, elapsed = _repeat(
+        lambda: static(best_static_config_scalar), min_seconds
+    )
     static_scalar_s = elapsed / reps
-    reps, elapsed = _repeat(lambda: static(True), min_seconds)
+    reps, elapsed = _repeat(lambda: static(best_static_config), min_seconds)
     static_batch_s = elapsed / reps
 
     # Oracle: per-input decisions (no precomputed grid — the serving

@@ -33,12 +33,12 @@ least-significant first, so the hierarchy is encoded back to front:
   as accurately as possible.
 
 Because the stable sort breaks ties by enumeration order, the batch
-pick is *identical* to the scalar ``min``-over-tuples reference, which
-is kept as :meth:`OracleScheduler.decide_scalar` /
-``best_static_config(..., use_batch=False)`` and pinned by the
-randomized parity suite (``tests/test_oracle_parity.py``).
+pick is *identical* to the scalar ``min``-over-tuples references,
+:meth:`OracleScheduler.decide_scalar` and
+:func:`best_static_config_scalar`, which the randomized parity suite
+(``tests/test_oracle_parity.py``) calls by name.
 :func:`best_static_config` applies the paper's 10% rule the same way
-in both paths: qualifying configurations rank by
+as its reference: qualifying configurations rank by
 ``(objective, violation fraction, power)``; when none qualifies, the
 least-violating configuration wins — ``(violation fraction, objective,
 power)``.
@@ -63,6 +63,7 @@ from repro.workloads.inputs import InputItem, InputStream
 __all__ = [
     "OracleScheduler",
     "best_static_config",
+    "best_static_config_scalar",
     "make_oracle_static",
     "oracle_outcome_grid",
 ]
@@ -170,9 +171,6 @@ class OracleScheduler:
         the per-decision environment-draw guards are skipped — the
         draws are identical by construction.  When ``grid`` is omitted
         the view's grid stands in for it.
-    use_batch:
-        When False every decision runs the scalar reference path
-        (:meth:`decide_scalar`); kept for parity tests and debugging.
     """
 
     #: Perfect knowledge needs no feedback; the serving loop may
@@ -186,12 +184,10 @@ class OracleScheduler:
         name: str = "Oracle",
         grid: BatchOutcomeGrid | None = None,
         grid_view=None,
-        use_batch: bool = True,
     ) -> None:
         self.engine = engine
         self.space = space
         self.name = name
-        self.use_batch = use_batch
         self.grid_view = grid_view
         if grid is None and grid_view is not None:
             grid = grid_view.grid
@@ -234,8 +230,6 @@ class OracleScheduler:
         return position
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
-        if not self.use_batch:
-            return self.decide_scalar(item, goal)
         position = self._grid_column(item, goal)
         if position is not None:
             grid = self._grid
@@ -321,8 +315,6 @@ class OracleScheduler:
         """
         if not items:
             return []
-        if not self.use_batch:
-            return [self.decide(item, goal) for item in items]
         columns = self._grid_columns(items, goal)
         if columns is None:
             return [self.decide(item, goal) for item in items]
@@ -458,7 +450,6 @@ def best_static_config(
     violation_threshold: float = VIOLATION_SETTING_THRESHOLD,
     grid: BatchOutcomeGrid | None = None,
     grid_view=None,
-    use_batch: bool = True,
 ) -> Configuration:
     """The best single configuration over a whole horizon.
 
@@ -470,17 +461,12 @@ def best_static_config(
 
     ``grid`` short-circuits the evaluation with a precomputed outcome
     grid (``grid_view`` can stand in for it and, when trusted, waives
-    the per-input provenance scans); ``use_batch=False`` runs the
-    scalar reference loop.
+    the per-input provenance scans).  The reference is
+    :func:`best_static_config_scalar`.
     """
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
-    configs = tuple(self_configs(space))
-    if not use_batch:
-        return _best_static_config_scalar(
-            engine, configs, goal, stream, n_inputs, violation_threshold
-        )
-
+    configs = tuple(space)
     if grid is None and grid_view is not None:
         grid = grid_view.grid
     trusted = bool(
@@ -516,17 +502,19 @@ def best_static_config(
     return configs[_lexmin(everything, violation_fraction, objective, power_w)]
 
 
-def _best_static_config_scalar(
+def best_static_config_scalar(
     engine: InferenceEngine,
-    configs: tuple[Configuration, ...],
+    space: ConfigurationSpace,
     goal: Goal,
     stream: InputStream,
     n_inputs: int,
-    violation_threshold: float,
+    violation_threshold: float = VIOLATION_SETTING_THRESHOLD,
 ) -> Configuration:
     """Scalar reference for :func:`best_static_config`."""
+    if n_inputs < 1:
+        raise ConfigurationError(f"need at least one input, got {n_inputs}")
     scored: list[tuple[float, float, Configuration]] = []
-    for config in configs:
+    for config in space:
         violations = 0
         objective_total = 0.0
         for index in range(n_inputs):
@@ -560,11 +548,6 @@ def _best_static_config_scalar(
     return min(
         scored, key=lambda entry: (entry[0], entry[1], entry[2].power_w)
     )[2]
-
-
-def self_configs(space: ConfigurationSpace) -> list[Configuration]:
-    """All configurations of a space (indirection point for tests)."""
-    return list(space)
 
 
 def make_oracle_static(

@@ -178,8 +178,6 @@ class SysOnlyCellController:
             if scheduler.slowdown.observations != 0:
                 return None
         first = schedulers[0]
-        if first.selector.batch is None:
-            return None
 
         def fingerprint(scheduler: SysOnlyScheduler) -> tuple:
             return (

@@ -343,8 +343,8 @@ class BatchAlertEstimator:
         #: skeletons hold strong references to their goals, which pins
         #: the ids in the key for as long as the entry lives.
         self._stack_skeletons: dict[tuple, list[dict]] = {}
-        #: Reusable (G × C) field buffers for callers that consume the
-        #: planes before the next query (the stacked selector).
+        #: Reusable (G × C) field buffers, one set per stack height:
+        #: callers consume the planes before the next query.
         self._field_bufs: dict[int, dict[str, np.ndarray]] = {}
         # Static tie-break rank equivalent to comparing
         # (power_w, model.name, space index) lexicographically — the
@@ -588,43 +588,6 @@ class BatchAlertEstimator:
     # ------------------------------------------------------------------
     # Stacked multi-state query (the lockstep decision engine)
     # ------------------------------------------------------------------
-    def estimate_many(
-        self,
-        goals,
-        xi_mean,
-        xi_sigma,
-        phi,
-        tails=None,
-    ) -> list["BatchEstimates"]:
-        """Estimates for ``G`` independent (goal, filter-state) pairs.
-
-        The lockstep serving path decides for every goal of a cell at
-        every input step; this is its engine.  States are stacked along
-        a leading axis: all per-state CDF arguments — deadline
-        thresholds, tail-mixture shifts, energy ξ crossings — are
-        gathered into **one** flat vector and pushed through a single
-        vectorized erf evaluation, and the post-CDF arithmetic runs as
-        ``(G × C)`` tensor operations (states grouped by goal
-        structure, so heterogeneous grids still vectorize within each
-        structural group).  Every elementwise expression mirrors
-        :meth:`estimate_batch` exactly, so each returned
-        :class:`BatchEstimates` row is bit-identical to the per-state
-        call (pinned by ``tests/test_lockstep_parity.py``).
-
-        Parameters
-        ----------
-        goals:
-            One :class:`~repro.core.goals.Goal` per state.
-        xi_mean / xi_sigma / phi:
-            Filter-state arrays of length ``G``.
-        tails:
-            Optional per-state ``(fraction, ratio)`` tuples (or None),
-            as in :meth:`estimate_batch`.
-
-        Returns the estimates in state order.
-        """
-        return self.estimate_many_stacked(goals, xi_mean, xi_sigma, phi, tails)[0]
-
     #: Field names of the stacked (G × C) estimate tensors.
     _STACK_FLOAT_FIELDS = (
         "latency_mean_s",
@@ -641,41 +604,6 @@ class BatchAlertEstimator:
         "meets_latency_mean",
     )
 
-    def estimate_many_stacked(
-        self,
-        goals,
-        xi_mean,
-        xi_sigma,
-        phi,
-        tails=None,
-    ) -> tuple[list["BatchEstimates"], dict[str, np.ndarray]]:
-        """:meth:`estimate_many` plus the raw ``(G × C)`` tensors.
-
-        The selector's stacked path ranks whole planes, so it consumes
-        the field tensors directly (state-major rows, in input order)
-        instead of re-stacking the per-state views.
-        """
-        fields = self.stacked_fields(goals, xi_mean, xi_sigma, phi, tails)
-        G = len(goals)
-        configs = self.configs
-        estimates = [
-            BatchEstimates(
-                configs=configs,
-                latency_mean_s=fields["latency_mean_s"][g],
-                deadline_probability=fields["deadline_probability"][g],
-                expected_quality=fields["expected_quality"][g],
-                quality_meet_probability=fields["quality_meet_probability"][g],
-                expected_energy_j=fields["expected_energy_j"][g],
-                meets_latency=fields["meets_latency"][g],
-                meets_accuracy=fields["meets_accuracy"][g],
-                meets_energy=fields["meets_energy"][g],
-                meets_prob=fields["meets_prob"][g],
-                meets_latency_mean=fields["meets_latency_mean"][g],
-            )
-            for g in range(G)
-        ]
-        return estimates, fields
-
     def stacked_fields(
         self,
         goals,
@@ -683,20 +611,36 @@ class BatchAlertEstimator:
         xi_sigma,
         phi,
         tails=None,
-        reuse: bool = False,
     ) -> dict[str, np.ndarray]:
         """The raw ``(G × C)`` field tensors for ``G`` stacked states.
 
-        The decision engine's innermost step.  Goal-only structure —
-        the structural group partition, deadline-threshold stacks,
-        quality-floor statics, energy-budget constants — is cached per
-        goal tuple (:meth:`_stack_plans`), so the per-input work is
-        just the state-dependent arithmetic plus one fused erf pass.
+        The lockstep serving path decides for every goal of a cell at
+        every input step; this is its engine.  States are stacked along
+        a leading axis: all per-state CDF arguments — deadline
+        thresholds, tail-mixture shifts, energy ξ crossings — are
+        gathered into **one** flat vector and pushed through a single
+        vectorized erf evaluation, and the post-CDF arithmetic runs as
+        ``(G × C)`` tensor operations (states grouped by goal
+        structure, so heterogeneous grids still vectorize within each
+        structural group).  Every elementwise expression mirrors
+        :meth:`estimate_batch` exactly, so row ``g`` of each tensor is
+        bit-identical to the per-state call (pinned by
+        ``tests/test_lockstep_parity.py``).
 
-        With ``reuse=True`` the returned tensors are per-``G`` scratch
-        buffers overwritten by the next ``reuse`` query; callers must
-        consume them before querying again (the stacked selector
-        materialises its winners immediately, so it opts in).
+        Goal-only structure — the structural group partition,
+        deadline-threshold stacks, quality-floor statics, energy-budget
+        constants — is cached per goal tuple (:meth:`_stack_plans`), so
+        the per-input work is just the state-dependent arithmetic plus
+        one fused erf pass.
+
+        ``goals`` holds one :class:`~repro.core.goals.Goal` per state;
+        ``xi_mean`` / ``xi_sigma`` / ``phi`` are filter-state arrays of
+        length ``G``; ``tails`` optionally holds per-state
+        ``(fraction, ratio)`` tuples (or None), as in
+        :meth:`estimate_batch`.  The returned tensors are per-``G``
+        scratch buffers overwritten by the next query: consume them
+        before querying again (the stacked selector materialises its
+        winners at once).
         """
         G = len(goals)
         if G < 1:
@@ -720,7 +664,7 @@ class BatchAlertEstimator:
         )
 
         n = self.n_configs
-        fields = self._field_bufs.get(G) if reuse else None
+        fields = self._field_bufs.get(G)
         if fields is None:
             fields = {
                 name: np.empty((G, n)) for name in self._STACK_FLOAT_FIELDS
@@ -731,10 +675,9 @@ class BatchAlertEstimator:
                     for name in self._STACK_BOOL_FIELDS
                 }
             )
-            if reuse:
-                if len(self._field_bufs) >= 8:
-                    self._field_bufs.clear()
-                self._field_bufs[G] = fields
+            if len(self._field_bufs) >= 8:
+                self._field_bufs.clear()
+            self._field_bufs[G] = fields
         offset = 0
         for plan in plans:
             size = plan["flat"].size

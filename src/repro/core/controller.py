@@ -316,8 +316,6 @@ class AlertCellController(AlertCellKernel):
             if controller.slowdown.keeps_history:
                 return None
         first = controllers[0]
-        if first.selector.batch is None:
-            return None
 
         def fingerprint(controller: "AlertController") -> tuple:
             xi = controller.slowdown._filter

@@ -10,9 +10,11 @@ optimizing the third" (Section 1.2).  The two practically useful modes
   quality floor and a deadline.
 
 :class:`GoalAdjuster` implements the paper's step 2 ("Goal
-adjustment"): shrinking per-word deadlines when earlier words of the
-same sentence overran, and reserving the scheduler's own worst-case
-overhead so ALERT never causes the violation it is trying to prevent.
+adjustment") for deadline-sharing groups: shrinking per-word deadlines
+when earlier words of the same sentence overran.  The other half of
+step 2, reserving the scheduler's own worst-case overhead so ALERT
+never causes the violation it is trying to prevent, is made by the
+decision kernel (:class:`repro.core.kernel.AlertKernel`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "ObjectiveKind",
     "Goal",
     "GoalAdjuster",
+    "MIN_DEADLINE_S",
     "ACCURACY_EPS",
     "ENERGY_REL_EPS",
     "outcome_feasible",
@@ -189,36 +192,24 @@ def outcome_feasible(goal: Goal, met_deadline, quality, energy_j):
     return feasible
 
 
+#: Floor on every adjusted deadline, so a badly overrun sentence still
+#: leaves a schedulable (if tight) deadline for its last words.
+MIN_DEADLINE_S = 1e-4
+
+
 class GoalAdjuster:
-    """Per-input deadline adjustment (paper workflow step 2).
+    """Per-input deadline adjustment for shared group deadlines
+    (paper workflow step 2).
 
-    Two adjustments are applied:
-
-    * **Shared group deadlines.**  In the NLP1 task a whole sentence of
-      ``G`` words shares one deadline of ``G * deadline_s``.  If early
-      words overran, the remaining words split what is left:
-      ``remaining_budget / words_remaining``.
-    * **Scheduler overhead.**  ALERT compensates "for its own,
-      worst-case overhead so that ALERT itself will not cause
-      violations": the overhead is subtracted from every effective
-      deadline.
-
-    Parameters
-    ----------
-    overhead_s:
-        Worst-case per-decision scheduler overhead to reserve.
-    min_deadline_s:
-        Floor on the adjusted deadline so a badly overrun group still
-        leaves a schedulable (if tight) deadline for its last words.
+    In the NLP1 task a whole sentence of ``G`` words shares one
+    deadline of ``G * deadline_s``.  If early words overran, the
+    remaining words split what is left:
+    ``remaining_budget / words_remaining``, floored at
+    :data:`MIN_DEADLINE_S`.  The scheduler's overhead reservation is
+    the decision kernel's, not this class's.
     """
 
-    def __init__(self, overhead_s: float = 0.0, min_deadline_s: float = 1e-4) -> None:
-        if overhead_s < 0:
-            raise ConfigurationError(f"overhead must be >= 0, got {overhead_s}")
-        if min_deadline_s <= 0:
-            raise ConfigurationError("min_deadline_s must be positive")
-        self.overhead_s = overhead_s
-        self.min_deadline_s = min_deadline_s
+    def __init__(self) -> None:
         self._group_id: int | None = None
         self._group_budget_s = 0.0
         self._group_remaining = 0
@@ -233,7 +224,7 @@ class GoalAdjuster:
                 self._group_remaining = item.group_size
             words_left = max(1, self._group_remaining)
             deadline = self._group_budget_s / words_left
-        deadline = max(self.min_deadline_s, deadline - self.overhead_s)
+        deadline = max(MIN_DEADLINE_S, deadline)
         if deadline == goal.deadline_s:
             return goal
         return goal.with_deadline(deadline)

@@ -14,19 +14,19 @@ has something to run:
 4. **best effort** — nothing meets the deadline: pick the
    configuration most likely to, i.e. minimum expected latency.
 
-Two implementations share this hierarchy:
-
-* the **batch fast path** (default): one
-  :meth:`repro.core.batch_estimator.BatchAlertEstimator.estimate_batch`
-  call produces estimate arrays for the whole space, and each stage
-  ranks candidates with a single ``np.lexsort`` over the same key
-  tuples the scalar path compares — this is what makes the scheduler
-  cost a small fraction of an input's inference time;
-* the **scalar reference path** (:meth:`ConfigSelector.select_scalar`),
-  a per-configuration loop over
-  :meth:`repro.core.estimator.AlertEstimator.estimate` kept as the
-  readable ground truth; the parity suite asserts the two paths pick
-  identical configurations with estimates equal to <= 1e-9.
+:meth:`ConfigSelector.select` is vectorized: one
+:meth:`repro.core.batch_estimator.BatchAlertEstimator.estimate_batch`
+call produces estimate arrays for the whole space, and each stage
+ranks candidates with a single ``np.lexsort`` over the same key tuples
+the reference compares — this is what makes the scheduler cost a
+small fraction of an input's inference time.
+:meth:`ConfigSelector.select_many` ranks many (goal, filter-state)
+pairs in one pass.  The reference is
+:meth:`ConfigSelector.select_scalar`, a per-configuration loop over
+:meth:`repro.core.estimator.AlertEstimator.estimate` kept as the
+readable ground truth; the parity suites call it by name and assert
+both paths pick identical configurations with estimates equal to
+<= 1e-9.
 """
 
 from __future__ import annotations
@@ -101,23 +101,12 @@ class ConfigSelector:
     ----------
     space / estimator:
         The candidate space and the scalar reference estimator.
-    use_batch:
-        When True (default) :meth:`select` runs the vectorized batch
-        path; False forces the scalar reference loop everywhere (used
-        by the parity suite and available for debugging).
     """
 
-    def __init__(
-        self,
-        space: ConfigurationSpace,
-        estimator: AlertEstimator,
-        use_batch: bool = True,
-    ) -> None:
+    def __init__(self, space: ConfigurationSpace, estimator: AlertEstimator) -> None:
         self.space = space
         self.estimator = estimator
-        self.batch = (
-            BatchAlertEstimator(space, estimator) if use_batch else None
-        )
+        self.batch = BatchAlertEstimator(space, estimator)
         #: Per-G constant index vectors for the stacked path (segment
         #: labels, row indices) and per-goal-tuple objective masks;
         #: both pure functions of their keys, rebuilt every step
@@ -149,7 +138,7 @@ class ConfigSelector:
         )
 
     # ------------------------------------------------------------------
-    # Selection (dispatch)
+    # Selection
     # ------------------------------------------------------------------
     def select(
         self,
@@ -160,22 +149,6 @@ class ConfigSelector:
         tail: tuple[float, float] | None = None,
     ) -> SelectionResult:
         """Pick the best configuration for the current goal and state."""
-        if self.batch is not None:
-            return self._select_batch(goal, xi_mean, xi_sigma, phi, tail)
-        return self.select_scalar(goal, xi_mean, xi_sigma, phi, tail)
-
-    # ------------------------------------------------------------------
-    # Batch fast path
-    # ------------------------------------------------------------------
-    def _select_batch(
-        self,
-        goal: Goal,
-        xi_mean: float,
-        xi_sigma: float,
-        phi: float,
-        tail: tuple[float, float] | None,
-    ) -> SelectionResult:
-        assert self.batch is not None
         b = self.batch.estimate_batch(goal, xi_mean, xi_sigma, phi, tail)
         # Precomputed rank equivalent to the scalar (power_w, name)
         # tie-break plus stable list order — keys stay purely numeric.
@@ -283,7 +256,7 @@ class ConfigSelector:
         The lockstep serving path calls this once per input step with
         every goal of the cell.  The
         estimates come from one stacked
-        :meth:`~repro.core.batch_estimator.BatchAlertEstimator.estimate_many`
+        :meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`
         query (single fused erf evaluation), and the 4-stage priority
         hierarchy then ranks the whole ``(state × config)`` plane with
         **one** segment-wise ``np.lexsort``: each state resolves its
@@ -297,15 +270,8 @@ class ConfigSelector:
         if n_states < 1:
             raise ConfigurationError("need at least one (goal, state) pair")
         tail_list = list(tails) if tails is not None else [None] * n_states
-        if self.batch is None:
-            return [
-                self.select_scalar(
-                    goals[g], xi_means[g], xi_sigmas[g], phis[g], tail_list[g]
-                )
-                for g in range(n_states)
-            ]
         fields = self.batch.stacked_fields(
-            goals, xi_means, xi_sigmas, phis, tail_list, reuse=True
+            goals, xi_means, xi_sigmas, phis, tail_list
         )
         configs = self.batch.configs
         n = self.batch.n_configs
@@ -390,7 +356,7 @@ class ConfigSelector:
             relaxed = (col == 1) | (col == 2)
             if relaxed.any():
                 # Bit-identical to the scalar key's _quantize6 (see
-                # _select_batch); read only where ``relaxed`` holds.
+                # select); read only where ``relaxed`` holds.
                 neg_rounded = -(np.rint(q_meet * 1e6) / 1e6)
             else:
                 neg_rounded = zeros_plane  # unused: relaxed is all-False

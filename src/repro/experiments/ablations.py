@@ -27,7 +27,12 @@ from repro.core.selector import ConfigSelector
 from repro.models.inference import InferenceOutcome
 from repro.runtime.loop import ServingLoop
 from repro.workloads.inputs import InputItem
-from repro.workloads.scenarios import Scenario, build_scenario, constraint_grid
+from repro.workloads.scenarios import (
+    Scenario,
+    build_scenario,
+    constraint_grid,
+    stride_settings,
+)
 
 __all__ = [
     "PerConfigScheduler",
@@ -130,7 +135,7 @@ def _evaluate(
 def _default_setup(env: str, seed: int, settings_stride: int):
     scenario = build_scenario("CPU1", "image", env, "standard", seed)
     grid = constraint_grid(scenario)
-    goals = list(grid.min_energy_goals)[::settings_stride]
+    goals = stride_settings(grid.min_energy_goals, settings_stride)
     return scenario, goals
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid
+from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
 __all__ = ["Whisker", "Fig08Result", "run"]
 
@@ -76,7 +76,7 @@ def run(
     for env in envs:
         scenario = build_scenario(platform, task, env, "standard", seed)
         grid = constraint_grid(scenario)
-        goals = list(grid.min_energy_goals)[::settings_stride]
+        goals = stride_settings(grid.min_energy_goals, settings_stride)
         runs = evaluate_schemes(
             scenario, goals, SCHEMES, n_inputs, workers=workers
         )

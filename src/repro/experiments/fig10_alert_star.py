@@ -19,7 +19,7 @@ from repro.analysis.tables import render_table
 from repro.baselines import make_alert, make_alert_star
 from repro.core.goals import Goal, ObjectiveKind
 from repro.runtime.loop import ServingLoop
-from repro.workloads.scenarios import build_scenario, constraint_grid
+from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
 __all__ = ["PerplexityBar", "Fig10Result", "run"]
 
@@ -94,7 +94,7 @@ def run(
             scenario = build_scenario("CPU1", "sentence", env, candidate_set, seed)
             profile = scenario.profile()
             grid = constraint_grid(scenario)
-            goals = list(grid.min_error_goals)[::settings_stride]
+            goals = stride_settings(grid.min_error_goals, settings_stride)
             for name, factory in (
                 ("ALERT", make_alert),
                 ("ALERT*", make_alert_star),

@@ -20,7 +20,7 @@ from repro.analysis.stats import SchemeCell, harmonic_mean, summarize_runs
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid
+from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
 __all__ = ["CellKey", "Table4Result", "run", "DEFAULT_SCHEMES"]
 
@@ -150,7 +150,7 @@ def run(
                         if objective == "min_energy"
                         else grid.min_error_goals
                     )
-                    subset = list(goals)[::settings_stride]
+                    subset = stride_settings(goals, settings_stride)
                     cell_runs = evaluate_schemes(
                         scenario, subset, schemes, n_inputs=n_inputs,
                         workers=workers,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.analysis.stats import SchemeCell, harmonic_mean, summarize_runs
 from repro.analysis.tables import render_table
 from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid
+from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
 __all__ = ["Table5Result", "run"]
 
@@ -86,7 +86,7 @@ def run(
                     if objective == "min_energy"
                     else grid.min_error_goals
                 )
-                subset = list(goals)[::settings_stride]
+                subset = stride_settings(goals, settings_stride)
                 runs = evaluate_schemes(
                     scenario, subset, SCHEMES, n_inputs, workers=workers
                 )

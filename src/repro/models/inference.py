@@ -650,7 +650,6 @@ class InferenceEngine:
         deadline_s: float,
         period_s: float | None = None,
         work_factor: float = 1.0,
-        time_budget_s: float | None = None,
         rung_cap: int | None = None,
     ) -> InferenceOutcome:
         """Compute the outcome of one configuration on one input.
@@ -676,8 +675,6 @@ class InferenceEngine:
 
         if isinstance(model, AnytimeDnn):
             stop = min(full, deadline_s)
-            if time_budget_s is not None:
-                stop = min(stop, max(time_budget_s, 0.0))
             if rung_cap is not None:
                 stop = min(stop, model.rung_latency_s(rung_cap, full))
             fraction = stop / full if full > 0 else 1.0
@@ -745,9 +742,6 @@ class InferenceEngine:
         shared-memory segment — via ``out=`` on the final producing
         ops.  The arithmetic and its order are unchanged, so results
         are bit-identical to the privately allocated default.
-
-        ``time_budget_s`` has no batch equivalent — the oracles never
-        carry a leftover budget; use :meth:`evaluate` for that.
         """
         if deadline_s <= 0:
             raise ConfigurationError(f"deadline must be positive, got {deadline_s}")
@@ -991,7 +985,6 @@ class InferenceEngine:
         deadline_s: float,
         period_s: float | None = None,
         work_factor: float = 1.0,
-        time_budget_s: float | None = None,
         rung_cap: int | None = None,
     ) -> InferenceOutcome:
         """Serve one input for real: actuate the cap and meter energy.
@@ -1018,7 +1011,6 @@ class InferenceEngine:
             deadline_s=deadline_s,
             period_s=period_s,
             work_factor=work_factor,
-            time_budget_s=time_budget_s,
             rung_cap=rung_cap,
         )
         measured = self._meter(outcome)

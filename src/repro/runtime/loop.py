@@ -4,8 +4,9 @@ Implements the paper's deployment model: inputs arrive periodically;
 before each input the policy picks a (DNN, power, rung) configuration;
 the engine realises latency, quality, and energy; measurements feed
 back to the policy.  The loops own goal adjustment (workflow step 2):
-requirement-trace overrides, shared sentence deadlines, and the
-policy's declared overhead reservation.
+requirement-trace overrides and shared sentence deadlines.  A policy
+reserves its own overhead from the deadline it is given (ALERT's
+kernel does).
 
 In the spec → executor → loop architecture the loops are the innermost
 layer: :class:`repro.runtime.executor.RunExecutor` turns a declarative
@@ -14,10 +15,11 @@ pool), and the experiment harness builds those plans.
 
 **Three serving paths.**
 
-* the *sequential* path (:class:`ServingLoop`) — the faithful
-  per-input round trip above, one run at a time.  It is the reference
-  the other two are pinned to, and it serves every run they do not;
-* the *batch* path (:class:`ServingLoop`) — when the policy declares
+* the *sequential* path (:meth:`ServingLoop.run_sequential`) — the
+  faithful per-input round trip above, one run at a time.  It is the
+  reference the other two are pinned to, and it serves every run they
+  do not;
+* the *batch* path (:meth:`ServingLoop.run`) — when the policy declares
   itself **feedback-free** (``scheduler.feedback_free`` is True:
   decisions never read observations and ``observe`` is a no-op, e.g.
   Oracle, OracleStatic, App-only) and the run's goal cannot change
@@ -349,21 +351,19 @@ class ServingLoop:
         The base constraint setting.
     requirement_trace:
         Optional mid-run requirement changes.
-    adjuster:
-        Goal adjuster; a fresh one is built when omitted.
     grid_view:
         Optional shared-realisation view (see the module docstring).
         When omitted, the loop probes the scheduler for a ``grid_view``
         attribute.
-    clock:
-        The :class:`~repro.runtime.clock.SimulatedClock` this driver
-        advances (a fresh one is built when omitted).  The loop ticks
-        it by each served input's occupied time
-        (``max(latency, period)`` — the blocking-device model), so
-        after a run ``clock.now()`` is the simulated wall time the
-        trace consumed.  Decisions never read it: the kernel split
-        keeps the policy clock-free, and this loop is just one driver
-        of the kernel (the :mod:`repro.serve` front-end is another).
+
+    The loop owns its :class:`~repro.core.goals.GoalAdjuster`
+    (``adjuster``) and its :class:`~repro.runtime.clock.SimulatedClock`
+    (``clock``).  It ticks the clock by each served input's occupied
+    time (``max(latency, period)`` — the blocking-device model), so
+    after a run ``clock.now()`` is the simulated wall time the trace
+    consumed.  Decisions never read it: the kernel split keeps the
+    policy clock-free, and this loop is just one driver of the kernel
+    (the :mod:`repro.serve` front-end is another).
     """
 
     def __init__(
@@ -373,17 +373,15 @@ class ServingLoop:
         scheduler: Scheduler,
         goal: Goal,
         requirement_trace: RequirementTrace | None = None,
-        adjuster: GoalAdjuster | None = None,
         grid_view: GridView | None = None,
-        clock: SimulatedClock | None = None,
     ) -> None:
         self.engine = engine
         self.stream = stream
         self.scheduler = scheduler
         self.goal = goal
         self.trace = requirement_trace or RequirementTrace()
-        self.adjuster = adjuster if adjuster is not None else GoalAdjuster()
-        self.clock = clock if clock is not None else SimulatedClock()
+        self.adjuster = GoalAdjuster()
+        self.clock = SimulatedClock()
         if grid_view is None:
             grid_view = getattr(scheduler, "grid_view", None)
         self.grid_view = grid_view
@@ -424,36 +422,33 @@ class ServingLoop:
             return True
         return all(item.group_size == 1 for item in items)
 
-    def run(self, n_inputs: int, batch: bool | None = None) -> RunResult:
-        """Serve ``n_inputs`` inputs and aggregate the records.
-
-        ``batch`` selects the serving path: None (the default) takes
-        the batch fast path whenever :meth:`batch_eligible` allows it,
-        False forces the sequential reference path, and True demands
-        the fast path (raising :class:`ConfigurationError` when the
-        run is ineligible — useful in tests and benchmarks).
-        """
+    def _items(self, n_inputs: int) -> list[InputItem]:
         if n_inputs < 1:
             raise ConfigurationError(f"need at least one input, got {n_inputs}")
-        items = self.stream.items(n_inputs)
-        if batch is None:
-            batch = self.batch_eligible(items)
-        elif batch and not self.batch_eligible(items):
-            raise ConfigurationError(
-                f"scheduler {self.scheduler.name!r} cannot take the batch "
-                "path: it needs feedback, a requirement trace is active, "
-                "or inputs share group deadlines"
-            )
-        if batch:
-            arrays, materialize = self._run_batch(items)
-            return RunResult(
-                scheduler_name=self.scheduler.name, goal=self.goal,
-                arrays=arrays, materialize=materialize,
-            )
-        records = self._run_sequential(items)
+        return self.stream.items(n_inputs)
+
+    def run(self, n_inputs: int) -> RunResult:
+        """Serve ``n_inputs`` inputs and aggregate the records.
+
+        Takes the batch fast path exactly when :meth:`batch_eligible`
+        allows it, and the sequential path otherwise.
+        """
+        items = self._items(n_inputs)
+        if not self.batch_eligible(items):
+            return self._run_sequential(items)
+        arrays, materialize = self._run_batch(items)
         return RunResult(
-            scheduler_name=self.scheduler.name, goal=self.goal, records=records
+            scheduler_name=self.scheduler.name, goal=self.goal,
+            arrays=arrays, materialize=materialize,
         )
+
+    def run_sequential(self, n_inputs: int) -> RunResult:
+        """Serve ``n_inputs`` inputs through the per-input round trip.
+
+        The reference the batch path and the lockstep lanes are pinned
+        to, whatever :meth:`batch_eligible` says.
+        """
+        return self._run_sequential(self._items(n_inputs))
 
     # ------------------------------------------------------------------
     # Sequential reference path
@@ -488,7 +483,7 @@ class ServingLoop:
             period_s=period,
         )
 
-    def _run_sequential(self, items: list[InputItem]) -> list[ServedInput]:
+    def _run_sequential(self, items: list[InputItem]) -> RunResult:
         """The per-input round trip: decide → run → observe → record."""
         LOCKSTEP_TELEMETRY.record_sequential(len(items))
         records: list[ServedInput] = []
@@ -535,7 +530,9 @@ class ServingLoop:
                     xi_sigma=xi_sigma,
                 )
             )
-        return records
+        return RunResult(
+            scheduler_name=self.scheduler.name, goal=self.goal, records=records
+        )
 
     def _record(
         self,
@@ -602,7 +599,7 @@ class ServingLoop:
         """
         base_goal = self.goal
         # Trace is empty and no item is grouped, so the adjusted goal
-        # (overhead reservation only) is the same for every input.
+        # is the same for every input.
         adjusted = self.adjuster.adjust(base_goal, items[0])
         scheduler = self.scheduler
         decide_batch = getattr(scheduler, "decide_batch", None)

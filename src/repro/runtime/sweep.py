@@ -21,9 +21,8 @@ the sweep scales along three axes the drivers do not:
 * **streaming aggregation** — workers return compact per-cell
   :class:`CellSummary` rows (violation rate, means, latency
   percentiles, normalized scores), so driver memory is O(cells), not
-  O(inputs).  ``keep_runs=True`` additionally returns the full
-  :class:`~repro.runtime.results.RunResult` objects and remains the
-  parity reference (``tests/test_sweep_parity.py``);
+  O(inputs); ``tests/test_sweep_parity.py`` pins the summaries to
+  those of :func:`~repro.experiments.harness.evaluate_schemes` runs;
 * **checkpoint/resume** — each completed unit appends one JSONL line
   keyed by a deterministic :meth:`SweepUnit.fingerprint`, written when
   the spec holding it finishes; a restarted sweep skips finished units
@@ -416,6 +415,8 @@ def load_checkpoint(path, spec_fp: str) -> dict[str, tuple[CellSummary, ...]]:
                 continue
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    continue
                 if payload.get("spec") != spec_fp:
                     continue
                 fingerprint = payload["cell"]
@@ -445,20 +446,17 @@ def _sweep_initializer(grid_store=None) -> None:
     _SWEEP_GRID_STORE = grid_store
 
 
-def _summarize_spec(state: _WorkerState, cell: CellSpec, keep_runs: bool):
-    """Run one spec; one ``(summaries, runs-or-None)`` pair per goal."""
-    return [
-        (summarize_cell(cell.schemes, runs), runs if keep_runs else None)
-        for runs in state.execute(cell)
-    ]
+def _summarize_spec(state: _WorkerState, cell: CellSpec):
+    """Run one spec; one summary tuple per goal."""
+    return [summarize_cell(cell.schemes, runs) for runs in state.execute(cell)]
 
 
-def _sweep_execute(cell: CellSpec, keep_runs: bool):
+def _sweep_execute(cell: CellSpec):
     """Pool entry point: run one spec, return its compact summaries."""
     global _SWEEP_STATE
     if _SWEEP_STATE is None:
         _SWEEP_STATE = _WorkerState(grid_store=_SWEEP_GRID_STORE)
-    return _summarize_spec(_SWEEP_STATE, cell, keep_runs)
+    return _summarize_spec(_SWEEP_STATE, cell)
 
 
 @dataclass
@@ -467,11 +465,8 @@ class SweepResult:
 
     ``cells`` aligns one-to-one with ``units``; entries are None only
     for an aborted (``cell_limit``) sweep's unexecuted tail.
-    ``runs`` maps unit fingerprints to full per-scheme
-    :class:`~repro.runtime.results.RunResult` lists when the sweep ran
-    with ``keep_runs=True``.  ``grid_store_stats`` holds a pooled
-    sweep's store counters; ``grid_store_error`` says why a pooled
-    sweep ran without its store.
+    ``grid_store_stats`` holds a pooled sweep's store counters;
+    ``grid_store_error`` says why a pooled sweep ran without its store.
     """
 
     spec: SweepSpec
@@ -482,7 +477,6 @@ class SweepResult:
     complete: bool
     elapsed_s: float
     checkpoint_path: str | None = None
-    runs: dict[str, list[RunResult]] | None = None
     grid_store_stats: dict | None = field(default=None)
     grid_store_error: str | None = None
 
@@ -540,7 +534,6 @@ def run_sweep(
     workers: int = 1,
     checkpoint_path: str | None = None,
     resume: bool = True,
-    keep_runs: bool = False,
     cell_limit: int | None = None,
 ) -> SweepResult:
     """Execute a sweep spec: compile, (re)run, stream, checkpoint.
@@ -567,9 +560,6 @@ def run_sweep(
         units already checkpointed under this spec's fingerprint are
         skipped and their summaries merged as-is — bit-identical to
         recomputing them.
-    keep_runs:
-        Additionally collect every cell's full ``RunResult`` lists
-        (driver memory grows to O(inputs); the parity reference).
     cell_limit:
         Execute at most this many *new* units (the first pending ones
         in plan order), then stop, leaving a checkpoint that holds
@@ -636,7 +626,6 @@ def run_sweep(
         else:
             client = store.client()
 
-    runs: dict[str, list[RunResult]] | None = {} if keep_runs else None
     handle = None
     try:
         if checkpoint_path is not None and pending:
@@ -644,10 +633,8 @@ def run_sweep(
 
         def record(positions, results) -> None:
             """Store and checkpoint a finished spec's units."""
-            for position, (summaries, cell_runs) in zip(positions, results):
+            for position, summaries in zip(positions, results):
                 cells[position] = summaries
-                if runs is not None and cell_runs is not None:
-                    runs[fingerprints[position]] = cell_runs
                 if handle is not None:
                     handle.write(
                         _checkpoint_line(
@@ -660,7 +647,7 @@ def run_sweep(
         if not pooled:
             state = _WorkerState()
             for cell, positions in plan:
-                record(positions, _summarize_spec(state, cell, keep_runs))
+                record(positions, _summarize_spec(state, cell))
         else:
             n_workers = min(workers, len(plan))
             with ProcessPoolExecutor(
@@ -669,7 +656,7 @@ def run_sweep(
                 initargs=(client,),
             ) as pool:
                 futures = {
-                    pool.submit(_sweep_execute, cell, keep_runs): positions
+                    pool.submit(_sweep_execute, cell): positions
                     for cell, positions in plan
                 }
                 outstanding = set(futures)
@@ -697,7 +684,6 @@ def run_sweep(
         complete=complete,
         elapsed_s=time.perf_counter() - started,
         checkpoint_path=checkpoint_path,
-        runs=runs,
         grid_store_stats=stats,
         grid_store_error=store_error,
     )

@@ -50,6 +50,7 @@ __all__ = [
     "build_scenario",
     "constraint_grid",
     "candidate_set",
+    "stride_settings",
 ]
 
 #: Deadline multipliers relative to the anytime anchor (Table 3's
@@ -326,3 +327,14 @@ def constraint_grid(
         min_energy_goals=tuple(min_energy),
         min_error_goals=tuple(min_error),
     )
+
+
+def stride_settings(goals, settings_stride: int) -> list[Goal]:
+    """Every ``settings_stride``-th constraint setting (the drivers'
+    ``--stride``); a stride below 1 raises
+    :class:`~repro.errors.ConfigurationError`."""
+    if settings_stride < 1:
+        raise ConfigurationError(
+            f"settings_stride must be >= 1, got {settings_stride}"
+        )
+    return list(goals)[::settings_stride]

@@ -15,6 +15,7 @@ from repro.baselines import (
     make_alert_star,
     make_oracle_static,
 )
+from repro.baselines.oracle import best_static_config_scalar
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
@@ -252,31 +253,29 @@ def _scripted_case():
     return engine, space, goal
 
 
-@pytest.mark.parametrize("use_batch", [True, False], ids=["batch", "scalar"])
-def test_oracle_static_least_violating_rule_pinned(monkeypatch, use_batch):
-    import repro.baselines.oracle as oracle_module
+STATIC_PATHS = pytest.mark.parametrize(
+    "static_config",
+    [best_static_config, best_static_config_scalar],
+    ids=["batch", "scalar"],
+)
 
+
+@STATIC_PATHS
+def test_oracle_static_least_violating_rule_pinned(static_config):
     engine, space, goal = _scripted_case()
-    monkeypatch.setattr(oracle_module, "self_configs", lambda _: list(space))
     stream = ImageStream(np.random.default_rng(0))
-    chosen = best_static_config(
-        engine, space, goal, stream, n_inputs=20, use_batch=use_batch
-    )
+    chosen = static_config(engine, space, goal, stream, n_inputs=20)
     # Neither config meets the 10% rule (30% and 50% violations), so
     # the least-violating config wins despite its worse objective.
     assert chosen.model.name == "scripted_a"
 
 
-@pytest.mark.parametrize("use_batch", [True, False], ids=["batch", "scalar"])
-def test_oracle_static_qualifying_ranks_by_objective(monkeypatch, use_batch):
-    import repro.baselines.oracle as oracle_module
-
+@STATIC_PATHS
+def test_oracle_static_qualifying_ranks_by_objective(static_config):
     engine, space, goal = _scripted_case()
-    monkeypatch.setattr(oracle_module, "self_configs", lambda _: list(space))
     stream = ImageStream(np.random.default_rng(0))
-    chosen = best_static_config(
-        engine, space, goal, stream, n_inputs=20,
-        violation_threshold=0.6, use_batch=use_batch,
+    chosen = static_config(
+        engine, space, goal, stream, n_inputs=20, violation_threshold=0.6
     )
     # Both qualify under the loosened threshold: the objective decides.
     assert chosen.model.name == "scripted_b"

@@ -122,7 +122,7 @@ def _random_states(n: int, seed: int) -> list[tuple]:
 def paths(request, cpu1_profile, image_models):
     space = ConfigurationSpace(image_models, list(cpu1_profile.powers))
     estimator = AlertEstimator(cpu1_profile, variance_aware=request.param)
-    selector = ConfigSelector(space, estimator, use_batch=True)
+    selector = ConfigSelector(space, estimator)
     return space, estimator, selector
 
 

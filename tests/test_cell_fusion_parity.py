@@ -250,20 +250,23 @@ def _view_for(scenario, goal, n_inputs, trusted):
     return GridView(timing_grid(scenario, goal, n_inputs), trusted=trusted)
 
 
-def _run_with_view(scenario, scheme, goal, n_inputs, view, batch=None):
+def _run_with_view(scenario, scheme, goal, n_inputs, view):
     engine = scenario.make_engine()
     stream = scenario.make_stream()
     scheduler = make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
     loop = ServingLoop(engine, stream, scheduler, goal, grid_view=view)
-    return loop.run(n_inputs, batch=batch)
+    return loop.run(n_inputs)
 
 
 def test_trusted_view_serves_sequential_and_batch(image_scenario):
     goal = _goals(image_scenario)[0]
     view = _view_for(image_scenario, goal, 12, trusted=True)
+    # ALERT needs feedback (sequential path); App-only takes the batch path.
     for scheme, batch in (("ALERT", False), ("App-only", True)):
-        with_view = _run_with_view(image_scenario, scheme, goal, 12, view, batch)
-        without = _run_with_view(image_scenario, scheme, goal, 12, None, batch)
+        with_view = _run_with_view(image_scenario, scheme, goal, 12, view)
+        without = _run_with_view(image_scenario, scheme, goal, 12, None)
+        assert (with_view.arrays is not None) == batch
+        assert (without.arrays is not None) == batch
         for ra, rb in zip(with_view.records, without.records):
             assert ra == rb
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.controller import AlertController
 from repro.core.estimator import AlertEstimator
-from repro.core.goals import Goal, GoalAdjuster, ObjectiveKind
+from repro.core.goals import MIN_DEADLINE_S, Goal, GoalAdjuster, ObjectiveKind
 from repro.core.selector import ConfigSelector
 from repro.errors import ConfigurationError
 from repro.models.families import depth_nest_anytime, sparse_resnet_family
@@ -263,17 +263,8 @@ def test_group_deadline_grows_after_fast_words():
     assert adjusted.deadline_s == pytest.approx(0.18)
 
 
-def test_overhead_subtracted():
-    adjuster = GoalAdjuster(overhead_s=0.01)
-    goal = Goal(
-        objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1, accuracy_min=0.9
-    )
-    item = InputItem(index=0)
-    assert adjuster.adjust(goal, item).deadline_s == pytest.approx(0.09)
-
-
 def test_deadline_floor_protects_overrun_groups():
-    adjuster = GoalAdjuster(min_deadline_s=0.001)
+    adjuster = GoalAdjuster()
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=0.1, accuracy_min=0.9
     )
@@ -282,4 +273,4 @@ def test_deadline_floor_protects_overrun_groups():
     adjuster.adjust(goal, first)
     adjuster.consume(first, 10.0)  # blew the whole budget
     adjusted = adjuster.adjust(goal, second)
-    assert adjusted.deadline_s == pytest.approx(0.001)
+    assert adjusted.deadline_s == MIN_DEADLINE_S

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.errors import ConfigurationError
 from repro.experiments import (
     ablations,
     fig02_tradeoffs,
@@ -206,3 +208,36 @@ def test_ablation_prth_tightens():
     assert (
         rows["prth=0.99"].violated_settings <= rows["default"].violated_settings + 1
     )
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda stride: table4_overall.run(
+            envs=("memory",), settings_stride=stride, n_inputs=4
+        ),
+        lambda stride: table5_dnn_sets.run(
+            envs=("memory",), settings_stride=stride, n_inputs=4
+        ),
+        lambda stride: fig08_oracle_comparison.run(
+            envs=("memory",), settings_stride=stride, n_inputs=4
+        ),
+        lambda stride: fig10_alert_star.run(
+            envs=("memory",), settings_stride=stride, n_inputs=4
+        ),
+        lambda stride: ablations.run_global_xi(settings_stride=stride, n_inputs=4),
+        lambda stride: main(["table4", "--stride", str(stride), "--inputs", "4"]),
+        lambda stride: main(["table5", "--stride", str(stride), "--inputs", "4"]),
+        lambda stride: main(["fig08", "--stride", str(stride), "--inputs", "4"]),
+    ],
+    ids=[
+        "table4", "table5", "fig08", "fig10", "ablations",
+        "cli-table4", "cli-table5", "cli-fig08",
+    ],
+)
+def test_drivers_reject_stride_below_one(call, stride):
+    """Regression: stride 0 died in a slice ("slice step cannot be
+    zero") and a negative stride silently evaluated a reversed set."""
+    with pytest.raises(ConfigurationError, match="settings_stride"):
+        call(stride)

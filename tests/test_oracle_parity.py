@@ -17,6 +17,7 @@ import pytest
 from repro.baselines.oracle import (
     OracleScheduler,
     best_static_config,
+    best_static_config_scalar,
     make_oracle_static,
     oracle_outcome_grid,
 )
@@ -189,9 +190,7 @@ def test_best_static_identical_across_paths(spec):
         engine = scenario.make_engine()
         stream = scenario.make_stream()
         fast = best_static_config(engine, space, goal, stream, n_inputs=30)
-        ref = best_static_config(
-            engine, space, goal, stream, n_inputs=30, use_batch=False
-        )
+        ref = best_static_config_scalar(engine, space, goal, stream, n_inputs=30)
         assert fast.key == ref.key, goal.describe()
 
 

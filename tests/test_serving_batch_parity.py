@@ -3,11 +3,12 @@
 Pins the contract of :meth:`repro.runtime.loop.ServingLoop.run`: for
 schedulers that declare ``feedback_free`` (Oracle, OracleStatic,
 App-only), the batch fast path must reproduce the sequential reference
-run — identical decisions, identical discrete record fields, float
-fields equal to within 1 ulp of floating-point associativity (the
-engine's vectorized pass reorders no arithmetic, but ``numpy`` and
-``libm`` may round ``**`` differently), and identical violation flags
-and aggregates.  Feedback schemes, requirement traces, and grouped
+run (:meth:`~repro.runtime.loop.ServingLoop.run_sequential`) —
+identical decisions, identical discrete record fields, float fields
+equal to within 1 ulp of floating-point associativity (the engine's
+vectorized pass reorders no arithmetic, but ``numpy`` and ``libm`` may
+round ``**`` differently), and identical violation flags and
+aggregates.  Feedback schemes, requirement traces, and grouped
 (sentence) streams must keep the sequential path.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.goals import Goal, ObjectiveKind
-from repro.errors import ConfigurationError
 from repro.experiments.harness import make_scheme
 from repro.runtime.loop import ServingLoop
 from repro.workloads.scenarios import build_scenario
@@ -63,13 +63,11 @@ def _goal(scenario, objective):
     )
 
 
-def _run(scenario, scheme, goal, n_inputs, batch):
+def _loop(scenario, scheme, goal, n_inputs):
     engine = scenario.make_engine()
     stream = scenario.make_stream()
     scheduler = make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
-    return ServingLoop(engine, stream, scheduler, goal).run(
-        n_inputs, batch=batch
-    )
+    return ServingLoop(engine, stream, scheduler, goal)
 
 
 def _assert_record_parity(sequential, batch):
@@ -114,8 +112,9 @@ def _assert_record_parity(sequential, batch):
 def test_batch_path_matches_sequential(platform, env, seed, scheme, objective):
     scenario = build_scenario(platform, "image", env, "standard", seed=seed)
     goal = _goal(scenario, objective)
-    sequential = _run(scenario, scheme, goal, 25, batch=False)
-    batch = _run(scenario, scheme, goal, 25, batch=True)
+    sequential = _loop(scenario, scheme, goal, 25).run_sequential(25)
+    batch = _loop(scenario, scheme, goal, 25).run(25)
+    assert batch.arrays is not None  # the batch path served it
     _assert_record_parity(sequential, batch)
 
 
@@ -169,14 +168,20 @@ def test_auto_mode_keeps_feedback_schemes_sequential(image_scenario, monkeypatch
     assert result.n_inputs == 10
 
 
-def test_forcing_batch_on_feedback_scheme_raises(image_scenario):
+def test_run_sequential_never_takes_the_batch_path(image_scenario, monkeypatch):
+    """The reference stays sequential for a batch-eligible run too, so
+    the parity tests never compare the batch path with itself."""
     goal = _goal(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)
-    engine = image_scenario.make_engine()
-    stream = image_scenario.make_stream()
-    scheduler = make_scheme("ALERT", image_scenario, engine, stream, goal, 10)
-    loop = ServingLoop(engine, stream, scheduler, goal)
-    with pytest.raises(ConfigurationError):
-        loop.run(10, batch=True)
+    loop = _loop(image_scenario, "App-only", goal, 10)
+    assert loop.batch_eligible(loop.stream.items(10))
+
+    def boom(items):
+        raise AssertionError("the sequential reference took the batch path")
+
+    monkeypatch.setattr(loop, "_run_batch", boom)
+    result = loop.run_sequential(10)
+    assert result.n_inputs == 10
+    assert result.arrays is None
 
 
 def test_grouped_streams_fall_back_to_sequential(monkeypatch):

@@ -1,15 +1,15 @@
 """Parity and crash-resume suite for the zero-copy sweep engine.
 
 Pins the sweep engine's contract: a pooled shared-store sweep, a
-serial per-process-cache sweep, and
-:func:`repro.experiments.harness.evaluate_schemes` must all produce
-the same cells — discrete record fields exactly, float fields
-to ≤1e-12 relative; a killed sweep resumed from its JSONL checkpoint
-must merge bit-identically with an uninterrupted run (including a
-corrupted or truncated trailing checkpoint line, and a checkpoint
-holding part of a scenario); a spec's checkpoint lines land when the
-spec finishes; pooled execution must equal serial, also when
-the grid store cannot be created.  Also covers the LRU-bounded
+serial per-process-cache sweep, and the summaries of
+:func:`repro.experiments.harness.evaluate_schemes` runs must all be
+the same cells, exactly; a killed sweep resumed from its JSONL
+checkpoint must merge bit-identically with an uninterrupted run
+(including a ``repro sweep`` child SIGKILLed mid-run, a corrupted or
+truncated checkpoint line, and a checkpoint holding part of a
+scenario); a spec's checkpoint lines land when the spec finishes;
+pooled execution must equal serial, also when the grid store cannot
+be created.  Also covers the LRU-bounded
 :class:`repro.runtime.executor._WorkerState` caches and the read-only
 guarantee of shared-buffer-adopted
 :class:`~repro.models.inference.BatchOutcomeGrid` arrays.
@@ -19,10 +19,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.runtime.grid_store as grid_store_module
 import repro.runtime.sweep as sweep_module
 from repro.cli import build_parser, main
@@ -58,29 +65,6 @@ from repro.runtime.sweep import (
 )
 from repro.workloads.scenarios import build_scenario
 
-REL_TOL = 1e-12
-
-FLOAT_FIELDS = (
-    "latency_s",
-    "full_latency_s",
-    "quality",
-    "metric_value",
-    "energy_j",
-    "inference_power_w",
-    "idle_power_w",
-    "env_factor",
-)
-DISCRETE_FIELDS = (
-    "index",
-    "model_name",
-    "power_cap_w",
-    "effective_cap_w",
-    "met_deadline",
-    "completed_rungs",
-    "deadline_s",
-    "period_s",
-)
-
 #: A small but representative sweep: one scenario, mixed objectives,
 #: feedback-free and feedback-driven schemes, goals sharing timings.
 SPEC = SweepSpec(
@@ -99,6 +83,21 @@ SPEC = SweepSpec(
 #: run in-process).
 TWO_SCENARIOS = dataclasses.replace(SPEC, envs=("memory", "compute"))
 
+#: Three scenarios of 12 goals each, as ``repro sweep`` options and as
+#: the same spec: the sweep the kill test runs in a child process.
+KILL_OPTIONS = [
+    "--envs", "default", "memory", "compute",
+    "--schemes", "ALERT", "OracleStatic",
+    "--stride", "6", "--inputs", "40", "--seeds", "7",
+]
+KILL_SPEC = SweepSpec(
+    envs=("default", "memory", "compute"),
+    schemes=("ALERT", "OracleStatic"),
+    settings_stride=6,
+    n_inputs=40,
+    seeds=(7,),
+)
+
 #: Two scenarios of 24 goals each (stride 3), with every stacking
 #: scheme family and the normalisation baseline: each scenario is one
 #: lockstep-wide spec.
@@ -112,22 +111,6 @@ WIDE_SPEC = SweepSpec(
     n_inputs=10,
     seeds=(7,),
 )
-
-
-def _assert_runs_match(a, b):
-    assert a.scheduler_name == b.scheduler_name
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        for field in DISCRETE_FIELDS:
-            assert getattr(ra.outcome, field) == getattr(rb.outcome, field), (
-                a.scheduler_name,
-                field,
-            )
-        for field in FLOAT_FIELDS:
-            assert getattr(ra.outcome, field) == pytest.approx(
-                getattr(rb.outcome, field), rel=REL_TOL, abs=0.0
-            ), (a.scheduler_name, field)
-    assert a.violation_fraction == b.violation_fraction
 
 
 # ----------------------------------------------------------------------
@@ -209,26 +192,20 @@ def test_spec_validation():
 # Parity: pooled store == serial cache == evaluate_schemes
 # ----------------------------------------------------------------------
 def test_sweep_matches_evaluate_schemes():
-    result = run_sweep(SPEC, workers=1, keep_runs=True)
+    result = run_sweep(SPEC, workers=1)
     assert result.complete
     scenario = build_scenario("CPU1", "image", "memory", "standard", 99)
-    by_goal = {}
-    for unit in result.units:
-        by_goal[unit.goal] = result.runs[unit.fingerprint()]
     reference = evaluate_schemes(
         scenario,
         tuple(unit.goal for unit in result.units),
         SPEC.schemes,
         n_inputs=SPEC.n_inputs,
     )
-    for position, unit in enumerate(result.units):
-        for s, name in enumerate(SPEC.schemes):
-            _assert_runs_match(
-                by_goal[unit.goal][s], reference.scheme_runs(name)[position]
-            )
+    for position in range(len(result.units)):
+        runs = [reference.scheme_runs(name)[position] for name in SPEC.schemes]
+        assert result.cells[position] == summarize_cell(SPEC.schemes, runs)
+        for name, summary, run in zip(SPEC.schemes, result.cells[position], runs):
             # The streamed summary is the run's own aggregate.
-            summary = result.cells[position][s]
-            run = by_goal[unit.goal][s]
             assert summary.scheme == name
             assert summary.violation_fraction == run.violation_fraction
             assert summary.mean_energy_j == run.mean_energy_j
@@ -314,10 +291,10 @@ def test_checkpoint_lines_land_when_their_spec_finishes(
     started = []
     summarize_spec = sweep_module._summarize_spec
 
-    def spy(state, cell, keep_runs):
+    def spy(state, cell):
         written = len(checkpoint.read_text().splitlines())
         started.append((written, len(cell.goals)))
-        return summarize_spec(state, cell, keep_runs)
+        return summarize_spec(state, cell)
 
     monkeypatch.setattr(sweep_module, "_summarize_spec", spy)
     result = run_sweep(
@@ -381,6 +358,60 @@ def test_resume_from_part_of_a_wide_scenario_bit_identical(
     assert (resumed.grid_store_stats is not None) == (workers > 1)
 
 
+@pytest.fixture(scope="module")
+def kill_reference():
+    """KILL_SPEC's uninterrupted sweep."""
+    return run_sweep(KILL_SPEC, workers=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigkilled_sweep_resumes_bit_identical(workers, kill_reference, tmp_path):
+    """A real kill: ``repro sweep`` runs in a child process group that
+    gets SIGKILL as soon as the first spec's lines reach the checkpoint.
+    Every whole line loads, the resume skips exactly those units, and
+    the merged cells equal an uninterrupted sweep's."""
+    checkpoint = tmp_path / "killed.jsonl"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "sweep", *KILL_OPTIONS,
+            "--workers", str(workers), "--checkpoint", str(checkpoint),
+        ],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        give_up = time.monotonic() + 120
+        while child.poll() is None and time.monotonic() < give_up:
+            if checkpoint.exists() and checkpoint.stat().st_size > 0:
+                break
+            time.sleep(0.001)
+    finally:
+        # The whole group: the driver and its pool workers.
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    whole = [line for line in lines if line.endswith("\n")]
+    assert len(lines) - len(whole) <= 1  # only the last line may be cut
+    loaded = load_checkpoint(str(checkpoint), KILL_SPEC.fingerprint())
+    assert len(loaded) == len(whole)
+    # Killed before it finished.
+    assert 0 < len(loaded) < len(kill_reference.units)
+
+    resumed = run_sweep(KILL_SPEC, workers=workers, checkpoint_path=str(checkpoint))
+    assert resumed.resumed == len(loaded)
+    assert resumed.complete
+    assert resumed.cells == kill_reference.cells
+
+
 def test_resume_tolerates_truncated_trailing_line(tmp_path):
     uninterrupted = run_sweep(SPEC, workers=1)
     checkpoint = tmp_path / "sweep.jsonl"
@@ -402,6 +433,8 @@ def test_resume_tolerates_corrupt_line(tmp_path):
     with open(checkpoint, "a", encoding="utf-8") as handle:
         handle.write('{"spec": "garbage", not json\n')
         handle.write('{"spec": "wrong-spec", "cell": "x", "summaries": []}\n')
+        # Valid JSON that is not an object.
+        handle.write('null\n42\n[1, 2]\n"text"\n')
     resumed = run_sweep(SPEC, workers=1, checkpoint_path=str(checkpoint))
     assert resumed.complete
     assert resumed.resumed == 2
