@@ -47,7 +47,7 @@ def main() -> None:
         f"deadline misses: {result.deadline_miss_fraction * 100:.1f}% of inputs; "
         f"setting violated (10% rule): {result.setting_violated}"
     )
-    state = scheduler.controller.state()
+    state = scheduler.kernel.state()
     print(
         f"final belief: xi = {state.xi_mean:.2f} +- {state.xi_sigma:.2f} "
         f"after {state.observations} observations, idle-power ratio "

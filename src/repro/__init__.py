@@ -23,7 +23,7 @@ The package is organised as:
 ``repro.core``
     The paper's contribution: the global-slowdown-factor Kalman
     filters, probabilistic latency/accuracy/energy estimators, and the
-    configuration selector, wrapped in :class:`repro.core.AlertController`.
+    configuration selector, wrapped in :class:`repro.core.AlertKernel`.
 ``repro.runtime``
     The feedback serving loop that wires a controller to the inference
     engine and records measurements and constraint violations.

@@ -10,7 +10,7 @@ traditional and anytime networks are mixed.
 
 from __future__ import annotations
 
-from repro.core.controller import AlertController
+from repro.core.kernel import AlertKernel
 from repro.models.base import DnnModel
 from repro.models.profiles import ProfileTable
 from repro.runtime.scheduler import AlertScheduler
@@ -35,7 +35,7 @@ def make_alert(
     ``keep_xi_history`` opts into retaining every ξ observation for
     trace consumers (Figure 11); throughput paths leave it off.
     """
-    controller = AlertController(
+    kernel = AlertKernel(
         profile=profile,
         models=models,
         powers=powers,
@@ -44,7 +44,7 @@ def make_alert(
         q0=q0,
         keep_xi_history=keep_xi_history,
     )
-    return AlertScheduler(controller, name=name, grid_view=grid_view)
+    return AlertScheduler(kernel, name=name, grid_view=grid_view)
 
 
 def make_alert_star(
@@ -55,11 +55,11 @@ def make_alert_star(
     grid_view=None,
 ) -> AlertScheduler:
     """The mean-only ablation: identical except variance is ignored."""
-    controller = AlertController(
+    kernel = AlertKernel(
         profile=profile,
         models=models,
         powers=powers,
         variance_aware=False,
         expand_anytime_rungs=True,
     )
-    return AlertScheduler(controller, name=name, grid_view=grid_view)
+    return AlertScheduler(kernel, name=name, grid_view=grid_view)

@@ -21,9 +21,9 @@ power available" — producing both energy waste and violations
 (Table 4's No-coord column).
 
 Both decision rules are pure functions of the profile arrays, which the
-scheduler precomputes once; the per-decision loops in
-:meth:`NoCoordScheduler._app_decide_rung` and
-:meth:`NoCoordScheduler._sys_decide_power` are the pinned scalar
+kernel precomputes once; the per-decision loops in
+:meth:`NoCoordKernel._app_decide_rung` and
+:meth:`NoCoordKernel._sys_decide_power` are the pinned scalar
 reference, and :class:`NoCoordCellController` is the lockstep twin that
 advances a whole goal grid per input with the same arithmetic evaluated
 as feasibility masks (``tests/test_lockstep_parity.py`` pins the
@@ -35,9 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config_space import Configuration
-from repro.core.controller import lockstep_stats_dict
 from repro.core.goals import Goal, ObjectiveKind
-from repro.core.kernel import Measurement
+from repro.core.kernel import Measurement, lockstep_stats_dict
 from repro.core.selector import BaselineSelection
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
@@ -180,32 +179,6 @@ class NoCoordScheduler:
         self.grid_view = grid_view
         self.kernel = NoCoordKernel(profile, anytime, self.powers)
 
-    # Delegating views of the kernel state (the stacking fingerprint
-    # and the parity suites read these under their pre-split names).
-    @property
-    def _app_filter(self) -> GlobalSlowdownEstimator:
-        return self.kernel.app_filter
-
-    @property
-    def _sys_filter(self) -> GlobalSlowdownEstimator:
-        return self.kernel.sys_filter
-
-    @property
-    def _rung_latencies(self) -> tuple[float, ...]:
-        return self.kernel.rung_latencies
-
-    @property
-    def _power_latencies(self) -> tuple[float, ...]:
-        return self.kernel.power_latencies
-
-    @property
-    def _power_draws(self) -> tuple[float, ...]:
-        return self.kernel.power_draws
-
-    @property
-    def _last_power(self) -> float:
-        return self.kernel.last_power
-
     # ------------------------------------------------------------------
     # Protocol
     # ------------------------------------------------------------------
@@ -293,15 +266,13 @@ class NoCoordCellController:
         for scheduler in schedulers:
             if type(scheduler) is not NoCoordScheduler:
                 return None
+            kernel = scheduler.kernel
             if (
-                scheduler._app_filter.observations != 0
-                or scheduler._sys_filter.observations != 0
+                kernel.app_filter.observations != 0
+                or kernel.sys_filter.observations != 0
             ):
                 return None
-            if (
-                scheduler._app_filter.keeps_history
-                or scheduler._sys_filter.keeps_history
-            ):
+            if kernel.app_filter.keeps_history or kernel.sys_filter.keeps_history:
                 return None
         first = schedulers[0]
 
@@ -320,9 +291,9 @@ class NoCoordCellController:
             profile=first.profile,
             model=first.model,
             powers=first.powers,
-            rung_latencies=first._rung_latencies,
-            power_latencies=first._power_latencies,
-            power_draws=first._power_draws,
+            rung_latencies=first.kernel.rung_latencies,
+            power_latencies=first.kernel.power_latencies,
+            power_draws=first.kernel.power_draws,
             n_goals=len(schedulers),
         )
 

@@ -14,8 +14,8 @@ energy is plentiful (minimise-error mode) — the Table 4 pattern.
 The implementation reuses ALERT's estimator/selector machinery
 restricted to a single model and mean-only prediction, which is
 faithful to [63]'s mean-latency Kalman feedback.  Like ALERT itself,
-it runs on the vectorized batch decision path (the selector's
-default), so per-decision cost stays flat as the power grid grows.
+it runs on the selector's vectorized batch decision path, so
+per-decision cost stays flat as the power grid grows.
 
 The scheme follows the repository's kernel split
 (:mod:`repro.core.kernel`): :class:`SysOnlyKernel` owns the clock-free
@@ -29,10 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.controller import lockstep_stats_dict
 from repro.core.estimator import AlertEstimator
 from repro.core.goals import Goal
-from repro.core.kernel import Measurement, measurement_from_outcome
+from repro.core.kernel import (
+    Measurement,
+    lockstep_stats_dict,
+    measurement_from_outcome,
+)
 from repro.core.selector import ConfigSelector, SelectionResult
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
@@ -111,14 +114,6 @@ class SysOnlyScheduler:
             top_power=self.space.powers[-1],
         )
 
-    @property
-    def selector(self) -> ConfigSelector:
-        return self.kernel.selector
-
-    @property
-    def slowdown(self) -> GlobalSlowdownEstimator:
-        return self.kernel.slowdown
-
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
         return self.kernel.decide(goal).config
 
@@ -147,7 +142,7 @@ class SysOnlyCellController:
     every goal's ξ filter per input, and one
     :meth:`~repro.core.selector.ConfigSelector.select_many` pass
     computes every goal's power decision.  φ is the profiled constant
-    the scalar scheduler recomputes per decision.  Each goal's
+    the scalar kernel computes once.  Each goal's
     trajectory is bit-identical to a fresh :class:`SysOnlyScheduler`
     serving that goal alone (``tests/test_lockstep_parity.py``).
     """
@@ -175,7 +170,7 @@ class SysOnlyCellController:
         for scheduler in schedulers:
             if type(scheduler) is not SysOnlyScheduler:
                 return None
-            if scheduler.slowdown.observations != 0:
+            if scheduler.kernel.slowdown.observations != 0:
                 return None
         first = schedulers[0]
 
@@ -194,13 +189,10 @@ class SysOnlyCellController:
         reference = fingerprint(first)
         if any(fingerprint(s) != reference for s in schedulers[1:]):
             return None
-        phi = first.profile.idle_power_w / first.profile.power(
-            first.model.name, first.space.powers[-1]
-        )
         return cls(
-            selector=first.selector,
+            selector=first.kernel.selector,
             profile=first.profile,
-            phi=phi,
+            phi=first.kernel.phi,
             n_goals=len(schedulers),
         )
 

@@ -14,18 +14,17 @@ The flow, per input ``n`` (paper Section 3.2):
    latency > accuracy > power priority fallback when nothing is
    feasible.
 
-Public entry point: :class:`AlertController`.
+Public entry point: :class:`AlertKernel`.
 """
 
 from repro.core.batch_estimator import BatchAlertEstimator, BatchEstimates
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.controller import AlertController, ControllerState
 from repro.core.estimator import AlertEstimator, ConfigEstimate
 from repro.core.goals import Goal, GoalAdjuster, ObjectiveKind
 from repro.core.kalman import AdaptiveKalmanFilter, IdlePowerFilter
 from repro.core.kernel import (
     AlertKernel,
-    DecisionKernel,
+    ControllerState,
     Measurement,
     kernel_of,
     measurement_from_outcome,
@@ -38,7 +37,6 @@ __all__ = [
     "BatchEstimates",
     "Configuration",
     "ConfigurationSpace",
-    "AlertController",
     "ControllerState",
     "AlertEstimator",
     "ConfigEstimate",
@@ -48,7 +46,6 @@ __all__ = [
     "AdaptiveKalmanFilter",
     "IdlePowerFilter",
     "AlertKernel",
-    "DecisionKernel",
     "Measurement",
     "kernel_of",
     "measurement_from_outcome",

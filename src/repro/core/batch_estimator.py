@@ -25,7 +25,7 @@ percentile of Eq. 12, and the piecewise-linear energy CDF including
 its ``phi >= 1`` corner are all reproduced exactly.
 
 The scheduler must cost a small fraction of an input's inference time
-(the paper measures 0.6-1.7% and the controller reserves it from every
+(the paper measures 0.6-1.7% and the kernel reserves it from every
 deadline); on the Table 4 candidate set this path decides more than an
 order of magnitude faster than the scalar loop (see
 ``benchmarks/bench_decide_throughput.py``).

@@ -12,7 +12,7 @@ power ratio ``phi``, the estimator derives for every configuration:
   percentile variant of Eq. 12).
 
 The estimator is a pure function of ``(configuration, goal, ξ, phi)``
-— all the state lives in the controller — which keeps it trivially
+— all the state lives in the kernel — which keeps it trivially
 testable and lets oracles and baselines reuse pieces of it.
 
 **Architecture note — scalar reference vs. batch fast path.**  This

@@ -1,12 +1,16 @@
-"""The clock-free decision kernel behind every feedback scheme.
+"""ALERT's decision state, clock-free (paper Section 3.2).
 
-ALERT's runtime is two state transitions (paper Section 3.2):
+ALERT's runtime is two state transitions:
 
 * ``observe(measurement) -> state'`` — fold the previous input's
   measurements into the belief state (ξ filter, idle-power filter,
   tail model);
-* ``decide(goal[, item]) -> selection`` — estimate every candidate
+* ``decide(goal) -> selection`` — estimate every candidate
   configuration under the current belief and pick the best one.
+
+Goal adjustment (step 2) lives in :class:`repro.core.goals.GoalAdjuster`
+and is owned by the serving driver, because it needs the input-group
+structure the kernel is agnostic to.
 
 Neither transition needs to know *when* inputs happen: periods, input
 streams, arrival processes, and record realisation are all properties
@@ -19,46 +23,90 @@ event loop (:mod:`repro.serve`).  This module pins that boundary:
   whether the period had an idle phase, which decides if the idle-power
   filter gets a sample — is resolved *by the driver* via
   :func:`measurement_from_outcome`.
-* :class:`AlertKernel` owns ALERT's scalar belief state and the
+* :class:`AlertKernel` builds the candidate space, estimator, selector
+  and filters, and owns ALERT's scalar belief state and the
   estimate/select step, with an exact per-belief selection cache.
-  :class:`repro.core.controller.AlertController` is a thin adapter
-  that builds the candidate machinery and delegates here.
 * :class:`AlertCellKernel` is the stacked (lockstep) twin: one belief
   state per goal of a fused cell, advanced with one stacked
-  ``observe_many``/``decide_many`` pass per input step.
-  :class:`repro.core.controller.AlertCellController` adapts it to the
-  harness's outcome-record convention.
+  ``observe_many``/``decide_many`` pass per input step.  Build it from
+  fresh per-goal kernels with :meth:`AlertCellKernel.from_kernels`.
+
+The kernel also models its own cost: the paper measures ALERT's
+scheduler at 0.6-1.7% of an input's inference time, and the kernel
+subtracts its worst case from the deadline so the scheduler never
+causes the violation it is preventing.  Two mechanisms keep the real
+cost far below that reservation: selection runs on the vectorized batch
+estimator (see :mod:`repro.core.batch_estimator`), and the kernel
+reuses a goal's selection exactly until the next observation changes
+its belief.
 
 The baselines follow the same split: :class:`repro.baselines.sys_only`
 and :class:`repro.baselines.no_coord` define their own kernels, and
-feedback-free schemes (Oracle, OracleStatic, App-only, Static) satisfy
-the protocol trivially — their ``observe`` is a no-op, so they are
-their own kernels.  Every split is behaviour-preserving: the parity
-suites pin the adapters bit-identical to their pre-split trajectories.
+feedback-free schemes (Oracle, OracleStatic, App-only, Static) are
+their own kernels — their ``observe`` is a no-op (see
+:func:`kernel_of`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.config_space import ConfigurationSpace
+from repro.core.estimator import AlertEstimator
 from repro.core.goals import Goal
 from repro.core.kalman import IdlePowerFilter, StackedIdlePowerFilter
 from repro.core.selector import ConfigSelector, SelectionResult
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
+from repro.models.base import DnnModel
 from repro.models.profiles import ProfileTable
 
 __all__ = [
     "Measurement",
     "measurement_from_outcome",
-    "DecisionKernel",
     "kernel_of",
+    "ControllerState",
     "AlertKernel",
     "AlertCellKernel",
 ]
+
+#: Fraction of the mean profiled latency charged as worst-case
+#: scheduler overhead (the paper's measured range is 0.6-1.7%).
+DEFAULT_OVERHEAD_FRACTION = 0.017
+
+
+@dataclass(frozen=True)
+class ControllerState:
+    """Snapshot of ALERT's filter state (for traces/tests)."""
+
+    xi_mean: float
+    xi_sigma: float
+    phi: float
+    observations: int
+
+
+def lockstep_stats_dict(
+    n_goals: int,
+    stacked_calls: int,
+    stacked_states: int,
+) -> dict:
+    """The decision-path health counters of one lockstep cell.
+
+    The single place the stats-dict shape is defined: every stacked
+    cell's ``lockstep_stats`` builds through this, and
+    :meth:`repro.runtime.loop.LockstepTelemetry.record_cell` reads the
+    same keys.
+    """
+    return {
+        "goals": n_goals,
+        "stacked_calls": stacked_calls,
+        "stacked_states": stacked_states,
+        "mean_batch_size": (
+            stacked_states / stacked_calls if stacked_calls else 0.0
+        ),
+    }
 
 
 @dataclass(slots=True)
@@ -109,27 +157,6 @@ def measurement_from_outcome(outcome) -> Measurement:
     )
 
 
-@runtime_checkable
-class DecisionKernel(Protocol):
-    """What a serving driver needs from a policy's decision state.
-
-    ``decide`` picks a configuration for the next input under a goal
-    (``item`` carries the clock-free input descriptor — index, work
-    factor — which perfect-knowledge baselines read and feedback
-    kernels ignore); ``observe`` folds a :class:`Measurement` in.
-    Feedback-free schedulers satisfy the protocol as-is: their
-    ``observe`` ignores its argument.
-    """
-
-    def decide(self, item, goal: Goal):
-        """Pick the configuration for ``item`` under ``goal``."""
-        ...  # pragma: no cover - protocol
-
-    def observe(self, measurement: Measurement) -> None:
-        """Fold one input's measurement into the belief state."""
-        ...  # pragma: no cover - protocol
-
-
 def kernel_of(scheduler):
     """The decision kernel behind a scheduler.
 
@@ -167,37 +194,81 @@ def _adjusted(cache: dict, goal: Goal, overhead_s: float) -> Goal:
 
 
 class AlertKernel:
-    """ALERT's belief state and estimate/select step, clock-free.
+    """ALERT: joint DNN / power-cap selection with feedback, clock-free.
 
-    Owns the global-slowdown ξ filter and the idle-power filter; knows
-    nothing about periods, input streams, or how outcomes are realised.
-    Construction happens in :class:`repro.core.controller.AlertController`,
-    which builds the candidate space and selector and passes them in.
-
-    Parameters mirror the controller's: ``selector`` runs steps 3-4,
-    ``profile`` anchors observed latencies, and ``overhead_s`` is the
-    worst-case scheduler overhead reserved from every deadline.
+    Builds the candidate space, estimator and selector, and owns the
+    global-slowdown ξ filter and the idle-power filter; knows nothing
+    about periods, input streams, or how outcomes are realised.
 
     ``decide`` is a pure function of the goal and the belief state, and
     the belief only changes in :meth:`observe`.  So the kernel keeps the
     selections made since the last observation, one per goal, and
     answers a repeated goal from them exactly — the cost-aware fleet
     probes every replica's ``decide`` before dispatching to one.
+
+    Parameters
+    ----------
+    profile:
+        Offline profile of every candidate configuration.
+    models:
+        Candidate networks; defaults to everything in the profile.
+    powers:
+        Candidate power caps; defaults to the profiled levels.
+    variance_aware:
+        False reproduces the mean-only ALERT* ablation.
+    expand_anytime_rungs:
+        Whether anytime models may be stopped at intermediate rungs
+        (Section 3.5's energy saving); on by default.
+    q0:
+        Process-noise floor of the ξ filter (Section 3.6's robustness
+        knob for heavy-tailed environments).
+    overhead_fraction:
+        Worst-case scheduler overhead as a fraction of the mean
+        profiled latency; the resulting :attr:`overhead_s` is reserved
+        out of every deadline.
+    confidence:
+        Per-constraint confidence floor for feasibility (see
+        :class:`repro.core.estimator.AlertEstimator`).
+    keep_xi_history:
+        Retain every observed slowdown ratio for trace consumers
+        (Figure 11).  Off by default — see
+        :class:`repro.core.slowdown.GlobalSlowdownEstimator`.
     """
 
     def __init__(
         self,
-        selector: ConfigSelector,
         profile: ProfileTable,
-        slowdown: GlobalSlowdownEstimator,
-        idle_filter: IdlePowerFilter,
-        overhead_s: float,
+        models: list[DnnModel] | None = None,
+        powers: list[float] | None = None,
+        variance_aware: bool = True,
+        expand_anytime_rungs: bool = True,
+        q0: float = 0.1,
+        overhead_fraction: float = DEFAULT_OVERHEAD_FRACTION,
+        confidence: float = 0.95,
+        keep_xi_history: bool = False,
     ) -> None:
-        self.selector = selector
+        if overhead_fraction < 0 or overhead_fraction > 0.2:
+            raise ConfigurationError(
+                f"overhead fraction {overhead_fraction} outside [0, 0.2]"
+            )
         self.profile = profile
-        self.slowdown = slowdown
-        self.idle_filter = idle_filter
-        self.overhead_s = overhead_s
+        self.space = ConfigurationSpace(
+            models=list(models) if models is not None else list(profile.models),
+            powers=list(powers) if powers is not None else list(profile.powers),
+            expand_anytime_rungs=expand_anytime_rungs,
+        )
+        self.estimator = AlertEstimator(
+            profile, variance_aware=variance_aware, confidence=confidence
+        )
+        self.selector = ConfigSelector(self.space, self.estimator)
+        self.slowdown = GlobalSlowdownEstimator(
+            q0=q0, keep_history=keep_xi_history
+        )
+        self.idle_filter = IdlePowerFilter(
+            phi0=profile.idle_power_w / max(profile.inference_power_w.values())
+        )
+        mean_latency = sum(profile.latency_s.values()) / len(profile.latency_s)
+        self.overhead_s = overhead_fraction * mean_latency
         self.last_selection: SelectionResult | None = None
         # Selections under the current belief; observe() clears them.
         self._selections: dict[Goal, SelectionResult] = {}
@@ -247,19 +318,33 @@ class AlertKernel:
         self.last_selection = result
         return result
 
+    def state(self) -> ControllerState:
+        """Snapshot of the filters for traces and tests."""
+        return ControllerState(
+            xi_mean=self.slowdown.mean,
+            xi_sigma=self.slowdown.sigma,
+            phi=self.idle_filter.phi,
+            observations=self.slowdown.observations,
+        )
+
 
 class AlertCellKernel:
     """Stacked ALERT belief states for a lockstep cell, clock-free.
 
-    One ξ/idle-power/tail state per goal, advanced together: one
-    stacked :meth:`observe_many` pass folds every goal's measurement
-    in, and one :meth:`decide_many` pass computes every goal's
-    selection through
+    Every goal of a fused cell consumes the same input sequence, so
+    their independent ALERT states — ξ filter, idle-power filter, tail
+    model — can advance in lockstep: one stacked :meth:`observe_many`
+    pass folds every goal's measurement in, and one :meth:`decide_many`
+    pass computes every goal's selection through
     :meth:`~repro.core.selector.ConfigSelector.select_many` (single
-    fused erf + lexsort per step, covering every goal).  Knows nothing
-    about periods or outcome records —
-    :class:`repro.core.controller.AlertCellController` adapts the
-    harness's outcome convention onto it.
+    fused erf + lexsort per step, covering every goal).  Each goal's
+    trajectory is bit-identical to a fresh :class:`AlertKernel` serving
+    that goal alone (``tests/test_lockstep_parity.py``).
+
+    Build through :meth:`from_kernels`, which validates that the
+    per-goal kernels are fresh and structurally identical and returns
+    ``None`` when they are not — callers fall back to the sequential
+    per-goal path.
     """
 
     def __init__(
@@ -304,16 +389,96 @@ class AlertCellKernel:
         # the entry pins its goals, keeping the ids stable.
         self._adjusted_lists: dict[tuple, tuple[list, list]] = {}
 
+    @classmethod
+    def from_kernels(cls, kernels: list[AlertKernel]) -> "AlertCellKernel | None":
+        """A stacked kernel equivalent to ``kernels``, or None.
+
+        Returns ``None`` — never raises — when the kernels cannot be
+        stacked: not plain :class:`AlertKernel` instances, not fresh
+        (any filter already observed, any decision already made),
+        keeping a ξ history, or structurally different (profile,
+        candidate space, estimator mode, overhead, filter parameters).
+        Subclasses are rejected on purpose: their overridden behaviour
+        must keep running on the sequential reference path.
+        """
+        if not kernels:
+            return None
+        for kernel in kernels:
+            if type(kernel) is not AlertKernel:
+                return None
+            if (
+                kernel.slowdown.observations != 0
+                or kernel.idle_filter.updates != 0
+                or kernel.last_selection is not None
+            ):
+                return None
+            # ξ-history retention is a trace contract the stacked
+            # estimator does not replicate; such runs stay sequential
+            # so history() keeps returning the full trace.
+            if kernel.slowdown.keeps_history:
+                return None
+        first = kernels[0]
+
+        def fingerprint(kernel: AlertKernel) -> tuple:
+            xi = kernel.slowdown._filter
+            idle = kernel.idle_filter
+            return (
+                id(kernel.profile),
+                tuple(
+                    (id(config.model), config.power_w, config.rung_cap)
+                    for config in kernel.space
+                ),
+                kernel.estimator.variance_aware,
+                kernel.estimator.confidence,
+                kernel.overhead_s,
+                (xi.mu, xi.var, xi.gain, xi.measurement_noise, xi.q_cap, xi.alpha),
+                (
+                    kernel.slowdown._min_sigma,
+                    kernel.slowdown._tail_threshold,
+                    kernel.slowdown._tail_ewma,
+                ),
+                (
+                    idle.phi,
+                    idle.variance,
+                    idle.process_noise,
+                    idle.measurement_noise,
+                ),
+            )
+
+        reference = fingerprint(first)
+        if any(fingerprint(k) != reference for k in kernels[1:]):
+            return None
+        xi = first.slowdown._filter
+        idle = first.idle_filter
+        return cls(
+            selector=first.selector,
+            profile=first.profile,
+            n_goals=len(kernels),
+            overhead_s=first.overhead_s,
+            q0=xi.q_cap,
+            min_sigma=first.slowdown._min_sigma,
+            tail_threshold_sigmas=first.slowdown._tail_threshold,
+            tail_ewma=first.slowdown._tail_ewma,
+            phi0=np.array([k.idle_filter.phi for k in kernels]),
+            idle_m0=idle.variance,
+            idle_s=idle.process_noise,
+            idle_v=idle.measurement_noise,
+        )
+
     # ------------------------------------------------------------------
     # Step 1: measurement feedback, all goals at once
     # ------------------------------------------------------------------
-    def observe_many(self, measurements: list[Measurement]) -> None:
+    def observe_many(self, outcomes) -> None:
         """Fold every goal's previous-input measurement in, stacked.
 
-        One :class:`Measurement` per goal; the idle-power filter only
-        sees goals whose measurement carries an idle-phase sample —
-        the drivers resolved that from their own clocks.
+        ``outcomes`` holds one
+        :class:`~repro.models.inference.InferenceOutcome`-shaped record
+        per goal, each translated by :func:`measurement_from_outcome`:
+        the ξ observation uses the run-to-completion latency, and the
+        idle-power filter only sees goals whose period had an idle
+        phase.
         """
+        measurements = [measurement_from_outcome(o) for o in outcomes]
         profile = self.profile
         measured = np.array([m.full_latency_s for m in measurements])
         t_prof = np.array(
@@ -385,4 +550,18 @@ class AlertCellKernel:
             slowdown.sigma,
             self.idle_filter.phi,
             tails=tails,
+        )
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def xi_snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-goal (mean, sigma) arrays (record bookkeeping)."""
+        return self.slowdown.mean, self.slowdown.sigma
+
+    @property
+    def lockstep_stats(self) -> dict:
+        """Decision-path health counters for benches and telemetry."""
+        return lockstep_stats_dict(
+            self.n_goals, self.stacked_calls, self.stacked_states
         )

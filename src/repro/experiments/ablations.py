@@ -174,7 +174,7 @@ def run_adaptive_q(
 
     def fixed():
         scheduler = make_alert(profile, name="ALERT(fixed-Q)")
-        scheduler.controller.slowdown._filter.alpha = fixed_alpha
+        scheduler.kernel.slowdown._filter.alpha = fixed_alpha
         return scheduler
 
     return [

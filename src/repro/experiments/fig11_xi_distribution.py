@@ -86,7 +86,7 @@ def run(
         # The one consumer of the raw ξ trace: opt into retention.
         scheduler = make_alert(profile, keep_xi_history=True)
         ServingLoop(engine, stream, scheduler, goal).run(n_inputs)
-        samples = scheduler.controller.slowdown.history()
+        samples = scheduler.kernel.slowdown.history()
         densities, centers = histogram(samples, bins=24)
         distributions.append(
             EnvDistribution(

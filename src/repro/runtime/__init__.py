@@ -1,8 +1,8 @@
 """The serving loop, its measurement records, and the run executor.
 
 * :mod:`repro.runtime.scheduler` — the :class:`Scheduler` protocol all
-  policies implement, plus :class:`AlertScheduler` adapting
-  :class:`repro.core.AlertController` to it.
+  policies implement, plus :class:`AlertScheduler` serving
+  :class:`repro.core.AlertKernel` through it.
 * :mod:`repro.runtime.loop` — :class:`ServingLoop`, which drives one
   policy over one scenario's input stream and environment, applying
   goal adjustment and recording per-input measurements; feedback-free

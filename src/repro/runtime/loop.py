@@ -124,10 +124,9 @@ class LockstepTelemetry:
     def record_cell(self, cell) -> None:
         """Fold in one finished cell's counters.
 
-        ``cell`` is any stacked cell controller exposing the
-        ``lockstep_stats`` dict built by
-        :func:`repro.core.controller.lockstep_stats_dict` (the shared
-        shape contract) — e.g. ``AlertCellController`` or
+        ``cell`` is any stacked cell exposing the ``lockstep_stats``
+        dict built by :func:`repro.core.kernel.lockstep_stats_dict`
+        (the shared shape contract) — e.g. ``AlertCellKernel`` or
         ``SysOnlyCellController``.
         """
         stats = cell.lockstep_stats
@@ -749,7 +748,7 @@ class LockstepServingLoop:
     """Serve every goal of a cell's ALERT-family scheme in lockstep.
 
     All goals advance input-by-input **together**: one stacked
-    :meth:`~repro.core.controller.AlertCellController.decide_many` pass
+    :meth:`~repro.core.kernel.AlertCellKernel.decide_many` pass
     computes every goal's decision (single fused erf / lexsort per
     step), each goal's outcome is read from its timing's shared
     :class:`~repro.models.inference.GridView` (live-engine fallback on
@@ -764,13 +763,13 @@ class LockstepServingLoop:
     Build through :meth:`for_schedulers`, which returns ``None`` —
     sending the caller to the sequential path — whenever the runs
     cannot advance in lockstep: custom scheduler types, incompatible
-    or already-warm controllers.
+    or already-warm kernels.
     """
 
     def __init__(self, loops: list[ServingLoop], cell) -> None:
-        """``cell`` is a stacked cell controller (``decide_many`` /
+        """``cell`` is a stacked cell (``decide_many`` /
         ``observe_many`` / ``xi_snapshot`` / ``lockstep_stats``), e.g.
-        :class:`~repro.core.controller.AlertCellController`."""
+        :class:`~repro.core.kernel.AlertCellKernel`."""
         if not loops:
             raise ConfigurationError("a lockstep cell needs at least one run")
         if len(loops) != cell.n_goals:
@@ -795,7 +794,7 @@ class LockstepServingLoop:
         ``schedulers``/``goals``/``grid_views`` align one-to-one.  A
         scheduler class opts into lockstep by defining a
         ``stack_into_cell(schedulers)`` staticmethod **on the class
-        itself** that returns a stacked cell controller (or None when
+        itself** that returns a stacked cell (or None when
         the given instances cannot stack — warm state, mismatched
         spaces).  The hook is looked up on the exact class, never
         inherited, so subclasses with overridden behaviour fall back

@@ -1,4 +1,4 @@
-"""The scheduler protocol and the ALERT adapter.
+"""The scheduler protocol, ALERT's scheduler and the static one.
 
 Every policy evaluated in the paper — ALERT and its ablations, the
 oracles, and the single-layer baselines — implements the same tiny
@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.core.config_space import Configuration
-from repro.core.controller import AlertCellController, AlertController
 from repro.core.goals import Goal
-from repro.core.kernel import measurement_from_outcome
+from repro.core.kernel import AlertCellKernel, AlertKernel, measurement_from_outcome
 from repro.errors import ConfigurationError
 from repro.models.base import DnnModel
 from repro.models.inference import InferenceOutcome
@@ -55,16 +54,22 @@ class Scheduler(Protocol):
 
 
 class AlertScheduler:
-    """Adapts :class:`AlertController` to the scheduler protocol.
+    """Serves ALERT's :class:`~repro.core.kernel.AlertKernel` through
+    the scheduler protocol.
 
-    The adapter also implements the measurement conventions the
-    controller documents:
+    The scheduler also implements the measurement conventions the
+    kernel documents (via
+    :func:`~repro.core.kernel.measurement_from_outcome`):
 
     * the ξ observation uses the run-to-completion latency; for anytime
       runs stopped early the engine's ``full_latency_s`` stands in for
       the rung-timestamp extrapolation a real deployment performs;
     * the idle-power filter only receives samples from periods that
       actually had an idle phase.
+
+    Event-loop drivers (:mod:`repro.serve`) feed :attr:`kernel`
+    :class:`~repro.core.kernel.Measurement` records directly; the batch
+    harness calls :meth:`observe` with outcome records.
     """
 
     #: ALERT's whole point is reacting to observed slowdowns.
@@ -72,48 +77,37 @@ class AlertScheduler:
 
     def __init__(
         self,
-        controller: AlertController,
+        kernel: AlertKernel,
         name: str = "ALERT",
         grid_view=None,
     ) -> None:
-        self.controller = controller
+        self.kernel = kernel
         self.name = name
         self.grid_view = grid_view
 
-    @property
-    def kernel(self):
-        """The clock-free decision kernel behind this scheduler.
-
-        Event-loop drivers (:mod:`repro.serve`) feed the kernel
-        :class:`~repro.core.kernel.Measurement` records directly; the
-        batch harness keeps using :meth:`observe` with outcome records.
-        """
-        return self.controller.kernel
-
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
-        result = self.controller.kernel.decide(goal)
-        return result.config
+        return self.kernel.decide(goal).config
 
     def observe(self, outcome: InferenceOutcome) -> None:
-        self.controller.kernel.observe(measurement_from_outcome(outcome))
+        self.kernel.observe(measurement_from_outcome(outcome))
 
     @property
     def state(self):
-        """The controller's filter state (for traces)."""
-        return self.controller.state()
+        """The kernel's filter state (for traces)."""
+        return self.kernel.state()
 
     @staticmethod
     def stack_into_cell(schedulers):
-        """Lockstep hook: stack per-goal runs into one cell controller.
+        """Lockstep hook: stack per-goal runs into one cell kernel.
 
         Defined on the class itself (the lockstep loop refuses
         inherited hooks, so subclasses with overridden behaviour stay
         on the sequential path).  Returns ``None`` when the underlying
-        controllers cannot stack — see
-        :meth:`repro.core.controller.AlertCellController.from_controllers`.
+        kernels cannot stack — see
+        :meth:`repro.core.kernel.AlertCellKernel.from_kernels`.
         """
-        return AlertCellController.from_controllers(
-            [scheduler.controller for scheduler in schedulers]
+        return AlertCellKernel.from_kernels(
+            [scheduler.kernel for scheduler in schedulers]
         )
 
 

@@ -420,6 +420,8 @@ def load_checkpoint(path, spec_fp: str) -> dict[str, tuple[CellSummary, ...]]:
                 if payload.get("spec") != spec_fp:
                     continue
                 fingerprint = payload["cell"]
+                if not isinstance(fingerprint, str):
+                    continue
                 summaries = tuple(
                     CellSummary.from_json(entry)
                     for entry in payload["summaries"]
@@ -428,6 +430,24 @@ def load_checkpoint(path, spec_fp: str) -> dict[str, tuple[CellSummary, ...]]:
                 continue
             cells[fingerprint] = summaries
     return cells
+
+
+def _open_for_append(path):
+    """Open a checkpoint for appending, ending a cut-off last line.
+
+    A crash mid-append leaves a last line without its newline; a line
+    appended straight after it would merge with it, and neither would
+    load.
+    """
+    cut = False
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        with open(path, "rb") as existing:
+            existing.seek(-1, os.SEEK_END)
+            cut = existing.read(1) != b"\n"
+    handle = open(path, "a", encoding="utf-8")
+    if cut:
+        handle.write("\n")
+    return handle
 
 
 # ----------------------------------------------------------------------
@@ -629,7 +649,7 @@ def run_sweep(
     handle = None
     try:
         if checkpoint_path is not None and pending:
-            handle = open(checkpoint_path, "a", encoding="utf-8")
+            handle = _open_for_append(checkpoint_path)
 
         def record(positions, results) -> None:
             """Store and checkpoint a finished spec's units."""

@@ -69,7 +69,8 @@ class FleetConfig:
         ``autoscaler`` kind
         (:data:`~repro.serve.autoscaler.AUTOSCALER_KINDS`) over the
         ``min_replicas``..``max_replicas`` corridor
-        (``max_replicas=None`` defaults to ``2 * replicas``).  Window
+        (``max_replicas=None`` defaults to ``2 * replicas``), which
+        ``replicas`` must lie in.  Window
         and cooldown default scale-invariantly to the goal's deadline
         (8× and 16× respectively) unless overridden in
         ``autoscaler_params``.
@@ -162,7 +163,6 @@ def build_fleet(config: FleetConfig) -> FleetFrontend:
             batch_size=config.batch_size,
         )
 
-    lanes = [replica_factory(i) for i in range(config.replicas)]
     autoscaler_params = dict(config.autoscaler_params)
     if config.autoscaler != "none":
         max_replicas = config.max_replicas
@@ -170,12 +170,22 @@ def build_fleet(config: FleetConfig) -> FleetFrontend:
             max_replicas = 2 * config.replicas
         autoscaler_params.setdefault("min_replicas", config.min_replicas)
         autoscaler_params.setdefault("max_replicas", max_replicas)
+        low = autoscaler_params["min_replicas"]
+        high = autoscaler_params["max_replicas"]
+        # The autoscaler never leaves its corridor, so it must start
+        # inside it.
+        if not low <= config.replicas <= high:
+            raise ConfigurationError(
+                f"{config.replicas} replicas lie outside the autoscaler's "
+                f"corridor {low}..{high}"
+            )
         # Deadline-relative defaults: windows long enough for the
         # signals to mean something on any platform's timescale.
         autoscaler_params.setdefault("interval_s", 8.0 * goal.deadline_s)
         autoscaler_params.setdefault(
             "cooldown_s", 2.0 * autoscaler_params["interval_s"]
         )
+    lanes = [replica_factory(i) for i in range(config.replicas)]
     fleet = FleetFrontend(
         lanes,
         make_arrivals(config.arrivals, rate_hz, seed=config.arrival_seed),

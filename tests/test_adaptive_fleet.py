@@ -8,6 +8,7 @@ clock run mode, and the determinism guarantees the virtual clock
 makes about all of it.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -123,6 +124,25 @@ def test_drift_triggers_repartition():
 # ----------------------------------------------------------------------
 # Autoscaler behaviour on real fleets (virtual time)
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "replicas, min_replicas, max_replicas",
+    [(2, 3, 6), (4, 1, 2), (2, 3, None)],  # None resolves to 2 x replicas
+)
+def test_fleet_must_start_inside_the_autoscaler_corridor(
+    replicas, min_replicas, max_replicas
+):
+    config = FleetConfig(
+        replicas=replicas,
+        autoscaler="signal",
+        min_replicas=min_replicas,
+        max_replicas=max_replicas,
+    )
+    with pytest.raises(ConfigurationError, match="corridor"):
+        build_fleet(config)
+    # Starting on the corridor's floor is fine.
+    build_fleet(dataclasses.replace(config, replicas=min_replicas))
+
+
 def test_underloaded_fleet_scales_to_min_floor():
     fleet = build_fleet(
         FleetConfig(

@@ -292,6 +292,6 @@ def test_alert_star_ignores_variance(image_scenario):
     profile = image_scenario.profile()
     star = make_alert_star(profile)
     assert star.name == "ALERT*"
-    assert star.controller.estimator.variance_aware is False
+    assert star.kernel.estimator.variance_aware is False
     full = make_alert(profile)
-    assert full.controller.estimator.variance_aware is True
+    assert full.kernel.estimator.variance_aware is True

@@ -21,9 +21,9 @@ import pytest
 from repro.core import batch_estimator as be
 from repro.core.batch_estimator import BatchAlertEstimator, normal_cdf_array
 from repro.core.config_space import ConfigurationSpace
-from repro.core.controller import AlertController
 from repro.core.estimator import AlertEstimator, normal_cdf
 from repro.core.goals import Goal, ObjectiveKind
+from repro.core.kernel import AlertKernel, Measurement
 from repro.core.selector import ConfigSelector
 
 PARITY_TOL = 1e-9
@@ -287,47 +287,47 @@ def test_selection_identical_across_paths(paths):
 # ----------------------------------------------------------------------
 # The kernel's exact per-belief selection cache
 # ----------------------------------------------------------------------
-def _count_selects(monkeypatch, controller) -> list:
-    """Record every ``select`` the controller's selector runs."""
+def _count_selects(monkeypatch, kernel) -> list:
+    """Record every ``select`` the kernel's selector runs."""
     calls = []
-    real = controller.selector.select
+    real = kernel.selector.select
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(controller.selector, "select", counting)
+    monkeypatch.setattr(kernel.selector, "select", counting)
     return calls
 
 
-def _fresh_selection(controller, goal):
+def _fresh_selection(kernel, goal):
     """``select`` under the adjusted goal and the exact current belief."""
-    slowdown = controller.slowdown
+    slowdown = kernel.slowdown
     xi_mean, xi_sigma = slowdown.snapshot()
     adjusted = goal.with_deadline(
-        max(1e-6, goal.deadline_s - controller.worst_case_overhead_s)
+        max(1e-6, goal.deadline_s - kernel.overhead_s)
     )
-    return controller.selector.select(
+    return kernel.selector.select(
         adjusted,
         xi_mean,
         xi_sigma,
-        controller.idle_filter.phi,
+        kernel.idle_filter.phi,
         tail=(slowdown.tail_fraction, slowdown.tail_ratio),
     )
 
 
 def test_repeated_decide_reuses_one_select(cpu1_profile, monkeypatch):
-    controller = AlertController(cpu1_profile)
-    calls = _count_selects(monkeypatch, controller)
+    kernel = AlertKernel(cpu1_profile)
+    calls = _count_selects(monkeypatch, kernel)
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.4,
         accuracy_min=0.9,
     )
-    first = controller.decide(goal)
-    second = controller.decide(goal)  # no observe in between
+    first = kernel.decide(goal)
+    second = kernel.decide(goal)  # no observe in between
     assert second is first
-    assert controller.last_selection is first
+    assert kernel.last_selection is first
     assert len(calls) == 1
 
 
@@ -337,7 +337,7 @@ def test_sub_quantum_observe_forces_fresh_select(cpu1_profile, monkeypatch):
     A cache keyed on the state rounded to 1e-4 would answer the second
     decide with the selection made for the previous state.
     """
-    controller = AlertController(cpu1_profile)
+    kernel = AlertKernel(cpu1_profile)
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.4,
@@ -346,34 +346,34 @@ def test_sub_quantum_observe_forces_fresh_select(cpu1_profile, monkeypatch):
     name, power = "sparse_resnet50_dense", 45.0
     t_prof = cpu1_profile.latency(name, power)
     for _ in range(300):  # converge the ξ filter on a steady 1.2x
-        controller.observe(name, power, 1.2 * t_prof)
+        kernel.observe(Measurement(name, power, 1.2 * t_prof))
 
     def belief():
-        slowdown = controller.slowdown
+        slowdown = kernel.slowdown
         return (
             *slowdown.snapshot(),
-            controller.idle_filter.phi,
+            kernel.idle_filter.phi,
             slowdown.tail_fraction,
             slowdown.tail_ratio,
         )
 
-    calls = _count_selects(monkeypatch, controller)
-    controller.decide(goal)
+    calls = _count_selects(monkeypatch, kernel)
+    kernel.decide(goal)
     before = belief()
-    controller.observe(name, power, 1.2 * t_prof)
+    kernel.observe(Measurement(name, power, 1.2 * t_prof))
     after = belief()
     assert after != before
     assert all(abs(a - b) < 1e-4 for a, b in zip(after, before))
     assert [round(v, 4) for v in after] == [round(v, 4) for v in before]
 
-    result = controller.decide(goal)
+    result = kernel.decide(goal)
     assert len(calls) == 2
-    assert result == _fresh_selection(controller, goal)
+    assert result == _fresh_selection(kernel, goal)
 
 
 def test_decide_is_exact_along_a_trajectory(cpu1_profile):
     """Every decide equals a fresh select on the exact belief state."""
-    controller = AlertController(cpu1_profile)
+    kernel = AlertKernel(cpu1_profile)
     rng = np.random.default_rng(12)
     goals = [
         Goal(
@@ -392,15 +392,17 @@ def test_decide_is_exact_along_a_trajectory(cpu1_profile):
         # Zero to three decides per belief epoch, over both goals.
         for _ in range(int(rng.integers(0, 4))):
             goal = goals[int(rng.integers(len(goals)))]
-            assert controller.decide(goal) == _fresh_selection(controller, goal)
-        selection = controller.decide(goals[0])
-        assert selection == _fresh_selection(controller, goals[0])
+            assert kernel.decide(goal) == _fresh_selection(kernel, goal)
+        selection = kernel.decide(goals[0])
+        assert selection == _fresh_selection(kernel, goals[0])
         config = selection.config
         ratio = float(rng.lognormal(0.1, 0.3))
         idle = float(rng.uniform(2.0, 8.0)) if rng.random() < 0.5 else None
-        controller.observe(
-            config.model.name,
-            config.power_w,
-            ratio * cpu1_profile.latency(config.model.name, config.power_w),
-            idle,
+        kernel.observe(
+            Measurement(
+                config.model.name,
+                config.power_w,
+                ratio * cpu1_profile.latency(config.model.name, config.power_w),
+                idle,
+            )
         )

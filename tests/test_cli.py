@@ -93,6 +93,21 @@ def test_fleet_adaptive_arguments_parsed():
         parser.parse_args(["fleet", "--autoscaler", "reactive"])
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ["--replicas", "2", "--min-replicas", "3", "--max-replicas", "6"],
+        ["--replicas", "4", "--max-replicas", "2"],
+    ],
+)
+def test_fleet_refuses_to_start_outside_the_autoscaler_corridor(shape):
+    with pytest.raises(ConfigurationError, match="corridor"):
+        main(
+            ["fleet", "--autoscaler", "signal", *shape,
+             "--rate", "2", "--duration", "30"]
+        )
+
+
 def test_overload_arguments_parsed():
     parser = build_parser()
     args = parser.parse_args(

@@ -1,13 +1,13 @@
-"""Tests for configuration selection and the controller."""
+"""Tests for configuration selection and the ALERT kernel."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.controller import AlertController
 from repro.core.estimator import AlertEstimator
 from repro.core.goals import MIN_DEADLINE_S, Goal, GoalAdjuster, ObjectiveKind
+from repro.core.kernel import AlertKernel, Measurement
 from repro.core.selector import ConfigSelector
 from repro.errors import ConfigurationError
 from repro.models.families import depth_nest_anytime, sparse_resnet_family
@@ -156,55 +156,57 @@ def test_prth_filters_marginal_configs(selector):
 
 
 # ----------------------------------------------------------------------
-# Controller
+# Kernel
 # ----------------------------------------------------------------------
 def test_controller_observe_updates_state(cpu1_profile):
-    controller = AlertController(cpu1_profile)
-    before = controller.state()
-    ratio = controller.observe(
-        "sparse_resnet50_dense",
-        45.0,
-        full_latency_s=2.0 * cpu1_profile.latency("sparse_resnet50_dense", 45.0),
-        idle_power_w=5.0,
+    kernel = AlertKernel(cpu1_profile)
+    before = kernel.state()
+    ratio = kernel.observe(
+        Measurement(
+            "sparse_resnet50_dense",
+            45.0,
+            full_latency_s=2.0 * cpu1_profile.latency("sparse_resnet50_dense", 45.0),
+            idle_power_w=5.0,
+        )
     )
-    after = controller.state()
+    after = kernel.state()
     assert ratio == pytest.approx(2.0)
     assert after.observations == before.observations + 1
     assert after.xi_mean > before.xi_mean
 
 
 def test_controller_reserves_overhead(cpu1_profile):
-    controller = AlertController(cpu1_profile, overhead_fraction=0.017)
-    assert controller.worst_case_overhead_s > 0
+    kernel = AlertKernel(cpu1_profile, overhead_fraction=0.017)
+    assert kernel.overhead_s > 0
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.5,
         accuracy_min=0.9,
     )
-    result = controller.decide(goal)
-    assert controller.last_selection is result
+    result = kernel.decide(goal)
+    assert kernel.last_selection is result
 
 
 def test_controller_rejects_bad_overhead(cpu1_profile):
     with pytest.raises(ConfigurationError):
-        AlertController(cpu1_profile, overhead_fraction=0.5)
+        AlertKernel(cpu1_profile, overhead_fraction=0.5)
 
 
 def test_controller_adapts_to_slowdown(cpu1_profile):
-    controller = AlertController(cpu1_profile)
+    kernel = AlertKernel(cpu1_profile)
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=0.45,
         accuracy_min=0.90,
     )
-    calm_choice = controller.decide(goal).config
+    calm_choice = kernel.decide(goal).config
     # Feed a sustained 1.9x slowdown.
     for _ in range(10):
         t_prof = cpu1_profile.latency(calm_choice.model.name, calm_choice.power_w)
-        controller.observe(
-            calm_choice.model.name, calm_choice.power_w, 1.9 * t_prof
+        kernel.observe(
+            Measurement(calm_choice.model.name, calm_choice.power_w, 1.9 * t_prof)
         )
-    stormy_result = controller.decide(goal)
+    stormy_result = kernel.decide(goal)
     stormy_choice = stormy_result.config
     calm_time = cpu1_profile.latency(
         calm_choice.model.name, calm_choice.power_w
@@ -215,7 +217,7 @@ def test_controller_adapts_to_slowdown(cpu1_profile):
     # Never slower under a sustained slowdown, and the chosen operating
     # point still clears the (now much harder) deadline in expectation.
     assert stormy_time <= calm_time
-    assert controller.state().xi_mean > 1.5
+    assert kernel.state().xi_mean > 1.5
     assert stormy_result.estimate.latency_mean_s <= goal.deadline_s
 
 

@@ -23,9 +23,9 @@ Pins the contract of the stacked-state machinery at every layer:
   per-input Python ``decide``/``observe``; grid-complete lanes never
   call ``InferenceEngine.run``; every lane's simulated clock ends where
   the sequential run's does;
-* the fallback contract: custom scheduler types, warm controllers and
-  mismatched ladders must land on the sequential path, never on a
-  wrong lockstep one.
+* the fallback contract: custom scheduler and kernel types, warm
+  kernels and mismatched ladders must land on the sequential path,
+  never on a wrong lockstep one.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import pytest
 
 from repro.baselines import NoCoordCellController, NoCoordScheduler
 from repro.core.config_space import ConfigurationSpace
-from repro.core.controller import AlertCellController, AlertController
 from repro.core.estimator import AlertEstimator
 from repro.core.goals import Goal, ObjectiveKind
 from repro.core.kalman import (
@@ -44,6 +43,7 @@ from repro.core.kalman import (
     StackedIdlePowerFilter,
     StackedKalmanFilter,
 )
+from repro.core.kernel import AlertCellKernel, AlertKernel, Measurement
 from repro.core.selector import ConfigSelector
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
@@ -341,10 +341,10 @@ def test_stacked_no_coord_matches_scalar(seed, objective):
         for scheduler, outcome in zip(scalars, outcomes):
             scheduler.observe(outcome)
         for g, scheduler in enumerate(scalars):
-            assert cell._app.mean[g] == scheduler._app_filter.mean
-            assert cell._app.sigma[g] == scheduler._app_filter.sigma
-            assert cell._sys.mean[g] == scheduler._sys_filter.mean
-            assert cell._sys.sigma[g] == scheduler._sys_filter.sigma
+            assert cell._app.mean[g] == scheduler.kernel.app_filter.mean
+            assert cell._app.sigma[g] == scheduler.kernel.app_filter.sigma
+            assert cell._sys.mean[g] == scheduler.kernel.sys_filter.mean
+            assert cell._sys.sigma[g] == scheduler.kernel.sys_filter.sigma
 
 
 def test_no_coord_stats_and_snapshot_contract():
@@ -861,8 +861,34 @@ def test_custom_scheduler_type_refuses_lockstep(image_scenario):
     goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2]
     profile = image_scenario.profile()
     schedulers = [
-        _CustomAlert(AlertController(profile=profile)) for _ in goals
+        _CustomAlert(AlertKernel(profile=profile)) for _ in goals
     ]
+    assert (
+        LockstepServingLoop.for_schedulers(
+            engine, stream, schedulers, goals, [None] * len(goals)
+        )
+        is None
+    )
+
+
+class _CustomKernel(AlertKernel):
+    """A kernel subclass must never be stacked (it may override behaviour)."""
+
+
+def test_subclassed_kernel_refuses_stacking(image_scenario):
+    engine = image_scenario.make_engine()
+    stream = image_scenario.make_stream()
+    goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:2]
+    profile = image_scenario.profile()
+    # Plain kernels of the same shape stack, so only the type refuses.
+    assert AlertCellKernel.from_kernels(
+        [AlertKernel(profile=profile) for _ in goals]
+    ) is not None
+    custom = [_CustomKernel(profile=profile) for _ in goals]
+    assert AlertCellKernel.from_kernels(custom) is None
+    mixed = [AlertKernel(profile=profile), _CustomKernel(profile=profile)]
+    assert AlertCellKernel.from_kernels(mixed) is None
+    schedulers = [AlertScheduler(kernel) for kernel in custom]
     assert (
         LockstepServingLoop.for_schedulers(
             engine, stream, schedulers, goals, [None] * len(goals)
@@ -873,32 +899,32 @@ def test_custom_scheduler_type_refuses_lockstep(image_scenario):
 
 def test_warm_controller_refuses_stacking(image_scenario):
     profile = image_scenario.profile()
-    fresh = AlertController(profile=profile)
-    warm = AlertController(profile=profile)
+    fresh = AlertKernel(profile=profile)
+    warm = AlertKernel(profile=profile)
     model = list(profile.models)[0]
     power = list(profile.powers)[0]
-    warm.observe(model.name, power, 0.2)
-    assert AlertCellController.from_controllers([fresh, warm]) is None
-    assert AlertCellController.from_controllers([]) is None
+    warm.observe(Measurement(model.name, power, 0.2))
+    assert AlertCellKernel.from_kernels([fresh, warm]) is None
+    assert AlertCellKernel.from_kernels([]) is None
 
 
 def test_history_keeping_controllers_refuse_stacking(image_scenario):
     """A ξ-trace consumer must stay sequential, keeping its history."""
     profile = image_scenario.profile()
     keepers = [
-        AlertController(profile=profile, keep_xi_history=True)
+        AlertKernel(profile=profile, keep_xi_history=True)
         for _ in range(2)
     ]
-    assert AlertCellController.from_controllers(keepers) is None
+    assert AlertCellKernel.from_kernels(keepers) is None
 
 
 def test_mismatched_spaces_refuse_stacking(image_scenario):
     profile = image_scenario.profile()
-    full = AlertController(profile=profile)
-    reduced = AlertController(
+    full = AlertKernel(profile=profile)
+    reduced = AlertKernel(
         profile=profile, models=[list(profile.models)[0]]
     )
-    assert AlertCellController.from_controllers([full, reduced]) is None
+    assert AlertCellKernel.from_kernels([full, reduced]) is None
 
 
 def test_mismatched_profiles_refuse_stacking():
@@ -909,9 +935,9 @@ def test_mismatched_profiles_refuse_stacking():
     from repro.models.profiles import Profiler
 
     models = list(sparse_resnet_family())
-    first = AlertController(profile=Profiler(CPU1).analytic(models))
-    second = AlertController(profile=Profiler(CPU1).analytic(models))
-    assert AlertCellController.from_controllers([first, second]) is None
+    first = AlertKernel(profile=Profiler(CPU1).analytic(models))
+    second = AlertKernel(profile=Profiler(CPU1).analytic(models))
+    assert AlertCellKernel.from_kernels([first, second]) is None
 
 
 def test_lockstep_factory_built_cell_matches_direct_loop(image_scenario):

@@ -426,6 +426,38 @@ def test_resume_tolerates_truncated_trailing_line(tmp_path):
     assert resumed.cells == uninterrupted.cells
 
 
+def test_resume_after_truncated_line_keeps_every_new_line(tmp_path):
+    """The resume's first line must not be glued onto the cut one."""
+    spec = dataclasses.replace(SPEC, schemes=("OracleStatic", "ALERT"), n_inputs=8)
+    checkpoint = tmp_path / "sweep.jsonl"
+    run_sweep(spec, workers=1, checkpoint_path=str(checkpoint), cell_limit=3)
+    lines = checkpoint.read_text().splitlines(keepends=True)
+    checkpoint.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    resumed = run_sweep(spec, workers=1, checkpoint_path=str(checkpoint))
+    n_units = len(resumed.units)
+    assert resumed.complete
+    assert (resumed.resumed, resumed.executed) == (2, n_units - 2)
+    assert len(load_checkpoint(str(checkpoint), spec.fingerprint())) == n_units
+    again = run_sweep(spec, workers=1, checkpoint_path=str(checkpoint))
+    assert (again.resumed, again.executed) == (n_units, 0)
+    assert again.cells == resumed.cells
+
+
+def test_resume_skips_lines_whose_cell_is_not_a_string(tmp_path):
+    uninterrupted = run_sweep(SPEC, workers=1)
+    checkpoint = tmp_path / "sweep.jsonl"
+    run_sweep(SPEC, workers=1, checkpoint_path=str(checkpoint), cell_limit=2)
+    with open(checkpoint, "a", encoding="utf-8") as handle:
+        for cell in (["x"], {"x": 1}, 5, None):
+            line = {"spec": SPEC.fingerprint(), "cell": cell, "summaries": []}
+            handle.write(json.dumps(line) + "\n")
+    assert len(load_checkpoint(str(checkpoint), SPEC.fingerprint())) == 2
+    resumed = run_sweep(SPEC, workers=1, checkpoint_path=str(checkpoint))
+    assert resumed.complete
+    assert resumed.resumed == 2
+    assert resumed.cells == uninterrupted.cells
+
+
 def test_resume_tolerates_corrupt_line(tmp_path):
     uninterrupted = run_sweep(SPEC, workers=1)
     checkpoint = tmp_path / "sweep.jsonl"
