@@ -3,11 +3,11 @@
 Four layers of the spec → executor → loop stack are measured on the
 Table 4 image scenario (CPU1, default environment):
 
-* **Serving loop** — for each feedback-free scheme (Oracle with a
-  precomputed grid, OracleStatic, App-only), one run served by the
-  sequential per-input round trip (``ServingLoop.run_sequential``)
-  versus the batch fast path ``ServingLoop.run`` takes for it, in
-  inputs/second.
+* **Serving loop** — for each feedback-free scheme (Oracle and
+  OracleStatic reading a precomputed grid through an untrusted
+  ``GridView``, App-only), one run served by the sequential per-input
+  round trip (``ServingLoop.run_sequential``) versus the batch fast
+  path ``ServingLoop.run`` takes for it, in inputs/second.
 * **Serving front-end** — the open-loop fleet (:mod:`repro.serve`)
   against the sequential harness: a one-replica fleet serves the same
   outcomes through the virtual-time event loop, so the ratio isolates
@@ -69,7 +69,7 @@ from pathlib import Path
 from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
 from repro.experiments.harness import make_scheme
-from repro.models.inference import shared_grid_layout
+from repro.models.inference import GridView, shared_grid_layout
 from repro.runtime.executor import (
     CellSpec,
     RunExecutor,
@@ -125,14 +125,16 @@ def bench_serving(n_inputs: int, min_seconds: float) -> dict:
         accuracy_min=0.9,
     )
     # The harness always shares the per-timing outcome grid with the
-    # oracles; serve them the same way here.
-    grid = timing_grid(scenario, goal, n_inputs)
+    # oracles; serve them the same way here, through an untrusted view
+    # (each decision is guarded against the run's own draws).  The loop
+    # gets no view, so both paths realise the run's outcomes afresh.
+    view = GridView(timing_grid(scenario, goal, n_inputs))
     schemes: dict = {}
     for name in FEEDBACK_FREE_SCHEMES:
         engine = scenario.make_engine()
         stream = scenario.make_stream()
         scheduler = make_scheme(
-            name, scenario, engine, stream, goal, n_inputs, oracle_grid=grid
+            name, scenario, engine, stream, goal, n_inputs, grid_view=view
         )
         loop = ServingLoop(engine, stream, scheduler, goal)
         # ``run`` falls back to the sequential path for an ineligible

@@ -33,7 +33,6 @@ class AppOnlyScheduler:
         anytime: AnytimeDnn,
         default_power_w: float,
         name: str = "App-only",
-        grid_view=None,
     ) -> None:
         if not isinstance(anytime, AnytimeDnn):
             raise ConfigurationError(
@@ -46,7 +45,6 @@ class AppOnlyScheduler:
             )
         self._config = Configuration(model=anytime, power_w=default_power_w)
         self.name = name
-        self.grid_view = grid_view
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
         return self._config

@@ -24,14 +24,10 @@ def make_alert(
     powers: list[float] | None = None,
     name: str = "ALERT",
     q0: float = 0.1,
-    grid_view=None,
     keep_xi_history: bool = False,
 ) -> AlertScheduler:
     """The full ALERT scheduler (variance-aware, rung expansion on).
 
-    ``grid_view`` optionally carries a shared-realisation view for the
-    serving loop (the fused-cell path); ALERT's decisions never read
-    it — only its engine outcomes are served from it.
     ``keep_xi_history`` opts into retaining every ξ observation for
     trace consumers (Figure 11); throughput paths leave it off.
     """
@@ -44,7 +40,7 @@ def make_alert(
         q0=q0,
         keep_xi_history=keep_xi_history,
     )
-    return AlertScheduler(kernel, name=name, grid_view=grid_view)
+    return AlertScheduler(kernel, name=name)
 
 
 def make_alert_star(
@@ -52,7 +48,6 @@ def make_alert_star(
     models: list[DnnModel] | None = None,
     powers: list[float] | None = None,
     name: str = "ALERT*",
-    grid_view=None,
 ) -> AlertScheduler:
     """The mean-only ablation: identical except variance is ignored."""
     kernel = AlertKernel(
@@ -62,4 +57,4 @@ def make_alert_star(
         variance_aware=False,
         expand_anytime_rungs=True,
     )
-    return AlertScheduler(kernel, name=name, grid_view=grid_view)
+    return AlertScheduler(kernel, name=name)

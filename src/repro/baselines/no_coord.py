@@ -165,7 +165,6 @@ class NoCoordScheduler:
         anytime: AnytimeDnn,
         powers: list[float] | None = None,
         name: str = "No-coord",
-        grid_view=None,
     ) -> None:
         if not isinstance(anytime, AnytimeDnn):
             raise ConfigurationError("No-coord requires an anytime network")
@@ -176,7 +175,6 @@ class NoCoordScheduler:
         )
         self.default_power = self.powers[-1]
         self.name = name
-        self.grid_view = grid_view
         self.kernel = NoCoordKernel(profile, anytime, self.powers)
 
     # ------------------------------------------------------------------

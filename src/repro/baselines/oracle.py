@@ -53,6 +53,7 @@ from repro.core.goals import Goal, ObjectiveKind, outcome_feasible
 from repro.errors import ConfigurationError
 from repro.models.inference import (
     BatchOutcomeGrid,
+    GridView,
     InferenceEngine,
     InferenceOutcome,
 )
@@ -156,21 +157,15 @@ class OracleScheduler:
         oracle sees the true environment draw of each input.
     space:
         The candidate configuration space.
-    grid:
-        Optional precomputed outcome grid (:func:`oracle_outcome_grid`)
-        over the same candidates.  Decisions whose (deadline, period,
-        work factor, environment draw) match a grid column are answered
-        from the grid; anything else — e.g. group-adjusted sentence
-        deadlines — falls back to a fresh single-input batch
-        evaluation.
     grid_view:
-        Optional :class:`~repro.models.inference.GridView` carried for
-        the serving loop's shared-realisation path.  When it wraps the
-        same grid object and is *trusted* (the fused-cell executor
-        builds it so: grid and engine derive from one scenario seed),
-        the per-decision environment-draw guards are skipped — the
-        draws are identical by construction.  When ``grid`` is omitted
-        the view's grid stands in for it.
+        Optional :class:`~repro.models.inference.GridView` over the
+        precomputed outcome grid (:func:`oracle_outcome_grid`) of the
+        same candidates.  Decisions whose timing matches the grid and
+        whose input :meth:`~repro.models.inference.GridView.column`
+        admits — work factor, plus the environment draw when the view
+        is untrusted — are answered from the grid; anything else, e.g.
+        group-adjusted sentence deadlines, falls back to a fresh
+        single-input batch evaluation.
     """
 
     #: Perfect knowledge needs no feedback; the serving loop may
@@ -182,57 +177,31 @@ class OracleScheduler:
         engine: InferenceEngine,
         space: ConfigurationSpace,
         name: str = "Oracle",
-        grid: BatchOutcomeGrid | None = None,
-        grid_view=None,
+        grid_view: GridView | None = None,
     ) -> None:
         self.engine = engine
         self.space = space
         self.name = name
-        self.grid_view = grid_view
-        if grid is None and grid_view is not None:
-            grid = grid_view.grid
         self._configs = tuple(space)
         self._power_w = np.array([c.power_w for c in self._configs])
-        if grid is not None and tuple(grid.configs) != self._configs:
+        if grid_view is not None and (
+            tuple(grid_view.grid.configs) != self._configs
+        ):
             raise ConfigurationError(
                 "oracle grid was built for a different configuration space"
             )
-        self._grid = grid
-        self._grid_trusted = bool(
-            grid is not None
-            and grid_view is not None
-            and grid_view.trusted
-            and grid_view.grid is grid
-        )
+        self.grid_view = grid_view
 
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def _grid_column(self, item: InputItem, goal: Goal) -> int | None:
-        """Grid column answering this decision, or None on any mismatch."""
-        grid = self._grid
-        if grid is None:
-            return None
-        if goal.deadline_s != grid.deadline_s or goal.period != grid.period_s:
-            return None
-        position = grid.column_for(item.index)
-        if position is None:
-            return None
-        if item.work_factor != grid.work_factors[position]:
-            return None
-        # Guard against a grid realised from a diverged environment
-        # (skipped for trusted grids: same scenario seed, same draws).
-        if not self._grid_trusted and (
-            self.engine.environment(item.index).env_factor
-            != grid.env_factor[position]
-        ):
-            return None
-        return position
-
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
-        position = self._grid_column(item, goal)
+        view = self.grid_view
+        position = None
+        if view is not None and view.matches_timing(goal.deadline_s, goal.period):
+            position = view.column(self.engine, item)
         if position is not None:
-            grid = self._grid
+            grid = view.grid
             energy = grid.energy_j[:, position]
             quality = grid.quality[:, position]
             met = grid.met_deadline[:, position]
@@ -266,40 +235,6 @@ class OracleScheduler:
         everything = np.ones(len(self._configs), dtype=bool)
         return self._configs[_lexmin(everything, latency, -quality, self._power_w)]
 
-    def _grid_columns(self, items: list[InputItem], goal: Goal) -> np.ndarray | None:
-        """Grid columns answering a whole run, or None on any mismatch.
-
-        The vectorized counterpart of :meth:`_grid_column`: one array
-        comparison per guard instead of per-item Python checks.
-        """
-        grid = self._grid
-        if grid is None:
-            return None
-        if goal.deadline_s != grid.deadline_s or goal.period != grid.period_s:
-            return None
-        indices = [item.index for item in items]
-        positions = [grid.column_for(index) for index in indices]
-        if any(position is None for position in positions):
-            return None
-        columns = np.asarray(positions, dtype=int)
-        factors = np.array([item.work_factor for item in items], dtype=float)
-        if not np.array_equal(factors, grid.work_factors[columns]):
-            return None
-        # Guard against a grid realised from a diverged environment
-        # (skipped for trusted grids: same scenario seed, same draws —
-        # this also spares the engine realising draws the grid-served
-        # run never otherwise needs).
-        if not self._grid_trusted:
-            engine = self.engine
-            engine.environment(max(indices))
-            env = np.array(
-                [engine.environment(index).env_factor for index in indices],
-                dtype=float,
-            )
-            if not np.array_equal(env, grid.env_factor[columns]):
-                return None
-        return columns
-
     def decide_batch(
         self, items: list[InputItem], goal: Goal
     ) -> list[Configuration]:
@@ -315,11 +250,14 @@ class OracleScheduler:
         """
         if not items:
             return []
-        columns = self._grid_columns(items, goal)
+        view = self.grid_view
+        columns = None
+        if view is not None and view.matches_timing(goal.deadline_s, goal.period):
+            columns = view.columns(self.engine, items)
         if columns is None:
             return [self.decide(item, goal) for item in items]
 
-        grid = self._grid
+        grid = view.grid
         # The common serving pattern is a prefix of the grid's own
         # columns; basic slices keep the big arrays as views.
         n = columns.size
@@ -404,43 +342,6 @@ class OracleScheduler:
         """Oracles need no feedback."""
 
 
-def _grid_usable(
-    grid: BatchOutcomeGrid | None,
-    engine: InferenceEngine,
-    configs: tuple[Configuration, ...],
-    goal: Goal,
-    stream: InputStream,
-    n_inputs: int,
-    trusted: bool = False,
-) -> bool:
-    """Whether a supplied grid answers this static-oracle question.
-
-    ``trusted`` skips the per-input work-factor and environment scans:
-    a trusted grid derives from the same scenario seed as ``engine``
-    and ``stream``, so those match by construction (the cheap
-    structural checks — configuration rows, timing, horizon — still
-    apply).
-    """
-    if grid is None:
-        return False
-    if tuple(grid.configs) != configs or grid.n_inputs < n_inputs:
-        return False
-    if goal.deadline_s != grid.deadline_s or goal.period != grid.period_s:
-        return False
-    if trusted:
-        return True
-    for position in range(n_inputs):
-        if int(grid.indices[position]) != position:
-            return False
-        if stream.item(position).work_factor != grid.work_factors[position]:
-            return False
-        # Guard against a grid realised from a diverged environment
-        # (same check the per-input oracle applies per column).
-        if engine.environment(position).env_factor != grid.env_factor[position]:
-            return False
-    return True
-
-
 def best_static_config(
     engine: InferenceEngine,
     space: ConfigurationSpace,
@@ -448,8 +349,7 @@ def best_static_config(
     stream: InputStream,
     n_inputs: int,
     violation_threshold: float = VIOLATION_SETTING_THRESHOLD,
-    grid: BatchOutcomeGrid | None = None,
-    grid_view=None,
+    grid_view: GridView | None = None,
 ) -> Configuration:
     """The best single configuration over a whole horizon.
 
@@ -459,30 +359,27 @@ def best_static_config(
     qualifies, the least-violating configuration wins (ties broken by
     the objective, then the lower power cap).
 
-    ``grid`` short-circuits the evaluation with a precomputed outcome
-    grid (``grid_view`` can stand in for it and, when trusted, waives
-    the per-input provenance scans).  The reference is
+    ``grid_view`` short-circuits the evaluation with a precomputed
+    outcome grid when its rows are this space, its timing is the
+    goal's, and it holds inputs ``0..n_inputs-1`` in order, each
+    admitted by :meth:`~repro.models.inference.GridView.columns`;
+    otherwise the grid is realised afresh.  The reference is
     :func:`best_static_config_scalar`.
     """
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
     configs = tuple(space)
-    if grid is None and grid_view is not None:
-        grid = grid_view.grid
-    trusted = bool(
-        grid is not None
-        and grid_view is not None
-        and grid_view.trusted
-        and grid_view.grid is grid
-    )
-    if not _grid_usable(grid, engine, configs, goal, stream, n_inputs, trusted):
-        grid = engine.evaluate_batch(
-            configs=configs,
-            indices=range(n_inputs),
-            deadline_s=goal.deadline_s,
-            period_s=goal.period,
-            work_factors=[stream.item(i).work_factor for i in range(n_inputs)],
-        )
+    grid = None
+    if (
+        grid_view is not None
+        and tuple(grid_view.grid.configs) == configs
+        and grid_view.matches_timing(goal.deadline_s, goal.period)
+    ):
+        columns = grid_view.columns(engine, stream.items(n_inputs))
+        if columns is not None and np.array_equal(columns, np.arange(n_inputs)):
+            grid = grid_view.grid
+    if grid is None:
+        grid = oracle_outcome_grid(engine, space, goal, stream, n_inputs)
     met = grid.met_deadline[:, :n_inputs]
     quality = grid.quality[:, :n_inputs]
     energy = grid.energy_j[:, :n_inputs]
@@ -556,22 +453,20 @@ def make_oracle_static(
     goal: Goal,
     stream: InputStream,
     n_inputs: int,
-    grid: BatchOutcomeGrid | None = None,
-    grid_view=None,
+    grid_view: GridView | None = None,
 ) -> StaticScheduler:
     """Build the OracleStatic scheduler for one setting.
 
-    ``grid_view`` is carried on the returned scheduler for the serving
-    loop's shared-realisation path and, when trusted, lets the static
-    selection skip the grid's per-input provenance scans.
+    ``grid_view`` passes through to :func:`best_static_config`, which
+    reads the static selection off its grid when the grid answers the
+    question.
     """
     config = best_static_config(
-        engine, space, goal, stream, n_inputs, grid=grid, grid_view=grid_view
+        engine, space, goal, stream, n_inputs, grid_view=grid_view
     )
     return StaticScheduler(
         model=config.model,
         power_w=config.power_w,
         rung_cap=config.rung_cap,
         name="OracleStatic",
-        grid_view=grid_view,
     )

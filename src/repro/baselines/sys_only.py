@@ -92,7 +92,6 @@ class SysOnlyScheduler:
         models: list[DnnModel],
         powers: list[float] | None = None,
         name: str = "Sys-only",
-        grid_view=None,
     ) -> None:
         traditional = [m for m in models if not m.is_anytime]
         if not traditional:
@@ -106,7 +105,6 @@ class SysOnlyScheduler:
         self.estimator = AlertEstimator(profile, variance_aware=False)
         self.profile = profile
         self.name = name
-        self.grid_view = grid_view
         self.kernel = SysOnlyKernel(
             selector=ConfigSelector(self.space, self.estimator),
             profile=profile,

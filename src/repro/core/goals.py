@@ -20,6 +20,7 @@ decision kernel (:class:`repro.core.kernel.AlertKernel`).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -90,12 +91,16 @@ class Goal:
     prob_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.deadline_s <= 0:
+        # ``not 0 < x < inf`` also refuses NaN, which every ordered
+        # comparison answers False.
+        if not 0 < self.deadline_s < math.inf:
             raise ConfigurationError(
-                f"deadline must be positive, got {self.deadline_s}"
+                f"deadline must be positive and finite, got {self.deadline_s}"
             )
-        if self.period_s is not None and self.period_s <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.period_s}")
+        if self.period_s is not None and not 0 < self.period_s < math.inf:
+            raise ConfigurationError(
+                f"period must be positive and finite, got {self.period_s}"
+            )
         if self.objective is ObjectiveKind.MINIMIZE_ENERGY:
             if self.accuracy_min is None:
                 raise ConfigurationError(
@@ -110,9 +115,12 @@ class Goal:
             raise ConfigurationError(
                 f"accuracy_min must lie in [0, 1], got {self.accuracy_min}"
             )
-        if self.energy_budget_j is not None and self.energy_budget_j <= 0:
+        if self.energy_budget_j is not None and not (
+            0 < self.energy_budget_j < math.inf
+        ):
             raise ConfigurationError(
-                f"energy budget must be positive, got {self.energy_budget_j}"
+                "energy budget must be positive and finite, got "
+                f"{self.energy_budget_j}"
             )
         if self.prob_threshold is not None and not 0.0 < self.prob_threshold < 1.0:
             raise ConfigurationError(

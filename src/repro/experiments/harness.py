@@ -39,7 +39,7 @@ from repro.baselines import (
 from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal
 from repro.errors import ConfigurationError
-from repro.models.inference import BatchOutcomeGrid, GridView
+from repro.models.inference import GridView
 from repro.runtime.executor import RunExecutor, ScenarioKey, plan_cells
 from repro.runtime.results import RunResult
 from repro.runtime.scheduler import Scheduler
@@ -77,62 +77,51 @@ def make_scheme(
     stream,
     goal: Goal,
     n_inputs: int,
-    oracle_grid: BatchOutcomeGrid | None = None,
     grid_view: GridView | None = None,
 ) -> Scheduler:
     """Instantiate one of the Table 3 schemes for a single run.
 
     Oracles need the run's engine/stream (perfect knowledge); the
-    feedback schemes only need the offline profile.  ``oracle_grid``
+    feedback schemes only need the offline profile.  ``grid_view``
     optionally supplies the precomputed (configuration × input) outcome
-    grid so Oracle and OracleStatic skip re-deriving it (the draws are
-    bit-identical across fresh engines of one scenario seed);
-    ``grid_view`` is carried by the built scheduler so any serving
-    loop — not just the executor's — can serve the run from the shared
-    realisation.
+    grid to Oracle and OracleStatic, so they skip re-deriving it (the
+    draws are bit-identical across fresh engines of one scenario seed);
+    every other scheme ignores it.  A serving loop reads the same view
+    only through its own ``grid_view`` argument.
     """
     profile = scenario.profile()
     candidates = scenario.candidates
     space = scheme_space(scenario)
     anytime = candidates.anytime
     if name == "Oracle":
-        return OracleScheduler(engine, space, grid=oracle_grid, grid_view=grid_view)
+        return OracleScheduler(engine, space, grid_view=grid_view)
     if name == "OracleStatic":
         return make_oracle_static(
-            engine, space, goal, stream, n_inputs, grid=oracle_grid,
-            grid_view=grid_view,
+            engine, space, goal, stream, n_inputs, grid_view=grid_view
         )
     if name == "ALERT":
-        return make_alert(profile, grid_view=grid_view)
+        return make_alert(profile)
     if name == "ALERT-Any":
         if anytime is None:
             raise ConfigurationError("ALERT-Any needs an anytime candidate")
-        return make_alert(
-            profile, models=[anytime], name="ALERT-Any", grid_view=grid_view
-        )
+        return make_alert(profile, models=[anytime], name="ALERT-Any")
     if name == "ALERT-Trad":
         traditional = list(candidates.traditional)
         if not traditional:
             raise ConfigurationError("ALERT-Trad needs traditional candidates")
-        return make_alert(
-            profile, models=traditional, name="ALERT-Trad", grid_view=grid_view
-        )
+        return make_alert(profile, models=traditional, name="ALERT-Trad")
     if name == "ALERT*":
-        return make_alert_star(profile, grid_view=grid_view)
+        return make_alert_star(profile)
     if name == "App-only":
         if anytime is None:
             raise ConfigurationError("App-only needs an anytime candidate")
-        return AppOnlyScheduler(
-            anytime, scenario.machine.default_power(), grid_view=grid_view
-        )
+        return AppOnlyScheduler(anytime, scenario.machine.default_power())
     if name == "Sys-only":
-        return SysOnlyScheduler(
-            profile, list(candidates.models), grid_view=grid_view
-        )
+        return SysOnlyScheduler(profile, list(candidates.models))
     if name == "No-coord":
         if anytime is None:
             raise ConfigurationError("No-coord needs an anytime candidate")
-        return NoCoordScheduler(profile, anytime, grid_view=grid_view)
+        return NoCoordScheduler(profile, anytime)
     raise ConfigurationError(f"unknown scheme {name!r}; choose from {SCHEMES}")
 
 

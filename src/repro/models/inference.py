@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from repro.hw.machine import MachineSpec
 from repro.hw.powercap import PowerActuator, make_actuator
 from repro.models.anytime import AnytimeDnn
 from repro.models.base import DnnModel
+
+if TYPE_CHECKING:
+    from repro.workloads.inputs import InputItem
 
 __all__ = [
     "EnvironmentDraw",
@@ -210,27 +214,30 @@ class BatchOutcomeGrid:
 
 
 class GridView:
-    """Serving accessors over one shared :class:`BatchOutcomeGrid`.
+    """The one handle through which a :class:`BatchOutcomeGrid` reaches
+    its consumers: the serving loops and the two oracles.
 
-    The sequential consumers' counterpart of the oracles' column reads:
-    maps a *decided* configuration to its grid row — keyed on the model
-    identity, the cap the actuator enforced, and the rung cap, so
-    schedulers handing out their own :class:`Configuration` objects
-    (ALERT's candidates are not the grid's row objects) still resolve —
-    and realises single :class:`InferenceOutcome` records straight from
-    the grid columns, value-identical to what
-    :meth:`InferenceEngine.run` would have computed for the same
-    enforced cap.  One view serves every run of a fused cell; any
-    lookup miss (unknown configuration, off-grid input, mismatched
-    timing or work factor) returns ``None`` and the caller falls back
-    to the live engine.
+    Answers the two questions every consumer asks.  *May this grid
+    column serve this input?* — :meth:`column` for one input and
+    :meth:`columns` for a whole run; callers check the timing first
+    with :meth:`matches_timing`.  *Which row realises this decision?*
+    — :meth:`row_for`, keyed on the model identity, the cap the
+    actuator enforced, and the rung cap, so schedulers handing out
+    their own :class:`Configuration` objects (ALERT's candidates are
+    not the grid's row objects) still resolve.  :meth:`outcome` then
+    realises a single :class:`InferenceOutcome` straight from the grid,
+    value-identical to what :meth:`InferenceEngine.run` would have
+    computed for the same enforced cap.  One view serves every run of
+    a fused cell; any miss (unknown configuration, off-grid input,
+    mismatched timing, work factor or environment draw) returns
+    ``None`` and the caller falls back to the live engine.
 
     ``trusted`` is a provenance flag: True promises the grid was
     realised from the same scenario seed as the engines it serves (the
-    executor builds fused-cell grids exactly that way), letting
-    consumers skip the per-input environment-draw guard — and with it
-    the cost of re-realising draws the run never otherwise needs.
-    Hand-built views default to untrusted and are guarded per input.
+    executor builds fused-cell grids exactly that way), so the column
+    lookups skip the environment-draw guard — and with it the cost of
+    re-realising draws the run never otherwise needs.  Hand-built
+    views default to untrusted and are guarded per input.
     """
 
     def __init__(self, grid: BatchOutcomeGrid, trusted: bool = False) -> None:
@@ -283,31 +290,51 @@ class GridView:
             self._rows = rows
         return rows.get((id(model), effective_cap_w, rung_cap))
 
-    def column_for(self, index: int, work_factor: float) -> int | None:
-        """Grid column serving input ``index``, or None on any mismatch."""
+    def column(self, engine: InferenceEngine, item: InputItem) -> int | None:
+        """Grid column that may serve ``item`` on ``engine``, or None.
+
+        The column must hold the item's index and work factor; an
+        untrusted view also requires the engine's environment draw for
+        the item, which guards against a grid realised from diverged
+        draws.
+        """
         grid = self.grid
+        index = item.index
         position = grid.column_for(index)
-        if position is None or work_factor != grid.work_factors[position]:
+        if position is None or item.work_factor != grid.work_factors[position]:
+            return None
+        if not self.trusted and (
+            engine.environment(index).env_factor != grid.env_factor[position]
+        ):
             return None
         return position
 
-    def columns_for(self, indices, work_factors) -> np.ndarray | None:
-        """Columns serving a whole run, or None when any input misses."""
+    def columns(
+        self, engine: InferenceEngine, items: Sequence[InputItem]
+    ) -> np.ndarray | None:
+        """Columns that may serve a whole run, or None when any misses.
+
+        The vectorized counterpart of :meth:`column`, under the same
+        guards: one array comparison per guard instead of per-item
+        checks.
+        """
         grid = self.grid
+        indices = [item.index for item in items]
         columns = grid.columns_of(indices)
         if columns is None:
             return None
-        factors = np.asarray(list(work_factors), dtype=float)
+        factors = np.array([item.work_factor for item in items], dtype=float)
         if not np.array_equal(factors, grid.work_factors[columns]):
             return None
+        if not self.trusted:
+            engine.environment(max(indices))
+            draws = np.array(
+                [engine.environment(index).env_factor for index in indices],
+                dtype=float,
+            )
+            if not np.array_equal(draws, grid.env_factor[columns]):
+                return None
         return columns
-
-    def env_matches(self, engine: "InferenceEngine", index: int, position: int) -> bool:
-        """Guard one column against a grid from diverged draws."""
-        return (
-            engine.environment(index).env_factor
-            == float(self.grid.env_factor[position])
-        )
 
     def outcome(
         self,

@@ -471,7 +471,8 @@ class _WorkerState:
         engine derive from the same scenario seed), one shared
         engine/stream realisation; every scheduler is built by
         :func:`~repro.experiments.harness.make_scheme` with its goal's
-        grid and view.  When the cell holds at least
+        view (only the oracles read it), and every loop and lane serves
+        from the same view.  When the cell holds at least
         :data:`LOCKSTEP_MIN_GOALS` goals, every scheme whose schedulers
         stack becomes a lane of one
         :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; every
@@ -486,7 +487,6 @@ class _WorkerState:
         scenario = self.scenario(spec.scenario)
         engine, stream = self.realisation(spec.scenario)
 
-        grids = []
         views = []
         views_by_grid: dict[int, GridView] = {}
         for goal in spec.goals:
@@ -495,7 +495,6 @@ class _WorkerState:
             if view is None:
                 view = GridView(grid, trusted=True)
                 views_by_grid[id(grid)] = view
-            grids.append(grid)
             views.append(view)
 
         lockstep = len(spec.goals) >= LOCKSTEP_MIN_GOALS
@@ -508,7 +507,7 @@ class _WorkerState:
             schedulers = [
                 make_scheme(
                     scheme, scenario, engine, stream, goal, spec.n_inputs,
-                    oracle_grid=grids[g], grid_view=views[g],
+                    grid_view=views[g],
                 )
                 for g, goal in enumerate(spec.goals)
             ]

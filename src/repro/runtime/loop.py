@@ -60,10 +60,11 @@ miss — off-grid input, unknown configuration, quantized cap,
 trace-adjusted deadline — falls back to the live engine per input, so
 a view is always an optimisation, never a semantics change
 (``tests/test_cell_fusion_parity.py`` pins grid-served runs to the
-live-engine reference).  The view
-comes from the ``grid_view`` constructor argument, or, failing that,
-from an optional ``grid_view`` attribute on the scheduler (the
-baselines accept one).
+live-engine reference).  The view comes from the ``grid_view``
+constructor argument only; every path asks it, never the grid, whether
+a column may serve an input (:meth:`GridView.column` per input,
+:meth:`GridView.columns` per run, after
+:meth:`GridView.matches_timing`).
 
 Violation bookkeeping follows the paper:
 
@@ -352,8 +353,6 @@ class ServingLoop:
         Optional mid-run requirement changes.
     grid_view:
         Optional shared-realisation view (see the module docstring).
-        When omitted, the loop probes the scheduler for a ``grid_view``
-        attribute.
 
     The loop owns its :class:`~repro.core.goals.GoalAdjuster`
     (``adjuster``) and its :class:`~repro.runtime.clock.SimulatedClock`
@@ -381,8 +380,6 @@ class ServingLoop:
         self.trace = requirement_trace or RequirementTrace()
         self.adjuster = GoalAdjuster()
         self.clock = SimulatedClock()
-        if grid_view is None:
-            grid_view = getattr(scheduler, "grid_view", None)
         self.grid_view = grid_view
         # Batch-path configuration tuples, keyed on (model, effective
         # cap, rung): reusing the same tuple object across runs lets
@@ -463,20 +460,17 @@ class ServingLoop:
         and the reported ``power_cap_w`` is the machine-clamped request.
         """
         engine = self.engine
-        index = item.index
         effective = engine.actuator.set_power_cap(config.power_w)
         row = view.row_for(config.model, effective, config.rung_cap)
         if row is None:
             return None
-        position = view.column_for(index, item.work_factor)
+        position = view.column(engine, item)
         if position is None:
-            return None
-        if not view.trusted and not view.env_matches(engine, index, position):
             return None
         return view.outcome(
             row,
             position,
-            index=index,
+            index=item.index,
             power_cap_w=engine.machine.clamp_power(config.power_w),
             deadline_s=adjusted.deadline_s,
             period_s=period,
@@ -653,19 +647,7 @@ class ServingLoop:
         grid = None
         grid_columns = None
         if view is not None and view.matches_timing(deadline, period):
-            grid_columns = view.columns_for(
-                item_indices, [item.work_factor for item in items]
-            )
-            if grid_columns is not None and not view.trusted:
-                engine.environment(max(item_indices))
-                observed = np.array(
-                    [engine.environment(i).env_factor for i in item_indices],
-                    dtype=float,
-                )
-                if not np.array_equal(
-                    observed, view.grid.env_factor[grid_columns]
-                ):
-                    grid_columns = None
+            grid_columns = view.columns(engine, items)
             if grid_columns is not None:
                 grid = view.grid
 
@@ -914,14 +896,10 @@ class CrossSchemeLockstepLoop:
     ) -> np.ndarray:
         """Per-step grid columns for one view (-1 where any miss)."""
         positions = np.full(len(items), -1, dtype=np.int64)
-        trusted = view.trusted
         for position, item in enumerate(items):
-            column = view.column_for(item.index, item.work_factor)
-            if column is None:
-                continue
-            if not trusted and not view.env_matches(engine, item.index, column):
-                continue
-            positions[position] = column
+            column = view.column(engine, item)
+            if column is not None:
+                positions[position] = column
         return positions
 
     def _run_lane(

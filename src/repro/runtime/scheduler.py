@@ -26,7 +26,7 @@ __all__ = ["Scheduler", "AlertScheduler", "StaticScheduler"]
 class Scheduler(Protocol):
     """What the serving loop needs from a policy.
 
-    Policies may additionally declare three optional members the loop
+    Policies may additionally declare two optional members the loop
     probes with ``getattr``:
 
     * ``feedback_free`` (bool, default False) — a promise that
@@ -36,10 +36,9 @@ class Scheduler(Protocol):
       per-input round trips) and may skip ``observe`` entirely.
     * ``decide_batch(items, goal)`` — vectorized decisions for a whole
       run at once; only consulted on the batch fast path.
-    * ``grid_view`` (:class:`repro.models.inference.GridView` or None)
-      — a shared-realisation view the loop may serve the run's engine
-      outcomes from (the fused-cell execution path); purely an
-      optimisation, never a behaviour change.
+
+    The loop's shared-realisation view is the loop's own constructor
+    argument, never a scheduler member.
     """
 
     name: str
@@ -79,11 +78,9 @@ class AlertScheduler:
         self,
         kernel: AlertKernel,
         name: str = "ALERT",
-        grid_view=None,
     ) -> None:
         self.kernel = kernel
         self.name = name
-        self.grid_view = grid_view
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
         return self.kernel.decide(goal).config
@@ -128,13 +125,11 @@ class StaticScheduler:
         power_w: float,
         rung_cap: int | None = None,
         name: str | None = None,
-        grid_view=None,
     ) -> None:
         if power_w <= 0:
             raise ConfigurationError(f"power must be positive, got {power_w}")
         self._config = Configuration(model=model, power_w=power_w, rung_cap=rung_cap)
         self.name = name if name is not None else f"static:{self._config.describe()}"
-        self.grid_view = grid_view
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
         return self._config

@@ -27,6 +27,8 @@ equal split.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -64,9 +66,9 @@ class PowerBudget:
     kind = "equal"
 
     def __init__(self, total_w: float | None = None) -> None:
-        if total_w is not None and total_w <= 0:
+        if total_w is not None and not 0 < total_w < math.inf:
             raise ConfigurationError(
-                f"power budget must be positive, got {total_w}"
+                f"power budget must be positive and finite, got {total_w}"
             )
         self.total_w = total_w
 

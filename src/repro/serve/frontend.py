@@ -32,6 +32,7 @@ boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.goals import Goal
@@ -320,9 +321,9 @@ class FleetFrontend:
         the horizon are neither served nor violations — they are simply
         outside the window, as in any fixed-duration load test.
         """
-        if duration_s <= 0:
+        if not 0 < duration_s < math.inf:
             raise ConfigurationError(
-                f"duration must be positive, got {duration_s}"
+                f"duration must be positive and finite, got {duration_s}"
             )
         self._chain_next_arrival()
         self.clock.run(until_s=duration_s)
@@ -356,9 +357,9 @@ class FleetFrontend:
         Requests still in flight at the horizon fall outside the
         window, exactly as in :meth:`run`.
         """
-        if duration_s <= 0:
+        if not 0 < duration_s < math.inf:
             raise ConfigurationError(
-                f"duration must be positive, got {duration_s}"
+                f"duration must be positive and finite, got {duration_s}"
             )
         import asyncio
 

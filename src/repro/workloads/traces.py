@@ -229,8 +229,10 @@ class PoissonArrivals(ArrivalProcess):
     kind = "poisson"
 
     def __init__(self, rate_hz: float, seed: int = 0) -> None:
-        if rate_hz <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate_hz}")
+        if not 0 < rate_hz < math.inf:
+            raise ConfigurationError(
+                f"rate must be positive and finite, got {rate_hz}"
+            )
         super().__init__(seed)
         self.rate_hz = rate_hz
 
@@ -262,11 +264,13 @@ class MMPPArrivals(ArrivalProcess):
     ) -> None:
         if len(rates_hz) < 2:
             raise ConfigurationError("MMPP needs at least two regimes")
-        if any(rate <= 0 for rate in rates_hz):
-            raise ConfigurationError(f"rates must be positive, got {rates_hz}")
-        if mean_dwell_s <= 0:
+        if not all(0 < rate < math.inf for rate in rates_hz):
             raise ConfigurationError(
-                f"mean dwell must be positive, got {mean_dwell_s}"
+                f"rates must be positive and finite, got {rates_hz}"
+            )
+        if not 0 < mean_dwell_s < math.inf:
+            raise ConfigurationError(
+                f"mean dwell must be positive and finite, got {mean_dwell_s}"
             )
         super().__init__(seed)
         self.rates_hz = tuple(float(rate) for rate in rates_hz)
@@ -321,11 +325,13 @@ class DiurnalArrivals(ArrivalProcess):
         depth: float = 0.8,
         seed: int = 0,
     ) -> None:
-        if rate_hz <= 0:
-            raise ConfigurationError(f"rate must be positive, got {rate_hz}")
-        if period_s <= 0:
+        if not 0 < rate_hz < math.inf:
             raise ConfigurationError(
-                f"period must be positive, got {period_s}"
+                f"rate must be positive and finite, got {rate_hz}"
+            )
+        if not 0 < period_s < math.inf:
+            raise ConfigurationError(
+                f"period must be positive and finite, got {period_s}"
             )
         if not 0 < depth < 1:
             raise ConfigurationError(f"depth must be in (0, 1), got {depth}")
@@ -379,8 +385,8 @@ def make_arrivals(
     them to sharpen or soften the burst without writing their own
     process wiring.
     """
-    if rate_hz <= 0:
-        raise ConfigurationError(f"rate must be positive, got {rate_hz}")
+    if not 0 < rate_hz < math.inf:
+        raise ConfigurationError(f"rate must be positive and finite, got {rate_hz}")
     if not 0 < calm_factor < burst_factor:
         raise ConfigurationError(
             f"need 0 < calm_factor < burst_factor, got "

@@ -3,6 +3,8 @@ sequential reference every serving-path parity suite compares against."""
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.experiments.harness import CellResult
@@ -12,6 +14,7 @@ from repro.models.families import depth_nest_anytime, sparse_resnet_family
 from repro.models.inference import InferenceEngine
 from repro.models.profiles import Profiler
 from repro.rng import SeedSequenceFactory
+from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import run_single
 from repro.workloads.scenarios import build_scenario
 
@@ -54,6 +57,18 @@ def memory_engine(seeds) -> InferenceEngine:
     return InferenceEngine(
         machine=CPU1, contention=contention, noise_rng=seeds.stream("noise")
     )
+
+
+@pytest.fixture()
+def no_event_loop(monkeypatch):
+    """Fail, instead of hang, when the code under test starts an event
+    loop: virtual (``VirtualClock.run``) or real (asyncio)."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an event loop started")
+
+    monkeypatch.setattr(VirtualClock, "run", refuse)
+    monkeypatch.setattr(asyncio, "new_event_loop", refuse)
 
 
 @pytest.fixture()

@@ -182,7 +182,13 @@ class _ScriptedEngine:
         )
 
     def evaluate_batch(
-        self, configs, indices, deadline_s, period_s=None, work_factors=None
+        self,
+        configs,
+        indices,
+        deadline_s,
+        period_s=None,
+        work_factors=None,
+        allocator=None,
     ):
         configs = tuple(configs)
         indices = np.asarray(list(indices), dtype=int)

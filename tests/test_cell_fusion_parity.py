@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 import repro.baselines.oracle as oracle_module
+from repro.baselines.oracle import oracle_outcome_grid
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes, make_scheme
@@ -31,7 +32,7 @@ from repro.runtime.executor import (
     plan_cells,
     timing_grid,
 )
-from repro.runtime.loop import ServingLoop
+from repro.runtime.loop import LockstepServingLoop, ServingLoop
 from repro.workloads.scenarios import build_scenario
 
 #: Float tolerance of the fused path (the acceptance bar; in practice
@@ -251,9 +252,13 @@ def _view_for(scenario, goal, n_inputs, trusted):
 
 
 def _run_with_view(scenario, scheme, goal, n_inputs, view):
+    """One run whose loop reads ``view``; as in the executor, the
+    oracles' schedulers read it too."""
     engine = scenario.make_engine()
     stream = scenario.make_stream()
-    scheduler = make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
+    scheduler = make_scheme(
+        scheme, scenario, engine, stream, goal, n_inputs, grid_view=view
+    )
     loop = ServingLoop(engine, stream, scheduler, goal, grid_view=view)
     return loop.run(n_inputs)
 
@@ -271,15 +276,58 @@ def test_trusted_view_serves_sequential_and_batch(image_scenario):
             assert ra == rb
 
 
-def test_untrusted_view_from_diverged_draws_falls_back(image_scenario):
-    """A grid realised under different draws must never be served."""
-    goal = _goals(image_scenario)[0]
+@pytest.mark.parametrize(
+    "case", ["Oracle", "OracleStatic", "App-only", "ALERT", "ALERT-lane"]
+)
+def test_untrusted_view_from_diverged_draws_falls_back(image_scenario, case):
+    """A grid realised under different draws must never be served.
+
+    The grid covers the scenario's own space and stream, realised from
+    another seed's engine, so every row and column lookup resolves and
+    only the environment-draw guard keeps it out.  Oracle, OracleStatic
+    and App-only take the batch path, ALERT the sequential one, and
+    ``ALERT-lane`` is a six-goal lockstep lane.  As a control, the same
+    grid marked trusted is served and changes the records.
+    """
+    scenario = image_scenario
+    n_inputs = 12
+    anchor = scenario.anchor_latency_s()
+    floors = (0.9,)
+    if case == "ALERT-lane":
+        floors = (0.8, 0.83, 0.85, 0.88, 0.9, 0.93)
+    goals = [
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor,
+            accuracy_min=floor,
+        )
+        for floor in floors
+    ]
     other = build_scenario("CPU1", "image", "default", "standard", seed=12345)
-    stale = _view_for(other, goal, 12, trusted=False)
-    with_view = _run_with_view(image_scenario, "ALERT", goal, 12, stale)
-    without = _run_with_view(image_scenario, "ALERT", goal, 12, None)
-    for ra, rb in zip(with_view.records, without.records):
-        assert ra == rb
+    stale = oracle_outcome_grid(
+        other.make_engine(), scenario.space(), goals[0],
+        scenario.make_stream(), n_inputs,
+    )
+
+    def records(view):
+        if case != "ALERT-lane":
+            run = _run_with_view(scenario, case, goals[0], n_inputs, view)
+            return [run.records]
+        engine = scenario.make_engine()
+        stream = scenario.make_stream()
+        schedulers = [
+            make_scheme("ALERT", scenario, engine, stream, goal, n_inputs)
+            for goal in goals
+        ]
+        lane = LockstepServingLoop.for_schedulers(
+            engine, stream, schedulers, goals, [view] * len(goals)
+        )
+        assert lane is not None
+        return [run.records for run in lane.run(n_inputs)]
+
+    reference = records(None)
+    assert records(GridView(stale)) == reference
+    assert records(GridView(stale, trusted=True)) != reference
 
 
 def test_view_timing_mismatch_falls_back(image_scenario):
@@ -300,19 +348,6 @@ def test_view_off_grid_inputs_fall_back(image_scenario):
     without = _run_with_view(image_scenario, "ALERT", goal, 12, None)
     for ra, rb in zip(with_view.records, without.records):
         assert ra == rb
-
-
-def test_scheduler_carried_view_is_probed(image_scenario):
-    """The loop picks up a view from the scheduler when none is given."""
-    goal = _goals(image_scenario)[0]
-    view = _view_for(image_scenario, goal, 10, trusted=True)
-    engine = image_scenario.make_engine()
-    stream = image_scenario.make_stream()
-    scheduler = make_scheme(
-        "ALERT", image_scenario, engine, stream, goal, 10, grid_view=view
-    )
-    loop = ServingLoop(engine, stream, scheduler, goal)
-    assert loop.grid_view is view
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,34 @@ def test_fleet_refuses_to_start_outside_the_autoscaler_corridor(shape):
         )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fleet", "--rate", "nan", "--duration", "5"],
+        ["fleet", "--rate", "inf", "--duration", "5"],
+        ["fleet", "--duration", "nan"],
+        ["fleet", "--duration", "inf"],
+        ["fleet", "--deadline-factor", "nan", "--duration", "5"],
+        ["fleet", "--power-budget", "nan", "--duration", "5"],
+        ["overload", "--duration", "nan"],
+        ["overload", "--duration", "inf"],
+        ["serve", "--deadline-factor", "nan", "--inputs", "5"],
+        ["serve", "--deadline-factor", "inf", "--inputs", "5"],
+    ],
+    ids=[
+        "fleet-rate-nan", "fleet-rate-inf", "fleet-duration-nan",
+        "fleet-duration-inf", "fleet-deadline-nan", "fleet-budget-nan",
+        "overload-duration-nan", "overload-duration-inf",
+        "serve-deadline-nan", "serve-deadline-inf",
+    ],
+)
+def test_cli_refuses_non_finite_values(argv, no_event_loop):
+    """Each of these hung, served with no deadline, or crashed deep in
+    the meter; now each is refused before any event loop starts."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        main(argv)
+
+
 def test_overload_arguments_parsed():
     parser = build_parser()
     args = parser.parse_args(

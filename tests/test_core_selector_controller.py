@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config_space import Configuration, ConfigurationSpace
@@ -235,6 +237,15 @@ def test_goal_validation():
             deadline_s=-1.0,
             accuracy_min=0.9,
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["deadline_s", "period_s", "energy_budget_j"])
+def test_goal_refuses_non_finite_values(field, value):
+    """NaN passes every ``x <= 0`` check, and infinity is positive."""
+    values = {"deadline_s": 0.5, "energy_budget_j": 2.0, field: value}
+    with pytest.raises(ConfigurationError, match="finite"):
+        Goal(objective=ObjectiveKind.MAXIMIZE_ACCURACY, **values)
 
 
 def test_group_deadline_shrinks_after_overrun():

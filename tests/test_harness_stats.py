@@ -8,6 +8,7 @@ from repro.analysis.stats import SchemeCell, normalize_to_baseline, summarize_ru
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.experiments.harness import SCHEMES, evaluate_schemes, make_scheme
+from repro.runtime.loop import LOCKSTEP_TELEMETRY
 from repro.workloads.scenarios import build_scenario, constraint_grid
 
 
@@ -104,3 +105,52 @@ def test_evaluate_schemes_common_randomness(scenario):
     alert_env = [r.outcome.env_factor for r in alert_run.records]
     app_env = [r.outcome.env_factor for r in app_run.records]
     assert alert_env == app_env
+
+
+# ----------------------------------------------------------------------
+# Infeasible goals: every scheme degrades to full violation, none crashes
+# ----------------------------------------------------------------------
+#: Accuracy floors (minimise energy) or budgets in µJ (maximise
+#: accuracy) no configuration can meet, one per goal of a cell.
+INFEASIBLE_FLOORS = (0.999, 0.9992, 0.9994, 0.9996, 0.9998, 1.0)
+INFEASIBLE_BUDGETS_UJ = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+
+
+def _infeasible_goals(scenario, objective, width):
+    anchor = scenario.anchor_latency_s()
+    if objective is ObjectiveKind.MINIMIZE_ENERGY:
+        return [
+            Goal(objective=objective, deadline_s=0.02 * anchor, accuracy_min=q)
+            for q in INFEASIBLE_FLOORS[:width]
+        ]
+    return [
+        Goal(objective=objective, deadline_s=anchor, energy_budget_j=b * 1e-6)
+        for b in INFEASIBLE_BUDGETS_UJ[:width]
+    ]
+
+
+@pytest.mark.parametrize("width", [1, 6], ids=["per-goal", "lockstep"])
+@pytest.mark.parametrize(
+    "objective",
+    [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
+    ids=["min-energy", "max-accuracy"],
+)
+@pytest.mark.parametrize("task", ["image", "sentence"])
+def test_infeasible_goals_violate_every_input_of_every_scheme(
+    task, objective, width
+):
+    """A one-goal cell serves each run on its own path; a six-goal cell
+    puts every stacking scheme on a lockstep lane.  Either way every
+    scheme must relax its way through the whole run."""
+    scenario = build_scenario("CPU1", task, "default", "standard", seed=5)
+    goals = _infeasible_goals(scenario, objective, width)
+    LOCKSTEP_TELEMETRY.reset()
+    cell = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=12)
+    lockstep_runs = LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"]
+    assert (lockstep_runs > 0) == (width == 6)
+    for name in SCHEMES:
+        runs = cell.scheme_runs(name)
+        assert len(runs) == width
+        for run in runs:
+            assert run.n_inputs == 12
+            assert run.violation_fraction == 1.0, (name, run.goal)

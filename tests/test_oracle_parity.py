@@ -23,7 +23,9 @@ from repro.baselines.oracle import (
 )
 from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind
+from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes
+from repro.models.inference import GridView
 from repro.workloads.inputs import InputItem
 from repro.workloads.scenarios import build_scenario
 
@@ -197,7 +199,7 @@ def test_best_static_identical_across_paths(spec):
 # ----------------------------------------------------------------------
 # Grid reuse: precomputed grids change nothing
 # ----------------------------------------------------------------------
-def test_oracle_grid_backed_decisions_match_fresh(image_scenario):
+def test_oracle_view_backed_decisions_match_fresh(image_scenario):
     scenario = image_scenario
     space = _space(scenario)
     goal = Goal(
@@ -209,7 +211,9 @@ def test_oracle_grid_backed_decisions_match_fresh(image_scenario):
     grid = oracle_outcome_grid(
         scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs
     )
-    gridded = OracleScheduler(scenario.make_engine(), space, grid=grid)
+    gridded = OracleScheduler(
+        scenario.make_engine(), space, grid_view=GridView(grid)
+    )
     fresh = OracleScheduler(scenario.make_engine(), space)
     stream = scenario.make_stream()
     for index in range(n_inputs):
@@ -224,6 +228,38 @@ def test_oracle_grid_backed_decisions_match_fresh(image_scenario):
     shrunk = goal.with_deadline(goal.deadline_s * 0.8)
     item = stream.item(0)
     assert gridded.decide(item, shrunk).key == fresh.decide(item, shrunk).key
+
+
+def test_view_over_another_space_is_refused_or_bypassed(image_scenario):
+    """Oracle refuses a view whose rows are not its space;
+    OracleStatic realises its own grid instead."""
+    scenario = image_scenario
+    space = _space(scenario)
+    fewer = ConfigurationSpace(
+        list(scenario.candidates.models), list(scenario.profile().powers)[:2]
+    )
+    goal = Goal(
+        objective=ObjectiveKind.MINIMIZE_ENERGY,
+        deadline_s=scenario.anchor_latency_s(),
+        accuracy_min=0.9,
+    )
+    n_inputs = 10
+    view = GridView(
+        oracle_outcome_grid(
+            scenario.make_engine(), fewer, goal, scenario.make_stream(), n_inputs
+        ),
+        trusted=True,
+    )
+    with pytest.raises(ConfigurationError, match="configuration space"):
+        OracleScheduler(scenario.make_engine(), space, grid_view=view)
+    fast = best_static_config(
+        scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs,
+        grid_view=view,
+    )
+    fresh = best_static_config(
+        scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs
+    )
+    assert fast.key == fresh.key
 
 
 def test_oracle_static_grid_equivalence(image_scenario):
@@ -242,7 +278,7 @@ def test_oracle_static_grid_equivalence(image_scenario):
     )
     with_grid = make_oracle_static(
         scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs,
-        grid=grid,
+        grid_view=GridView(grid),
     )
     without = make_oracle_static(
         scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs

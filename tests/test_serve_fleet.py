@@ -6,13 +6,22 @@ requirement-trace rewrites — the serving-system behaviours layered on
 top of the clock-free decision kernel.
 """
 
+import math
+
 import pytest
 
 from repro.core.kernel import AlertKernel
 from repro.core.selector import ConfigSelector
 from repro.errors import ConfigurationError
 from repro.runtime.clock import SimulatedClock, VirtualClock, WallClock
-from repro.serve import FleetConfig, PowerBudget, build_fleet, make_policy
+from repro.serve import (
+    BUDGET_KINDS,
+    FleetConfig,
+    PowerBudget,
+    build_fleet,
+    make_budget,
+    make_policy,
+)
 from repro.serve.policies import (
     POLICY_KINDS,
     CostAwarePolicy,
@@ -193,6 +202,21 @@ def test_power_budget_partition():
         PowerBudget(-5.0)
     with pytest.raises(ConfigurationError):
         PowerBudget(120.0).share_w(0)
+
+
+@pytest.mark.parametrize("total_w", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", BUDGET_KINDS)
+def test_power_budget_refuses_non_finite_totals(kind, total_w):
+    with pytest.raises(ConfigurationError, match="finite"):
+        make_budget(kind, total_w)
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["run", "run_wall"])
+def test_fleet_refuses_non_finite_durations(mode, duration_s, no_event_loop):
+    fleet = build_fleet(FleetConfig(replicas=1, seed=7))
+    with pytest.raises(ConfigurationError, match="finite"):
+        getattr(fleet, mode)(duration_s)
 
 
 def test_budget_clamps_replica_power_decisions():

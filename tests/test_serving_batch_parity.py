@@ -121,6 +121,7 @@ def test_batch_path_matches_sequential(platform, env, seed, scheme, objective):
 def test_decide_batch_matches_per_item_decides(image_scenario):
     from repro.baselines.oracle import OracleScheduler, oracle_outcome_grid
     from repro.experiments.harness import scheme_space
+    from repro.models.inference import GridView
 
     scenario = image_scenario
     goal = _goal(scenario, ObjectiveKind.MINIMIZE_ENERGY)
@@ -131,7 +132,7 @@ def test_decide_batch_matches_per_item_decides(image_scenario):
     )
     engine = scenario.make_engine()
     stream = scenario.make_stream()
-    oracle = OracleScheduler(engine, space, grid=grid)
+    oracle = OracleScheduler(engine, space, grid_view=GridView(grid))
     items = [stream.item(i) for i in range(n)]
     vectorized = oracle.decide_batch(items, goal)
     one_by_one = [oracle.decide(item, goal) for item in items]

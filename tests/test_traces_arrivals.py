@@ -7,6 +7,8 @@ bit-identical runs, and a one-replica fleet is the sequential
 harness in disguise.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,29 @@ def test_arrival_validation():
         DiurnalArrivals(rate_hz=1.0, period_s=10.0, depth=1.5)
     with pytest.raises(ConfigurationError):
         PoissonArrivals(rate_hz=1.0).time_of(-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: PoissonArrivals(rate_hz=x),
+        lambda x: make_arrivals("mmpp", rate_hz=x),
+        lambda x: MMPPArrivals(rates_hz=(1.0, x), mean_dwell_s=1.0),
+        lambda x: MMPPArrivals(rates_hz=(1.0, 2.0), mean_dwell_s=x),
+        lambda x: DiurnalArrivals(rate_hz=x, period_s=10.0),
+        lambda x: DiurnalArrivals(rate_hz=1.0, period_s=x),
+    ],
+    ids=[
+        "poisson-rate", "factory-rate", "mmpp-rate", "mmpp-dwell",
+        "diurnal-rate", "diurnal-period",
+    ],
+)
+def test_arrivals_refuse_non_finite_parameters(build, value):
+    """A NaN or infinite rate, dwell or period passed ``x <= 0`` and
+    left the fleet's event loop spinning forever."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        build(value)
 
 
 # ----------------------------------------------------------------------
