@@ -115,6 +115,15 @@ def _lexmin(mask: np.ndarray, *keys: np.ndarray) -> int:
     return int(candidates[order[0]])
 
 
+def _candidates(space) -> tuple[Configuration, ...]:
+    """The candidates as one tuple: a space's own, so the engine's
+    identity-keyed config table hits on every grid and fallback
+    column; any other iterable of configurations is copied."""
+    if isinstance(space, ConfigurationSpace):
+        return space.configs
+    return tuple(space)
+
+
 def oracle_outcome_grid(
     engine: InferenceEngine,
     space: ConfigurationSpace,
@@ -137,7 +146,7 @@ def oracle_outcome_grid(
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
     return engine.evaluate_batch(
-        configs=list(space),
+        configs=_candidates(space),
         indices=range(n_inputs),
         deadline_s=goal.deadline_s,
         period_s=goal.period,
@@ -182,7 +191,7 @@ class OracleScheduler:
         self.engine = engine
         self.space = space
         self.name = name
-        self._configs = tuple(space)
+        self._configs = _candidates(space)
         self._power_w = np.array([c.power_w for c in self._configs])
         if grid_view is not None and (
             tuple(grid_view.grid.configs) != self._configs
@@ -368,7 +377,7 @@ def best_static_config(
     """
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
-    configs = tuple(space)
+    configs = _candidates(space)
     grid = None
     if (
         grid_view is not None

@@ -17,7 +17,7 @@ The flow, per input ``n`` (paper Section 3.2):
 Public entry point: :class:`AlertKernel`.
 """
 
-from repro.core.batch_estimator import BatchAlertEstimator, BatchEstimates
+from repro.core.batch_estimator import BatchAlertEstimator
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.estimator import AlertEstimator, ConfigEstimate
 from repro.core.goals import Goal, GoalAdjuster, ObjectiveKind
@@ -34,7 +34,6 @@ from repro.core.slowdown import GlobalSlowdownEstimator
 
 __all__ = [
     "BatchAlertEstimator",
-    "BatchEstimates",
     "Configuration",
     "ConfigurationSpace",
     "ControllerState",

@@ -7,16 +7,25 @@ precomputes, once per ``(space, profile)`` pair, flat NumPy arrays
 covering the whole configuration space —
 
 * profiled full latencies and inference powers,
-* per-configuration latency fractions and capped qualities,
+* per-configuration latency fractions, qualities and failure
+  qualities,
 * the anytime rung ladders padded to a rectangle (latency, quality,
   validity mask),
 
 — and then evaluates every estimate for *all* configurations in one
-pass of array operations per :meth:`BatchAlertEstimator.estimate_batch`
-call.  The standard normal CDF is evaluated scipy-free with a
-vectorized Cephes-style ``erf``/``erfc`` (double precision, ~1 ulp),
-so batch probabilities agree with the scalar path's ``math.erf`` to
-well below the 1e-9 parity tolerance the test suite enforces.
+pass of array operations.  One body does it at every width:
+:meth:`BatchAlertEstimator._gather_group` collects every normal-CDF
+argument and :meth:`BatchAlertEstimator._finish_group` does the
+arithmetic after the CDF, both written over an optional leading state
+axis.  :meth:`BatchAlertEstimator.estimate_batch` (one state, behind
+``ConfigSelector.select``) runs it on Python-float state and 1-D goal
+rows, so a width-1 query costs only ``(C,)`` operations;
+:meth:`BatchAlertEstimator.stacked_fields` (many states, behind
+``select_many``) runs it on ``(K, 1)`` state columns.  The standard
+normal CDF is evaluated scipy-free with a vectorized Cephes-style
+``erf``/``erfc`` (double precision, ~1 ulp), so batch probabilities
+agree with the scalar path's ``math.erf`` to well below the 1e-9
+parity tolerance the test suite enforces.
 
 Every arithmetic expression mirrors the scalar estimator's operation
 order so the two paths agree bit-for-bit wherever the underlying
@@ -33,17 +42,15 @@ order of magnitude faster than the scalar loop (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.estimator import AlertEstimator, ConfigEstimate, normal_quantile
+from repro.core.config_space import ConfigurationSpace
+from repro.core.estimator import AlertEstimator, normal_quantile
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.models.anytime import AnytimeDnn
 
-__all__ = ["BatchEstimates", "BatchAlertEstimator", "normal_cdf_array"]
+__all__ = ["BatchAlertEstimator", "normal_cdf_array"]
 
 
 # ----------------------------------------------------------------------
@@ -154,64 +161,6 @@ def normal_cdf_array(x: np.ndarray) -> np.ndarray:
     return result
 
 
-# ----------------------------------------------------------------------
-# Batch estimates
-# ----------------------------------------------------------------------
-@dataclass
-class BatchEstimates:
-    """Per-configuration estimate arrays for one (goal, state) query.
-
-    Index ``i`` of every array corresponds to ``configs[i]``; the
-    fields parallel :class:`repro.core.estimator.ConfigEstimate`.
-    """
-
-    configs: tuple[Configuration, ...]
-    latency_mean_s: np.ndarray
-    deadline_probability: np.ndarray
-    expected_quality: np.ndarray
-    quality_meet_probability: np.ndarray
-    expected_energy_j: np.ndarray
-    meets_latency: np.ndarray
-    meets_accuracy: np.ndarray
-    meets_energy: np.ndarray
-    meets_prob: np.ndarray
-    meets_latency_mean: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.configs)
-
-    @property
-    def feasible(self) -> np.ndarray:
-        """Elementwise ``ConfigEstimate.feasible``."""
-        return (
-            self.meets_latency
-            & self.meets_accuracy
-            & self.meets_energy
-            & self.meets_prob
-        )
-
-    def estimate(self, i: int) -> ConfigEstimate:
-        """Materialise the :class:`ConfigEstimate` record for index ``i``."""
-        return ConfigEstimate(
-            config=self.configs[i],
-            latency_mean_s=float(self.latency_mean_s[i]),
-            deadline_probability=float(self.deadline_probability[i]),
-            expected_quality=float(self.expected_quality[i]),
-            quality_meet_probability=float(self.quality_meet_probability[i]),
-            expected_energy_j=float(self.expected_energy_j[i]),
-            meets_latency=bool(self.meets_latency[i]),
-            meets_accuracy=bool(self.meets_accuracy[i]),
-            meets_energy=bool(self.meets_energy[i]),
-            meets_prob=bool(self.meets_prob[i]),
-            meets_latency_mean=bool(self.meets_latency_mean[i]),
-        )
-
-    def estimates(self) -> list[ConfigEstimate]:
-        """All records, in space order (parity tests, diagnostics)."""
-        return [self.estimate(i) for i in range(self.n)]
-
-
 class BatchAlertEstimator:
     """Vectorized twin of :class:`AlertEstimator` over a whole space.
 
@@ -316,32 +265,28 @@ class BatchAlertEstimator:
         self._unique_lat, self._lat_inverse = np.unique(
             concat, return_inverse=True
         )
-        self._row_index = np.arange(n)
         self._power_trun = self.power * self.t_run
         #: Whether any configuration is anytime: all-traditional
         #: spaces skip the rung-ladder arithmetic entirely (every
         #: ``np.where(is_anytime, ...)`` select reduces to its else
         #: branch).
         self._has_anytime = bool(is_anytime.any())
+        #: Flat positions of the valid rungs within one state's
+        #: ``(config, rung)`` plane.
+        self._rung_put = np.flatnonzero(rung_valid)
         # Reusable buffers/constants (treated as read-only downstream).
-        self._rung_pr_buf = np.zeros((n, ladder_width))
-        self._rung_next_buf = np.zeros((n, ladder_width))
-        #: (K, config, rung) buffer pairs for the stacked path, per K.
-        self._rung_many_bufs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Rung-ladder buffers per leading state shape (see
+        #: :meth:`_rung_buffers`).
+        self._rung_bufs: dict[tuple, tuple] = {}
         self._ones_f = np.ones(n)
         self._true = np.ones(n, dtype=bool)
         self._qmin_cache: dict[float, tuple] = {}
         self._thr_cache: dict[float, np.ndarray] = {}
         self._energy_cache: dict[tuple, tuple] = {}
         self._quantile_cache: dict[float, float] = {}
-        #: Stacked-plan skeletons: every goal-only array of a stacked
-        #: query (group partition, threshold stacks, quality statics,
-        #: budget constants), keyed by the goal identity tuple and the
-        #: per-state branch flags.  The lockstep serving loops pass the
-        #: same adjusted-goal objects every input step, so the whole
-        #: structural gather collapses to one dict hit per step.  The
-        #: skeletons hold strong references to their goals, which pins
-        #: the ids in the key for as long as the entry lives.
+        #: Stacked plans (one per structural group) keyed by goal
+        #: identities plus each state's branch structure (see
+        #: :meth:`_stack_plans`).
         self._stack_skeletons: dict[tuple, list[dict]] = {}
         #: Reusable (G × C) field buffers, one set per stack height:
         #: callers consume the planes before the next query.
@@ -356,7 +301,7 @@ class BatchAlertEstimator:
         self.tie_rank = rank
 
     # ------------------------------------------------------------------
-    # Full batch query
+    # Front-ends: one state, or G stacked states
     # ------------------------------------------------------------------
     def estimate_batch(
         self,
@@ -365,229 +310,30 @@ class BatchAlertEstimator:
         xi_sigma: float,
         phi: float,
         tail: tuple[float, float] | None = None,
-    ) -> BatchEstimates:
-        """Everything the selector needs, for every configuration.
+    ) -> dict[str, np.ndarray]:
+        """The ten estimate planes of one (goal, state), each ``(C,)``.
 
-        Every normal-CDF argument of the decision — the deadline
-        thresholds of Eq. 6 for the runs and every anytime rung, their
-        Section 3.6 tail-mixture shifts, and the ξ crossings of the
-        piecewise-linear energy CDF — is gathered into one flat vector
-        and pushed through a single vectorized erf evaluation; the
-        results are then sliced back apart.  This amortises NumPy's
-        per-call overhead across the whole decision, which is where the
-        >= 10x speedup over the scalar loop comes from.
+        Element ``i`` of each plane is the matching
+        :class:`~repro.core.estimator.ConfigEstimate` field of
+        ``configs[i]``.  The width-1 shape of the stacked body: the
+        state stays Python floats and the goal's arrays 1-D rows, so
+        the query runs only ``(C,)`` operations.  The planes may share
+        memory with constants of this estimator: read them only.
         """
-        n = self.n_configs
-        deadline = goal.deadline_s
-        period = goal.period
-        budget = goal.energy_budget_j
-        point = self._point_sigma
-        sigma_cdf = xi_sigma if self.variance_aware else point
-        sigma_cdf = max(sigma_cdf, point)
-        # Eq. 12's percentile shift uses the unfloored sigma, exactly
-        # like the scalar expected_inference_time.
-        sigma_raw = xi_sigma if self.variance_aware else point
-
-        is_any = self.is_anytime
-
-        # --- Gather every CDF argument --------------------------------
-        # Deadline thresholds for the deduplicated profiled latencies;
-        # serving loops re-decide the same (goal-adjusted) deadline for
-        # thousands of inputs, so the division is cached per deadline.
-        thr_u = self._thr_cache.get(deadline)
-        if thr_u is None:
-            thr_u = deadline / self._unique_lat
-            if len(self._thr_cache) >= 256:
-                self._thr_cache.clear()
-            self._thr_cache[deadline] = thr_u
-        segments = [(thr_u - xi_mean) / sigma_cdf]
-        use_tail = (
-            self.variance_aware
-            and tail is not None
-            and tail[0] > 0.0
-            and tail[1] > 1.0
+        plan = self._plan(self._sig(goal, tail, phi), goal)
+        sigma_raw = xi_sigma if self.variance_aware else self._point_sigma
+        *_, use_tail = plan["sig"]
+        fraction, ratio = tail if use_tail else (None, None)
+        state = self._gather_group(
+            plan, xi_mean, sigma_raw, max(sigma_raw, self._point_sigma),
+            phi, fraction, ratio,
         )
-        if use_tail:
-            segments.append((thr_u - xi_mean * tail[1]) / sigma_cdf)
-
-        # ξ thresholds of the energy CDF (Eq. 9's piecewise pieces);
-        # the scalar path evaluates these without the tail mixture.
-        degenerate = phi >= 1.0 - 1e-12
-        if budget is not None:
-            cached = self._energy_cache.get((deadline, period, budget))
-            if cached is None:
-                horizon = np.where(is_any, min(deadline, period), period)
-                xi_cross = horizon / self.t_run
-                xi_b = budget / self._power_trun
-                if len(self._energy_cache) >= 256:
-                    self._energy_cache.clear()
-                self._energy_cache[(deadline, period, budget)] = (
-                    horizon,
-                    xi_cross,
-                    xi_b,
-                )
-            else:
-                horizon, xi_cross, xi_b = cached
-            floor = self.power * horizon + phi * self.power * np.maximum(
-                0.0, period - horizon
-            )
-            if degenerate:
-                # At phi exactly 1 the in-window energy is constant and
-                # (1 - phi) is exactly zero: every in-window ξ
-                # qualifies, so the lower boundary is -inf (mirrors the
-                # scalar guard; the CDF clips -inf to 0).
-                denom = self._power_trun * (1.0 - phi)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    xi_a = np.where(
-                        denom == 0.0,
-                        -np.inf,
-                        (budget - phi * self.power * period) / denom,
-                    )
-                energy_args = np.concatenate(
-                    [xi_b, xi_cross, np.minimum(xi_a, xi_cross)]
-                )
-            else:
-                xi_a = (budget - phi * self.power * period) / (
-                    self._power_trun * (1.0 - phi)
-                )
-                above_cross = budget >= floor - 1e-12
-                energy_args = np.where(above_cross, xi_b, xi_a)
-            segments.append((energy_args - xi_mean) / sigma_cdf)
-
-        flat = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        cdf_flat = normal_cdf_array(flat)
-
-        # --- Slice the CDFs back apart --------------------------------
-        m = thr_u.size
-        body = cdf_flat[:m]
-        offset = m
-        if use_tail:
-            shifted = cdf_flat[m : 2 * m]
-            offset = 2 * m
-            fraction = tail[0]
-            pr_unique = (1.0 - fraction) * body + fraction * shifted
-        else:
-            pr_unique = body
-        pr_concat = pr_unique[self._lat_inverse]
-        pr_deadline = pr_concat[:n]
-        pr_full = pr_concat[n : 2 * n]
-        rung_pr = self._rung_pr_buf  # invalid entries stay 0 forever
-        rung_pr[self.rung_valid] = pr_concat[2 * n :]
-
-        # --- Eqs. 7 / 13: expected quality ----------------------------
-        expected_trad = pr_full * self.quality + (1.0 - pr_full) * self.q_fail
-        rung_pr_next = self._rung_next_buf  # last column stays 0 forever
-        rung_pr_next[:, :-1] = rung_pr[:, 1:]
-        expected_any = (1.0 - rung_pr[:, 0]) * self.q_fail + np.sum(
-            self.rung_q * (rung_pr - rung_pr_next), axis=1
-        )
-        expected_q = np.where(is_any, expected_any, expected_trad)
-
-        # --- Eqs. 10-11: probability of delivering the floor ----------
-        if goal.accuracy_min is not None:
-            quality_below, has_rung, first, qfail_ok = self._qmin_static(
-                goal.accuracy_min
-            )
-            q_meet_trad = np.where(quality_below, 0.0, pr_full)
-            q_meet_any = np.where(
-                has_rung, rung_pr[self._row_index, first], 0.0
-            )
-            q_meet = np.where(is_any, q_meet_any, q_meet_trad)
-            q_meet = np.where(qfail_ok, 1.0, q_meet)
-        else:
-            q_meet = self._ones_f
-
-        # --- Expected inference time (mean form) ----------------------
-        run_mean = xi_mean * self.t_run
-        latency_mean = np.where(
-            is_any, np.minimum(run_mean, deadline), run_mean
-        )
-
-        # --- Eq. 9 / 12: expected whole-period energy -----------------
-        if goal.prob_threshold is None:
-            run_energy = run_mean
-        else:
-            z_q = self._quantile_cache.get(goal.prob_threshold)
-            if z_q is None:
-                z_q = normal_quantile(goal.prob_threshold)
-                self._quantile_cache[goal.prob_threshold] = z_q
-            shift = xi_mean + z_q * sigma_raw
-            run_energy = np.maximum(shift * self.t_run, 0.0)
-        run_energy = np.where(
-            is_any, np.minimum(run_energy, deadline), run_energy
-        )
-        idle_time = np.maximum(0.0, period - run_energy)
-        energy = self.power * run_energy + phi * self.power * idle_time
-
-        # --- Feasibility flags (same confidence floors) ---------------
-        confidence = self.confidence
-        meets_latency_mean = is_any | (latency_mean <= deadline)
-        meets_latency = is_any | (
-            meets_latency_mean & (pr_deadline >= confidence)
-        )
-        # The joint constraint probability only gates ``meets_prob``,
-        # so it is skipped entirely when no Pr_th is set.
-        need_pr = goal.prob_threshold is not None
-        if need_pr:
-            pr_constraints = np.where(
-                is_any, q_meet, np.minimum(pr_deadline, q_meet)
-            )
-
-        meets_accuracy = self._true
-        if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
-            assert goal.accuracy_min is not None
-            meets_accuracy = (expected_q >= goal.accuracy_min) & (
-                q_meet >= confidence
-            )
-
-        meets_energy = self._true
-        if budget is not None:
-            energy_cdfs = cdf_flat[offset:]
-            if degenerate:
-                # Degenerate regime: a longer run is cheaper in-window;
-                # anytime energy pins at its saturation floor.
-                cdf_b = energy_cdfs[:n]
-                cdf_cross = energy_cdfs[n : 2 * n]
-                cdf_min = energy_cdfs[2 * n :]
-                res_any = np.where(budget >= floor - 1e-12, 1.0, 0.0)
-                below = np.maximum(0.0, cdf_b - cdf_cross)
-                above = np.maximum(0.0, cdf_b - cdf_min)
-                res_trad = np.where(budget < floor - 1e-12, below, above)
-                e_meet = np.where(is_any, res_any, res_trad)
-            else:
-                # Normal regime: energy nondecreasing in ξ everywhere;
-                # anytime saturates at the crossing, so any budget at
-                # or above it is always met.
-                e_meet = np.where(is_any & above_cross, 1.0, energy_cdfs)
-            meets_energy = (energy <= budget) & (e_meet >= confidence)
-            if need_pr:
-                pr_constraints = np.minimum(pr_constraints, e_meet)
-
-        meets_prob = self._true
-        if need_pr:
-            meets_prob = pr_constraints >= goal.prob_threshold
-
-        return BatchEstimates(
-            configs=self.configs,
-            latency_mean_s=latency_mean,
-            deadline_probability=pr_deadline,
-            expected_quality=expected_q,
-            quality_meet_probability=q_meet,
-            expected_energy_j=energy,
-            meets_latency=meets_latency,
-            meets_accuracy=meets_accuracy,
-            meets_energy=meets_energy,
-            meets_prob=meets_prob,
-            meets_latency_mean=meets_latency_mean,
-        )
+        return self._finish_group(state, normal_cdf_array(state["flat"]))
 
     @property
     def n_configs(self) -> int:
         return len(self.configs)
 
-    # ------------------------------------------------------------------
-    # Stacked multi-state query (the lockstep decision engine)
-    # ------------------------------------------------------------------
     #: Field names of the stacked (G × C) estimate tensors.
     _STACK_FLOAT_FIELDS = (
         "latency_mean_s",
@@ -615,17 +361,14 @@ class BatchAlertEstimator:
         """The raw ``(G × C)`` field tensors for ``G`` stacked states.
 
         The lockstep serving path decides for every goal of a cell at
-        every input step; this is its engine.  States are stacked along
-        a leading axis: all per-state CDF arguments — deadline
-        thresholds, tail-mixture shifts, energy ξ crossings — are
-        gathered into **one** flat vector and pushed through a single
-        vectorized erf evaluation, and the post-CDF arithmetic runs as
-        ``(G × C)`` tensor operations (states grouped by goal
-        structure, so heterogeneous grids still vectorize within each
-        structural group).  Every elementwise expression mirrors
-        :meth:`estimate_batch` exactly, so row ``g`` of each tensor is
-        bit-identical to the per-state call (pinned by
-        ``tests/test_lockstep_parity.py``).
+        every input step; this is its engine.  States are grouped by
+        goal structure (:meth:`_build_skeletons`), and each group runs
+        the one estimator body with its states as ``(K, 1)`` columns:
+        all per-state CDF arguments are gathered into **one** flat
+        vector and pushed through a single vectorized erf evaluation.
+        Row ``g`` of each tensor is bit-identical to the
+        :meth:`estimate_batch` plane of state ``g``, its width-1 shape
+        (pinned by ``tests/test_lockstep_parity.py``).
 
         Goal-only structure — the structural group partition,
         deadline-threshold stacks, quality-floor statics, energy-budget
@@ -654,11 +397,28 @@ class BatchAlertEstimator:
                 f"{xi_mean.shape}/{xi_sigma.shape}/{phi.shape}"
             )
         tail_list = list(tails) if tails is not None else [None] * G
-        plans = [
-            self._gather_group(skeleton, xi_mean, xi_sigma, phi, tail_list)
-            for skeleton in self._stack_plans(goals, phi, tail_list)
-        ]
-        flats = [plan["flat"] for plan in plans]
+        point = self._point_sigma
+        states = []
+        for skeleton in self._stack_plans(goals, phi, tail_list):
+            rows = skeleton["rows"]
+            if self.variance_aware:
+                sigma_raw = xi_sigma[rows][:, None]
+            else:
+                sigma_raw = np.full((len(rows), 1), point)
+            fraction = ratio = None
+            *_, use_tail = skeleton["sig"]
+            if use_tail:
+                tails_k = [tail_list[g] for g in skeleton["idx"]]
+                fraction = np.array([tail[0] for tail in tails_k])[:, None]
+                ratio = np.array([tail[1] for tail in tails_k])[:, None]
+            states.append(
+                self._gather_group(
+                    skeleton, xi_mean[rows][:, None], sigma_raw,
+                    np.maximum(sigma_raw, point), phi[rows][:, None],
+                    fraction, ratio,
+                )
+            )
+        flats = [state["flat"] for state in states]
         cdf_all = normal_cdf_array(
             flats[0] if len(flats) == 1 else np.concatenate(flats)
         )
@@ -679,320 +439,394 @@ class BatchAlertEstimator:
                 self._field_bufs.clear()
             self._field_bufs[G] = fields
         offset = 0
-        for plan in plans:
-            size = plan["flat"].size
-            self._finish_group(plan, cdf_all[offset : offset + size], fields)
+        for state in states:
+            size = state["flat"].size
+            planes = self._finish_group(state, cdf_all[offset : offset + size])
+            rows = state["rows"]
+            for name, plane in planes.items():
+                fields[name][rows] = plane
             offset += size
         return fields
 
-    def _stack_plans(self, goals, phi, tail_list) -> list[dict]:
-        """The goal-only skeletons of a stacked query, cached.
+    # ------------------------------------------------------------------
+    # Goal-only plans
+    # ------------------------------------------------------------------
+    def _sig(self, goal: Goal, tail, phi) -> tuple:
+        """The branch structure one (goal, state) puts the body in.
 
-        Keyed by goal identities plus the two state-dependent branch
-        flags (tail mixture in play, degenerate ``phi`` for budget
-        goals); everything else in a skeleton depends only on the
-        goals.  The lockstep cells pass the identical adjusted-goal
-        objects every input step, so steady state is one dict hit per
-        step.  Each skeleton holds strong references to its goals,
-        which pins the ids in the key for as long as the entry lives.
+        Which constraints the goal sets and its objective, plus two
+        flags of the state: whether a budget goal meets the degenerate
+        ``phi >= 1`` energy regime (within the scalar guard's 1e-12),
+        and whether the Section 3.6 tail mixture is in play.
         """
-        use_tail = tuple(
+        has_budget = goal.energy_budget_j is not None
+        return (
+            has_budget,
+            has_budget and bool(phi >= 1.0 - 1e-12),
+            goal.accuracy_min is not None,
+            goal.prob_threshold is not None,
+            goal.objective,
             bool(
                 self.variance_aware
                 and tail is not None
                 and tail[0] > 0.0
                 and tail[1] > 1.0
-            )
-            for tail in tail_list
+            ),
         )
-        degenerate = tuple(
-            bool(phi[g] >= 1.0 - 1e-12)
-            if goal.energy_budget_j is not None
-            else False
-            for g, goal in enumerate(goals)
+
+    def _stack_plans(self, goals, phi, tail_list) -> list[dict]:
+        """The stacked plans of a query, one per structural group, cached.
+
+        Keyed by goal identities plus each state's :meth:`_sig`, whose
+        only state-dependent parts are the tail and degenerate-``phi``
+        flags; everything else in a plan depends only on the goals.
+        The lockstep cells pass the identical adjusted-goal objects
+        every input step, so steady state is one dict hit per step.
+        Each plan holds strong references to its goals, which pins the
+        ids in the key for as long as the entry lives.
+        """
+        sigs = tuple(
+            self._sig(goal, tail_list[g], phi[g]) for g, goal in enumerate(goals)
         )
-        key = (tuple(map(id, goals)), use_tail, degenerate)
+        key = (tuple(map(id, goals)), sigs)
         skeletons = self._stack_skeletons.get(key)
         if skeletons is None:
-            skeletons = self._build_skeletons(goals, use_tail, degenerate)
+            skeletons = self._build_skeletons(goals, sigs)
             if len(self._stack_skeletons) >= 64:
                 self._stack_skeletons.clear()
             self._stack_skeletons[key] = skeletons
         return skeletons
 
-    def _build_skeletons(self, goals, use_tail, degenerate) -> list[dict]:
-        """Group states by structure and gather every goal-only array.
+    def _build_skeletons(self, goals, sigs) -> list[dict]:
+        """Group states by structure and stack each group's goal plans.
 
-        Group states by goal *structure*: which constraints exist, the
-        objective, the tail/degenerate regimes.  Values (the deadline,
-        the floor, the budget) vary freely within a group as per-row
-        scalars; only the branch structure must agree for the tensor
-        expressions to broadcast.
+        Values (the deadline, the floor, the budget) vary freely within
+        a group of ``K`` states: each becomes a ``(K, 1)`` column and
+        each 1-D row a ``(K, ·)`` stack.  Only the branch structure
+        (:meth:`_sig`) must agree for the expressions to broadcast.
         """
         groups: dict[tuple, list[int]] = {}
-        for g, goal in enumerate(goals):
-            has_budget = goal.energy_budget_j is not None
-            sig = (
-                has_budget,
-                degenerate[g] if has_budget else False,
-                goal.accuracy_min is not None,
-                goal.prob_threshold is not None,
-                goal.objective,
-                use_tail[g],
-            )
+        for g, sig in enumerate(sigs):
             groups.setdefault(sig, []).append(g)
-
         skeletons: list[dict] = []
         for sig, idx in groups.items():
-            has_budget, _, has_floor, has_prob, objective, _ = sig
-            group_goals = [goals[g] for g in idx]
-            # Deadline thresholds per state, via the same per-deadline
-            # cache the scalar-state path fills (identical divisions).
-            thr_rows = []
-            for goal in group_goals:
-                d = goal.deadline_s
-                thr_u = self._thr_cache.get(d)
-                if thr_u is None:
-                    thr_u = d / self._unique_lat
-                    if len(self._thr_cache) >= 256:
-                        self._thr_cache.clear()
-                    self._thr_cache[d] = thr_u
-                thr_rows.append(thr_u)
-            thr = np.stack(thr_rows)
+            lead = (len(idx),)
+            plans = [self._plan(sig, goals[g]) for g in idx]
             skeleton = {
                 "sig": sig,
+                "lead": lead,
+                "rung_bufs": self._rung_buffers(lead),
+                "goals": [goals[g] for g in idx],
                 "idx": idx,
                 "rows": np.asarray(idx, dtype=np.intp),
-                "K": len(idx),
-                "U": thr.shape[1],
-                "goals": group_goals,
-                "deadline": np.array([g.deadline_s for g in group_goals]),
-                "period": np.array([g.period for g in group_goals]),
-                "thr": thr,
             }
-            if has_budget:
-                horizon_rows, cross_rows, xib_rows = [], [], []
-                for goal in group_goals:
-                    key = (goal.deadline_s, goal.period, goal.energy_budget_j)
-                    cached = self._energy_cache.get(key)
-                    if cached is None:
-                        horizon = np.where(
-                            self.is_anytime,
-                            min(goal.deadline_s, goal.period),
-                            goal.period,
-                        )
-                        xi_cross = horizon / self.t_run
-                        xi_b = goal.energy_budget_j / self._power_trun
-                        if len(self._energy_cache) >= 256:
-                            self._energy_cache.clear()
-                        cached = (horizon, xi_cross, xi_b)
-                        self._energy_cache[key] = cached
-                    horizon_rows.append(cached[0])
-                    cross_rows.append(cached[1])
-                    xib_rows.append(cached[2])
-                skeleton["budget"] = np.array(
-                    [goal.energy_budget_j for goal in group_goals]
-                )
-                skeleton["horizon"] = np.stack(horizon_rows)
-                skeleton["xi_cross"] = np.stack(cross_rows)
-                skeleton["xi_b"] = np.stack(xib_rows)
-            if has_floor:
-                statics = [
-                    self._qmin_static(goal.accuracy_min)
-                    for goal in group_goals
-                ]
-                skeleton["quality_below"] = np.stack([s[0] for s in statics])
-                skeleton["has_rung"] = np.stack([s[1] for s in statics])
-                skeleton["first_rung"] = np.stack([s[2] for s in statics])
-                skeleton["qfail_ok"] = np.stack([s[3] for s in statics])
-            if objective is ObjectiveKind.MINIMIZE_ENERGY:
-                skeleton["acc_min"] = np.array(
-                    [goal.accuracy_min for goal in group_goals]
-                )
-            if has_prob:
-                z_rows = []
-                for goal in group_goals:
-                    z_q = self._quantile_cache.get(goal.prob_threshold)
-                    if z_q is None:
-                        z_q = normal_quantile(goal.prob_threshold)
-                        self._quantile_cache[goal.prob_threshold] = z_q
-                    z_rows.append(z_q)
-                skeleton["z_q"] = np.array(z_rows)
-                skeleton["prob"] = np.array(
-                    [goal.prob_threshold for goal in group_goals]
-                )
+            for name, value in plans[0].items():
+                if name in skeleton:
+                    continue
+                values = [plan[name] for plan in plans]
+                if isinstance(value, np.ndarray):
+                    skeleton[name] = np.stack(values)
+                else:
+                    skeleton[name] = np.array(values)[:, None]
+            if "first_rung" in skeleton:
+                # Move each row's flat positions into its state's plane.
+                skeleton["first_rung"] += skeleton["rung_bufs"][4]
             skeletons.append(skeleton)
         return skeletons
 
-    def _gather_group(
-        self, skeleton, xi_mean, xi_sigma, phi, tail_list
-    ) -> dict:
-        """Pre-CDF arrays for one structural group of states.
+    def _plan(self, sig: tuple, goal: Goal) -> dict:
+        """The goal-only inputs of the body for one goal.
 
-        Everything here is state-dependent; the goal-only arrays come
-        ready-stacked from the cached skeleton.
+        A one-state plan: the goal's values stay Python floats and its
+        arrays are 1-D rows over the configurations (the unique
+        latencies, for the thresholds), each from a per-value cache.
         """
-        has_budget, degenerate, _, _, _, use_tail = skeleton["sig"]
-        idx = skeleton["idx"]
-        rows = skeleton["rows"]
-        K = skeleton["K"]
-        point = self._point_sigma
-        period = skeleton["period"]
-        mean = xi_mean[rows]
-        phi_k = phi[rows]
-        if self.variance_aware:
-            sigma_raw = xi_sigma[rows]
-        else:
-            sigma_raw = np.full(K, point)
-        sigma_cdf = np.maximum(sigma_raw, point)
+        has_budget, _, has_floor, has_prob, objective, _ = sig
+        plan = {
+            "sig": sig,
+            "lead": (),
+            "rung_bufs": self._rung_buffers(()),
+            "thr": self._thresholds(goal.deadline_s),
+            "deadline": goal.deadline_s,
+            "period": goal.period,
+        }
+        if has_budget:
+            plan["budget"] = goal.energy_budget_j
+            plan["horizon"], plan["xi_cross"], plan["xi_b"] = (
+                self._energy_static(goal)
+            )
+        if has_floor:
+            below, has_rung, first_rung, qfail_ok = self._qmin_static(
+                goal.accuracy_min
+            )
+            plan["quality_below"] = below
+            plan["qfail_ok"] = qfail_ok
+            if self._has_anytime:
+                plan["has_rung"] = has_rung
+                plan["first_rung"] = first_rung
+        if objective is ObjectiveKind.MINIMIZE_ENERGY:
+            plan["acc_min"] = goal.accuracy_min
+        if has_prob:
+            plan["z_q"] = self._quantile(goal.prob_threshold)
+            plan["prob"] = goal.prob_threshold
+        return plan
 
-        thr = skeleton["thr"]
-        col_mean = mean[:, None]
-        col_sigma = sigma_cdf[:, None]
-        segments = [(thr - col_mean) / col_sigma]
-        fraction = None
+    def _thresholds(self, deadline: float) -> np.ndarray:
+        """Eq. 6's deadline/latency thresholds over the unique latencies.
+
+        Serving loops re-decide the same (goal-adjusted) deadline for
+        thousands of inputs, so the division is cached per deadline.
+        """
+        thr = self._thr_cache.get(deadline)
+        if thr is None:
+            thr = deadline / self._unique_lat
+            if len(self._thr_cache) >= 256:
+                self._thr_cache.clear()
+            self._thr_cache[deadline] = thr
+        return thr
+
+    def _energy_static(self, goal: Goal) -> tuple:
+        """``(horizon, xi_cross, xi_b)`` of Eq. 9's piecewise energy CDF,
+        cached per ``(deadline, period, budget)``."""
+        key = (goal.deadline_s, goal.period, goal.energy_budget_j)
+        cached = self._energy_cache.get(key)
+        if cached is None:
+            horizon = np.where(
+                self.is_anytime, min(goal.deadline_s, goal.period), goal.period
+            )
+            cached = (
+                horizon,
+                horizon / self.t_run,
+                goal.energy_budget_j / self._power_trun,
+            )
+            if len(self._energy_cache) >= 256:
+                self._energy_cache.clear()
+            self._energy_cache[key] = cached
+        return cached
+
+    def _quantile(self, prob: float) -> float:
+        """Eq. 12's standard-normal quantile of ``Pr_th``, cached."""
+        z_q = self._quantile_cache.get(prob)
+        if z_q is None:
+            z_q = normal_quantile(prob)
+            self._quantile_cache[prob] = z_q
+        return z_q
+
+    def _qmin_static(
+        self, q_min: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """State-independent pieces of the Eq. 10-11 floor check.
+
+        Which configurations can possibly clear ``q_min`` — and at
+        which rung, as a flat position in one state's ``(config,
+        rung)`` plane — depends only on the static ladder, so it is
+        cached per floor value (constraint grids reuse a handful).
+        """
+        cached = self._qmin_cache.get(q_min)
+        if cached is None:
+            reach = self.rung_valid & (self.rung_q >= q_min)
+            n, width = reach.shape
+            cached = (
+                self.quality < q_min,
+                reach.any(axis=1),
+                np.arange(n) * width + reach.argmax(axis=1),
+                self.q_fail >= q_min,
+            )
+            if len(self._qmin_cache) >= 128:
+                self._qmin_cache.clear()
+            self._qmin_cache[q_min] = cached
+        return cached
+
+    def _rung_buffers(self, lead: tuple) -> tuple:
+        """Reusable rung-ladder planes for one leading state shape.
+
+        ``(rung_pr, rung_pr_next, flat, put, offsets)``: ``flat`` is a
+        flat view of ``rung_pr``, ``put`` the flat positions of every
+        state's valid rungs in it, and ``offsets`` moves a position in
+        one state's plane to that state's plane.  Invalid entries of
+        ``rung_pr`` and the last column of ``rung_pr_next`` stay 0
+        forever.  Flat positions keep the scatter and the gather as
+        cheap per state at any width.
+        """
+        buffers = self._rung_bufs.get(lead)
+        if buffers is None:
+            n, width = self.rung_valid.shape
+            rung_pr = np.zeros(lead + (n, width))
+            if lead:
+                offsets = (np.arange(lead[0]) * (n * width))[:, None]
+                put = (offsets + self._rung_put).ravel()
+            else:
+                offsets, put = 0, self._rung_put
+            buffers = (
+                rung_pr, np.zeros(lead + (n, width)), rung_pr.reshape(-1),
+                put, offsets,
+            )
+            if len(self._rung_bufs) >= 8:
+                self._rung_bufs.clear()
+            self._rung_bufs[lead] = buffers
+        return buffers
+
+    # ------------------------------------------------------------------
+    # The estimator body (Eqs. 6-13), at any width
+    # ------------------------------------------------------------------
+    def _gather_group(
+        self, plan, mean, sigma_raw, sigma_cdf, phi, fraction, ratio
+    ) -> dict:
+        """Every normal-CDF argument of one group, in one flat vector.
+
+        The deadline thresholds of Eq. 6 for the runs and every anytime
+        rung, their Section 3.6 tail-mixture shifts, and the ξ
+        crossings of the piecewise-linear energy CDF all go through a
+        single vectorized erf evaluation; :meth:`_finish_group` slices
+        the results back apart.  The state (``mean``, the raw and the
+        CDF ``sigma``, ``phi``, the tail ``fraction`` and ``ratio``)
+        comes as Python floats for a one-state plan, as ``(K, 1)``
+        columns for a stacked one.
+        """
+        has_budget, degenerate, _, _, _, use_tail = plan["sig"]
+        thr = plan["thr"]
+        segments = [(thr - mean) / sigma_cdf]
         if use_tail:
-            ratio = np.array([tail_list[g][1] for g in idx])
-            fraction = np.array([tail_list[g][0] for g in idx])
-            segments.append((thr - (mean * ratio)[:, None]) / col_sigma)
-
-        plan = dict(skeleton)
-        plan["mean"] = mean
-        plan["sigma_raw"] = sigma_raw
-        plan["phi"] = phi_k
-        plan["fraction"] = fraction
+            segments.append((thr - mean * ratio) / sigma_cdf)
+        state = dict(plan)
+        state["mean"] = mean
+        state["sigma_raw"] = sigma_raw
+        state["phi"] = phi
+        state["fraction"] = fraction
 
         if has_budget:
-            budget = skeleton["budget"]
-            horizon = skeleton["horizon"]
-            xi_cross = skeleton["xi_cross"]
-            xi_b = skeleton["xi_b"]
-            col_phi = phi_k[:, None]
-            floor = self.power * horizon + col_phi * self.power * np.maximum(
-                0.0, period[:, None] - horizon
+            # ξ thresholds of the energy CDF (Eq. 9's piecewise pieces);
+            # the scalar path evaluates these without the tail mixture.
+            budget = plan["budget"]
+            period = plan["period"]
+            horizon = plan["horizon"]
+            xi_cross = plan["xi_cross"]
+            power = self.power
+            floor = power * horizon + phi * power * np.maximum(
+                0.0, period - horizon
             )
-            plan["floor"] = floor
+            state["floor"] = floor
             if degenerate:
-                denom = self._power_trun * (1.0 - col_phi)
+                # At phi exactly 1 the in-window energy is constant and
+                # (1 - phi) is exactly zero: every in-window ξ
+                # qualifies, so the lower boundary is -inf (mirrors the
+                # scalar guard; the CDF clips -inf to 0).
+                denom = self._power_trun * (1.0 - phi)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     xi_a = np.where(
                         denom == 0.0,
                         -np.inf,
-                        (budget[:, None] - col_phi * self.power * period[:, None])
-                        / denom,
+                        (budget - phi * power * period) / denom,
                     )
                 energy_args = np.concatenate(
-                    [xi_b, xi_cross, np.minimum(xi_a, xi_cross)], axis=1
+                    [plan["xi_b"], xi_cross, np.minimum(xi_a, xi_cross)],
+                    axis=-1,
                 )
             else:
-                xi_a = (
-                    budget[:, None] - col_phi * self.power * period[:, None]
-                ) / (self._power_trun * (1.0 - col_phi))
-                above_cross = budget[:, None] >= floor - 1e-12
-                energy_args = np.where(above_cross, xi_b, xi_a)
-                plan["above_cross"] = above_cross
-            segments.append((energy_args - col_mean) / col_sigma)
+                xi_a = (budget - phi * power * period) / (
+                    self._power_trun * (1.0 - phi)
+                )
+                above_cross = budget >= floor - 1e-12
+                energy_args = np.where(above_cross, plan["xi_b"], xi_a)
+                state["above_cross"] = above_cross
+            segments.append((energy_args - mean) / sigma_cdf)
 
-        plan["flat"] = (
+        state["flat"] = (
             segments[0].ravel()
             if len(segments) == 1
-            else np.concatenate([segment.ravel() for segment in segments])
+            else np.concatenate(segments, axis=None)
         )
-        return plan
+        return state
 
     def _finish_group(
-        self, plan: dict, cdf_flat: np.ndarray, fields: dict[str, np.ndarray]
-    ) -> None:
-        """Post-CDF arithmetic for one group; fills the field tensors."""
-        has_budget, degenerate, has_floor, has_prob, objective, use_tail = plan[
-            "sig"
-        ]
-        K = plan["K"]
-        U = plan["U"]
+        self, state: dict, cdf_flat: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """The arithmetic after the CDF: one group's ten estimate planes.
+
+        Each plane has the group's leading state shape plus the config
+        axis, or is a ``(C,)`` constant that broadcasts over it.
+        """
+        has_budget, degenerate, has_floor, has_prob, objective, use_tail = (
+            state["sig"]
+        )
+        lead = state["lead"]
         n = self.n_configs
         is_any = self.is_anytime
-        deadline = plan["deadline"][:, None]
-        col_phi = plan["phi"][:, None]
+        deadline = state["deadline"]
+        phi = state["phi"]
+        mean = state["mean"]
 
-        m = K * U
-        body = cdf_flat[:m].reshape(K, U)
+        # --- Slice the CDFs back apart --------------------------------
+        # A one-state plan's slices are its planes already; a stacked
+        # plan's are (K, U) once reshaped like its thresholds.
+        thr = state["thr"]
+        m = thr.size
+        pr_unique = cdf_flat[:m]
+        if lead:
+            pr_unique = pr_unique.reshape(thr.shape)
         offset = m
         if use_tail:
-            shifted = cdf_flat[m : 2 * m].reshape(K, U)
+            shifted = cdf_flat[m : 2 * m]
+            if lead:
+                shifted = shifted.reshape(thr.shape)
             offset = 2 * m
-            col_fraction = plan["fraction"][:, None]
-            pr_unique = (1.0 - col_fraction) * body + col_fraction * shifted
-        else:
-            pr_unique = body
-        pr_concat = pr_unique[:, self._lat_inverse]
-        pr_deadline = pr_concat[:, :n]
-        pr_full = pr_concat[:, n : 2 * n]
+            fraction = state["fraction"]
+            pr_unique = (1.0 - fraction) * pr_unique + fraction * shifted
+        pr_concat = pr_unique.take(self._lat_inverse, axis=-1)
+        pr_deadline = pr_concat[..., :n]
+        pr_full = pr_concat[..., n : 2 * n]
+
+        # --- Eqs. 7 / 13: expected quality ----------------------------
         has_anytime = self._has_anytime
         expected_trad = pr_full * self.quality + (1.0 - pr_full) * self.q_fail
         if has_anytime:
-            width = self.rung_lat.shape[1]
-            # Reusable (K, config, rung) buffers per batch width:
-            # invalid entries and the next-buffer's last column stay 0
-            # forever, exactly like the single-state buffers.
-            buffers = self._rung_many_bufs.get(K)
-            if buffers is None:
-                if len(self._rung_many_bufs) >= 8:
-                    self._rung_many_bufs.clear()
-                buffers = (np.zeros((K, n, width)), np.zeros((K, n, width)))
-                self._rung_many_bufs[K] = buffers
-            rung_pr, rung_pr_next = buffers
-            rung_pr[:, self.rung_valid] = pr_concat[:, 2 * n :]
-
-            rung_pr_next[:, :, :-1] = rung_pr[:, :, 1:]
-            expected_any = (1.0 - rung_pr[:, :, 0]) * self.q_fail + np.sum(
-                self.rung_q * (rung_pr - rung_pr_next), axis=2
+            rung_pr, rung_pr_next, rung_flat, put, _ = state["rung_bufs"]
+            rung_flat[put] = pr_concat[..., 2 * n :].ravel()
+            rung_pr_next[..., :-1] = rung_pr[..., 1:]
+            # np.add.reduce is what np.sum runs, without its wrapper.
+            expected_any = (1.0 - rung_pr[..., 0]) * self.q_fail + np.add.reduce(
+                self.rung_q * (rung_pr - rung_pr_next), axis=-1
             )
             expected_q = np.where(is_any, expected_any, expected_trad)
         else:
             expected_q = expected_trad
 
+        # --- Eqs. 10-11: probability of delivering the floor ----------
         if has_floor:
-            quality_below = plan["quality_below"]
-            qfail_ok = plan["qfail_ok"]
-            q_meet_trad = np.where(quality_below, 0.0, pr_full)
+            q_meet = np.where(state["quality_below"], 0.0, pr_full)
             if has_anytime:
-                has_rung = plan["has_rung"]
-                first = plan["first_rung"]
                 q_meet_any = np.where(
-                    has_rung,
-                    rung_pr[
-                        np.arange(K)[:, None], self._row_index[None, :], first
-                    ],
-                    0.0,
+                    state["has_rung"], rung_flat[state["first_rung"]], 0.0
                 )
-                q_meet = np.where(is_any, q_meet_any, q_meet_trad)
-            else:
-                q_meet = q_meet_trad
-            q_meet = np.where(qfail_ok, 1.0, q_meet)
+                q_meet = np.where(is_any, q_meet_any, q_meet)
+            q_meet = np.where(state["qfail_ok"], 1.0, q_meet)
         else:
-            q_meet = self._ones_f  # broadcasts over the group rows
+            q_meet = self._ones_f
 
-        run_mean = plan["mean"][:, None] * self.t_run
+        # --- Expected inference time (mean form) ----------------------
+        run_mean = mean * self.t_run
         latency_mean = (
             np.where(is_any, np.minimum(run_mean, deadline), run_mean)
             if has_anytime
             else run_mean
         )
 
-        if not has_prob:
-            run_energy = run_mean
+        # --- Eq. 9 / 12: expected whole-period energy -----------------
+        if has_prob:
+            # Eq. 12's percentile shift uses the unfloored sigma,
+            # exactly like the scalar expected_inference_time.
+            shift = mean + state["z_q"] * state["sigma_raw"]
+            run_energy = np.maximum(shift * self.t_run, 0.0)
         else:
-            # Elementwise mean[k] + z_q * sigma[k], z_q pre-gathered in
-            # the skeleton (identical float64 ops to the scalar loop).
-            shifts = plan["mean"] + plan["z_q"] * plan["sigma_raw"]
-            run_energy = np.maximum(shifts[:, None] * self.t_run, 0.0)
+            run_energy = run_mean
         if has_anytime:
             run_energy = np.where(
                 is_any, np.minimum(run_energy, deadline), run_energy
             )
-        idle_time = np.maximum(0.0, plan["period"][:, None] - run_energy)
-        energy = self.power * run_energy + col_phi * self.power * idle_time
+        idle_time = np.maximum(0.0, state["period"] - run_energy)
+        energy = self.power * run_energy + phi * self.power * idle_time
 
+        # --- Feasibility flags (same confidence floors) ---------------
         confidence = self.confidence
         if has_anytime:
             meets_latency_mean = is_any | (latency_mean <= deadline)
@@ -1002,6 +836,8 @@ class BatchAlertEstimator:
         else:
             meets_latency_mean = latency_mean <= deadline
             meets_latency = meets_latency_mean & (pr_deadline >= confidence)
+        # The joint constraint probability only gates ``meets_prob``,
+        # so it is skipped entirely when no Pr_th is set.
         if has_prob:
             pr_constraints = (
                 np.where(is_any, q_meet, np.minimum(pr_deadline, q_meet))
@@ -1009,77 +845,57 @@ class BatchAlertEstimator:
                 else np.minimum(pr_deadline, q_meet)
             )
 
-        rows = plan["rows"]
+        meets_accuracy = self._true
         if objective is ObjectiveKind.MINIMIZE_ENERGY:
-            acc_min = plan["acc_min"]
-            fields["meets_accuracy"][rows] = (
-                expected_q >= acc_min[:, None]
-            ) & (q_meet >= confidence)
-        else:
-            fields["meets_accuracy"][rows] = True
+            meets_accuracy = (expected_q >= state["acc_min"]) & (
+                q_meet >= confidence
+            )
 
+        meets_energy = self._true
         if has_budget:
-            budget = plan["budget"][:, None]
-            floor = plan["floor"]
-            energy_cdfs = cdf_flat[offset:].reshape(K, -1)
+            budget = state["budget"]
+            floor = state["floor"]
+            energy_cdfs = cdf_flat[offset:]
+            if lead:
+                energy_cdfs = energy_cdfs.reshape(lead + (-1,))
             if degenerate:
-                cdf_b = energy_cdfs[:, :n]
-                cdf_cross = energy_cdfs[:, n : 2 * n]
-                cdf_min = energy_cdfs[:, 2 * n :]
+                # Degenerate regime: a longer run is cheaper in-window;
+                # anytime energy pins at its saturation floor.
+                cdf_b = energy_cdfs[..., :n]
+                cdf_cross = energy_cdfs[..., n : 2 * n]
+                cdf_min = energy_cdfs[..., 2 * n :]
                 below = np.maximum(0.0, cdf_b - cdf_cross)
                 above = np.maximum(0.0, cdf_b - cdf_min)
-                res_trad = np.where(budget < floor - 1e-12, below, above)
+                e_meet = np.where(budget < floor - 1e-12, below, above)
                 if has_anytime:
                     res_any = np.where(budget >= floor - 1e-12, 1.0, 0.0)
-                    e_meet = np.where(is_any, res_any, res_trad)
-                else:
-                    e_meet = res_trad
+                    e_meet = np.where(is_any, res_any, e_meet)
             elif has_anytime:
+                # Normal regime: energy nondecreasing in ξ everywhere;
+                # anytime saturates at the crossing, so any budget at
+                # or above it is always met.
                 e_meet = np.where(
-                    is_any & plan["above_cross"], 1.0, energy_cdfs
+                    is_any & state["above_cross"], 1.0, energy_cdfs
                 )
             else:
                 e_meet = energy_cdfs
-            fields["meets_energy"][rows] = (energy <= budget) & (
-                e_meet >= confidence
-            )
+            meets_energy = (energy <= budget) & (e_meet >= confidence)
             if has_prob:
                 pr_constraints = np.minimum(pr_constraints, e_meet)
-        else:
-            fields["meets_energy"][rows] = True
 
+        meets_prob = self._true
         if has_prob:
-            fields["meets_prob"][rows] = pr_constraints >= plan["prob"][:, None]
-        else:
-            fields["meets_prob"][rows] = True
+            meets_prob = pr_constraints >= state["prob"]
 
-        fields["latency_mean_s"][rows] = latency_mean
-        fields["deadline_probability"][rows] = pr_deadline
-        fields["expected_quality"][rows] = expected_q
-        fields["quality_meet_probability"][rows] = q_meet
-        fields["expected_energy_j"][rows] = energy
-        fields["meets_latency"][rows] = meets_latency
-        fields["meets_latency_mean"][rows] = meets_latency_mean
-
-    def _qmin_static(
-        self, q_min: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """State-independent pieces of the Eq. 10-11 floor check.
-
-        Which configurations can possibly clear ``q_min`` — and at
-        which rung — depends only on the static ladder, so it is
-        cached per floor value (constraint grids reuse a handful).
-        """
-        cached = self._qmin_cache.get(q_min)
-        if cached is None:
-            reach = self.rung_valid & (self.rung_q >= q_min)
-            cached = (
-                self.quality < q_min,
-                reach.any(axis=1),
-                reach.argmax(axis=1),
-                self.q_fail >= q_min,
-            )
-            if len(self._qmin_cache) >= 128:
-                self._qmin_cache.clear()
-            self._qmin_cache[q_min] = cached
-        return cached
+        return {
+            "latency_mean_s": latency_mean,
+            "deadline_probability": pr_deadline,
+            "expected_quality": expected_q,
+            "quality_meet_probability": q_meet,
+            "expected_energy_j": energy,
+            "meets_latency": meets_latency,
+            "meets_accuracy": meets_accuracy,
+            "meets_energy": meets_energy,
+            "meets_prob": meets_prob,
+            "meets_latency_mean": meets_latency_mean,
+        }

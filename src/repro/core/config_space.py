@@ -58,15 +58,13 @@ class Configuration:
                     f"rung_cap {self.rung_cap} outside "
                     f"[0, {self.model.n_outputs})"
                 )
-        # Precompute the derived per-configuration quantities once; the
-        # estimators read them on every decision, for every input.
+        # Precompute the latency fraction once; the estimators read it
+        # on every decision, for every input.
         if self.rung_cap is None or not isinstance(self.model, AnytimeDnn):
-            fraction, capped = 1.0, self.model.quality
+            fraction = 1.0
         else:
-            output = self.model.outputs[self.rung_cap]
-            fraction, capped = output.latency_fraction, output.quality
+            fraction = self.model.outputs[self.rung_cap].latency_fraction
         object.__setattr__(self, "_latency_fraction", fraction)
-        object.__setattr__(self, "_capped_quality", capped)
 
     @property
     def key(self) -> tuple[str, float, int]:
@@ -83,11 +81,6 @@ class Configuration:
         per-decision hot path.
         """
         return self._latency_fraction  # type: ignore[attr-defined]
-
-    @property
-    def capped_quality(self) -> float:
-        """Best quality this configuration can possibly deliver."""
-        return self._capped_quality  # type: ignore[attr-defined]
 
     def describe(self) -> str:
         """Human-readable one-liner for traces and examples."""
@@ -148,12 +141,14 @@ class ConfigurationSpace:
     def __len__(self) -> int:
         return len(self._configs)
 
-    def model_named(self, name: str) -> DnnModel:
-        """Look a candidate model up by name."""
-        for model in self.models:
-            if model.name == name:
-                return model
-        raise ConfigurationError(f"no candidate model named {name!r}")
+    @property
+    def configs(self) -> tuple[Configuration, ...]:
+        """Every candidate, in enumeration order.
+
+        The same tuple object on every call, so consumers that memoise
+        on tuple identity (the engine's config tables) hit.
+        """
+        return self._configs
 
     @property
     def traditional_models(self) -> tuple[DnnModel, ...]:

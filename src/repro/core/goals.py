@@ -248,11 +248,6 @@ class GoalAdjuster:
                 self._group_id = None
 
     @property
-    def group_budget_s(self) -> float:
-        """Remaining budget of the active group (0 when none active)."""
-        return self._group_budget_s if self._group_id is not None else 0.0
-
-    @property
     def mid_group(self) -> bool:
         """Whether a deadline-sharing group is currently in progress.
 

@@ -16,12 +16,15 @@ has something to run:
 
 :meth:`ConfigSelector.select` is vectorized: one
 :meth:`repro.core.batch_estimator.BatchAlertEstimator.estimate_batch`
-call produces estimate arrays for the whole space, and each stage
+call produces the estimate planes for the whole space, and each stage
 ranks candidates with a single ``np.lexsort`` over the same key tuples
 the reference compares — this is what makes the scheduler cost a
 small fraction of an input's inference time.
 :meth:`ConfigSelector.select_many` ranks many (goal, filter-state)
-pairs in one pass.  The reference is
+pairs in one pass over
+:meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`;
+both estimator calls run the same estimator body, at width 1 and
+stacked.  The reference is
 :meth:`ConfigSelector.select_scalar`, a per-configuration loop over
 :meth:`repro.core.estimator.AlertEstimator.estimate` kept as the
 readable ground truth; the parity suites call it by name and assert
@@ -149,11 +152,13 @@ class ConfigSelector:
         tail: tuple[float, float] | None = None,
     ) -> SelectionResult:
         """Pick the best configuration for the current goal and state."""
-        b = self.batch.estimate_batch(goal, xi_mean, xi_sigma, phi, tail)
+        f = self.batch.estimate_batch(goal, xi_mean, xi_sigma, phi, tail)
+        energy = f["expected_energy_j"]
+        quality = f["expected_quality"]
         # Precomputed rank equivalent to the scalar (power_w, name)
         # tie-break plus stable list order — keys stay purely numeric.
         rank = self.batch.tie_rank
-        n = b.n
+        n = self.batch.n_configs
 
         def best(idxs: np.ndarray, keys: tuple[np.ndarray, ...]) -> int:
             # np.lexsort sorts by the *last* key first; pass the key
@@ -162,36 +167,46 @@ class ConfigSelector:
             order = np.lexsort(tuple(reversed(keys)))
             return int(idxs[order[0]])
 
-        feasible_mask = b.feasible
+        def result(winner, feasible, relaxation, n_feasible):
+            return SelectionResult(
+                config=self.batch.configs[winner],
+                estimate=ConfigEstimate(
+                    config=self.batch.configs[winner],
+                    **{name: plane.item(winner) for name, plane in f.items()},
+                ),
+                feasible=feasible,
+                relaxation=relaxation,
+                n_candidates=n,
+                n_feasible=n_feasible,
+            )
+
+        feasible_mask = (
+            f["meets_latency"]
+            & f["meets_accuracy"]
+            & f["meets_energy"]
+            & f["meets_prob"]
+        )
         n_feasible = int(np.count_nonzero(feasible_mask))
         if n_feasible:
             idxs = np.flatnonzero(feasible_mask)
             if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
                 keys = (
-                    b.expected_energy_j[idxs],
-                    -b.expected_quality[idxs],
+                    energy[idxs],
+                    -quality[idxs],
                     rank[idxs],
                 )
             else:
                 keys = (
-                    -b.expected_quality[idxs],
-                    b.expected_energy_j[idxs],
+                    -quality[idxs],
+                    energy[idxs],
                     rank[idxs],
                 )
-            winner = best(idxs, keys)
-            return SelectionResult(
-                config=b.configs[winner],
-                estimate=b.estimate(winner),
-                feasible=True,
-                relaxation=None,
-                n_candidates=n,
-                n_feasible=n_feasible,
-            )
+            return result(best(idxs, keys), True, None, n_feasible)
 
         for keep_prob, stage in ((True, "constraint"), (False, "probability")):
-            mask = b.meets_latency_mean
+            mask = f["meets_latency_mean"]
             if keep_prob:
-                mask = mask & b.meets_prob
+                mask = mask & f["meets_prob"]
             if not mask.any():
                 continue
             idxs = np.flatnonzero(mask)
@@ -200,45 +215,29 @@ class ConfigSelector:
                 # round half-to-even, unscale — np.rint and Python
                 # round() agree exactly on integer-rounding doubles.
                 rounded = (
-                    np.rint(b.quality_meet_probability[idxs] * 1e6) / 1e6
+                    np.rint(f["quality_meet_probability"][idxs] * 1e6) / 1e6
                 )
                 keys = (
                     -rounded,
-                    -b.expected_quality[idxs],
-                    b.expected_energy_j[idxs],
+                    -quality[idxs],
+                    energy[idxs],
                     rank[idxs],
                 )
             else:
                 keys = (
-                    -b.expected_quality[idxs],
-                    b.expected_energy_j[idxs],
+                    -quality[idxs],
+                    energy[idxs],
                     rank[idxs],
                 )
-            winner = best(idxs, keys)
-            return SelectionResult(
-                config=b.configs[winner],
-                estimate=b.estimate(winner),
-                feasible=False,
-                relaxation=stage,
-                n_candidates=n,
-                n_feasible=0,
-            )
+            return result(best(idxs, keys), False, stage, 0)
 
         idxs = np.arange(n)
         keys = (
-            b.latency_mean_s,
-            -b.expected_quality,
+            f["latency_mean_s"],
+            -quality,
             rank,
         )
-        winner = best(idxs, keys)
-        return SelectionResult(
-            config=b.configs[winner],
-            estimate=b.estimate(winner),
-            feasible=False,
-            relaxation="latency",
-            n_candidates=n,
-            n_feasible=0,
-        )
+        return result(best(idxs, keys), False, "latency", 0)
 
     # ------------------------------------------------------------------
     # Stacked multi-state fast path (the lockstep decision engine)
@@ -417,7 +416,7 @@ class ConfigSelector:
         winners = order[::n] - offsets
 
         # Materialise every winner's estimate straight from the planes
-        # — the same floats the per-state BatchEstimates rows would
+        # — the same floats each state's ``estimate_batch`` planes
         # carry, gathered with vectorized fancy indexing + ``tolist``
         # (identical doubles to per-element ``float()`` casts); the
         # scratch tensors are fully consumed before returning.

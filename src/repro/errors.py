@@ -20,16 +20,6 @@ class ProfileError(ReproError):
     """A profile table is missing an entry or was built inconsistently."""
 
 
-class InfeasibleGoalError(ReproError):
-    """No configuration can satisfy the requested constraints.
-
-    ALERT itself never raises this during serving — it degrades through
-    its latency > accuracy > power priority hierarchy instead — but
-    oracle construction and strict selection APIs raise it so tests and
-    callers can detect impossible goal specifications.
-    """
-
-
 class PowerCapError(ReproError):
     """A power cap outside the machine's feasible range was requested."""
 

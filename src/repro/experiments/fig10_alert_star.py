@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.baselines import make_alert, make_alert_star
-from repro.core.goals import Goal, ObjectiveKind
 from repro.runtime.loop import ServingLoop
 from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
@@ -119,8 +118,3 @@ def run(
                     )
                 )
     return Fig10Result(bars=bars)
-
-
-def _unused_goal_guard(goal: Goal) -> None:  # pragma: no cover
-    """Type-anchor so the import stays meaningful if signatures move."""
-    assert goal.objective in ObjectiveKind

@@ -88,10 +88,6 @@ class OverloadCell:
     def adaptive(self) -> bool:
         return self.autoscaler != "none" and self.budget == "xi-weighted"
 
-    @property
-    def static_baseline(self) -> bool:
-        return self.autoscaler == "none" and self.budget == "equal"
-
     def row(self) -> dict:
         return {
             "policy": self.policy,

@@ -59,10 +59,6 @@ class PowerActuator(abc.ABC):
     def effective_cap_w(self) -> float:
         """The cap the hardware is actually enforcing right now."""
 
-    def available_levels(self) -> list[float]:
-        """The discrete cap levels ALERT enumerates on this platform."""
-        return self.machine.power_levels()
-
 
 class RaplPowerActuator(PowerActuator):
     """CPU power capping through the (simulated) RAPL interface."""

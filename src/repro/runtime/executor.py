@@ -66,7 +66,6 @@ from repro.models.inference import GridView
 from repro.runtime.loop import (
     LOCKSTEP_TELEMETRY,
     CrossSchemeLockstepLoop,
-    LockstepServingLoop,
     ServingLoop,
 )
 from repro.runtime.results import RunResult
@@ -513,7 +512,7 @@ class _WorkerState:
             ]
             lane = None
             if lockstep:
-                lane = LockstepServingLoop.for_schedulers(
+                lane = CrossSchemeLockstepLoop.lane(
                     engine, stream, schedulers, spec.goals, views,
                     requirement_trace=spec.requirement_trace,
                 )

@@ -33,13 +33,12 @@ pool), and the experiment harness builds those plans.
   associativity (≤ 1 ulp; discrete fields identical), pinned by
   ``tests/test_serving_batch_parity.py``;
 * the *lockstep* path — in a cell with enough goals, every stacking
-  scheme's runs become one :class:`LockstepServingLoop` lane, and all
-  lanes of the cell advance together through one
-  :class:`CrossSchemeLockstepLoop`: one stacked decide and one stacked
-  observe pass per lane per input.  Each goal is derived at every
-  input through that goal's own :class:`ServingLoop`, as on the
-  sequential path, so shared sentence deadlines and requirement
-  traces need no second loop.
+  scheme's runs become one :class:`LockstepLane`, and all lanes of the
+  cell advance together through one :class:`CrossSchemeLockstepLoop`:
+  one stacked decide and one stacked observe pass per lane per input.
+  Each goal is derived at every input through that goal's own
+  :class:`ServingLoop`, as on the sequential path, so shared sentence
+  deadlines and requirement traces need no second loop.
 
 The batch path and the lockstep lanes build their records the same
 way: the outcomes of one grid row are read into plain lists once
@@ -93,7 +92,7 @@ from repro.workloads.traces import RequirementTrace
 
 __all__ = [
     "ServingLoop",
-    "LockstepServingLoop",
+    "LockstepLane",
     "CrossSchemeLockstepLoop",
     "LockstepTelemetry",
     "LOCKSTEP_TELEMETRY",
@@ -726,91 +725,19 @@ class ServingLoop:
         return arrays, materialize
 
 
-class LockstepServingLoop:
-    """Serve every goal of a cell's ALERT-family scheme in lockstep.
+class LockstepLane(NamedTuple):
+    """One scheme's runs of a lockstep cell, as plain data.
 
-    All goals advance input-by-input **together**: one stacked
-    :meth:`~repro.core.kernel.AlertCellKernel.decide_many` pass
-    computes every goal's decision (single fused erf / lexsort per
-    step), each goal's outcome is read from its timing's shared
-    :class:`~repro.models.inference.GridView` (live-engine fallback on
-    any miss), and one stacked ``observe_many`` pass folds all
-    measurements back in.  Each goal keeps its own :class:`ServingLoop`
-    for goal adjustment (requirement trace, adjuster), simulated clock
-    and engine-served records, so each goal's :class:`RunResult` is
-    value-identical to serving that goal alone on the sequential path
-    (``tests/test_lockstep_parity.py``; the acceptance bar is
-    discrete-exact + floats ≤1e-12).
-
-    Build through :meth:`for_schedulers`, which returns ``None`` —
-    sending the caller to the sequential path — whenever the runs
-    cannot advance in lockstep: custom scheduler types, incompatible
-    or already-warm kernels.
+    ``loops`` holds one :class:`ServingLoop` per goal (goal adjustment,
+    simulated clock, engine-served records); ``cell`` is the stacked
+    cell deciding for all of them (``decide_many`` / ``observe_many``
+    / ``xi_snapshot`` / ``lockstep_stats``), e.g.
+    :class:`~repro.core.kernel.AlertCellKernel`.  Build one through
+    :meth:`CrossSchemeLockstepLoop.lane`.
     """
 
-    def __init__(self, loops: list[ServingLoop], cell) -> None:
-        """``cell`` is a stacked cell (``decide_many`` /
-        ``observe_many`` / ``xi_snapshot`` / ``lockstep_stats``), e.g.
-        :class:`~repro.core.kernel.AlertCellKernel`."""
-        if not loops:
-            raise ConfigurationError("a lockstep cell needs at least one run")
-        if len(loops) != cell.n_goals:
-            raise ConfigurationError(
-                f"cell tracks {cell.n_goals} goals but {len(loops)} runs given"
-            )
-        self.loops = loops
-        self.cell = cell
-
-    @classmethod
-    def for_schedulers(
-        cls,
-        engine: InferenceEngine,
-        stream: InputStream,
-        schedulers,
-        goals,
-        grid_views,
-        requirement_trace: RequirementTrace | None = None,
-    ) -> "LockstepServingLoop | None":
-        """A lockstep loop over one scheme's per-goal runs, or None.
-
-        ``schedulers``/``goals``/``grid_views`` align one-to-one.  A
-        scheduler class opts into lockstep by defining a
-        ``stack_into_cell(schedulers)`` staticmethod **on the class
-        itself** that returns a stacked cell (or None when
-        the given instances cannot stack — warm state, mismatched
-        spaces).  The hook is looked up on the exact class, never
-        inherited, so subclasses with overridden behaviour fall back
-        to the sequential reference path unless they re-opt in.
-        :class:`~repro.runtime.scheduler.AlertScheduler` and
-        :class:`~repro.baselines.sys_only.SysOnlyScheduler` define it.
-        """
-        if len(schedulers) < 1 or len(schedulers) != len(goals):
-            return None
-        leader = type(schedulers[0])
-        if any(type(s) is not leader for s in schedulers):
-            return None
-        builder = leader.__dict__.get("stack_into_cell")
-        if builder is None:
-            return None
-        cell = builder.__get__(None, leader)(schedulers)
-        if cell is None:
-            return None
-        loops = [
-            ServingLoop(
-                engine, stream, scheduler, goal,
-                requirement_trace=requirement_trace, grid_view=view,
-            )
-            for scheduler, goal, view in zip(schedulers, goals, grid_views)
-        ]
-        return cls(loops, cell)
-
-    def run(self, n_inputs: int) -> list[RunResult]:
-        """Serve ``n_inputs`` inputs for every goal; results align with
-        the constructor's run order.
-
-        A single-lane :class:`CrossSchemeLockstepLoop` pass.
-        """
-        return CrossSchemeLockstepLoop([self]).run(n_inputs)[0]
+    loops: list[ServingLoop]
+    cell: object
 
 
 class _ObservedProxy:
@@ -840,14 +767,17 @@ class CrossSchemeLockstepLoop:
     over one input stream.
 
     The one lockstep path: the executor puts every stacking scheme of
-    a wide enough cell here, and a lone
-    :meth:`LockstepServingLoop.run` is a single-lane pass.  Each *lane*
-    is a :class:`LockstepServingLoop` (one scheme, all goals).  During
-    the stepping loop only the stacked filters advance: one
-    ``decide_many`` and one ``observe_many`` per lane per step, fed by
-    lightweight :class:`_ObservedProxy` reads of the grid — zero
-    per-input Python ``decide``/``observe`` calls.  Lanes share the
-    per-view column resolution, computed once per (view, engine) pair.
+    a wide enough cell here, and a lone lane runs as a one-lane cell.
+    Each *lane* is a :class:`LockstepLane` (one scheme, all goals).
+    All goals advance input-by-input **together**: one stacked
+    ``decide_many`` pass computes every goal's decision per step, each
+    goal's outcome is read from its timing's shared
+    :class:`~repro.models.inference.GridView` (live-engine fallback on
+    any miss), and one stacked ``observe_many`` pass folds all
+    measurements back in, fed by lightweight :class:`_ObservedProxy`
+    reads of the grid — zero per-input Python ``decide``/``observe``
+    calls.  Lanes share the per-view column resolution, computed once
+    per (view, engine) pair.
 
     Each step derives every goal's base and adjusted goal through that
     goal's own :class:`ServingLoop` (requirement trace, shared sentence
@@ -865,11 +795,21 @@ class CrossSchemeLockstepLoop:
     floats ≤ 1e-12, pool ≡ serial).
     """
 
-    def __init__(self, lanes: "list[LockstepServingLoop]") -> None:
+    def __init__(self, lanes: "list[LockstepLane]") -> None:
         if not lanes:
             raise ConfigurationError(
                 "a lockstep cell needs at least one lane"
             )
+        for loops, cell in lanes:
+            if not loops:
+                raise ConfigurationError(
+                    "a lockstep lane needs at least one run"
+                )
+            if len(loops) != cell.n_goals:
+                raise ConfigurationError(
+                    f"cell tracks {cell.n_goals} goals but {len(loops)} "
+                    "runs given"
+                )
         stream = lanes[0].loops[0].stream
         for lane in lanes:
             for loop in lane.loops:
@@ -879,6 +819,52 @@ class CrossSchemeLockstepLoop:
                     )
         self.lanes = lanes
         self.stream = stream
+
+    @classmethod
+    def lane(
+        cls,
+        engine: InferenceEngine,
+        stream: InputStream,
+        schedulers,
+        goals,
+        grid_views,
+        requirement_trace: RequirementTrace | None = None,
+    ) -> "LockstepLane | None":
+        """A lockstep lane over one scheme's per-goal runs, or None.
+
+        None sends the caller to the sequential path: it comes back
+        whenever the runs cannot advance in lockstep (custom scheduler
+        types, incompatible or already-warm kernels).
+        ``schedulers``/``goals``/``grid_views`` align one-to-one.  A
+        scheduler class opts into lockstep by defining a
+        ``stack_into_cell(schedulers)`` staticmethod **on the class
+        itself** that returns a stacked cell (or None when
+        the given instances cannot stack — warm state, mismatched
+        spaces).  The hook is looked up on the exact class, never
+        inherited, so subclasses with overridden behaviour fall back
+        to the sequential reference path unless they re-opt in.
+        :class:`~repro.runtime.scheduler.AlertScheduler` and
+        :class:`~repro.baselines.sys_only.SysOnlyScheduler` define it.
+        """
+        if len(schedulers) < 1 or len(schedulers) != len(goals):
+            return None
+        leader = type(schedulers[0])
+        if any(type(s) is not leader for s in schedulers):
+            return None
+        builder = leader.__dict__.get("stack_into_cell")
+        if builder is None:
+            return None
+        cell = builder.__get__(None, leader)(schedulers)
+        if cell is None:
+            return None
+        loops = [
+            ServingLoop(
+                engine, stream, scheduler, goal,
+                requirement_trace=requirement_trace, grid_view=view,
+            )
+            for scheduler, goal, view in zip(schedulers, goals, grid_views)
+        ]
+        return LockstepLane(loops, cell)
 
     def run(self, n_inputs: int) -> "list[list[RunResult]]":
         """Serve ``n_inputs`` for every lane; results align lane-major
@@ -904,12 +890,11 @@ class CrossSchemeLockstepLoop:
 
     def _run_lane(
         self,
-        lane: "LockstepServingLoop",
+        lane: LockstepLane,
         items: list[InputItem],
         column_cache: dict,
     ) -> "list[RunResult]":
-        loops = lane.loops
-        cell = lane.cell
+        loops, cell = lane
         n_goals = len(loops)
         n = len(items)
 

@@ -8,7 +8,9 @@ relaxation stage that produced it, feasibility, candidate accounting)
 identical across the full goal grammar: both objectives, with/without
 ``accuracy_min`` / ``energy_budget_j`` / ``prob_threshold``, explicit
 periods, tail mixtures, the mean-only ALERT* mode, and the
-``phi >= 1`` energy corner.
+``phi >= 1`` energy corner — over the mixed anytime/traditional space,
+a traditional-only space (ALERT-Trad's) and a one-model space
+(Sys-only's), whose queries skip the estimator's rung-ladder branches.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.core.estimator import AlertEstimator, normal_cdf
 from repro.core.goals import Goal, ObjectiveKind
 from repro.core.kernel import AlertKernel, Measurement
 from repro.core.selector import ConfigSelector
+from repro.models.anytime import AnytimeDnn
 
 PARITY_TOL = 1e-9
 
@@ -118,10 +121,40 @@ def _random_states(n: int, seed: int) -> list[tuple]:
     return states
 
 
-@pytest.fixture(params=[True, False], ids=["variance", "mean_only"])
+def _candidates(kind: str, image_models) -> list:
+    """The mixed space, ALERT-Trad's and Sys-only's candidate models."""
+    traditional = [m for m in image_models if not isinstance(m, AnytimeDnn)]
+    if kind == "standard":
+        return image_models
+    if kind == "trad":
+        return traditional
+    return [min(traditional, key=lambda m: m.base_latency_s)]
+
+
+@pytest.fixture(
+    params=[
+        (True, "standard"),
+        (False, "standard"),
+        (True, "trad"),
+        (False, "trad"),
+        (True, "one_model"),
+        (False, "one_model"),
+    ],
+    ids=[
+        "variance",
+        "mean_only",
+        "variance-trad",
+        "mean_only-trad",
+        "variance-one_model",
+        "mean_only-one_model",
+    ],
+)
 def paths(request, cpu1_profile, image_models):
-    space = ConfigurationSpace(image_models, list(cpu1_profile.powers))
-    estimator = AlertEstimator(cpu1_profile, variance_aware=request.param)
+    variance_aware, kind = request.param
+    space = ConfigurationSpace(
+        _candidates(kind, image_models), list(cpu1_profile.powers)
+    )
+    estimator = AlertEstimator(cpu1_profile, variance_aware=variance_aware)
     selector = ConfigSelector(space, estimator)
     return space, estimator, selector
 
@@ -200,20 +233,18 @@ def test_estimates_match_scalar_reference(paths):
     states = _random_states(6, seed=2020)
     for goal in _goal_grid():
         for xi_mean, xi_sigma, phi, tail in states:
-            records = batch.estimate_batch(
-                goal, xi_mean, xi_sigma, phi, tail
-            ).estimates()
-            for config, got in zip(space, records):
+            planes = batch.estimate_batch(goal, xi_mean, xi_sigma, phi, tail)
+            assert batch.configs == tuple(space)
+            for i, config in enumerate(space):
                 want = estimator.estimate(
                     config, goal, xi_mean, xi_sigma, phi, tail
                 )
-                assert got.config is config
                 for name in FIELD_NAMES:
-                    assert getattr(got, name) == pytest.approx(
+                    assert planes[name][i] == pytest.approx(
                         getattr(want, name), abs=PARITY_TOL
                     ), (name, config.describe(), goal.describe())
                 for name in FLAG_NAMES:
-                    assert getattr(got, name) == getattr(want, name), (
+                    assert planes[name][i] == getattr(want, name), (
                         name,
                         config.describe(),
                         goal.describe(),
@@ -230,14 +261,14 @@ def test_phi_above_one_energy_corner(paths):
         prob_threshold=0.9,
     )
     for phi in (1.0 - 1e-13, 1.0, 1.05, 1.5):
-        batch = selector.batch.estimate_batch(goal, 1.2, 0.15, phi, None)
-        for config, got in zip(space, batch.estimates()):
+        planes = selector.batch.estimate_batch(goal, 1.2, 0.15, phi, None)
+        for i, config in enumerate(space):
             want = estimator.estimate(config, goal, 1.2, 0.15, phi, None)
-            assert got.expected_energy_j == pytest.approx(
+            assert planes["expected_energy_j"][i] == pytest.approx(
                 want.expected_energy_j, abs=PARITY_TOL
             )
-            assert got.meets_energy == want.meets_energy
-            assert got.meets_prob == want.meets_prob
+            assert planes["meets_energy"][i] == want.meets_energy
+            assert planes["meets_prob"][i] == want.meets_prob
 
 
 def test_phi_exactly_one_huge_budget_always_met(paths):
@@ -250,8 +281,8 @@ def test_phi_exactly_one_huge_budget_always_met(paths):
         deadline_s=0.2,
         energy_budget_j=1e9,
     )
-    batch = selector.batch.estimate_batch(goal, 1.2, 0.15, 1.0, None)
-    assert bool(np.all(batch.meets_energy))
+    planes = selector.batch.estimate_batch(goal, 1.2, 0.15, 1.0, None)
+    assert bool(np.all(planes["meets_energy"]))
     for config in space:
         want = estimator.estimate(config, goal, 1.2, 0.15, 1.0, None)
         assert want.meets_energy
@@ -282,6 +313,49 @@ def test_selection_identical_across_paths(paths):
     # The grid must actually exercise the fallback hierarchy.
     assert None in relaxations_seen
     assert relaxations_seen & {"constraint", "probability", "latency"}
+
+
+def test_fresh_goal_per_decision_matches_scalar(cpu1_profile, image_models):
+    """Width-1 selections where every decision gets a fresh goal, as a
+    sentence's words do.  Each goal is dropped after use, so CPython
+    recycles ids: a per-goal cache keyed on ``id`` must never answer a
+    new goal with a dropped goal's plan."""
+    space = ConfigurationSpace(image_models, list(cpu1_profile.powers))
+    selector = ConfigSelector(space, AlertEstimator(cpu1_profile))
+    rng = np.random.default_rng(31)
+    states = _random_states(4, seed=31)
+    ids = []
+    for step in range(400):
+        deadline = float(rng.uniform(0.03, 0.8))
+        prob = None if step % 3 else 0.9
+        if step % 2:
+            goal = Goal(
+                objective=ObjectiveKind.MINIMIZE_ENERGY,
+                deadline_s=deadline,
+                accuracy_min=float(rng.uniform(0.8, 0.99)),
+                prob_threshold=prob,
+            )
+        else:
+            goal = Goal(
+                objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+                deadline_s=deadline,
+                energy_budget_j=float(rng.uniform(0.5, 20.0)),
+                prob_threshold=prob,
+            )
+        ids.append(id(goal))
+        xi_mean, xi_sigma, phi, tail = states[step % len(states)]
+        fast = selector.select(goal, xi_mean, xi_sigma, phi, tail)
+        ref = selector.select_scalar(goal, xi_mean, xi_sigma, phi, tail)
+        context = (step, goal.describe())
+        assert fast.config is ref.config, context
+        assert fast.relaxation == ref.relaxation, context
+        for name in FIELD_NAMES:
+            assert getattr(fast.estimate, name) == pytest.approx(
+                getattr(ref.estimate, name), abs=PARITY_TOL
+            ), (name, context)
+        del goal
+    # The run must actually have handed out recycled ids.
+    assert len(set(ids)) < len(ids)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.runtime.executor import (
     plan_cells,
     timing_grid,
 )
-from repro.runtime.loop import LockstepServingLoop, ServingLoop
+from repro.runtime.loop import CrossSchemeLockstepLoop, ServingLoop
 from repro.workloads.scenarios import build_scenario
 
 #: Float tolerance of the fused path (the acceptance bar; in practice
@@ -319,11 +319,12 @@ def test_untrusted_view_from_diverged_draws_falls_back(image_scenario, case):
             make_scheme("ALERT", scenario, engine, stream, goal, n_inputs)
             for goal in goals
         ]
-        lane = LockstepServingLoop.for_schedulers(
+        lane = CrossSchemeLockstepLoop.lane(
             engine, stream, schedulers, goals, [view] * len(goals)
         )
         assert lane is not None
-        return [run.records for run in lane.run(n_inputs)]
+        runs = CrossSchemeLockstepLoop([lane]).run(n_inputs)[0]
+        return [run.records for run in runs]
 
     reference = records(None)
     assert records(GridView(stale)) == reference

@@ -5,7 +5,8 @@ Pins the contract of the stacked-state machinery at every layer:
 * stacked Kalman / idle-power / slowdown filters ≡ scalar filters,
   elementwise, across randomized measurement sequences;
 * ``BatchAlertEstimator.stacked_fields`` rows ≡ per-state
-  ``estimate_batch`` (single fused erf pass, same numbers);
+  ``estimate_batch`` planes, the two shapes of one estimator body
+  (single fused erf pass, same numbers);
 * ``ConfigSelector.select_many`` ≡ per-state ``select`` (segment-wise
   lexsort picks identical winners at identical fallback stages);
 * the stacked No-coord cell controller ≡ fresh scalar
@@ -65,7 +66,6 @@ from repro.runtime.executor import (
 from repro.runtime.loop import (
     LOCKSTEP_TELEMETRY,
     CrossSchemeLockstepLoop,
-    LockstepServingLoop,
     ServingLoop,
 )
 from repro.runtime.scheduler import AlertScheduler
@@ -246,7 +246,7 @@ def test_stacked_fields_match_estimate_batch(platform, task, seed):
         ):
             np.testing.assert_array_equal(
                 stacked[field][state],
-                np.asarray(getattr(single, field)),
+                single[field],
                 err_msg=f"{platform} state {state} field {field}",
             )
 
@@ -479,7 +479,7 @@ def _lanes(scenario, goals, schemes, n_inputs, engine, stream, views):
             make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
             for goal in goals
         ]
-        lane = LockstepServingLoop.for_schedulers(
+        lane = CrossSchemeLockstepLoop.lane(
             engine, stream, schedulers, goals, views
         )
         assert lane is not None, scheme
@@ -533,7 +533,7 @@ def test_lockstep_matches_sequential(
             scenario, goals, (scheme,), n_inputs, engine, stream,
             [None] * len(goals),
         )
-        runs[scheme] = lane.run(n_inputs)
+        runs[scheme] = CrossSchemeLockstepLoop([lane]).run(n_inputs)[0]
     lockstep = CellResult(scenario=scenario, goals=goals, runs=runs)
     reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
     _assert_runs_match(lockstep, reference, LOCKSTEP_SCHEMES)
@@ -573,7 +573,7 @@ def test_multi_lane_loop_matches_lone_lanes_and_reference(
         (lane,) = _lanes(
             scenario, goals, (scheme,), n_inputs, engine, stream, views
         )
-        per_lane[scheme] = lane.run(n_inputs)
+        per_lane[scheme] = CrossSchemeLockstepLoop([lane]).run(n_inputs)[0]
     alone = CellResult(scenario=scenario, goals=goals, runs=per_lane)
     reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
     _assert_runs_match(cross, alone, LOCKSTEP_SCHEMES)
@@ -682,7 +682,7 @@ def test_grid_complete_cell_never_calls_engine_run(monkeypatch):
             make_scheme(scheme, scenario, engine, stream, goal, n_inputs)
             for goal in goals
         ]
-        lane = LockstepServingLoop.for_schedulers(
+        lane = CrossSchemeLockstepLoop.lane(
             engine, stream, schedulers, goals, [view] * len(goals)
         )
         assert lane is not None
@@ -753,7 +753,7 @@ def test_lockstep_loop_rejects_empty_and_mixed_streams():
             for goal in goals
         ]
         lanes.append(
-            LockstepServingLoop.for_schedulers(
+            CrossSchemeLockstepLoop.lane(
                 engine, stream, schedulers, goals, [None] * len(goals)
             )
         )
@@ -864,7 +864,7 @@ def test_custom_scheduler_type_refuses_lockstep(image_scenario):
         _CustomAlert(AlertKernel(profile=profile)) for _ in goals
     ]
     assert (
-        LockstepServingLoop.for_schedulers(
+        CrossSchemeLockstepLoop.lane(
             engine, stream, schedulers, goals, [None] * len(goals)
         )
         is None
@@ -890,7 +890,7 @@ def test_subclassed_kernel_refuses_stacking(image_scenario):
     assert AlertCellKernel.from_kernels(mixed) is None
     schedulers = [AlertScheduler(kernel) for kernel in custom]
     assert (
-        LockstepServingLoop.for_schedulers(
+        CrossSchemeLockstepLoop.lane(
             engine, stream, schedulers, goals, [None] * len(goals)
         )
         is None
@@ -941,7 +941,7 @@ def test_mismatched_profiles_refuse_stacking():
 
 
 def test_lockstep_factory_built_cell_matches_direct_loop(image_scenario):
-    """for_schedulers over make_scheme products serves like ServingLoop."""
+    """A lane over make_scheme products serves like ServingLoop."""
     goals = _grid_goals(image_scenario, ObjectiveKind.MINIMIZE_ENERGY)[:3]
     engine = image_scenario.make_engine()
     stream = image_scenario.make_stream()
@@ -949,11 +949,11 @@ def test_lockstep_factory_built_cell_matches_direct_loop(image_scenario):
         make_scheme("ALERT", image_scenario, engine, stream, goal, 10)
         for goal in goals
     ]
-    lock = LockstepServingLoop.for_schedulers(
+    lock = CrossSchemeLockstepLoop.lane(
         engine, stream, schedulers, goals, [None] * len(goals)
     )
     assert lock is not None
-    runs = lock.run(10)
+    runs = CrossSchemeLockstepLoop([lock]).run(10)[0]
     for goal, run in zip(goals, runs):
         reference_engine = image_scenario.make_engine()
         reference_stream = image_scenario.make_stream()

@@ -230,6 +230,29 @@ def test_oracle_view_backed_decisions_match_fresh(image_scenario):
     assert gridded.decide(item, shrunk).key == fresh.decide(item, shrunk).key
 
 
+def test_one_config_table_per_engine_and_space(image_scenario):
+    """Every grid of a scenario and every Oracle fallback column
+    evaluate the space's own tuple, so one engine builds the space's
+    config table once."""
+    scenario = image_scenario
+    space = scenario.space()
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    anchor = scenario.anchor_latency_s()
+    for fraction in (0.6, 1.0, 1.5):
+        goal = Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=anchor * fraction,
+            accuracy_min=0.9,
+        )
+        view = GridView(oracle_outcome_grid(engine, space, goal, stream, 8))
+    oracle = OracleScheduler(engine, space, grid_view=view)
+    off_grid = goal.with_deadline(anchor * 0.8)
+    assert not view.matches_timing(off_grid.deadline_s, off_grid.period)
+    oracle.decide(stream.item(0), off_grid)
+    assert len(engine._config_tables) == 1
+
+
 def test_view_over_another_space_is_refused_or_bypassed(image_scenario):
     """Oracle refuses a view whose rows are not its space;
     OracleStatic realises its own grid instead."""
