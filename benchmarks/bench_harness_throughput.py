@@ -124,11 +124,11 @@ def bench_serving(n_inputs: int, min_seconds: float) -> dict:
         deadline_s=scenario.anchor_latency_s(),
         accuracy_min=0.9,
     )
-    # The harness always shares the per-timing outcome grid with the
+    # The harness always shares the scenario's outcome grid with the
     # oracles; serve them the same way here, through an untrusted view
     # (each decision is guarded against the run's own draws).  The loop
     # gets no view, so both paths realise the run's outcomes afresh.
-    view = GridView(timing_grid(scenario, goal, n_inputs))
+    view = GridView(timing_grid(scenario, n_inputs))
     schemes: dict = {}
     for name in FEEDBACK_FREE_SCHEMES:
         engine = scenario.make_engine()
@@ -486,12 +486,12 @@ def bench_sweep(
     units = compile_sweep(spec)
     # Segment-pool sizing for the store arms: byte size is a static
     # function of the plan's dimensions (shared_grid_layout), count is
-    # the plan's distinct timings.  Preallocation happens per store,
+    # the plan's distinct scenarios.  Preallocation happens per store,
     # outside the measured window — it is the sweep-startup cost a
     # resumable driver pays once, not steady-state cell work.
     n_configs = len(_WorkerState().space(units[0].scenario))
     _fields, grid_nbytes = shared_grid_layout(n_configs, n_inputs)
-    n_grids = len({(u.goal.deadline_s, u.goal.period) for u in units})
+    n_grids = len({u.scenario for u in units})
     _sweep_arm(_sweep_splits(units, 1), None)  # warm-up (OS/page caches)
     timings = {
         (workers, shared): float("inf")

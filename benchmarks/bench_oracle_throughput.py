@@ -95,12 +95,8 @@ def run(min_seconds: float = 1.5) -> dict:
 
     def batch_grid():
         engine.evaluate_batch(
-            configs,
-            range(N_INPUTS),
-            deadline_s=goal.deadline_s,
-            period_s=goal.period,
-            work_factors=work_factors,
-        )
+            configs, range(N_INPUTS), work_factors=work_factors
+        ).timing(goal.deadline_s, goal.period)
 
     reps, elapsed = _repeat(scalar_grid, min_seconds)
     scalar_eps = reps * n_pairs / elapsed

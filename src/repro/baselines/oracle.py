@@ -17,12 +17,14 @@ exactly that:
 Infeasible inputs degrade through the same latency > accuracy > power
 hierarchy ALERT uses, so comparisons stay apples-to-apples.
 
-**The batch path.**  Both oracles run on
-:meth:`repro.models.inference.InferenceEngine.evaluate_batch`, which
-realises the whole (configuration × input) outcome grid as NumPy
-arrays in one pass.  Selection is a feasibility mask plus one stable
-``np.lexsort`` per degradation tier; ``np.lexsort`` lists keys
-least-significant first, so the hierarchy is encoded back to front:
+**The batch path.**  Both oracles read a timing-free outcome grid
+(:meth:`repro.models.inference.InferenceEngine.evaluate_batch`, the
+whole (configuration × input) table realised once) and derive the
+deadline and period they decide under
+(:meth:`~repro.models.inference.BatchOutcomeGrid.timing`).  Selection
+is a feasibility mask plus one lexicographic argmin
+(:func:`~repro.core.selector.lexargmin`) per degradation tier, keys in
+priority order:
 
 * feasible tier — minimise the goal objective
   (``(energy, -quality, cap)`` when minimising energy,
@@ -32,8 +34,8 @@ least-significant first, so the hierarchy is encoded back to front:
 * last-resort tier — ``(latency, -quality, power)``: fail as fast and
   as accurately as possible.
 
-Because the stable sort breaks ties by enumeration order, the batch
-pick is *identical* to the scalar ``min``-over-tuples references,
+Because the argmin breaks ties by enumeration order, the batch pick
+is *identical* to the scalar ``min``-over-tuples references,
 :meth:`OracleScheduler.decide_scalar` and
 :func:`best_static_config_scalar`, which the randomized parity suite
 (``tests/test_oracle_parity.py``) calls by name.
@@ -50,12 +52,14 @@ import numpy as np
 
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.goals import Goal, ObjectiveKind, outcome_feasible
+from repro.core.selector import lexargmin
 from repro.errors import ConfigurationError
 from repro.models.inference import (
     BatchOutcomeGrid,
     GridView,
     InferenceEngine,
     InferenceOutcome,
+    OutcomePlanes,
 )
 from repro.runtime.results import VIOLATION_SETTING_THRESHOLD
 from repro.runtime.scheduler import StaticScheduler
@@ -86,59 +90,20 @@ def _objective_key(outcome: InferenceOutcome, goal: Goal):
     return (-outcome.quality, outcome.energy_j, outcome.power_cap_w)
 
 
-def _lexargmin_columns(keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Per-column lexicographic argmin over axis 0, first occurrence.
-
-    Progressively restricts each column's candidate rows to the argmin
-    set of each key in significance order; the final ``argmax`` picks
-    the first surviving row, matching Python's ``min`` over key tuples
-    (and a stable ``np.lexsort``) exactly — at the cost of a few
-    masked reductions instead of a full sort.
-    """
-    mask = np.ones(keys[0].shape, dtype=bool)
-    for key in keys:
-        masked = np.where(mask, key, np.inf)
-        best = masked.min(axis=0)
-        mask &= masked == best[None, :]
-    return mask.argmax(axis=0)
-
-
-def _lexmin(mask: np.ndarray, *keys: np.ndarray) -> int:
-    """Index of the lexicographic minimum of ``keys`` within ``mask``.
-
-    ``np.lexsort`` takes keys least-significant first and sorts stably,
-    so the returned index matches Python's ``min`` over key tuples
-    (first occurrence wins ties) exactly.
-    """
-    candidates = np.flatnonzero(mask)
-    order = np.lexsort(tuple(k[candidates] for k in reversed(keys)))
-    return int(candidates[order[0]])
-
-
-def _candidates(space) -> tuple[Configuration, ...]:
-    """The candidates as one tuple: a space's own, so the engine's
-    identity-keyed config table hits on every grid and fallback
-    column; any other iterable of configurations is copied."""
-    if isinstance(space, ConfigurationSpace):
-        return space.configs
-    return tuple(space)
-
-
 def oracle_outcome_grid(
     engine: InferenceEngine,
     space: ConfigurationSpace,
-    goal: Goal,
     stream: InputStream,
     n_inputs: int,
     allocator=None,
 ) -> BatchOutcomeGrid:
-    """The full (configuration × input) outcome grid for one setting.
+    """The full (configuration × input) outcome grid of one scenario.
 
     One vectorized pass over the engine's true environment draws —
     the "run 90 inputs in all possible configurations" table both
-    oracles read from.  The experiment harness computes this once per
-    (scenario, goal) cell and shares it between Oracle and
-    OracleStatic.  ``allocator`` passes through to
+    oracles read from.  The grid is timing-free, so every constraint
+    setting of the scenario reads the one grid at its own deadline and
+    period.  ``allocator`` passes through to
     :meth:`~repro.models.inference.InferenceEngine.evaluate_batch`, so
     a grid store can realise the grid directly inside a shared-memory
     segment (bit-identical to private realisation).
@@ -146,10 +111,8 @@ def oracle_outcome_grid(
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
     return engine.evaluate_batch(
-        configs=_candidates(space),
+        configs=space.configs,
         indices=range(n_inputs),
-        deadline_s=goal.deadline_s,
-        period_s=goal.period,
         work_factors=[stream.item(i).work_factor for i in range(n_inputs)],
         allocator=allocator,
     )
@@ -169,12 +132,13 @@ class OracleScheduler:
     grid_view:
         Optional :class:`~repro.models.inference.GridView` over the
         precomputed outcome grid (:func:`oracle_outcome_grid`) of the
-        same candidates.  Decisions whose timing matches the grid and
+        same candidates.  The grid is timing-free, so every decision
         whose input :meth:`~repro.models.inference.GridView.column`
         admits — work factor, plus the environment draw when the view
-        is untrusted — are answered from the grid; anything else, e.g.
-        group-adjusted sentence deadlines, falls back to a fresh
-        single-input batch evaluation.
+        is untrusted — derives its column from the grid at the goal's
+        own deadline and period, group-adjusted sentence deadlines
+        included.  Only an off-grid input realises a fresh one-input
+        grid.
     """
 
     #: Perfect knowledge needs no feedback; the serving loop may
@@ -191,7 +155,7 @@ class OracleScheduler:
         self.engine = engine
         self.space = space
         self.name = name
-        self._configs = _candidates(space)
+        self._configs = space.configs
         self._power_w = np.array([c.power_w for c in self._configs])
         if grid_view is not None and (
             tuple(grid_view.grid.configs) != self._configs
@@ -204,31 +168,30 @@ class OracleScheduler:
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
-    def decide(self, item: InputItem, goal: Goal) -> Configuration:
+    def _column(
+        self, item: InputItem, goal: Goal
+    ) -> tuple[OutcomePlanes, np.ndarray]:
+        """Every candidate's outcome on one input at the goal's timing,
+        with the candidates' enforced caps."""
         view = self.grid_view
-        position = None
-        if view is not None and view.matches_timing(goal.deadline_s, goal.period):
-            position = view.column(self.engine, item)
+        position = view.column(self.engine, item) if view is not None else None
         if position is not None:
-            grid = view.grid
-            energy = grid.energy_j[:, position]
-            quality = grid.quality[:, position]
-            met = grid.met_deadline[:, position]
-            latency = grid.latency_s[:, position]
-            cap_w = grid.power_cap_w
+            grid, columns = view.grid, [position]
         else:
-            column = self.engine.evaluate_batch(
+            grid = self.engine.evaluate_batch(
                 configs=self._configs,
                 indices=[item.index],
-                deadline_s=goal.deadline_s,
-                period_s=goal.period,
                 work_factors=[item.work_factor],
             )
-            energy = column.energy_j[:, 0]
-            quality = column.quality[:, 0]
-            met = column.met_deadline[:, 0]
-            latency = column.latency_s[:, 0]
-            cap_w = column.power_cap_w
+            columns = slice(None)
+        planes = grid.timing(goal.deadline_s, goal.period, columns=columns)
+        return planes, grid.power_cap_w
+
+    def decide(self, item: InputItem, goal: Goal) -> Configuration:
+        planes, cap_w = self._column(item, goal)
+        energy = planes.energy_j[:, 0]
+        quality = planes.quality[:, 0]
+        met = planes.met_deadline[:, 0]
 
         feasible = outcome_feasible(goal, met, quality, energy)
         if feasible.any():
@@ -236,37 +199,39 @@ class OracleScheduler:
                 keys = (energy, -quality, cap_w)
             else:
                 keys = (-quality, energy, cap_w)
-            return self._configs[_lexmin(feasible, *keys)]
+            return self._configs[lexargmin(keys, mask=feasible)]
 
         # Latency > accuracy > power fallback, on true outcomes.
         if met.any():
-            return self._configs[_lexmin(met, -quality, energy, self._power_w)]
-        everything = np.ones(len(self._configs), dtype=bool)
-        return self._configs[_lexmin(everything, latency, -quality, self._power_w)]
+            keys = (-quality, energy, self._power_w)
+            return self._configs[lexargmin(keys, mask=met)]
+        keys = (planes.latency_s[:, 0], -quality, self._power_w)
+        return self._configs[lexargmin(keys)]
 
     def decide_batch(
         self, items: list[InputItem], goal: Goal
     ) -> list[Configuration]:
         """All of a run's decisions in one vectorized pass.
 
-        Requires every item to be answerable from the precomputed grid;
-        otherwise (no grid, trace-adjusted deadlines, diverged draws)
-        falls back to per-item :meth:`decide`.  Per column, the scalar
-        tier hierarchy is folded into one lexicographic argmin with the
-        tier number as the most significant key; within a column,
-        cross-tier key comparisons never decide, so the winner matches
+        Requires every item to be answerable from the precomputed grid,
+        whose planes at the goal's timing the view derives once;
+        otherwise (no grid, diverged draws, off-grid inputs) falls back
+        to per-item :meth:`decide`.  Per column, the scalar tier
+        hierarchy is folded into one lexicographic argmin with the tier
+        number as the most significant key; within a column, cross-tier
+        key comparisons never decide, so the winner matches
         :meth:`decide` exactly (first occurrence on ties).
         """
         if not items:
             return []
         view = self.grid_view
         columns = None
-        if view is not None and view.matches_timing(goal.deadline_s, goal.period):
+        if view is not None:
             columns = view.columns(self.engine, items)
         if columns is None:
             return [self.decide(item, goal) for item in items]
 
-        grid = view.grid
+        planes = view.planes(goal.deadline_s, goal.period)
         # The common serving pattern is a prefix of the grid's own
         # columns; basic slices keep the big arrays as views.
         n = columns.size
@@ -274,12 +239,12 @@ class OracleScheduler:
             selector = slice(None, n)
         else:
             selector = columns
-        energy = grid.energy_j[:, selector]
-        quality = grid.quality[:, selector]
-        met = grid.met_deadline[:, selector]
-        latency = grid.latency_s[:, selector]
+        energy = planes.energy_j[:, selector]
+        quality = planes.quality[:, selector]
+        met = planes.met_deadline[:, selector]
+        latency = planes.latency_s[:, selector]
         shape = energy.shape
-        cap_w = np.broadcast_to(grid.power_cap_w[:, None], shape)
+        cap_w = np.broadcast_to(view.grid.power_cap_w[:, None], shape)
         power_w = np.broadcast_to(self._power_w[:, None], shape)
         neg_quality = -quality
 
@@ -295,7 +260,7 @@ class OracleScheduler:
         key1 = np.where(feasible, first, np.where(met, neg_quality, latency))
         key2 = np.where(feasible, second, np.where(met, energy, neg_quality))
         key3 = np.where(feasible, cap_w, power_w)
-        rows = _lexargmin_columns((tier, key1, key2, key3))
+        rows = lexargmin((tier, key1, key2, key3))
         configs = self._configs
         return [configs[row] for row in rows.tolist()]
 
@@ -369,29 +334,26 @@ def best_static_config(
     the objective, then the lower power cap).
 
     ``grid_view`` short-circuits the evaluation with a precomputed
-    outcome grid when its rows are this space, its timing is the
-    goal's, and it holds inputs ``0..n_inputs-1`` in order, each
-    admitted by :meth:`~repro.models.inference.GridView.columns`;
-    otherwise the grid is realised afresh.  The reference is
-    :func:`best_static_config_scalar`.
+    outcome grid when its rows are this space and it holds inputs
+    ``0..n_inputs-1`` in order, each admitted by
+    :meth:`~repro.models.inference.GridView.columns`; the view derives
+    the goal's timing once.  Otherwise the grid is realised afresh.
+    The reference is :func:`best_static_config_scalar`.
     """
     if n_inputs < 1:
         raise ConfigurationError(f"need at least one input, got {n_inputs}")
-    configs = _candidates(space)
-    grid = None
-    if (
-        grid_view is not None
-        and tuple(grid_view.grid.configs) == configs
-        and grid_view.matches_timing(goal.deadline_s, goal.period)
-    ):
+    configs = space.configs
+    planes = None
+    if grid_view is not None and tuple(grid_view.grid.configs) == configs:
         columns = grid_view.columns(engine, stream.items(n_inputs))
         if columns is not None and np.array_equal(columns, np.arange(n_inputs)):
-            grid = grid_view.grid
-    if grid is None:
-        grid = oracle_outcome_grid(engine, space, goal, stream, n_inputs)
-    met = grid.met_deadline[:, :n_inputs]
-    quality = grid.quality[:, :n_inputs]
-    energy = grid.energy_j[:, :n_inputs]
+            planes = grid_view.planes(goal.deadline_s, goal.period)
+    if planes is None:
+        grid = oracle_outcome_grid(engine, space, stream, n_inputs)
+        planes = grid.timing(goal.deadline_s, goal.period)
+    met = planes.met_deadline[:, :n_inputs]
+    quality = planes.quality[:, :n_inputs]
+    energy = planes.energy_j[:, :n_inputs]
     feasible = outcome_feasible(goal, met, quality, energy)
     violation_fraction = (n_inputs - feasible.sum(axis=1)) / n_inputs
     if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
@@ -402,10 +364,10 @@ def best_static_config(
 
     qualifying = violation_fraction <= violation_threshold
     if qualifying.any():
-        return configs[_lexmin(qualifying, objective, violation_fraction, power_w)]
+        keys = (objective, violation_fraction, power_w)
+        return configs[lexargmin(keys, mask=qualifying)]
     # Nothing meets the 10% rule; prefer the least violating.
-    everything = np.ones(len(configs), dtype=bool)
-    return configs[_lexmin(everything, violation_fraction, objective, power_w)]
+    return configs[lexargmin((violation_fraction, objective, power_w))]
 
 
 def best_static_config_scalar(

@@ -43,8 +43,8 @@ timeline and emits a fig-style JSON/CSV comparison.
 The grid-evaluating commands (``table4``, ``table5``, ``fig08``) take
 ``--workers N`` to fan their cell plans out over a process pool via
 :class:`repro.runtime.executor.RunExecutor` (use roughly the machine's
-core count).  Every cell serves all its schemes from one shared
-outcome grid per timing, and a cell wide enough in goals advances its
+core count).  Every cell serves all its schemes and timings from one
+shared outcome grid, and a cell wide enough in goals advances its
 stacking schemes in lockstep; a cell splits across workers only into
 chunks that stay that wide, so a narrow cell runs serially whatever
 ``--workers`` says.  Results are bit-identical whichever way the plan

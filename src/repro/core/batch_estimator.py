@@ -161,6 +161,11 @@ def normal_cdf_array(x: np.ndarray) -> np.ndarray:
     return result
 
 
+#: Plan entries a goal's deadline moves (its period defaults to the
+#: deadline); :meth:`BatchAlertEstimator._deadline_rows` refills them.
+_DEADLINE_ROWS = ("thr", "deadline", "period", "horizon", "xi_cross")
+
+
 class BatchAlertEstimator:
     """Vectorized twin of :class:`AlertEstimator` over a whole space.
 
@@ -284,8 +289,8 @@ class BatchAlertEstimator:
         self._thr_cache: dict[float, np.ndarray] = {}
         self._energy_cache: dict[tuple, tuple] = {}
         self._quantile_cache: dict[float, float] = {}
-        #: Stacked plans (one per structural group) keyed by goal
-        #: identities plus each state's branch structure (see
+        #: Stacked plans (one per structural group) keyed by the goals'
+        #: deadline-free values plus each state's branch structure (see
         #: :meth:`_stack_plans`).
         self._stack_skeletons: dict[tuple, list[dict]] = {}
         #: Reusable (G × C) field buffers, one set per stack height:
@@ -371,10 +376,11 @@ class BatchAlertEstimator:
         (pinned by ``tests/test_lockstep_parity.py``).
 
         Goal-only structure — the structural group partition,
-        deadline-threshold stacks, quality-floor statics, energy-budget
-        constants — is cached per goal tuple (:meth:`_stack_plans`), so
-        the per-input work is just the state-dependent arithmetic plus
-        one fused erf pass.
+        quality-floor statics, energy-budget constants — is cached per
+        tuple of the goals' deadline-free values (:meth:`_stack_plans`),
+        and only the rows a deadline moves are recomputed when it
+        does, so the per-input work is the state-dependent arithmetic
+        plus one fused erf pass.
 
         ``goals`` holds one :class:`~repro.core.goals.Goal` per state;
         ``xi_mean`` / ``xi_sigma`` / ``phi`` are filter-state arrays of
@@ -477,25 +483,61 @@ class BatchAlertEstimator:
     def _stack_plans(self, goals, phi, tail_list) -> list[dict]:
         """The stacked plans of a query, one per structural group, cached.
 
-        Keyed by goal identities plus each state's :meth:`_sig`, whose
-        only state-dependent parts are the tail and degenerate-``phi``
-        flags; everything else in a plan depends only on the goals.
-        The lockstep cells pass the identical adjusted-goal objects
-        every input step, so steady state is one dict hit per step.
-        Each plan holds strong references to its goals, which pins the
-        ids in the key for as long as the entry lives.
+        Keyed by each goal's deadline-free values (objective, explicit
+        period, floor, budget, ``Pr_th``) plus each state's
+        :meth:`_sig`, whose only state-dependent parts are the tail and
+        degenerate-``phi`` flags.  The deadline rows — thresholds,
+        deadline and period columns, a budget goal's horizon and ξ
+        crossings — are refilled whenever a group's deadlines move:
+        never on image lanes, every word on sentence lanes, whose
+        group-adjusted deadlines make fresh goals each step.
         """
         sigs = tuple(
             self._sig(goal, tail_list[g], phi[g]) for g, goal in enumerate(goals)
         )
-        key = (tuple(map(id, goals)), sigs)
+        key = (
+            tuple(
+                (
+                    goal.objective,
+                    goal.period_s,
+                    goal.accuracy_min,
+                    goal.energy_budget_j,
+                    goal.prob_threshold,
+                )
+                for goal in goals
+            ),
+            sigs,
+        )
         skeletons = self._stack_skeletons.get(key)
         if skeletons is None:
             skeletons = self._build_skeletons(goals, sigs)
             if len(self._stack_skeletons) >= 64:
                 self._stack_skeletons.clear()
             self._stack_skeletons[key] = skeletons
+        for skeleton in skeletons:
+            self._deadline_rows(skeleton, goals)
         return skeletons
+
+    def _deadline_rows(self, skeleton: dict, goals) -> None:
+        """Refill a stacked plan's deadline rows when its deadlines moved."""
+        idx = skeleton["idx"]
+        deadlines = tuple([goals[g].deadline_s for g in idx])
+        if deadlines == skeleton.get("deadlines"):
+            return
+        skeleton["deadlines"] = deadlines
+        deadline = np.array(deadlines)
+        period = np.array([goals[g].period for g in idx])
+        skeleton["thr"] = deadline[:, None] / self._unique_lat
+        skeleton["deadline"] = deadline[:, None]
+        skeleton["period"] = period[:, None]
+        if skeleton["sig"][0]:
+            horizon = np.where(
+                self.is_anytime,
+                np.minimum(deadline, period)[:, None],
+                period[:, None],
+            )
+            skeleton["horizon"] = horizon
+            skeleton["xi_cross"] = horizon / self.t_run
 
     def _build_skeletons(self, goals, sigs) -> list[dict]:
         """Group states by structure and stack each group's goal plans.
@@ -504,6 +546,7 @@ class BatchAlertEstimator:
         a group of ``K`` states: each becomes a ``(K, 1)`` column and
         each 1-D row a ``(K, ·)`` stack.  Only the branch structure
         (:meth:`_sig`) must agree for the expressions to broadcast.
+        The deadline rows are left to :meth:`_deadline_rows`.
         """
         groups: dict[tuple, list[int]] = {}
         for g, sig in enumerate(sigs):
@@ -516,12 +559,11 @@ class BatchAlertEstimator:
                 "sig": sig,
                 "lead": lead,
                 "rung_bufs": self._rung_buffers(lead),
-                "goals": [goals[g] for g in idx],
                 "idx": idx,
                 "rows": np.asarray(idx, dtype=np.intp),
             }
             for name, value in plans[0].items():
-                if name in skeleton:
+                if name in skeleton or name in _DEADLINE_ROWS:
                     continue
                 values = [plan[name] for plan in plans]
                 if isinstance(value, np.ndarray):

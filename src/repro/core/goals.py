@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -133,8 +133,15 @@ class Goal:
         return self.period_s if self.period_s is not None else self.deadline_s
 
     def with_deadline(self, deadline_s: float) -> "Goal":
-        """A copy of this goal with a different deadline."""
-        return replace(self, deadline_s=deadline_s)
+        """A copy of this goal with a different deadline (validated)."""
+        return type(self)(
+            self.objective,
+            deadline_s,
+            self.period_s,
+            self.accuracy_min,
+            self.energy_budget_j,
+            self.prob_threshold,
+        )
 
     # ------------------------------------------------------------------
     # Constraint checks (the single source of tolerance truth)

@@ -50,6 +50,7 @@ their own kernels — their ``observe`` is a no-op (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -196,7 +197,8 @@ def _adjusted(cache: dict, goal: Goal, overhead_s: float) -> Goal:
 class AlertKernel:
     """ALERT: joint DNN / power-cap selection with feedback, clock-free.
 
-    Builds the candidate space, estimator and selector, and owns the
+    Builds the candidate space, estimator and selector (the space and
+    selector on first use), and owns the
     global-slowdown ξ filter and the idle-power filter; knows nothing
     about periods, input streams, or how outcomes are realised.
 
@@ -252,15 +254,16 @@ class AlertKernel:
                 f"overhead fraction {overhead_fraction} outside [0, 0.2]"
             )
         self.profile = profile
-        self.space = ConfigurationSpace(
-            models=list(models) if models is not None else list(profile.models),
-            powers=list(powers) if powers is not None else list(profile.powers),
-            expand_anytime_rungs=expand_anytime_rungs,
+        #: What :attr:`space` is built from, and what a lockstep cell
+        #: compares kernels on (see :meth:`AlertCellKernel.from_kernels`).
+        self._space_args = (
+            tuple(models) if models is not None else tuple(profile.models),
+            tuple(sorted(powers if powers is not None else profile.powers)),
+            expand_anytime_rungs,
         )
         self.estimator = AlertEstimator(
             profile, variance_aware=variance_aware, confidence=confidence
         )
-        self.selector = ConfigSelector(self.space, self.estimator)
         self.slowdown = GlobalSlowdownEstimator(
             q0=q0, keep_history=keep_xi_history
         )
@@ -274,6 +277,25 @@ class AlertKernel:
         self._selections: dict[Goal, SelectionResult] = {}
         # Overhead-adjusted goals, a pure function of (goal, overhead_s).
         self._effective: dict[Goal, Goal] = {}
+
+    @cached_property
+    def space(self) -> ConfigurationSpace:
+        """The candidate space, built on first use.
+
+        A lockstep cell decides through its first kernel's selector
+        only, so the other kernels of the cell never build one.
+        """
+        models, powers, expand_anytime_rungs = self._space_args
+        return ConfigurationSpace(
+            models=list(models),
+            powers=list(powers),
+            expand_anytime_rungs=expand_anytime_rungs,
+        )
+
+    @cached_property
+    def selector(self) -> ConfigSelector:
+        """The selector over :attr:`space`, built on first use."""
+        return ConfigSelector(self.space, self.estimator)
 
     # ------------------------------------------------------------------
     # Step 1: measurement feedback
@@ -422,12 +444,12 @@ class AlertCellKernel:
         def fingerprint(kernel: AlertKernel) -> tuple:
             xi = kernel.slowdown._filter
             idle = kernel.idle_filter
+            models, powers, expand_anytime_rungs = kernel._space_args
             return (
                 id(kernel.profile),
-                tuple(
-                    (id(config.model), config.power_w, config.rung_cap)
-                    for config in kernel.space
-                ),
+                tuple(map(id, models)),
+                powers,
+                expand_anytime_rungs,
                 kernel.estimator.variance_aware,
                 kernel.estimator.confidence,
                 kernel.overhead_s,

@@ -44,7 +44,35 @@ from repro.core.estimator import AlertEstimator, ConfigEstimate
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 
-__all__ = ["SelectionResult", "BaselineSelection", "ConfigSelector"]
+__all__ = ["SelectionResult", "BaselineSelection", "ConfigSelector", "lexargmin"]
+
+
+def lexargmin(keys, axis: int = 0, mask=None):
+    """Lexicographic argmin of ``keys`` along ``axis``, first occurrence.
+
+    ``keys`` are equal-shape arrays in priority order; ``mask``
+    optionally restricts the candidates (it must leave at least one
+    along ``axis``).  Each key narrows the candidates to its minimum,
+    stopping once one candidate is left per lane, and the first
+    survivor wins: the pick of a stable ``np.lexsort`` over the same
+    keys, and of Python's ``min`` over key tuples, for a few masked
+    reductions instead of a sort.  As in ``np.lexsort``, -0.0 ties
+    with 0.0 and NaN orders last: ``np.fmin`` skips it, and a key that
+    is NaN on every candidate narrows nothing.
+    """
+    alive = np.ones(np.shape(keys[0]), dtype=bool) if mask is None else (
+        np.array(mask, dtype=bool)
+    )
+    lanes = alive.size // alive.shape[axis]
+    for key in keys:
+        masked = np.where(alive, key, np.nan)
+        best = np.fmin.reduce(masked, axis=axis, keepdims=True)
+        alive &= (masked == best) | np.isnan(best)
+        # Every lane keeps at least one candidate, so this many left
+        # means exactly one each.
+        if np.count_nonzero(alive) == lanes:
+            break
+    return alive.argmax(axis=axis)
 
 
 def _quantize6(x: float) -> float:
@@ -110,12 +138,9 @@ class ConfigSelector:
         self.space = space
         self.estimator = estimator
         self.batch = BatchAlertEstimator(space, estimator)
-        #: Per-G constant index vectors for the stacked path (segment
-        #: labels, row indices) and per-goal-tuple objective masks;
-        #: both pure functions of their keys, rebuilt every step
-        #: otherwise.  Objective-mask entries pin their goals so the
-        #: id-tuple key stays unambiguous.
-        self._stack_index_cache: dict[int, tuple] = {}
+        #: Per-goal-tuple objective masks for the stacked path, a pure
+        #: function of the goals, rebuilt every step otherwise.  Entries
+        #: pin their goals so the id-tuple key stays unambiguous.
         self._objective_mask_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -258,12 +283,12 @@ class ConfigSelector:
         :meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`
         query (single fused erf evaluation), and the 4-stage priority
         hierarchy then ranks the whole ``(state × config)`` plane with
-        **one** segment-wise ``np.lexsort``: each state resolves its
-        fallback stage, contributes its stage's ranking keys into
-        shared key columns (padded to the widest stage), and a leading
-        segment key keeps states independent — the winner of segment
-        ``g`` is exactly the configuration :meth:`select` would pick
-        for state ``g`` (pinned by ``tests/test_lockstep_parity.py``).
+        one row-wise :func:`lexargmin`: each state resolves its
+        fallback stage and contributes its stage's ranking keys into
+        shared key columns (padded to the widest stage), and its row's
+        argmin among the stage's valid candidates is exactly the
+        configuration :meth:`select` would pick for that state (pinned
+        by ``tests/test_lockstep_parity.py``).
         """
         n_states = len(goals)
         if n_states < 1:
@@ -304,8 +329,7 @@ class ConfigSelector:
             ),
         )
         col = stage[:, None]
-        # Candidate validity per stage; invalid entries stay in the
-        # plane but sort after every valid one via the lexsort key.
+        # Candidate validity per stage.
         if not stage.any():
             valid = feasible
         else:
@@ -341,7 +365,7 @@ class ConfigSelector:
             # Every state resolved at stage 0 (the common steady
             # state): each row's key tuple is just its objective's, so
             # the fallback-stage plane selects reduce to the plain
-            # objective columns; the constant k4 drops out of the sort.
+            # objective columns; the constant k4 drops out.
             if all_min_energy:
                 k1, k2 = energy, neg_quality
             elif not any_min_energy:
@@ -382,38 +406,11 @@ class ConfigSelector:
             )
             k4 = np.where(min_energy & relaxed, rank_plane, zeros_plane)
 
-        # One lexsort over the whole (state × config) plane: segment id
-        # most significant, validity next (valid first), then the key
-        # columns in priority order (np.lexsort sorts by its *last* key
-        # first).  Segments have exactly ``n`` entries each, so state
-        # g's winner is the sorted position g * n.
-        idx_entry = self._stack_index_cache.get(n_states)
-        if idx_entry is None:
-            if len(self._stack_index_cache) >= 8:
-                self._stack_index_cache.clear()
-            idx_entry = (
-                np.repeat(np.arange(n_states, dtype=np.int64), n),
-                np.arange(n_states),
-                np.arange(n_states, dtype=np.int64) * n,
-            )
-            self._stack_index_cache[n_states] = idx_entry
-        seg, gidx, offsets = idx_entry
-        if k4 is None:
-            # Stage-0 fast path left k4 an all-constant column; a
-            # stable sort with a constant key is an order-preserving
-            # no-op, so it drops out of the lexsort entirely.
-            sort_keys = (k3.ravel(), k2.ravel(), k1.ravel(), ~valid.ravel(), seg)
-        else:
-            sort_keys = (
-                k4.ravel(),
-                k3.ravel(),
-                k2.ravel(),
-                k1.ravel(),
-                ~valid.ravel(),
-                seg,
-            )
-        order = np.lexsort(sort_keys)
-        winners = order[::n] - offsets
+        # Each state's winner: its lexicographic argmin over the key
+        # columns in priority order, among its valid candidates.
+        keys = (k1, k2, k3) if k4 is None else (k1, k2, k3, k4)
+        winners = lexargmin(keys, axis=1, mask=valid)
+        gidx = np.arange(n_states)
 
         # Materialise every winner's estimate straight from the planes
         # — the same floats each state's ``estimate_batch`` planes

@@ -11,10 +11,10 @@ does not run anything itself: it plans the cell through
 :class:`repro.runtime.executor.RunExecutor`.  The plan is one spec
 holding every goal, split only when ``workers`` exceeds one, and then
 into contiguous chunks no narrower than the lockstep width.  The
-executing process realises the (configuration × input) outcome grid
-once per timing and serves every scheme from it; how a stacking
-scheme is served (lockstep lanes or per-goal loops) follows the spec's
-goal count, never a caller's flag.
+executing process realises the timing-free (configuration × input)
+outcome grid once and serves every scheme and goal from it; how a
+stacking scheme is served (lockstep lanes or per-goal loops) follows
+the spec's goal count, never a caller's flag.
 Specs are picklable and rebuilt from the scenario's seeds in whichever
 process executes them, so the merged :class:`CellResult` is
 bit-identical regardless of worker count (common random numbers).  A
@@ -153,8 +153,8 @@ def evaluate_schemes(
     Every (scheme, goal) run faces the environment drawn from the
     scenario's seed, so all schemes face bit-identical environments
     (common random numbers) and the cell can be executed by any number
-    of ``workers`` with bit-identical results.  One outcome grid per
-    timing serves every scheme (see the module docstring).  With
+    of ``workers`` with bit-identical results.  One outcome grid
+    serves every scheme and timing (see the module docstring).  With
     ``workers`` > 1 the cell splits into contiguous specs of at least
     :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS` goals, one per
     worker where the goals allow; a cell too narrow to split runs in

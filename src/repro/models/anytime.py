@@ -143,9 +143,9 @@ class AnytimeDnn(DnnModel):
         ladder: np.ndarray = self._ladder_fractions  # type: ignore[attr-defined]
         return np.searchsorted(ladder, fractions + 1e-12, side="right")
 
-    def quality_at_fraction_array(self, completed_fractions: np.ndarray) -> np.ndarray:
-        """:meth:`quality_at_fraction` over an array of fractions."""
-        counts = self.outputs_completed_array(completed_fractions)
+    def quality_of_rungs(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`quality_at_fraction` over an array of fractions, given
+        their :meth:`outputs_completed_array` rung counts."""
         qualities: np.ndarray = self._ladder_qualities  # type: ignore[attr-defined]
         return np.where(
             counts > 0,

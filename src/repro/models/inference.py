@@ -24,13 +24,21 @@ Two properties matter for the evaluation:
 2. *Purity*: :meth:`InferenceEngine.evaluate` has no side effects, so
    schedulers and oracles can probe outcomes; only :meth:`run` advances
    the RAPL counters and the measured-energy account.
+
+Whole (configuration × input) tables are characterised once and read
+per query: :meth:`InferenceEngine.evaluate_batch` realises the
+timing-free half of every outcome (full latency, draws, environment)
+as a :class:`BatchOutcomeGrid`, and :meth:`BatchOutcomeGrid.timing`
+derives the rest for whatever deadline and period an input is served
+under, with the element operations :meth:`InferenceEngine.evaluate`
+uses, so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,8 +58,10 @@ __all__ = [
     "EnvironmentDraw",
     "InferenceOutcome",
     "BatchOutcomeGrid",
+    "OutcomePlanes",
     "GridView",
     "InferenceEngine",
+    "stop_latency",
     "SHARED_GRID_ARRAYS",
     "shared_grid_payload",
     "write_shared_grid",
@@ -133,42 +143,36 @@ class InferenceOutcome:
 
 @dataclass
 class BatchOutcomeGrid:
-    """Vectorized outcomes of a (configuration × input) cross product.
+    """Timing-free outcomes of a (configuration × input) cross product.
 
-    The batch analogue of a grid of :class:`InferenceOutcome` records:
-    every 2-D array is shaped ``(n_configs, n_inputs)`` with rows
-    aligned to ``configs`` and columns to ``indices``; per-configuration
-    quantities (``power_cap_w``, ``inference_power_w``) are 1-D over
+    Everything here is fixed by the configuration, the input and the
+    environment draw, never by the deadline or period an input is
+    served under: run-to-completion latency and idle draw are 2-D
+    ``(n_configs, n_inputs)`` arrays with rows aligned to ``configs``
+    and columns to ``indices``; per-configuration quantities
+    (``power_cap_w``, ``inference_power_w``) are 1-D over
     configurations and per-input quantities (``env_factor``,
-    ``work_factors``) 1-D over inputs.  Produced by
-    :meth:`InferenceEngine.evaluate_batch`, consumed by the oracles and
-    the experiment harness.
+    ``work_factors``) 1-D over inputs.  :meth:`timing` derives the rest
+    (latency, met deadline, quality, rungs, the energy split) for any
+    deadline and period, so one grid serves every timing of a
+    scenario.  Produced by :meth:`InferenceEngine.evaluate_batch`,
+    consumed through :class:`GridView`.
     """
 
     configs: tuple
     indices: np.ndarray
-    deadline_s: float
-    period_s: float
     work_factors: np.ndarray
     env_factor: np.ndarray
     power_cap_w: np.ndarray
     inference_power_w: np.ndarray
     idle_power_w: np.ndarray
-    latency_s: np.ndarray
     full_latency_s: np.ndarray
-    met_deadline: np.ndarray
-    quality: np.ndarray
-    completed_rungs: np.ndarray
-    inference_j: np.ndarray
-    idle_j: np.ndarray
 
     def __post_init__(self) -> None:
         # Built on first column_for() call; the serving fast path
         # realises single-row grids it never looks up by index.
         self._column_of: dict[int, int] | None = None
-        # Summed once; per-decision grid hits slice columns of this
-        # instead of re-adding the whole grid on every access.
-        self._energy_j = self.inference_j + self.idle_j
+        self._ladder: _Ladder | None = None
 
     @property
     def n_configs(self) -> int:
@@ -179,11 +183,6 @@ class BatchOutcomeGrid:
     def n_inputs(self) -> int:
         """Number of input columns."""
         return int(self.indices.size)
-
-    @property
-    def energy_j(self) -> np.ndarray:
-        """Whole-period energy per (configuration, input)."""
-        return self._energy_j
 
     def column_for(self, index: int) -> int | None:
         """Column position of input ``index``; None when not gridded."""
@@ -212,25 +211,245 @@ class BatchOutcomeGrid:
             return None
         return np.asarray(positions, dtype=int)
 
+    def timing(
+        self,
+        deadline_s,
+        period_s: float,
+        row: int | None = None,
+        columns=slice(None),
+    ) -> OutcomePlanes:
+        """The grid's outcomes served under one deadline and period.
+
+        The timing half of :meth:`InferenceEngine.evaluate`, in its
+        element operations: each run stops at the earliest of its full
+        latency, the deadline and its rung cap, the quality ladder and
+        completed rungs follow from the stop, and the energy split
+        from the stop and the period.  ``row`` restricts the planes to
+        one configuration row (they keep a leading axis of one) and
+        ``columns`` (an index array or slice; all inputs by default)
+        picks inputs.  ``deadline_s`` is a float, or an array aligned
+        with the picked columns when inputs carry their own deadlines
+        (the words of one sentence).
+        """
+        if row is None:
+            rows, parts = slice(None), self.ladder.parts
+        else:
+            rows, parts = slice(row, row + 1), (self.ladder.part_of(row),)
+        full = self.full_latency_s[rows, columns]
+        idle_power = self.idle_power_w[rows, columns]
+        power = self.inference_power_w[rows]
+        shape = full.shape
+        latency = np.empty(shape)
+        met = np.empty(shape, dtype=bool)
+        quality = np.empty(shape)
+        rungs = np.zeros(shape, dtype=np.int64)
+        for model, part, rung_fraction, q, q_fail in parts:
+            latency[part], met[part], quality[part], rungs[part] = _stop_rows(
+                model, rung_fraction, q, q_fail, full[part], deadline_s
+            )
+        inference_j, idle_j = period_energy_arrays(
+            latency_s=latency,
+            period_s=period_s,
+            inference_power_w=power[:, None],
+            idle_power_w=idle_power,
+        )
+        return OutcomePlanes(
+            latency_s=latency,
+            met_deadline=met,
+            quality=quality,
+            completed_rungs=rungs,
+            inference_j=inference_j,
+            idle_j=idle_j,
+            energy_j=inference_j + idle_j,
+            full_latency_s=full,
+            idle_power_w=idle_power,
+            inference_power_w=power,
+            env_factor=self.env_factor[columns],
+        )
+
+    @property
+    def ladder(self) -> _Ladder:
+        """The rows' stop rules (built once, from ``configs`` alone)."""
+        if self._ladder is None:
+            self._ladder = _Ladder.of(self.configs)
+        return self._ladder
+
+
+class OutcomePlanes(NamedTuple):
+    """A grid's outcomes at one timing (:meth:`BatchOutcomeGrid.timing`).
+
+    The 2-D planes are ``(rows, columns)`` of the derivation;
+    ``inference_power_w`` is 1-D over its rows and ``env_factor`` 1-D
+    over its columns, so one row read works on whole-grid planes and
+    on single-row ones alike.
+    """
+
+    latency_s: np.ndarray
+    met_deadline: np.ndarray
+    quality: np.ndarray
+    completed_rungs: np.ndarray
+    inference_j: np.ndarray
+    idle_j: np.ndarray
+    energy_j: np.ndarray
+    full_latency_s: np.ndarray
+    idle_power_w: np.ndarray
+    inference_power_w: np.ndarray
+    env_factor: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """How each grid row stops: the configuration half of a timing.
+
+    ``parts`` splits the rows into runs of one stop rule — traditional
+    rows (``model`` None: run to completion), or the rows of one
+    anytime model (stop at the deadline or the row's rung cap) — as
+    ``(model, rows, rung_fraction, quality, q_fail)``: ``rows`` is a
+    slice (a space enumerates each model's rows together, so there are
+    few runs) and the per-row values are ``(k, 1)`` columns.
+    ``rung_fraction`` is +inf where no rung cap applies.
+    """
+
+    configs: tuple
+    rung_fraction: np.ndarray
+    quality: np.ndarray
+    q_fail: np.ndarray
+    parts: tuple
+
+    @classmethod
+    def of(cls, configs: tuple) -> "_Ladder":
+        rung_fraction = np.full(len(configs), np.inf)
+        rules = []
+        for row, config in enumerate(configs):
+            model = config.model
+            if not isinstance(model, AnytimeDnn):
+                rules.append(None)
+                continue
+            rules.append(model)
+            rung_cap = config.rung_cap
+            if rung_cap is not None:
+                if not 0 <= rung_cap < model.n_outputs:
+                    raise ConfigurationError(
+                        f"{model.name}: rung {rung_cap} out of range "
+                        f"[0, {model.n_outputs})"
+                    )
+                rung_fraction[row] = model.outputs[rung_cap].latency_fraction
+        quality = np.array([config.model.quality for config in configs], float)
+        q_fail = np.array([config.model.q_fail for config in configs], float)
+        parts = []
+        start = 0
+        for row in range(1, len(configs) + 1):
+            if row == len(configs) or rules[row] is not rules[start]:
+                rows = slice(start, row)
+                parts.append((
+                    rules[start], rows, rung_fraction[rows, None],
+                    quality[rows, None], q_fail[rows, None],
+                ))
+                start = row
+        return cls(configs, rung_fraction, quality, q_fail, tuple(parts))
+
+    def part_of(self, row: int) -> tuple:
+        """One row as the only part of a one-row derivation."""
+        model = self.configs[row].model
+        return (
+            model if isinstance(model, AnytimeDnn) else None,
+            slice(0, 1),
+            self.rung_fraction[row],
+            self.quality[row],
+            self.q_fail[row],
+        )
+
+
+def _stop_rows(model, rung_fraction, quality, q_fail, full, deadline_s):
+    """``(latency, met, quality, rungs)`` of rows sharing one stop rule.
+
+    The array form of :func:`stop_latency` plus the quality ladder:
+    ``model`` None runs traditional rows to completion (no rungs), an
+    anytime model stops its rows at the deadline or their rung
+    fraction of the full latency.
+    """
+    if model is None:
+        met = full <= deadline_s + 1e-12
+        return full, met, np.where(met, quality, q_fail), 0
+    stop = np.minimum(full, deadline_s)
+    # rung_fraction is +inf for uncapped ladders, so the early-stop
+    # minimum is a no-op there (full > 0 always).
+    stop = np.minimum(stop, rung_fraction * full)
+    fraction = np.divide(stop, full, out=np.ones_like(stop), where=full > 0)
+    rungs = model.outputs_completed_array(fraction)
+    return stop, stop <= deadline_s + 1e-12, model.quality_of_rungs(rungs), rungs
+
+
+def stop_latency(
+    model: DnnModel, rung_cap: int | None, full: float, deadline_s: float
+) -> float:
+    """When one run stops: its full latency, or for an anytime network
+    the deadline or its rung cap, whichever comes first."""
+    if not isinstance(model, AnytimeDnn):
+        return full
+    stop = min(full, deadline_s)
+    if rung_cap is not None:
+        stop = min(stop, model.rung_latency_s(rung_cap, full))
+    return stop
+
+
+def _served(
+    model: DnnModel,
+    rung_cap: int | None,
+    full: float,
+    deadline_s: float,
+    period_s: float,
+    power: float,
+    idle_power: float,
+) -> tuple:
+    """``(latency, met, quality, rungs, energy)`` of one run: the timing
+    half of :meth:`InferenceEngine.evaluate`, shared with
+    :meth:`GridView.outcome`."""
+    latency = stop_latency(model, rung_cap, full, deadline_s)
+    met = latency <= deadline_s + 1e-12
+    if isinstance(model, AnytimeDnn):
+        fraction = latency / full if full > 0 else 1.0
+        quality = model.quality_at_fraction(fraction)
+        rungs = model.outputs_completed(fraction)
+    else:
+        quality = model.quality if met else model.q_fail
+        rungs = 0
+    energy = period_energy(
+        latency_s=latency,
+        period_s=period_s,
+        inference_power_w=power,
+        idle_power_w=idle_power,
+    )
+    return latency, met, quality, rungs, energy
+
+
+#: Timings whose whole-grid planes one view keeps (a scenario's
+#: constraint grid holds seven deadlines).
+_PLANES_CAPACITY = 16
+
 
 class GridView:
     """The one handle through which a :class:`BatchOutcomeGrid` reaches
     its consumers: the serving loops and the two oracles.
 
-    Answers the two questions every consumer asks.  *May this grid
-    column serve this input?* — :meth:`column` for one input and
-    :meth:`columns` for a whole run; callers check the timing first
-    with :meth:`matches_timing`.  *Which row realises this decision?*
-    — :meth:`row_for`, keyed on the model identity, the cap the
-    actuator enforced, and the rung cap, so schedulers handing out
+    Answers the questions every consumer asks.  *May this grid column
+    serve this input?* — :meth:`column` for one input and
+    :meth:`columns` for a whole run.  *Which row realises this
+    decision?* — :meth:`row_for`, keyed on the model identity, the cap
+    the actuator enforced, and the rung cap, so schedulers handing out
     their own :class:`Configuration` objects (ALERT's candidates are
-    not the grid's row objects) still resolve.  :meth:`outcome` then
-    realises a single :class:`InferenceOutcome` straight from the grid,
-    value-identical to what :meth:`InferenceEngine.run` would have
-    computed for the same enforced cap.  One view serves every run of
-    a fused cell; any miss (unknown configuration, off-grid input,
-    mismatched timing, work factor or environment draw) returns
-    ``None`` and the caller falls back to the live engine.
+    not the grid's row objects) still resolve.  *What happened at this
+    timing?* — the grid is timing-free, so every consumer derives the
+    deadline and period it actually serves: :meth:`planes` for the
+    whole grid (derived once per view and timing, for the batch path
+    and the oracles' whole-run decisions), :meth:`outcome` for one
+    :class:`InferenceOutcome`, value-identical to what
+    :meth:`InferenceEngine.run` would have computed for the same
+    enforced cap, and :meth:`BatchOutcomeGrid.timing` for row groups
+    and single columns.  One view serves every run and every timing
+    of a fused cell; any miss (unknown configuration, off-grid input,
+    mismatched work factor or environment draw) returns ``None`` and
+    the caller falls back to the live engine.
 
     ``trusted`` is a provenance flag: True promises the grid was
     realised from the same scenario seed as the engines it serves (the
@@ -244,11 +463,18 @@ class GridView:
         self.grid = grid
         self.trusted = trusted
         self._rows: dict[tuple[int, float, int | None], int] | None = None
+        self._planes: dict[tuple[float, float], OutcomePlanes] = {}
 
-    def matches_timing(self, deadline_s: float, period_s: float) -> bool:
-        """Whether the grid was realised under this exact timing."""
-        grid = self.grid
-        return deadline_s == grid.deadline_s and period_s == grid.period_s
+    def planes(self, deadline_s: float, period_s: float) -> OutcomePlanes:
+        """The whole grid at one timing, derived once per view."""
+        key = (deadline_s, period_s)
+        planes = self._planes.get(key)
+        if planes is None:
+            planes = self.grid.timing(deadline_s, period_s)
+            if len(self._planes) >= _PLANES_CAPACITY:
+                self._planes.pop(next(iter(self._planes)))
+            self._planes[key] = planes
+        return planes
 
     def row_for(
         self, model, effective_cap_w: float, rung_cap: int | None
@@ -345,39 +571,40 @@ class GridView:
         deadline_s: float,
         period_s: float,
     ) -> InferenceOutcome:
-        """One :class:`InferenceOutcome` read out of the grid.
+        """One :class:`InferenceOutcome` derived from the grid.
 
         ``power_cap_w`` is the machine-clamped *requested* cap the
         record reports (feedback stays keyed on what the scheduler
         picked); the row's own cap is the enforced one.  Records are
-        assembled by direct ``__dict__`` fill — this sits on the fused
+        assembled by direct ``__dict__`` fill — this sits on the
         sequential path's per-input hot loop, and the frozen dataclass
         ``__init__`` would dominate it.
         """
         grid = self.grid
-        model = grid.configs[row].model
-        quality = float(grid.quality[row, position])
-        energy = object.__new__(EnergyBreakdown)
-        fill = object.__setattr__
-        fill(energy, "__dict__", {
-            "inference_j": float(grid.inference_j[row, position]),
-            "idle_j": float(grid.idle_j[row, position]),
-        })
+        config = grid.configs[row]
+        model = config.model
+        full = float(grid.full_latency_s[row, position])
+        power = float(grid.inference_power_w[row])
+        idle_power = float(grid.idle_power_w[row, position])
+        latency, met, quality, rungs, energy = _served(
+            model, config.rung_cap, full, deadline_s, period_s, power,
+            idle_power,
+        )
         outcome = object.__new__(InferenceOutcome)
-        fill(outcome, "__dict__", {
+        object.__setattr__(outcome, "__dict__", {
             "index": index,
             "model_name": model.name,
             "power_cap_w": power_cap_w,
             "effective_cap_w": float(grid.power_cap_w[row]),
-            "latency_s": float(grid.latency_s[row, position]),
-            "full_latency_s": float(grid.full_latency_s[row, position]),
-            "met_deadline": bool(grid.met_deadline[row, position]),
+            "latency_s": latency,
+            "full_latency_s": full,
+            "met_deadline": met,
             "quality": quality,
             "metric_value": model.task.quality_to_metric(quality),
-            "completed_rungs": int(grid.completed_rungs[row, position]),
+            "completed_rungs": rungs,
             "energy": energy,
-            "inference_power_w": float(grid.inference_power_w[row]),
-            "idle_power_w": float(grid.idle_power_w[row, position]),
+            "inference_power_w": power,
+            "idle_power_w": idle_power,
             "env_factor": float(grid.env_factor[position]),
             "deadline_s": deadline_s,
             "period_s": period_s,
@@ -386,11 +613,11 @@ class GridView:
 
 
 #: Array fields of :class:`BatchOutcomeGrid` that travel through a flat
-#: shared buffer, in layout order.  Every dtype here is 8 bytes except
-#: ``met_deadline`` (bool), which sits last so all offsets stay
-#: naturally aligned.  ``configs`` never crosses the buffer: attachers
-#: supply their own configuration tuple (the scenario's memoised space),
-#: which keeps :meth:`GridView.row_for`'s identity keys process-local.
+#: shared buffer, in layout order (every dtype is 8 bytes, so all
+#: offsets stay naturally aligned).  ``configs`` never crosses the
+#: buffer: attachers supply their own configuration tuple (the
+#: scenario's memoised space), which keeps :meth:`GridView.row_for`'s
+#: identity keys process-local.
 SHARED_GRID_ARRAYS = (
     "indices",
     "work_factors",
@@ -398,13 +625,7 @@ SHARED_GRID_ARRAYS = (
     "power_cap_w",
     "inference_power_w",
     "idle_power_w",
-    "latency_s",
     "full_latency_s",
-    "quality",
-    "completed_rungs",
-    "inference_j",
-    "idle_j",
-    "met_deadline",
 )
 
 
@@ -417,25 +638,19 @@ def shared_grid_layout(n_configs: int, n_inputs: int) -> tuple[list, int]:
     Combined with :func:`buffer_grid_allocator` this makes publishing
     zero-copy end to end: the batch evaluation writes its output
     planes directly into the segment instead of realising privately
-    and copying 30-odd megabytes per grid afterwards.  The field table
-    is identical to what :func:`shared_grid_payload` derives from a
-    realised grid (the regression suite cross-checks the two).
+    and copying them afterwards.  The field table is identical to what
+    :func:`shared_grid_payload` derives from a realised grid (the
+    regression suite cross-checks the two).
     """
-    two_d = (n_configs, n_inputs)
+    two_d = [n_configs, n_inputs]
     shapes = {
         "indices": ([n_inputs], "<i8"),
         "work_factors": ([n_inputs], "<f8"),
         "env_factor": ([n_inputs], "<f8"),
         "power_cap_w": ([n_configs], "<f8"),
         "inference_power_w": ([n_configs], "<f8"),
-        "idle_power_w": (list(two_d), "<f8"),
-        "latency_s": (list(two_d), "<f8"),
-        "full_latency_s": (list(two_d), "<f8"),
-        "quality": (list(two_d), "<f8"),
-        "completed_rungs": (list(two_d), "<i8"),
-        "inference_j": (list(two_d), "<f8"),
-        "idle_j": (list(two_d), "<f8"),
-        "met_deadline": (list(two_d), "|b1"),
+        "idle_power_w": (two_d, "<f8"),
+        "full_latency_s": (two_d, "<f8"),
     }
     fields = []
     offset = 0
@@ -493,8 +708,6 @@ def shared_grid_payload(grid: BatchOutcomeGrid) -> tuple[dict, list]:
         arrays.append(array)
         offset += array.nbytes
     meta = {
-        "deadline_s": grid.deadline_s,
-        "period_s": grid.period_s,
         "n_configs": grid.n_configs,
         "n_inputs": grid.n_inputs,
         "fields": fields,
@@ -530,11 +743,7 @@ def adopt_shared_grid(
             f"shared grid covers {meta['n_configs']} configuration rows, "
             f"got {len(configs)} configs to adopt it with"
         )
-    values: dict = {
-        "configs": tuple(configs),
-        "deadline_s": meta["deadline_s"],
-        "period_s": meta["period_s"],
-    }
+    values: dict = {"configs": tuple(configs)}
     for name, dtype, shape, offset in meta["fields"]:
         view = np.ndarray(
             tuple(shape), dtype=np.dtype(dtype), buffer=buffer, offset=offset
@@ -562,11 +771,6 @@ class _ConfigTable:
     power: np.ndarray
     sensitivity: np.ndarray
     any_sensitive: bool
-    rung_fraction: np.ndarray
-    quality: np.ndarray
-    q_fail: np.ndarray
-    traditional_rows: np.ndarray
-    anytime_groups: list[tuple[AnytimeDnn, np.ndarray]]
 
 
 class InferenceEngine:
@@ -699,27 +903,8 @@ class InferenceEngine:
         # RAPL caps the whole package: the co-located job's idle-phase
         # draw is clipped by the same limit the inference runs under.
         idle_power = min(draw.idle_power_w, self.dvfs.draw_power(cap))
-
-        if isinstance(model, AnytimeDnn):
-            stop = min(full, deadline_s)
-            if rung_cap is not None:
-                stop = min(stop, model.rung_latency_s(rung_cap, full))
-            fraction = stop / full if full > 0 else 1.0
-            quality = model.quality_at_fraction(fraction)
-            rungs = model.outputs_completed(fraction)
-            latency = stop
-            met = latency <= deadline_s + 1e-12
-        else:
-            latency = full
-            met = latency <= deadline_s + 1e-12
-            quality = model.quality if met else model.q_fail
-            rungs = 0
-
-        energy = period_energy(
-            latency_s=latency,
-            period_s=period,
-            inference_power_w=power,
-            idle_power_w=idle_power,
+        latency, met, quality, rungs, energy = _served(
+            model, rung_cap, full, deadline_s, period, power, idle_power
         )
         return InferenceOutcome(
             index=index,
@@ -747,16 +932,15 @@ class InferenceEngine:
         self,
         configs: Sequence,
         indices: Sequence[int],
-        deadline_s: float,
-        period_s: float | None = None,
         work_factors: Sequence[float] | None = None,
         allocator=None,
     ) -> BatchOutcomeGrid:
-        """Evaluate every configuration on every input in one pass.
+        """Realise every configuration on every input in one pass.
 
-        The batch counterpart of :meth:`evaluate`: pure, metering
-        nothing, and per-element identical to the scalar reference (the
-        oracle parity suite pins the two paths to <= 1e-9 on every
+        The timing-free half of :meth:`evaluate`, vectorized: pure,
+        metering nothing, and per-element identical to the scalar
+        reference once :meth:`BatchOutcomeGrid.timing` derives a
+        deadline and period (the oracle parity suite pins every
         field).  ``configs`` is any sequence of objects exposing
         ``model``, ``power_w``, and ``rung_cap`` (duck-typed so the
         engine does not import the configuration space);
@@ -770,11 +954,6 @@ class InferenceEngine:
         ops.  The arithmetic and its order are unchanged, so results
         are bit-identical to the privately allocated default.
         """
-        if deadline_s <= 0:
-            raise ConfigurationError(f"deadline must be positive, got {deadline_s}")
-        period = period_s if period_s is not None else deadline_s
-        if period <= 0:
-            raise ConfigurationError(f"period must be positive, got {period}")
         config_list = configs if isinstance(configs, tuple) else tuple(configs)
         if not config_list:
             raise ConfigurationError("need at least one configuration")
@@ -803,14 +982,13 @@ class InferenceEngine:
             [self._environment[i].idle_power_w for i in index_array], dtype=float
         )
 
-        n_configs, n_inputs = len(config_list), index_array.size
+        grid_shape = (len(config_list), index_array.size)
 
         def alloc(name: str, shape, dtype) -> np.ndarray:
             if allocator is None:
                 return np.empty(shape, dtype=dtype)
             return allocator(name, shape, dtype)
 
-        grid_shape = (n_configs, n_inputs)
         table = self._config_table(config_list)
         full = alloc("full_latency_s", grid_shape, float)
         if table.any_sensitive:
@@ -836,87 +1014,26 @@ class InferenceEngine:
             table.draw[:, None],
             out=alloc("idle_power_w", grid_shape, float),
         )
-
-        latency = alloc("latency_s", grid_shape, float)
-        quality = alloc("quality", grid_shape, float)
-        rungs = alloc("completed_rungs", grid_shape, int)
-        rungs.fill(0)
-        met = alloc("met_deadline", grid_shape, bool)
-
-        trad = table.traditional_rows
-        if trad.size:
-            latency[trad] = full[trad]
-            met[trad] = full[trad] <= deadline_s + 1e-12
-            quality[trad] = np.where(
-                met[trad], table.quality[trad, None], table.q_fail[trad, None]
-            )
-        for model, rows in table.anytime_groups:
-            sub_full = full[rows]
-            stop = np.minimum(sub_full, deadline_s)
-            # rung_fraction is +inf for uncapped ladders, so the
-            # early-stop minimum is a no-op there (full > 0 always).
-            stop = np.minimum(stop, table.rung_fraction[rows, None] * sub_full)
-            fraction = np.divide(
-                stop, sub_full, out=np.ones_like(stop), where=sub_full > 0
-            )
-            quality[rows] = model.quality_at_fraction_array(fraction)
-            rungs[rows] = model.outputs_completed_array(fraction)
-            latency[rows] = stop
-            met[rows] = stop <= deadline_s + 1e-12
-
-        inference_j, idle_j = period_energy_arrays(
-            latency_s=latency,
-            period_s=period,
-            inference_power_w=table.power[:, None],
-            idle_power_w=idle_power,
-            out=(
-                alloc("inference_j", grid_shape, float),
-                alloc("idle_j", grid_shape, float),
-            ),
-        )
-        indices_out = index_array
-        caps_out = table.caps
-        power_out = table.power
+        vectors = {
+            "indices": index_array,
+            "work_factors": factors,
+            "env_factor": env,
+            "power_cap_w": table.caps,
+            "inference_power_w": table.power,
+        }
         if allocator is not None:
             # The small 1-D planes are copies into the buffer: the
             # config table's arrays are shared across grids and must
             # not alias externally owned memory.
-            for name, src in (
-                ("indices", index_array),
-                ("work_factors", factors),
-                ("env_factor", env),
-                ("power_cap_w", table.caps),
-                ("inference_power_w", table.power),
-            ):
+            for name, src in vectors.items():
                 view = allocator(name, src.shape, src.dtype)
                 view[...] = src
-                if name == "indices":
-                    indices_out = view
-                elif name == "work_factors":
-                    factors = view
-                elif name == "env_factor":
-                    env = view
-                elif name == "power_cap_w":
-                    caps_out = view
-                else:
-                    power_out = view
+                vectors[name] = view
         return BatchOutcomeGrid(
             configs=config_list,
-            indices=indices_out,
-            deadline_s=deadline_s,
-            period_s=period,
-            work_factors=factors,
-            env_factor=env,
-            power_cap_w=caps_out,
-            inference_power_w=power_out,
             idle_power_w=idle_power,
-            latency_s=latency,
             full_latency_s=full,
-            met_deadline=met,
-            quality=quality,
-            completed_rungs=rungs,
-            inference_j=inference_j,
-            idle_j=idle_j,
+            **vectors,
         )
 
     def _config_table(self, config_list: tuple) -> _ConfigTable:
@@ -955,30 +1072,6 @@ class InferenceEngine:
         sensitivity = np.array(
             [config.model.input_sensitivity for config in config_list], dtype=float
         )
-        quality = np.array(
-            [config.model.quality for config in config_list], dtype=float
-        )
-        q_fail = np.array(
-            [config.model.q_fail for config in config_list], dtype=float
-        )
-        rung_fraction = np.full(len(config_list), np.inf)
-        traditional_rows: list[int] = []
-        groups: dict[int, tuple[AnytimeDnn, list[int]]] = {}
-        for row, config in enumerate(config_list):
-            model = config.model
-            if not isinstance(model, AnytimeDnn):
-                traditional_rows.append(row)
-                continue
-            rung_cap = config.rung_cap
-            if rung_cap is not None:
-                if not 0 <= rung_cap < model.n_outputs:
-                    raise ConfigurationError(
-                        f"{model.name}: rung {rung_cap} out of range "
-                        f"[0, {model.n_outputs})"
-                    )
-                rung_fraction[row] = model.outputs[rung_cap].latency_fraction
-            groups.setdefault(id(model), (model, []))[1].append(row)
-
         table = _ConfigTable(
             configs=config_list,
             caps=caps,
@@ -987,14 +1080,6 @@ class InferenceEngine:
             power=np.minimum(draw, demand),
             sensitivity=sensitivity,
             any_sensitive=bool(np.any(sensitivity != 0.0)),
-            rung_fraction=rung_fraction,
-            quality=quality,
-            q_fail=q_fail,
-            traditional_rows=np.array(traditional_rows, dtype=int),
-            anytime_groups=[
-                (model, np.array(rows, dtype=int))
-                for model, rows in groups.values()
-            ],
         )
         if len(self._config_tables) >= self._CONFIG_TABLE_CAPACITY:
             self._config_tables.pop(next(iter(self._config_tables)))

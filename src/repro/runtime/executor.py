@@ -12,8 +12,8 @@ independence into an execution plan:
 * :class:`CellSpec` — the one unit of work: every scheme × every goal
   of one scenario, plus an input count.  Specs are plain picklable
   data, so a plan can cross a process boundary.  The executing process
-  realises the (configuration × input) outcome grid once per timing
-  and builds every scheduler with
+  realises the scenario's timing-free (configuration × input) outcome
+  grid once and builds every scheduler with
   :func:`~repro.experiments.harness.make_scheme` over it:
   feedback-free schemes ride the serving loop's batch path over grid
   column slices, feedback schemes read their latency/energy from the
@@ -40,11 +40,10 @@ independence into an execution plan:
   which worker ran it or in what order.
 
 Each worker keeps a small per-process cache of oracle outcome grids
-keyed on ``(scenario, deadline_s, period_s, n_inputs)`` — the grid
-depends only on the run's *timing*, not on the accuracy/energy
-constraint, so the goals of a constraint grid that share one deadline
-reuse one grid — plus the fingerprint of the candidate configurations
-the grid's rows hold (see :func:`space_fingerprint`).
+keyed on ``(scenario, n_inputs)`` — a grid holds no deadline or period
+(every consumer derives the timing it serves), so every goal of a
+scenario reads one grid — plus the fingerprint of the candidate
+configurations the grid's rows hold (see :func:`space_fingerprint`).
 
 :func:`run_single` is the sequential reference: one run alone on a
 fresh engine and stream, no grid.  No production path calls it; the
@@ -249,7 +248,7 @@ def plan_cells(
 def space_fingerprint(configs: Iterable) -> tuple:
     """A hashable identity of a candidate configuration list.
 
-    Grids are cached per timing, but a cached grid serves a run only
+    Grids are cached per scenario, but a cached grid serves a run only
     when its configuration rows hold the very model objects the run's
     schedulers pick from: :meth:`~repro.models.inference.GridView.row_for`
     resolves rows by model identity.  A scenario evicted from the
@@ -315,22 +314,20 @@ def run_single(
 
 def timing_grid(
     scenario: Scenario,
-    goal: Goal,
     n_inputs: int,
     space=None,
     engine=None,
     stream=None,
     allocator=None,
 ):
-    """The oracle outcome grid for one (scenario, timing) pair.
+    """The oracle outcome grid of one scenario, for every timing.
 
-    The grid realises every candidate configuration on every input
-    under the goal's deadline and period; it does not depend on the
-    accuracy floor or energy budget, so every goal sharing the timing
-    shares the grid.  ``space`` passes the scenario's candidate space
-    when the caller already holds it; ``engine``/``stream`` reuse an
-    existing realisation (one engine's memoised draws serve every
-    timing of a scenario); ``allocator``
+    The grid realises every candidate configuration on every input; it
+    holds no deadline or period, so every goal of the scenario reads
+    it at its own timing.  ``space`` passes the scenario's candidate
+    space when the caller already holds it; ``engine``/``stream`` reuse
+    an existing realisation (one engine's memoised draws serve every
+    grid of a scenario); ``allocator``
     (see :func:`repro.models.inference.buffer_grid_allocator`) lets a
     grid store realise the arrays directly inside a shared segment.
     """
@@ -345,7 +342,7 @@ def timing_grid(
     if stream is None:
         stream = scenario.make_stream()
     return oracle_outcome_grid(
-        engine, space, goal, stream, n_inputs, allocator=allocator
+        engine, space, stream, n_inputs, allocator=allocator
     )
 
 
@@ -416,24 +413,18 @@ class _WorkerState:
             )
         return cached
 
-    def grid(self, key: ScenarioKey, goal: Goal, n_inputs: int):
+    def grid(self, key: ScenarioKey, n_inputs: int):
         space = self.space(key)
         # The fingerprint keeps a rebuilt scenario off a grid over its
         # evicted predecessor's model objects (see space_fingerprint).
-        cache_key = (
-            key,
-            goal.deadline_s,
-            goal.period,
-            n_inputs,
-            space_fingerprint(space),
-        )
+        cache_key = (key, n_inputs, space_fingerprint(space))
         cached = self._cache_get(self._grids, cache_key)
         if cached is None:
-            cached = self._build_grid(key, goal, n_inputs, space)
+            cached = self._build_grid(key, n_inputs, space)
             self._cache_put(self._grids, cache_key, cached, _GRID_CACHE_CAPACITY)
         return cached
 
-    def _build_grid(self, key: ScenarioKey, goal: Goal, n_inputs: int, space):
+    def _build_grid(self, key: ScenarioKey, n_inputs: int, space):
         """Attach the shared copy when a store is plugged in, else realise.
 
         The store's cross-process keys are structural: the scenario's
@@ -444,20 +435,14 @@ class _WorkerState:
         def realize(allocator=None):
             engine, stream = self.realisation(key)
             return timing_grid(
-                self.scenario(key), goal, n_inputs, space=space,
+                self.scenario(key), n_inputs, space=space,
                 engine=engine, stream=stream, allocator=allocator,
             )
 
         store = self._grid_store
         if store is None:
             return realize()
-        store_key = (
-            key,
-            goal.deadline_s,
-            goal.period,
-            n_inputs,
-            structural_space_fingerprint(space),
-        )
+        store_key = (key, n_inputs, structural_space_fingerprint(space))
         return store.get_or_realize(
             store_key, tuple(space), realize, n_inputs=n_inputs
         )
@@ -465,18 +450,18 @@ class _WorkerState:
     def execute(self, spec: CellSpec) -> list[list[RunResult]]:
         """Serve every scheme over every goal of one cell.
 
-        One grid and one trusted view per timing (the per-timing cache
-        dedupes goals sharing a deadline, and the grid and every run's
-        engine derive from the same scenario seed), one shared
-        engine/stream realisation; every scheduler is built by
-        :func:`~repro.experiments.harness.make_scheme` with its goal's
+        One grid and one trusted view for the whole cell (the grid is
+        timing-free, and the grid and every run's engine derive from the
+        same scenario seed; the view derives each timing's planes
+        once), one shared engine/stream realisation; every scheduler is
+        built by :func:`~repro.experiments.harness.make_scheme` with the
         view (only the oracles read it), and every loop and lane serves
-        from the same view.  When the cell holds at least
+        from it.  When the cell holds at least
         :data:`LOCKSTEP_MIN_GOALS` goals, every scheme whose schedulers
         stack becomes a lane of one
         :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; every
-        other run goes through :class:`ServingLoop` with its goal's
-        view, where feedback-free schemes take the batch path.
+        other run goes through :class:`ServingLoop` with the view,
+        where feedback-free schemes take the batch path.
         Results are goal-major, aligned with ``spec.goals`` ×
         ``spec.schemes``.
         """
@@ -486,15 +471,7 @@ class _WorkerState:
         scenario = self.scenario(spec.scenario)
         engine, stream = self.realisation(spec.scenario)
 
-        views = []
-        views_by_grid: dict[int, GridView] = {}
-        for goal in spec.goals:
-            grid = self.grid(spec.scenario, goal, spec.n_inputs)
-            view = views_by_grid.get(id(grid))
-            if view is None:
-                view = GridView(grid, trusted=True)
-                views_by_grid[id(grid)] = view
-            views.append(view)
+        view = GridView(self.grid(spec.scenario, spec.n_inputs), trusted=True)
 
         lockstep = len(spec.goals) >= LOCKSTEP_MIN_GOALS
         results: list[list[RunResult | None]] = [
@@ -506,14 +483,15 @@ class _WorkerState:
             schedulers = [
                 make_scheme(
                     scheme, scenario, engine, stream, goal, spec.n_inputs,
-                    grid_view=views[g],
+                    grid_view=view,
                 )
-                for g, goal in enumerate(spec.goals)
+                for goal in spec.goals
             ]
             lane = None
             if lockstep:
                 lane = CrossSchemeLockstepLoop.lane(
-                    engine, stream, schedulers, spec.goals, views,
+                    engine, stream, schedulers, spec.goals,
+                    [view] * len(spec.goals),
                     requirement_trace=spec.requirement_trace,
                 )
             if lane is not None:
@@ -525,7 +503,7 @@ class _WorkerState:
                 results[g][position] = ServingLoop(
                     engine, stream, schedulers[g], goal,
                     requirement_trace=spec.requirement_trace,
-                    grid_view=views[g],
+                    grid_view=view,
                 ).run(spec.n_inputs)
         if lanes:
             fused = CrossSchemeLockstepLoop(lanes).run(spec.n_inputs)

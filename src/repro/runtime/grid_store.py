@@ -318,7 +318,7 @@ class GridStoreClient:
         so the segment is created *before* realisation and the batch
         evaluation writes its output planes straight into it via a
         :func:`~repro.models.inference.buffer_grid_allocator` — no
-        private realisation, no 30-megabyte copy.  Returns the adopted
+        private realisation, no copy.  Returns the adopted
         (read-only) grid; any failure marks the entry *failed*,
         retires the segment, and realises locally instead.
         """
@@ -329,11 +329,10 @@ class GridStoreClient:
             self._set_entry(key, (_FAILED, None, None))
             return realize()
         try:
-            allocator = buffer_grid_allocator(fields, shm.buf)
-            grid = realize(allocator=allocator)
+            # The realisation writes its planes into the segment; the
+            # adopted grid reads them back from there.
+            realize(allocator=buffer_grid_allocator(fields, shm.buf))
             meta = {
-                "deadline_s": grid.deadline_s,
-                "period_s": grid.period_s,
                 "n_configs": len(configs),
                 "n_inputs": n_inputs,
                 "fields": fields,

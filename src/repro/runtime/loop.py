@@ -48,22 +48,26 @@ way: the outcomes of one grid row are read into plain lists once
 **Shared realisations.**  Every path can additionally serve from a
 :class:`~repro.models.inference.GridView` over a precomputed
 (configuration × input) outcome grid — the fused-cell execution path
-realises one grid per (scenario, timing) and every scheme of the cell
-reads it.  On the sequential path and in the lockstep lanes each
-decision that resolves to a grid (row, column) is answered from the
-grid instead of :meth:`InferenceEngine.run` (the actuator is still
-driven, so effective caps and end state match the live path; nothing
-is metered); on the batch path whole configuration groups become
-column slices instead of fresh ``evaluate_batch`` passes.  Any lookup
-miss — off-grid input, unknown configuration, quantized cap,
-trace-adjusted deadline — falls back to the live engine per input, so
-a view is always an optimisation, never a semantics change
-(``tests/test_cell_fusion_parity.py`` pins grid-served runs to the
-live-engine reference).  The view comes from the ``grid_view``
+realises one timing-free grid per scenario and every scheme and goal
+of the cell reads it.  The grid holds no deadline or period: every
+read derives the timing it actually serves, so group-adjusted
+sentence deadlines and requirement-trace overrides are served from the
+grid like any other.  On the sequential path each decision that
+resolves to a grid (row, column) is answered by
+:meth:`GridView.outcome` instead of :meth:`InferenceEngine.run` (the
+actuator is still driven, so effective caps and end state match the
+live path; nothing is metered); in the lockstep lanes each step's stop
+latency comes from the grid and the records are derived per row group
+afterwards; on the batch path whole configuration groups become
+column slices of the view's planes at the run's timing instead of
+fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input,
+unknown configuration, quantized cap — falls back to the live engine
+per input, so a view is always an optimisation, never a semantics
+change (``tests/test_cell_fusion_parity.py`` pins grid-served runs to
+the live-engine reference).  The view comes from the ``grid_view``
 constructor argument only; every path asks it, never the grid, whether
 a column may serve an input (:meth:`GridView.column` per input,
-:meth:`GridView.columns` per run, after
-:meth:`GridView.matches_timing`).
+:meth:`GridView.columns` per run).
 
 Violation bookkeeping follows the paper:
 
@@ -83,7 +87,12 @@ import numpy as np
 from repro.core.goals import Goal, GoalAdjuster
 from repro.errors import ConfigurationError
 from repro.hw.energy import EnergyBreakdown
-from repro.models.inference import GridView, InferenceEngine, InferenceOutcome
+from repro.models.inference import (
+    GridView,
+    InferenceEngine,
+    InferenceOutcome,
+    stop_latency,
+)
 from repro.runtime.clock import SimulatedClock
 from repro.runtime.results import RunArrays, RunResult, ServedInput
 from repro.runtime.scheduler import Scheduler
@@ -221,11 +230,11 @@ def _read_rows(
 ) -> tuple[_RowGroup, tuple]:
     """Read one row group of an outcome grid into plain lists.
 
-    ``planes`` is a :class:`~repro.models.inference.BatchOutcomeGrid`:
-    a shared grid read at ``row`` over the ``columns`` index array, or
-    a one-row ``evaluate_batch`` column read at row 0 over every
-    column.  ``effective_cap_w`` is the cap the actuator enforced,
-    which a column realised at a quantized cap does not carry.  The
+    ``planes`` is a :class:`~repro.models.inference.OutcomePlanes`: a
+    whole grid's planes read at ``row`` over the ``columns`` index
+    array, or one row's planes read at row 0 over every column.
+    ``effective_cap_w`` is the cap the actuator enforced, which a
+    column realised at a quantized cap does not carry.  The
     violation flags are checked against ``goal`` with the tolerances of
     :mod:`repro.core.goals`, shared with :meth:`ServingLoop._record`
     and the oracles' feasibility masks.
@@ -273,7 +282,7 @@ def _fill_group(
     caps: list[float],
     group: _RowGroup,
     goal: Goal,
-    deadline_s: float,
+    deadlines: list[float],
     period_s: float,
     indices: list[int],
     xi_means: list[float],
@@ -281,8 +290,9 @@ def _fill_group(
 ) -> None:
     """Assemble one row group's records into ``records``.
 
-    ``positions`` are the group's inputs and ``caps`` their requested
-    caps, both in the order of the group's lists; ``records``,
+    ``positions`` are the group's inputs, ``caps`` their requested
+    caps and ``deadlines`` their adjusted deadlines, all in the order
+    of the group's lists; ``records``,
     ``indices`` and the ξ lists align with the whole run.  Records are
     assembled by direct ``__dict__`` fill: the frozen dataclass
     ``__init__`` (one ``object.__setattr__`` per field) is this build's
@@ -297,6 +307,7 @@ def _fill_group(
     ) = group
     fill = object.__setattr__  # frozen dataclasses veto assignment
     for j, position in enumerate(positions):
+        deadline_s = deadlines[j]
         energy = object.__new__(EnergyBreakdown)
         fill(energy, "__dict__", {
             "inference_j": inference_j[j],
@@ -454,9 +465,10 @@ class ServingLoop:
         """Serve one decision from the shared grid, or None on any miss.
 
         Mirrors :meth:`InferenceEngine.run` exactly minus the metering:
-        the actuator is driven to the requested cap, the outcome is the
-        grid row realised at the cap the actuator actually enforced,
-        and the reported ``power_cap_w`` is the machine-clamped request.
+        the actuator is driven to the requested cap, the outcome is
+        derived at the adjusted deadline from the grid row realised at
+        the cap the actuator actually enforced, and the reported
+        ``power_cap_w`` is the machine-clamped request.
         """
         engine = self.engine
         effective = engine.actuator.set_power_cap(config.power_w)
@@ -491,9 +503,7 @@ class ServingLoop:
 
             config = self.scheduler.decide(item, adjusted)
             outcome = None
-            if view is not None and view.matches_timing(
-                adjusted.deadline_s, base_goal.period
-            ):
+            if view is not None:
                 outcome = self._grid_outcome(
                     view, config, item, adjusted, base_goal.period
                 )
@@ -574,11 +584,13 @@ class ServingLoop:
         """Realise a feedback-free run in vectorized passes.
 
         All decisions are collected up front (``decide_batch`` when the
-        scheduler offers it), grouped by configuration, and each group
-        is realised with one pure ``evaluate_batch`` pass at the cap
-        the actuator would have enforced; violation flags are computed
-        on each group's arrays.  Nothing is metered and ``observe`` is
-        never called (feedback-free policies declare it a no-op).
+        scheduler offers it) and grouped by configuration; each group
+        is read from the view's planes at the run's timing, or
+        realised with one pure ``evaluate_batch`` pass at the cap the
+        actuator would have enforced when the view cannot serve it;
+        violation flags are computed on each group's arrays.  Nothing
+        is metered and ``observe`` is never called (feedback-free
+        policies declare it a no-op).
 
         Returns ``(arrays, materialize)``: the run's vectorized
         :class:`~repro.runtime.results.RunArrays` plus a thunk that
@@ -638,17 +650,17 @@ class ServingLoop:
         # in one tick_many at the end.
         total_occupied = 0.0
 
-        # Shared-realisation serving: when a grid view covers this
-        # run's timing and every input, configuration groups become
-        # column slices of the precomputed grid instead of fresh
+        # Shared-realisation serving: when a grid view covers every
+        # input, configuration groups become column slices of the
+        # view's planes at this run's timing instead of fresh
         # evaluate_batch passes.
         view = self.grid_view
-        grid = None
+        planes = None
         grid_columns = None
-        if view is not None and view.matches_timing(deadline, period):
+        if view is not None:
             grid_columns = view.columns(engine, items)
             if grid_columns is not None:
-                grid = view.grid
+                planes = view.planes(deadline, period)
 
         # Feedback-free schedulers promise constant state (observe is
         # a no-op), so the belief trace is one snapshot for the run.
@@ -666,26 +678,24 @@ class ServingLoop:
             # would convert it again on every access.
             index = np.fromiter(positions, np.intp, len(positions))
             row = None
-            if grid is not None:
+            if planes is not None:
                 row = view.row_for(model, effective, config.rung_cap)
             if row is not None:
-                planes, columns = grid, grid_columns[index]
+                source, columns = planes, grid_columns[index]
             else:
                 shim_key = (id(model), effective, config.rung_cap)
                 shim = self._batch_configs.get(shim_key)
                 if shim is None:
                     shim = (_CapOverride(model, effective, config.rung_cap),)
                     self._batch_configs[shim_key] = shim
-                planes = engine.evaluate_batch(
+                source = engine.evaluate_batch(
                     configs=shim,
                     indices=[item_indices[p] for p in positions],
-                    deadline_s=deadline,
-                    period_s=period,
                     work_factors=[items[p].work_factor for p in positions],
-                )
+                ).timing(deadline, period)
                 row, columns = 0, slice(None)
             group, series = _read_rows(
-                planes, row, columns, model, effective, base_goal
+                source, row, columns, model, effective, base_goal
             )
             latency, quality, energy, missed, accuracy, budget = series
             total_occupied += sum(
@@ -715,9 +725,10 @@ class ServingLoop:
             xi_means = [xi_mean] * n
             xi_sigmas = [xi_sigma] * n
             for positions, cap, group in group_payloads:
+                size = len(positions)
                 _fill_group(
-                    records, positions, [cap] * len(positions), group,
-                    base_goal, deadline, period, item_indices,
+                    records, positions, [cap] * size, group, base_goal,
+                    [deadline] * size, period, item_indices,
                     xi_means, xi_sigmas,
                 )
             return records
@@ -914,10 +925,9 @@ class CrossSchemeLockstepLoop:
             cols.append(cached)
 
         # Grid-served steps per goal with their requested caps, keyed
-        # by (row, base goal): every grid-served step runs at the
-        # grid's timing, so the base goal is the one thing that can
-        # change between steps of one row.  Engine-served outcomes per
-        # goal by step.
+        # by (row, base goal); each step's adjusted deadline is read
+        # back from ``step_adjusteds`` when the records are derived.
+        # Engine-served outcomes per goal by step.
         served: list[dict] = [{} for _ in range(n_goals)]
         fallbacks: list[dict[int, InferenceOutcome]] = [
             {} for _ in range(n_goals)
@@ -955,9 +965,7 @@ class CrossSchemeLockstepLoop:
                 view = loop.grid_view
                 columns = cols[g]
                 row = -1
-                if columns is not None and view.matches_timing(
-                    adjusteds[g].deadline_s, period
-                ):
+                if columns is not None:
                     column = columns[step]
                     if column >= 0:
                         memo_key = (id(view), id(config))
@@ -985,11 +993,17 @@ class CrossSchemeLockstepLoop:
                     else:
                         group[0].append(step)
                         group[1].append(cap)
+                    row_config = grid.configs[row]
+                    full = grid.full_latency_s[row, column]
+                    latency = stop_latency(
+                        row_config.model, row_config.rung_cap, full,
+                        adjusteds[g].deadline_s,
+                    )
                     proxy = proxies[g]
-                    proxy.model_name = grid.configs[row].model.name
+                    proxy.model_name = row_config.model.name
                     proxy.power_cap_w = cap
-                    proxy.latency_s = latency = grid.latency_s[row, column]
-                    proxy.full_latency_s = grid.full_latency_s[row, column]
+                    proxy.latency_s = latency
+                    proxy.full_latency_s = full
                     proxy.idle_power_w = grid.idle_power_w[row, column]
                     proxy.period_s = period
                     observed[g] = proxy
@@ -1038,20 +1052,22 @@ class CrossSchemeLockstepLoop:
             for (row, base), (positions, caps) in served[g].items():
                 period = base.period
                 grid = loop.grid_view.grid
+                deadlines = [step_adjusteds[p][g].deadline_s for p in positions]
+                planes = grid.timing(
+                    np.array(deadlines), period, row=row,
+                    columns=cols[g][positions],
+                )
                 group, _ = _read_rows(
-                    grid, row, cols[g][positions], grid.configs[row].model,
+                    planes, 0, slice(None), grid.configs[row].model,
                     float(grid.power_cap_w[row]), base,
                 )
                 occupied += sum(
                     t if t > period else period for t in group.latency
                 )
                 n_served += len(positions)
-                # Grid-served steps all run at the grid's timing, so
-                # the group's first step carries the group's deadline.
                 _fill_group(
-                    records, positions, caps, group, base,
-                    step_adjusteds[positions[0]][g].deadline_s, period,
-                    item_indices, xi_means, xi_sigmas,
+                    records, positions, caps, group, base, deadlines,
+                    period, item_indices, xi_means, xi_sigmas,
                 )
             loop.clock.tick_many(occupied, n_served)
             for step, outcome in fallbacks[g].items():

@@ -202,10 +202,7 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
     groups the pending ones into scenario-wide specs through
     :func:`~repro.runtime.executor.plan_cells`.  Within one scenario,
     units are ordered timing-major (all goals sharing a deadline are
-    consecutive): a spec dedupes its grids by timing in any order, but
-    ``plan_cells`` splits a scenario into contiguous chunks, so this
-    order leaves at most one timing shared by two chunks at each
-    boundary.  Combinations the Table-4 driver would not report
+    consecutive).  Combinations the Table-4 driver would not report
     (GPU × non-image) are skipped; a name that builds no scenario
     raises :class:`~repro.errors.ConfigurationError` instead of
     compiling to an empty sweep.

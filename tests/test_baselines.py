@@ -140,16 +140,20 @@ class _ScriptedEngine:
 
     Both oracle evaluation paths read it: ``evaluate`` for the scalar
     reference, ``evaluate_batch`` for the vectorized one, so the pinned
-    rule is asserted against both.
+    rule is asserted against both.  A scripted miss runs twice the
+    deadline, a hit half of it; the inference draw is the scripted
+    energy per second, so both paths rank the configurations alike.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, deadline_s):
         # script: model name -> (met_fn(index), energy_j)
         self._script = script
+        self._deadline_s = deadline_s
 
     def _point(self, model, index):
         met_fn, energy = self._script[model.name]
-        return bool(met_fn(index)), float(energy)
+        full = self._deadline_s * (0.5 if met_fn(index) else 2.0)
+        return full, float(energy)
 
     def evaluate(
         self,
@@ -161,67 +165,54 @@ class _ScriptedEngine:
         work_factor=1.0,
         rung_cap=None,
     ):
-        met, energy = self._point(model, index)
+        full, power = self._point(model, index)
+        met = full <= deadline_s
         return InferenceOutcome(
             index=index,
             model_name=model.name,
             power_cap_w=power_cap_w,
             effective_cap_w=power_cap_w,
-            latency_s=deadline_s * (0.5 if met else 2.0),
-            full_latency_s=deadline_s,
+            latency_s=full,
+            full_latency_s=full,
             met_deadline=met,
-            quality=model.quality,
+            quality=model.quality if met else model.q_fail,
             metric_value=model.quality * 100.0,
             completed_rungs=0,
-            energy=EnergyBreakdown(inference_j=energy, idle_j=0.0),
-            inference_power_w=power_cap_w,
+            energy=EnergyBreakdown(inference_j=full * power, idle_j=0.0),
+            inference_power_w=power,
             idle_power_w=0.0,
             env_factor=1.0,
             deadline_s=deadline_s,
             period_s=period_s if period_s is not None else deadline_s,
         )
 
-    def evaluate_batch(
-        self,
-        configs,
-        indices,
-        deadline_s,
-        period_s=None,
-        work_factors=None,
-        allocator=None,
-    ):
+    def evaluate_batch(self, configs, indices, work_factors=None, allocator=None):
         configs = tuple(configs)
         indices = np.asarray(list(indices), dtype=int)
-        n_configs, n_inputs = len(configs), indices.size
-        met = np.empty((n_configs, n_inputs), dtype=bool)
-        energy = np.empty((n_configs, n_inputs), dtype=float)
-        quality = np.empty((n_configs, n_inputs), dtype=float)
-        for row, config in enumerate(configs):
-            for col, index in enumerate(indices):
-                m, e = self._point(config.model, int(index))
-                met[row, col] = m
-                energy[row, col] = e
-                quality[row, col] = config.model.quality
-        period = period_s if period_s is not None else deadline_s
-        latency = np.where(met, deadline_s * 0.5, deadline_s * 2.0)
+        points = [
+            [self._point(config.model, int(index)) for index in indices]
+            for config in configs
+        ]
         return BatchOutcomeGrid(
             configs=configs,
             indices=indices,
-            deadline_s=deadline_s,
-            period_s=period,
-            work_factors=np.ones(n_inputs),
-            env_factor=np.ones(n_inputs),
+            work_factors=np.ones(indices.size),
+            env_factor=np.ones(indices.size),
             power_cap_w=np.array([c.power_w for c in configs]),
-            inference_power_w=np.array([c.power_w for c in configs]),
-            idle_power_w=np.zeros((n_configs, n_inputs)),
-            latency_s=latency,
-            full_latency_s=np.full((n_configs, n_inputs), deadline_s),
-            met_deadline=met,
-            quality=quality,
-            completed_rungs=np.zeros((n_configs, n_inputs), dtype=int),
-            inference_j=energy,
-            idle_j=np.zeros((n_configs, n_inputs)),
+            inference_power_w=np.array([row[0][1] for row in points]),
+            idle_power_w=np.zeros((len(configs), indices.size)),
+            full_latency_s=np.array([[full for full, _ in row] for row in points]),
         )
+
+
+class _Space:
+    """The part of a configuration space the oracles read."""
+
+    def __init__(self, configs):
+        self.configs = tuple(configs)
+
+    def __iter__(self):
+        return iter(self.configs)
 
 
 def _scripted_case():
@@ -241,20 +232,23 @@ def _scripted_case():
         name="scripted_b", task=IMAGE_TASK, family="cnn",
         quality=0.9, base_latency_s=0.1,
     )
-    engine = _ScriptedEngine(
-        {
-            "scripted_a": (lambda i: i % 10 < 7, 5.0),
-            "scripted_b": (lambda i: i % 2 == 0, 1.0),
-        }
-    )
-    space = [
-        Configuration(model=model_a, power_w=20.0),
-        Configuration(model=model_b, power_w=30.0),
-    ]
     goal = Goal(
         objective=ObjectiveKind.MINIMIZE_ENERGY,
         deadline_s=1.0,
         accuracy_min=0.5,
+    )
+    engine = _ScriptedEngine(
+        {
+            "scripted_a": (lambda i: i % 10 < 7, 5.0),
+            "scripted_b": (lambda i: i % 2 == 0, 1.0),
+        },
+        goal.deadline_s,
+    )
+    space = _Space(
+        [
+            Configuration(model=model_a, power_w=20.0),
+            Configuration(model=model_b, power_w=30.0),
+        ]
     )
     return engine, space, goal
 

@@ -169,15 +169,15 @@ def test_pool_bit_identical_to_serial(image_scenario):
 # ----------------------------------------------------------------------
 # Grid machinery: one realisation per timing, no live engine calls
 # ----------------------------------------------------------------------
-def test_cell_builds_one_grid_per_timing(image_scenario, monkeypatch):
+def test_cell_builds_one_grid_for_every_timing(image_scenario, monkeypatch):
     anchor = image_scenario.anchor_latency_s()
     goals = [
         Goal(
             objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=anchor,
+            deadline_s=anchor * factor,
             accuracy_min=floor,
         )
-        for floor in (0.85, 0.90, 0.95)
+        for factor, floor in ((1.0, 0.85), (1.0, 0.90), (1.6, 0.95))
     ]
     calls = []
     real = oracle_module.oracle_outcome_grid
@@ -188,7 +188,7 @@ def test_cell_builds_one_grid_per_timing(image_scenario, monkeypatch):
 
     monkeypatch.setattr(oracle_module, "oracle_outcome_grid", counting)
     evaluate_schemes(image_scenario, goals, ALL_SCHEMES, n_inputs=10)
-    # Three goals, one shared timing, seven schemes: one grid build.
+    # Three goals, two timings, seven schemes: one grid build.
     assert len(calls) == 1
 
 
@@ -211,6 +211,53 @@ def test_grid_served_feedback_run_never_calls_engine_run(
         n_inputs=20,
     )
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [ObjectiveKind.MINIMIZE_ENERGY, ObjectiveKind.MAXIMIZE_ACCURACY],
+)
+def test_sentence_cell_serves_every_word_from_the_grid(objective, monkeypatch):
+    """A CPU1 sentence cell at the e2e benchmark's scale (every third
+    setting, 40 inputs, Table 4's schemes) serves every word from its
+    one grid: group-adjusted deadlines are derived, never realised."""
+    from repro.experiments.table4_overall import DEFAULT_SCHEMES
+    from repro.models.inference import InferenceEngine
+    from repro.workloads.scenarios import constraint_grid
+
+    scenario = build_scenario("CPU1", "sentence", "default", "standard", seed=3)
+    grid = constraint_grid(scenario)
+    goals = (
+        grid.min_energy_goals
+        if objective is ObjectiveKind.MINIMIZE_ENERGY
+        else grid.min_error_goals
+    )[::3]
+    runs = []
+    columns = []
+    real_run = InferenceEngine.run
+    real_batch = InferenceEngine.evaluate_batch
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(args)
+        return real_run(self, *args, **kwargs)
+
+    def counting_batch(self, configs, indices, *args, **kwargs):
+        indices = list(indices)
+        if len(indices) == 1:
+            columns.append(indices)
+        return real_batch(self, configs, indices, *args, **kwargs)
+
+    monkeypatch.setattr(InferenceEngine, "run", counting_run)
+    monkeypatch.setattr(InferenceEngine, "evaluate_batch", counting_batch)
+    cell = evaluate_schemes(scenario, goals, DEFAULT_SCHEMES, n_inputs=40)
+    assert len(goals) >= 6  # every stacking scheme runs as a lane
+    assert all(
+        run.n_inputs == 40
+        for name in DEFAULT_SCHEMES
+        for run in cell.scheme_runs(name)
+    )
+    assert runs == []
+    assert columns == []
 
 
 def test_cellspec_validation():
@@ -247,8 +294,8 @@ def test_cellspec_results_are_goal_major(image_scenario):
 # ----------------------------------------------------------------------
 # GridView: lookups, misses, and the untrusted environment guard
 # ----------------------------------------------------------------------
-def _view_for(scenario, goal, n_inputs, trusted):
-    return GridView(timing_grid(scenario, goal, n_inputs), trusted=trusted)
+def _view_for(scenario, n_inputs, trusted):
+    return GridView(timing_grid(scenario, n_inputs), trusted=trusted)
 
 
 def _run_with_view(scenario, scheme, goal, n_inputs, view):
@@ -265,7 +312,7 @@ def _run_with_view(scenario, scheme, goal, n_inputs, view):
 
 def test_trusted_view_serves_sequential_and_batch(image_scenario):
     goal = _goals(image_scenario)[0]
-    view = _view_for(image_scenario, goal, 12, trusted=True)
+    view = _view_for(image_scenario, 12, trusted=True)
     # ALERT needs feedback (sequential path); App-only takes the batch path.
     for scheme, batch in (("ALERT", False), ("App-only", True)):
         with_view = _run_with_view(image_scenario, scheme, goal, 12, view)
@@ -305,8 +352,7 @@ def test_untrusted_view_from_diverged_draws_falls_back(image_scenario, case):
     ]
     other = build_scenario("CPU1", "image", "default", "standard", seed=12345)
     stale = oracle_outcome_grid(
-        other.make_engine(), scenario.space(), goals[0],
-        scenario.make_stream(), n_inputs,
+        other.make_engine(), scenario.space(), scenario.make_stream(), n_inputs
     )
 
     def records(view):
@@ -331,20 +377,30 @@ def test_untrusted_view_from_diverged_draws_falls_back(image_scenario, case):
     assert records(GridView(stale, trusted=True)) != reference
 
 
-def test_view_timing_mismatch_falls_back(image_scenario):
+def test_view_serves_every_timing(image_scenario):
+    """One timing-free grid serves any deadline and period, on the
+    sequential path (ALERT) and the batch path (App-only)."""
     goal = _goals(image_scenario)[0]
-    other_goal = goal.with_deadline(goal.deadline_s * 2)
-    view = _view_for(image_scenario, other_goal, 12, trusted=True)
-    with_view = _run_with_view(image_scenario, "ALERT", goal, 12, view)
-    without = _run_with_view(image_scenario, "ALERT", goal, 12, None)
-    for ra, rb in zip(with_view.records, without.records):
-        assert ra == rb
+    view = _view_for(image_scenario, 12, trusted=True)
+    for timed in (
+        goal.with_deadline(goal.deadline_s * 2),
+        Goal(
+            objective=goal.objective,
+            deadline_s=goal.deadline_s * 0.5,
+            period_s=goal.deadline_s * 3,
+            accuracy_min=goal.accuracy_min,
+        ),
+    ):
+        for scheme in ("ALERT", "App-only"):
+            with_view = _run_with_view(image_scenario, scheme, timed, 12, view)
+            without = _run_with_view(image_scenario, scheme, timed, 12, None)
+            assert with_view.records == without.records
 
 
 def test_view_off_grid_inputs_fall_back(image_scenario):
     """Inputs beyond the grid's horizon are served by the live engine."""
     goal = _goals(image_scenario)[0]
-    view = _view_for(image_scenario, goal, 6, trusted=True)
+    view = _view_for(image_scenario, 6, trusted=True)
     with_view = _run_with_view(image_scenario, "ALERT", goal, 12, view)
     without = _run_with_view(image_scenario, "ALERT", goal, 12, None)
     for ra, rb in zip(with_view.records, without.records):
@@ -359,15 +415,14 @@ def test_rebuilt_scenario_gets_a_grid_over_its_own_models(image_scenario):
     model objects; a grid over the old ones would never resolve a row,
     sending every decision to the live engine."""
     key = ScenarioKey.for_scenario(image_scenario)
-    goal = _goals(image_scenario)[0]
     state = _WorkerState()
-    first = state.grid(key, goal, 8)
+    first = state.grid(key, 8)
     state._scenarios.clear()
     state._realisations.clear()
-    rebuilt = state.grid(key, goal, 8)
+    rebuilt = state.grid(key, 8)
     assert rebuilt is not first
     view = GridView(rebuilt, trusted=True)
     for config in state.space(key):
         row = view.row_for(config.model, config.power_w, config.rung_cap)
         assert row is not None
-    assert state.grid(key, goal, 8) is rebuilt
+    assert state.grid(key, 8) is rebuilt

@@ -45,7 +45,7 @@ from repro.core.kalman import (
     StackedKalmanFilter,
 )
 from repro.core.kernel import AlertCellKernel, AlertKernel, Measurement
-from repro.core.selector import ConfigSelector
+from repro.core.selector import ConfigSelector, lexargmin
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
@@ -274,6 +274,125 @@ def test_select_many_matches_select(seed):
         )
 
 
+_FIELDS = (
+    "latency_mean_s",
+    "deadline_probability",
+    "expected_quality",
+    "quality_meet_probability",
+    "expected_energy_j",
+    "meets_latency",
+    "meets_accuracy",
+    "meets_energy",
+    "meets_prob",
+    "meets_latency_mean",
+)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_stacked_fields_for_fresh_goals_each_step(seed):
+    """Sentence lanes bring fresh goal objects every word, sharing all
+    but the deadline with the word before: the stacked planes still
+    equal width-1 ``estimate_batch``, whether the deadlines move, stay
+    or come back."""
+    scenario = build_scenario("CPU1", "sentence", "default", "standard", seed=seed)
+    batch = _selector(scenario).batch
+    rng = np.random.default_rng(seed)
+    bases = _goal_grid(scenario, rng, 9)
+    anchor = scenario.anchor_latency_s()
+    # An explicit period keeps a goal's period off its deadline.
+    bases[0] = Goal(
+        objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+        deadline_s=anchor,
+        period_s=anchor * 1.3,
+        energy_budget_j=scenario.machine.default_power() * anchor * 0.7,
+    )
+    bases[1] = Goal(
+        objective=ObjectiveKind.MINIMIZE_ENERGY,
+        deadline_s=anchor,
+        period_s=anchor * 0.8,
+        accuracy_min=0.9,
+    )
+    factors = rng.uniform(0.3, 1.6, size=(4, len(bases)))
+    for step in range(8):
+        # Steps 4-7 replay steps 0-3's deadlines on fresh goal objects.
+        goals = [
+            base.with_deadline(base.deadline_s * factor)
+            for base, factor in zip(bases, factors[step % 4])
+        ]
+        means, sigmas, phis, tails = _random_states(rng, len(goals))
+        stacked = batch.stacked_fields(goals, means, sigmas, phis, tails)
+        for state, goal in enumerate(goals):
+            single = batch.estimate_batch(
+                goal, means[state], sigmas[state], phis[state], tails[state]
+            )
+            for field in _FIELDS:
+                np.testing.assert_array_equal(
+                    stacked[field][state],
+                    single[field],
+                    err_msg=f"step {step} state {state} field {field}",
+                )
+
+
+def _lexsort_argmin(keys, mask):
+    """The reference: a stable lexsort over the masked candidates."""
+    candidates = np.flatnonzero(mask)
+    order = np.lexsort(tuple(key[candidates] for key in reversed(keys)))
+    return int(candidates[order[0]])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_lexargmin_matches_lexsort(seed):
+    """Forced ties in every key, ±0.0, ±inf and NaN (which orders last)."""
+    rng = np.random.default_rng(seed)
+    values = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+    for _ in range(50):
+        rows, cols = rng.integers(1, 6), rng.integers(1, 9)
+        keys = tuple(
+            rng.choice(values, size=(rows, cols)) for _ in range(rng.integers(1, 5))
+        )
+        mask = rng.random((rows, cols)) < 0.7
+        mask[np.arange(rows), rng.integers(0, cols, size=rows)] = True
+        got = lexargmin(keys, axis=1, mask=mask)
+        for r in range(rows):
+            want = _lexsort_argmin([key[r] for key in keys], mask[r])
+            assert got[r] == want
+        transposed = lexargmin(tuple(key.T for key in keys), axis=0, mask=mask.T)
+        np.testing.assert_array_equal(transposed, got)
+        assert lexargmin([keys[0][0]], mask=mask[0]) == _lexsort_argmin(
+            [keys[0][0]], mask[0]
+        )
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_select_many_matches_lexsort_select_on_random_planes(seed, monkeypatch):
+    """Random estimate planes with ties in every key, ±0.0 and ±inf:
+    the row-wise argmin picks what the width-1 lexsort ``select`` picks,
+    in every fallback stage."""
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=7)
+    selector = _selector(scenario)
+    batch = selector.batch
+    rng = np.random.default_rng(seed)
+    n_states, n = 12, batch.n_configs
+    values = np.array([-np.inf, -2.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+    goals = _goal_grid(scenario, rng, n_states)
+    means, sigmas, phis, tails = _random_states(rng, n_states)
+    for _ in range(20):
+        fields = {}
+        for name in _FIELDS[:5]:
+            fields[name] = rng.choice(values, size=(n_states, n))
+        for name in _FIELDS[5:]:
+            # Sparse flags reach every stage, dense ones stage 0.
+            fields[name] = rng.random((n_states, n)) < rng.choice([0.02, 0.9])
+        monkeypatch.setattr(batch, "stacked_fields", lambda *a, **k: fields)
+        stacked = selector.select_many(goals, means, sigmas, phis, tails)
+        for state, goal in enumerate(goals):
+            row = {name: plane[state] for name, plane in fields.items()}
+            monkeypatch.setattr(batch, "estimate_batch", lambda *a, **k: row)
+            single = selector.select(goal, 1.0, 0.1, 0.5)
+            assert stacked[state].config is single.config, state
+            assert stacked[state].relaxation == single.relaxation
+
+
 # ----------------------------------------------------------------------
 # Stacked No-coord ≡ scalar No-coord
 # ----------------------------------------------------------------------
@@ -488,18 +607,10 @@ def _lanes(scenario, goals, schemes, n_inputs, engine, stream, views):
 
 
 def _trusted_views(scenario, goals, n_inputs, engine, stream):
-    """One trusted view per timing, shared by the goals that hold it."""
-    by_timing = {}
-    views = []
-    for goal in goals:
-        timing = (goal.deadline_s, goal.period)
-        if timing not in by_timing:
-            grid = timing_grid(
-                scenario, goal, n_inputs, engine=engine, stream=stream
-            )
-            by_timing[timing] = GridView(grid, trusted=True)
-        views.append(by_timing[timing])
-    return views
+    """One trusted view over the scenario's grid, shared by every goal
+    whatever its timing."""
+    grid = timing_grid(scenario, n_inputs, engine=engine, stream=stream)
+    return [GridView(grid, trusted=True)] * len(goals)
 
 
 CELLS = [
@@ -660,21 +771,19 @@ def test_lockstep_never_calls_engine_run(image_scenario, monkeypatch):
 def test_grid_complete_cell_never_calls_engine_run(monkeypatch):
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
     anchor = scenario.anchor_latency_s()
-    # One shared timing across goals: one grid serves the whole cell.
+    # One grid serves the whole cell, whatever each goal's timing.
     goals = [
         Goal(
             objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=anchor * 1.4,
+            deadline_s=anchor * factor,
             accuracy_min=q,
         )
-        for q in (0.85, 0.9, 0.95)
+        for factor, q in ((1.4, 0.85), (1.0, 0.9), (0.7, 0.95))
     ]
     n_inputs = 10
     engine = scenario.make_engine()
     stream = scenario.make_stream()
-    grid = timing_grid(
-        scenario, goals[0], n_inputs, engine=engine, stream=stream
-    )
+    grid = timing_grid(scenario, n_inputs, engine=engine, stream=stream)
     view = GridView(grid, trusted=True)
     lanes = []
     for scheme in STACKING:

@@ -1,8 +1,9 @@
 """Randomized parity: the batch oracle path against the scalar reference.
 
 The vectorized whole-grid evaluation
-(:meth:`repro.models.inference.InferenceEngine.evaluate_batch`) and the
-oracles built on it must be indistinguishable from the scalar
+(:meth:`repro.models.inference.InferenceEngine.evaluate_batch`, read at
+a timing through :meth:`~repro.models.inference.BatchOutcomeGrid.timing`)
+and the oracles built on it must be indistinguishable from the scalar
 :meth:`evaluate` reference — every outcome field to <= 1e-9 and every
 oracle *selection* (per-input Oracle picks and the OracleStatic
 configuration) identical, across seeds, environments, both objectives,
@@ -105,14 +106,11 @@ def test_grid_matches_scalar_evaluate(spec):
     rng = np.random.default_rng(spec[-1])
     n_inputs = 12
     work_factors = rng.uniform(0.5, 2.0, size=n_inputs)
+    grid = engine.evaluate_batch(
+        configs, range(n_inputs), work_factors=work_factors
+    )
     for deadline, period in ((anchor * 0.6, None), (anchor * 1.4, anchor * 1.7)):
-        grid = engine.evaluate_batch(
-            configs,
-            range(n_inputs),
-            deadline_s=deadline,
-            period_s=period,
-            work_factors=work_factors,
-        )
+        planes = grid.timing(deadline, period if period is not None else deadline)
         for row, config in enumerate(configs):
             for col in range(n_inputs):
                 want = engine.evaluate(
@@ -125,23 +123,23 @@ def test_grid_matches_scalar_evaluate(spec):
                     rung_cap=config.rung_cap,
                 )
                 context = (config.describe(), col, deadline)
-                assert grid.latency_s[row, col] == pytest.approx(
+                assert planes.latency_s[row, col] == pytest.approx(
                     want.latency_s, abs=PARITY_TOL
                 ), context
                 assert grid.full_latency_s[row, col] == pytest.approx(
                     want.full_latency_s, abs=PARITY_TOL
                 ), context
-                assert grid.quality[row, col] == pytest.approx(
+                assert planes.quality[row, col] == pytest.approx(
                     want.quality, abs=PARITY_TOL
                 ), context
-                assert grid.inference_j[row, col] == pytest.approx(
+                assert planes.inference_j[row, col] == pytest.approx(
                     want.energy.inference_j, abs=PARITY_TOL
                 ), context
-                assert grid.idle_j[row, col] == pytest.approx(
+                assert planes.idle_j[row, col] == pytest.approx(
                     want.energy.idle_j, abs=PARITY_TOL
                 ), context
-                assert bool(grid.met_deadline[row, col]) == want.met_deadline, context
-                assert int(grid.completed_rungs[row, col]) == want.completed_rungs, (
+                assert bool(planes.met_deadline[row, col]) == want.met_deadline, context
+                assert int(planes.completed_rungs[row, col]) == want.completed_rungs, (
                     context
                 )
                 assert grid.idle_power_w[row, col] == pytest.approx(
@@ -151,6 +149,100 @@ def test_grid_matches_scalar_evaluate(spec):
             assert grid.inference_power_w[row] == pytest.approx(
                 want.inference_power_w, abs=PARITY_TOL
             )
+
+
+def _timings(model, full):
+    """Deadlines below the first rung, between rungs, at the full
+    latency and above it, each with a period shorter than the run and
+    one longer."""
+    fractions = [0.5, 1.0, 1.5]
+    outputs = getattr(model, "outputs", None)
+    if outputs is not None:
+        first, second = (o.latency_fraction for o in outputs[:2])
+        fractions += [first * 0.5, (first + second) / 2]
+    for fraction in fractions:
+        deadline = full * fraction
+        for period in (deadline * 0.5, full * 3.0):
+            yield deadline, period
+
+
+def _fields(outcome) -> dict:
+    fields = dict(outcome.__dict__)
+    fields.pop("power_cap_w")
+    fields.pop("effective_cap_w")
+    energy = fields.pop("energy")
+    fields["energy"] = (energy.inference_j, energy.idle_j)
+    return fields
+
+
+@pytest.mark.parametrize(
+    ("platform", "task"),
+    [
+        ("CPU1", "image"),
+        ("CPU1", "sentence"),
+        ("CPU2", "image"),
+        ("CPU2", "sentence"),
+        ("GPU", "image"),
+    ],
+)
+def test_grid_derived_outcomes_equal_run(platform, task):
+    """Every configuration's outcome derived from the timing-free grid
+    equals the metered engine's on every field but the cap labels, at
+    every kind of deadline and period.  GPU rows resolve only where the
+    actuator enforces the requested cap."""
+    scenario = build_scenario(platform, task, "memory", "standard", seed=17)
+    space = scenario.space()
+    stream = scenario.make_stream()
+    grid_engine = scenario.make_engine()
+    view = GridView(oracle_outcome_grid(grid_engine, space, stream, 4))
+    engine = scenario.make_engine()
+    resolved = 0
+    for config in space:
+        effective = engine.actuator.set_power_cap(config.power_w)
+        row = view.row_for(config.model, effective, config.rung_cap)
+        if row is None:
+            continue
+        resolved += 1
+        for index in (0, 3):
+            item = stream.item(index)
+            position = view.column(engine, item)
+            full = float(view.grid.full_latency_s[row, position])
+            for deadline, period in _timings(config.model, full):
+                want = engine.run(
+                    model=config.model,
+                    power_cap_w=config.power_w,
+                    index=index,
+                    deadline_s=deadline,
+                    period_s=period,
+                    work_factor=item.work_factor,
+                    rung_cap=config.rung_cap,
+                )
+                context = (config.describe(), index, deadline, period)
+                got = view.outcome(
+                    row, position, index, want.power_cap_w, deadline, period
+                )
+                assert _fields(got) == _fields(want), context
+                planes = view.grid.timing(
+                    np.array([deadline]), period, row=row, columns=[position]
+                )
+                whole = view.planes(deadline, period)
+                for derived, r in ((planes, 0), (whole, row)):
+                    column = 0 if derived is planes else position
+                    assert derived.latency_s[r, column] == want.latency_s
+                    assert derived.met_deadline[r, column] == want.met_deadline
+                    assert derived.quality[r, column] == want.quality
+                    assert (
+                        derived.completed_rungs[r, column]
+                        == want.completed_rungs
+                    )
+                    assert derived.inference_j[r, column] == (
+                        want.energy.inference_j
+                    ), context
+                    assert derived.idle_j[r, column] == want.energy.idle_j
+    if platform == "GPU":
+        assert 0 < resolved < len(space)
+    else:
+        assert resolved == len(space)
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +301,7 @@ def test_oracle_view_backed_decisions_match_fresh(image_scenario):
     )
     n_inputs = 20
     grid = oracle_outcome_grid(
-        scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs
+        scenario.make_engine(), space, scenario.make_stream(), n_inputs
     )
     gridded = OracleScheduler(
         scenario.make_engine(), space, grid_view=GridView(grid)
@@ -231,26 +323,71 @@ def test_oracle_view_backed_decisions_match_fresh(image_scenario):
 
 
 def test_one_config_table_per_engine_and_space(image_scenario):
-    """Every grid of a scenario and every Oracle fallback column
-    evaluate the space's own tuple, so one engine builds the space's
-    config table once."""
+    """The grid and every Oracle fallback column evaluate the space's
+    own tuple, so one engine builds the space's config table once."""
     scenario = image_scenario
     space = scenario.space()
     engine = scenario.make_engine()
     stream = scenario.make_stream()
-    anchor = scenario.anchor_latency_s()
-    for fraction in (0.6, 1.0, 1.5):
-        goal = Goal(
-            objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=anchor * fraction,
-            accuracy_min=0.9,
-        )
-        view = GridView(oracle_outcome_grid(engine, space, goal, stream, 8))
+    goal = Goal(
+        objective=ObjectiveKind.MINIMIZE_ENERGY,
+        deadline_s=scenario.anchor_latency_s(),
+        accuracy_min=0.9,
+    )
+    view = GridView(oracle_outcome_grid(engine, space, stream, 8))
     oracle = OracleScheduler(engine, space, grid_view=view)
-    off_grid = goal.with_deadline(anchor * 0.8)
-    assert not view.matches_timing(off_grid.deadline_s, off_grid.period)
-    oracle.decide(stream.item(0), off_grid)
+    # Input 11 is off the grid: a fresh one-input column.
+    oracle.decide(stream.item(11), goal)
     assert len(engine._config_tables) == 1
+
+
+def test_view_backed_oracle_at_off_grid_timings_matches_scalar(
+    image_scenario, monkeypatch
+):
+    """A grid holds no timing: view-backed Oracle decisions at
+    deadlines and periods the grid never saw equal the scalar
+    reference, and are derived from the grid without realising a
+    column."""
+    scenario = image_scenario
+    space = scenario.space()
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    n_inputs = 8
+    view = GridView(oracle_outcome_grid(engine, space, stream, n_inputs))
+    oracle = OracleScheduler(engine, space, grid_view=view)
+    anchor = scenario.anchor_latency_s()
+    budget_power = scenario.machine.default_power()
+    goals = []
+    for fraction, period in ((0.37, None), (0.8, None), (1.9, anchor * 0.5)):
+        goals.append(
+            Goal(
+                objective=ObjectiveKind.MINIMIZE_ENERGY,
+                deadline_s=anchor * fraction,
+                period_s=period,
+                accuracy_min=0.9,
+            )
+        )
+        goals.append(
+            Goal(
+                objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+                deadline_s=anchor * fraction,
+                period_s=period,
+                energy_budget_j=budget_power * anchor * fraction * 0.6,
+            )
+        )
+    items = [stream.item(i) for i in range(n_inputs)]
+    expected = [
+        [oracle.decide_scalar(item, goal).key for item in items]
+        for goal in goals
+    ]
+
+    def realise(*args, **kwargs):
+        raise AssertionError("a view-backed decision realised a column")
+
+    monkeypatch.setattr(engine, "evaluate_batch", realise)
+    for goal, want in zip(goals, expected):
+        assert [oracle.decide(item, goal).key for item in items] == want
+        assert [c.key for c in oracle.decide_batch(items, goal)] == want
 
 
 def test_view_over_another_space_is_refused_or_bypassed(image_scenario):
@@ -269,7 +406,7 @@ def test_view_over_another_space_is_refused_or_bypassed(image_scenario):
     n_inputs = 10
     view = GridView(
         oracle_outcome_grid(
-            scenario.make_engine(), fewer, goal, scenario.make_stream(), n_inputs
+            scenario.make_engine(), fewer, scenario.make_stream(), n_inputs
         ),
         trusted=True,
     )
@@ -297,7 +434,7 @@ def test_oracle_static_grid_equivalence(image_scenario):
     )
     n_inputs = 25
     grid = oracle_outcome_grid(
-        scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs
+        scenario.make_engine(), space, scenario.make_stream(), n_inputs
     )
     with_grid = make_oracle_static(
         scenario.make_engine(), space, goal, scenario.make_stream(), n_inputs,

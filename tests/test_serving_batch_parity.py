@@ -128,7 +128,7 @@ def test_decide_batch_matches_per_item_decides(image_scenario):
     space = scheme_space(scenario)
     n = 30
     grid = oracle_outcome_grid(
-        scenario.make_engine(), space, goal, scenario.make_stream(), n
+        scenario.make_engine(), space, scenario.make_stream(), n
     )
     engine = scenario.make_engine()
     stream = scenario.make_stream()

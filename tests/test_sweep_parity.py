@@ -660,7 +660,7 @@ def _realized_grid(scenario):
         deadline_s=scenario.anchor_latency_s(),
         accuracy_min=0.9,
     )
-    return goal, timing_grid(scenario, goal, 6)
+    return goal, timing_grid(scenario, 6)
 
 
 def test_adopted_grid_arrays_are_read_only(memory_scenario):
@@ -680,21 +680,13 @@ def test_adopted_grid_arrays_are_read_only(memory_scenario):
             getattr(adopted, name), getattr(grid, name)
         )
     assert adopted.configs == grid.configs
-    assert adopted.deadline_s == grid.deadline_s
-    assert adopted.period_s == grid.period_s
 
 
 def test_store_round_trip_is_read_only_and_exact(memory_scenario):
-    goal, grid = _realized_grid(memory_scenario)
+    _goal, grid = _realized_grid(memory_scenario)
     key = ScenarioKey.for_scenario(memory_scenario)
     space = memory_scenario.space()
-    store_key = (
-        key,
-        goal.deadline_s,
-        goal.period,
-        6,
-        structural_space_fingerprint(space),
-    )
+    store_key = (key, 6, structural_space_fingerprint(space))
     with SharedGridStore() as store:
         client = store.client()
         published = client.get_or_realize(store_key, tuple(space), lambda: grid)
@@ -709,7 +701,7 @@ def test_store_round_trip_is_read_only_and_exact(memory_scenario):
                 assert not array.flags.writeable, name
                 np.testing.assert_array_equal(array, getattr(grid, name))
             with pytest.raises(ValueError):
-                adopted.latency_s[0, 0] = 0.0
+                adopted.full_latency_s[0, 0] = 0.0
         assert store.stats() == {
             "grids": 1,
             "nbytes": store.stats()["nbytes"],
@@ -732,22 +724,16 @@ def test_layout_matches_payload_of_realized_grid(memory_scenario):
 
 
 def test_zero_copy_publish_is_bit_identical(memory_scenario):
-    goal, plain = _realized_grid(memory_scenario)
+    _goal, plain = _realized_grid(memory_scenario)
     key = ScenarioKey.for_scenario(memory_scenario)
     space = memory_scenario.space()
-    store_key = (
-        key,
-        goal.deadline_s,
-        goal.period,
-        6,
-        structural_space_fingerprint(space),
-    )
+    store_key = (key, 6, structural_space_fingerprint(space))
     seen_allocators = []
 
     def realize(allocator=None):
         seen_allocators.append(allocator)
         return timing_grid(
-            memory_scenario, goal, 6, space=space, allocator=allocator
+            memory_scenario, 6, space=space, allocator=allocator
         )
 
     with SharedGridStore() as store:
@@ -762,23 +748,15 @@ def test_zero_copy_publish_is_bit_identical(memory_scenario):
             array = getattr(published, name)
             assert not array.flags.writeable, name
             np.testing.assert_array_equal(array, getattr(plain, name))
-        assert published.deadline_s == plain.deadline_s
-        assert published.period_s == plain.period_s
         assert store.stats()["grids"] == 1
         assert store.stats()["failed"] == 0
 
 
 def test_preallocated_segments_are_claimed_and_reclaimed(memory_scenario):
-    goal, plain = _realized_grid(memory_scenario)
+    _goal, plain = _realized_grid(memory_scenario)
     key = ScenarioKey.for_scenario(memory_scenario)
     space = memory_scenario.space()
-    store_key = (
-        key,
-        goal.deadline_s,
-        goal.period,
-        6,
-        structural_space_fingerprint(space),
-    )
+    store_key = (key, 6, structural_space_fingerprint(space))
     _fields, nbytes = shared_grid_layout(len(space), 6)
     store = SharedGridStore()
     try:
@@ -787,7 +765,7 @@ def test_preallocated_segments_are_claimed_and_reclaimed(memory_scenario):
 
         def realize(allocator=None):
             return timing_grid(
-                memory_scenario, goal, 6, space=space, allocator=allocator
+                memory_scenario, 6, space=space, allocator=allocator
             )
 
         published = store.client().get_or_realize(
@@ -828,16 +806,17 @@ def test_zero_copy_publish_degrades_when_realize_rejects_allocator():
 
 def test_worker_state_serves_default_space_from_store(memory_scenario):
     key = ScenarioKey.for_scenario(memory_scenario)
-    goal, _ = _realized_grid(memory_scenario)
     with SharedGridStore() as store:
         publisher = _WorkerState(grid_store=store.client())
-        first = publisher.grid(key, goal, 6)
+        first = publisher.grid(key, 6)
         assert store.stats()["grids"] == 1
         # A different worker (fresh caches) attaches instead of realising.
         attacher = _WorkerState(grid_store=store.client())
-        second = attacher.grid(key, goal, 6)
-        assert not second.latency_s.flags.writeable
-        np.testing.assert_array_equal(first.latency_s, second.latency_s)
+        second = attacher.grid(key, 6)
+        assert not second.full_latency_s.flags.writeable
+        np.testing.assert_array_equal(
+            first.full_latency_s, second.full_latency_s
+        )
         assert store.stats()["grids"] == 1
 
 
