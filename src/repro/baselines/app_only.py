@@ -16,6 +16,7 @@ from repro.core.goals import Goal
 from repro.errors import ConfigurationError
 from repro.models.anytime import AnytimeDnn
 from repro.models.inference import InferenceOutcome
+from repro.runtime.scheduler import FixedConfigCell
 from repro.workloads.inputs import InputItem
 
 __all__ = ["AppOnlyScheduler"]
@@ -43,15 +44,22 @@ class AppOnlyScheduler:
             raise ConfigurationError(
                 f"default power must be positive, got {default_power_w}"
             )
-        self._config = Configuration(model=anytime, power_w=default_power_w)
+        self.config = Configuration(model=anytime, power_w=default_power_w)
         self.name = name
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
-        return self._config
+        return self.config
 
     def decide_batch(self, items, goal: Goal) -> list[Configuration]:
         """A whole run's decisions at once: the fixed configuration."""
-        return [self._config] * len(items)
+        return [self.config] * len(items)
 
     def observe(self, outcome: InferenceOutcome) -> None:
         """The anytime mechanism is self-adapting; no state to update."""
+
+    @staticmethod
+    def stack_into_cell(schedulers):
+        """Lockstep hook: one
+        :class:`~repro.runtime.scheduler.FixedConfigCell` over the
+        goals' (identical) configurations."""
+        return FixedConfigCell(schedulers)

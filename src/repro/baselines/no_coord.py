@@ -298,7 +298,7 @@ class NoCoordCellController:
     # ------------------------------------------------------------------
     # Decisions: both sides, every goal, one pass
     # ------------------------------------------------------------------
-    def decide_many(self, goals) -> list[BaselineSelection]:
+    def decide_many(self, goals, item) -> list[BaselineSelection]:
         """One (rung, power) pick per goal, via feasibility masks.
 
         Mirrors the scalar rules exactly: the app side takes the *last*
@@ -308,6 +308,7 @@ class NoCoordCellController:
         feasible cap (else the top) when minimising energy.  All
         products and comparisons are the same IEEE-double operations
         the scalar loops perform, so the masks pick identical indices.
+        The step's ``item`` is not read.
         """
         if len(goals) != self.n_goals:
             raise ConfigurationError(
@@ -379,28 +380,26 @@ class NoCoordCellController:
     # ------------------------------------------------------------------
     # Feedback: both planes, every goal, one pass
     # ------------------------------------------------------------------
-    def observe_many(self, outcomes) -> None:
+    def observe_many(self, measured) -> None:
         """Fold every goal's previous-input measurement in, stacked.
 
+        ``measured`` is a :class:`~repro.core.kernel.StackedMeasurements`.
         The app plane references the default-power profile (a constant),
-        the sys plane the profiled latency at each outcome's reported
-        cap — the same two wrong frames of reference as the scalar
-        scheduler, elementwise.
+        the sys plane the profiled latency at each goal's reported cap —
+        the same two wrong frames of reference as the scalar scheduler,
+        elementwise.
         """
-        measured = np.array([o.full_latency_s for o in outcomes])
-        self._app.observe(
-            measured, np.full(self.n_goals, self._app_reference)
-        )
+        full = measured.full_latency_s
+        self._app.observe(full, np.full(self.n_goals, self._app_reference))
         by_cap = self._latency_by_cap
         references = []
-        for outcome in outcomes:
-            cap = outcome.power_cap_w
+        for cap in measured.power_cap_w:
             reference = by_cap.get(cap)
             if reference is None:
                 reference = self.profile.latency(self.model.name, cap)
                 by_cap[cap] = reference
             references.append(reference)
-        self._sys.observe(measured, np.array(references))
+        self._sys.observe(full, np.array(references))
 
     def xi_snapshot(self) -> None:
         """No-coord exposes no ``state``; records carry 0/0 like the

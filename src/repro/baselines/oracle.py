@@ -22,9 +22,9 @@ hierarchy ALERT uses, so comparisons stay apples-to-apples.
 whole (configuration × input) table realised once) and derive the
 deadline and period they decide under
 (:meth:`~repro.models.inference.BatchOutcomeGrid.timing`).  Selection
-is a feasibility mask plus one lexicographic argmin
-(:func:`~repro.core.selector.lexargmin`) per degradation tier, keys in
-priority order:
+is a feasibility mask plus a lexicographic argmin
+(:func:`~repro.core.selector.lexargmin`) over three degradation tiers,
+each with its keys in priority order:
 
 * feasible tier — minimise the goal objective
   (``(energy, -quality, cap)`` when minimising energy,
@@ -34,6 +34,12 @@ priority order:
 * last-resort tier — ``(latency, -quality, power)``: fail as fast and
   as accurately as possible.
 
+The tiers fold into one argmin — each column keeps its best tier's
+rows and ranks them by that tier's keys — shared by the per-input
+:meth:`OracleScheduler.decide`, the whole-run
+:meth:`OracleScheduler.decide_batch`, and the lockstep
+:class:`OracleCell`, which decides every goal of a step from one
+(configurations × goals) derivation of the step's grid column.
 Because the argmin breaks ties by enumeration order, the batch pick
 is *identical* to the scalar ``min``-over-tuples references,
 :meth:`OracleScheduler.decide_scalar` and
@@ -51,8 +57,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config_space import Configuration, ConfigurationSpace
-from repro.core.goals import Goal, ObjectiveKind, outcome_feasible
-from repro.core.selector import lexargmin
+from repro.core.goals import (
+    Goal,
+    ObjectiveKind,
+    outcome_feasible,
+    violation_limits,
+)
+from repro.core.kernel import lockstep_stats_dict
+from repro.core.selector import BaselineSelection, lexargmin
 from repro.errors import ConfigurationError
 from repro.models.inference import (
     BatchOutcomeGrid,
@@ -67,6 +79,7 @@ from repro.workloads.inputs import InputItem, InputStream
 
 __all__ = [
     "OracleScheduler",
+    "OracleCell",
     "best_static_config",
     "best_static_config_scalar",
     "make_oracle_static",
@@ -88,6 +101,29 @@ def _objective_key(outcome: InferenceOutcome, goal: Goal):
     if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
         return (outcome.energy_j, -outcome.quality, outcome.power_cap_w)
     return (-outcome.quality, outcome.energy_j, outcome.power_cap_w)
+
+
+def _folded_pick(latency, met, quality, energy, feasible, min_energy, cap_w, power_w):
+    """Each column's best row, the decide() tier hierarchy in one pass.
+
+    The planes are ``(configurations, columns)``; ``feasible`` is their
+    feasibility mask, ``min_energy`` whether each column's goal
+    minimises energy (one bool, or one per column), and ``cap_w`` /
+    ``power_w`` are ``(configurations, 1)`` columns of enforced and
+    requested caps.  Each column keeps only the rows of its best tier
+    (feasible, else met-deadline, else last resort) and ranks them by
+    that tier's keys; a column's rows share one tier, so the pick
+    matches the tiered scalar reference exactly (first occurrence on
+    ties).
+    """
+    neg_quality = -quality
+    first = np.where(min_energy, energy, neg_quality)
+    second = np.where(min_energy, neg_quality, energy)
+    tier = 2 - met - feasible  # 0 feasible, 1 met-deadline, 2 neither
+    key1 = np.where(feasible, first, np.where(met, neg_quality, latency))
+    key2 = np.where(feasible, second, np.where(met, energy, neg_quality))
+    key3 = np.where(feasible, cap_w, power_w)
+    return lexargmin((key1, key2, key3), mask=tier == tier.min(axis=0))
 
 
 def oracle_outcome_grid(
@@ -189,24 +225,16 @@ class OracleScheduler:
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
         planes, cap_w = self._column(item, goal)
-        energy = planes.energy_j[:, 0]
-        quality = planes.quality[:, 0]
-        met = planes.met_deadline[:, 0]
-
-        feasible = outcome_feasible(goal, met, quality, energy)
-        if feasible.any():
-            if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
-                keys = (energy, -quality, cap_w)
-            else:
-                keys = (-quality, energy, cap_w)
-            return self._configs[lexargmin(keys, mask=feasible)]
-
-        # Latency > accuracy > power fallback, on true outcomes.
-        if met.any():
-            keys = (-quality, energy, self._power_w)
-            return self._configs[lexargmin(keys, mask=met)]
-        keys = (planes.latency_s[:, 0], -quality, self._power_w)
-        return self._configs[lexargmin(keys)]
+        met, quality, energy = (
+            planes.met_deadline, planes.quality, planes.energy_j
+        )
+        rows = _folded_pick(
+            planes.latency_s, met, quality, energy,
+            outcome_feasible(goal, met, quality, energy),
+            goal.objective is ObjectiveKind.MINIMIZE_ENERGY,
+            cap_w[:, None], self._power_w[:, None],
+        )
+        return self._configs[int(rows[0])]
 
     def decide_batch(
         self, items: list[InputItem], goal: Goal
@@ -216,11 +244,8 @@ class OracleScheduler:
         Requires every item to be answerable from the precomputed grid,
         whose planes at the goal's timing the view derives once;
         otherwise (no grid, diverged draws, off-grid inputs) falls back
-        to per-item :meth:`decide`.  Per column, the scalar tier
-        hierarchy is folded into one lexicographic argmin with the tier
-        number as the most significant key; within a column, cross-tier
-        key comparisons never decide, so the winner matches
-        :meth:`decide` exactly (first occurrence on ties).
+        to per-item :meth:`decide`.  Every column is picked by the one
+        folded-tier argmin :meth:`decide` and :class:`OracleCell` use.
         """
         if not items:
             return []
@@ -239,30 +264,24 @@ class OracleScheduler:
             selector = slice(None, n)
         else:
             selector = columns
-        energy = planes.energy_j[:, selector]
-        quality = planes.quality[:, selector]
         met = planes.met_deadline[:, selector]
-        latency = planes.latency_s[:, selector]
-        shape = energy.shape
-        cap_w = np.broadcast_to(view.grid.power_cap_w[:, None], shape)
-        power_w = np.broadcast_to(self._power_w[:, None], shape)
-        neg_quality = -quality
-
-        feasible = outcome_feasible(goal, met, quality, energy)
-        if goal.objective is ObjectiveKind.MINIMIZE_ENERGY:
-            first, second = energy, neg_quality
-        else:
-            first, second = neg_quality, energy
-        # Tier per (configuration, input): 0 feasible, 1 met-deadline
-        # fallback, 2 last resort — the decide() branch order — with
-        # that tier's own ranking keys behind it.
-        tier = np.where(feasible, 0.0, np.where(met, 1.0, 2.0))
-        key1 = np.where(feasible, first, np.where(met, neg_quality, latency))
-        key2 = np.where(feasible, second, np.where(met, energy, neg_quality))
-        key3 = np.where(feasible, cap_w, power_w)
-        rows = lexargmin((tier, key1, key2, key3))
+        quality = planes.quality[:, selector]
+        energy = planes.energy_j[:, selector]
+        rows = _folded_pick(
+            planes.latency_s[:, selector], met, quality, energy,
+            outcome_feasible(goal, met, quality, energy),
+            goal.objective is ObjectiveKind.MINIMIZE_ENERGY,
+            view.grid.power_cap_w[:, None], self._power_w[:, None],
+        )
         configs = self._configs
         return [configs[row] for row in rows.tolist()]
+
+    @staticmethod
+    def stack_into_cell(schedulers):
+        """Lockstep hook: every goal's Oracle decision per step in one
+        stacked pass (:class:`OracleCell`), or None when the schedulers
+        do not share an engine, view and space."""
+        return OracleCell.from_schedulers(schedulers)
 
     # ------------------------------------------------------------------
     # Scalar reference path (pinned by the parity suite)
@@ -314,6 +333,104 @@ class OracleScheduler:
 
     def observe(self, outcome: InferenceOutcome) -> None:
         """Oracles need no feedback."""
+
+
+class OracleCell:
+    """Lockstep Oracle across a cell's goal grid.
+
+    Each step decides every goal from one ``(configurations × goals)``
+    derivation of the step's grid column: each goal keeps its own
+    adjusted deadline, period (``goal.period``, as :meth:`decide`
+    uses), thresholds and objective, and one folded-tier argmin picks
+    every goal's configuration.  Each goal's pick equals
+    :meth:`OracleScheduler.decide` on that goal alone
+    (``tests/test_oracle_parity.py``).  A step whose input the view
+    does not hold decides goal by goal through :meth:`decide`.
+    Perfect knowledge needs no feedback: the cell is ``feedback_free``,
+    so a lane never observes it and its records carry a 0/0 belief.
+    """
+
+    feedback_free = True
+
+    def __init__(self, schedulers: list[OracleScheduler]) -> None:
+        first = schedulers[0]
+        self.n_goals = len(schedulers)
+        self._schedulers = schedulers
+        self._engine = first.engine
+        self._view = first.grid_view
+        self._cap_w = None
+        if self._view is not None:
+            self._cap_w = self._view.grid.power_cap_w[:, None]
+        self._power_w = first._power_w[:, None]
+        self._picks = [BaselineSelection(config) for config in first._configs]
+        self._stacked_calls = 0
+        self._stacked_states = 0
+
+    @classmethod
+    def from_schedulers(cls, schedulers) -> "OracleCell | None":
+        """A stacked Oracle over ``schedulers``, or None.
+
+        None — never raises — unless every scheduler is a plain
+        :class:`OracleScheduler` over the same engine, grid view and
+        candidate configurations.
+        """
+        if not schedulers:
+            return None
+        first = schedulers[0]
+        for scheduler in schedulers:
+            if (
+                type(scheduler) is not OracleScheduler
+                or scheduler.engine is not first.engine
+                or scheduler.grid_view is not first.grid_view
+                or scheduler._configs != first._configs
+            ):
+                return None
+        return cls(list(schedulers))
+
+    def decide_many(self, goals, item: InputItem) -> list[BaselineSelection]:
+        """Every goal's Oracle configuration for ``item``."""
+        if len(goals) != self.n_goals:
+            raise ConfigurationError(
+                f"expected {self.n_goals} goals, got {len(goals)}"
+            )
+        self._stacked_calls += 1
+        self._stacked_states += self.n_goals
+        view = self._view
+        column = None if view is None else view.column(self._engine, item)
+        if column is None:
+            return [
+                BaselineSelection(scheduler.decide(item, goal))
+                for scheduler, goal in zip(self._schedulers, goals)
+            ]
+        planes = view.grid.timing(
+            np.array([goal.deadline_s for goal in goals]),
+            np.array([goal.period for goal in goals]),
+            columns=np.full(self.n_goals, column),
+        )
+        floors, ceilings = violation_limits(goals)
+        met, quality, energy = (
+            planes.met_deadline, planes.quality, planes.energy_j
+        )
+        feasible = (
+            met
+            & np.logical_not(quality < floors)
+            & np.logical_not(energy > ceilings)
+        )
+        rows = _folded_pick(
+            planes.latency_s, met, quality, energy, feasible,
+            np.array(
+                [goal.objective is ObjectiveKind.MINIMIZE_ENERGY for goal in goals]
+            ),
+            self._cap_w, self._power_w,
+        )
+        picks = self._picks
+        return [picks[row] for row in rows.tolist()]
+
+    @property
+    def lockstep_stats(self) -> dict:
+        return lockstep_stats_dict(
+            self.n_goals, self._stacked_calls, self._stacked_states
+        )
 
 
 def best_static_config(

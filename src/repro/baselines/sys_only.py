@@ -194,8 +194,9 @@ class SysOnlyCellController:
             n_goals=len(schedulers),
         )
 
-    def decide_many(self, goals) -> list:
-        """One selection per goal — every goal, every step."""
+    def decide_many(self, goals, item) -> list:
+        """One selection per goal — every goal, every step (the step's
+        ``item`` is not read)."""
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
@@ -207,14 +208,17 @@ class SysOnlyCellController:
         self._stacked_states += self.n_goals
         return selections
 
-    def observe_many(self, outcomes) -> None:
-        """Fold every goal's previous-input latency in, stacked."""
+    def observe_many(self, measured) -> None:
+        """Fold every goal's previous-input latency in, stacked.
+
+        ``measured`` is a :class:`~repro.core.kernel.StackedMeasurements`.
+        """
         profile = self.profile
-        measured = np.array([o.full_latency_s for o in outcomes])
-        t_prof = np.array(
-            [profile.latency(o.model_name, o.power_cap_w) for o in outcomes]
-        )
-        self.slowdown.observe(measured, t_prof)
+        t_prof = np.array([
+            profile.latency(name, cap)
+            for name, cap in zip(measured.model_name, measured.power_cap_w)
+        ])
+        self.slowdown.observe(measured.full_latency_s, t_prof)
 
     def xi_snapshot(self) -> None:
         """Sys-only exposes no ``state``; records carry 0/0 like the

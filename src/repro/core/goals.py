@@ -39,6 +39,7 @@ __all__ = [
     "ACCURACY_EPS",
     "ENERGY_REL_EPS",
     "outcome_feasible",
+    "violation_limits",
 ]
 
 #: Tolerance on the quality floor, *absolute* because quality lives on
@@ -133,15 +134,22 @@ class Goal:
         return self.period_s if self.period_s is not None else self.deadline_s
 
     def with_deadline(self, deadline_s: float) -> "Goal":
-        """A copy of this goal with a different deadline (validated)."""
-        return type(self)(
-            self.objective,
-            deadline_s,
-            self.period_s,
-            self.accuracy_min,
-            self.energy_budget_j,
-            self.prob_threshold,
+        """A copy of this goal with a different deadline (validated).
+
+        Only the deadline is new, so only it is checked: the other
+        fields passed validation when this goal was built.  Sentence
+        words get a fresh goal per word, so the copy skips the frozen
+        dataclass ``__init__``.
+        """
+        if not 0 < deadline_s < math.inf:
+            raise ConfigurationError(
+                f"deadline must be positive and finite, got {deadline_s}"
+            )
+        goal = object.__new__(type(self))
+        object.__setattr__(
+            goal, "__dict__", {**self.__dict__, "deadline_s": deadline_s}
         )
+        return goal
 
     # ------------------------------------------------------------------
     # Constraint checks (the single source of tolerance truth)
@@ -205,6 +213,27 @@ def outcome_feasible(goal: Goal, met_deadline, quality, energy_j):
     if goal.energy_constrained:
         feasible = feasible & np.logical_not(goal.energy_violated(energy_j))
     return feasible
+
+
+def violation_limits(goals) -> tuple[np.ndarray, np.ndarray]:
+    """Every goal's quality floor and energy ceiling, as arrays.
+
+    ``quality < floor`` is :meth:`Goal.quality_violated` and ``energy >
+    ceiling`` is :meth:`Goal.energy_violated`, elementwise, for planes
+    whose last axis runs over ``goals``; a constraint that does not
+    apply to a goal gets a limit nothing crosses (-inf, +inf).
+    """
+    floors = [
+        goal.accuracy_min - ACCURACY_EPS if goal.accuracy_constrained
+        else -math.inf
+        for goal in goals
+    ]
+    ceilings = [
+        goal.energy_budget_j * (1.0 + ENERGY_REL_EPS)
+        if goal.energy_constrained else math.inf
+        for goal in goals
+    ]
+    return np.array(floors), np.array(ceilings)
 
 
 #: Floor on every adjusted deadline, so a badly overrun sentence still

@@ -18,11 +18,13 @@ of whatever drives the kernel — the batch harness's simulated clock
 (:mod:`repro.runtime.clock`), or the open-loop serving front-end's
 event loop (:mod:`repro.serve`).  This module pins that boundary:
 
-* :class:`Measurement` is the clock-free observation record.  The one
-  piece of timing knowledge a driver must resolve before observing —
-  whether the period had an idle phase, which decides if the idle-power
-  filter gets a sample — is resolved *by the driver* via
-  :func:`measurement_from_outcome`.
+* :class:`Measurement` is the clock-free observation record, and
+  :class:`StackedMeasurements` its per-step form for every goal of a
+  stacked cell.  The one piece of timing knowledge a driver must
+  resolve before observing — whether the period had an idle phase,
+  which decides if the idle-power filter gets a sample — is resolved
+  *by the driver* via :func:`measurement_from_outcome` (or
+  :func:`stacked_measurements`).
 * :class:`AlertKernel` builds the candidate space, estimator, selector
   and filters, and owns ALERT's scalar belief state and the
   estimate/select step, with an exact per-belief selection cache.
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +70,8 @@ from repro.models.profiles import ProfileTable
 __all__ = [
     "Measurement",
     "measurement_from_outcome",
+    "StackedMeasurements",
+    "stacked_measurements",
     "kernel_of",
     "ControllerState",
     "AlertKernel",
@@ -140,12 +145,12 @@ def measurement_from_outcome(outcome) -> Measurement:
 
     ``outcome`` is anything carrying the
     :class:`~repro.models.inference.InferenceOutcome` measurement
-    fields (the loops' ``_ObservedProxy`` qualifies).  This is the one
-    place the period is consulted: a period longer than the occupied
-    latency had an idle phase, so its idle-power sample is real;
-    otherwise the idle-power filter sees nothing — exactly the
-    :class:`~repro.runtime.scheduler.AlertScheduler` measurement
-    convention the paper describes.
+    fields.  This is the one place the period is consulted (with
+    :func:`stacked_measurements`, its array form): a period longer
+    than the occupied latency had an idle phase, so its idle-power
+    sample is real; otherwise the idle-power filter sees nothing —
+    exactly the :class:`~repro.runtime.scheduler.AlertScheduler`
+    measurement convention the paper describes.
     """
     idle_power = None
     if outcome.period_s > outcome.latency_s:
@@ -155,6 +160,39 @@ def measurement_from_outcome(outcome) -> Measurement:
         power_cap_w=outcome.power_cap_w,
         full_latency_s=outcome.full_latency_s,
         idle_power_w=idle_power,
+    )
+
+
+class StackedMeasurements(NamedTuple):
+    """One step's feedback for every goal of a stacked cell.
+
+    Each field aligns with the cell's goals: the configurations that
+    served (``model_name`` and the machine-clamped requested
+    ``power_cap_w``, as lists), the run-to-completion latencies, and
+    the idle-power samples, which count only where ``idle_mask`` says
+    the period had an idle phase (other entries are finite
+    placeholders).  Build it through :func:`stacked_measurements`.
+    """
+
+    model_name: list
+    power_cap_w: list
+    full_latency_s: np.ndarray
+    idle_power_w: np.ndarray
+    idle_mask: np.ndarray
+
+
+def stacked_measurements(
+    model_name, power_cap_w, latency_s, full_latency_s, idle_power_w, period_s
+) -> StackedMeasurements:
+    """:func:`measurement_from_outcome` for every goal of a step: the
+    fields are aligned sequences, and a goal's idle-power sample counts
+    where its period outlasted its latency."""
+    return StackedMeasurements(
+        model_name,
+        power_cap_w,
+        np.asarray(full_latency_s, dtype=float),
+        np.asarray(idle_power_w, dtype=float),
+        np.asarray(period_s) > np.asarray(latency_s),
     )
 
 
@@ -490,54 +528,36 @@ class AlertCellKernel:
     # ------------------------------------------------------------------
     # Step 1: measurement feedback, all goals at once
     # ------------------------------------------------------------------
-    def observe_many(self, outcomes) -> None:
+    def observe_many(self, measured: StackedMeasurements) -> None:
         """Fold every goal's previous-input measurement in, stacked.
 
-        ``outcomes`` holds one
-        :class:`~repro.models.inference.InferenceOutcome`-shaped record
-        per goal, each translated by :func:`measurement_from_outcome`:
-        the ξ observation uses the run-to-completion latency, and the
+        The ξ observation uses the run-to-completion latency, and the
         idle-power filter only sees goals whose period had an idle
-        phase.
+        phase (``measured.idle_mask``).
         """
-        measurements = [measurement_from_outcome(o) for o in outcomes]
         profile = self.profile
-        measured = np.array([m.full_latency_s for m in measurements])
-        t_prof = np.array(
-            [
-                profile.latency(m.model_name, m.power_cap_w)
-                for m in measurements
-            ]
-        )
-        self.slowdown.observe(measured, t_prof)
-        idle_mask = np.array(
-            [m.idle_power_w is not None for m in measurements]
-        )
+        keys = list(zip(measured.model_name, measured.power_cap_w))
+        t_prof = np.array([profile.latency(*key) for key in keys])
+        self.slowdown.observe(measured.full_latency_s, t_prof)
+        idle_mask = measured.idle_mask
         if idle_mask.any():
-            inference = np.array(
-                [
-                    profile.power(m.model_name, m.power_cap_w)
-                    for m in measurements
-                ]
+            inference = np.array([profile.power(*key) for key in keys])
+            self.idle_filter.update_where(
+                idle_mask, measured.idle_power_w, inference
             )
-            idle = np.array(
-                [
-                    m.idle_power_w if m.idle_power_w is not None else 0.0
-                    for m in measurements
-                ]
-            )
-            self.idle_filter.update_where(idle_mask, idle, inference)
 
     # ------------------------------------------------------------------
     # Steps 3-4: estimate and pick, all goals at once
     # ------------------------------------------------------------------
-    def decide_many(self, goals) -> list[SelectionResult]:
+    def decide_many(self, goals, item) -> list[SelectionResult]:
         """One selection per goal (already group-adjusted), stacked.
 
         Every goal goes into one
         :meth:`~repro.core.selector.ConfigSelector.select_many` pass:
         :meth:`observe_many` moves every goal's belief each step, so
-        no selection could be reused from the step before.
+        no selection could be reused from the step before.  ALERT
+        decides from its profile and belief, never from the step's
+        ``item``.
         """
         if len(goals) != self.n_goals:
             raise ConfigurationError(

@@ -74,24 +74,21 @@ def period_energy(
 
 def period_energy_arrays(
     latency_s: np.ndarray,
-    period_s: float,
+    period_s,
     inference_power_w: np.ndarray,
     idle_power_w: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`period_energy` over aligned arrays of periods.
+    """:func:`period_energy` over aligned arrays.
 
-    Returns ``(inference_j, idle_j)`` computed with the exact
-    per-element arithmetic of the scalar bookkeeping, so the batch
-    evaluation path and the metered path agree to the bit.  ``out``
-    optionally supplies the two destination arrays — the values are
-    identical either way (same multiplications, different backing
-    memory), which lets grid realisation write its energy planes
-    straight into a shared-memory segment instead of copying them
-    there afterwards.
+    ``period_s`` is one period or an array of them that broadcasts
+    against ``latency_s`` (each goal of a stacked decision, or each run
+    of a lockstep lane, keeps its own).  Returns ``(inference_j,
+    idle_j)`` computed with the exact per-element arithmetic of the
+    scalar bookkeeping, so the batch evaluation path and the metered
+    path agree to the bit.
     """
     latency = np.asarray(latency_s, dtype=float)
-    if period_s < 0 or np.any(latency < 0):
+    if np.any(np.asarray(period_s) < 0) or np.any(latency < 0):
         raise SimulationError(
             f"negative durations: latency={latency_s}, period={period_s}"
         )
@@ -100,10 +97,9 @@ def period_energy_arrays(
     ):
         raise SimulationError("power draws must be non-negative")
     idle_time = np.maximum(0.0, period_s - latency)
-    inference_out, idle_out = out if out is not None else (None, None)
     return (
-        np.multiply(latency, inference_power_w, out=inference_out),
-        np.multiply(idle_time, idle_power_w, out=idle_out),
+        np.multiply(latency, inference_power_w),
+        np.multiply(idle_time, idle_power_w),
     )
 
 

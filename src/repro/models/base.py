@@ -84,11 +84,13 @@ class Task:
         """:meth:`quality_to_metric` over a whole run's qualities.
 
         The affine accuracy conversion vectorises bit-identically; the
-        perplexity map stays a per-element loop because ``math.exp``
-        and NumPy's ``exp`` may round differently.
+        perplexity map stays per element because ``math.exp`` and
+        NumPy's ``exp`` may round differently, once per distinct
+        quality (a run's qualities come off a few ladder rungs).
         """
         if self.kind is TaskKind.SENTENCE_PREDICTION:
-            return [_quality_to_perplexity(quality) for quality in qualities]
+            perplexity = {q: _quality_to_perplexity(q) for q in set(qualities)}
+            return [perplexity[quality] for quality in qualities]
         return [quality * 100.0 for quality in qualities]
 
     def metric_to_quality(self, metric: float) -> float:

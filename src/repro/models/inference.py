@@ -212,11 +212,7 @@ class BatchOutcomeGrid:
         return np.asarray(positions, dtype=int)
 
     def timing(
-        self,
-        deadline_s,
-        period_s: float,
-        row: int | None = None,
-        columns=slice(None),
+        self, deadline_s, period_s, columns=slice(None)
     ) -> OutcomePlanes:
         """The grid's outcomes served under one deadline and period.
 
@@ -224,33 +220,69 @@ class BatchOutcomeGrid:
         element operations: each run stops at the earliest of its full
         latency, the deadline and its rung cap, the quality ladder and
         completed rungs follow from the stop, and the energy split
-        from the stop and the period.  ``row`` restricts the planes to
-        one configuration row (they keep a leading axis of one) and
-        ``columns`` (an index array or slice; all inputs by default)
-        picks inputs.  ``deadline_s`` is a float, or an array aligned
-        with the picked columns when inputs carry their own deadlines
-        (the words of one sentence).
+        from the stop and the period.  ``columns`` (an index array or
+        slice; all inputs by default) picks inputs.  ``deadline_s`` and
+        ``period_s`` are floats, or arrays aligned with the picked
+        columns when inputs carry their own timing (one grid column
+        repeated per goal, each at that goal's deadline and period).
         """
-        if row is None:
-            rows, parts = slice(None), self.ladder.parts
-        else:
-            rows, parts = slice(row, row + 1), (self.ladder.part_of(row),)
-        full = self.full_latency_s[rows, columns]
-        idle_power = self.idle_power_w[rows, columns]
-        power = self.inference_power_w[rows]
-        shape = full.shape
-        latency = np.empty(shape)
-        met = np.empty(shape, dtype=bool)
-        quality = np.empty(shape)
-        rungs = np.zeros(shape, dtype=np.int64)
-        for model, part, rung_fraction, q, q_fail in parts:
+        full = self.full_latency_s[:, columns]
+        idle_power = self.idle_power_w[:, columns]
+        latency = np.empty(full.shape)
+        met = np.empty(full.shape, dtype=bool)
+        quality = np.empty(full.shape)
+        rungs = np.zeros(full.shape, dtype=np.int64)
+        for model, part, rung_fraction, q, q_fail in self.ladder.parts:
             latency[part], met[part], quality[part], rungs[part] = _stop_rows(
                 model, rung_fraction, q, q_fail, full[part], deadline_s
             )
+        return self._planes(
+            (latency, met, quality, rungs), period_s, full, idle_power,
+            self.inference_power_w, columns,
+        )
+
+    def timing_at(self, rows, columns, deadline_s, period_s) -> OutcomePlanes:
+        """Paired outcomes: run ``i`` is row ``rows[i]`` on column
+        ``columns[i]``, served at ``deadline_s[i]`` and ``period_s[i]``.
+
+        The element operations of :meth:`timing`, so a run reads the
+        same values either way; every plane of the result is 1-D over
+        the runs, ``inference_power_w`` and ``env_factor`` too.  One
+        call derives every grid-served step of a lockstep lane.
+        """
+        ladder = self.ladder
+        full = self.full_latency_s[rows, columns]
+        latency = np.empty(full.shape)
+        met = np.empty(full.shape, dtype=bool)
+        quality = np.empty(full.shape)
+        rungs = np.zeros(full.shape, dtype=np.int64)
+        part_of_run = ladder.row_part[rows]
+        for part, (model, *_) in enumerate(ladder.parts):
+            runs = np.flatnonzero(part_of_run == part)
+            if runs.size:
+                picked = rows[runs]
+                (
+                    latency[runs], met[runs], quality[runs], rungs[runs]
+                ) = _stop_rows(
+                    model, ladder.rung_fraction[picked], ladder.quality[picked],
+                    ladder.q_fail[picked], full[runs], deadline_s[runs],
+                )
+        return self._planes(
+            (latency, met, quality, rungs), period_s, full,
+            self.idle_power_w[rows, columns], self.inference_power_w[rows],
+            columns,
+        )
+
+    def _planes(
+        self, stopped, period_s, full, idle_power, power, columns
+    ) -> OutcomePlanes:
+        """A derivation's planes: its ``(latency, met, quality, rungs)``
+        plus the energy split over ``period_s``."""
+        latency, met, quality, rungs = stopped
         inference_j, idle_j = period_energy_arrays(
             latency_s=latency,
             period_s=period_s,
-            inference_power_w=power[:, None],
+            inference_power_w=power[:, None] if full.ndim == 2 else power,
             idle_power_w=idle_power,
         )
         return OutcomePlanes(
@@ -280,8 +312,9 @@ class OutcomePlanes(NamedTuple):
 
     The 2-D planes are ``(rows, columns)`` of the derivation;
     ``inference_power_w`` is 1-D over its rows and ``env_factor`` 1-D
-    over its columns, so one row read works on whole-grid planes and
-    on single-row ones alike.
+    over its columns.  A paired derivation
+    (:meth:`BatchOutcomeGrid.timing_at`) holds every field 1-D over its
+    runs.
     """
 
     latency_s: np.ndarray
@@ -307,13 +340,16 @@ class _Ladder:
     ``(model, rows, rung_fraction, quality, q_fail)``: ``rows`` is a
     slice (a space enumerates each model's rows together, so there are
     few runs) and the per-row values are ``(k, 1)`` columns.
-    ``rung_fraction`` is +inf where no rung cap applies.
+    ``row_part`` maps each row to its part, ``anytime`` marks the rows
+    that stop early, and ``rung_fraction`` is +inf where no rung cap
+    applies.
     """
 
-    configs: tuple
     rung_fraction: np.ndarray
     quality: np.ndarray
     q_fail: np.ndarray
+    anytime: np.ndarray
+    row_part: np.ndarray
     parts: tuple
 
     @classmethod
@@ -336,28 +372,31 @@ class _Ladder:
                 rung_fraction[row] = model.outputs[rung_cap].latency_fraction
         quality = np.array([config.model.quality for config in configs], float)
         q_fail = np.array([config.model.q_fail for config in configs], float)
+        row_part = np.empty(len(configs), dtype=np.intp)
         parts = []
         start = 0
         for row in range(1, len(configs) + 1):
             if row == len(configs) or rules[row] is not rules[start]:
                 rows = slice(start, row)
+                row_part[rows] = len(parts)
                 parts.append((
                     rules[start], rows, rung_fraction[rows, None],
                     quality[rows, None], q_fail[rows, None],
                 ))
                 start = row
-        return cls(configs, rung_fraction, quality, q_fail, tuple(parts))
-
-    def part_of(self, row: int) -> tuple:
-        """One row as the only part of a one-row derivation."""
-        model = self.configs[row].model
-        return (
-            model if isinstance(model, AnytimeDnn) else None,
-            slice(0, 1),
-            self.rung_fraction[row],
-            self.quality[row],
-            self.q_fail[row],
+        anytime = np.array([rule is not None for rule in rules], dtype=bool)
+        return cls(
+            rung_fraction, quality, q_fail, anytime, row_part, tuple(parts)
         )
+
+    def stop(self, rows, full, deadline_s) -> np.ndarray:
+        """When runs of ``rows`` stop: :func:`stop_latency` over arrays
+        aligned with ``rows``, in the operations of
+        :meth:`BatchOutcomeGrid.timing`."""
+        early = np.minimum(
+            np.minimum(full, deadline_s), self.rung_fraction[rows] * full
+        )
+        return np.where(self.anytime[rows], early, full)
 
 
 def _stop_rows(model, rung_fraction, quality, q_fail, full, deadline_s):

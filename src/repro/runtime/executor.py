@@ -14,17 +14,20 @@ independence into an execution plan:
   data, so a plan can cross a process boundary.  The executing process
   realises the scenario's timing-free (configuration × input) outcome
   grid once and builds every scheduler with
-  :func:`~repro.experiments.harness.make_scheme` over it:
-  feedback-free schemes ride the serving loop's batch path over grid
-  column slices, feedback schemes read their latency/energy from the
-  same grid instead of calling
+  :func:`~repro.experiments.harness.make_scheme` over it; every run
+  reads its latency and energy from that grid instead of calling
   :meth:`~repro.models.inference.InferenceEngine.run` per input.  How
-  a stacking scheme (the ALERT family, Sys-only, No-coord) is served
-  follows the cell's width: with at least :data:`LOCKSTEP_MIN_GOALS`
-  goals its runs become one lane of a
+  a scheme is served follows the cell's width and
+  :meth:`~repro.runtime.loop.ServingLoop.batch_eligible`.  A
+  feedback-free run the batch path admits (Oracle, OracleStatic and
+  App-only on image cells) rides it over grid column slices.  With at
+  least :data:`LOCKSTEP_MIN_GOALS` goals every other scheme — the
+  ALERT family, Sys-only, No-coord, and the feedback-free schemes on
+  sentence cells, whose words share deadlines — becomes one lane of a
   :class:`~repro.runtime.loop.CrossSchemeLockstepLoop` (one stacked
-  decide/observe pass per input for all goals), below that each goal
-  runs alone through :class:`~repro.runtime.loop.ServingLoop`;
+  decide, and for feedback schemes one stacked observe, per input for
+  all goals); below that each goal runs alone through
+  :class:`~repro.runtime.loop.ServingLoop`;
 * :func:`plan_cells` — the one planning rule: (scenario, goal) work
   groups into one scenario-wide spec per scenario, so every cell is as
   wide as its scenario allows.  A plan parallelises across scenarios,
@@ -456,12 +459,13 @@ class _WorkerState:
         once), one shared engine/stream realisation; every scheduler is
         built by :func:`~repro.experiments.harness.make_scheme` with the
         view (only the oracles read it), and every loop and lane serves
-        from it.  When the cell holds at least
-        :data:`LOCKSTEP_MIN_GOALS` goals, every scheme whose schedulers
-        stack becomes a lane of one
+        from it.  A scheme whose runs
+        :meth:`~repro.runtime.loop.ServingLoop.batch_eligible` admits
+        takes the batch path goal by goal.  Otherwise, when the cell
+        holds at least :data:`LOCKSTEP_MIN_GOALS` goals and the
+        schedulers stack, the scheme becomes a lane of one
         :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`; every
-        other run goes through :class:`ServingLoop` with the view,
-        where feedback-free schemes take the batch path.
+        other run goes through :class:`ServingLoop` with the view.
         Results are goal-major, aligned with ``spec.goals`` ×
         ``spec.schemes``.
         """
@@ -474,37 +478,38 @@ class _WorkerState:
         view = GridView(self.grid(spec.scenario, spec.n_inputs), trusted=True)
 
         lockstep = len(spec.goals) >= LOCKSTEP_MIN_GOALS
+        items = stream.items(spec.n_inputs)
         results: list[list[RunResult | None]] = [
             [None] * len(spec.schemes) for _ in spec.goals
         ]
         lanes: list = []
         lane_positions: list[int] = []
         for position, scheme in enumerate(spec.schemes):
-            schedulers = [
-                make_scheme(
-                    scheme, scenario, engine, stream, goal, spec.n_inputs,
+            loops = [
+                ServingLoop(
+                    engine, stream,
+                    make_scheme(
+                        scheme, scenario, engine, stream, goal, spec.n_inputs,
+                        grid_view=view,
+                    ),
+                    goal,
+                    requirement_trace=spec.requirement_trace,
                     grid_view=view,
                 )
                 for goal in spec.goals
             ]
             lane = None
-            if lockstep:
-                lane = CrossSchemeLockstepLoop.lane(
-                    engine, stream, schedulers, spec.goals,
-                    [view] * len(spec.goals),
-                    requirement_trace=spec.requirement_trace,
-                )
+            if lockstep and not all(
+                loop.batch_eligible(items) for loop in loops
+            ):
+                lane = CrossSchemeLockstepLoop.lane_of(loops)
             if lane is not None:
                 lanes.append(lane)
                 lane_positions.append(position)
                 continue
             LOCKSTEP_TELEMETRY.record_fallback(len(spec.goals))
-            for g, goal in enumerate(spec.goals):
-                results[g][position] = ServingLoop(
-                    engine, stream, schedulers[g], goal,
-                    requirement_trace=spec.requirement_trace,
-                    grid_view=view,
-                ).run(spec.n_inputs)
+            for g, loop in enumerate(loops):
+                results[g][position] = loop.run(spec.n_inputs)
         if lanes:
             fused = CrossSchemeLockstepLoop(lanes).run(spec.n_inputs)
             for position, lane_runs in zip(lane_positions, fused):

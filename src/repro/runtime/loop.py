@@ -18,32 +18,36 @@ pool), and the experiment harness builds those plans.
 * the *sequential* path (:meth:`ServingLoop.run_sequential`) — the
   faithful per-input round trip above, one run at a time.  It is the
   reference the other two are pinned to, and it serves every run they
-  do not;
+  do not: narrow cells' feedback runs, and schedulers that cannot
+  stack;
 * the *batch* path (:meth:`ServingLoop.run`) — when the policy declares
   itself **feedback-free** (``scheduler.feedback_free`` is True:
   decisions never read observations and ``observe`` is a no-op, e.g.
   Oracle, OracleStatic, App-only) and the run's goal cannot change
-  from one input to the next, every decision is known up front, so the
-  loop realises the whole run as one
+  from one input to the next (:meth:`ServingLoop.batch_eligible`),
+  every decision is known up front, so the loop realises the whole run
+  as column slices of one grid derivation (or one
   :meth:`~repro.models.inference.InferenceEngine.evaluate_batch` pass
-  per distinct configuration plus vectorized violation bookkeeping
+  per distinct configuration) plus vectorized violation bookkeeping
   instead of ``n_inputs`` engine round trips.  The batch path is pure
   with respect to the engine's RAPL meter (nothing is metered) and
   matches the sequential records exactly up to floating-point
   associativity (≤ 1 ulp; discrete fields identical), pinned by
   ``tests/test_serving_batch_parity.py``;
-* the *lockstep* path — in a cell with enough goals, every stacking
-  scheme's runs become one :class:`LockstepLane`, and all lanes of the
-  cell advance together through one :class:`CrossSchemeLockstepLoop`:
-  one stacked decide and one stacked observe pass per lane per input.
-  Each goal is derived at every input through that goal's own
+* the *lockstep* path — in a cell with enough goals, every scheme whose
+  runs the batch path refuses (the feedback schemes, and on sentence
+  cells the feedback-free ones too) becomes one :class:`LockstepLane`,
+  and all lanes of the cell advance together through one
+  :class:`CrossSchemeLockstepLoop`: one stacked decide and (for
+  feedback schemes) one stacked observe pass per lane per input.  Each
+  goal is derived at every input through that goal's own
   :class:`ServingLoop`, as on the sequential path, so shared sentence
   deadlines and requirement traces need no second loop.
 
-The batch path and the lockstep lanes build their records the same
-way: the outcomes of one grid row are read into plain lists once
-(:func:`_read_rows`) and the records are filled straight into
-``__dict__`` (:func:`_fill_group`).
+The batch path and the lockstep lanes return the same thing: a run's
+:class:`~repro.runtime.results.RunArrays` plus a materializer that
+fills the records straight into ``__dict__`` (:func:`_fill_group`)
+from plain lists (:class:`_RowGroup`) on first access.
 
 **Shared realisations.**  Every path can additionally serve from a
 :class:`~repro.models.inference.GridView` over a precomputed
@@ -57,12 +61,13 @@ resolves to a grid (row, column) is answered by
 :meth:`GridView.outcome` instead of :meth:`InferenceEngine.run` (the
 actuator is still driven, so effective caps and end state match the
 live path; nothing is metered); in the lockstep lanes each step's stop
-latency comes from the grid and the records are derived per row group
-afterwards; on the batch path whole configuration groups become
-column slices of the view's planes at the run's timing instead of
-fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input,
-unknown configuration, quantized cap — falls back to the live engine
-per input, so a view is always an optimisation, never a semantics
+latency comes from the grid and one paired derivation gives every
+grid-served step its outcome afterwards; on the batch path whole
+configuration groups become column slices of the view's planes at the
+run's timing instead of fresh ``evaluate_batch`` passes.  Any lookup
+miss — off-grid input, unknown configuration, quantized cap — falls
+back to the live engine per input, so a view is always an
+optimisation, never a semantics
 change (``tests/test_cell_fusion_parity.py`` pins grid-served runs to
 the live-engine reference).  The view comes from the ``grid_view``
 constructor argument only; every path asks it, never the grid, whether
@@ -80,18 +85,20 @@ Violation bookkeeping follows the paper:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.goals import Goal, GoalAdjuster
+from repro.core.goals import Goal, GoalAdjuster, violation_limits
+from repro.core.kernel import stacked_measurements
 from repro.errors import ConfigurationError
 from repro.hw.energy import EnergyBreakdown
 from repro.models.inference import (
     GridView,
     InferenceEngine,
     InferenceOutcome,
-    stop_latency,
+    OutcomePlanes,
 )
 from repro.runtime.clock import SimulatedClock
 from repro.runtime.results import RunArrays, RunResult, ServedInput
@@ -150,10 +157,10 @@ class LockstepTelemetry:
     def record_sequential(self, n_inputs: int) -> None:
         """Count inputs served by per-input Python decide/observe.
 
-        Incremented by the sequential reference path only; a fully
-        fused cell (stacked schemes in lockstep, feedback-free schemes
-        on the batch path) leaves this at zero, which the lockstep
-        parity tests assert.
+        Incremented by the sequential reference path only.  A wide cell
+        leaves this at zero — every scheme advances as a lockstep lane,
+        except feedback-free runs the batch path takes (image cells) —
+        which the lockstep parity tests assert.
         """
         self.sequential_inputs += n_inputs
 
@@ -236,7 +243,7 @@ def _read_rows(
     ``effective_cap_w`` is the cap the actuator enforced, which a
     column realised at a quantized cap does not carry.  The
     violation flags are checked against ``goal`` with the tolerances of
-    :mod:`repro.core.goals`, shared with :meth:`ServingLoop._record`
+    :mod:`repro.core.goals`, shared with :func:`_served_record`
     and the oracles' feasibility masks.
 
     Returns ``(group, series)``: the :class:`_RowGroup`, and the arrays
@@ -344,6 +351,33 @@ def _fill_group(
             "xi_sigma": xi_sigmas[position],
         })
         records[position] = record
+
+
+def _served_record(
+    outcome: InferenceOutcome,
+    goal: Goal,
+    deadline_s: float,
+    xi_mean: float,
+    xi_sigma: float,
+) -> ServedInput:
+    """One engine-served input's record, with its violation flags.
+
+    Tolerances live in one place — :mod:`repro.core.goals` — shared
+    with the oracles' feasibility masks, so "violated" means the same
+    thing to the bookkeeping and to the perfect-knowledge baselines.
+    ``goal`` is the base goal in force and ``deadline_s`` the adjusted
+    deadline the input was served under.
+    """
+    return ServedInput(
+        outcome=outcome,
+        goal=goal,
+        effective_deadline_s=deadline_s,
+        latency_violation=not outcome.met_deadline,
+        accuracy_violation=bool(goal.quality_violated(outcome.quality)),
+        energy_violation=bool(goal.energy_violated(outcome.energy_j)),
+        xi_mean=xi_mean,
+        xi_sigma=xi_sigma,
+    )
 
 
 class ServingLoop:
@@ -523,58 +557,18 @@ class ServingLoop:
             if has_state:
                 state = self.scheduler.state
                 xi_mean, xi_sigma = state.xi_mean, state.xi_sigma
+            # The "input served" commit point: the simulated clock
+            # advances by the input's occupied time (the batch path and
+            # the lockstep lanes tick the same times with tick_many).
+            latency, period = outcome.latency_s, outcome.period_s
+            self.clock.tick(latency if latency > period else period)
             records.append(
-                self._record(
-                    item_goal=base_goal,
-                    adjusted=adjusted,
-                    outcome=outcome,
-                    xi_mean=xi_mean,
-                    xi_sigma=xi_sigma,
+                _served_record(
+                    outcome, base_goal, adjusted.deadline_s, xi_mean, xi_sigma
                 )
             )
         return RunResult(
             scheduler_name=self.scheduler.name, goal=self.goal, records=records
-        )
-
-    def _record(
-        self,
-        item_goal: Goal,
-        adjusted: Goal,
-        outcome,
-        xi_mean: float = 0.0,
-        xi_sigma: float = 0.0,
-    ) -> ServedInput:
-        """Build one input's record with violation flags.
-
-        Tolerances live in one place — :mod:`repro.core.goals` — shared
-        with the oracles' feasibility masks, so "violated" means the
-        same thing to the bookkeeping and to the perfect-knowledge
-        baselines.
-
-        Also the "input served" commit point for the inputs recorded
-        here — every input of the sequential path, and each lockstep
-        lane's engine-served inputs: the simulated clock advances by
-        the input's occupied time.  The inputs recorded through
-        :func:`_fill_group` (the batch path's, and the lanes'
-        grid-served ones) tick the same occupied time with
-        ``tick_many``.
-        """
-        latency = outcome.latency_s
-        period = outcome.period_s
-        self.clock.tick(latency if latency > period else period)
-        latency_violation = not outcome.met_deadline
-        accuracy_violation = bool(item_goal.quality_violated(outcome.quality))
-        energy_violation = bool(item_goal.energy_violated(outcome.energy_j))
-
-        return ServedInput(
-            outcome=outcome,
-            goal=item_goal,
-            effective_deadline_s=adjusted.deadline_s,
-            latency_violation=latency_violation,
-            accuracy_violation=accuracy_violation,
-            energy_violation=energy_violation,
-            xi_mean=xi_mean,
-            xi_sigma=xi_sigma,
         )
 
     # ------------------------------------------------------------------
@@ -740,68 +734,75 @@ class LockstepLane(NamedTuple):
     """One scheme's runs of a lockstep cell, as plain data.
 
     ``loops`` holds one :class:`ServingLoop` per goal (goal adjustment,
-    simulated clock, engine-served records); ``cell`` is the stacked
-    cell deciding for all of them (``decide_many`` / ``observe_many``
-    / ``xi_snapshot`` / ``lockstep_stats``), e.g.
-    :class:`~repro.core.kernel.AlertCellKernel`.  Build one through
-    :meth:`CrossSchemeLockstepLoop.lane`.
+    simulated clock), all over one engine, stream and grid view;
+    ``cell`` is the stacked cell deciding for all of them
+    (``n_goals``, ``decide_many(goals, item)``, ``lockstep_stats``, and
+    unless it declares ``feedback_free``, ``observe_many`` and
+    ``xi_snapshot``), e.g. :class:`~repro.core.kernel.AlertCellKernel`.
+    Build one through :meth:`CrossSchemeLockstepLoop.lane` or
+    :meth:`CrossSchemeLockstepLoop.lane_of`.
     """
 
     loops: list[ServingLoop]
     cell: object
 
 
-class _ObservedProxy:
-    """Grid-read measurement record for the stacked observe pass.
+class _LaneSteps(NamedTuple):
+    """What stepping one lane leaves for its records, step-major.
 
-    Carries exactly the fields the stacked cell controllers' measurement
-    conventions read (``observe_many`` over ALERT, Sys-only, No-coord):
-    the proxy contract.  One mutable instance per goal is refilled from
-    the grid arrays each step — ``observe_many`` consumes the values
-    immediately, so nothing is retained — sparing the lockstep loop a
-    full :class:`~repro.models.inference.InferenceOutcome` construction
-    per (goal, input) just to feed six numbers to the filters.
+    ``rows`` holds each (step, goal)'s grid row, -1 where the live
+    engine served it (``fallbacks`` holds those ``(step, goal,
+    outcome)`` in step order); ``caps`` the requested caps,
+    ``deadlines`` the adjusted deadlines and ``latency`` the served
+    latencies, all ``(n_inputs, n_goals)``.  ``bases`` holds each
+    step's base goals — one list object for every step unless
+    ``traced`` (a requirement trace moves them); ``xi`` the per-step
+    belief planes, or None.
     """
 
-    __slots__ = (
-        "model_name",
-        "power_cap_w",
-        "latency_s",
-        "full_latency_s",
-        "idle_power_w",
-        "period_s",
-    )
+    rows: np.ndarray
+    caps: np.ndarray
+    deadlines: np.ndarray
+    latency: np.ndarray
+    fallbacks: list
+    bases: list
+    traced: bool
+    xi: tuple | None
 
 
 class CrossSchemeLockstepLoop:
     """Advance a whole Table-4 cell — every scheme's lockstep lanes —
     over one input stream.
 
-    The one lockstep path: the executor puts every stacking scheme of
-    a wide enough cell here, and a lone lane runs as a one-lane cell.
-    Each *lane* is a :class:`LockstepLane` (one scheme, all goals).
-    All goals advance input-by-input **together**: one stacked
-    ``decide_many`` pass computes every goal's decision per step, each
-    goal's outcome is read from its timing's shared
-    :class:`~repro.models.inference.GridView` (live-engine fallback on
-    any miss), and one stacked ``observe_many`` pass folds all
-    measurements back in, fed by lightweight :class:`_ObservedProxy`
-    reads of the grid — zero per-input Python ``decide``/``observe``
-    calls.  Lanes share the per-view column resolution, computed once
-    per (view, engine) pair.
+    The one lockstep path: the executor puts every scheme of a wide
+    enough cell here unless its runs take the batch path, and a lone
+    lane runs as a one-lane cell.  Each *lane* is a
+    :class:`LockstepLane` (one scheme, all goals).  All goals advance
+    input-by-input **together**: one stacked ``decide_many`` pass
+    computes every goal's decision per step, the grid-served goals'
+    stop latencies come from one vectorized read of the shared
+    :class:`~repro.models.inference.GridView` (live-engine fallback per
+    miss), and one stacked ``observe_many`` pass folds the step's
+    :class:`~repro.core.kernel.StackedMeasurements` back in — zero
+    per-input Python ``decide``/``observe`` calls.  A feedback-free
+    cell (``feedback_free`` True) observes nothing.  Lanes share the
+    per-view column resolution, computed once per (view, engine) pair.
 
     Each step derives every goal's base and adjusted goal through that
     goal's own :class:`ServingLoop` (requirement trace, shared sentence
-    deadline), serves the goal from the grid only when the step's
-    timing is the grid's, and hands the realised latency back to the
-    goal's adjuster — the sequential path's goal plumbing, step for
-    step.
+    deadline) and hands the served latency back to the goal's adjuster
+    — the sequential path's goal plumbing, step for step.  A lane
+    carries its goals as ``(n_inputs, n_goals)`` arrays of grid rows,
+    requested caps and adjusted deadlines; per-goal Python is left to
+    goal adjustment.
 
-    Records are built after the stepping loop, goal by goal: the
-    grid-served steps of one row (and one base goal) through the same
-    read-and-fill helpers as the batch path, the engine-served steps
-    through :meth:`ServingLoop._record`.  Either way every goal's
-    :class:`RunResult` is value-identical to serving that goal alone
+    After the last step one paired derivation
+    (:meth:`~repro.models.inference.BatchOutcomeGrid.timing_at`) gives
+    every grid-served step its outcome at its own deadline and period,
+    the clocks tick, and each goal's :class:`RunResult` comes back as
+    :class:`~repro.runtime.results.RunArrays` plus a materializer that
+    builds the records on first access, as the batch path's runs do.
+    Every goal's run is value-identical to serving that goal alone
     sequentially (``tests/test_lockstep_parity.py``: discrete exact,
     floats ≤ 1e-12, pool ≡ serial).
     """
@@ -843,39 +844,62 @@ class CrossSchemeLockstepLoop:
     ) -> "LockstepLane | None":
         """A lockstep lane over one scheme's per-goal runs, or None.
 
-        None sends the caller to the sequential path: it comes back
-        whenever the runs cannot advance in lockstep (custom scheduler
-        types, incompatible or already-warm kernels).
-        ``schedulers``/``goals``/``grid_views`` align one-to-one.  A
-        scheduler class opts into lockstep by defining a
-        ``stack_into_cell(schedulers)`` staticmethod **on the class
-        itself** that returns a stacked cell (or None when
-        the given instances cannot stack — warm state, mismatched
-        spaces).  The hook is looked up on the exact class, never
-        inherited, so subclasses with overridden behaviour fall back
-        to the sequential reference path unless they re-opt in.
-        :class:`~repro.runtime.scheduler.AlertScheduler` and
-        :class:`~repro.baselines.sys_only.SysOnlyScheduler` define it.
+        ``schedulers``/``goals``/``grid_views`` align one-to-one; each
+        goal gets its own :class:`ServingLoop` and :meth:`lane_of`
+        stacks them.
         """
         if len(schedulers) < 1 or len(schedulers) != len(goals):
             return None
-        leader = type(schedulers[0])
-        if any(type(s) is not leader for s in schedulers):
-            return None
-        builder = leader.__dict__.get("stack_into_cell")
-        if builder is None:
-            return None
-        cell = builder.__get__(None, leader)(schedulers)
-        if cell is None:
-            return None
-        loops = [
+        return cls.lane_of([
             ServingLoop(
                 engine, stream, scheduler, goal,
                 requirement_trace=requirement_trace, grid_view=view,
             )
             for scheduler, goal, view in zip(schedulers, goals, grid_views)
-        ]
-        return LockstepLane(loops, cell)
+        ])
+
+    @staticmethod
+    def lane_of(loops: list[ServingLoop]) -> "LockstepLane | None":
+        """The lockstep lane over ``loops``, or None.
+
+        None sends the caller to the per-goal path: it comes back
+        whenever the runs cannot advance in lockstep (custom scheduler
+        types, incompatible or already-warm kernels, runs that do not
+        share one engine and grid view).  A scheduler class opts into
+        lockstep by defining a ``stack_into_cell(schedulers)``
+        staticmethod **on the class itself** that returns a stacked
+        cell (or None when the given instances cannot stack — warm
+        state, mismatched spaces).  The hook is looked up on the exact
+        class, never inherited, so subclasses with overridden behaviour
+        fall back to the sequential reference path unless they re-opt
+        in.  :class:`~repro.runtime.scheduler.AlertScheduler`,
+        :class:`~repro.baselines.sys_only.SysOnlyScheduler`,
+        :class:`~repro.baselines.no_coord.NoCoordScheduler`, and the
+        feedback-free :class:`~repro.baselines.oracle.OracleScheduler`,
+        :class:`~repro.runtime.scheduler.StaticScheduler` (OracleStatic)
+        and :class:`~repro.baselines.app_only.AppOnlyScheduler` define
+        it.
+        """
+        if not loops:
+            return None
+        first = loops[0]
+        leader = type(first.scheduler)
+        for loop in loops:
+            if (
+                type(loop.scheduler) is not leader
+                or loop.engine is not first.engine
+                or loop.grid_view is not first.grid_view
+            ):
+                return None
+        builder = leader.__dict__.get("stack_into_cell")
+        if builder is None:
+            return None
+        cell = builder.__get__(None, leader)(
+            [loop.scheduler for loop in loops]
+        )
+        if cell is None:
+            return None
+        return LockstepLane(list(loops), cell)
 
     def run(self, n_inputs: int) -> "list[list[RunResult]]":
         """Serve ``n_inputs`` for every lane; results align lane-major
@@ -884,206 +908,388 @@ class CrossSchemeLockstepLoop:
             raise ConfigurationError(f"need at least one input, got {n_inputs}")
         items = self.stream.items(n_inputs)
         column_cache: dict[tuple[int, int], np.ndarray] = {}
-        return [
-            self._run_lane(lane, items, column_cache) for lane in self.lanes
-        ]
+        results = []
+        for lane in self.lanes:
+            view = lane.loops[0].grid_view
+            columns = None
+            if view is not None:
+                engine = lane.loops[0].engine
+                key = (id(view), id(engine))
+                columns = column_cache.get(key)
+                if columns is None:
+                    columns = self._columns(view, engine, items)
+                    column_cache[key] = columns
+            steps = self._step_lane(lane, items, columns)
+            results.append(self._finish_lane(lane, items, columns, steps))
+            LOCKSTEP_TELEMETRY.record_cell(lane.cell)
+        return results
 
     def _columns(
         self, view: GridView, engine: InferenceEngine, items: list[InputItem]
     ) -> np.ndarray:
         """Per-step grid columns for one view (-1 where any miss)."""
-        positions = np.full(len(items), -1, dtype=np.int64)
+        positions = np.full(len(items), -1, dtype=np.intp)
         for position, item in enumerate(items):
             column = view.column(engine, item)
             if column is not None:
                 positions[position] = column
         return positions
 
-    def _run_lane(
-        self,
-        lane: LockstepLane,
-        items: list[InputItem],
-        column_cache: dict,
-    ) -> "list[RunResult]":
+    @staticmethod
+    def _resolve(memo: dict, engine: InferenceEngine, view, config) -> tuple:
+        """``(row or -1, requested clamped cap, config)`` of one decision.
+
+        Config identities are stable (cells hand out their candidate
+        objects), so the actuator/row resolution runs once per distinct
+        decision; the entry pins its config, keeping the id unambiguous.
+        """
+        effective = engine.actuator.set_power_cap(config.power_w)
+        row = view.row_for(config.model, effective, config.rung_cap)
+        entry = (
+            row if row is not None else -1,
+            engine.machine.clamp_power(config.power_w),
+            config,
+        )
+        memo[id(config)] = entry
+        return entry
+
+    def _step_lane(
+        self, lane: LockstepLane, items: list[InputItem], columns
+    ) -> _LaneSteps:
+        """Advance every goal of one lane through ``items``.
+
+        Decisions, the actuator, goal adjustment and the stacked filters
+        move here, step by step; nothing builds a record.
+        """
         loops, cell = lane
         n_goals = len(loops)
         n = len(items)
-
-        # Column resolution is shared across every lane and goal
-        # reading one view.
-        cols: list[np.ndarray | None] = []
-        for loop in loops:
-            view = loop.grid_view
-            if view is None:
-                cols.append(None)
-                continue
-            cache_key = (id(view), id(loop.engine))
-            cached = column_cache.get(cache_key)
-            if cached is None:
-                cached = self._columns(view, loop.engine, items)
-                column_cache[cache_key] = cached
-            cols.append(cached)
-
-        # Grid-served steps per goal with their requested caps, keyed
-        # by (row, base goal); each step's adjusted deadline is read
-        # back from ``step_adjusteds`` when the records are derived.
-        # Engine-served outcomes per goal by step.
-        served: list[dict] = [{} for _ in range(n_goals)]
-        fallbacks: list[dict[int, InferenceOutcome]] = [
-            {} for _ in range(n_goals)
-        ]
-        step_bases: list[list[Goal]] = []
-        step_adjusteds: list[list[Goal]] = []
-        proxies = [_ObservedProxy() for _ in range(n_goals)]
-        observed: list = [None] * n_goals
-        # (view, config) -> (row or -1, requested clamped cap).  Config
-        # identities are stable (schedulers hand out their candidate
-        # objects), so the actuator/row resolution runs once per
-        # distinct decision instead of once per (goal, input).
-        row_memo: dict[tuple[int, int], tuple[int, float]] = {}
-        xi_mean_hist: np.ndarray | None = None
-        xi_sigma_hist: np.ndarray | None = None
+        engine = loops[0].engine
+        view = loops[0].grid_view
+        grid = view.grid if view is not None else None
+        column_list = columns.tolist() if columns is not None else [-1] * n
+        names = [] if grid is None else [c.model.name for c in grid.configs]
+        adjusters = [loop.adjuster for loop in loops]
+        traced = any(not loop.trace.is_empty for loop in loops)
+        bases = [loop.goal for loop in loops]
+        periods = [goal.period for goal in bases]
+        step_bases = []
+        observe = not getattr(cell, "feedback_free", False)
+        rows = np.full((n, n_goals), -1, dtype=np.intp)
+        caps = np.zeros((n, n_goals))
+        deadlines = np.empty((n, n_goals))
+        latency = np.empty((n, n_goals))
+        fallbacks: list[tuple[int, int, InferenceOutcome]] = []
+        memo: dict[int, tuple] = {}
+        xi_mean: np.ndarray | None = None
+        xi_sigma: np.ndarray | None = None
+        unresolved = [-1] * n_goals
 
         for step, item in enumerate(items):
             # Each goal's own loop derives its goal for this input, as
             # on the sequential path.  A goal that does not change
             # comes back as the same object every step, which keeps the
             # identity-keyed plan and adjusted-goal caches hitting.
-            index = item.index
-            bases = [loop._base_goal_at(index) for loop in loops]
+            if traced:
+                bases = [loop._base_goal_at(item.index) for loop in loops]
+                periods = [goal.period for goal in bases]
+                step_bases.append(bases)
             adjusteds = [
-                loop.adjuster.adjust(base, item)
-                for loop, base in zip(loops, bases)
+                adjuster.adjust(base, item)
+                for adjuster, base in zip(adjusters, bases)
             ]
-            step_bases.append(bases)
-            step_adjusteds.append(adjusteds)
-            selections = cell.decide_many(adjusteds)
-            for g, loop in enumerate(loops):
-                config = selections[g].config
-                base = bases[g]
-                period = base.period
-                view = loop.grid_view
-                columns = cols[g]
-                row = -1
-                if columns is not None:
-                    column = columns[step]
-                    if column >= 0:
-                        memo_key = (id(view), id(config))
-                        entry = row_memo.get(memo_key)
-                        if entry is None:
-                            engine = loop.engine
-                            effective = engine.actuator.set_power_cap(
-                                config.power_w
-                            )
-                            resolved = view.row_for(
-                                config.model, effective, config.rung_cap
-                            )
-                            entry = (
-                                resolved if resolved is not None else -1,
-                                engine.machine.clamp_power(config.power_w),
-                            )
-                            row_memo[memo_key] = entry
-                        row, cap = entry
-                if row >= 0:
-                    grid = view.grid
-                    key = (row, base)
-                    group = served[g].get(key)
-                    if group is None:
-                        served[g][key] = ([step], [cap])
-                    else:
-                        group[0].append(step)
-                        group[1].append(cap)
-                    row_config = grid.configs[row]
-                    full = grid.full_latency_s[row, column]
-                    latency = stop_latency(
-                        row_config.model, row_config.rung_cap, full,
-                        adjusteds[g].deadline_s,
-                    )
-                    proxy = proxies[g]
-                    proxy.model_name = row_config.model.name
-                    proxy.power_cap_w = cap
-                    proxy.latency_s = latency
-                    proxy.full_latency_s = full
-                    proxy.idle_power_w = grid.idle_power_w[row, column]
-                    proxy.period_s = period
-                    observed[g] = proxy
-                else:
-                    outcome = loop.engine.run(
+            step_deadlines = deadlines[step]
+            step_deadlines[:] = [goal.deadline_s for goal in adjusteds]
+            configs = [
+                selection.config
+                for selection in cell.decide_many(adjusteds, item)
+            ]
+            step_latency = latency[step]
+            column = column_list[step]
+            if column >= 0:
+                entries = [
+                    memo.get(id(config))
+                    or self._resolve(memo, engine, view, config)
+                    for config in configs
+                ]
+                row_list = [entry[0] for entry in entries]
+                cap_list = [entry[1] for entry in entries]
+                step_rows = rows[step]
+                step_rows[:] = row_list
+                caps[step] = cap_list
+                full = grid.full_latency_s[step_rows, column]
+                idle = grid.idle_power_w[step_rows, column]
+                step_latency[:] = grid.ladder.stop(
+                    step_rows, full, step_deadlines
+                )
+                served_names = [names[row] for row in row_list]
+            else:
+                row_list = unresolved
+                cap_list = [0.0] * n_goals
+                full = np.empty(n_goals)
+                idle = np.empty(n_goals)
+                served_names = [""] * n_goals
+            if min(row_list) < 0:
+                for g, row in enumerate(row_list):
+                    if row >= 0:
+                        continue
+                    config = configs[g]
+                    outcome = engine.run(
                         model=config.model,
                         power_cap_w=config.power_w,
-                        index=index,
+                        index=item.index,
                         deadline_s=adjusteds[g].deadline_s,
-                        period_s=period,
+                        period_s=periods[g],
                         work_factor=item.work_factor,
                         rung_cap=config.rung_cap,
                     )
-                    fallbacks[g][step] = outcome
-                    observed[g] = outcome
-                    latency = outcome.latency_s
-                loop.adjuster.consume(item, float(latency))
-            cell.observe_many(observed)
+                    fallbacks.append((step, g, outcome))
+                    step_latency[g] = outcome.latency_s
+                    served_names[g] = outcome.model_name
+                    cap_list[g] = outcome.power_cap_w
+                    full[g] = outcome.full_latency_s
+                    idle[g] = outcome.idle_power_w
+            for adjuster, served in zip(adjusters, step_latency.tolist()):
+                adjuster.consume(item, served)
+            if not observe:
+                continue
+            cell.observe_many(stacked_measurements(
+                served_names, cap_list, step_latency, full, idle, periods
+            ))
             snapshot = cell.xi_snapshot()
             if snapshot is not None:
-                if xi_mean_hist is None:
-                    xi_mean_hist = np.zeros((n, n_goals))
-                    xi_sigma_hist = np.zeros((n, n_goals))
+                if xi_mean is None:
+                    xi_mean = np.zeros((n, n_goals))
+                    xi_sigma = np.zeros((n, n_goals))
                 # Row-copy: the cell may mutate (or rebind) its live
                 # arrays on the next observe.
-                xi_mean_hist[step] = snapshot[0]
-                xi_sigma_hist[step] = snapshot[1]
+                xi_mean[step] = snapshot[0]
+                xi_sigma[step] = snapshot[1]
 
         # The sequential path leaves the actuator at the last decision.
-        loops[-1].engine.actuator.set_power_cap(selections[-1].config.power_w)
+        engine.actuator.set_power_cap(configs[-1].power_w)
+        return _LaneSteps(
+            rows, caps, deadlines, latency, fallbacks,
+            step_bases if traced else [bases] * n, traced,
+            None if xi_mean is None else (xi_mean, xi_sigma),
+        )
 
-        item_indices = [item.index for item in items]
-        # Cells without a ξ belief record 0/0, as the sequential path
-        # does for schedulers without a ``state``.
-        zeros = [0.0] * n
+    def _finish_lane(
+        self, lane: LockstepLane, items: list[InputItem], columns, steps
+    ) -> "list[RunResult]":
+        """Derive, tick and summarise one stepped lane.
+
+        Every grid-served (step, goal) is derived in one paired
+        :meth:`~repro.models.inference.BatchOutcomeGrid.timing_at` call,
+        its runs ordered goal by goal and, within a goal, in groups of
+        one (base goal, row) in the order the groups first occur.  Each
+        clock ticks its groups' occupied time in that order, then its
+        engine-served steps one by one.  The runs come back as
+        :class:`RunArrays` and a materializer per goal.
+        """
+        loops = lane.loops
+        n_goals = len(loops)
+        n = len(items)
+        view = loops[0].grid_view
+        # Base goals as small ids: each goal's own when no trace moves
+        # them, else one id per distinct (equal-valued) base.
+        if steps.traced:
+            ids: dict[Goal, int] = {}
+            base_ids = np.array([
+                [ids.setdefault(base, len(ids)) for base in bases]
+                for bases in steps.bases
+            ])
+            goals_by_id = list(ids)
+        else:
+            base_ids = np.broadcast_to(np.arange(n_goals), (n, n_goals))
+            goals_by_id = steps.bases[0]
+
+        goal_of, step_of = np.nonzero(steps.rows.T >= 0)
+        row_of = steps.rows[step_of, goal_of]
+        base_of = base_ids[step_of, goal_of]
+        n_rows = 0 if view is None else len(view.grid.configs)
+        key = (goal_of * len(goals_by_id) + base_of) * n_rows + row_of
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        head = first[inverse]
+        order = np.argsort(head, kind="stable")
+        goal_of, step_of = goal_of[order], step_of[order]
+        row_of, base_of = row_of[order], base_of[order]
+        starts = np.flatnonzero(np.diff(head[order], prepend=-1)).tolist()
+        bounds = starts + [len(order)]
+        period_of = np.array([goal.period for goal in goals_by_id])[base_of]
+
+        latency = np.ascontiguousarray(steps.latency.T)
+        quality = np.empty((n_goals, n))
+        energy = np.empty((n_goals, n))
+        metric = np.empty((n_goals, n))
+        missed = np.empty((n_goals, n), dtype=bool)
+        violated = np.empty((n_goals, n), dtype=bool)
+        totals = [0.0] * n_goals
+        runs = None
+        if len(order):
+            grid = view.grid
+            planes = grid.timing_at(
+                row_of, columns[step_of], steps.deadlines[step_of, goal_of],
+                period_of,
+            )
+            occupied = np.maximum(planes.latency_s, period_of).tolist()
+            group_goal = goal_of[starts].tolist()
+            group_row = row_of[starts].tolist()
+            for g, a, b in zip(group_goal, bounds, bounds[1:]):
+                totals[g] += sum(occupied[a:b])
+            qualities = planes.quality.tolist()
+            tasks = [config.model.task for config in grid.configs]
+            if all(task is tasks[0] for task in tasks):
+                metrics = tasks[0].quality_to_metric_list(qualities)
+            else:
+                metrics = []
+                for row, a, b in zip(group_row, bounds, bounds[1:]):
+                    metrics += tasks[row].quality_to_metric_list(qualities[a:b])
+            floors, ceilings = violation_limits(goals_by_id)
+            run_missed = np.logical_not(planes.met_deadline)
+            accuracy = planes.quality < floors[base_of]
+            budget = planes.energy_j > ceilings[base_of]
+            quality[goal_of, step_of] = planes.quality
+            energy[goal_of, step_of] = planes.energy_j
+            metric[goal_of, step_of] = metrics
+            missed[goal_of, step_of] = run_missed
+            violated[goal_of, step_of] = run_missed | accuracy | budget
+            runs = _LaneRuns(
+                planes, step_of, steps.caps[step_of, goal_of],
+                steps.deadlines[step_of, goal_of], metrics, run_missed,
+                accuracy, budget, bounds, group_row,
+                [goals_by_id[i] for i in base_of[starts].tolist()],
+                [config.model.name for config in grid.configs],
+                grid.power_cap_w.tolist(), grid.inference_power_w.tolist(),
+                np.searchsorted(goal_of, np.arange(n_goals + 1)).tolist(),
+                np.searchsorted(group_goal, np.arange(n_goals + 1)).tolist(),
+            )
+
+        served = np.bincount(goal_of, minlength=n_goals).tolist()
+        for loop, total, count in zip(loops, totals, served):
+            loop.clock.tick_many(total, count)
+        fallbacks: list[list] = [[] for _ in range(n_goals)]
+        for step, g, outcome in steps.fallbacks:
+            base = steps.bases[step][g]
+            t, period = outcome.latency_s, outcome.period_s
+            loops[g].clock.tick(t if t > period else period)
+            miss = not outcome.met_deadline
+            quality[g, step] = outcome.quality
+            energy[g, step] = outcome.energy_j
+            metric[g, step] = outcome.metric_value
+            missed[g, step] = miss
+            violated[g, step] = (
+                miss
+                or bool(base.quality_violated(outcome.quality))
+                or bool(base.energy_violated(outcome.energy_j))
+            )
+            fallbacks[g].append(
+                (step, outcome, base, float(steps.deadlines[step, g]))
+            )
+
+        indices = [item.index for item in items]
         results = []
         for g, loop in enumerate(loops):
-            if xi_mean_hist is None:
-                xi_means = xi_sigmas = zeros
-            else:
-                xi_means = xi_mean_hist[:, g].tolist()
-                xi_sigmas = xi_sigma_hist[:, g].tolist()
-            records: list[ServedInput | None] = [None] * n
-            occupied = 0.0
-            n_served = 0
-            for (row, base), (positions, caps) in served[g].items():
-                period = base.period
-                grid = loop.grid_view.grid
-                deadlines = [step_adjusteds[p][g].deadline_s for p in positions]
-                planes = grid.timing(
-                    np.array(deadlines), period, row=row,
-                    columns=cols[g][positions],
-                )
-                group, _ = _read_rows(
-                    planes, 0, slice(None), grid.configs[row].model,
-                    float(grid.power_cap_w[row]), base,
-                )
-                occupied += sum(
-                    t if t > period else period for t in group.latency
-                )
-                n_served += len(positions)
-                _fill_group(
-                    records, positions, caps, group, base, deadlines,
-                    period, item_indices, xi_means, xi_sigmas,
-                )
-            loop.clock.tick_many(occupied, n_served)
-            for step, outcome in fallbacks[g].items():
-                records[step] = loop._record(
-                    item_goal=step_bases[step][g],
-                    adjusted=step_adjusteds[step][g],
-                    outcome=outcome,
-                    xi_mean=xi_means[step],
-                    xi_sigma=xi_sigmas[step],
-                )
-            results.append(
-                RunResult(
-                    scheduler_name=loop.scheduler.name,
-                    goal=loop.goal,
-                    records=records,
-                )
+            arrays = RunArrays(
+                latency_s=latency[g], quality=quality[g], energy_j=energy[g],
+                metric_value=metric[g], violated=violated[g],
+                latency_violation=missed[g],
             )
-        LOCKSTEP_TELEMETRY.record_cell(cell)
+            results.append(RunResult(
+                scheduler_name=loop.scheduler.name, goal=loop.goal,
+                arrays=arrays,
+                materialize=partial(
+                    _lane_records, g, indices, runs, fallbacks[g], steps.xi
+                ),
+            ))
         return results
+
+
+class _LaneRuns(NamedTuple):
+    """A finished lane's grid-served runs, for its deferred records.
+
+    Runs are ordered goal by goal and, within a goal, by (base goal,
+    row) group; ``bounds`` delimit the groups, whose rows and base goals
+    are ``group_row`` and ``group_goal``.  ``run_bounds`` and
+    ``group_bounds`` delimit each goal's runs and groups.  The per-row
+    lists describe the grid's rows, so the materializers pin no grid.
+    """
+
+    planes: OutcomePlanes
+    steps: np.ndarray
+    caps: np.ndarray
+    deadlines: np.ndarray
+    metric: list
+    missed: np.ndarray
+    accuracy: np.ndarray
+    budget: np.ndarray
+    bounds: list
+    group_row: list
+    group_goal: list
+    names: list
+    effective_cap_w: list
+    inference_power_w: list
+    run_bounds: list
+    group_bounds: list
+
+
+def _lane_records(
+    g: int,
+    indices: list[int],
+    runs: _LaneRuns | None,
+    fallbacks: list,
+    xi: tuple | None,
+) -> list[ServedInput]:
+    """Goal ``g``'s records of a finished lane (its materializer).
+
+    Grid-served groups fill through :func:`_fill_group`, as the batch
+    path's do; engine-served steps build through
+    :func:`_served_record`, as the sequential path's do.
+    """
+    n = len(indices)
+    if xi is None:
+        xi_means = xi_sigmas = [0.0] * n
+    else:
+        xi_means = xi[0][:, g].tolist()
+        xi_sigmas = xi[1][:, g].tolist()
+    records: list[ServedInput | None] = [None] * n
+    if runs is not None:
+        ra, rb = runs.run_bounds[g], runs.run_bounds[g + 1]
+        planes = runs.planes
+
+        def take(array) -> list:
+            return array[ra:rb].tolist()
+
+        latency, full, met = (
+            take(planes.latency_s), take(planes.full_latency_s),
+            take(planes.met_deadline),
+        )
+        quality, rungs = take(planes.quality), take(planes.completed_rungs)
+        inference_j, idle_j = take(planes.inference_j), take(planes.idle_j)
+        idle_power, env = take(planes.idle_power_w), take(planes.env_factor)
+        missed, accuracy, budget = (
+            take(runs.missed), take(runs.accuracy), take(runs.budget)
+        )
+        steps, caps, deadlines = (
+            take(runs.steps), take(runs.caps), take(runs.deadlines)
+        )
+        metric = runs.metric[ra:rb]
+        for k in range(runs.group_bounds[g], runs.group_bounds[g + 1]):
+            a, b = runs.bounds[k] - ra, runs.bounds[k + 1] - ra
+            row, base = runs.group_row[k], runs.group_goal[k]
+            group = _RowGroup(
+                runs.names[row], runs.effective_cap_w[row],
+                runs.inference_power_w[row], latency[a:b], full[a:b],
+                met[a:b], quality[a:b], metric[a:b], rungs[a:b],
+                inference_j[a:b], idle_j[a:b], idle_power[a:b], env[a:b],
+                missed[a:b], accuracy[a:b], budget[a:b],
+            )
+            _fill_group(
+                records, steps[a:b], caps[a:b], group, base, deadlines[a:b],
+                base.period, indices, xi_means, xi_sigmas,
+            )
+    for step, outcome, base, deadline in fallbacks:
+        records[step] = _served_record(
+            outcome, base, deadline, xi_means[step], xi_sigmas[step]
+        )
+    return records

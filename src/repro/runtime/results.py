@@ -68,10 +68,11 @@ class ServedInput:
 class RunArrays:
     """Vectorized per-input series of one run, aligned with ``records``.
 
-    The batch fast path's native output: every element equals the
-    corresponding record field exactly (both are sliced from the same
-    engine/grid rows), so aggregates computed here are bit-identical
-    to the record walk — pinned by ``tests/test_sweep_parity.py``.
+    The native output of the batch path and the lockstep lanes: every
+    element equals the corresponding record field exactly (both are
+    read from the same derived planes), so aggregates computed here are
+    bit-identical to the record walk — pinned by
+    ``tests/test_sweep_parity.py`` and ``tests/test_lockstep_parity.py``.
     """
 
     latency_s: np.ndarray
@@ -85,8 +86,8 @@ class RunArrays:
 class RunResult:
     """Aggregates one policy's run over one constraint setting.
 
-    ``records`` may be deferred: the batch fast path constructs the
-    result from its vectorized :class:`RunArrays` plus a
+    ``records`` may be deferred: the batch path and the lockstep lanes
+    construct the result from its vectorized :class:`RunArrays` plus a
     ``materialize`` thunk, and the per-input :class:`ServedInput`
     objects are only assembled on first ``records`` access.  Aggregate
     properties read the arrays when present, so summary-only consumers

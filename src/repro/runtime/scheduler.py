@@ -13,13 +13,19 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.config_space import Configuration
 from repro.core.goals import Goal
-from repro.core.kernel import AlertCellKernel, AlertKernel, measurement_from_outcome
+from repro.core.kernel import (
+    AlertCellKernel,
+    AlertKernel,
+    lockstep_stats_dict,
+    measurement_from_outcome,
+)
+from repro.core.selector import BaselineSelection
 from repro.errors import ConfigurationError
 from repro.models.base import DnnModel
 from repro.models.inference import InferenceOutcome
 from repro.workloads.inputs import InputItem
 
-__all__ = ["Scheduler", "AlertScheduler", "StaticScheduler"]
+__all__ = ["Scheduler", "AlertScheduler", "StaticScheduler", "FixedConfigCell"]
 
 
 @runtime_checkable
@@ -128,15 +134,59 @@ class StaticScheduler:
     ) -> None:
         if power_w <= 0:
             raise ConfigurationError(f"power must be positive, got {power_w}")
-        self._config = Configuration(model=model, power_w=power_w, rung_cap=rung_cap)
-        self.name = name if name is not None else f"static:{self._config.describe()}"
+        self.config = Configuration(model=model, power_w=power_w, rung_cap=rung_cap)
+        self.name = name if name is not None else f"static:{self.config.describe()}"
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
-        return self._config
+        return self.config
 
     def decide_batch(self, items, goal: Goal) -> list[Configuration]:
         """A whole run's decisions at once: the fixed configuration."""
-        return [self._config] * len(items)
+        return [self.config] * len(items)
 
     def observe(self, outcome: InferenceOutcome) -> None:
         """Static policies ignore feedback."""
+
+    @staticmethod
+    def stack_into_cell(schedulers):
+        """Lockstep hook: one :class:`FixedConfigCell` over the goals'
+        configurations."""
+        return FixedConfigCell(schedulers)
+
+
+class FixedConfigCell:
+    """Lockstep cell of fixed-configuration schedulers.
+
+    Every step answers each goal with that goal's own configuration
+    (OracleStatic's per-setting pick, App-only's default-power ladder).
+    The cell is ``feedback_free``: a lane never observes it, and its
+    records carry a 0/0 belief, as on the sequential path.  Built by
+    the ``stack_into_cell`` hooks of :class:`StaticScheduler` and
+    :class:`~repro.baselines.app_only.AppOnlyScheduler`.
+    """
+
+    feedback_free = True
+
+    def __init__(self, schedulers) -> None:
+        self.n_goals = len(schedulers)
+        self._selections = [
+            BaselineSelection(scheduler.config) for scheduler in schedulers
+        ]
+        self._stacked_calls = 0
+        self._stacked_states = 0
+
+    def decide_many(self, goals, item: InputItem) -> list[BaselineSelection]:
+        """Every goal's fixed configuration (the same list each step)."""
+        if len(goals) != self.n_goals:
+            raise ConfigurationError(
+                f"expected {self.n_goals} goals, got {len(goals)}"
+            )
+        self._stacked_calls += 1
+        self._stacked_states += self.n_goals
+        return self._selections
+
+    @property
+    def lockstep_stats(self) -> dict:
+        return lockstep_stats_dict(
+            self.n_goals, self._stacked_calls, self._stacked_states
+        )

@@ -277,16 +277,16 @@ class CellSummary:
 
     @classmethod
     def from_run(cls, run: RunResult) -> "CellSummary":
-        # Streaming aggregation: a batch-path run carries its series
-        # as RunArrays — summarise those directly and never touch (or
-        # materialize) the O(inputs) record list.  Otherwise one pass
-        # over the records: reading each aggregate off the RunResult
-        # properties would re-walk the record list per property (~9
-        # walks, each chasing Python attributes per record), and a
-        # sweep summarises every cell.  Either source holds the same
-        # float64 values in the same order the properties would
-        # reduce, so every aggregate is bit-identical to its property
-        # counterpart (the parity suite compares them).
+        # Streaming aggregation: a batch-path or lockstep-lane run
+        # carries its series as RunArrays — summarise those directly
+        # and never touch (or materialize) the O(inputs) record list.
+        # Otherwise one pass over the records: reading each aggregate
+        # off the RunResult properties would re-walk the record list
+        # per property (~9 walks, each chasing Python attributes per
+        # record), and a sweep summarises every cell.  Either source
+        # holds the same float64 values in the same order the
+        # properties would reduce, so every aggregate is bit-identical
+        # to its property counterpart (the parity suite compares them).
         arrays = run.arrays
         if arrays is not None:
             n = len(arrays.latency_s)

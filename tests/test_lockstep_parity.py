@@ -44,7 +44,12 @@ from repro.core.kalman import (
     StackedIdlePowerFilter,
     StackedKalmanFilter,
 )
-from repro.core.kernel import AlertCellKernel, AlertKernel, Measurement
+from repro.core.kernel import (
+    AlertCellKernel,
+    AlertKernel,
+    Measurement,
+    StackedMeasurements,
+)
 from repro.core.selector import ConfigSelector, lexargmin
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
@@ -54,6 +59,7 @@ from repro.experiments.harness import (
     evaluate_schemes,
     make_scheme,
 )
+from repro.experiments.table4_overall import DEFAULT_SCHEMES as TABLE4_SCHEMES
 from repro.models.inference import GridView, InferenceEngine
 from repro.runtime.executor import (
     LOCKSTEP_MIN_GOALS,
@@ -68,22 +74,21 @@ from repro.runtime.loop import (
     CrossSchemeLockstepLoop,
     ServingLoop,
 )
+from repro.runtime.results import RunResult
 from repro.runtime.scheduler import AlertScheduler
+from repro.runtime.sweep import CellSummary
 from repro.workloads.scenarios import build_scenario
 
 #: Float tolerance of the lockstep path (the acceptance bar; in
 #: practice the stacked state advances bit-identically).
 REL_TOL = 1e-12
 
-#: Schemes whose schedulers never stack (feedback-free: they ride the
-#: batch fast path instead).
+#: Schemes whose schedulers are feedback-free: they ride the batch
+#: fast path when their runs allow it, and stack into lanes otherwise.
 FEEDBACK_FREE = ("Oracle", "OracleStatic", "App-only")
 
-#: The schemes whose schedulers stack into a lockstep lane.
+#: The feedback schemes whose schedulers stack into a lockstep lane.
 STACKING = ("ALERT", "Sys-only", "No-coord")
-
-#: Every stacking member of the zoo.
-LOCKSTEP_SCHEMES = tuple(s for s in SCHEMES if s not in FEEDBACK_FREE)
 
 #: Width of the hand-driven lockstep cells: below the width rule, so
 #: the executor would serve them per goal — only a loop driven directly
@@ -443,7 +448,7 @@ def test_stacked_no_coord_matches_scalar(seed, objective):
     item = scenario.make_stream().item(0)
     powers = scalars[0].powers
     for _ in range(25):
-        stacked = cell.decide_many(goals)
+        stacked = cell.decide_many(goals, item)
         for g, (scheduler, goal) in enumerate(zip(scalars, goals)):
             config = scheduler.decide(item, goal)
             assert stacked[g].config.model is config.model
@@ -456,7 +461,15 @@ def test_stacked_no_coord_matches_scalar(seed, objective):
             )
             for _ in goals
         ]
-        cell.observe_many(outcomes)
+        cell.observe_many(
+            StackedMeasurements(
+                model_name=[scalars[0].model.name] * len(goals),
+                power_cap_w=[o.power_cap_w for o in outcomes],
+                full_latency_s=np.array([o.full_latency_s for o in outcomes]),
+                idle_power_w=np.zeros(len(goals)),
+                idle_mask=np.zeros(len(goals), dtype=bool),
+            )
+        )
         for scheduler, outcome in zip(scalars, outcomes):
             scheduler.observe(outcome)
         for g, scheduler in enumerate(scalars):
@@ -471,7 +484,7 @@ def test_no_coord_stats_and_snapshot_contract():
     goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
     cell = NoCoordScheduler.stack_into_cell([_no_coord(scenario) for _ in goals])
     assert cell.xi_snapshot() is None
-    cell.decide_many(goals)
+    cell.decide_many(goals, scenario.make_stream().item(0))
     stats = cell.lockstep_stats
     assert stats["goals"] == len(goals)
     assert stats["stacked_calls"] == 1
@@ -630,14 +643,14 @@ CELLS = [
 def test_lockstep_matches_sequential(
     platform, task, env, seed, objective, reference_cell
 ):
-    """Each stacking scheme's lane, run alone on a live engine (no
-    grid view) over a narrow cell, ≡ the sequential reference."""
+    """Each scheme's lane, run alone on a live engine (no grid view)
+    over a narrow cell, ≡ the sequential reference."""
     scenario = build_scenario(platform, task, env, "standard", seed=seed)
     goals = tuple(_grid_goals(scenario, objective)[:NARROW])
     assert len(goals) < LOCKSTEP_MIN_GOALS
     n_inputs = 12
     runs = {}
-    for scheme in LOCKSTEP_SCHEMES:
+    for scheme in SCHEMES:
         engine = scenario.make_engine()
         stream = scenario.make_stream()
         (lane,) = _lanes(
@@ -646,8 +659,8 @@ def test_lockstep_matches_sequential(
         )
         runs[scheme] = CrossSchemeLockstepLoop([lane]).run(n_inputs)[0]
     lockstep = CellResult(scenario=scenario, goals=goals, runs=runs)
-    reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
-    _assert_runs_match(lockstep, reference, LOCKSTEP_SCHEMES)
+    reference = reference_cell(scenario, goals, SCHEMES, n_inputs)
+    _assert_runs_match(lockstep, reference, SCHEMES)
 
 
 @pytest.mark.parametrize(("platform", "task", "env", "seed"), CELLS)
@@ -667,17 +680,17 @@ def test_multi_lane_loop_matches_lone_lanes_and_reference(
     stream = scenario.make_stream()
     views = _trusted_views(scenario, goals, n_inputs, engine, stream)
     lanes = _lanes(
-        scenario, goals, LOCKSTEP_SCHEMES, n_inputs, engine, stream, views
+        scenario, goals, SCHEMES, n_inputs, engine, stream, views
     )
     cross = CellResult(
         scenario=scenario,
         goals=goals,
         runs=dict(
-            zip(LOCKSTEP_SCHEMES, CrossSchemeLockstepLoop(lanes).run(n_inputs))
+            zip(SCHEMES, CrossSchemeLockstepLoop(lanes).run(n_inputs))
         ),
     )
     per_lane = {}
-    for scheme in LOCKSTEP_SCHEMES:
+    for scheme in SCHEMES:
         engine = scenario.make_engine()
         stream = scenario.make_stream()
         views = _trusted_views(scenario, goals, n_inputs, engine, stream)
@@ -686,9 +699,9 @@ def test_multi_lane_loop_matches_lone_lanes_and_reference(
         )
         per_lane[scheme] = CrossSchemeLockstepLoop([lane]).run(n_inputs)[0]
     alone = CellResult(scenario=scenario, goals=goals, runs=per_lane)
-    reference = reference_cell(scenario, goals, LOCKSTEP_SCHEMES, n_inputs)
-    _assert_runs_match(cross, alone, LOCKSTEP_SCHEMES)
-    _assert_runs_match(cross, reference, LOCKSTEP_SCHEMES)
+    reference = reference_cell(scenario, goals, SCHEMES, n_inputs)
+    _assert_runs_match(cross, alone, SCHEMES)
+    _assert_runs_match(cross, reference, SCHEMES)
 
 
 @pytest.mark.parametrize(
@@ -724,7 +737,7 @@ def test_width_rule_picks_the_serving_path(n_goals, reference_cell):
             assert run == expected, name
 
 
-def test_wide_cell_serves_zero_sequential_inputs():
+def test_wide_cell_serves_zero_sequential_inputs(reference_cell):
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
     goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
     LOCKSTEP_TELEMETRY.reset()
@@ -738,6 +751,25 @@ def test_wide_cell_serves_zero_sequential_inputs():
     assert snapshot["lockstep_runs"] == (
         (len(SCHEMES) - len(FEEDBACK_FREE)) * len(goals)
     )
+
+    # A sentence's words share its deadline, so no run is batch
+    # eligible: every Table 4 scheme, the feedback-free ones too,
+    # advances as a lane, and every run equals its sequential
+    # reference record for record.
+    sentence = build_scenario("CPU1", "sentence", "default", "standard", seed=5)
+    goals = _grid_goals(sentence, ObjectiveKind.MAXIMIZE_ACCURACY)
+    LOCKSTEP_TELEMETRY.reset()
+    cell = evaluate_schemes(sentence, goals, TABLE4_SCHEMES, n_inputs=10)
+    snapshot = LOCKSTEP_TELEMETRY.snapshot()
+    assert snapshot["sequential_inputs"] == 0
+    assert snapshot["fallback_runs"] == 0
+    assert snapshot["lockstep_runs"] == len(TABLE4_SCHEMES) * len(goals)
+    reference = reference_cell(sentence, goals, TABLE4_SCHEMES, 10)
+    for name in TABLE4_SCHEMES:
+        for run, expected in zip(
+            cell.scheme_runs(name), reference.scheme_runs(name)
+        ):
+            assert run.records == expected.records, name
 
 
 def test_lockstep_telemetry_counts(image_scenario):
@@ -825,9 +857,10 @@ def test_lockstep_lanes_advance_their_clocks(platform, task, env, seed):
     engine = scenario.make_engine()
     stream = scenario.make_stream()
     views = _trusted_views(scenario, goals, n_inputs, engine, stream)
-    lanes = _lanes(scenario, goals, STACKING, n_inputs, engine, stream, views)
+    schemes = STACKING + FEEDBACK_FREE
+    lanes = _lanes(scenario, goals, schemes, n_inputs, engine, stream, views)
     CrossSchemeLockstepLoop(lanes).run(n_inputs)
-    for scheme, lane in zip(STACKING, lanes):
+    for scheme, lane in zip(schemes, lanes):
         for goal, loop in zip(goals, lane.loops):
             reference_engine = scenario.make_engine()
             reference_stream = scenario.make_stream()
@@ -846,6 +879,56 @@ def test_lockstep_lanes_advance_their_clocks(platform, task, env, seed):
             assert loop.clock.now() == pytest.approx(
                 reference.clock.now(), rel=REL_TOL, abs=0.0
             ), scheme
+
+
+@pytest.mark.parametrize(
+    ("platform", "task", "env", "seed", "viewed"),
+    [
+        ("CPU1", "image", "default", 5, True),
+        ("CPU1", "sentence", "compute", 29, True),
+        # Quantized caps: grid-served and engine-served steps mix.
+        ("GPU", "image", "compute", 23, True),
+        # No grid: every step is engine-served.
+        ("CPU1", "sentence", "compute", 29, False),
+    ],
+)
+def test_lane_arrays_match_records(platform, task, env, seed, viewed):
+    """The batch path's contract, for lanes: every lane run comes back
+    as RunArrays plus deferred records, the arrays equal the
+    materialized records field by field, and ``CellSummary.from_run``
+    is bit-identical either way."""
+    scenario = build_scenario(platform, task, env, "standard", seed=seed)
+    goals = tuple(_grid_goals(scenario, ObjectiveKind.MAXIMIZE_ACCURACY))
+    n_inputs = 12
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    views = [None] * len(goals)
+    if viewed:
+        views = _trusted_views(scenario, goals, n_inputs, engine, stream)
+    lanes = _lanes(scenario, goals, SCHEMES, n_inputs, engine, stream, views)
+    for lane_runs in CrossSchemeLockstepLoop(lanes).run(n_inputs):
+        for run in lane_runs:
+            arrays = run.arrays
+            assert arrays is not None
+            summary = CellSummary.from_run(run)
+            assert run._records is None  # summarising reads the arrays
+            records = run.records
+            assert len(records) == n_inputs
+            outcomes = [record.outcome for record in records]
+            for field in ("latency_s", "quality", "energy_j", "metric_value"):
+                assert np.array_equal(
+                    getattr(arrays, field),
+                    [getattr(outcome, field) for outcome in outcomes],
+                ), (run.scheduler_name, field)
+            assert np.array_equal(
+                arrays.violated, [record.violated for record in records]
+            )
+            assert np.array_equal(
+                arrays.latency_violation,
+                [record.latency_violation for record in records],
+            )
+            record_backed = RunResult(run.scheduler_name, run.goal, records)
+            assert CellSummary.from_run(record_backed) == summary
 
 
 def test_lockstep_loop_rejects_empty_and_mixed_streams():

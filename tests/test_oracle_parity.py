@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.oracle import (
+    OracleCell,
     OracleScheduler,
     best_static_config,
     best_static_config_scalar,
@@ -222,23 +223,20 @@ def test_grid_derived_outcomes_equal_run(platform, task):
                     row, position, index, want.power_cap_w, deadline, period
                 )
                 assert _fields(got) == _fields(want), context
-                planes = view.grid.timing(
-                    np.array([deadline]), period, row=row, columns=[position]
+                paired = view.grid.timing_at(
+                    np.array([row]), np.array([position]),
+                    np.array([deadline]), np.array([period]),
                 )
                 whole = view.planes(deadline, period)
-                for derived, r in ((planes, 0), (whole, row)):
-                    column = 0 if derived is planes else position
-                    assert derived.latency_s[r, column] == want.latency_s
-                    assert derived.met_deadline[r, column] == want.met_deadline
-                    assert derived.quality[r, column] == want.quality
-                    assert (
-                        derived.completed_rungs[r, column]
-                        == want.completed_rungs
-                    )
-                    assert derived.inference_j[r, column] == (
+                for derived, at in ((paired, 0), (whole, (row, position))):
+                    assert derived.latency_s[at] == want.latency_s
+                    assert derived.met_deadline[at] == want.met_deadline
+                    assert derived.quality[at] == want.quality
+                    assert derived.completed_rungs[at] == want.completed_rungs
+                    assert derived.inference_j[at] == (
                         want.energy.inference_j
                     ), context
-                    assert derived.idle_j[r, column] == want.energy.idle_j
+                    assert derived.idle_j[at] == want.energy.idle_j
     if platform == "GPU":
         assert 0 < resolved < len(space)
     else:
@@ -274,6 +272,102 @@ def test_oracle_decisions_identical_across_paths(spec):
                 fallback_tiers_hit += 1
     # The goal grid must actually exercise the degradation hierarchy.
     assert fallback_tiers_hit > 0
+
+
+def _random_goals(scenario, rng, n_goals) -> list[Goal]:
+    """Goals mixing objectives, thresholds, deadlines and periods, some
+    out of reach (the fallback tiers)."""
+    anchor = scenario.anchor_latency_s()
+    budget_power = scenario.machine.default_power()
+    goals = []
+    for _ in range(n_goals):
+        deadline = float(anchor * rng.uniform(0.05, 2.0))
+        period = None
+        if rng.random() < 0.6:
+            period = float(deadline * rng.uniform(0.5, 3.0))
+        if rng.random() < 0.5:
+            goals.append(Goal(
+                objective=ObjectiveKind.MINIMIZE_ENERGY,
+                deadline_s=deadline,
+                period_s=period,
+                accuracy_min=float(rng.uniform(0.6, 0.999)),
+            ))
+        else:
+            goals.append(Goal(
+                objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+                deadline_s=deadline,
+                period_s=period,
+                energy_budget_j=float(
+                    budget_power * deadline * rng.uniform(0.01, 1.2)
+                ),
+            ))
+    return goals
+
+
+@pytest.mark.parametrize("spec", SCENARIO_GRID, ids=lambda s: "-".join(map(str, s)))
+def test_stacked_oracle_matches_scalar_on_random_goals(spec):
+    """One stacked Oracle step picks, for every goal, what the scalar
+    reference picks for that goal alone — per-goal objectives,
+    thresholds, deadlines and periods, grid columns and inputs past the
+    grid's horizon (decided goal by goal) alike."""
+    scenario = _scenario(spec)
+    engine = scenario.make_engine()
+    stream = scenario.make_stream()
+    space = _space(scenario)
+    n_grid = 6
+    view = GridView(oracle_outcome_grid(engine, space, stream, n_grid))
+    rng = np.random.default_rng(spec[-1])
+    goals = _random_goals(scenario, rng, 9)
+    oracles = [
+        OracleScheduler(engine, space, grid_view=view) for _ in goals
+    ]
+    cell = OracleScheduler.stack_into_cell(oracles)
+    assert isinstance(cell, OracleCell)
+    tiers = set()
+    for index in range(n_grid + 2):
+        item = stream.item(index)
+        assert (view.column(engine, item) is None) == (index >= n_grid)
+        picks = cell.decide_many(goals, item)
+        assert len(picks) == len(goals)
+        for pick, oracle, goal in zip(picks, oracles, goals):
+            want = oracle.decide_scalar(item, goal)
+            assert pick.config.key == want.key, (goal.describe(), index)
+            outcome = engine.evaluate(
+                model=want.model,
+                power_cap_w=want.power_w,
+                index=index,
+                deadline_s=goal.deadline_s,
+                period_s=goal.period,
+                work_factor=item.work_factor,
+                rung_cap=want.rung_cap,
+            )
+            tiers.add(
+                bool(
+                    outcome.met_deadline
+                    and not goal.quality_violated(outcome.quality)
+                    and not goal.energy_violated(outcome.energy_j)
+                )
+            )
+    # Both feasible picks and the fallback tiers were exercised.
+    assert tiers == {True, False}
+    stats = cell.lockstep_stats
+    assert stats["goals"] == len(goals)
+    assert stats["stacked_calls"] == n_grid + 2
+
+
+def test_oracle_cell_refuses_schedulers_it_cannot_stack(image_scenario):
+    engine = image_scenario.make_engine()
+    stream = image_scenario.make_stream()
+    space = _space(image_scenario)
+    view = GridView(oracle_outcome_grid(engine, space, stream, 4))
+    stacked = [OracleScheduler(engine, space, grid_view=view) for _ in range(2)]
+    assert isinstance(OracleScheduler.stack_into_cell(stacked), OracleCell)
+    for odd in (
+        OracleScheduler(engine, space),
+        OracleScheduler(image_scenario.make_engine(), space, grid_view=view),
+    ):
+        assert OracleScheduler.stack_into_cell([stacked[0], odd]) is None
+    assert OracleScheduler.stack_into_cell([]) is None
 
 
 @pytest.mark.parametrize("spec", SCENARIO_GRID, ids=lambda s: "-".join(map(str, s)))

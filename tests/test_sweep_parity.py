@@ -364,13 +364,28 @@ def kill_reference():
     return run_sweep(KILL_SPEC, workers=1)
 
 
+#: Where POSIX shared-memory segments are listed (Linux).
+SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> set[str]:
+    """Names of the ``multiprocessing.shared_memory`` segments present,
+    or none where the platform does not list them."""
+    if not SHM_DIR.is_dir():
+        return set()
+    return {path.name for path in SHM_DIR.glob("psm_*")}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sigkilled_sweep_resumes_bit_identical(workers, kill_reference, tmp_path):
     """A real kill: ``repro sweep`` runs in a child process group that
     gets SIGKILL as soon as the first spec's lines reach the checkpoint.
     Every whole line loads, the resume skips exactly those units, and
-    the merged cells equal an uninterrupted sweep's."""
+    the merged cells equal an uninterrupted sweep's.  The kill takes the
+    group's resource tracker with it, so the segments the killed grid
+    store made are unlinked here; the resume leaves none behind."""
     checkpoint = tmp_path / "killed.jsonl"
+    before = _shm_segments()
     src = str(Path(repro.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
@@ -396,6 +411,8 @@ def test_sigkilled_sweep_resumes_bit_identical(workers, kill_reference, tmp_path
         except ProcessLookupError:
             pass
         child.wait(timeout=60)
+        for name in _shm_segments() - before:
+            (SHM_DIR / name).unlink(missing_ok=True)
     assert child.returncode == -signal.SIGKILL
 
     lines = checkpoint.read_text().splitlines(keepends=True)
@@ -410,6 +427,7 @@ def test_sigkilled_sweep_resumes_bit_identical(workers, kill_reference, tmp_path
     assert resumed.resumed == len(loaded)
     assert resumed.complete
     assert resumed.cells == kill_reference.cells
+    assert _shm_segments() - before == set()
 
 
 def test_resume_tolerates_truncated_trailing_line(tmp_path):
