@@ -12,7 +12,7 @@ vectorized single-state batch path (PR 1), and per-goal ``select``
 calls vs. one stacked ``select_many`` pass over a whole goal grid —
 the lockstep engine's inner step, where every goal's estimate comes
 from a single fused erf evaluation and every ranking from one
-segment-wise lexsort (PR 5).
+row-wise lexicographic argmin.
 
 Run directly (no pytest machinery needed)::
 
@@ -35,6 +35,8 @@ import argparse
 import json
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.config_space import ConfigurationSpace
 from repro.core.estimator import AlertEstimator
@@ -119,13 +121,18 @@ def _multi_goal_throughput(selector, min_seconds: float) -> dict:
     ]
     tailed = [state for state in STATES if state[3] is not None]
     states = [tailed[i % len(tailed)] for i in range(len(goals))]
-    means = [s[0] for s in states]
-    sigmas = [s[1] for s in states]
-    phis = [s[2] for s in states]
-    tails = [s[3] for s in states]
+    goals = tuple(goals)
+    deadlines = np.array([goal.deadline_s for goal in goals])
+    means = np.array([s[0] for s in states])
+    sigmas = np.array([s[1] for s in states])
+    phis = np.array([s[2] for s in states])
+    tails = (
+        np.array([s[3][0] for s in states]),
+        np.array([s[3][1] for s in states]),
+    )
 
     def stacked() -> None:
-        selector.select_many(goals, means, sigmas, phis, tails)
+        selector.select_many(goals, deadlines, means, sigmas, phis, tails)
 
     def per_goal() -> None:
         for goal, (mean, sigma, phi, tail) in zip(goals, states):

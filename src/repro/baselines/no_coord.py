@@ -35,9 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config_space import Configuration
-from repro.core.goals import Goal, ObjectiveKind
+from repro.core.goals import Goal, GoalArrays, ObjectiveKind
 from repro.core.kernel import Measurement, lockstep_stats_dict
-from repro.core.selector import BaselineSelection
 from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
 from repro.models.anytime import AnytimeDnn
@@ -246,7 +245,15 @@ class NoCoordCellController:
         self._sys = StackedSlowdownEstimator(n_goals)
         self._app_reference = power_latencies[-1]
         self._latency_by_cap = dict(zip(powers, power_latencies))
-        self._configs: dict[tuple[int, int], Configuration] = {}
+        # One configuration per (rung, cap index) point, so a step's
+        # picks are one fancy index and identities stay stable.
+        self._configs = np.empty((len(rung_latencies), len(powers)), dtype=object)
+        for rung in range(len(rung_latencies)):
+            for k, power in enumerate(powers):
+                self._configs[rung, k] = Configuration(
+                    model=model, power_w=power, rung_cap=rung
+                )
+        self._goal_arrays: dict[tuple, GoalArrays] = {}
         self._stacked_calls = 0
         self._stacked_states = 0
 
@@ -298,59 +305,49 @@ class NoCoordCellController:
     # ------------------------------------------------------------------
     # Decisions: both sides, every goal, one pass
     # ------------------------------------------------------------------
-    def decide_many(self, goals, item) -> list[BaselineSelection]:
+    def decide_many(self, goals, deadlines, item) -> list[Configuration]:
         """One (rung, power) pick per goal, via feasibility masks.
 
-        Mirrors the scalar rules exactly: the app side takes the *last*
-        rung whose predicted latency fits (rung 0 when none does); the
-        sys side takes the last affordable cap, else the last feasible,
-        else the top cap when maximising accuracy, and the *first*
-        feasible cap (else the top) when minimising energy.  All
-        products and comparisons are the same IEEE-double operations
-        the scalar loops perform, so the masks pick identical indices.
-        The step's ``item`` is not read.
+        ``goals`` are the base goals and ``deadlines`` their adjusted
+        deadlines.  Mirrors the scalar rules exactly: the app side
+        takes the *last* rung whose predicted latency fits (rung 0 when
+        none does); the sys side takes the last affordable cap, else
+        the last feasible, else the top cap when maximising accuracy,
+        and the *first* feasible cap (else the top) when minimising
+        energy.  All products and comparisons are the same IEEE-double
+        operations the scalar loops perform, so the masks pick
+        identical indices.  The step's ``item`` is not read.
         """
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
-        deadlines = np.array([goal.deadline_s for goal in goals])
+        arrays = GoalArrays.cached(self._goal_arrays, goals)
+        deadline_column = deadlines[:, None]
         xi_app = self._app.mean
         xi_sys = self._sys.mean
 
         n_rungs = self._rungs.shape[0]
-        fits = xi_app[:, None] * self._rungs[None, :] <= deadlines[:, None]
+        fits = xi_app[:, None] * self._rungs[None, :] <= deadline_column
         rung_arange = np.arange(n_rungs)
         last_fit = np.where(fits, rung_arange[None, :], -1).max(axis=1)
         rungs = np.maximum(last_fit, 0)
 
         n_powers = self._latencies.shape[0]
         pred = xi_sys[:, None] * self._latencies[None, :]
-        feasible = pred <= deadlines[:, None]
+        feasible = pred <= deadline_column
         power_arange = np.arange(n_powers)
         last_feasible = np.where(feasible, power_arange[None, :], -1).max(axis=1)
         first_feasible = np.where(
             feasible, power_arange[None, :], n_powers
         ).min(axis=1)
-        budgets = np.array(
-            [
-                goal.energy_budget_j
-                if (
-                    goal.objective is ObjectiveKind.MAXIMIZE_ACCURACY
-                    and goal.energy_budget_j is not None
-                )
-                else np.inf
-                for goal in goals
-            ]
-        )
-        cost = self._draws[None, :] * np.minimum(pred, deadlines[:, None])
+        # The budget a maximise-accuracy goal holds; +inf elsewhere.
+        budgets = arrays.energy_budget_j
+        cost = self._draws[None, :] * np.minimum(pred, deadline_column)
         affordable = feasible & (cost <= budgets[:, None])
         last_affordable = np.where(
             affordable, power_arange[None, :], -1
         ).max(axis=1)
-        maximize = np.array(
-            [goal.objective is ObjectiveKind.MAXIMIZE_ACCURACY for goal in goals]
-        )
         max_pick = np.where(
             last_affordable >= 0,
             last_affordable,
@@ -359,23 +356,10 @@ class NoCoordCellController:
         min_pick = np.where(
             first_feasible < n_powers, first_feasible, n_powers - 1
         )
-        power_idx = np.where(maximize, max_pick, min_pick)
-
-        selections = []
-        for g in range(self.n_goals):
-            key = (int(rungs[g]), int(power_idx[g]))
-            config = self._configs.get(key)
-            if config is None:
-                config = Configuration(
-                    model=self.model,
-                    power_w=self.powers[key[1]],
-                    rung_cap=key[0],
-                )
-                self._configs[key] = config
-            selections.append(BaselineSelection(config=config))
+        power_idx = np.where(arrays.min_energy, min_pick, max_pick)
         self._stacked_calls += 1
         self._stacked_states += self.n_goals
-        return selections
+        return self._configs[rungs, power_idx].tolist()
 
     # ------------------------------------------------------------------
     # Feedback: both planes, every goal, one pass

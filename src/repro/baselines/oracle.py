@@ -59,12 +59,12 @@ import numpy as np
 from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.goals import (
     Goal,
+    GoalArrays,
     ObjectiveKind,
     outcome_feasible,
-    violation_limits,
 )
 from repro.core.kernel import lockstep_stats_dict
-from repro.core.selector import BaselineSelection, lexargmin
+from repro.core.selector import lexargmin
 from repro.errors import ConfigurationError
 from repro.models.inference import (
     BatchOutcomeGrid,
@@ -204,23 +204,29 @@ class OracleScheduler:
     # ------------------------------------------------------------------
     # Batch path
     # ------------------------------------------------------------------
+    def _column_source(self, item: InputItem) -> tuple[BatchOutcomeGrid, int]:
+        """The grid and column holding every candidate's outcome on one
+        input: the view's, or a one-input grid realised for it."""
+        view = self.grid_view
+        position = view.column(self.engine, item) if view is not None else None
+        if position is not None:
+            return view.grid, position
+        grid = self.engine.evaluate_batch(
+            configs=self._configs,
+            indices=[item.index],
+            work_factors=[item.work_factor],
+        )
+        return grid, 0
+
     def _column(
         self, item: InputItem, goal: Goal
     ) -> tuple[OutcomePlanes, np.ndarray]:
         """Every candidate's outcome on one input at the goal's timing,
         with the candidates' enforced caps."""
-        view = self.grid_view
-        position = view.column(self.engine, item) if view is not None else None
-        if position is not None:
-            grid, columns = view.grid, [position]
-        else:
-            grid = self.engine.evaluate_batch(
-                configs=self._configs,
-                indices=[item.index],
-                work_factors=[item.work_factor],
-            )
-            columns = slice(None)
-        planes = grid.timing(goal.deadline_s, goal.period, columns=columns)
+        grid, column = self._column_source(item)
+        planes = grid.timing(
+            goal.deadline_s, goal.period, columns=slice(column, column + 1)
+        )
         return planes, grid.power_cap_w
 
     def decide(self, item: InputItem, goal: Goal) -> Configuration:
@@ -340,14 +346,16 @@ class OracleCell:
 
     Each step decides every goal from one ``(configurations × goals)``
     derivation of the step's grid column: each goal keeps its own
-    adjusted deadline, period (``goal.period``, as :meth:`decide`
-    uses), thresholds and objective, and one folded-tier argmin picks
+    adjusted deadline, its period (its ``period_s`` where set, else
+    that deadline, as ``goal.period`` says for :meth:`decide`), its
+    thresholds and its objective, and one folded-tier argmin picks
     every goal's configuration.  Each goal's pick equals
     :meth:`OracleScheduler.decide` on that goal alone
     (``tests/test_oracle_parity.py``).  A step whose input the view
-    does not hold decides goal by goal through :meth:`decide`.
-    Perfect knowledge needs no feedback: the cell is ``feedback_free``,
-    so a lane never observes it and its records carry a 0/0 belief.
+    does not hold realises that input's column once, as
+    :meth:`OracleScheduler.decide` does per goal.  Perfect knowledge
+    needs no feedback: the cell is ``feedback_free``, so a lane never
+    observes it and its records carry a 0/0 belief.
     """
 
     feedback_free = True
@@ -355,14 +363,9 @@ class OracleCell:
     def __init__(self, schedulers: list[OracleScheduler]) -> None:
         first = schedulers[0]
         self.n_goals = len(schedulers)
-        self._schedulers = schedulers
-        self._engine = first.engine
-        self._view = first.grid_view
-        self._cap_w = None
-        if self._view is not None:
-            self._cap_w = self._view.grid.power_cap_w[:, None]
+        self._oracle = first
         self._power_w = first._power_w[:, None]
-        self._picks = [BaselineSelection(config) for config in first._configs]
+        self._goal_arrays: dict[tuple, GoalArrays] = {}
         self._stacked_calls = 0
         self._stacked_states = 0
 
@@ -387,44 +390,35 @@ class OracleCell:
                 return None
         return cls(list(schedulers))
 
-    def decide_many(self, goals, item: InputItem) -> list[BaselineSelection]:
-        """Every goal's Oracle configuration for ``item``."""
+    def decide_many(self, goals, deadlines, item: InputItem) -> list[Configuration]:
+        """Every goal's Oracle configuration for ``item``, from the base
+        ``goals`` at their adjusted ``deadlines``."""
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
         self._stacked_calls += 1
         self._stacked_states += self.n_goals
-        view = self._view
-        column = None if view is None else view.column(self._engine, item)
-        if column is None:
-            return [
-                BaselineSelection(scheduler.decide(item, goal))
-                for scheduler, goal in zip(self._schedulers, goals)
-            ]
-        planes = view.grid.timing(
-            np.array([goal.deadline_s for goal in goals]),
-            np.array([goal.period for goal in goals]),
+        arrays = GoalArrays.cached(self._goal_arrays, goals)
+        grid, column = self._oracle._column_source(item)
+        planes = grid.timing(
+            deadlines, arrays.periods(deadlines),
             columns=np.full(self.n_goals, column),
         )
-        floors, ceilings = violation_limits(goals)
         met, quality, energy = (
             planes.met_deadline, planes.quality, planes.energy_j
         )
         feasible = (
             met
-            & np.logical_not(quality < floors)
-            & np.logical_not(energy > ceilings)
+            & np.logical_not(quality < arrays.floors)
+            & np.logical_not(energy > arrays.ceilings)
         )
         rows = _folded_pick(
             planes.latency_s, met, quality, energy, feasible,
-            np.array(
-                [goal.objective is ObjectiveKind.MINIMIZE_ENERGY for goal in goals]
-            ),
-            self._cap_w, self._power_w,
+            arrays.min_energy, grid.power_cap_w[:, None], self._power_w,
         )
-        picks = self._picks
-        return [picks[row] for row in rows.tolist()]
+        configs = self._oracle._configs
+        return [configs[row] for row in rows.tolist()]
 
     @property
     def lockstep_stats(self) -> dict:

@@ -194,19 +194,21 @@ class SysOnlyCellController:
             n_goals=len(schedulers),
         )
 
-    def decide_many(self, goals, item) -> list:
-        """One selection per goal — every goal, every step (the step's
-        ``item`` is not read)."""
+    def decide_many(self, goals, deadlines, item) -> list[Configuration]:
+        """Every goal's configuration at its adjusted deadline, every
+        step (the step's ``item`` is not read).  Sys-only reserves no
+        overhead, as :meth:`SysOnlyKernel.decide` does not."""
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
-        selections = self.selector.select_many(
-            goals, self.slowdown.mean, self.slowdown.sigma, self._phi
+        configs = self.selector.select_many(
+            goals, deadlines, self.slowdown.mean, self.slowdown.sigma,
+            self._phi,
         )
         self._stacked_calls += 1
         self._stacked_states += self.n_goals
-        return selections
+        return configs
 
     def observe_many(self, measured) -> None:
         """Fold every goal's previous-input latency in, stacked.

@@ -42,15 +42,31 @@ order of magnitude faster than the scalar loop (see
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.config_space import ConfigurationSpace
 from repro.core.estimator import AlertEstimator, normal_quantile
-from repro.core.goals import Goal, ObjectiveKind
+from repro.core.goals import Goal, GoalArrays, ObjectiveKind
 from repro.errors import ConfigurationError
 from repro.models.anytime import AnytimeDnn
 
-__all__ = ["BatchAlertEstimator", "normal_cdf_array"]
+__all__ = ["BatchAlertEstimator", "StackedGroup", "normal_cdf_array"]
+
+
+class StackedGroup(NamedTuple):
+    """One structural group of a stacked estimate.
+
+    ``rows`` indexes the group's states among the query's goals,
+    ``objective`` is their (shared) objective, and ``planes`` maps each
+    :class:`~repro.core.estimator.ConfigEstimate` field to a
+    ``(K × C)`` plane, or a ``(C,)`` constant shared by every state.
+    """
+
+    rows: np.ndarray
+    objective: ObjectiveKind
+    planes: dict
 
 
 # ----------------------------------------------------------------------
@@ -289,13 +305,9 @@ class BatchAlertEstimator:
         self._thr_cache: dict[float, np.ndarray] = {}
         self._energy_cache: dict[tuple, tuple] = {}
         self._quantile_cache: dict[float, float] = {}
-        #: Stacked plans (one per structural group) keyed by the goals'
-        #: deadline-free values plus each state's branch structure (see
-        #: :meth:`_stack_plans`).
-        self._stack_skeletons: dict[tuple, list[dict]] = {}
-        #: Reusable (G × C) field buffers, one set per stack height:
-        #: callers consume the planes before the next query.
-        self._field_bufs: dict[int, dict[str, np.ndarray]] = {}
+        #: Each stacked goal tuple's constants and stacked plans, keyed
+        #: by the goals' identities (see :meth:`GoalArrays.cached`).
+        self._stack_goals: dict[tuple, _StackGoals] = {}
         # Static tie-break rank equivalent to comparing
         # (power_w, model.name, space index) lexicographically — the
         # exact order the scalar path's stable ``min`` over estimate
@@ -339,31 +351,16 @@ class BatchAlertEstimator:
     def n_configs(self) -> int:
         return len(self.configs)
 
-    #: Field names of the stacked (G × C) estimate tensors.
-    _STACK_FLOAT_FIELDS = (
-        "latency_mean_s",
-        "deadline_probability",
-        "expected_quality",
-        "quality_meet_probability",
-        "expected_energy_j",
-    )
-    _STACK_BOOL_FIELDS = (
-        "meets_latency",
-        "meets_accuracy",
-        "meets_energy",
-        "meets_prob",
-        "meets_latency_mean",
-    )
-
     def stacked_fields(
         self,
         goals,
+        deadlines,
         xi_mean,
         xi_sigma,
         phi,
         tails=None,
-    ) -> dict[str, np.ndarray]:
-        """The raw ``(G × C)`` field tensors for ``G`` stacked states.
+    ) -> list[StackedGroup]:
+        """The ten estimate planes of ``G`` stacked states, per group.
 
         The lockstep serving path decides for every goal of a cell at
         every input step; this is its engine.  States are grouped by
@@ -371,57 +368,66 @@ class BatchAlertEstimator:
         the one estimator body with its states as ``(K, 1)`` columns:
         all per-state CDF arguments are gathered into **one** flat
         vector and pushed through a single vectorized erf evaluation.
-        Row ``g`` of each tensor is bit-identical to the
-        :meth:`estimate_batch` plane of state ``g``, its width-1 shape
-        (pinned by ``tests/test_lockstep_parity.py``).
+        Each group comes back as a :class:`StackedGroup`: its states'
+        rows, its objective, and its planes, each ``(K × C)`` or a
+        ``(C,)`` constant that broadcasts over the states.  Row ``k`` of
+        a group's planes is bit-identical to the :meth:`estimate_batch`
+        plane of ``goals[rows[k]]`` at deadline ``deadlines[rows[k]]``,
+        its width-1 shape (pinned by ``tests/test_lockstep_parity.py``).
 
-        Goal-only structure — the structural group partition,
-        quality-floor statics, energy-budget constants — is cached per
-        tuple of the goals' deadline-free values (:meth:`_stack_plans`),
-        and only the rows a deadline moves are recomputed when it
-        does, so the per-input work is the state-dependent arithmetic
-        plus one fused erf pass.
-
-        ``goals`` holds one :class:`~repro.core.goals.Goal` per state;
-        ``xi_mean`` / ``xi_sigma`` / ``phi`` are filter-state arrays of
-        length ``G``; ``tails`` optionally holds per-state
-        ``(fraction, ratio)`` tuples (or None), as in
-        :meth:`estimate_batch`.  The returned tensors are per-``G``
-        scratch buffers overwritten by the next query: consume them
-        before querying again (the stacked selector materialises its
-        winners at once).
+        ``goals`` holds the base goals, one per state: everything but
+        their deadlines, which ``deadlines`` replaces (a goal's period
+        is its ``period_s`` where set, else its deadline here, as
+        :attr:`~repro.core.goals.Goal.period` says).  ``xi_mean`` /
+        ``xi_sigma`` / ``phi`` are filter-state arrays of length ``G``;
+        ``tails`` optionally holds the Section 3.6 tail model as one
+        ``(fraction, ratio)`` pair of length-``G`` arrays (a state whose
+        fraction is 0 has no tail, as :meth:`estimate_batch`'s
+        ``tail=None``).  The structural plans are cached per goal tuple
+        and state flags (:meth:`_stack_plans`), and only the rows a
+        deadline moves are recomputed when it does, so the per-input
+        work is the state-dependent arithmetic plus one fused erf pass.
+        The planes may share memory with constants of this estimator:
+        read them only.
         """
         G = len(goals)
         if G < 1:
             raise ConfigurationError("need at least one (goal, state) pair")
+        deadlines = np.asarray(deadlines, dtype=np.float64)
         xi_mean = np.asarray(xi_mean, dtype=np.float64)
         xi_sigma = np.asarray(xi_sigma, dtype=np.float64)
         phi = np.asarray(phi, dtype=np.float64)
-        if xi_mean.shape != (G,) or xi_sigma.shape != (G,) or phi.shape != (G,):
+        if (
+            deadlines.shape != (G,) or xi_mean.shape != (G,)
+            or xi_sigma.shape != (G,) or phi.shape != (G,)
+        ):
             raise ConfigurationError(
-                f"state arrays must all have shape ({G},), got "
-                f"{xi_mean.shape}/{xi_sigma.shape}/{phi.shape}"
+                f"deadline and state arrays must all have shape ({G},), got "
+                f"{deadlines.shape}/{xi_mean.shape}/{xi_sigma.shape}/"
+                f"{phi.shape}"
             )
-        tail_list = list(tails) if tails is not None else [None] * G
+        fraction = ratio = None
+        if tails is not None:
+            fraction = np.asarray(tails[0], dtype=np.float64)
+            ratio = np.asarray(tails[1], dtype=np.float64)
         point = self._point_sigma
         states = []
-        for skeleton in self._stack_plans(goals, phi, tail_list):
+        for skeleton in self._stack_plans(goals, deadlines, phi, fraction, ratio):
             rows = skeleton["rows"]
             if self.variance_aware:
                 sigma_raw = xi_sigma[rows][:, None]
             else:
                 sigma_raw = np.full((len(rows), 1), point)
-            fraction = ratio = None
+            fraction_k = ratio_k = None
             *_, use_tail = skeleton["sig"]
             if use_tail:
-                tails_k = [tail_list[g] for g in skeleton["idx"]]
-                fraction = np.array([tail[0] for tail in tails_k])[:, None]
-                ratio = np.array([tail[1] for tail in tails_k])[:, None]
+                fraction_k = fraction[rows][:, None]
+                ratio_k = ratio[rows][:, None]
             states.append(
                 self._gather_group(
                     skeleton, xi_mean[rows][:, None], sigma_raw,
                     np.maximum(sigma_raw, point), phi[rows][:, None],
-                    fraction, ratio,
+                    fraction_k, ratio_k,
                 )
             )
         flats = [state["flat"] for state in states]
@@ -429,30 +435,16 @@ class BatchAlertEstimator:
             flats[0] if len(flats) == 1 else np.concatenate(flats)
         )
 
-        n = self.n_configs
-        fields = self._field_bufs.get(G)
-        if fields is None:
-            fields = {
-                name: np.empty((G, n)) for name in self._STACK_FLOAT_FIELDS
-            }
-            fields.update(
-                {
-                    name: np.empty((G, n), dtype=bool)
-                    for name in self._STACK_BOOL_FIELDS
-                }
-            )
-            if len(self._field_bufs) >= 8:
-                self._field_bufs.clear()
-            self._field_bufs[G] = fields
+        groups = []
         offset = 0
         for state in states:
             size = state["flat"].size
-            planes = self._finish_group(state, cdf_all[offset : offset + size])
-            rows = state["rows"]
-            for name, plane in planes.items():
-                fields[name][rows] = plane
+            groups.append(StackedGroup(
+                state["rows"], state["sig"][4],
+                self._finish_group(state, cdf_all[offset : offset + size]),
+            ))
             offset += size
-        return fields
+        return groups
 
     # ------------------------------------------------------------------
     # Goal-only plans
@@ -480,53 +472,51 @@ class BatchAlertEstimator:
             ),
         )
 
-    def _stack_plans(self, goals, phi, tail_list) -> list[dict]:
+    def _stack_plans(self, goals, deadlines, phi, fraction, ratio) -> list[dict]:
         """The stacked plans of a query, one per structural group, cached.
 
-        Keyed by each goal's deadline-free values (objective, explicit
-        period, floor, budget, ``Pr_th``) plus each state's
-        :meth:`_sig`, whose only state-dependent parts are the tail and
-        degenerate-``phi`` flags.  The deadline rows — thresholds,
-        deadline and period columns, a budget goal's horizon and ξ
-        crossings — are refilled whenever a group's deadlines move:
-        never on image lanes, every word on sentence lanes, whose
-        group-adjusted deadlines make fresh goals each step.
+        Keyed by the base goals (their structure and deadline-free
+        values) plus the two state flags of :meth:`_sig`, as arrays:
+        which budget goals meet the degenerate ``phi`` regime and which
+        states have the tail mixture in play.  The deadline rows —
+        thresholds, deadline and period columns, a budget goal's
+        horizon and ξ crossings — are refilled from ``deadlines``
+        whenever a group's deadlines move: never on image lanes, every
+        word on sentence lanes.
         """
-        sigs = tuple(
-            self._sig(goal, tail_list[g], phi[g]) for g, goal in enumerate(goals)
-        )
-        key = (
-            tuple(
-                (
-                    goal.objective,
-                    goal.period_s,
-                    goal.accuracy_min,
-                    goal.energy_budget_j,
-                    goal.prob_threshold,
-                )
-                for goal in goals
-            ),
-            sigs,
-        )
-        skeletons = self._stack_skeletons.get(key)
+        entry = _StackGoals.cached(self._stack_goals, goals)
+        degenerate = entry.has_budget & (phi >= 1.0 - 1e-12)
+        if fraction is None or not self.variance_aware:
+            use_tail = entry.no_tail
+        else:
+            use_tail = (fraction > 0.0) & (ratio > 1.0)
+        flags = (degenerate.tobytes(), use_tail.tobytes())
+        skeletons = entry.skeletons.get(flags)
         if skeletons is None:
-            skeletons = self._build_skeletons(goals, sigs)
-            if len(self._stack_skeletons) >= 64:
-                self._stack_skeletons.clear()
-            self._stack_skeletons[key] = skeletons
+            sigs = [
+                (has_budget, bool(degen), has_floor, has_prob, objective, bool(tail))
+                for (has_budget, has_floor, has_prob, objective), degen, tail in zip(
+                    entry.structure, degenerate, use_tail
+                )
+            ]
+            skeletons = self._build_skeletons(entry.goals, sigs)
+            if len(entry.skeletons) >= 64:
+                entry.skeletons.clear()
+            entry.skeletons[flags] = skeletons
+        periods = entry.periods(deadlines)
         for skeleton in skeletons:
-            self._deadline_rows(skeleton, goals)
+            self._deadline_rows(skeleton, deadlines, periods)
         return skeletons
 
-    def _deadline_rows(self, skeleton: dict, goals) -> None:
+    def _deadline_rows(self, skeleton: dict, deadlines, periods) -> None:
         """Refill a stacked plan's deadline rows when its deadlines moved."""
-        idx = skeleton["idx"]
-        deadlines = tuple([goals[g].deadline_s for g in idx])
-        if deadlines == skeleton.get("deadlines"):
+        rows = skeleton["rows"]
+        deadline = deadlines[rows]
+        stamp = deadline.tobytes()
+        if stamp == skeleton.get("stamp"):
             return
-        skeleton["deadlines"] = deadlines
-        deadline = np.array(deadlines)
-        period = np.array([goals[g].period for g in idx])
+        skeleton["stamp"] = stamp
+        period = periods[rows]
         skeleton["thr"] = deadline[:, None] / self._unique_lat
         skeleton["deadline"] = deadline[:, None]
         skeleton["period"] = period[:, None]
@@ -941,3 +931,28 @@ class BatchAlertEstimator:
             "meets_prob": meets_prob,
             "meets_latency_mean": meets_latency_mean,
         }
+
+
+class _StackGoals(GoalArrays):
+    """One stacked goal tuple's constants and its plans.
+
+    Beyond :class:`~repro.core.goals.GoalArrays`: ``structure`` holds
+    each goal's part of :meth:`BatchAlertEstimator._sig` (budget,
+    floor, ``Pr_th``, objective), and ``skeletons`` the stacked plans
+    per state-flag pattern.
+    """
+
+    def __init__(self, goals) -> None:
+        super().__init__(goals)
+        self.structure = [
+            (
+                goal.energy_budget_j is not None,
+                goal.accuracy_min is not None,
+                goal.prob_threshold is not None,
+                goal.objective,
+            )
+            for goal in self.goals
+        ]
+        self.has_budget = np.array([entry[0] for entry in self.structure])
+        self.no_tail = np.zeros(len(self.goals), dtype=bool)
+        self.skeletons: dict[tuple, list[dict]] = {}

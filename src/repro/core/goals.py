@@ -40,6 +40,7 @@ __all__ = [
     "ENERGY_REL_EPS",
     "outcome_feasible",
     "violation_limits",
+    "GoalArrays",
 ]
 
 #: Tolerance on the quality floor, *absolute* because quality lives on
@@ -236,6 +237,60 @@ def violation_limits(goals) -> tuple[np.ndarray, np.ndarray]:
     return np.array(floors), np.array(ceilings)
 
 
+class GoalArrays:
+    """A tuple of goals' per-goal constants, as arrays.
+
+    A stacked cell decides for one tuple of base goals at a vector of
+    adjusted deadlines, so what else a goal holds is read once per
+    tuple: whether it minimises energy, its explicit period, the energy
+    budget it is held to (+inf where none applies) and its violation
+    limits (:func:`violation_limits`).  Look one up through
+    :meth:`cached`.
+    """
+
+    def __init__(self, goals) -> None:
+        self.goals = tuple(goals)
+        self.min_energy = np.array([
+            goal.objective is ObjectiveKind.MINIMIZE_ENERGY
+            for goal in self.goals
+        ])
+        self.has_period = np.array(
+            [goal.period_s is not None for goal in self.goals]
+        )
+        self.period_s = np.array([
+            goal.period_s if goal.period_s is not None else 0.0
+            for goal in self.goals
+        ])
+        self.energy_budget_j = np.array([
+            goal.energy_budget_j if goal.energy_constrained else math.inf
+            for goal in self.goals
+        ])
+        self.floors, self.ceilings = violation_limits(self.goals)
+
+    @classmethod
+    def cached(cls, cache: dict, goals):
+        """The arrays of ``goals`` (an instance of this class), memoised
+        in ``cache``.
+
+        Keyed on the goals' identities: a lane passes the same goal
+        objects every step, so a lookup hashes ``G`` ints, not ``G``
+        goals.  Each entry pins its goals, so no id in a live key is
+        reused.
+        """
+        key = tuple(map(id, goals))
+        arrays = cache.get(key)
+        if arrays is None:
+            if len(cache) >= 64:
+                cache.clear()
+            arrays = cache[key] = cls(goals)
+        return arrays
+
+    def periods(self, deadlines: np.ndarray) -> np.ndarray:
+        """Every goal's :attr:`Goal.period` at ``deadlines``: its
+        explicit period where set, else its deadline."""
+        return np.where(self.has_period, self.period_s, deadlines)
+
+
 #: Floor on every adjusted deadline, so a badly overrun sentence still
 #: leaves a schedulable (if tight) deadline for its last words.
 MIN_DEADLINE_S = 1e-4
@@ -251,37 +306,68 @@ class GoalAdjuster:
     ``remaining_budget / words_remaining``, floored at
     :data:`MIN_DEADLINE_S`.  The scheduler's overhead reservation is
     the decision kernel's, not this class's.
+
+    :meth:`adjust` and :meth:`consume` serve one goal.  Their vector
+    forms, :meth:`adjust_many` and :meth:`consume_many`, serve many
+    goals that see the same items (a lockstep lane): the group and the
+    words left are shared, so only the budgets differ, one per goal.
+    Both forms run the one rule below, with the same IEEE operations.
     """
 
     def __init__(self) -> None:
         self._group_id: int | None = None
+        # One float, or one budget per goal in the vector form.
         self._group_budget_s = 0.0
         self._group_remaining = 0
 
-    def adjust(self, goal: Goal, item: InputItem) -> Goal:
-        """The effective goal for one input item."""
-        deadline = goal.deadline_s
+    def _deadline(self, deadline, item: InputItem, floor):
+        """The rule: a group word's share of what is left, floored.
+
+        ``deadline`` is the base deadline (a float, or one per goal)
+        and ``floor`` the matching ``max``.
+        """
         if item.group_size > 1:
             if item.is_group_start or item.group_id != self._group_id:
                 self._group_id = item.group_id
-                self._group_budget_s = goal.deadline_s * item.group_size
+                self._group_budget_s = deadline * item.group_size
                 self._group_remaining = item.group_size
-            words_left = max(1, self._group_remaining)
-            deadline = self._group_budget_s / words_left
-        deadline = max(MIN_DEADLINE_S, deadline)
+            deadline = self._group_budget_s / max(1, self._group_remaining)
+        return floor(MIN_DEADLINE_S, deadline)
+
+    def _spend(self, item: InputItem, latency, floor) -> None:
+        """Charge one word's latency (a float, or one per goal)."""
+        if item.group_size > 1 and item.group_id == self._group_id:
+            self._group_budget_s = floor(0.0, self._group_budget_s - latency)
+            self._group_remaining = max(0, self._group_remaining - 1)
+            if item.is_group_end:
+                self._group_id = None
+
+    def adjust(self, goal: Goal, item: InputItem) -> Goal:
+        """The effective goal for one input item."""
+        deadline = self._deadline(goal.deadline_s, item, max)
         if deadline == goal.deadline_s:
             return goal
         return goal.with_deadline(deadline)
+
+    def adjust_many(self, deadlines: np.ndarray, item: InputItem) -> np.ndarray:
+        """Every goal's adjusted deadline for one item, from the goals'
+        base ``deadlines``; element ``g`` is :meth:`adjust`'s deadline
+        for goal ``g`` alone."""
+        return self._deadline(deadlines, item, np.maximum)
 
     def consume(self, item: InputItem, latency_s: float) -> None:
         """Record how much of the group budget one word consumed."""
         if latency_s < 0:
             raise ConfigurationError(f"latency must be >= 0, got {latency_s}")
-        if item.group_size > 1 and item.group_id == self._group_id:
-            self._group_budget_s = max(0.0, self._group_budget_s - latency_s)
-            self._group_remaining = max(0, self._group_remaining - 1)
-            if item.is_group_end:
-                self._group_id = None
+        self._spend(item, latency_s, max)
+
+    def consume_many(self, item: InputItem, latency_s: np.ndarray) -> None:
+        """:meth:`consume` for every goal of :meth:`adjust_many`."""
+        if (latency_s < 0).any():
+            raise ConfigurationError(
+                f"latencies must be >= 0, got {latency_s.min()}"
+            )
+        self._spend(item, latency_s, np.maximum)
 
     @property
     def mid_group(self) -> bool:

@@ -258,11 +258,16 @@ class StackedKalmanFilter:
             raise ConfigurationError(
                 f"expected {self.n} measurements, got shape {measurements.shape}"
             )
-        if np.any(measurements <= 0):
+        if (measurements <= 0).any():
             raise ConfigurationError(
                 "slowdown measurements must be positive, got "
                 f"{measurements.min()}"
             )
+        self.advance(measurements)
+
+    def advance(self, measurements: np.ndarray) -> None:
+        """:meth:`update` on measurements the caller already checked:
+        a float64 array of ``n`` positive values."""
         innovation = measurements - self.mu
         weighted = self.gain * self._last_innovation
         self.process_noise = np.minimum(

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.config_space import ConfigurationSpace
+from repro.core.config_space import Configuration, ConfigurationSpace
 from repro.core.estimator import AlertEstimator
 from repro.core.goals import Goal
 from repro.core.kalman import IdlePowerFilter, StackedIdlePowerFilter
@@ -397,7 +397,9 @@ class AlertCellKernel:
     pass folds every goal's measurement in, and one :meth:`decide_many`
     pass computes every goal's selection through
     :meth:`~repro.core.selector.ConfigSelector.select_many` (single
-    fused erf + lexsort per step, covering every goal).  Each goal's
+    fused erf + lexicographic argmin per step, covering every goal).
+    A step passes the base goals and a vector of their adjusted
+    deadlines, and gets the configurations back.  Each goal's
     trajectory is bit-identical to a fresh :class:`AlertKernel` serving
     that goal alone (``tests/test_lockstep_parity.py``).
 
@@ -440,14 +442,6 @@ class AlertCellKernel:
         )
         self.stacked_calls = 0
         self.stacked_states = 0
-        # Overhead-adjusted goals, a pure function of (goal, overhead_s).
-        self._effective: dict[Goal, Goal] = {}
-        # The lockstep loops pass the identical goal-list objects every
-        # step; resolving the whole list through ``_effective`` per
-        # step would hash every (frozen, hash-recomputing) Goal on
-        # every input.  One id-tuple lookup replaces all of it;
-        # the entry pins its goals, keeping the ids stable.
-        self._adjusted_lists: dict[tuple, tuple[list, list]] = {}
 
     @classmethod
     def from_kernels(cls, kernels: list[AlertKernel]) -> "AlertCellKernel | None":
@@ -549,49 +543,33 @@ class AlertCellKernel:
     # ------------------------------------------------------------------
     # Steps 3-4: estimate and pick, all goals at once
     # ------------------------------------------------------------------
-    def decide_many(self, goals, item) -> list[SelectionResult]:
-        """One selection per goal (already group-adjusted), stacked.
+    def decide_many(self, goals, deadlines, item) -> list[Configuration]:
+        """Every goal's configuration for the next input, stacked.
 
-        Every goal goes into one
-        :meth:`~repro.core.selector.ConfigSelector.select_many` pass:
-        :meth:`observe_many` moves every goal's belief each step, so
-        no selection could be reused from the step before.  ALERT
-        decides from its profile and belief, never from the step's
-        ``item``.
+        ``goals`` are the base goals and ``deadlines`` their
+        group-adjusted deadlines, one per goal.  The kernel reserves
+        its overhead from every deadline, as :meth:`AlertKernel.decide`
+        does (``max(1e-6, deadline - overhead_s)``, elementwise), and
+        one :meth:`~repro.core.selector.ConfigSelector.select_many`
+        pass picks for every goal: :meth:`observe_many` moves every
+        goal's belief each step, so no selection could be reused from
+        the step before.  ALERT decides from its profile and belief,
+        never from the step's ``item``.
         """
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
-        ids = tuple(map(id, goals))
-        adjusted_entry = self._adjusted_lists.get(ids)
-        if adjusted_entry is None:
-            effectives = [
-                _adjusted(self._effective, goal, self.overhead_s)
-                for goal in goals
-            ]
-            if len(self._adjusted_lists) >= 64:
-                self._adjusted_lists.clear()
-            # Pin the goals: live references keep every id in the key
-            # unambiguous.
-            self._adjusted_lists[ids] = (list(goals), effectives)
-        else:
-            effectives = adjusted_entry[1]
-
         slowdown = self.slowdown
-        # One bulk tolist per tail vector: identical doubles to
-        # per-element float() casts, without G numpy scalar reads.
-        tails = list(
-            zip(slowdown.tail_fraction.tolist(), slowdown.tail_ratio.tolist())
-        )
         self.stacked_calls += 1
         self.stacked_states += self.n_goals
         return self.selector.select_many(
-            effectives,
+            goals,
+            np.maximum(1e-6, deadlines - self.overhead_s),
             slowdown.mean,
             slowdown.sigma,
             self.idle_filter.phi,
-            tails=tails,
+            tails=(slowdown.tail_fraction, slowdown.tail_ratio),
         )
 
     # ------------------------------------------------------------------

@@ -22,9 +22,9 @@ the reference compares — this is what makes the scheduler cost a
 small fraction of an input's inference time.
 :meth:`ConfigSelector.select_many` ranks many (goal, filter-state)
 pairs in one pass over
-:meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`;
-both estimator calls run the same estimator body, at width 1 and
-stacked.  The reference is
+:meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`
+and returns only the winning configurations; both estimator calls run
+the same estimator body, at width 1 and stacked.  The reference is
 :meth:`ConfigSelector.select_scalar`, a per-configuration loop over
 :meth:`repro.core.estimator.AlertEstimator.estimate` kept as the
 readable ground truth; the parity suites call it by name and assert
@@ -44,7 +44,7 @@ from repro.core.estimator import AlertEstimator, ConfigEstimate
 from repro.core.goals import Goal, ObjectiveKind
 from repro.errors import ConfigurationError
 
-__all__ = ["SelectionResult", "BaselineSelection", "ConfigSelector", "lexargmin"]
+__all__ = ["SelectionResult", "ConfigSelector", "lexargmin"]
 
 
 def lexargmin(keys, axis: int = 0, mask=None):
@@ -112,19 +112,6 @@ class SelectionResult:
     n_feasible: int
 
 
-@dataclass(frozen=True)
-class BaselineSelection:
-    """A bare winning configuration, no estimate attached.
-
-    The lockstep cells of estimator-free baselines (No-coord) return
-    these from ``decide_many``: the serving loops only ever read
-    ``.config``, and those baselines have no estimate record, search
-    accounting, or relaxation stage to report.
-    """
-
-    config: Configuration
-
-
 class ConfigSelector:
     """Ranks configurations for a goal given the filter state.
 
@@ -138,10 +125,6 @@ class ConfigSelector:
         self.space = space
         self.estimator = estimator
         self.batch = BatchAlertEstimator(space, estimator)
-        #: Per-goal-tuple objective masks for the stacked path, a pure
-        #: function of the goals, rebuilt every step otherwise.  Entries
-        #: pin their goals so the id-tuple key stays unambiguous.
-        self._objective_mask_cache: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Ranking keys
@@ -270,57 +253,60 @@ class ConfigSelector:
     def select_many(
         self,
         goals,
+        deadlines,
         xi_means,
         xi_sigmas,
         phis,
         tails=None,
-    ) -> list[SelectionResult]:
-        """One selection per (goal, filter-state) pair, in one pass.
+    ) -> list[Configuration]:
+        """The winning configuration of every (goal, filter-state) pair.
 
         The lockstep serving path calls this once per input step with
-        every goal of the cell.  The
-        estimates come from one stacked
+        every base goal of the cell and the step's deadlines (see
         :meth:`~repro.core.batch_estimator.BatchAlertEstimator.stacked_fields`
-        query (single fused erf evaluation), and the 4-stage priority
-        hierarchy then ranks the whole ``(state × config)`` plane with
-        one row-wise :func:`lexargmin`: each state resolves its
-        fallback stage and contributes its stage's ranking keys into
-        shared key columns (padded to the widest stage), and its row's
-        argmin among the stage's valid candidates is exactly the
-        configuration :meth:`select` would pick for that state (pinned
-        by ``tests/test_lockstep_parity.py``).
+        for the arguments).  The estimates come from one stacked query
+        (single fused erf evaluation), and each structural group of
+        states is ranked on its own planes (:meth:`_group_winners`):
+        its row's argmin among its stage's valid candidates is exactly
+        the configuration :meth:`select` picks for that goal at that
+        deadline (pinned by ``tests/test_lockstep_parity.py``).
         """
         n_states = len(goals)
         if n_states < 1:
             raise ConfigurationError("need at least one (goal, state) pair")
-        tail_list = list(tails) if tails is not None else [None] * n_states
-        fields = self.batch.stacked_fields(
-            goals, xi_means, xi_sigmas, phis, tail_list
-        )
+        winners = np.empty(n_states, dtype=np.intp)
+        for rows, objective, planes in self.batch.stacked_fields(
+            goals, deadlines, xi_means, xi_sigmas, phis, tails
+        ):
+            winners[rows] = self._group_winners(
+                planes, objective is ObjectiveKind.MINIMIZE_ENERGY
+            )
         configs = self.batch.configs
-        n = self.batch.n_configs
-        rank = self.batch.tie_rank
+        return [configs[winner] for winner in winners.tolist()]
 
-        # The (G × C) planes come straight from the stacked estimator.
-        energy = fields["expected_energy_j"]
-        neg_quality = -fields["expected_quality"]
-        latency_mean = fields["latency_mean_s"]
-        q_meet = fields["quality_meet_probability"]
-        mlm = fields["meets_latency_mean"]
-        meets_prob = fields["meets_prob"]
+    def _group_winners(self, planes: dict, min_energy: bool) -> np.ndarray:
+        """Each state's winner among one group's ``(K × C)`` planes.
+
+        The states share one objective; each resolves its fallback
+        stage (0 = feasible, then the scalar hierarchy's relaxation
+        order) and contributes its stage's ranking keys, as
+        :meth:`select`'s key tuples, into shared key columns (padded
+        with a constant where a stage has fewer keys).  One row-wise
+        :func:`lexargmin` then picks every state's winner.
+        """
+        energy = planes["expected_energy_j"]
+        neg_quality = -planes["expected_quality"]
+        mlm = planes["meets_latency_mean"]
+        meets_prob = planes["meets_prob"]
         feasible = (
-            fields["meets_latency"]
-            & fields["meets_accuracy"]
-            & fields["meets_energy"]
+            planes["meets_latency"]
+            & planes["meets_accuracy"]
+            & planes["meets_energy"]
             & meets_prob
         )
-
-        # Resolve each state's fallback stage (0 = feasible, then the
-        # scalar hierarchy's relaxation order).
-        n_feasible = feasible.sum(axis=1)
         keep_prob_mask = mlm & meets_prob
         stage = np.where(
-            n_feasible > 0,
+            feasible.any(axis=1),
             0,
             np.where(
                 keep_prob_mask.any(axis=1),
@@ -328,141 +314,46 @@ class ConfigSelector:
                 np.where(mlm.any(axis=1), 2, 3),
             ),
         )
-        col = stage[:, None]
-        # Candidate validity per stage.
-        if not stage.any():
-            valid = feasible
-        else:
-            valid = np.where(
-                col == 0,
-                feasible,
-                np.where(
-                    col == 1, keep_prob_mask, np.where(col == 2, mlm, True)
-                ),
-            )
-
-        goal_ids = tuple(map(id, goals))
-        mask_entry = self._objective_mask_cache.get(goal_ids)
-        if mask_entry is None:
-            mask = np.array(
-                [
-                    goal.objective is ObjectiveKind.MINIMIZE_ENERGY
-                    for goal in goals
-                ]
-            )[:, None]
-            if len(self._objective_mask_cache) >= 64:
-                self._objective_mask_cache.clear()
-            mask_entry = (mask, bool(mask.all()), bool(mask.any()), list(goals))
-            self._objective_mask_cache[goal_ids] = mask_entry
-        min_energy, all_min_energy, any_min_energy, _ = mask_entry
-        rank_plane = np.broadcast_to(rank, (n_states, n))
-        zeros_plane = np.broadcast_to(np.zeros(1), (n_states, n))
-
-        # The four ranking-key columns, row-selected by (stage,
-        # objective) to replicate each stage's scalar key tuple; unused
-        # trailing keys are constant within a row.
+        rank = self.batch.tie_rank
         if not stage.any():
             # Every state resolved at stage 0 (the common steady
-            # state): each row's key tuple is just its objective's, so
-            # the fallback-stage plane selects reduce to the plain
-            # objective columns; the constant k4 drops out.
-            if all_min_energy:
-                k1, k2 = energy, neg_quality
-            elif not any_min_energy:
-                k1, k2 = neg_quality, energy
-            else:
-                k1 = np.where(min_energy, energy, neg_quality)
-                k2 = np.where(min_energy, neg_quality, energy)
-            k3 = rank_plane
-            k4 = None
-        else:
+            # state): the keys are the objective's.
+            keys = (
+                (energy, neg_quality, rank) if min_energy
+                else (neg_quality, energy, rank)
+            )
+            return lexargmin(keys, axis=1, mask=feasible)
+        col = stage[:, None]
+        valid = np.where(
+            col == 0,
+            feasible,
+            np.where(col == 1, keep_prob_mask, np.where(col == 2, mlm, True)),
+        )
+        best_effort = col == 3
+        if min_energy:
             relaxed = (col == 1) | (col == 2)
-            if relaxed.any():
-                # Bit-identical to the scalar key's _quantize6 (see
-                # select); read only where ``relaxed`` holds.
-                neg_rounded = -(np.rint(q_meet * 1e6) / 1e6)
-            else:
-                neg_rounded = zeros_plane  # unused: relaxed is all-False
-            k1 = np.where(
-                col == 3,
-                latency_mean,
+            # Bit-identical to the scalar key's _quantize6 (see select);
+            # read only where ``relaxed`` holds.
+            neg_rounded = -(
+                np.rint(planes["quality_meet_probability"] * 1e6) / 1e6
+            )
+            keys = (
                 np.where(
-                    min_energy,
+                    best_effort,
+                    planes["latency_mean_s"],
                     np.where(relaxed, neg_rounded, energy),
-                    neg_quality,
                 ),
+                neg_quality,
+                np.where(relaxed, energy, rank),
+                np.where(relaxed, rank, 0.0),
             )
-            k2 = np.where(
-                col == 3, neg_quality, np.where(min_energy, neg_quality, energy)
+        else:
+            keys = (
+                np.where(best_effort, planes["latency_mean_s"], neg_quality),
+                np.where(best_effort, neg_quality, energy),
+                rank,
             )
-            k3 = np.where(
-                col == 3,
-                rank_plane,
-                np.where(
-                    min_energy & relaxed,
-                    energy,
-                    rank_plane,
-                ),
-            )
-            k4 = np.where(min_energy & relaxed, rank_plane, zeros_plane)
-
-        # Each state's winner: its lexicographic argmin over the key
-        # columns in priority order, among its valid candidates.
-        keys = (k1, k2, k3) if k4 is None else (k1, k2, k3, k4)
-        winners = lexargmin(keys, axis=1, mask=valid)
-        gidx = np.arange(n_states)
-
-        # Materialise every winner's estimate straight from the planes
-        # — the same floats each state's ``estimate_batch`` planes
-        # carry, gathered with vectorized fancy indexing + ``tolist``
-        # (identical doubles to per-element ``float()`` casts); the
-        # scratch tensors are fully consumed before returning.
-        win_latency = latency_mean[gidx, winners].tolist()
-        win_dprob = fields["deadline_probability"][gidx, winners].tolist()
-        win_quality = fields["expected_quality"][gidx, winners].tolist()
-        win_qmeet = q_meet[gidx, winners].tolist()
-        win_energy = energy[gidx, winners].tolist()
-        win_mlat = fields["meets_latency"][gidx, winners].tolist()
-        win_macc = fields["meets_accuracy"][gidx, winners].tolist()
-        win_menergy = fields["meets_energy"][gidx, winners].tolist()
-        win_mprob = meets_prob[gidx, winners].tolist()
-        win_mlm = mlm[gidx, winners].tolist()
-        stages = stage.tolist()
-        feas_counts = n_feasible.tolist()
-
-        _RELAXATIONS = (None, "constraint", "probability", "latency")
-        results: list[SelectionResult] = []
-        for g in range(n_states):
-            winner = int(winners[g])
-            config = configs[winner]
-            # Frozen-dataclass direct fill, as in the serving loops'
-            # record bookkeeping.
-            estimate = object.__new__(ConfigEstimate)
-            estimate.__dict__.update(
-                config=config,
-                latency_mean_s=win_latency[g],
-                deadline_probability=win_dprob[g],
-                expected_quality=win_quality[g],
-                quality_meet_probability=win_qmeet[g],
-                expected_energy_j=win_energy[g],
-                meets_latency=win_mlat[g],
-                meets_accuracy=win_macc[g],
-                meets_energy=win_menergy[g],
-                meets_prob=win_mprob[g],
-                meets_latency_mean=win_mlm[g],
-            )
-            state_stage = stages[g]
-            results.append(
-                SelectionResult(
-                    config=config,
-                    estimate=estimate,
-                    feasible=state_stage == 0,
-                    relaxation=_RELAXATIONS[state_stage],
-                    n_candidates=n,
-                    n_feasible=feas_counts[g] if state_stage == 0 else 0,
-                )
-            )
-        return results
+        return lexargmin(keys, axis=1, mask=valid)
 
     # ------------------------------------------------------------------
     # Scalar reference path

@@ -209,30 +209,39 @@ class StackedSlowdownEstimator:
         the tail threshold, the EWMA frequency/magnitude updates, and
         the Kalman update all use the state's own belief.
         """
-        measured = np.asarray(measured_latency_s, dtype=np.float64)
+        kalman = self._filter
         profiled = np.asarray(profiled_latency_s, dtype=np.float64)
-        if np.any(measured <= 0) or np.any(profiled <= 0):
+        if (profiled <= 0).any():
             raise ConfigurationError("latencies must be positive")
-        ratio = measured / profiled
-        threshold = self._filter.mu + self._tail_threshold * np.maximum(
-            self._filter.sigma, self._min_sigma
-        )
-        is_tail = (ratio > threshold) & (self._filter.updates > 0)
-        alpha = self._tail_ewma
-        self._tail_fraction = (
-            1 - alpha
-        ) * self._tail_fraction + alpha * is_tail.astype(np.float64)
-        grow = is_tail & (self._filter.mu > 0)
-        if grow.any():
-            # Guarded division: non-tail states may sit at any mu; the
-            # masked result only reads the tail entries.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                observed_ratio = ratio / self._filter.mu
-            updated = (1 - alpha) * self._tail_ratio + alpha * np.maximum(
-                1.0, observed_ratio
+        ratio = np.asarray(measured_latency_s, dtype=np.float64) / profiled
+        # Over positive profiled latencies, a non-positive ratio is
+        # exactly a non-positive measurement (or one the division
+        # underflowed, which the filter refuses too): this one check
+        # stands for the measurement's and the filter's.
+        if ratio.shape != (self.n,) or (ratio <= 0).any():
+            raise ConfigurationError(
+                "latencies must be positive, one per state"
             )
-            self._tail_ratio = np.where(grow, updated, self._tail_ratio)
-        self._filter.update(ratio)
+        alpha = self._tail_ewma
+        self._tail_fraction = (1 - alpha) * self._tail_fraction
+        if kalman.updates > 0:
+            threshold = kalman.mu + self._tail_threshold * np.maximum(
+                kalman.sigma, self._min_sigma
+            )
+            is_tail = ratio > threshold
+            # ``alpha * is_tail`` multiplies by exactly 1.0 or 0.0.
+            self._tail_fraction += alpha * is_tail
+            grow = is_tail & (kalman.mu > 0)
+            if grow.any():
+                # Guarded division: non-tail states may sit at any mu;
+                # the masked result only reads the tail entries.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    observed_ratio = ratio / kalman.mu
+                updated = (1 - alpha) * self._tail_ratio + alpha * np.maximum(
+                    1.0, observed_ratio
+                )
+                self._tail_ratio = np.where(grow, updated, self._tail_ratio)
+        kalman.advance(ratio)
         return ratio
 
     @property

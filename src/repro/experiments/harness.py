@@ -154,11 +154,15 @@ def evaluate_schemes(
     scenario's seed, so all schemes face bit-identical environments
     (common random numbers) and the cell can be executed by any number
     of ``workers`` with bit-identical results.  One outcome grid
-    serves every scheme and timing (see the module docstring).  With
-    ``workers`` > 1 the cell splits into contiguous specs of at least
-    :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS` goals, one per
-    worker where the goals allow; a cell too narrow to split runs in
-    this process.  So does a scenario that
+    serves every scheme and timing (see the module docstring), and
+    ``goals`` may mix objectives: the Table 4 and Table 5 experiments
+    pass every objective's settings of a scenario in one call and split
+    the runs by objective afterwards, so the scenario realises one grid
+    and its lanes step every goal together (24 at the tables' default
+    stride).  With ``workers`` > 1 the cell splits into contiguous
+    specs of at least :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS`
+    goals, one per worker where the goals allow; a cell too narrow to
+    split runs in this process.  So does a scenario that
     :meth:`ScenarioKey.for_scenario` cannot round-trip, whatever
     ``workers`` asks for.  Pooled specs send every run's records back
     to this process, and unpickling them costs more than the split

@@ -8,8 +8,11 @@ them as the superscript), and aggregate with harmonic means.
 The full paper grid (3 platforms x 2 tasks x 3 environments x 70
 settings x 7 schemes) is expensive; ``run`` takes platform/task/env
 subsets, a settings stride, and an input count so callers choose their
-budget.  The bench uses a single cell; ``repro.runtime.sweep`` runs
-larger grids with checkpoints.
+budget.  Every scheme of a scenario sees the same inputs and
+environment under both objectives, so ``run`` evaluates each scenario
+once, over both objectives' settings, and splits the runs into the
+objectives' cells.  The bench uses a single cell;
+``repro.runtime.sweep`` runs larger grids with checkpoints.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.harness import evaluate_schemes
 from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
 
-__all__ = ["CellKey", "Table4Result", "run", "DEFAULT_SCHEMES"]
+__all__ = ["CellKey", "Table4Result", "run", "scenario_cells", "DEFAULT_SCHEMES"]
 
 DEFAULT_SCHEMES = (
     "ALERT",
@@ -128,9 +131,14 @@ def run(
     ``settings_stride`` subsamples the 35-setting grids (stride 3
     keeps 12 settings per cell); the GPU platform skips the sentence
     task, as in the paper, and a request that leaves no cell raises
-    :class:`ConfigurationError`.  ``workers`` > 1 fans each cell's
-    runs out over a process pool (results are bit-identical to
-    serial).
+    :class:`ConfigurationError`.  Each (platform, task, environment)
+    scenario is one :func:`evaluate_schemes` call over every
+    objective's settings, so its objectives share one outcome grid and
+    one lockstep cell (24 goals at stride 3); each objective's slice
+    of the runs is then summarised as its own cell, and the runs are
+    released before the next scenario.  ``workers`` > 1 fans each
+    scenario's runs out over a process pool (results are bit-identical
+    to serial).
     """
     if "OracleStatic" not in schemes:
         raise ConfigurationError(
@@ -143,28 +151,13 @@ def run(
                 continue
             for env in envs:
                 scenario = build_scenario(platform, task, env, "standard", seed)
-                grid = constraint_grid(scenario)
-                for objective in objectives:
-                    goals = (
-                        grid.min_energy_goals
-                        if objective == "min_energy"
-                        else grid.min_error_goals
-                    )
-                    subset = stride_settings(goals, settings_stride)
-                    cell_runs = evaluate_schemes(
-                        scenario, subset, schemes, n_inputs=n_inputs,
-                        workers=workers,
-                    )
-                    baseline = cell_runs.scheme_runs("OracleStatic")
-                    cell: dict[str, SchemeCell] = {}
-                    for scheme in schemes:
-                        cell[scheme] = summarize_runs(
-                            scheme, cell_runs.scheme_runs(scheme), baseline
-                        )
+                cells = scenario_cells(
+                    scenario, schemes, objectives, settings_stride, n_inputs,
+                    workers,
+                )
+                for objective, cell in zip(objectives, cells):
                     key = CellKey(
-                        platform=platform,
-                        task=task,
-                        env=env,
+                        platform=platform, task=task, env=env,
                         objective=objective,
                     )
                     result.cells[key] = cell
@@ -174,3 +167,41 @@ def run(
             "the image task only, as in the paper"
         )
     return result
+
+
+def scenario_cells(
+    scenario, schemes, objectives, settings_stride, n_inputs, workers
+) -> list[dict[str, SchemeCell]]:
+    """Every objective's cell of one scenario, from one evaluation.
+
+    The objectives' strided settings run as one cell, in objective
+    order; each objective's slice of every scheme's runs is summarised
+    against its own OracleStatic slice.  The runs go out of scope when
+    this returns, so a table holds one scenario's runs at a time.
+    """
+    grid = constraint_grid(scenario)
+    subsets = [
+        stride_settings(
+            grid.min_energy_goals if objective == "min_energy"
+            else grid.min_error_goals,
+            settings_stride,
+        )
+        for objective in objectives
+    ]
+    cell_runs = evaluate_schemes(
+        scenario, [goal for subset in subsets for goal in subset], schemes,
+        n_inputs=n_inputs, workers=workers,
+    )
+    cells = []
+    start = 0
+    for subset in subsets:
+        stop = start + len(subset)
+        baseline = cell_runs.scheme_runs("OracleStatic")[start:stop]
+        cells.append({
+            scheme: summarize_runs(
+                scheme, cell_runs.scheme_runs(scheme)[start:stop], baseline
+            )
+            for scheme in schemes
+        })
+        start = stop
+    return cells

@@ -6,16 +6,19 @@ findings: all three work well; ALERT-Trad violates more accuracy
 constraints under contention (a traditional network crashes hard when
 it misses); mixing both candidate kinds is slightly better than
 either alone.
+
+Each scenario runs both objectives' settings as one cell, as Table 4
+does (:func:`repro.experiments.table4_overall.scenario_cells`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.stats import SchemeCell, harmonic_mean, summarize_runs
+from repro.analysis.stats import SchemeCell, harmonic_mean
 from repro.analysis.tables import render_table
-from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
+from repro.experiments.table4_overall import scenario_cells
+from repro.workloads.scenarios import build_scenario
 
 __all__ = ["Table5Result", "run"]
 
@@ -72,30 +75,20 @@ def run(
 ) -> Table5Result:
     """Evaluate the candidate-set comparison on the image task.
 
-    ``workers`` > 1 fans each cell's runs out over a process pool
+    As in :func:`repro.experiments.table4_overall.run`, each
+    (platform, environment) scenario is one evaluation over every
+    objective's settings, split into the objectives' cells.
+    ``workers`` > 1 fans each scenario's runs out over a process pool
     (results are bit-identical to serial).
     """
     result = Table5Result()
     for platform in platforms:
         for env in envs:
             scenario = build_scenario(platform, "image", env, "standard", seed)
-            grid = constraint_grid(scenario)
-            for objective in objectives:
-                goals = (
-                    grid.min_energy_goals
-                    if objective == "min_energy"
-                    else grid.min_error_goals
-                )
-                subset = stride_settings(goals, settings_stride)
-                runs = evaluate_schemes(
-                    scenario, subset, SCHEMES, n_inputs, workers=workers
-                )
-                baseline = runs.scheme_runs("OracleStatic")
-                cell = {
-                    scheme: summarize_runs(
-                        scheme, runs.scheme_runs(scheme), baseline
-                    )
-                    for scheme in SCHEMES
-                }
+            cells = scenario_cells(
+                scenario, SCHEMES, objectives, settings_stride, n_inputs,
+                workers,
+            )
+            for objective, cell in zip(objectives, cells):
                 result.cells[(platform, env, objective)] = cell
     return result

@@ -856,6 +856,21 @@ class InferenceEngine:
         # cannot grow the cache without limit.
         self._config_tables: dict[int, tuple[tuple, _ConfigTable]] = {}
 
+    def twin(self) -> "InferenceEngine":
+        """A replica of this engine in the same environment realisation.
+
+        The twin has its own actuator, so its own power cap and RAPL
+        counter, and shares this engine's contention process, noise
+        stream and memoised environment draws: each input index is
+        drawn once, by whichever engine reaches it first, and both see
+        the draws a fresh engine of the same scenario seed would make.
+        """
+        twin = type(self)(
+            self.machine, self.contention, self._noise_rng, dvfs=self.dvfs
+        )
+        twin._environment = self._environment
+        return twin
+
     # ------------------------------------------------------------------
     # Environment realisation (shared across configurations)
     # ------------------------------------------------------------------

@@ -39,10 +39,12 @@ pool), and the experiment harness builds those plans.
   cells the feedback-free ones too) becomes one :class:`LockstepLane`,
   and all lanes of the cell advance together through one
   :class:`CrossSchemeLockstepLoop`: one stacked decide and (for
-  feedback schemes) one stacked observe pass per lane per input.  Each
-  goal is derived at every input through that goal's own
-  :class:`ServingLoop`, as on the sequential path, so shared sentence
-  deadlines and requirement traces need no second loop.
+  feedback schemes) one stacked observe pass per lane per input, array
+  in and array out (the :class:`LockstepLane` contract).  Base goals
+  come from each goal's own :class:`ServingLoop` (requirement traces)
+  and shared sentence deadlines from the one
+  :class:`~repro.core.goals.GoalAdjuster` rule in its vector form, so
+  neither needs a second implementation.
 
 The batch path and the lockstep lanes return the same thing: a run's
 :class:`~repro.runtime.results.RunArrays` plus a materializer that
@@ -733,13 +735,22 @@ class ServingLoop:
 class LockstepLane(NamedTuple):
     """One scheme's runs of a lockstep cell, as plain data.
 
-    ``loops`` holds one :class:`ServingLoop` per goal (goal adjustment,
-    simulated clock), all over one engine, stream and grid view;
-    ``cell`` is the stacked cell deciding for all of them
-    (``n_goals``, ``decide_many(goals, item)``, ``lockstep_stats``, and
-    unless it declares ``feedback_free``, ``observe_many`` and
-    ``xi_snapshot``), e.g. :class:`~repro.core.kernel.AlertCellKernel`.
-    Build one through :meth:`CrossSchemeLockstepLoop.lane` or
+    ``loops`` holds one :class:`ServingLoop` per goal (base goal,
+    requirement trace, simulated clock), all over one engine, stream
+    and grid view; ``cell`` is the stacked cell deciding for all of
+    them, e.g. :class:`~repro.core.kernel.AlertCellKernel`.
+
+    **The stacked-cell contract.**  A cell has ``n_goals`` and
+    ``lockstep_stats``, and ``decide_many(goals, deadlines, item)``
+    answers one step: ``goals`` is the tuple of base goals (the same
+    object every step unless a requirement trace rebases them),
+    ``deadlines`` a ``(G,)`` array of their group-adjusted deadlines,
+    and the answer one configuration per goal.  A goal's period is its
+    ``period_s`` where set, else its deadline after the cell's own
+    overhead reserve (``Goal.period``'s rule).  Unless the cell
+    declares ``feedback_free``, it also has
+    ``observe_many(StackedMeasurements)`` and ``xi_snapshot()``.
+    Build a lane through :meth:`CrossSchemeLockstepLoop.lane` or
     :meth:`CrossSchemeLockstepLoop.lane_of`.
     """
 
@@ -755,7 +766,7 @@ class _LaneSteps(NamedTuple):
     outcome)`` in step order); ``caps`` the requested caps,
     ``deadlines`` the adjusted deadlines and ``latency`` the served
     latencies, all ``(n_inputs, n_goals)``.  ``bases`` holds each
-    step's base goals — one list object for every step unless
+    step's base goals — one tuple object for every step unless
     ``traced`` (a requirement trace moves them); ``xi`` the per-step
     belief planes, or None.
     """
@@ -788,13 +799,16 @@ class CrossSchemeLockstepLoop:
     cell (``feedback_free`` True) observes nothing.  Lanes share the
     per-view column resolution, computed once per (view, engine) pair.
 
-    Each step derives every goal's base and adjusted goal through that
-    goal's own :class:`ServingLoop` (requirement trace, shared sentence
-    deadline) and hands the served latency back to the goal's adjuster
-    — the sequential path's goal plumbing, step for step.  A lane
-    carries its goals as ``(n_inputs, n_goals)`` arrays of grid rows,
-    requested caps and adjusted deadlines; per-goal Python is left to
-    goal adjustment.
+    Each step takes every goal's base goal from that goal's own
+    :class:`ServingLoop` (its requirement trace, if any), adjusts all
+    their deadlines at once through one vector
+    :class:`~repro.core.goals.GoalAdjuster` (every goal sees the same
+    items, so only the group budgets differ) and hands the served
+    latencies back to it — the sequential path's goal plumbing, step
+    for step, with no goal object built.  A lane carries its goals as
+    ``(n_inputs, n_goals)`` arrays of grid rows, requested caps and
+    adjusted deadlines, and each cell answers a step array in, array
+    out (the :class:`LockstepLane` contract).
 
     After the last step one paired derivation
     (:meth:`~repro.models.inference.BatchOutcomeGrid.timing_at`) gives
@@ -865,7 +879,8 @@ class CrossSchemeLockstepLoop:
         None sends the caller to the per-goal path: it comes back
         whenever the runs cannot advance in lockstep (custom scheduler
         types, incompatible or already-warm kernels, runs that do not
-        share one engine and grid view).  A scheduler class opts into
+        share one engine and grid view, a loop whose adjuster is in the
+        middle of a deadline-sharing group).  A scheduler class opts into
         lockstep by defining a ``stack_into_cell(schedulers)``
         staticmethod **on the class itself** that returns a stacked
         cell (or None when the given instances cannot stack — warm
@@ -889,6 +904,7 @@ class CrossSchemeLockstepLoop:
                 type(loop.scheduler) is not leader
                 or loop.engine is not first.engine
                 or loop.grid_view is not first.grid_view
+                or loop.adjuster.mid_group
             ):
                 return None
         builder = leader.__dict__.get("stack_into_cell")
@@ -959,7 +975,8 @@ class CrossSchemeLockstepLoop:
         """Advance every goal of one lane through ``items``.
 
         Decisions, the actuator, goal adjustment and the stacked filters
-        move here, step by step; nothing builds a record.
+        move here, step by step, array in and array out; nothing builds
+        a goal or a record.
         """
         loops, cell = lane
         n_goals = len(loops)
@@ -969,11 +986,14 @@ class CrossSchemeLockstepLoop:
         grid = view.grid if view is not None else None
         column_list = columns.tolist() if columns is not None else [-1] * n
         names = [] if grid is None else [c.model.name for c in grid.configs]
-        adjusters = [loop.adjuster for loop in loops]
         traced = any(not loop.trace.is_empty for loop in loops)
-        bases = [loop.goal for loop in loops]
-        periods = [goal.period for goal in bases]
+        bases = tuple(loop.goal for loop in loops)
+        base_deadlines = np.array([goal.deadline_s for goal in bases])
+        periods = np.array([goal.period for goal in bases])
         step_bases = []
+        # Every goal sees the same items, so one vector adjuster holds
+        # the group and the words left; only the budgets differ.
+        adjuster = GoalAdjuster()
         observe = not getattr(cell, "feedback_free", False)
         rows = np.full((n, n_goals), -1, dtype=np.intp)
         caps = np.zeros((n, n_goals))
@@ -986,24 +1006,19 @@ class CrossSchemeLockstepLoop:
         unresolved = [-1] * n_goals
 
         for step, item in enumerate(items):
-            # Each goal's own loop derives its goal for this input, as
-            # on the sequential path.  A goal that does not change
-            # comes back as the same object every step, which keeps the
-            # identity-keyed plan and adjusted-goal caches hitting.
             if traced:
-                bases = [loop._base_goal_at(item.index) for loop in loops]
-                periods = [goal.period for goal in bases]
+                # Each goal's own loop applies the trace, as on the
+                # sequential path; an unchanged step keeps the previous
+                # tuple, so the cells' goal-keyed plans keep hitting.
+                stepped = tuple(loop._base_goal_at(item.index) for loop in loops)
+                if stepped != bases:
+                    bases = stepped
+                    base_deadlines = np.array([goal.deadline_s for goal in bases])
+                    periods = np.array([goal.period for goal in bases])
                 step_bases.append(bases)
-            adjusteds = [
-                adjuster.adjust(base, item)
-                for adjuster, base in zip(adjusters, bases)
-            ]
             step_deadlines = deadlines[step]
-            step_deadlines[:] = [goal.deadline_s for goal in adjusteds]
-            configs = [
-                selection.config
-                for selection in cell.decide_many(adjusteds, item)
-            ]
+            step_deadlines[:] = adjuster.adjust_many(base_deadlines, item)
+            configs = cell.decide_many(bases, step_deadlines, item)
             step_latency = latency[step]
             column = column_list[step]
             if column >= 0:
@@ -1030,6 +1045,8 @@ class CrossSchemeLockstepLoop:
                 idle = np.empty(n_goals)
                 served_names = [""] * n_goals
             if min(row_list) < 0:
+                deadline_list = step_deadlines.tolist()
+                period_list = periods.tolist()
                 for g, row in enumerate(row_list):
                     if row >= 0:
                         continue
@@ -1038,8 +1055,8 @@ class CrossSchemeLockstepLoop:
                         model=config.model,
                         power_cap_w=config.power_w,
                         index=item.index,
-                        deadline_s=adjusteds[g].deadline_s,
-                        period_s=periods[g],
+                        deadline_s=deadline_list[g],
+                        period_s=period_list[g],
                         work_factor=item.work_factor,
                         rung_cap=config.rung_cap,
                     )
@@ -1049,8 +1066,7 @@ class CrossSchemeLockstepLoop:
                     cap_list[g] = outcome.power_cap_w
                     full[g] = outcome.full_latency_s
                     idle[g] = outcome.idle_power_w
-            for adjuster, served in zip(adjusters, step_latency.tolist()):
-                adjuster.consume(item, served)
+            adjuster.consume_many(item, step_latency)
             if not observe:
                 continue
             cell.observe_many(stacked_measurements(

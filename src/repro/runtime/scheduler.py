@@ -19,7 +19,6 @@ from repro.core.kernel import (
     lockstep_stats_dict,
     measurement_from_outcome,
 )
-from repro.core.selector import BaselineSelection
 from repro.errors import ConfigurationError
 from repro.models.base import DnnModel
 from repro.models.inference import InferenceOutcome
@@ -169,21 +168,20 @@ class FixedConfigCell:
 
     def __init__(self, schedulers) -> None:
         self.n_goals = len(schedulers)
-        self._selections = [
-            BaselineSelection(scheduler.config) for scheduler in schedulers
-        ]
+        self._configs = [scheduler.config for scheduler in schedulers]
         self._stacked_calls = 0
         self._stacked_states = 0
 
-    def decide_many(self, goals, item: InputItem) -> list[BaselineSelection]:
-        """Every goal's fixed configuration (the same list each step)."""
+    def decide_many(self, goals, deadlines, item: InputItem) -> list[Configuration]:
+        """Every goal's fixed configuration (the same list each step),
+        whatever its deadline."""
         if len(goals) != self.n_goals:
             raise ConfigurationError(
                 f"expected {self.n_goals} goals, got {len(goals)}"
             )
         self._stacked_calls += 1
         self._stacked_states += self.n_goals
-        return self._selections
+        return self._configs
 
     @property
     def lockstep_stats(self) -> dict:

@@ -15,10 +15,13 @@ into a ready-to-run front-end.  Same config ⇒ same fleet ⇒ (on virtual
 time) bit-identical runs.
 
 Replica determinism: every lane is an identical twin — its own engine
-realisation and its own controller, drawn from the same scenario seed
-— and the front-end's ``replica_factory`` (installed here) builds
+(:meth:`~repro.models.inference.InferenceEngine.twin` of one engine:
+its own actuator and energy counter over one shared environment
+realisation, drawn from the scenario seed) and its own controller —
+and the front-end's ``replica_factory`` (installed here) builds
 further twins on demand, so an autoscaled fleet stays exactly as
-reproducible as a static one.
+reproducible as a static one, and draws each input's environment
+once.
 """
 
 from __future__ import annotations
@@ -152,11 +155,14 @@ def build_fleet(config: FleetConfig) -> FleetFrontend:
     if rate_hz is None:
         rate_hz = 0.7 * config.replicas / scenario.anchor_latency_s()
     phases = list(config.phases) if config.phases else None
+    # Every replica is a twin of one engine: its own actuator and
+    # energy counter, one shared environment realisation.
+    environment = scenario.make_engine(phases)
 
     def replica_factory(replica_id: int) -> Replica:
         return Replica(
             replica_id=replica_id,
-            engine=scenario.make_engine(phases),
+            engine=environment.twin(),
             scheduler=make_alert(scenario.profile()),
             clock=None,
             metrics=None,

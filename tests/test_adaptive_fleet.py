@@ -9,12 +9,13 @@ makes about all of it.
 """
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hw.contention import ContentionPhase
+from repro.hw.contention import ContentionPhase, ContentionProcess
 from repro.serve import (
     AUTOSCALER_KINDS,
     BUDGET_KINDS,
@@ -27,6 +28,7 @@ from repro.serve import (
     make_budget,
 )
 from repro.serve.replica import Replica
+from repro.workloads.scenarios import build_scenario
 
 
 # ----------------------------------------------------------------------
@@ -319,3 +321,38 @@ def test_run_wall_serves_real_traffic():
     assert summary["arrived"] > 0
     assert summary["admitted"] + summary["dropped"] == summary["arrived"]
 
+
+def test_replicas_are_twins_that_draw_each_input_once(monkeypatch):
+    """Every replica, the autoscaled ones too, is a twin of one engine:
+    the fleet draws each input's environment once, each replica keeps
+    its own actuator, and a twin reads the draws a fresh engine of the
+    scenario makes, whichever engine reaches an input first."""
+    draws = Counter()
+    sample = ContentionProcess.sample
+
+    def counting_sample(self, index):
+        draws[index] += 1
+        return sample(self, index)
+
+    monkeypatch.setattr(ContentionProcess, "sample", counting_sample)
+    phases = (ContentionPhase(start=60, stop=100_000, active=True),)
+    fleet = build_fleet(FleetConfig(
+        env="memory", phases=phases, replicas=2, rate_hz=5.2,
+        autoscaler="signal", min_replicas=2, max_replicas=5, seed=23,
+    ))
+    summary = fleet.run(150.0)
+    assert summary["autoscaler"]["scale_ups"] >= 1
+    assert len(fleet.replicas) > 2
+    assert len(draws) > 100 and set(draws.values()) == {1}
+    actuators = {id(replica.engine.actuator) for replica in fleet.replicas}
+    assert len(actuators) == len(fleet.replicas)
+
+    scenario = build_scenario("CPU1", "image", "memory", "standard", 23)
+    engine = scenario.make_engine(list(phases))
+    twin = engine.twin()
+    assert twin.actuator is not engine.actuator
+    twin.environment(70)  # the twin draws ahead; the engine re-reads
+    fresh = scenario.make_engine(list(phases))
+    for index in range(80):
+        assert engine.environment(index) is twin.environment(index)
+        assert twin.environment(index) == fresh.environment(index)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.slowdown import GlobalSlowdownEstimator
+from repro.core.slowdown import GlobalSlowdownEstimator, StackedSlowdownEstimator
 from repro.errors import ConfigurationError
 
 
@@ -69,6 +69,29 @@ def test_rejects_nonpositive():
         est.observe(0.0, 0.1)
     with pytest.raises(ConfigurationError):
         est.observe(0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    ("measured", "profiled"),
+    [
+        ([0.1, 0.0, 0.2], [0.1, 0.1, 0.1]),
+        ([0.1, -0.1, 0.2], [0.1, 0.1, 0.1]),
+        ([0.1, 0.1, 0.2], [0.1, 0.0, 0.1]),
+        ([0.1, -0.1, 0.2], [0.1, -0.1, 0.1]),
+        ([0.1, 0.1], [0.1, 0.1]),
+    ],
+)
+def test_stacked_rejects_nonpositive_and_misshapen(measured, profiled):
+    """One check per stacked observe refuses what the scalar estimator
+    and the Kalman filter refuse, before any state moves."""
+    est = StackedSlowdownEstimator(3)
+    est.observe(np.full(3, 0.12), np.full(3, 0.1))
+    before = (est.mean.copy(), est.tail_fraction.copy(), est.observations)
+    with pytest.raises(ConfigurationError):
+        est.observe(np.array(measured), np.array(profiled))
+    np.testing.assert_array_equal(est.mean, before[0])
+    np.testing.assert_array_equal(est.tail_fraction, before[1])
+    assert est.observations == before[2]
 
 
 def test_snapshot_matches_properties():

@@ -3,9 +3,12 @@ shape claims hold (small parameters; the benches run larger ones)."""
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from repro.analysis.stats import summarize_runs
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -22,7 +25,13 @@ from repro.experiments import (
     table4_overall,
     table5_dnn_sets,
 )
+from repro.experiments.harness import evaluate_schemes
 from repro.hw.machine import CPU1, CPU2
+from repro.workloads.scenarios import (
+    build_scenario,
+    constraint_grid,
+    stride_settings,
+)
 
 
 def test_fig02_spreads():
@@ -131,6 +140,73 @@ def test_table5_candidate_sets():
         )
         + 1
     )
+
+
+def _per_objective_cells(scenario, schemes, objectives, stride, n_inputs):
+    """The reference: one cell evaluation per (scenario, objective)."""
+    grid = constraint_grid(scenario)
+    cells = []
+    for objective in objectives:
+        goals = (
+            grid.min_energy_goals if objective == "min_energy"
+            else grid.min_error_goals
+        )
+        runs = evaluate_schemes(
+            scenario, stride_settings(goals, stride), schemes,
+            n_inputs=n_inputs,
+        )
+        baseline = runs.scheme_runs("OracleStatic")
+        cells.append({
+            scheme: summarize_runs(scheme, runs.scheme_runs(scheme), baseline)
+            for scheme in schemes
+        })
+    return cells
+
+
+def _cell_values(cell):
+    """Every field of a cell's summaries, NaN-safe (repr)."""
+    return {scheme: repr(astuple(summary)) for scheme, summary in cell.items()}
+
+
+def _assert_objective_cells_match(cells, reference):
+    """``cells`` are one scenario's objective cells, ``reference`` the
+    per-objective evaluation's; two objectives' slices swapped would
+    fail, since the reference cells differ."""
+    assert [_cell_values(cell) for cell in cells] == [
+        _cell_values(cell) for cell in reference
+    ]
+    assert _cell_values(reference[0]) != _cell_values(reference[1])
+
+
+@pytest.mark.parametrize("task", ["image", "sentence"])
+def test_table4_scenario_cell_matches_per_objective_cells(task):
+    """One evaluation per scenario, split by objective, summarises every
+    objective's cell exactly as evaluating each objective alone."""
+    objectives = ("min_energy", "min_error")
+    result = table4_overall.run(
+        tasks=(task,), envs=("memory",), objectives=objectives,
+        settings_stride=6, n_inputs=10, seed=11,
+    )
+    scenario = build_scenario("CPU1", task, "memory", "standard", 11)
+    reference = _per_objective_cells(
+        scenario, table4_overall.DEFAULT_SCHEMES, objectives, 6, 10
+    )
+    assert [key.objective for key in result.cells] == list(objectives)
+    _assert_objective_cells_match(list(result.cells.values()), reference)
+
+
+def test_table5_scenario_cell_matches_per_objective_cells():
+    objectives = ("min_energy", "min_error")
+    result = table5_dnn_sets.run(
+        envs=("compute",), objectives=objectives, settings_stride=6,
+        n_inputs=10, seed=12,
+    )
+    scenario = build_scenario("CPU1", "image", "compute", "standard", 12)
+    reference = _per_objective_cells(
+        scenario, table5_dnn_sets.SCHEMES, objectives, 6, 10
+    )
+    assert [key[2] for key in result.cells] == list(objectives)
+    _assert_objective_cells_match(list(result.cells.values()), reference)
 
 
 def test_fig08_whiskers():

@@ -7,10 +7,13 @@ Pins the contract of the stacked-state machinery at every layer:
 * ``BatchAlertEstimator.stacked_fields`` rows ≡ per-state
   ``estimate_batch`` planes, the two shapes of one estimator body
   (single fused erf pass, same numbers);
-* ``ConfigSelector.select_many`` ≡ per-state ``select`` (segment-wise
-  lexsort picks identical winners at identical fallback stages);
+* ``ConfigSelector.select_many``'s winners ≡ per-state ``select``'s;
 * the stacked No-coord cell controller ≡ fresh scalar
   ``NoCoordScheduler`` runs, elementwise bit-identical;
+* the deadline-vector cell contract: ALERT, Sys-only, No-coord and
+  Oracle cells fed base goals and adjusted deadlines ≡ each goal's own
+  scheduler at that deadline, and a lane builds no goal or selection
+  while stepping;
 * the width rule: a cell with at least ``LOCKSTEP_MIN_GOALS`` goals
   advances every stacking scheme as a lane of one
   :class:`~repro.runtime.loop.CrossSchemeLockstepLoop`, a narrower one
@@ -34,7 +37,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import NoCoordCellController, NoCoordScheduler
+from repro.baselines import (
+    NoCoordCellController,
+    NoCoordScheduler,
+    OracleScheduler,
+    SysOnlyScheduler,
+    make_alert,
+    oracle_outcome_grid,
+)
 from repro.core.config_space import ConfigurationSpace
 from repro.core.estimator import AlertEstimator
 from repro.core.goals import Goal, ObjectiveKind
@@ -78,6 +88,7 @@ from repro.runtime.results import RunResult
 from repro.runtime.scheduler import AlertScheduler
 from repro.runtime.sweep import CellSummary
 from repro.workloads.scenarios import build_scenario
+from repro.workloads.traces import RequirementChange, RequirementTrace
 
 #: Float tolerance of the lockstep path (the acceptance bar; in
 #: practice the stacked state advances bit-identically).
@@ -191,6 +202,31 @@ def _random_states(rng, n_states):
     return means, sigmas, phis, tails
 
 
+def _tail_arrays(tails):
+    """Per-state ``(fraction, ratio)`` tuples (or None) as the stacked
+    form's pair of arrays; a missing tail is fraction 0."""
+    return (
+        np.array([0.0 if tail is None else tail[0] for tail in tails]),
+        np.array([1.0 if tail is None else tail[1] for tail in tails]),
+    )
+
+
+def _deadlines(goals):
+    return np.array([goal.deadline_s for goal in goals])
+
+
+def _stacked_planes(batch, groups, n_states):
+    """A stacked query's groups reassembled into ``(G × C)`` planes."""
+    planes = {}
+    for rows, _objective, group_planes in groups:
+        for name, plane in group_planes.items():
+            full = planes.setdefault(
+                name, np.empty((n_states, batch.n_configs), dtype=plane.dtype)
+            )
+            full[rows] = plane
+    return planes
+
+
 def _goal_grid(scenario, rng, n_goals):
     anchor = scenario.anchor_latency_s()
     budget_anchor = scenario.machine.default_power() * anchor
@@ -232,7 +268,12 @@ def test_stacked_fields_match_estimate_batch(platform, task, seed):
     rng = np.random.default_rng(seed)
     goals = _goal_grid(scenario, rng, 10)
     means, sigmas, phis, tails = _random_states(rng, len(goals))
-    stacked = batch.stacked_fields(goals, means, sigmas, phis, tails)
+    groups = batch.stacked_fields(
+        goals, _deadlines(goals), means, sigmas, phis, _tail_arrays(tails)
+    )
+    for rows, objective, _planes in groups:
+        assert all(goals[row].objective is objective for row in rows)
+    stacked = _stacked_planes(batch, groups, len(goals))
     for state, goal in enumerate(goals):
         single = batch.estimate_batch(
             goal, means[state], sigmas[state], phis[state], tails[state]
@@ -263,20 +304,15 @@ def test_select_many_matches_select(seed):
     rng = np.random.default_rng(seed)
     goals = _goal_grid(scenario, rng, 12)
     means, sigmas, phis, tails = _random_states(rng, len(goals))
-    stacked = selector.select_many(goals, means, sigmas, phis, tails)
+    stacked = selector.select_many(
+        goals, _deadlines(goals), means, sigmas, phis, _tail_arrays(tails)
+    )
+    assert len(stacked) == len(goals)
     for state, goal in enumerate(goals):
         single = selector.select(
             goal, means[state], sigmas[state], phis[state], tails[state]
         )
-        assert stacked[state].config is single.config, state
-        assert stacked[state].feasible == single.feasible
-        assert stacked[state].relaxation == single.relaxation
-        assert stacked[state].n_candidates == single.n_candidates
-        assert stacked[state].n_feasible == single.n_feasible
-        assert (
-            stacked[state].estimate.expected_energy_j
-            == single.estimate.expected_energy_j
-        )
+        assert stacked[state] is single.config, state
 
 
 _FIELDS = (
@@ -294,11 +330,12 @@ _FIELDS = (
 
 
 @pytest.mark.parametrize("seed", [3, 8])
-def test_stacked_fields_for_fresh_goals_each_step(seed):
-    """Sentence lanes bring fresh goal objects every word, sharing all
-    but the deadline with the word before: the stacked planes still
-    equal width-1 ``estimate_batch``, whether the deadlines move, stay
-    or come back."""
+def test_stacked_fields_for_moving_deadlines_each_step(seed):
+    """Sentence lanes pass the same base goals every word with a new
+    vector of deadlines: the stacked planes still equal width-1
+    ``estimate_batch`` of each goal at its deadline, whether the
+    deadlines move, stay or come back, with explicit periods kept off
+    the deadline."""
     scenario = build_scenario("CPU1", "sentence", "default", "standard", seed=seed)
     batch = _selector(scenario).batch
     rng = np.random.default_rng(seed)
@@ -317,16 +354,18 @@ def test_stacked_fields_for_fresh_goals_each_step(seed):
         period_s=anchor * 0.8,
         accuracy_min=0.9,
     )
+    bases = tuple(bases)
+    base_deadlines = _deadlines(bases)
     factors = rng.uniform(0.3, 1.6, size=(4, len(bases)))
     for step in range(8):
-        # Steps 4-7 replay steps 0-3's deadlines on fresh goal objects.
-        goals = [
-            base.with_deadline(base.deadline_s * factor)
-            for base, factor in zip(bases, factors[step % 4])
-        ]
-        means, sigmas, phis, tails = _random_states(rng, len(goals))
-        stacked = batch.stacked_fields(goals, means, sigmas, phis, tails)
-        for state, goal in enumerate(goals):
+        # Steps 4-7 replay steps 0-3's deadlines.
+        deadlines = base_deadlines * factors[step % 4]
+        means, sigmas, phis, tails = _random_states(rng, len(bases))
+        stacked = _stacked_planes(batch, batch.stacked_fields(
+            bases, deadlines, means, sigmas, phis, _tail_arrays(tails)
+        ), len(bases))
+        for state, base in enumerate(bases):
+            goal = base.with_deadline(float(deadlines[state]))
             single = batch.estimate_batch(
                 goal, means[state], sigmas[state], phis[state], tails[state]
             )
@@ -388,14 +427,23 @@ def test_select_many_matches_lexsort_select_on_random_planes(seed, monkeypatch):
         for name in _FIELDS[5:]:
             # Sparse flags reach every stage, dense ones stage 0.
             fields[name] = rng.random((n_states, n)) < rng.choice([0.02, 0.9])
-        monkeypatch.setattr(batch, "stacked_fields", lambda *a, **k: fields)
-        stacked = selector.select_many(goals, means, sigmas, phis, tails)
+        groups = [
+            (rows, objective, {name: plane[rows] for name, plane in fields.items()})
+            for objective in ObjectiveKind
+            for rows in [np.array([
+                g for g, goal in enumerate(goals) if goal.objective is objective
+            ], dtype=np.intp)]
+            if rows.size
+        ]
+        monkeypatch.setattr(batch, "stacked_fields", lambda *a, **k: groups)
+        stacked = selector.select_many(
+            goals, _deadlines(goals), means, sigmas, phis, _tail_arrays(tails)
+        )
         for state, goal in enumerate(goals):
             row = {name: plane[state] for name, plane in fields.items()}
             monkeypatch.setattr(batch, "estimate_batch", lambda *a, **k: row)
             single = selector.select(goal, 1.0, 0.1, 0.5)
-            assert stacked[state].config is single.config, state
-            assert stacked[state].relaxation == single.relaxation
+            assert stacked[state] is single.config, state
 
 
 # ----------------------------------------------------------------------
@@ -448,12 +496,12 @@ def test_stacked_no_coord_matches_scalar(seed, objective):
     item = scenario.make_stream().item(0)
     powers = scalars[0].powers
     for _ in range(25):
-        stacked = cell.decide_many(goals, item)
+        stacked = cell.decide_many(goals, _deadlines(goals), item)
         for g, (scheduler, goal) in enumerate(zip(scalars, goals)):
             config = scheduler.decide(item, goal)
-            assert stacked[g].config.model is config.model
-            assert stacked[g].config.rung_cap == config.rung_cap
-            assert stacked[g].config.power_w == config.power_w
+            assert stacked[g].model is config.model
+            assert stacked[g].rung_cap == config.rung_cap
+            assert stacked[g].power_w == config.power_w
         outcomes = [
             _Measured(
                 full_latency_s=float(rng.uniform(0.01, 0.3)),
@@ -484,7 +532,7 @@ def test_no_coord_stats_and_snapshot_contract():
     goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY)
     cell = NoCoordScheduler.stack_into_cell([_no_coord(scenario) for _ in goals])
     assert cell.xi_snapshot() is None
-    cell.decide_many(goals, scenario.make_stream().item(0))
+    cell.decide_many(goals, _deadlines(goals), scenario.make_stream().item(0))
     stats = cell.lockstep_stats
     assert stats["goals"] == len(goals)
     assert stats["stacked_calls"] == 1
@@ -523,6 +571,132 @@ def test_no_coord_refuses_mismatched_ladders():
 
 def test_no_coord_refuses_empty():
     assert NoCoordCellController.from_schedulers([]) is None
+
+
+# ----------------------------------------------------------------------
+# The deadline-vector cell contract ≡ per-goal decide
+# ----------------------------------------------------------------------
+def _contract_goals(scenario, rng, n_goals):
+    """Random base goals of both objectives; about half set a period."""
+    anchor = scenario.anchor_latency_s()
+    budget_power = scenario.machine.default_power()
+    goals = []
+    for _ in range(n_goals):
+        deadline = float(anchor * rng.uniform(0.3, 2.0))
+        period = None
+        if rng.random() < 0.5:
+            period = float(deadline * rng.uniform(0.5, 3.0))
+        prob = None if rng.random() < 0.7 else float(rng.uniform(0.6, 0.97))
+        if rng.random() < 0.5:
+            goals.append(Goal(
+                objective=ObjectiveKind.MINIMIZE_ENERGY, deadline_s=deadline,
+                period_s=period, accuracy_min=float(rng.uniform(0.6, 0.99)),
+                prob_threshold=prob,
+            ))
+        else:
+            goals.append(Goal(
+                objective=ObjectiveKind.MAXIMIZE_ACCURACY, deadline_s=deadline,
+                period_s=period,
+                energy_budget_j=float(
+                    budget_power * deadline * rng.uniform(0.05, 1.2)
+                ),
+                prob_threshold=prob,
+            ))
+    return tuple(goals)
+
+
+def _contract_case(scheme, scenario, n_goals, n_grid):
+    """``(cell, references)``: one stacked cell and ``n_goals`` fresh
+    per-goal schedulers of ``scheme``."""
+    profile = scenario.profile()
+    if scheme == "ALERT":
+        build = lambda: make_alert(profile)  # noqa: E731
+    elif scheme == "Sys-only":
+        models = list(scenario.candidates.models)
+        build = lambda: SysOnlyScheduler(profile, models)  # noqa: E731
+    elif scheme == "No-coord":
+        build = lambda: _no_coord(scenario)  # noqa: E731
+    else:
+        engine = scenario.make_engine()
+        space = scenario.space()
+        view = GridView(oracle_outcome_grid(
+            engine, space, scenario.make_stream(), n_grid
+        ))
+        build = lambda: OracleScheduler(engine, space, grid_view=view)  # noqa: E731
+    references = [build() for _ in range(n_goals)]
+    cell = type(references[0]).stack_into_cell([build() for _ in range(n_goals)])
+    assert cell is not None
+    return cell, references
+
+
+@pytest.mark.parametrize("scheme", ["ALERT", "Sys-only", "No-coord", "Oracle"])
+@pytest.mark.parametrize("seed", [4, 17])
+def test_deadline_vector_contract_matches_per_goal_decide(scheme, seed):
+    """A stacked cell fed the base goals and a vector of adjusted
+    deadlines picks, for every goal, what that goal's own scheduler
+    picks for the base goal at that deadline — explicit periods,
+    deadlines under ALERT's overhead reserve (its 1e-6 floor), tails,
+    degenerate idle ratios, inputs past the grid and a rebase of every
+    goal mid-run included."""
+    scenario = build_scenario("CPU1", "image", "default", "standard", seed=seed)
+    profile = scenario.profile()
+    stream = scenario.make_stream()
+    rng = np.random.default_rng(seed)
+    n_goals, n_steps, n_grid = 9, 12, 9
+    cell, references = _contract_case(scheme, scenario, n_goals, n_grid)
+    bases = _contract_goals(scenario, rng, n_goals)
+    overhead = getattr(cell, "overhead_s", 0.0)
+    floored = 0
+    # Mid-run, a requirement change moves every deadline and sets a
+    # floor on every goal (a new structure for the maximise-accuracy
+    # goals).
+    trace = RequirementTrace([RequirementChange(
+        start_index=n_steps // 2, deadline_s=scenario.anchor_latency_s(),
+        accuracy_min=0.8,
+    )])
+    originals = bases
+    for step in range(n_steps):
+        item = stream.item(step)
+        rebased = tuple(trace.apply(goal, step) for goal in originals)
+        if rebased != bases:
+            bases = rebased
+        deadlines = _deadlines(bases) * rng.uniform(0.2, 1.5, size=n_goals)
+        tiny = rng.random(n_goals) < 0.2
+        deadlines[tiny] = max(overhead, 1e-4) * 0.5
+        floored += int(np.count_nonzero(deadlines - overhead <= 1e-6))
+        picks = cell.decide_many(bases, deadlines, item)
+        wants = []
+        for reference, base, deadline in zip(references, bases, deadlines):
+            goal = base.with_deadline(float(deadline))
+            if scheme in ("ALERT", "Sys-only"):
+                wants.append(reference.kernel.decide(goal).config)
+            else:
+                wants.append(reference.decide(item, goal))
+        assert [pick.key for pick in picks] == [want.key for want in wants]
+        if getattr(cell, "feedback_free", False):
+            continue
+        names = [want.model.name for want in wants]
+        caps = [want.power_w for want in wants]
+        full = np.array([
+            profile.latency(name, cap) for name, cap in zip(names, caps)
+        ]) * np.where(
+            rng.random(n_goals) < 0.1, 4.0, rng.uniform(0.7, 1.6, n_goals)
+        )
+        idle_mask = rng.random(n_goals) < 0.6
+        idle = np.array([
+            profile.power(name, cap) for name, cap in zip(names, caps)
+        ]) * rng.uniform(0.2, 1.4, size=n_goals)
+        cell.observe_many(StackedMeasurements(
+            names, caps, full, np.where(idle_mask, idle, 0.0), idle_mask,
+        ))
+        for g, reference in enumerate(references):
+            reference.kernel.observe(Measurement(
+                model_name=names[g], power_cap_w=caps[g],
+                full_latency_s=float(full[g]),
+                idle_power_w=float(idle[g]) if idle_mask[g] else None,
+            ))
+    if scheme == "ALERT":
+        assert floored > 0
 
 
 # ----------------------------------------------------------------------
@@ -770,6 +944,49 @@ def test_wide_cell_serves_zero_sequential_inputs(reference_cell):
             cell.scheme_runs(name), reference.scheme_runs(name)
         ):
             assert run.records == expected.records, name
+
+
+@pytest.mark.parametrize("task", ["sentence", "image"])
+def test_lanes_build_no_goal_or_selection_while_stepping(task, monkeypatch):
+    """A lane decides array in, array out: stepping a wide CPU1 cell
+    over the Table 4 schemes builds no ``SelectionResult`` and calls
+    ``Goal.with_deadline`` zero times, though a sentence cell adjusts
+    every word's deadline and ALERT reserves its overhead from each."""
+    from repro.core import selector as selector_module
+
+    scenario = build_scenario("CPU1", task, "default", "standard", seed=5)
+    goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY) + _grid_goals(
+        scenario, ObjectiveKind.MAXIMIZE_ACCURACY
+    )
+    counts = {"selections": 0, "with_deadline": 0}
+    stepping = [False]
+    selection_init = selector_module.SelectionResult.__init__
+    with_deadline = Goal.with_deadline
+
+    def counting_init(self, *args, **kwargs):
+        counts["selections"] += stepping[0]
+        selection_init(self, *args, **kwargs)
+
+    def counting_with_deadline(self, deadline_s):
+        counts["with_deadline"] += stepping[0]
+        return with_deadline(self, deadline_s)
+
+    run = CrossSchemeLockstepLoop.run
+
+    def stepping_run(self, n_inputs):
+        stepping[0] = True
+        try:
+            return run(self, n_inputs)
+        finally:
+            stepping[0] = False
+
+    monkeypatch.setattr(selector_module.SelectionResult, "__init__", counting_init)
+    monkeypatch.setattr(Goal, "with_deadline", counting_with_deadline)
+    monkeypatch.setattr(CrossSchemeLockstepLoop, "run", stepping_run)
+    LOCKSTEP_TELEMETRY.reset()
+    evaluate_schemes(scenario, goals, TABLE4_SCHEMES, n_inputs=12)
+    assert LOCKSTEP_TELEMETRY.snapshot()["lockstep_cells"] >= 1
+    assert counts == {"selections": 0, "with_deadline": 0}
 
 
 def test_lockstep_telemetry_counts(image_scenario):

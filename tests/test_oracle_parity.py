@@ -327,11 +327,13 @@ def test_stacked_oracle_matches_scalar_on_random_goals(spec):
     for index in range(n_grid + 2):
         item = stream.item(index)
         assert (view.column(engine, item) is None) == (index >= n_grid)
-        picks = cell.decide_many(goals, item)
+        picks = cell.decide_many(
+            goals, np.array([goal.deadline_s for goal in goals]), item
+        )
         assert len(picks) == len(goals)
         for pick, oracle, goal in zip(picks, oracles, goals):
             want = oracle.decide_scalar(item, goal)
-            assert pick.config.key == want.key, (goal.describe(), index)
+            assert pick.key == want.key, (goal.describe(), index)
             outcome = engine.evaluate(
                 model=want.model,
                 power_cap_w=want.power_w,
