@@ -1,6 +1,6 @@
-"""Harness throughput: serving, fleet front-end, multi-worker, sweep.
+"""Harness throughput: serving, fleet front-end, sweep.
 
-Four layers of the spec → executor → loop stack are measured on the
+Three layers of the spec → executor → loop stack are measured on the
 Table 4 image scenario (CPU1, default environment):
 
 * **Serving loop** — for each feedback-free scheme (Oracle and
@@ -13,15 +13,6 @@ Table 4 image scenario (CPU1, default environment):
   outcomes through the virtual-time event loop, so the ratio isolates
   the front-end's per-request overhead; multi-replica per-policy rates
   ride along as absolute context.
-* **Run executor** — a table4-style plan of one-goal
-  :class:`repro.runtime.executor.CellSpec` cells (constraint-grid
-  goals, ALERT among the schemes so the plan carries real feedback
-  work) executed by :class:`repro.runtime.executor.RunExecutor` with
-  1, 2, and 4 workers, in cells/second.  Parallel results are bit-identical
-  to serial, so this is purely a wall-clock measurement; speedup is
-  bounded by the machine's core count, which is recorded alongside
-  (``parallel_efficiency`` is speedup divided by usable workers —
-  near 1.0 means near-linear scaling up to that worker count).
 * **Sweep engine** — a compiled sweep plan (PR 8) executed with the
   :class:`repro.runtime.grid_store.SharedGridStore` versus plain
   per-process grid caches, at one worker and at two dedicated worker
@@ -33,9 +24,9 @@ Table 4 image scenario (CPU1, default environment):
   store ratio is purely a wall-clock measurement.
 
 Every section records the measuring box's ``cpu_count``: ratio
-metrics transfer across machines, but the executor's pool ratios do
-not, so the CI gate compares those only when the committed artifact
-was written on a box with the same core count.
+metrics transfer across machines, but the sweep's two-worker store
+ratio does not, so the CI gate compares it only when the committed
+artifact was written on a box with enough cores.
 
 Results land in ``BENCH_harness.json`` at the repository root so the
 harness-path performance trajectory is tracked from PR to PR.  Run
@@ -70,26 +61,18 @@ from repro.baselines import make_alert
 from repro.core.goals import Goal, ObjectiveKind
 from repro.experiments.harness import make_scheme
 from repro.models.inference import GridView, shared_grid_layout
-from repro.runtime.executor import (
-    CellSpec,
-    RunExecutor,
-    ScenarioKey,
-    _WorkerState,
-    timing_grid,
-)
+from repro.runtime.executor import _WorkerState, timing_grid
 from repro.runtime.grid_store import SharedGridStore
 from repro.runtime.loop import ServingLoop
 from repro.runtime.sweep import SweepSpec, compile_sweep, summarize_cell
 from repro.serve import FleetConfig, build_fleet
 from repro.serve.policies import POLICY_KINDS
-from repro.workloads.scenarios import build_scenario, constraint_grid
+from repro.workloads.scenarios import build_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_harness.json"
 
 FEEDBACK_FREE_SCHEMES = ("Oracle", "OracleStatic", "App-only")
-PLAN_SCHEMES = ("ALERT", "Oracle", "OracleStatic", "App-only")
-WORKER_COUNTS = (1, 2, 4)
 
 
 def _repeat(fn, min_seconds: float) -> tuple[int, float]:
@@ -266,61 +249,6 @@ def bench_serving_frontend(
     }
 
 
-def _cell_plan(n_goals: int, n_inputs: int) -> list[CellSpec]:
-    scenario = _scenario()
-    key = ScenarioKey.for_scenario(scenario)
-    assert key is not None
-    goals = list(constraint_grid(scenario).min_energy_goals)
-    stride = max(1, len(goals) // n_goals)
-    subset = goals[::stride][:n_goals]
-    return [
-        CellSpec(
-            scenario=key, goals=(goal,), schemes=PLAN_SCHEMES,
-            n_inputs=n_inputs,
-        )
-        for goal in subset
-    ]
-
-
-def bench_executor(
-    n_goals: int, n_inputs: int, worker_counts=WORKER_COUNTS
-) -> dict:
-    """A table4-style cell plan across 1, 2, and 4 workers."""
-    plan = _cell_plan(n_goals, n_inputs)
-    timings: dict[str, dict] = {}
-    base_seconds = None
-    for workers in worker_counts:
-        executor = RunExecutor(workers=workers)
-        executor.run_plan(plan)  # warm-up (pool spin-up, caches)
-        elapsed = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            executor.run_plan(plan)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        if base_seconds is None:
-            base_seconds = elapsed
-        usable = min(workers, os.cpu_count() or 1)
-        timings[str(workers)] = {
-            "seconds": round(elapsed, 4),
-            "cells_per_sec": round(len(plan) / elapsed, 2),
-            "speedup_vs_serial": round(base_seconds / elapsed, 2),
-            "parallel_efficiency": round(base_seconds / elapsed / usable, 2),
-        }
-    return {
-        "plan_cells": len(plan),
-        "n_goals": n_goals,
-        "schemes": list(PLAN_SCHEMES),
-        "n_inputs": n_inputs,
-        "cpu_count": os.cpu_count(),
-        "workers": timings,
-        "note": (
-            "speedup is bounded by cpu_count; parallel_efficiency is "
-            "speedup / min(workers, cpu_count), so near-linear scaling "
-            "reads as efficiency near 1.0"
-        ),
-    }
-
-
 def _sweep_spec(n_inputs: int, stride: int) -> SweepSpec:
     """The measured sweep: one grid-heavy Table-4 cell family.
 
@@ -353,11 +281,10 @@ def _sweep_worker(units, client, queue, barrier) -> None:
     """
     state = _WorkerState(grid_store=client)
     warm = dataclasses.replace(units[0], n_inputs=16)
-    summarize_cell(warm.schemes, state.execute(warm.cell_spec())[0])
+    summarize_cell(warm.schemes, state.execute(warm.cell_spec()))
     barrier.wait()
     for unit in units:
-        (runs,) = state.execute(unit.cell_spec())
-        summarize_cell(unit.schemes, runs)
+        summarize_cell(unit.schemes, state.execute(unit.cell_spec()))
     queue.put(len(units))
 
 
@@ -560,12 +487,7 @@ def bench_sweep(
     }
 
 
-def run(
-    n_inputs: int = 240,
-    n_goals: int = 6,
-    plan_inputs: int = 80,
-    min_seconds: float = 1.0,
-) -> dict:
+def run(n_inputs: int = 240, min_seconds: float = 1.0) -> dict:
     return {
         "benchmark": "harness_throughput",
         "platform": "CPU1",
@@ -574,7 +496,6 @@ def run(
         "serving_frontend": bench_serving_frontend(
             n_requests=n_inputs, min_seconds=min_seconds
         ),
-        "executor": bench_executor(n_goals, plan_inputs),
         "sweep": bench_sweep(n_inputs=1920, repeats=5),
     }
 
@@ -595,20 +516,13 @@ def quick_metrics(min_seconds: float = 0.1) -> dict:
         "serving_frontend": bench_serving_frontend(
             n_requests=120, min_seconds=min_seconds
         ),
-        # Pool ratios are only compared when the measuring box's
-        # cpu_count matches the committed artifact's (see
-        # check_bench_regression.py) — a tiny plan keeps the spin-up
-        # cheap on boxes where the comparison will be skipped anyway.
-        "executor": bench_executor(
-            n_goals=2, n_inputs=30, worker_counts=(1, 2)
-        ),
         # The store ratio needs the committed plan size: the effect is
         # duplicated grid *realisation*, whose share of the cell cost
         # grows with n_inputs, so a smaller quick plan would measure a
         # structurally different (smaller) ratio than the artifact's.
-        # Like the executor pool ratios it is only compared on a box
-        # whose cpu_count matches the committed artifact.  The RSS
-        # subprocess points are skipped — they carry no gated ratio.
+        # It is only compared on a box with enough cores for its two
+        # workers (see check_bench_regression.py).  The RSS subprocess
+        # points are skipped — they carry no gated ratio.
         "sweep": bench_sweep(n_inputs=1920, repeats=3, rss_inputs=None),
     }
 
@@ -621,10 +535,6 @@ def smoke() -> None:
     assert frontend["relative_throughput"] > 0
     assert set(frontend["fleet_requests_per_sec"]) == set(POLICY_KINDS)
     assert frontend["batching"]["speedup"] > 0
-    executor = bench_executor(
-        n_goals=2, n_inputs=10, worker_counts=(1, 2)
-    )
-    assert executor["plan_cells"] == 2
     sweep = bench_sweep(
         n_inputs=40, stride=9, repeats=1, rss_inputs=10, rss_strides=(9, 3)
     )

@@ -17,11 +17,11 @@ Robustness rules (so the gate never cries wolf):
   metric with a notice;
 * only ratio metrics are gated — absolute inputs/second numbers are
   informational only;
-* the executor's pool ratios additionally depend on the runner's core
-  count, so they are listed as ``cpu_gated_metrics`` and compared
-  only when the committed artifact's recorded ``cpu_count`` matches
-  the measuring box's (a 1-CPU container pins meaningless pool
-  numbers for a 16-core runner, and vice versa).
+* the sweep's two-worker store ratio additionally depends on the
+  runner's core count, so it is listed in ``cpu_gated_metrics`` and
+  compared only when the committed artifact's recorded ``cpu_count``
+  matches the measuring box's (a 1-CPU container pins meaningless
+  pool numbers for a 16-core runner, and vice versa).
 
 Run from the repository root::
 
@@ -75,10 +75,7 @@ CHECKS = (
         # Pool ratios only transfer between same-core-count boxes:
         # each dotted metric is compared only when the baseline
         # section's recorded cpu_count equals os.cpu_count().
-        "cpu_gated_metrics": (
-            "executor.workers.2.speedup_vs_serial",
-            "sweep.workers.2.store_speedup",
-        ),
+        "cpu_gated_metrics": ("sweep.workers.2.store_speedup",),
     },
 )
 
@@ -90,26 +87,14 @@ def _cpu_gate_passes(baseline, metric: str) -> bool:
     ``cpu_count`` records the core count of the box that wrote the
     committed artifact.  An artifact predating the field (or written
     on a different box) skips the comparison rather than gating on
-    numbers that do not transfer.  A ``workers.<N>`` ratio *against a
-    serial baseline* (``speedup_vs_serial``) is additionally skipped
-    when the box has fewer than N cores: with the pool pinned to one
-    core the ratio measures nothing but process overhead, and
-    overhead noise would gate the build.  Pool-vs-pool ratios at the
-    same worker count (the sweep's ``store_speedup``) carry no such
-    clause — both arms timeslice identically, so the ratio measures
-    duplicated work and transfers to any box with the committed
-    cpu_count.
+    numbers that do not transfer.  The gated ratios are pool-vs-pool
+    at the same worker count (the sweep's ``store_speedup``): both
+    arms timeslice identically, so the ratio measures duplicated work
+    and transfers to any box with the committed cpu_count.
     """
     section = metric.split(".", 1)[0]
     committed_cpus = _dig(baseline, f"{section}.cpu_count")
-    if committed_cpus is None or committed_cpus != os.cpu_count():
-        return False
-    parts = metric.split(".")
-    if "workers" in parts and parts[-1] == "speedup_vs_serial":
-        workers = int(parts[parts.index("workers") + 1])
-        if os.cpu_count() < workers:
-            return False
-    return True
+    return committed_cpus is not None and committed_cpus == os.cpu_count()
 
 
 def _load_module(filename: str):

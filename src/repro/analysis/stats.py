@@ -101,7 +101,14 @@ def summarize_runs(
     runs: list[RunResult],
     baseline_runs: list[RunResult],
 ) -> SchemeCell:
-    """Aggregate one scheme's runs into a Table 4 cell."""
+    """Aggregate one scheme's runs into a Table 4 cell.
+
+    ``runs`` and ``baseline_runs`` are index-aligned per constraint
+    setting.  Only ``objective_value`` and ``setting_violated`` are
+    read, so the sweep's per-setting
+    :class:`~repro.runtime.sweep.CellSummary` rows serve as well as
+    :class:`RunResult` runs (the tables pass summaries).
+    """
     if not runs:
         raise ConfigurationError("cannot summarise an empty run list")
     ratios = normalize_to_baseline(runs, baseline_runs)

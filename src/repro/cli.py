@@ -18,7 +18,7 @@ can be regenerated from a shell::
     python -m repro sweep --platforms CPU1 GPU --workers 4 \
         --checkpoint sweep.jsonl   # resumable multi-scenario sweep
 
-``sweep`` is the production-scale front over the same executor: it
+``sweep`` is the production-scale front the tables run on: it
 expands a declarative spec (platforms x tasks x envs x seeds x the
 constraint grid x schemes) into one cell per (scenario, goal), runs
 each scenario's cells as one scenario-wide spec (so ALERT and the
@@ -40,15 +40,16 @@ same event flow live on asyncio.  ``overload`` sweeps the adaptivity
 matrix (policies x autoscaling x budget) under one bursty arrival
 timeline and emits a fig-style JSON/CSV comparison.
 
-The grid-evaluating commands (``table4``, ``table5``, ``fig08``) take
-``--workers N`` to fan their cell plans out over a process pool via
-:class:`repro.runtime.executor.RunExecutor` (use roughly the machine's
-core count).  Every cell serves all its schemes and timings from one
-shared outcome grid, and a cell wide enough in goals advances its
-stacking schemes in lockstep; a cell splits across workers only into
-chunks that stay that wide, so a narrow cell runs serially whatever
-``--workers`` says.  Results are bit-identical whichever way the plan
-executes, so ``--workers`` is purely a wall-clock knob.
+The grid-evaluating commands (``table4``, ``table5``, ``fig08``) run
+as sweeps, and ``--workers N`` runs the sweep's cells on a process pool
+whose workers return summaries (use roughly the machine's core
+count).  Every cell serves all its schemes and timings from one shared
+outcome grid, and a cell wide enough in goals advances its stacking
+schemes in lockstep; cells spread over workers by scenario, and a
+scenario splits only into chunks that stay that wide, so a plan of one
+narrow scenario runs serially whatever ``--workers`` says.  Results
+are bit-identical whichever way the plan executes, so ``--workers`` is
+purely a wall-clock knob.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, help=f"regenerate {name} of the paper")
 
     workers_help = (
-        "processes to fan runs out over (default 1 = serial; "
+        "processes to run the sweep's cells on (default 1 = serial; "
         "results are bit-identical either way)"
     )
 

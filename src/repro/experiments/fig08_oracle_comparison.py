@@ -4,7 +4,10 @@ For the minimise-energy task, Figure 8 plots each scheme's mean
 per-setting energy with whiskers over the whole constraint range, per
 platform/task/environment.  The paper's reading: ALERT's whole range
 sits close to Oracle's, while OracleStatic has both the worst mean and
-the worst tail.
+the worst tail.  The figure is one sweep
+(:func:`repro.runtime.sweep.run_sweep`) over the minimise-energy
+settings of every environment, and the whiskers are read from its
+per-setting summaries.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.tables import render_table
-from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
+from repro.runtime.sweep import SweepSpec, run_sweep
 
 __all__ = ["Whisker", "Fig08Result", "run"]
 
@@ -69,23 +71,24 @@ def run(
 ) -> Fig08Result:
     """Collect the Figure 8 whiskers for one platform/task.
 
-    ``workers`` > 1 fans each environment's runs out over a process
-    pool (results are bit-identical to serial).
+    The GPU platform reports the image task only, as in Table 4.
+    ``workers`` > 1 runs the sweep's specs on a process pool (results
+    are bit-identical to serial).
     """
+    spec = SweepSpec(
+        platforms=(platform,), tasks=(task,), envs=envs, schemes=SCHEMES,
+        objectives=("min_energy",), settings_stride=settings_stride,
+        n_inputs=n_inputs, seeds=(seed,),
+    )
+    sweep = run_sweep(spec, workers=workers)
     whiskers: list[Whisker] = []
-    for env in envs:
-        scenario = build_scenario(platform, task, env, "standard", seed)
-        grid = constraint_grid(scenario)
-        goals = stride_settings(grid.min_energy_goals, settings_stride)
-        runs = evaluate_schemes(
-            scenario, goals, SCHEMES, n_inputs, workers=workers
-        )
-        for scheme in SCHEMES:
-            energies = [r.mean_energy_j for r in runs.scheme_runs(scheme)]
+    for scenario, _objective, cells in sweep.objective_cells(spec.objectives):
+        for position, scheme in enumerate(SCHEMES):
+            energies = [cell[position].mean_energy_j for cell in cells]
             whiskers.append(
                 Whisker(
                     scheme=scheme,
-                    env=env,
+                    env=scenario.env,
                     mean_j=float(np.mean(energies)),
                     min_j=float(np.min(energies)),
                     max_j=float(np.max(energies)),

@@ -6,20 +6,17 @@ definitions exist: every cell — table4, table5, fig08, the sweep, the
 CLI and the examples — builds its schedulers through it.
 
 **Architecture (spec → executor → loop).**  :func:`evaluate_schemes`
-does not run anything itself: it plans the cell through
-:func:`repro.runtime.executor.plan_cells` and hands the plan to a
-:class:`repro.runtime.executor.RunExecutor`.  The plan is one spec
-holding every goal, split only when ``workers`` exceeds one, and then
-into contiguous chunks no narrower than the lockstep width.  The
-executing process realises the timing-free (configuration × input)
-outcome grid once and serves every scheme and goal from it; how a
-stacking scheme is served (lockstep lanes or per-goal loops) follows
-the spec's goal count, never a caller's flag.
-Specs are picklable and rebuilt from the scenario's seeds in whichever
-process executes them, so the merged :class:`CellResult` is
-bit-identical regardless of worker count (common random numbers).  A
-hand-built scenario that its key cannot rebuild runs the same plan
-serially, from the live scenario object.
+does not run anything itself: it makes one
+:class:`repro.runtime.executor.CellSpec` holding every goal and serves
+it through :class:`repro.runtime.executor.RunExecutor`, in this
+process, from the live scenario object (so a hand-built scenario runs
+as built).  The executor realises the timing-free
+(configuration × input) outcome grid once and serves every scheme and
+goal from it; how a stacking scheme is served (lockstep lanes or
+per-goal loops) follows the spec's goal count, never a caller's flag.
+It returns every run, records included; the tables, which need only
+summaries, run as sweeps instead
+(:func:`repro.runtime.sweep.run_sweep`).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro.core.config_space import ConfigurationSpace
 from repro.core.goals import Goal
 from repro.errors import ConfigurationError
 from repro.models.inference import GridView
-from repro.runtime.executor import RunExecutor, ScenarioKey, plan_cells
+from repro.runtime.executor import CellSpec, RunExecutor, ScenarioKey
 from repro.runtime.results import RunResult
 from repro.runtime.scheduler import Scheduler
 from repro.workloads.scenarios import Scenario
@@ -145,59 +142,36 @@ def evaluate_schemes(
     goals: Iterable[Goal],
     schemes: Iterable[str],
     n_inputs: int = 100,
-    workers: int = 1,
     requirement_trace=None,
 ) -> CellResult:
     """Run every scheme over every constraint setting of a cell.
 
     Every (scheme, goal) run faces the environment drawn from the
     scenario's seed, so all schemes face bit-identical environments
-    (common random numbers) and the cell can be executed by any number
-    of ``workers`` with bit-identical results.  One outcome grid
-    serves every scheme and timing (see the module docstring), and
-    ``goals`` may mix objectives: the Table 4 and Table 5 experiments
-    pass every objective's settings of a scenario in one call and split
-    the runs by objective afterwards, so the scenario realises one grid
-    and its lanes step every goal together (24 at the tables' default
-    stride).  With ``workers`` > 1 the cell splits into contiguous
-    specs of at least :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS`
-    goals, one per worker where the goals allow; a cell too narrow to
-    split runs in this process.  So does a scenario that
-    :meth:`ScenarioKey.for_scenario` cannot round-trip, whatever
-    ``workers`` asks for.  Pooled specs send every run's records back
-    to this process, and unpickling them costs more than the split
-    saves: on a 2-vCPU box a pooled cell ran slower than a serial one
-    at every size tried, up to 35 goals of 200 inputs (the sweep,
-    whose workers return summaries, is where the split pays).
+    (common random numbers).  One outcome grid serves every scheme and
+    timing, and the cell is one spec, so with at least
+    :data:`~repro.runtime.executor.LOCKSTEP_MIN_GOALS` goals its
+    stacking schemes step every goal together; ``goals`` may mix
+    objectives.  The spec runs in this process from the live
+    ``scenario`` object.
 
     ``requirement_trace`` applies one mid-run goal-override trace
     (Figure 9's dynamic requirements) to every run of the cell; traced
-    cells take the per-step serving paths but keep full parity across
-    worker counts.
+    cells take the per-step serving paths.
     """
     goal_list = tuple(goals)
     scheme_list = tuple(schemes)
     if not goal_list:
         raise ConfigurationError("need at least one constraint setting")
 
-    key = ScenarioKey.for_scenario(scenario)
-    if key is None:
-        # A worker would rebuild the stock scenario, not this one: serve
-        # the plan here, from the live object seeded under its name.
-        key = ScenarioKey.of(scenario)
-        workers = 1
-
-    plan = plan_cells(
-        [(key, goal) for goal in goal_list], scheme_list, n_inputs,
-        workers=workers, requirement_trace=requirement_trace,
+    key = ScenarioKey.of(scenario)
+    spec = CellSpec(
+        scenario=key, goals=goal_list, schemes=scheme_list,
+        n_inputs=n_inputs, requirement_trace=requirement_trace,
     )
-    executor = RunExecutor(workers=workers)
-    cell_results = executor.run_plan(
-        [spec for spec, _positions in plan], scenarios={key: scenario}
-    )
-    runs = {name: [None] * len(goal_list) for name in scheme_list}
-    for (_spec, positions), per_goal in zip(plan, cell_results):
-        for position, goal_runs in zip(positions, per_goal):
-            for name, result in zip(scheme_list, goal_runs):
-                runs[name][position] = result
+    (per_goal,) = RunExecutor().run_plan([spec], scenarios={key: scenario})
+    runs = {
+        name: [goal_runs[position] for goal_runs in per_goal]
+        for position, name in enumerate(scheme_list)
+    }
     return CellResult(scenario=scenario, goals=goal_list, runs=runs)

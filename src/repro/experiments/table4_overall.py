@@ -8,11 +8,11 @@ them as the superscript), and aggregate with harmonic means.
 The full paper grid (3 platforms x 2 tasks x 3 environments x 70
 settings x 7 schemes) is expensive; ``run`` takes platform/task/env
 subsets, a settings stride, and an input count so callers choose their
-budget.  Every scheme of a scenario sees the same inputs and
-environment under both objectives, so ``run`` evaluates each scenario
-once, over both objectives' settings, and splits the runs into the
-objectives' cells.  The bench uses a single cell;
-``repro.runtime.sweep`` runs larger grids with checkpoints.
+budget.  The table is one sweep (:func:`repro.runtime.sweep.run_sweep`):
+each scenario runs both objectives' settings as one cell, so every
+scheme sees the same inputs and environment under both objectives,
+and the table renders from the sweep's per-setting summaries.  The
+bench uses a single cell.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from repro.analysis.stats import SchemeCell, harmonic_mean, summarize_runs
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
-from repro.experiments.harness import evaluate_schemes
-from repro.workloads.scenarios import build_scenario, constraint_grid, stride_settings
+from repro.runtime.sweep import SweepSpec, run_sweep
 
-__all__ = ["CellKey", "Table4Result", "run", "scenario_cells", "DEFAULT_SCHEMES"]
+__all__ = ["CellKey", "Table4Result", "run", "sweep_cells", "DEFAULT_SCHEMES"]
 
 DEFAULT_SCHEMES = (
     "ALERT",
@@ -131,77 +130,50 @@ def run(
     ``settings_stride`` subsamples the 35-setting grids (stride 3
     keeps 12 settings per cell); the GPU platform skips the sentence
     task, as in the paper, and a request that leaves no cell raises
-    :class:`ConfigurationError`.  Each (platform, task, environment)
-    scenario is one :func:`evaluate_schemes` call over every
-    objective's settings, so its objectives share one outcome grid and
-    one lockstep cell (24 goals at stride 3); each objective's slice
-    of the runs is then summarised as its own cell, and the runs are
-    released before the next scenario.  ``workers`` > 1 fans each
-    scenario's runs out over a process pool (results are bit-identical
-    to serial).
+    :class:`ConfigurationError`.  The whole table is one
+    :class:`~repro.runtime.sweep.SweepSpec` and one
+    :func:`~repro.runtime.sweep.run_sweep` call: each (platform, task,
+    environment) scenario runs every objective's settings as one
+    lockstep cell (24 goals at stride 3), and each objective's
+    per-setting summaries are aggregated as its own cell, against its
+    own OracleStatic summaries.  ``workers`` > 1 runs the sweep's
+    specs on a process pool whose workers return summaries (results
+    are bit-identical to serial).
     """
     if "OracleStatic" not in schemes:
         raise ConfigurationError(
             "OracleStatic must be included: it is the normalisation baseline"
         )
+    spec = SweepSpec(
+        platforms=platforms, tasks=tasks, envs=envs, schemes=schemes,
+        objectives=objectives, settings_stride=settings_stride,
+        n_inputs=n_inputs, seeds=(seed,),
+    )
     result = Table4Result()
-    for platform in platforms:
-        for task in tasks:
-            if platform.upper() == "GPU" and task != "image":
-                continue
-            for env in envs:
-                scenario = build_scenario(platform, task, env, "standard", seed)
-                cells = scenario_cells(
-                    scenario, schemes, objectives, settings_stride, n_inputs,
-                    workers,
-                )
-                for objective, cell in zip(objectives, cells):
-                    key = CellKey(
-                        platform=platform, task=task, env=env,
-                        objective=objective,
-                    )
-                    result.cells[key] = cell
-    if not result.cells:
-        raise ConfigurationError(
-            "no Table 4 cell left to evaluate: the GPU platform reports "
-            "the image task only, as in the paper"
+    for scenario, objective, cell in sweep_cells(spec, workers):
+        key = CellKey(
+            platform=scenario.platform, task=scenario.task, env=scenario.env,
+            objective=objective,
         )
+        result.cells[key] = cell
     return result
 
 
-def scenario_cells(
-    scenario, schemes, objectives, settings_stride, n_inputs, workers
-) -> list[dict[str, SchemeCell]]:
-    """Every objective's cell of one scenario, from one evaluation.
+def sweep_cells(spec: SweepSpec, workers: int):
+    """Run a table's sweep; yield each (scenario, objective)'s cell.
 
-    The objectives' strided settings run as one cell, in objective
-    order; each objective's slice of every scheme's runs is summarised
-    against its own OracleStatic slice.  The runs go out of scope when
-    this returns, so a table holds one scenario's runs at a time.
+    Yields ``(scenario, objective, cell)`` in scenario order, then
+    ``spec.objectives`` order; ``cell`` maps each scheme to
+    :func:`summarize_runs` over its per-setting summaries against the
+    OracleStatic ones, called once per (cell, scheme) in that order.
     """
-    grid = constraint_grid(scenario)
-    subsets = [
-        stride_settings(
-            grid.min_energy_goals if objective == "min_energy"
-            else grid.min_error_goals,
-            settings_stride,
-        )
-        for objective in objectives
-    ]
-    cell_runs = evaluate_schemes(
-        scenario, [goal for subset in subsets for goal in subset], schemes,
-        n_inputs=n_inputs, workers=workers,
-    )
-    cells = []
-    start = 0
-    for subset in subsets:
-        stop = start + len(subset)
-        baseline = cell_runs.scheme_runs("OracleStatic")[start:stop]
-        cells.append({
+    sweep = run_sweep(spec, workers=workers)
+    baseline = spec.schemes.index("OracleStatic")
+    for scenario, objective, cells in sweep.objective_cells(spec.objectives):
+        baseline_summaries = [cell[baseline] for cell in cells]
+        yield scenario, objective, {
             scheme: summarize_runs(
-                scheme, cell_runs.scheme_runs(scheme)[start:stop], baseline
+                scheme, [cell[position] for cell in cells], baseline_summaries
             )
-            for scheme in schemes
-        })
-        start = stop
-    return cells
+            for position, scheme in enumerate(spec.schemes)
+        }

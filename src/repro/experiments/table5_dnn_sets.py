@@ -7,8 +7,10 @@ constraints under contention (a traditional network crashes hard when
 it misses); mixing both candidate kinds is slightly better than
 either alone.
 
-Each scenario runs both objectives' settings as one cell, as Table 4
-does (:func:`repro.experiments.table4_overall.scenario_cells`).
+The table is one sweep, as Table 4 is
+(:func:`repro.experiments.table4_overall.sweep_cells`): each scenario
+runs both objectives' settings as one cell, and each objective's
+per-setting summaries are aggregated as its own cell.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.stats import SchemeCell, harmonic_mean
 from repro.analysis.tables import render_table
-from repro.experiments.table4_overall import scenario_cells
-from repro.workloads.scenarios import build_scenario
+from repro.experiments.table4_overall import sweep_cells
+from repro.runtime.sweep import SweepSpec
 
 __all__ = ["Table5Result", "run"]
 
@@ -75,20 +77,17 @@ def run(
 ) -> Table5Result:
     """Evaluate the candidate-set comparison on the image task.
 
-    As in :func:`repro.experiments.table4_overall.run`, each
-    (platform, environment) scenario is one evaluation over every
-    objective's settings, split into the objectives' cells.
-    ``workers`` > 1 fans each scenario's runs out over a process pool
+    As in :func:`repro.experiments.table4_overall.run`, the table is
+    one sweep whose scenarios each run every objective's settings as
+    one cell.  ``workers`` > 1 runs the sweep's specs on a process pool
     (results are bit-identical to serial).
     """
+    spec = SweepSpec(
+        platforms=platforms, tasks=("image",), envs=envs, schemes=SCHEMES,
+        objectives=objectives, settings_stride=settings_stride,
+        n_inputs=n_inputs, seeds=(seed,),
+    )
     result = Table5Result()
-    for platform in platforms:
-        for env in envs:
-            scenario = build_scenario(platform, "image", env, "standard", seed)
-            cells = scenario_cells(
-                scenario, SCHEMES, objectives, settings_stride, n_inputs,
-                workers,
-            )
-            for objective, cell in zip(objectives, cells):
-                result.cells[(platform, env, objective)] = cell
+    for scenario, objective, cell in sweep_cells(spec, workers):
+        result.cells[(scenario.platform, scenario.env, objective)] = cell
     return result

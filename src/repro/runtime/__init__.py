@@ -11,11 +11,14 @@
   :class:`RunResult` with the violation accounting the paper's tables
   use (a setting "violates" when more than 10% of its inputs break a
   constraint).
-* :mod:`repro.runtime.executor` — :class:`CellSpec` and
-  :class:`RunExecutor`: declarative plans of cells (every scheme ×
-  every goal of one scenario, sharing one outcome-grid realisation per
-  timing) executed serially or across a process pool with a
-  deterministic, bit-identical merge.
+* :mod:`repro.runtime.executor` — :class:`CellSpec`, the planning
+  rule and :class:`RunExecutor`: declarative plans of cells (every
+  scheme × every goal of one scenario, sharing one timing-free
+  outcome grid) executed in this process.
+* :mod:`repro.runtime.sweep` — the sweep engine the tables run on:
+  a declarative spec compiled to cells, executed serially or across a
+  process pool whose workers return per-cell summaries, merged
+  bit-identically and checkpointed.
 """
 
 from repro.runtime.loop import ServingLoop

@@ -1,4 +1,4 @@
-"""The run executor: declarative cell specs, serial or parallel.
+"""The run executor: declarative cell specs and the serial spec runner.
 
 The experiment stack evaluates (scenario × goal × scheme) grids, and
 every run in such a grid is independent: each derives its engine
@@ -33,14 +33,15 @@ independence into an execution plan:
   wide as its scenario allows.  A plan parallelises across scenarios,
   never across timings; a scenario splits only when there are fewer
   scenarios than workers, and then into contiguous chunks of at least
-  :data:`LOCKSTEP_MIN_GOALS` goals.  Both the table drivers (through
-  :func:`~repro.experiments.harness.evaluate_schemes`) and the sweep
-  plan through it;
-* :class:`RunExecutor` — executes a plan either serially in-process or
-  across a ``concurrent.futures`` process pool.  Results are merged
-  back in plan order, so the output is *bit-identical* regardless of
-  worker count: every run derives from its scenario seed, never from
-  which worker ran it or in what order.
+  :data:`LOCKSTEP_MIN_GOALS` goals.  The sweep plans through it, and
+  so do the tables, which run as sweeps
+  (:func:`repro.runtime.sweep.run_sweep`): its pool workers return
+  each spec's summaries, never its runs;
+* :class:`RunExecutor` — executes a plan serially, in this process,
+  and returns every run.  :func:`~repro.experiments.harness.evaluate_schemes`
+  serves its one scenario-wide spec through it.  Every run derives
+  from its scenario seed, never from the spec or process that served
+  it, so any grouping of a plan returns bit-identical runs.
 
 Each worker keeps a small per-process cache of oracle outcome grids
 keyed on ``(scenario, n_inputs)`` — a grid holds no deadline or period
@@ -59,7 +60,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.goals import Goal
@@ -135,34 +135,6 @@ class ScenarioKey:
             seed=scenario.seed,
         )
 
-    @classmethod
-    def for_scenario(cls, scenario: Scenario) -> "ScenarioKey | None":
-        """The key of a scenario, or None when it cannot round-trip.
-
-        Scenarios made by :func:`~repro.workloads.scenarios.build_scenario`
-        always round-trip.  Hand-built scenarios may not — a customized
-        machine spec or candidate set reusing a stock name must not be
-        silently replaced by the stock one in a worker — so the rebuilt
-        scenario is compared field by field, not by name.  (An
-        explicitly injected ``_profile`` is the one customization this
-        cannot see; workers always re-derive the analytic profile.)
-        """
-        key = cls.of(scenario)
-        try:
-            rebuilt = key.build()
-        except ConfigurationError:
-            return None
-        if (
-            rebuilt.name != scenario.name
-            or rebuilt.seed != scenario.seed
-            or rebuilt.machine != scenario.machine
-            or rebuilt.task != scenario.task
-            or rebuilt.env is not scenario.env
-            or rebuilt.candidates != scenario.candidates
-        ):
-            return None
-        return key
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -171,9 +143,10 @@ class CellSpec:
     The unit of the paper's Table-4 protocol: all ``schemes`` over the
     cell's constraint ``goals``, on the scenario's common random
     numbers.  ``requirement_trace`` optionally rewrites goals mid-run
-    (Figure 9's dynamic requirements); traces are plain picklable data,
-    so they cross the process boundary with the spec.  Results come back
-    goal-major: one list per goal, aligned with ``schemes``.
+    (Figure 9's dynamic requirements;
+    :func:`~repro.experiments.harness.evaluate_schemes` is the one
+    caller that passes it).  Results come back goal-major: one list per
+    goal, aligned with ``schemes``.
     """
 
     scenario: ScenarioKey
@@ -202,7 +175,6 @@ def plan_cells(
     schemes: tuple[str, ...],
     n_inputs: int,
     workers: int = 1,
-    requirement_trace: RequirementTrace | None = None,
 ) -> list[tuple[CellSpec, tuple[int, ...]]]:
     """Group (scenario, goal) work into scenario-wide cell specs.
 
@@ -215,6 +187,8 @@ def plan_cells(
     goals each (as many as give every worker a spec, where the goals
     allow).  A goal's runs do not depend on the cell holding them, so
     every grouping returns identical runs.
+    :func:`~repro.runtime.sweep.run_sweep`, and through it every table,
+    plans with it.
 
     Returns one ``(spec, positions)`` pair per cell, in plan order;
     ``positions`` index the cell's goals in ``work``.
@@ -241,7 +215,6 @@ def plan_cells(
                 goals=tuple(items[position][1] for position in group),
                 schemes=schemes,
                 n_inputs=n_inputs,
-                requirement_trace=requirement_trace,
             )
             plan.append((spec, group))
             start = stop
@@ -518,49 +491,15 @@ class _WorkerState:
         return results
 
 
-#: Lazily-created state of a pool worker process.
-_POOL_STATE: _WorkerState | None = None
-
-
-def _pool_initializer() -> None:
-    """Pool-worker setup: reset state.
-
-    Runs once per worker process.  Resetting ``_POOL_STATE`` matters
-    under fork start methods: a forked worker inherits whatever module
-    globals the parent had, and stale state must not leak between
-    pools.
-    """
-    global _POOL_STATE
-    _POOL_STATE = None
-
-
-def _pool_execute(spec: CellSpec) -> list[list[RunResult]]:
-    """Top-level pool entry point (must be picklable by reference)."""
-    global _POOL_STATE
-    if _POOL_STATE is None:
-        _POOL_STATE = _WorkerState()
-    return _POOL_STATE.execute(spec)
-
-
 class RunExecutor:
-    """Executes a plan of :class:`CellSpec` entries.
+    """Executes a plan of :class:`CellSpec` entries in this process.
 
-    Parameters
-    ----------
-    workers:
-        1 executes in-process; >1 fans cells out over a
-        ``ProcessPoolExecutor`` of that many workers, one cell per
-        task.  Results come back in plan order either way, and because
-        every run rebuilds its environment from the scenario seed,
-        parallel output is bit-identical to serial output.
+    The serial spec runner that
+    :func:`~repro.experiments.harness.evaluate_schemes` serves its cell
+    through.  A plan that fans out over processes runs as a sweep
+    (:func:`repro.runtime.sweep.run_sweep`), whose workers return
+    summaries instead of runs.
     """
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"need at least one worker, got {workers}"
-            )
-        self.workers = workers
 
     def run_plan(
         self,
@@ -571,18 +510,9 @@ class RunExecutor:
 
         Each :class:`CellSpec` yields a goal-major list of per-goal
         lists aligned with its ``schemes``.  ``scenarios`` optionally
-        seeds the serial path's scenario cache with already-built
-        objects (preserving their memoised profiles); pool workers
-        always rebuild from keys.
+        seeds the scenario cache with already-built objects, so a
+        hand-built scenario is served as it is, never rebuilt from its
+        key.
         """
-        plan = list(specs)
-        if not plan:
-            return []
-        if self.workers == 1 or len(plan) == 1:
-            state = _WorkerState(scenarios)
-            return [state.execute(spec) for spec in plan]
-        n_workers = min(self.workers, len(plan))
-        with ProcessPoolExecutor(
-            max_workers=n_workers, initializer=_pool_initializer
-        ) as pool:
-            return list(pool.map(_pool_execute, plan))
+        state = _WorkerState(scenarios)
+        return [state.execute(spec) for spec in specs]

@@ -9,9 +9,10 @@ reserves its own overhead from the deadline it is given (ALERT's
 kernel does).
 
 In the spec → executor → loop architecture the loops are the innermost
-layer: :class:`repro.runtime.executor.RunExecutor` turns a declarative
-plan of cells into serving-loop runs (serially or across a process
-pool), and the experiment harness builds those plans.
+layer: :mod:`repro.runtime.executor` turns a declarative plan of cells
+into serving-loop runs, in this process
+(:class:`~repro.runtime.executor.RunExecutor`) or on the sweep's
+process pool (:func:`repro.runtime.sweep.run_sweep`).
 
 **Three serving paths.**
 

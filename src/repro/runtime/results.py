@@ -145,15 +145,6 @@ class RunResult:
             f"goal={self.goal!r}, n_inputs={self.n_inputs})"
         )
 
-    def __getstate__(self):
-        # Materialize before pickling: the thunk is a local closure
-        # (unpicklable) and the receiver loses nothing — deferral only
-        # saves work inside the serving process.
-        self.records
-        state = dict(self.__dict__)
-        state["_materialize"] = None
-        return state
-
     # ------------------------------------------------------------------
     # Means
     # ------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """The sweep engine: declarative million-cell (scenario × goal) sweeps.
 
-The experiment drivers evaluate one Table-4 cell at a time and hold
-every run's full per-input record list in the driver.  This module is
-the production-scale front: a **declarative sweep spec** (platforms ×
-tasks × envs × seeds × the constraint grid × schemes) compiles into
-one-goal :class:`SweepUnit` entries, the checkpoint key and result
-slot of each (scenario, goal) pair.  The units still to run are
-planned by :func:`~repro.runtime.executor.plan_cells` into
-scenario-wide cell specs, so every stacking scheme (the ALERT family,
-Sys-only, No-coord) runs as a lockstep lane across all of a
-scenario's goals.  Specs execute serially or one per pool task, and
-the sweep scales along three axes the drivers do not:
+This module is the one way a table runs: ``repro sweep`` and the
+Table 4, Table 5 and Figure 8 drivers each make one **declarative
+sweep spec** (platforms × tasks × envs × seeds × the constraint grid ×
+schemes), which compiles into one-goal :class:`SweepUnit` entries, the
+checkpoint key and result slot of each (scenario, goal) pair.  The
+units still to run are planned by
+:func:`~repro.runtime.executor.plan_cells` into scenario-wide cell
+specs, so every stacking scheme runs as a lockstep lane across all of
+a scenario's goals, and the drivers render from the returned
+summaries (:meth:`SweepResult.objective_cells`).  Specs execute
+serially or one per pool task, and the sweep scales along three axes:
 
 * **zero-copy grids** — whenever the sweep runs a process pool, a
   :class:`~repro.runtime.grid_store.SharedGridStore` realises each
@@ -20,9 +20,11 @@ the sweep scales along three axes the drivers do not:
   created degrades to per-process caches, and the result reports why;
 * **streaming aggregation** — workers return compact per-cell
   :class:`CellSummary` rows (violation rate, means, latency
-  percentiles, normalized scores), so driver memory is O(cells), not
-  O(inputs); ``tests/test_sweep_parity.py`` pins the summaries to
-  those of :func:`~repro.experiments.harness.evaluate_schemes` runs;
+  percentiles, normalized scores), one stacked NumPy reduction per
+  field for a whole spec (:func:`summarize_cell`), so driver memory is
+  O(cells), not O(inputs); ``tests/test_sweep_parity.py`` pins the
+  summaries to those of
+  :func:`~repro.experiments.harness.evaluate_schemes` runs;
 * **checkpoint/resume** — each completed unit appends one JSONL line
   keyed by a deterministic :meth:`SweepUnit.fingerprint`, written when
   the spec holding it finishes; a restarted sweep skips finished units
@@ -72,6 +74,12 @@ __all__ = [
 #: oracle).
 _BASELINE_SCHEME = "OracleStatic"
 
+#: A spec's objective names and the kind of goal each one selects.
+_OBJECTIVE_KINDS = {
+    "min_energy": ObjectiveKind.MINIMIZE_ENERGY,
+    "min_error": ObjectiveKind.MAXIMIZE_ACCURACY,
+}
+
 
 # ----------------------------------------------------------------------
 # Spec and compiled units
@@ -84,7 +92,7 @@ class SweepSpec:
     grid participate (``"min_energy"`` / ``"min_error"``);
     ``settings_stride`` subsamples each half's settings (the drivers'
     ``--stride`` convention).  The GPU column reports only the image
-    task, as in the Table-4 driver, so GPU × non-image combinations
+    task, as in the paper's Table 4, so GPU × non-image combinations
     are skipped at compile time (:func:`run_sweep` refuses a spec left
     with none); an unknown platform, task, env or candidate-set name
     raises :class:`~repro.errors.ConfigurationError`.
@@ -111,7 +119,7 @@ class SweepSpec:
             object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ConfigurationError("sweep needs at least one seed")
-        unknown = set(self.objectives) - {"min_energy", "min_error"}
+        unknown = set(self.objectives) - set(_OBJECTIVE_KINDS)
         if unknown:
             raise ConfigurationError(
                 f"unknown objectives {sorted(unknown)}; "
@@ -202,7 +210,7 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
     groups the pending ones into scenario-wide specs through
     :func:`~repro.runtime.executor.plan_cells`.  Within one scenario,
     units are ordered timing-major (all goals sharing a deadline are
-    consecutive).  Combinations the Table-4 driver would not report
+    consecutive).  Combinations the paper's Table 4 does not report
     (GPU × non-image) are skipped; a name that builds no scenario
     raises :class:`~repro.errors.ConfigurationError` instead of
     compiling to an empty sweep.
@@ -212,8 +220,8 @@ def compile_sweep(spec: SweepSpec) -> list[SweepUnit]:
     for seed in spec.seeds:
         for platform in spec.platforms:
             for task in spec.tasks:
-                # The Table-4 driver's platform policy: the GPU column
-                # only reports the image task.
+                # The paper's platform policy: the GPU column only
+                # reports the image task.
                 if platform.upper() == "GPU" and task != "image":
                     continue
                 for env in spec.envs:
@@ -253,7 +261,8 @@ class CellSummary:
     """Compact aggregate of one scheme's run over one cell.
 
     Everything here derives deterministically from the
-    :class:`~repro.runtime.results.RunResult`, and every float
+    :class:`~repro.runtime.results.RunResult` (see
+    :func:`summarize_cell`), and every float
     round-trips exactly through JSON (``repr`` serialisation), so
     checkpointed summaries merge bit-identically with fresh ones.
     ``normalized_score`` is the run's objective value relative to the
@@ -274,63 +283,6 @@ class CellSummary:
     objective_value: float
     setting_violated: bool
     normalized_score: float | None = None
-
-    @classmethod
-    def from_run(cls, run: RunResult) -> "CellSummary":
-        # Streaming aggregation: a batch-path or lockstep-lane run
-        # carries its series as RunArrays — summarise those directly
-        # and never touch (or materialize) the O(inputs) record list.
-        # Otherwise one pass over the records: reading each aggregate
-        # off the RunResult properties would re-walk the record list
-        # per property (~9 walks, each chasing Python attributes per
-        # record), and a sweep summarises every cell.  Either source
-        # holds the same float64 values in the same order the
-        # properties would reduce, so every aggregate is bit-identical
-        # to its property counterpart (the parity suite compares them).
-        arrays = run.arrays
-        if arrays is not None:
-            n = len(arrays.latency_s)
-            latency = arrays.latency_s
-            quality = arrays.quality
-            energy = arrays.energy_j
-            violated = arrays.violated
-            missed = arrays.latency_violation
-        else:
-            n = len(run.records)
-            latency = np.empty(n)
-            quality = np.empty(n)
-            energy = np.empty(n)
-            violated = np.empty(n, dtype=bool)
-            missed = np.empty(n, dtype=bool)
-            for i, record in enumerate(run.records):
-                outcome = record.outcome
-                latency[i] = outcome.latency_s
-                quality[i] = outcome.quality
-                energy[i] = outcome.energy_j
-                violated[i] = record.violated
-                missed[i] = record.latency_violation
-        mean_quality = float(np.mean(quality))
-        mean_energy_j = float(np.mean(energy))
-        violation_fraction = float(np.mean(violated))
-        objective_value = (
-            mean_energy_j
-            if run.goal.objective is ObjectiveKind.MINIMIZE_ENERGY
-            else 1.0 - mean_quality
-        )
-        return cls(
-            scheme=run.scheduler_name,
-            n_inputs=n,
-            violation_fraction=violation_fraction,
-            deadline_miss_fraction=float(np.mean(missed)),
-            mean_quality=mean_quality,
-            mean_error=1.0 - mean_quality,
-            mean_energy_j=mean_energy_j,
-            mean_latency_s=float(np.mean(latency)),
-            p50_latency_s=float(np.percentile(latency, 50.0)),
-            p99_latency_s=float(np.percentile(latency, 99.0)),
-            objective_value=objective_value,
-            setting_violated=violation_fraction > VIOLATION_SETTING_THRESHOLD,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -354,32 +306,96 @@ class CellSummary:
         return cls(**payload)
 
 
-def summarize_cell(
-    schemes: tuple[str, ...], runs: list[RunResult]
-) -> tuple[CellSummary, ...]:
-    """Summaries for one cell's runs, aligned with ``schemes``.
+def _series(run: RunResult) -> tuple[np.ndarray, ...]:
+    """A run's latency, quality, energy, violated and missed series.
 
-    Computes each scheme's normalized score against the cell's
+    A batch-path or lockstep-lane run carries them as
+    :class:`~repro.runtime.results.RunArrays`, so summarising never
+    touches (or materializes) its O(inputs) record list.  A sequential
+    run has only records, read in one pass: reading each aggregate off
+    the :class:`RunResult` properties would walk the list once per
+    property.  Either source holds the same float64 values in the same
+    order the properties reduce.
+    """
+    arrays = run.arrays
+    if arrays is not None:
+        return (
+            arrays.latency_s, arrays.quality, arrays.energy_j,
+            arrays.violated, arrays.latency_violation,
+        )
+    n = len(run.records)
+    latency = np.empty(n)
+    quality = np.empty(n)
+    energy = np.empty(n)
+    violated = np.empty(n, dtype=bool)
+    missed = np.empty(n, dtype=bool)
+    for i, record in enumerate(run.records):
+        outcome = record.outcome
+        latency[i] = outcome.latency_s
+        quality[i] = outcome.quality
+        energy[i] = outcome.energy_j
+        violated[i] = record.violated
+        missed[i] = record.latency_violation
+    return latency, quality, energy, violated, missed
+
+
+def summarize_cell(
+    schemes: tuple[str, ...], results: list[list[RunResult]]
+) -> list[tuple[CellSummary, ...]]:
+    """Summaries of one spec's goal-major runs, aligned with ``schemes``.
+
+    One tuple per goal.  Every run of a spec serves the same inputs, so
+    each series of all its runs is stacked and reduced in one NumPy
+    call per field (a row reduction equals the run's own ``np.mean`` /
+    ``np.percentile`` bit for bit: the parity suites compare them).
+    Each scheme's normalized score is taken against its goal's
     ``OracleStatic`` run when present — worker-side, so the driver
     never needs the runs themselves.
     """
-    summaries = [CellSummary.from_run(run) for run in runs]
-    baseline = None
-    for name, summary in zip(schemes, summaries):
-        if name == _BASELINE_SCHEME:
-            baseline = summary.objective_value
-            break
-    if baseline:
-        summaries = [
+    runs = [run for goal_runs in results for run in goal_runs]
+    latency, quality, energy, violated, missed = (
+        np.stack(rows) for rows in zip(*(_series(run) for run in runs))
+    )
+    n_inputs = latency.shape[1]
+    mean_quality = np.mean(quality, axis=1).tolist()
+    mean_energy = np.mean(energy, axis=1).tolist()
+    violation = np.mean(violated, axis=1).tolist()
+    miss = np.mean(missed, axis=1).tolist()
+    mean_latency = np.mean(latency, axis=1).tolist()
+    p50, p99 = np.percentile(latency, (50.0, 99.0), axis=1).tolist()
+    objective = [
+        mean_energy[i]
+        if run.goal.objective is ObjectiveKind.MINIMIZE_ENERGY
+        else 1.0 - mean_quality[i]
+        for i, run in enumerate(runs)
+    ]
+    width = len(schemes)
+    baseline = (
+        schemes.index(_BASELINE_SCHEME) if _BASELINE_SCHEME in schemes
+        else None
+    )
+    cells = []
+    for start in range(0, len(runs), width):
+        anchor = objective[start + baseline] if baseline is not None else 0.0
+        cells.append(tuple(
             CellSummary(
-                **{
-                    **summary.to_json(),
-                    "normalized_score": summary.objective_value / baseline,
-                }
+                scheme=runs[i].scheduler_name,
+                n_inputs=n_inputs,
+                violation_fraction=violation[i],
+                deadline_miss_fraction=miss[i],
+                mean_quality=mean_quality[i],
+                mean_error=1.0 - mean_quality[i],
+                mean_energy_j=mean_energy[i],
+                mean_latency_s=mean_latency[i],
+                p50_latency_s=p50[i],
+                p99_latency_s=p99[i],
+                objective_value=objective[i],
+                setting_violated=violation[i] > VIOLATION_SETTING_THRESHOLD,
+                normalized_score=objective[i] / anchor if anchor else None,
             )
-            for summary in summaries
-        ]
-    return tuple(summaries)
+            for i in range(start, start + width)
+        ))
+    return cells
 
 
 # ----------------------------------------------------------------------
@@ -450,9 +466,8 @@ def _open_for_append(path):
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-#: Lazily-created state of a sweep pool worker (separate from the
-#: executor's ``_POOL_STATE``: a sweep worker returns summaries, not
-#: RunResults, so the driver never holds O(inputs) pickled records).
+#: Lazily-created state of a sweep pool worker.  A worker returns
+#: summaries, never runs, so the driver never holds O(inputs) records.
 _SWEEP_STATE = None
 _SWEEP_GRID_STORE = None
 
@@ -465,7 +480,7 @@ def _sweep_initializer(grid_store=None) -> None:
 
 def _summarize_spec(state: _WorkerState, cell: CellSpec):
     """Run one spec; one summary tuple per goal."""
-    return [summarize_cell(cell.schemes, runs) for runs in state.execute(cell)]
+    return summarize_cell(cell.schemes, state.execute(cell))
 
 
 def _sweep_execute(cell: CellSpec):
@@ -508,6 +523,28 @@ class SweepResult:
                 f"cell {index} was not executed (aborted sweep)"
             )
         return completed
+
+    def objective_cells(self, objectives: tuple[str, ...]):
+        """Each (scenario, objective)'s summaries: the tables' cells.
+
+        Yields ``(scenario, objective, cells)`` per scenario in unit
+        order and per name in ``objectives`` order; ``cells`` holds the
+        objective's units' summary tuples in its strided
+        constraint-grid order.  :func:`compile_sweep` sorts a
+        scenario's goals by timing, but the sort is stable and each
+        objective's goals are already timing-ordered, so filtering the
+        units by objective keeps that order.
+        """
+        by_scenario: dict[ScenarioKey, list[int]] = {}
+        for position, unit in enumerate(self.units):
+            by_scenario.setdefault(unit.scenario, []).append(position)
+        for key, positions in by_scenario.items():
+            for objective in objectives:
+                kind = _OBJECTIVE_KINDS[objective]
+                yield key, objective, [
+                    self.cell(position) for position in positions
+                    if self.units[position].goal.objective is kind
+                ]
 
     def describe(self) -> str:
         done = sum(1 for cell in self.cells if cell is not None)
@@ -596,8 +633,8 @@ def run_sweep(
     units = compile_sweep(spec)
     if not units:
         raise ConfigurationError(
-            "sweep compiles to no cell: the GPU platform reports the "
-            "image task only, as in the Table-4 driver"
+            "nothing to run: the GPU platform reports the image task "
+            "only, as in the paper's Table 4"
         )
     fingerprints = [unit.fingerprint() for unit in units]
 
@@ -662,9 +699,11 @@ def run_sweep(
                     handle.flush()
 
         if not pooled:
-            state = _WorkerState()
+            # A serial plan holds each scenario in one spec, so a fresh
+            # state per spec loses no cache hit and frees the scenario's
+            # engine, stream and grid before the next one starts.
             for cell, positions in plan:
-                record(positions, _summarize_spec(state, cell))
+                record(positions, _summarize_spec(_WorkerState(), cell))
         else:
             n_workers = min(workers, len(plan))
             with ProcessPoolExecutor(

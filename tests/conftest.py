@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.experiments.harness import CellResult
@@ -108,3 +109,34 @@ def _reference_cell(
 def reference_cell():
     """The sequential reference cell builder (see :func:`_reference_cell`)."""
     return _reference_cell
+
+
+def _assert_own_aggregates(summary, run) -> None:
+    """Every field of ``summary`` equals the aggregate of ``run``'s own
+    per-input series, bit for bit: ``np.mean`` and ``np.percentile`` of
+    that run alone, whatever the summariser stacked it with."""
+    records = run.records
+    latency = np.array([record.outcome.latency_s for record in records])
+    quality = np.array([record.outcome.quality for record in records])
+    energy = np.array([record.outcome.energy_j for record in records])
+    violated = np.array([record.violated for record in records])
+    missed = np.array([record.latency_violation for record in records])
+    assert summary.scheme == run.scheduler_name
+    assert summary.n_inputs == len(records) == run.n_inputs
+    assert summary.violation_fraction == float(np.mean(violated))
+    assert summary.violation_fraction == run.violation_fraction
+    assert summary.deadline_miss_fraction == float(np.mean(missed))
+    assert summary.mean_quality == float(np.mean(quality)) == run.mean_quality
+    assert summary.mean_error == run.mean_error
+    assert summary.mean_energy_j == float(np.mean(energy)) == run.mean_energy_j
+    assert summary.mean_latency_s == float(np.mean(latency))
+    assert summary.p50_latency_s == float(np.percentile(latency, 50.0))
+    assert summary.p99_latency_s == float(np.percentile(latency, 99.0))
+    assert summary.objective_value == run.objective_value
+    assert summary.setting_violated == run.setting_violated
+
+
+@pytest.fixture()
+def assert_own_aggregates():
+    """The per-run summary check (see :func:`_assert_own_aggregates`)."""
+    return _assert_own_aggregates

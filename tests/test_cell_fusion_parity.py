@@ -6,12 +6,13 @@ timing serving every scheme, via
 :class:`~repro.models.inference.GridView` path) must reproduce the
 sequential reference — every run alone on a fresh engine, no grid —
 discrete record fields exactly, float fields to ≤1e-12 relative, for
-feedback-free *and* feedback-driven schemes, serially and across a
-process pool.  Also covers the grid machinery itself: one grid build
-per timing per cell, zero :meth:`InferenceEngine.run` calls on
-grid-served runs, the untrusted view's environment guard, and the
-model-fingerprinted grid cache (regression: a scenario rebuilt after
-eviction must not be handed a grid over its predecessor's models).
+feedback-free *and* feedback-driven schemes; a pooled sweep's
+summaries must equal the serial sweep's.  Also covers the grid
+machinery itself: one grid build per timing per cell, zero
+:meth:`InferenceEngine.run` calls on grid-served runs, the untrusted
+view's environment guard, and the model-fingerprinted grid cache
+(regression: a scenario rebuilt after eviction must not be handed a
+grid over its predecessor's models).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.runtime.executor import (
     timing_grid,
 )
 from repro.runtime.loop import CrossSchemeLockstepLoop, ServingLoop
+from repro.runtime.sweep import SweepSpec, compile_sweep, run_sweep
 from repro.workloads.scenarios import build_scenario
 
 #: Float tolerance of the fused path (the acceptance bar; in practice
@@ -140,30 +142,21 @@ def test_cell_matches_reference(
     _assert_cells_match(cell, reference, ALL_SCHEMES)
 
 
-def test_pool_bit_identical_to_serial(image_scenario):
-    anchor = image_scenario.anchor_latency_s()
-    goals = [
-        Goal(
-            objective=ObjectiveKind.MINIMIZE_ENERGY,
-            deadline_s=anchor * factor,
-            accuracy_min=floor,
-        )
-        for factor in (1.0, 1.5)
-        for floor in (0.8, 0.83, 0.85, 0.88, 0.9, 0.95)
-    ]
-    # Two workers get two lockstep-wide specs, so the pool starts.
-    key = ScenarioKey.for_scenario(image_scenario)
-    plan = plan_cells([(key, g) for g in goals], ALL_SCHEMES, 15, workers=2)
-    assert [len(spec.goals) for spec, _ in plan] == [6, 6]
-    serial = evaluate_schemes(image_scenario, goals, ALL_SCHEMES, n_inputs=15)
-    pooled = evaluate_schemes(
-        image_scenario, goals, ALL_SCHEMES, n_inputs=15, workers=2
+def test_pool_bit_identical_to_serial():
+    """Every scheme through the sweep's pool: a 12-goal scenario plans
+    two six-goal specs at two workers, and the pooled summaries equal
+    the serial ones."""
+    spec = SweepSpec(
+        platforms=("CPU1",), tasks=("image",), envs=("default",),
+        schemes=ALL_SCHEMES, settings_stride=6, n_inputs=15, seeds=(99,),
     )
-    for name in ALL_SCHEMES:
-        for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
-            assert a.scheduler_name == b.scheduler_name
-            for ra, rb in zip(a.records, b.records):
-                assert ra == rb  # frozen dataclasses: bit-identity
+    work = [(unit.scenario, unit.goal) for unit in compile_sweep(spec)]
+    plan = plan_cells(work, ALL_SCHEMES, 15, workers=2)
+    assert [len(cell.goals) for cell, _ in plan] == [6, 6]
+    serial = run_sweep(spec, workers=1)
+    pooled = run_sweep(spec, workers=2)
+    assert pooled.grid_store_stats is not None  # the pool really ran
+    assert pooled.cells == serial.cells
 
 
 # ----------------------------------------------------------------------
@@ -277,12 +270,11 @@ def test_cellspec_validation():
 
 
 def test_cellspec_results_are_goal_major(image_scenario):
-    key = ScenarioKey.for_scenario(image_scenario)
-    assert key is not None
+    key = ScenarioKey.of(image_scenario)
     goals = tuple(_goals(image_scenario)[:2])
     schemes = ("Oracle", "App-only", "ALERT")
     spec = CellSpec(scenario=key, goals=goals, schemes=schemes, n_inputs=8)
-    (results,) = RunExecutor(workers=1).run_plan(
+    (results,) = RunExecutor().run_plan(
         [spec], scenarios={key: image_scenario}
     )
     assert len(results) == len(goals)
@@ -414,7 +406,7 @@ def test_rebuilt_scenario_gets_a_grid_over_its_own_models(image_scenario):
     """A scenario evicted from the worker's cache and rebuilt has new
     model objects; a grid over the old ones would never resolve a row,
     sending every decision to the live engine."""
-    key = ScenarioKey.for_scenario(image_scenario)
+    key = ScenarioKey.of(image_scenario)
     state = _WorkerState()
     first = state.grid(key, 8)
     state._scenarios.clear()

@@ -1,15 +1,15 @@
-"""Parity suite for the run executor.
+"""Parity suite for the run executor and the pool that runs plans.
 
-Pins the contract of :mod:`repro.runtime.executor`: a plan executed
-across a process pool must return results *bit-identical* to the same
-plan executed serially (common random numbers — every run rebuilds its
-environment from the scenario seed), and the per-timing oracle grid
-cache must never change a run's outcome.  Also pins the one planning
-rule, :func:`~repro.runtime.executor.plan_cells` (one spec per
-scenario, split only for idle workers and never below the lockstep
-width), and covers hand-built scenarios that a worker cannot rebuild
-from their key: they run in-process from the live object, whatever
-``workers`` asks for.
+Pins the contract of :mod:`repro.runtime.executor`: a plan's specs
+share one scenario's outcome grid without changing a run's outcome,
+and a plan executed across the sweep's process pool returns summaries
+*bit-identical* to the same plan executed serially (common random
+numbers — every run rebuilds its environment from the scenario seed).
+Also pins the one planning rule,
+:func:`~repro.runtime.executor.plan_cells` (one spec per scenario,
+split only for idle workers and never below the lockstep width), and
+covers hand-built scenarios: :func:`evaluate_schemes` serves them from
+the live object, never a stock rebuild.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.runtime.executor import (
     plan_cells,
 )
 from repro.runtime.loop import LOCKSTEP_TELEMETRY
+from repro.runtime.sweep import SweepSpec, compile_sweep, run_sweep
 from repro.workloads.scenarios import Scenario, build_scenario
 
 
@@ -46,13 +47,6 @@ def _goals(scenario, objective=ObjectiveKind.MINIMIZE_ENERGY):
     budget = scenario.machine.default_power() * anchor * 0.6
     return [
         Goal(objective=objective, deadline_s=anchor, energy_budget_j=budget),
-    ]
-
-
-def _spec_plan(key, goals, schemes, n_inputs):
-    return [
-        CellSpec(scenario=key, goals=(goal,), schemes=schemes, n_inputs=n_inputs)
-        for goal in goals
     ]
 
 
@@ -81,8 +75,7 @@ def test_cellspec_is_picklable():
 
 def test_scenario_key_roundtrip():
     scenario = build_scenario("CPU2", "sentence", "compute", "trad", seed=77)
-    key = ScenarioKey.for_scenario(scenario)
-    assert key is not None
+    key = ScenarioKey.of(scenario)
     rebuilt = key.build()
     assert rebuilt.name == scenario.name
     assert rebuilt.seed == scenario.seed
@@ -104,18 +97,10 @@ def _tweaked(stock):
     )
 
 
-def test_scenario_key_rejects_customized_stock_platform():
-    """Regression: a tweaked MachineSpec reusing a stock name must not
-    round-trip — a worker would silently rebuild the stock machine."""
-    stock = build_scenario("CPU1", "image", "memory", "standard", seed=3)
-    tweaked = _tweaked(stock)
-    assert ScenarioKey.for_scenario(stock) is not None
-    assert ScenarioKey.for_scenario(tweaked) is None
-    # It still has a name: the stock key it would wrongly rebuild as.
-    assert ScenarioKey.of(tweaked) == ScenarioKey.for_scenario(stock)
-
-
 def test_scenario_key_rejects_unregistered_platform():
+    """A scenario on an unregistered platform still has a key, but the
+    key refuses to rebuild it, and so does a sweep naming that platform:
+    only :func:`evaluate_schemes`, serving the live object, runs it."""
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=3)
     custom = Scenario(
         name=scenario.name,
@@ -125,7 +110,19 @@ def test_scenario_key_rejects_unregistered_platform():
         env=scenario.env,
         seed=scenario.seed,
     )
-    assert ScenarioKey.for_scenario(custom) is None
+    key = ScenarioKey.of(custom)
+    assert key.platform == "CPU1-custom"
+    with pytest.raises(ConfigurationError):
+        key.build()
+    with pytest.raises(ConfigurationError):
+        compile_sweep(SweepSpec(platforms=(key.platform,)))
+    goals = _goals(custom)
+    cell = evaluate_schemes(custom, goals, ("Oracle", "ALERT"), n_inputs=6)
+    stock = evaluate_schemes(scenario, goals, ("Oracle", "ALERT"), n_inputs=6)
+    # Renaming the machine changes nothing it serves.
+    for name in ("Oracle", "ALERT"):
+        for a, b in zip(cell.scheme_runs(name), stock.scheme_runs(name)):
+            _assert_runs_identical(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -140,46 +137,20 @@ def test_scenario_key_rejects_unregistered_platform():
     ],
 )
 def test_parallel_plan_bit_identical_to_serial(platform, task, env, seed):
-    scenario = build_scenario(platform, task, env, "standard", seed=seed)
-    key = ScenarioKey.for_scenario(scenario)
-    assert key is not None
-    schemes = ("ALERT", "Oracle", "OracleStatic", "App-only")
-    plan = _spec_plan(key, _goals(scenario), schemes, n_inputs=15)
-
-    serial = RunExecutor(workers=1).run_plan(plan, scenarios={key: scenario})
-    pooled = RunExecutor(workers=2).run_plan(plan)
-    assert len(serial) == len(pooled) == len(plan)
-    for (runs_a,), (runs_b,) in zip(serial, pooled):
-        for a, b in zip(runs_a, runs_b):
-            _assert_runs_identical(a, b)
-
-
-def test_evaluate_schemes_workers_bit_identical(image_scenario):
-    anchor = image_scenario.anchor_latency_s()
-    budget = image_scenario.machine.default_power() * anchor * 0.6
-    goals = [
-        Goal(
-            objective=ObjectiveKind.MAXIMIZE_ACCURACY,
-            deadline_s=anchor * factor,
-            energy_budget_j=budget * scale,
-        )
-        for factor in (1.0, 1.5)
-        for scale in (0.8, 0.9, 1.0, 1.1, 1.25, 1.5)
-    ]
-    schemes = ("ALERT", "Oracle", "OracleStatic")
-    key = ScenarioKey.for_scenario(image_scenario)
-    # Wide enough that two workers get two lockstep-wide specs.
-    plan = plan_cells([(key, g) for g in goals], schemes, 12, workers=2)
-    assert len(plan) == 2
-    assert all(len(spec.goals) >= LOCKSTEP_MIN_GOALS for spec, _ in plan)
-    one = evaluate_schemes(image_scenario, goals, schemes, n_inputs=12)
-    two = evaluate_schemes(
-        image_scenario, goals, schemes, n_inputs=12, workers=2
+    """A scenario of 24 goals plans two lockstep-wide specs at two
+    workers, so the sweep's pool starts; its summaries equal the
+    serial sweep's, field for field."""
+    spec = SweepSpec(
+        platforms=(platform,), tasks=(task,), envs=(env,),
+        schemes=("ALERT", "Oracle", "OracleStatic", "App-only"),
+        settings_stride=3, n_inputs=15, seeds=(seed,),
     )
-    assert one.goals == two.goals
-    for name in schemes:
-        for a, b in zip(one.scheme_runs(name), two.scheme_runs(name)):
-            _assert_runs_identical(a, b)
+    work = [(unit.scenario, unit.goal) for unit in compile_sweep(spec)]
+    assert len(plan_cells(work, spec.schemes, 15, workers=2)) == 2
+    serial = run_sweep(spec, workers=1)
+    pooled = run_sweep(spec, workers=2)
+    assert pooled.grid_store_stats is not None  # the pool really ran
+    assert pooled.cells == serial.cells
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +207,8 @@ def test_plan_cells_groups_by_scenario(n_scenarios, n_goals, workers, widths):
 
 def test_executor_rejects_bad_configuration():
     with pytest.raises(ConfigurationError):
-        RunExecutor(workers=0)
-    assert RunExecutor(workers=1).run_plan([]) == []
+        run_sweep(SweepSpec(), workers=0)
+    assert RunExecutor().run_plan([]) == []
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +217,15 @@ def test_executor_rejects_bad_configuration():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("wide", [False, True])
 def test_hand_built_scenario_matches_reference(workers, wide, reference_cell):
-    """A scenario its key cannot rebuild ≡ the sequential reference at
-    any ``workers``; a wide cell still takes the lockstep path."""
+    """A customized machine that keeps its stock name ≡ the sequential
+    reference, served from the live object both by
+    :func:`evaluate_schemes` and by a plan split for ``workers``
+    workers (its key names the stock scenario, so a rebuild would lose
+    the tweak); a wide cell still takes the lockstep path."""
     stock = build_scenario("CPU1", "image", "memory", "standard", seed=3)
     tweaked = _tweaked(stock)
-    assert ScenarioKey.for_scenario(tweaked) is None
+    key = ScenarioKey.of(tweaked)
+    assert key == ScenarioKey.of(stock)
     anchor = tweaked.anchor_latency_s()
     goals = [
         Goal(
@@ -259,24 +234,32 @@ def test_hand_built_scenario_matches_reference(workers, wide, reference_cell):
             accuracy_min=floor,
         )
         for factor in (1.0, 1.5)
-        for floor in (0.85, 0.9, 0.95)
+        for floor in (0.8, 0.83, 0.85, 0.88, 0.9, 0.95)
     ]
     if not wide:
-        goals = goals[::3]
+        goals = goals[::6]
     assert (len(goals) >= LOCKSTEP_MIN_GOALS) is wide
     schemes = ("ALERT", "Oracle", "OracleStatic", "No-coord")
+    plan = plan_cells([(key, goal) for goal in goals], schemes, 10, workers)
+    # Only a wide cell splits, into specs still wide enough to lockstep.
+    assert len(plan) == (workers if wide else 1)
     LOCKSTEP_TELEMETRY.reset()
-    cell = evaluate_schemes(
-        tweaked, goals, schemes, n_inputs=10, workers=workers
+    cell = evaluate_schemes(tweaked, goals, schemes, n_inputs=10)
+    split = RunExecutor().run_plan(
+        [spec for spec, _ in plan], scenarios={key: tweaked}
     )
-    # The cell ran in this process (the telemetry is process-global).
+    # Both ran in this process (the telemetry is process-global).
     lockstep_runs = LOCKSTEP_TELEMETRY.snapshot()["lockstep_runs"]
     assert (lockstep_runs > 0) is wide
     reference = reference_cell(tweaked, goals, schemes, 10)
     for name in schemes:
         for a, b in zip(cell.scheme_runs(name), reference.scheme_runs(name)):
             _assert_runs_identical(a, b)
-    # The tweak shows: a worker-side stock rebuild could not pass.
+    for (_spec, positions), per_goal in zip(plan, split):
+        for position, goal_runs in zip(positions, per_goal):
+            for name, run in zip(schemes, goal_runs):
+                _assert_runs_identical(run, reference.scheme_runs(name)[position])
+    # The tweak shows: serving a stock rebuild could not pass.
     stock_cell = evaluate_schemes(stock, goals, schemes, n_inputs=10)
     assert any(
         a.records != b.records

@@ -209,6 +209,83 @@ def test_table5_scenario_cell_matches_per_objective_cells():
     _assert_objective_cells_match(list(result.cells.values()), reference)
 
 
+def test_table4_regroups_every_scenario_in_order():
+    """A table over CPU1 and GPU, image and sentence, two environments
+    renders every (scenario, objective) cell from one sweep's summaries
+    exactly as evaluating each objective alone; the cells come in
+    platform, task, environment, objective order, and GPU × sentence
+    is skipped."""
+    objectives = ("min_energy", "min_error")
+    envs = ("default", "memory")
+    result = table4_overall.run(
+        platforms=("CPU1", "GPU"), tasks=("image", "sentence"), envs=envs,
+        objectives=objectives, settings_stride=9, n_inputs=8, seed=13,
+    )
+    scenarios = [
+        (platform, task, env)
+        for platform in ("CPU1", "GPU")
+        for task in ("image", "sentence")
+        for env in envs
+        if not (platform == "GPU" and task == "sentence")
+    ]
+    assert [astuple(key) for key in result.cells] == [
+        (*scenario, objective)
+        for scenario in scenarios
+        for objective in objectives
+    ]
+    cells = list(result.cells.values())
+    for index, scenario in enumerate(scenarios):
+        reference = _per_objective_cells(
+            build_scenario(*scenario, "standard", 13),
+            table4_overall.DEFAULT_SCHEMES, objectives, 9, 8,
+        )
+        _assert_objective_cells_match(
+            cells[2 * index:2 * index + 2], reference
+        )
+
+
+def test_table5_pooled_equals_serial():
+    """Two scenarios plan two specs, so two workers run a pool; the
+    pooled table equals the serial one in every field."""
+    settings = dict(
+        envs=("default", "compute"), settings_stride=9, n_inputs=8, seed=12
+    )
+    serial = table5_dnn_sets.run(workers=1, **settings)
+    pooled = table5_dnn_sets.run(workers=2, **settings)
+    assert list(pooled.cells) == list(serial.cells)
+    assert [_cell_values(cell) for cell in pooled.cells.values()] == [
+        _cell_values(cell) for cell in serial.cells.values()
+    ]
+
+
+def test_fig08_whiskers_match_evaluated_runs():
+    """Whiskers read from the sweep's summaries equal those of every
+    environment's runs evaluated directly."""
+    envs = ("default", "memory")
+    result = fig08_oracle_comparison.run(
+        envs=envs, settings_stride=6, n_inputs=12, seed=21
+    )
+    expected = []
+    for env in envs:
+        scenario = build_scenario("CPU1", "image", env, "standard", 21)
+        goals = stride_settings(constraint_grid(scenario).min_energy_goals, 6)
+        cell = evaluate_schemes(
+            scenario, goals, fig08_oracle_comparison.SCHEMES, n_inputs=12
+        )
+        for scheme in fig08_oracle_comparison.SCHEMES:
+            energies = [run.mean_energy_j for run in cell.scheme_runs(scheme)]
+            expected.append(
+                fig08_oracle_comparison.Whisker(
+                    scheme=scheme,
+                    env=env,
+                    mean_j=float(np.mean(energies)),
+                    min_j=float(np.min(energies)),
+                    max_j=float(np.max(energies)),
+                )
+            )
+    assert result.whiskers == expected
+
+
 def test_fig08_whiskers():
     result = fig08_oracle_comparison.run(
         envs=("default",), settings_stride=8, n_inputs=40

@@ -86,7 +86,12 @@ from repro.runtime.loop import (
 )
 from repro.runtime.results import RunResult
 from repro.runtime.scheduler import AlertScheduler
-from repro.runtime.sweep import CellSummary
+from repro.runtime.sweep import (
+    SweepSpec,
+    compile_sweep,
+    run_sweep,
+    summarize_cell,
+)
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.traces import RequirementChange, RequirementTrace
 
@@ -1109,11 +1114,14 @@ def test_lockstep_lanes_advance_their_clocks(platform, task, env, seed):
         ("CPU1", "sentence", "compute", 29, False),
     ],
 )
-def test_lane_arrays_match_records(platform, task, env, seed, viewed):
+def test_lane_arrays_match_records(
+    platform, task, env, seed, viewed, assert_own_aggregates
+):
     """The batch path's contract, for lanes: every lane run comes back
     as RunArrays plus deferred records, the arrays equal the
-    materialized records field by field, and ``CellSummary.from_run``
-    is bit-identical either way."""
+    materialized records field by field, and the stacked summary of
+    every lane's runs is bit-identical either way and equals each
+    run's own aggregates."""
     scenario = build_scenario(platform, task, env, "standard", seed=seed)
     goals = tuple(_grid_goals(scenario, ObjectiveKind.MAXIMIZE_ACCURACY))
     n_inputs = 12
@@ -1123,11 +1131,16 @@ def test_lane_arrays_match_records(platform, task, env, seed, viewed):
     if viewed:
         views = _trusted_views(scenario, goals, n_inputs, engine, stream)
     lanes = _lanes(scenario, goals, SCHEMES, n_inputs, engine, stream, views)
-    for lane_runs in CrossSchemeLockstepLoop(lanes).run(n_inputs):
-        for run in lane_runs:
+    fused = CrossSchemeLockstepLoop(lanes).run(n_inputs)
+    # Goal-major, as a spec's results are.
+    per_goal = [list(goal_runs) for goal_runs in zip(*fused)]
+    summaries = summarize_cell(SCHEMES, per_goal)
+    record_backed = []
+    for goal_runs, cell in zip(per_goal, summaries):
+        record_backed.append([])
+        for run, summary in zip(goal_runs, cell):
             arrays = run.arrays
             assert arrays is not None
-            summary = CellSummary.from_run(run)
             assert run._records is None  # summarising reads the arrays
             records = run.records
             assert len(records) == n_inputs
@@ -1144,8 +1157,11 @@ def test_lane_arrays_match_records(platform, task, env, seed, viewed):
                 arrays.latency_violation,
                 [record.latency_violation for record in records],
             )
-            record_backed = RunResult(run.scheduler_name, run.goal, records)
-            assert CellSummary.from_run(record_backed) == summary
+            assert_own_aggregates(summary, run)
+            record_backed[-1].append(
+                RunResult(run.scheduler_name, run.goal, records)
+            )
+    assert summarize_cell(SCHEMES, record_backed) == summaries
 
 
 def test_lockstep_loop_rejects_empty_and_mixed_streams():
@@ -1192,7 +1208,7 @@ def test_wide_cell_matches_one_goal_cells():
     scenario = key.build()
     goals = tuple(_grid_goals(scenario, ObjectiveKind.MAXIMIZE_ACCURACY))
     assert len(goals) >= LOCKSTEP_MIN_GOALS
-    executor = RunExecutor(workers=1)
+    executor = RunExecutor()
     (wide,) = executor.run_plan(
         [CellSpec(scenario=key, goals=goals, schemes=SCHEMES, n_inputs=10)]
     )
@@ -1212,49 +1228,65 @@ def test_wide_cell_matches_one_goal_cells():
             assert a.records == b.records
 
 
-def test_pooled_split_matches_serial_wide_cell():
+def test_split_plan_matches_serial_wide_cell():
     """Serial evaluation serves all twelve goals as one lockstep cell;
-    pooled evaluation splits them into two contiguous six-goal specs,
-    each still wide enough to lockstep, run by two workers.  Both paths
-    return identical runs."""
+    a two-worker plan splits them into two contiguous six-goal specs,
+    each still wide enough to lockstep.  Both return identical runs."""
     scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
     goals = _grid_goals(scenario, ObjectiveKind.MINIMIZE_ENERGY) + _grid_goals(
         scenario, ObjectiveKind.MAXIMIZE_ACCURACY
     )
-    key = ScenarioKey.for_scenario(scenario)
+    key = ScenarioKey.of(scenario)
     plan = plan_cells([(key, g) for g in goals], SCHEMES, 10, workers=2)
     assert [len(spec.goals) for spec, _ in plan] == [LOCKSTEP_MIN_GOALS] * 2
     serial = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10)
-    pooled = evaluate_schemes(scenario, goals, SCHEMES, n_inputs=10, workers=2)
-    for name in SCHEMES:
-        for a, b in zip(serial.scheme_runs(name), pooled.scheme_runs(name)):
-            assert a.records == b.records, name
+    split = RunExecutor().run_plan(
+        [spec for spec, _ in plan], scenarios={key: scenario}
+    )
+    for (_spec, positions), per_goal in zip(plan, split):
+        for position, goal_runs in zip(positions, per_goal):
+            for name, run in zip(SCHEMES, goal_runs):
+                assert run.records == serial.scheme_runs(name)[position].records
+
+
+def test_pooled_split_matches_serial_wide_cell():
+    """The same split across the sweep's pool: serial evaluation serves
+    the scenario's twelve goals as one lockstep cell, two workers run
+    two six-goal specs, and the pooled summaries equal the serial
+    cell's runs summarised."""
+    spec = SweepSpec(
+        platforms=("CPU1",), tasks=("image",), envs=("default",),
+        schemes=SCHEMES, settings_stride=6, n_inputs=10, seeds=(5,),
+    )
+    units = compile_sweep(spec)
+    work = [(unit.scenario, unit.goal) for unit in units]
+    plan = plan_cells(work, SCHEMES, 10, workers=2)
+    assert [len(cell.goals) for cell, _ in plan] == [LOCKSTEP_MIN_GOALS] * 2
+    goals = [unit.goal for unit in units]
+    serial = evaluate_schemes(units[0].scenario.build(), goals, SCHEMES, 10)
+    pooled = run_sweep(spec, workers=2)
+    assert pooled.grid_store_stats is not None  # the pool really ran
+    per_goal = [
+        [serial.scheme_runs(name)[position] for name in SCHEMES]
+        for position in range(len(goals))
+    ]
+    assert pooled.cells == summarize_cell(SCHEMES, per_goal)
 
 
 # ----------------------------------------------------------------------
 # Pool ≡ serial
 # ----------------------------------------------------------------------
 def test_wide_cell_pool_matches_serial():
-    key = ScenarioKey("CPU1", "image", "default", "standard", 7)
-    scenario = key.build()
-    plan = [
-        CellSpec(
-            scenario=key,
-            goals=tuple(_grid_goals(scenario, objective)),
-            schemes=SCHEMES,
-            n_inputs=10,
-        )
-        for objective in (
-            ObjectiveKind.MINIMIZE_ENERGY,
-            ObjectiveKind.MAXIMIZE_ACCURACY,
-        )
-    ]
-    serial = RunExecutor(workers=1).run_plan(plan)
-    pooled = RunExecutor(workers=2).run_plan(plan)
-    for cell_a, cell_b in zip(serial, pooled):
-        for runs_a, runs_b in zip(cell_a, cell_b):
-            for ra, rb in zip(runs_a, runs_b):
-                assert ra == rb
+    """Both objectives of one scenario, every scheme: two 12-goal specs
+    at two workers, whose pooled summaries equal the serial ones."""
+    spec = SweepSpec(
+        platforms=("CPU1",), tasks=("image",), envs=("default",),
+        schemes=SCHEMES, settings_stride=3, n_inputs=10, seeds=(7,),
+    )
+    serial = run_sweep(spec, workers=1)
+    pooled = run_sweep(spec, workers=2)
+    assert pooled.grid_store_stats is not None  # the pool really ran
+    assert pooled.cells == serial.cells
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.runtime.executor import (
     _GRID_CACHE_CAPACITY,
     _SCENARIO_CACHE_CAPACITY,
     LOCKSTEP_MIN_GOALS,
+    CellSpec,
     ScenarioKey,
     _WorkerState,
     plan_cells,
@@ -54,7 +55,7 @@ from repro.runtime.executor import (
     timing_grid,
 )
 from repro.runtime.grid_store import SharedGridStore
-from repro.runtime.results import RunResult
+from repro.runtime.results import RunArrays, RunResult
 from repro.runtime.sweep import (
     CellSummary,
     SweepSpec,
@@ -63,7 +64,7 @@ from repro.runtime.sweep import (
     run_sweep,
     summarize_cell,
 )
-from repro.workloads.scenarios import build_scenario
+from repro.workloads.scenarios import build_scenario, constraint_grid
 
 #: A small but representative sweep: one scenario, mixed objectives,
 #: feedback-free and feedback-driven schemes, goals sharing timings.
@@ -201,10 +202,13 @@ def test_sweep_matches_evaluate_schemes():
         SPEC.schemes,
         n_inputs=SPEC.n_inputs,
     )
-    for position in range(len(result.units)):
-        runs = [reference.scheme_runs(name)[position] for name in SPEC.schemes]
-        assert result.cells[position] == summarize_cell(SPEC.schemes, runs)
-        for name, summary, run in zip(SPEC.schemes, result.cells[position], runs):
+    per_goal = [
+        [reference.scheme_runs(name)[position] for name in SPEC.schemes]
+        for position in range(len(result.units))
+    ]
+    assert result.cells == summarize_cell(SPEC.schemes, per_goal)
+    for cell, runs in zip(result.cells, per_goal):
+        for name, summary, run in zip(SPEC.schemes, cell, runs):
             # The streamed summary is the run's own aggregate.
             assert summary.scheme == name
             assert summary.violation_fraction == run.violation_fraction
@@ -312,8 +316,9 @@ def wide_reference():
     state = _WorkerState()
     one_goal = []
     for unit in units:
-        (runs,) = state.execute(unit.cell_spec())
-        one_goal.append(summarize_cell(unit.schemes, runs))
+        one_goal.extend(
+            summarize_cell(unit.schemes, state.execute(unit.cell_spec()))
+        )
     return one_goal, run_sweep(WIDE_SPEC, workers=1)
 
 
@@ -520,36 +525,110 @@ def test_resume_off_reruns_everything(tmp_path):
     assert rerun.executed == len(rerun.units)
 
 
-def test_summary_single_pass_matches_run_properties(memory_scenario):
-    # CellSummary.from_run aggregates in one pass over the records; it
-    # must reproduce the RunResult property values bit for bit.
-    goal, _grid = _realized_grid(memory_scenario)
-    state = _WorkerState()
-    key = ScenarioKey.for_scenario(memory_scenario)
-    from repro.runtime.executor import CellSpec
-
-    (runs,) = state.execute(
-        CellSpec(
-            scenario=key,
-            goals=(goal,),
-            schemes=("OracleStatic", "ALERT"),
-            n_inputs=24,
+def test_summary_single_pass_matches_run_properties(
+    memory_scenario, assert_own_aggregates
+):
+    """One spec's runs are summarised as stacked arrays; each summary
+    must still equal its own run's aggregates bit for bit.  The spec
+    mixes a batch-path run (OracleStatic), a lockstep-lane run (ALERT)
+    and a records-only sequential copy of the lane run, at lengths that
+    cross the pairwise-summation block edges."""
+    goals = constraint_grid(memory_scenario).min_energy_goals[::6]
+    assert len(goals) >= LOCKSTEP_MIN_GOALS
+    key = ScenarioKey.of(memory_scenario)
+    schemes = ("OracleStatic", "ALERT")
+    for n_inputs in (1, 9, 129):
+        per_goal = _WorkerState({key: memory_scenario}).execute(
+            CellSpec(
+                scenario=key, goals=goals, schemes=schemes, n_inputs=n_inputs
+            )
         )
+        results = [
+            [batch, lane, RunResult(lane.scheduler_name, lane.goal, lane.records)]
+            for batch, lane in per_goal
+        ]
+        for batch, lane, _copy in results:
+            # Only the batch path and lanes return arrays: ALERT ran as
+            # a lane, OracleStatic on the batch path.
+            assert batch.arrays is not None and lane.arrays is not None
+        cells = summarize_cell(("OracleStatic", "ALERT", "ALERT"), results)
+        assert len(cells) == len(goals)
+        for cell, runs in zip(cells, results):
+            assert cell[1] == cell[2]
+            for summary, run in zip(cell, runs):
+                assert_own_aggregates(summary, run)
+                assert summary.normalized_score == (
+                    run.objective_value / runs[0].objective_value
+                )
+
+
+@pytest.mark.parametrize("n_inputs", [1, 8, 9, 127, 128, 129])
+def test_stacked_summary_equals_per_run_numpy(n_inputs):
+    """Stacked row reductions equal each run's own ``np.mean`` and
+    ``np.percentile`` bit for bit on random float and bool series, at
+    lengths either side of NumPy's pairwise-summation block edges (8
+    and 128).  Real runs repeat few distinct values; random ones give
+    a rounding difference nowhere to hide."""
+    rng = np.random.default_rng(n_inputs)
+    schemes = ("OracleStatic", "ALERT", "Oracle")
+    goals = (
+        Goal(
+            objective=ObjectiveKind.MINIMIZE_ENERGY,
+            deadline_s=0.1,
+            accuracy_min=0.9,
+        ),
+        Goal(
+            objective=ObjectiveKind.MAXIMIZE_ACCURACY,
+            deadline_s=0.1,
+            energy_budget_j=1.0,
+        ),
     )
-    for run in runs:
-        summary = CellSummary.from_run(run)
-        latencies = run.series("latency_s")
-        assert summary.n_inputs == run.n_inputs
-        assert summary.violation_fraction == run.violation_fraction
-        assert summary.deadline_miss_fraction == run.deadline_miss_fraction
-        assert summary.mean_quality == run.mean_quality
-        assert summary.mean_error == run.mean_error
-        assert summary.mean_energy_j == run.mean_energy_j
-        assert summary.mean_latency_s == run.mean_latency_s
-        assert summary.p50_latency_s == float(np.percentile(latencies, 50.0))
-        assert summary.p99_latency_s == float(np.percentile(latencies, 99.0))
-        assert summary.objective_value == run.objective_value
-        assert summary.setting_violated == run.setting_violated
+
+    def materialize():
+        raise AssertionError("summarising must not build records")
+
+    results = [
+        [
+            RunResult(
+                name,
+                goal,
+                arrays=RunArrays(
+                    latency_s=rng.gamma(2.0, 0.05, n_inputs),
+                    quality=rng.uniform(0.7, 1.0, n_inputs),
+                    energy_j=rng.gamma(3.0, 0.3, n_inputs),
+                    metric_value=rng.uniform(0.0, 1.0, n_inputs),
+                    violated=rng.random(n_inputs) < 0.3,
+                    latency_violation=rng.random(n_inputs) < 0.2,
+                ),
+                materialize=materialize,
+            )
+            for name in schemes
+        ]
+        for goal in goals
+    ]
+    cells = summarize_cell(schemes, results)
+    assert len(cells) == len(goals)
+    for cell, runs in zip(cells, results):
+        for summary, run in zip(cell, runs):
+            arrays = run.arrays
+            latency = arrays.latency_s
+            assert summary.scheme == run.scheduler_name
+            assert summary.n_inputs == n_inputs
+            assert summary.mean_latency_s == float(np.mean(latency))
+            assert summary.p50_latency_s == float(np.percentile(latency, 50.0))
+            assert summary.p99_latency_s == float(np.percentile(latency, 99.0))
+            assert summary.mean_quality == float(np.mean(arrays.quality))
+            assert summary.mean_error == run.mean_error
+            assert summary.mean_energy_j == float(np.mean(arrays.energy_j))
+            assert summary.violation_fraction == float(np.mean(arrays.violated))
+            assert summary.deadline_miss_fraction == float(
+                np.mean(arrays.latency_violation)
+            )
+            assert summary.objective_value == run.objective_value
+            assert summary.setting_violated == run.setting_violated
+            assert summary.normalized_score == (
+                run.objective_value / runs[0].objective_value
+            )
 
 
 def test_batch_run_defers_records_and_arrays_match(memory_scenario):
@@ -559,8 +638,7 @@ def test_batch_run_defers_records_and_arrays_match(memory_scenario):
     # exactly the array values.
     goal, _grid = _realized_grid(memory_scenario)
     state = _WorkerState()
-    key = ScenarioKey.for_scenario(memory_scenario)
-    from repro.runtime.executor import CellSpec
+    key = ScenarioKey.of(memory_scenario)
 
     ((run,),) = state.execute(
         CellSpec(
@@ -570,7 +648,7 @@ def test_batch_run_defers_records_and_arrays_match(memory_scenario):
     arrays = run.arrays
     assert arrays is not None
     assert run._records is None
-    summary = CellSummary.from_run(run)
+    ((summary,),) = summarize_cell(("OracleStatic",), [[run]])
     assert run._records is None  # summarising reads the arrays only
     records = run.records
     assert run._records is records
@@ -592,31 +670,7 @@ def test_batch_run_defers_records_and_arrays_match(memory_scenario):
     # A record-backed result over the materialized records summarises
     # to the same cell, closing the arrays == records loop.
     record_backed = RunResult(run.scheduler_name, run.goal, records)
-    assert CellSummary.from_run(record_backed) == summary
-
-
-def test_deferred_run_pickles_with_records(memory_scenario):
-    # The materializer is a local closure; pickling materializes the
-    # records first so the receiver sees a complete, equal result.
-    import pickle
-
-    goal, _grid = _realized_grid(memory_scenario)
-    state = _WorkerState()
-    key = ScenarioKey.for_scenario(memory_scenario)
-    from repro.runtime.executor import CellSpec
-
-    ((run,),) = state.execute(
-        CellSpec(
-            scenario=key, goals=(goal,), schemes=("OracleStatic",), n_inputs=12
-        )
-    )
-    assert run._records is None
-    clone = pickle.loads(pickle.dumps(run))
-    assert run._records is not None  # pickling forced the build
-    assert clone.n_inputs == run.n_inputs
-    assert clone.records == run.records
-    assert np.array_equal(clone.arrays.latency_s, run.arrays.latency_s)
-    assert CellSummary.from_run(clone) == CellSummary.from_run(run)
+    assert summarize_cell(("OracleStatic",), [[record_backed]]) == [(summary,)]
 
 
 def test_summary_json_round_trip():
@@ -702,7 +756,7 @@ def test_adopted_grid_arrays_are_read_only(memory_scenario):
 
 def test_store_round_trip_is_read_only_and_exact(memory_scenario):
     _goal, grid = _realized_grid(memory_scenario)
-    key = ScenarioKey.for_scenario(memory_scenario)
+    key = ScenarioKey.of(memory_scenario)
     space = memory_scenario.space()
     store_key = (key, 6, structural_space_fingerprint(space))
     with SharedGridStore() as store:
@@ -743,7 +797,7 @@ def test_layout_matches_payload_of_realized_grid(memory_scenario):
 
 def test_zero_copy_publish_is_bit_identical(memory_scenario):
     _goal, plain = _realized_grid(memory_scenario)
-    key = ScenarioKey.for_scenario(memory_scenario)
+    key = ScenarioKey.of(memory_scenario)
     space = memory_scenario.space()
     store_key = (key, 6, structural_space_fingerprint(space))
     seen_allocators = []
@@ -772,7 +826,7 @@ def test_zero_copy_publish_is_bit_identical(memory_scenario):
 
 def test_preallocated_segments_are_claimed_and_reclaimed(memory_scenario):
     _goal, plain = _realized_grid(memory_scenario)
-    key = ScenarioKey.for_scenario(memory_scenario)
+    key = ScenarioKey.of(memory_scenario)
     space = memory_scenario.space()
     store_key = (key, 6, structural_space_fingerprint(space))
     _fields, nbytes = shared_grid_layout(len(space), 6)
@@ -823,7 +877,7 @@ def test_zero_copy_publish_degrades_when_realize_rejects_allocator():
 
 
 def test_worker_state_serves_default_space_from_store(memory_scenario):
-    key = ScenarioKey.for_scenario(memory_scenario)
+    key = ScenarioKey.of(memory_scenario)
     with SharedGridStore() as store:
         publisher = _WorkerState(grid_store=store.client())
         first = publisher.grid(key, 6)
