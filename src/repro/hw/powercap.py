@@ -28,9 +28,15 @@ __all__ = ["PowerActuator", "RaplPowerActuator", "GpuPowerTable", "make_actuator
 class PowerActuator(abc.ABC):
     """Abstract power-capping interface.
 
-    Implementations expose the *requested* cap and the *effective* cap
-    actually enforced — these differ on GPUs, where the cap snaps to
-    the nearest entry of the power-frequency table.
+    A request is first clamped into the machine's feasible range; the
+    platform then enforces a cap of its own for it — the clamped
+    request itself through RAPL, the highest table draw at or below it
+    on a GPU.  :meth:`enforced_cap` answers that mapping as a pure
+    query and :meth:`set_power_cap` enforces through the same mapping,
+    so the engine's pure outcomes, its outcome grids and the offline
+    profile are computed at exactly the cap a metered run enforces.
+    Subclasses define the mapping (``_enforced``) and its side effect
+    on the platform (``_apply``).
     """
 
     def __init__(self, machine: MachineSpec) -> None:
@@ -38,8 +44,19 @@ class PowerActuator(abc.ABC):
         self._requested_w = machine.default_power()
 
     @abc.abstractmethod
-    def _apply(self, power_w: float) -> float:
-        """Enforce the cap on the platform; return the effective cap."""
+    def _enforced(self, clamped_w: float) -> float:
+        """The cap the platform enforces for a machine-clamped request."""
+
+    @abc.abstractmethod
+    def _apply(self, enforced_w: float) -> None:
+        """Put a cap returned by ``_enforced`` into effect."""
+
+    def enforced_cap(self, power_w: float) -> float:
+        """The cap ``set_power_cap(power_w)`` would enforce, without
+        actuating anything."""
+        if power_w <= 0:
+            raise PowerCapError(f"power cap must be positive, got {power_w} W")
+        return self._enforced(self.machine.clamp_power(power_w))
 
     def set_power_cap(self, power_w: float) -> float:
         """Request a power cap; returns the effective cap enforced."""
@@ -47,7 +64,9 @@ class PowerActuator(abc.ABC):
             raise PowerCapError(f"power cap must be positive, got {power_w} W")
         clamped = self.machine.clamp_power(power_w)
         self._requested_w = clamped
-        return self._apply(clamped)
+        enforced = self._enforced(clamped)
+        self._apply(enforced)
+        return enforced
 
     @property
     def requested_cap_w(self) -> float:
@@ -68,9 +87,11 @@ class RaplPowerActuator(PowerActuator):
         self.package = package if package is not None else RaplPackage()
         self._apply(machine.default_power())
 
-    def _apply(self, power_w: float) -> float:
-        self.package.set_power_limit_w(power_w)
-        return power_w
+    def _enforced(self, clamped_w: float) -> float:
+        return clamped_w
+
+    def _apply(self, enforced_w: float) -> None:
+        self.package.set_power_limit_w(enforced_w)
 
     @property
     def effective_cap_w(self) -> float:
@@ -91,7 +112,10 @@ class GpuPowerTable(PowerActuator):
     PyNVML only exposes frequency control, so the paper's GPU port
     measures the power drawn at each supported frequency once and then
     inverts that table at run time: given a desired power cap, pick the
-    highest frequency whose measured draw stays under the cap.
+    highest frequency whose measured draw stays under the cap.  The
+    enforced cap is that frequency's draw (the lowest row's when no
+    draw fits), so the paper's 5 W lattice of requests (105-225 W)
+    maps onto the table's eight draws from 102.4 to 215.0 W.
     """
 
     def __init__(
@@ -109,6 +133,7 @@ class GpuPowerTable(PowerActuator):
             )
         self._dvfs = dvfs if dvfs is not None else DvfsModel(machine)
         self._table = self._build_table(base_mhz, max_mhz, step_mhz)
+        self._draws = [step.power_w for step in self._table]
         self._current = self._table[-1]
 
     def _build_table(
@@ -127,12 +152,16 @@ class GpuPowerTable(PowerActuator):
             mhz += step_mhz
         return steps
 
-    def _apply(self, power_w: float) -> float:
-        draws = [step.power_w for step in self._table]
-        index = bisect.bisect_right(draws, power_w) - 1
-        index = max(0, index)
-        self._current = self._table[index]
-        return self._current.power_w
+    def _row(self, clamped_w: float) -> int:
+        """The table row enforced for a request: the highest draw at or
+        below it, else the lowest row."""
+        return max(0, bisect.bisect_right(self._draws, clamped_w) - 1)
+
+    def _enforced(self, clamped_w: float) -> float:
+        return self._draws[self._row(clamped_w)]
+
+    def _apply(self, enforced_w: float) -> None:
+        self._current = self._table[self._row(enforced_w)]
 
     @property
     def effective_cap_w(self) -> float:

@@ -23,7 +23,10 @@ Two properties matter for the evaluation:
    every configuration.
 2. *Purity*: :meth:`InferenceEngine.evaluate` has no side effects, so
    schedulers and oracles can probe outcomes; only :meth:`run` advances
-   the RAPL counters and the measured-energy account.
+   the RAPL counters and the measured-energy account.  Both compute at
+   the cap the actuator enforces for a request (on the GPU, a row of
+   its power-frequency table), so a probe predicts exactly what a
+   metered run serves.
 
 Whole (configuration × input) tables are characterised once and read
 per query: :meth:`InferenceEngine.evaluate_batch` realises the
@@ -150,9 +153,12 @@ class BatchOutcomeGrid:
     served under: run-to-completion latency and idle draw are 2-D
     ``(n_configs, n_inputs)`` arrays with rows aligned to ``configs``
     and columns to ``indices``; per-configuration quantities
-    (``power_cap_w``, ``inference_power_w``) are 1-D over
-    configurations and per-input quantities (``env_factor``,
-    ``work_factors``) 1-D over inputs.  :meth:`timing` derives the rest
+    (``power_cap_w``, ``effective_cap_w``, ``inference_power_w``) are
+    1-D over configurations and per-input quantities (``env_factor``,
+    ``work_factors``) 1-D over inputs.  A row's ``power_cap_w`` is its
+    configuration's machine-clamped request, which keys the row, and
+    ``effective_cap_w`` the cap the actuator enforces for it, at which
+    the row's physics was computed.  :meth:`timing` derives the rest
     (latency, met deadline, quality, rungs, the energy split) for any
     deadline and period, so one grid serves every timing of a
     scenario.  Produced by :meth:`InferenceEngine.evaluate_batch`,
@@ -164,6 +170,7 @@ class BatchOutcomeGrid:
     work_factors: np.ndarray
     env_factor: np.ndarray
     power_cap_w: np.ndarray
+    effective_cap_w: np.ndarray
     inference_power_w: np.ndarray
     idle_power_w: np.ndarray
     full_latency_s: np.ndarray
@@ -474,21 +481,23 @@ class GridView:
     Answers the questions every consumer asks.  *May this grid column
     serve this input?* — :meth:`column` for one input and
     :meth:`columns` for a whole run.  *Which row realises this
-    decision?* — :meth:`row_for`, keyed on the model identity, the cap
-    the actuator enforced, and the rung cap, so schedulers handing out
-    their own :class:`Configuration` objects (ALERT's candidates are
-    not the grid's row objects) still resolve.  *What happened at this
-    timing?* — the grid is timing-free, so every consumer derives the
-    deadline and period it actually serves: :meth:`planes` for the
-    whole grid (derived once per view and timing, for the batch path
-    and the oracles' whole-run decisions), :meth:`outcome` for one
+    decision?* — :meth:`row_for`, keyed on the model identity, the
+    machine-clamped requested cap, and the rung cap, so schedulers
+    handing out their own :class:`Configuration` objects (ALERT's
+    candidates are not the grid's row objects) still resolve, on every
+    platform: each row's physics is already at the cap the actuator
+    enforces for that request.  *What happened at this timing?* — the
+    grid is timing-free, so every consumer derives the deadline and
+    period it actually serves: :meth:`planes` for the whole grid
+    (derived once per view and timing, for the batch path and the
+    oracles' whole-run decisions), :meth:`outcome` for one
     :class:`InferenceOutcome`, value-identical to what
-    :meth:`InferenceEngine.run` would have computed for the same
-    enforced cap, and :meth:`BatchOutcomeGrid.timing` for row groups
-    and single columns.  One view serves every run and every timing
-    of a fused cell; any miss (unknown configuration, off-grid input,
-    mismatched work factor or environment draw) returns ``None`` and
-    the caller falls back to the live engine.
+    :meth:`InferenceEngine.run` computes for the same request, and
+    :meth:`BatchOutcomeGrid.timing` for row groups and single columns.
+    One view serves every run and every timing of a fused cell; any
+    miss (unknown configuration, off-grid input, mismatched work
+    factor or environment draw) returns ``None`` and the caller falls
+    back to the live engine.
 
     ``trusted`` is a provenance flag: True promises the grid was
     realised from the same scenario seed as the engines it serves (the
@@ -516,14 +525,15 @@ class GridView:
         return planes
 
     def row_for(
-        self, model, effective_cap_w: float, rung_cap: int | None
+        self, model, power_cap_w: float, rung_cap: int | None
     ) -> int | None:
-        """Grid row realising ``model`` at the enforced cap, or None.
+        """Grid row realising ``model`` at a requested cap, or None.
 
-        Rows are keyed on the cap the grid evaluation actually used
-        (machine-clamped), so a decision only resolves when the
-        actuator's *effective* cap equals a row's cap — on quantizing
-        actuators a mismatch simply falls back to the live engine.
+        Rows are keyed on their configuration's machine-clamped
+        requested cap (``BatchOutcomeGrid.power_cap_w``), so callers
+        look a decision up by ``machine.clamp_power(config.power_w)``;
+        the row's physics is at the cap the actuator enforces for that
+        request, whatever the actuator quantizes.
         """
         rows = self._rows
         if rows is None:
@@ -553,7 +563,7 @@ class GridView:
                             position,
                         )
             self._rows = rows
-        return rows.get((id(model), effective_cap_w, rung_cap))
+        return rows.get((id(model), power_cap_w, rung_cap))
 
     def column(self, engine: InferenceEngine, item: InputItem) -> int | None:
         """Grid column that may serve ``item`` on ``engine``, or None.
@@ -606,18 +616,18 @@ class GridView:
         row: int,
         position: int,
         index: int,
-        power_cap_w: float,
         deadline_s: float,
         period_s: float,
     ) -> InferenceOutcome:
         """One :class:`InferenceOutcome` derived from the grid.
 
-        ``power_cap_w`` is the machine-clamped *requested* cap the
-        record reports (feedback stays keyed on what the scheduler
-        picked); the row's own cap is the enforced one.  Records are
-        assembled by direct ``__dict__`` fill — this sits on the
-        sequential path's per-input hot loop, and the frozen dataclass
-        ``__init__`` would dominate it.
+        The record reports the row's labels as :meth:`InferenceEngine.run`
+        does: ``power_cap_w`` the machine-clamped *requested* cap
+        (feedback stays keyed on what the scheduler picked) and
+        ``effective_cap_w`` the enforced one.  Records are assembled by
+        direct ``__dict__`` fill — this sits on the sequential path's
+        per-input hot loop, and the frozen dataclass ``__init__`` would
+        dominate it.
         """
         grid = self.grid
         config = grid.configs[row]
@@ -633,8 +643,8 @@ class GridView:
         object.__setattr__(outcome, "__dict__", {
             "index": index,
             "model_name": model.name,
-            "power_cap_w": power_cap_w,
-            "effective_cap_w": float(grid.power_cap_w[row]),
+            "power_cap_w": float(grid.power_cap_w[row]),
+            "effective_cap_w": float(grid.effective_cap_w[row]),
             "latency_s": latency,
             "full_latency_s": full,
             "met_deadline": met,
@@ -662,6 +672,7 @@ SHARED_GRID_ARRAYS = (
     "work_factors",
     "env_factor",
     "power_cap_w",
+    "effective_cap_w",
     "inference_power_w",
     "idle_power_w",
     "full_latency_s",
@@ -687,6 +698,7 @@ def shared_grid_layout(n_configs: int, n_inputs: int) -> tuple[list, int]:
         "work_factors": ([n_inputs], "<f8"),
         "env_factor": ([n_inputs], "<f8"),
         "power_cap_w": ([n_configs], "<f8"),
+        "effective_cap_w": ([n_configs], "<f8"),
         "inference_power_w": ([n_configs], "<f8"),
         "idle_power_w": (two_d, "<f8"),
         "full_latency_s": (two_d, "<f8"),
@@ -805,6 +817,7 @@ class _ConfigTable:
 
     configs: tuple
     caps: np.ndarray
+    effective: np.ndarray
     base_latency: np.ndarray
     draw: np.ndarray
     power: np.ndarray
@@ -940,18 +953,43 @@ class InferenceEngine:
         """Compute the outcome of one configuration on one input.
 
         Pure with respect to engine state: repeated calls with the same
-        arguments return identical outcomes, and nothing is metered.
-        ``rung_cap`` stops an anytime network as soon as rung
-        ``rung_cap`` (0-based) completes — the energy-saving early stop
-        of Section 3.5.
+        arguments return identical outcomes, and nothing is metered or
+        actuated.  The outcome is the one :meth:`run` would serve: its
+        physics follows the cap the actuator *would* enforce for the
+        request (:meth:`~repro.hw.powercap.PowerActuator.enforced_cap`),
+        ``power_cap_w`` reports the machine-clamped request and
+        ``effective_cap_w`` the enforced cap.  ``rung_cap`` stops an
+        anytime network as soon as rung ``rung_cap`` (0-based)
+        completes — the energy-saving early stop of Section 3.5.
         """
+        requested = self.machine.clamp_power(power_cap_w)
+        return self._outcome(
+            model, requested, self.actuator.enforced_cap(requested), index,
+            deadline_s, period_s, work_factor, rung_cap,
+        )
+
+    def _outcome(
+        self,
+        model: DnnModel,
+        requested_w: float,
+        enforced_w: float,
+        index: int,
+        deadline_s: float,
+        period_s: float | None,
+        work_factor: float,
+        rung_cap: int | None,
+    ) -> InferenceOutcome:
+        """The body :meth:`evaluate` and :meth:`run` share: one outcome
+        whose physics runs at ``enforced_w`` (machine-clamped, so a
+        table draw below the feasible floor computes at the floor),
+        labelled with the clamped request and the enforced cap."""
         if deadline_s <= 0:
             raise ConfigurationError(f"deadline must be positive, got {deadline_s}")
         period = period_s if period_s is not None else deadline_s
         if period <= 0:
             raise ConfigurationError(f"period must be positive, got {period}")
         draw = self.environment(index)
-        cap = self.machine.clamp_power(power_cap_w)
+        cap = self.machine.clamp_power(enforced_w)
         full = self.full_latency(model, cap, index, work_factor)
         power = self.inference_power(model, cap)
         # RAPL caps the whole package: the co-located job's idle-phase
@@ -963,8 +1001,8 @@ class InferenceEngine:
         return InferenceOutcome(
             index=index,
             model_name=model.name,
-            power_cap_w=cap,
-            effective_cap_w=cap,
+            power_cap_w=requested_w,
+            effective_cap_w=enforced_w,
             latency_s=latency,
             full_latency_s=full,
             met_deadline=met,
@@ -999,6 +1037,10 @@ class InferenceEngine:
         ``model``, ``power_w``, and ``rung_cap`` (duck-typed so the
         engine does not import the configuration space);
         ``work_factors`` aligns with ``indices`` and defaults to 1.0.
+        Each row is keyed on its configuration's machine-clamped
+        request and computed at the cap the actuator enforces for it,
+        as :meth:`run` computes it, so every row equals what a metered
+        run of that configuration serves.
 
         ``allocator`` optionally supplies the destination memory for
         every grid field (``allocator(name, shape, dtype) -> ndarray``,
@@ -1073,6 +1115,7 @@ class InferenceEngine:
             "work_factors": factors,
             "env_factor": env,
             "power_cap_w": table.caps,
+            "effective_cap_w": table.effective,
             "inference_power_w": table.power,
         }
         if allocator is not None:
@@ -1102,18 +1145,19 @@ class InferenceEngine:
             return cached[1]
 
         spec = self.machine
-        caps = np.array(
-            [spec.clamp_power(config.power_w) for config in config_list], dtype=float
-        )
+        requested = [spec.clamp_power(config.power_w) for config in config_list]
+        enforced = [self.actuator.enforced_cap(cap) for cap in requested]
+        # Physics at the enforced cap, clamped as run() clamps it.
+        physics = np.array([spec.clamp_power(cap) for cap in enforced])
         intensity = np.array(
             [config.model.memory_intensity for config in config_list], dtype=float
         )
-        multiplier = self.dvfs.latency_multiplier_array(caps, intensity)
+        multiplier = self.dvfs.latency_multiplier_array(physics, intensity)
         nominal = np.array(
             [config.model.nominal_latency(spec) for config in config_list],
             dtype=float,
         )
-        draw = self.dvfs.draw_power_array(caps)
+        draw = self.dvfs.draw_power_array(physics)
         demand = np.array(
             [
                 spec.static_power_w
@@ -1128,7 +1172,8 @@ class InferenceEngine:
         )
         table = _ConfigTable(
             configs=config_list,
-            caps=caps,
+            caps=np.array(requested, dtype=float),
+            effective=np.array(enforced, dtype=float),
             base_latency=nominal * multiplier,
             draw=draw,
             power=np.minimum(draw, demand),
@@ -1155,29 +1200,26 @@ class InferenceEngine:
     ) -> InferenceOutcome:
         """Serve one input for real: actuate the cap and meter energy.
 
-        The outcome is computed at the cap the actuator actually
-        enforced (its returned *effective* cap), not the requested one —
-        on platforms whose actuator quantizes (the GPU power-frequency
-        table), latency, draw, and energy all follow the enforced
-        setting, exactly as the real hardware behaves.  The outcome's
-        ``power_cap_w`` still reports the machine-clamped *requested*
-        cap so feedback stays keyed on the configuration the scheduler
-        picked.
+        The outcome is computed at the cap the actuator enforced (the
+        cap :meth:`~repro.hw.powercap.PowerActuator.set_power_cap`
+        returns), through the body :meth:`evaluate` uses, so the two
+        agree on every field: on platforms whose actuator quantizes
+        (the GPU power-frequency table), latency, draw, and energy all
+        follow the enforced setting, exactly as the real hardware
+        behaves.  The outcome's ``power_cap_w`` still reports the
+        machine-clamped *requested* cap so feedback stays keyed on the
+        configuration the scheduler picked.
 
         The energy that lands in the outcome is read back through the
         simulated RAPL counter (wraparound handling and all), the same
         way the paper's implementation meters energy, and is asserted
         against the analytic breakdown.
         """
-        effective = self.actuator.set_power_cap(power_cap_w)
-        outcome = self.evaluate(
-            model=model,
-            power_cap_w=effective,
-            index=index,
-            deadline_s=deadline_s,
-            period_s=period_s,
-            work_factor=work_factor,
-            rung_cap=rung_cap,
+        actuator = self.actuator
+        effective = actuator.set_power_cap(power_cap_w)
+        outcome = self._outcome(
+            model, actuator.requested_cap_w, effective, index, deadline_s,
+            period_s, work_factor, rung_cap,
         )
         measured = self._meter(outcome)
         if abs(measured - outcome.energy.total_j) > max(
@@ -1187,13 +1229,7 @@ class InferenceEngine:
                 f"RAPL-metered energy {measured} J diverged from the analytic "
                 f"breakdown {outcome.energy.total_j} J"
             )
-        return InferenceOutcome(
-            **{
-                **outcome.__dict__,
-                "power_cap_w": self.machine.clamp_power(power_cap_w),
-                "effective_cap_w": effective,
-            }
-        )
+        return outcome
 
     def _meter(self, outcome: InferenceOutcome) -> float:
         """Advance the energy counter across one period and read it."""

@@ -13,6 +13,11 @@ Two profiling modes are provided:
 * :meth:`Profiler.empirical` — actually runs warm-up inputs through a
   quiet-environment engine and averages, the way the real system
   profiles; tests assert the two agree to within the noise floor.
+
+Both key each entry on the requested cap and measure it at the cap the
+platform's actuator enforces for that request, as a real profile taken
+at a requested cap measures the enforced frequency: on the GPU several
+requests share one table draw and profile identically.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.errors import ProfileError
 from repro.hw.contention import ContentionKind, ContentionProcess
 from repro.hw.dvfs import DvfsModel
 from repro.hw.machine import MachineSpec
+from repro.hw.powercap import PowerActuator, make_actuator
 from repro.models.anytime import AnytimeDnn
 from repro.models.base import DnnModel
 from repro.rng import SeedSequenceFactory
@@ -136,6 +142,14 @@ class Profiler:
         )
         return min(self.dvfs.draw_power(power_w), demand)
 
+    def _enforced_caps(
+        self, actuator: PowerActuator, powers: tuple[float, ...]
+    ) -> dict[float, float]:
+        """Each requested cap's physics cap: the cap ``actuator``
+        enforces for it, clamped as the engine clamps it."""
+        clamp = self.machine.clamp_power
+        return {power: clamp(actuator.enforced_cap(power)) for power in powers}
+
     def analytic(
         self,
         models: list[DnnModel] | tuple[DnnModel, ...],
@@ -146,16 +160,18 @@ class Profiler:
         if not models:
             raise ProfileError("cannot profile an empty candidate set")
         power_list = tuple(powers if powers is not None else self.machine.power_levels())
+        caps = self._enforced_caps(make_actuator(self.machine), power_list)
         latency: dict[tuple[str, float], float] = {}
         draw: dict[tuple[str, float], float] = {}
         for model in models:
             nominal = model.nominal_latency(self.machine)
             for power in power_list:
+                cap = caps[power]
                 multiplier = self.dvfs.latency_multiplier(
-                    power, model.memory_intensity
+                    cap, model.memory_intensity
                 )
                 latency[(model.name, power)] = nominal * multiplier
-                draw[(model.name, power)] = self._inference_power(model, power)
+                draw[(model.name, power)] = self._inference_power(model, cap)
         return ProfileTable(
             machine=self.machine,
             models=models,
@@ -199,16 +215,18 @@ class Profiler:
             contention=contention,
             noise_rng=seeds.stream("profiling", "noise"),
         )
+        caps = self._enforced_caps(engine.actuator, power_list)
         latency: dict[tuple[str, float], float] = {}
         draw: dict[tuple[str, float], float] = {}
         for model in models:
             for power in power_list:
+                cap = caps[power]
                 samples = [
-                    engine.full_latency(model, power, index)
+                    engine.full_latency(model, cap, index)
                     for index in range(n_inputs)
                 ]
                 latency[(model.name, power)] = float(np.mean(samples))
-                draw[(model.name, power)] = self._inference_power(model, power)
+                draw[(model.name, power)] = self._inference_power(model, cap)
         return ProfileTable(
             machine=self.machine,
             models=models,

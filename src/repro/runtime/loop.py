@@ -27,7 +27,8 @@ process pool (:func:`repro.runtime.sweep.run_sweep`).
   Oracle, OracleStatic, App-only) and the run's goal cannot change
   from one input to the next (:meth:`ServingLoop.batch_eligible`),
   every decision is known up front, so the loop realises the whole run
-  as column slices of one grid derivation (or one
+  as column slices of one grid derivation (or, without a grid that
+  covers the run, one
   :meth:`~repro.models.inference.InferenceEngine.evaluate_batch` pass
   per distinct configuration) plus vectorized violation bookkeeping
   instead of ``n_inputs`` engine round trips.  The batch path is pure
@@ -59,20 +60,22 @@ realises one timing-free grid per scenario and every scheme and goal
 of the cell reads it.  The grid holds no deadline or period: every
 read derives the timing it actually serves, so group-adjusted
 sentence deadlines and requirement-trace overrides are served from the
-grid like any other.  On the sequential path each decision that
-resolves to a grid (row, column) is answered by
+grid like any other.  A decision's row is looked up by its
+machine-clamped requested cap, and each row was computed at the cap
+the actuator enforces for that request, so decisions resolve on every
+platform, GPU power-table caps included.  On the sequential path each
+decision that resolves to a grid (row, column) is answered by
 :meth:`GridView.outcome` instead of :meth:`InferenceEngine.run` (the
-actuator is still driven, so effective caps and end state match the
-live path; nothing is metered); in the lockstep lanes each step's stop
-latency comes from the grid and one paired derivation gives every
-grid-served step its outcome afterwards; on the batch path whole
-configuration groups become column slices of the view's planes at the
-run's timing instead of fresh ``evaluate_batch`` passes.  Any lookup
-miss — off-grid input, unknown configuration, quantized cap — falls
-back to the live engine per input, so a view is always an
-optimisation, never a semantics
-change (``tests/test_cell_fusion_parity.py`` pins grid-served runs to
-the live-engine reference).  The view comes from the ``grid_view``
+actuator is still driven, so end state matches the live path; nothing
+is metered); in the lockstep lanes each step's stop latency comes from
+the grid and one paired derivation gives every grid-served step its
+outcome afterwards; on the batch path whole configuration groups
+become column slices of the view's planes at the run's timing instead
+of fresh ``evaluate_batch`` passes.  Any lookup miss — off-grid input
+or unknown configuration — falls back to the live engine, so a view
+is always an optimisation, never a semantics change
+(``tests/test_cell_fusion_parity.py`` pins grid-served runs to the
+live-engine reference).  The view comes from the ``grid_view``
 constructor argument only; every path asks it, never the grid, whether
 a column may serve an input (:meth:`GridView.column` per input,
 :meth:`GridView.columns` per run).
@@ -186,22 +189,6 @@ class LockstepTelemetry:
 LOCKSTEP_TELEMETRY = LockstepTelemetry()
 
 
-class _CapOverride:
-    """A configuration view evaluated at the actuator's effective cap.
-
-    The sequential path runs physics at the cap the actuator actually
-    enforced; the batch path mirrors that by re-labelling the
-    configuration with the effective cap before the grid evaluation.
-    """
-
-    __slots__ = ("model", "power_w", "rung_cap")
-
-    def __init__(self, model, power_w: float, rung_cap: int | None) -> None:
-        self.model = model
-        self.power_w = power_w
-        self.rung_cap = rung_cap
-
-
 class _RowGroup(NamedTuple):
     """One grid row's outcomes over a group of inputs, as plain lists.
 
@@ -243,11 +230,11 @@ def _read_rows(
     ``planes`` is a :class:`~repro.models.inference.OutcomePlanes`: a
     whole grid's planes read at ``row`` over the ``columns`` index
     array, or one row's planes read at row 0 over every column.
-    ``effective_cap_w`` is the cap the actuator enforced, which a
-    column realised at a quantized cap does not carry.  The
-    violation flags are checked against ``goal`` with the tolerances of
-    :mod:`repro.core.goals`, shared with :func:`_served_record`
-    and the oracles' feasibility masks.
+    ``effective_cap_w`` is the cap the actuator enforced, which the
+    records report (the planes carry no caps).  The violation flags are
+    checked against ``goal`` with the tolerances of
+    :mod:`repro.core.goals`, shared with :func:`_served_record` and the
+    oracles' feasibility masks.
 
     Returns ``(group, series)``: the :class:`_RowGroup`, and the arrays
     it was read from that the batch path copies into its whole-run
@@ -428,10 +415,6 @@ class ServingLoop:
         self.adjuster = GoalAdjuster()
         self.clock = SimulatedClock()
         self.grid_view = grid_view
-        # Batch-path configuration tuples, keyed on (model, effective
-        # cap, rung): reusing the same tuple object across runs lets
-        # the engine's identity-keyed config-table memo hit.
-        self._batch_configs: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     # Goal plumbing
@@ -502,14 +485,17 @@ class ServingLoop:
         """Serve one decision from the shared grid, or None on any miss.
 
         Mirrors :meth:`InferenceEngine.run` exactly minus the metering:
-        the actuator is driven to the requested cap, the outcome is
-        derived at the adjusted deadline from the grid row realised at
-        the cap the actuator actually enforced, and the reported
-        ``power_cap_w`` is the machine-clamped request.
+        the actuator is driven to the requested cap, and the outcome is
+        derived at the adjusted deadline from the grid row of the
+        machine-clamped request, whose physics is at the cap the
+        actuator enforces for it.
         """
         engine = self.engine
-        effective = engine.actuator.set_power_cap(config.power_w)
-        row = view.row_for(config.model, effective, config.rung_cap)
+        engine.actuator.set_power_cap(config.power_w)
+        row = view.row_for(
+            config.model, engine.machine.clamp_power(config.power_w),
+            config.rung_cap,
+        )
         if row is None:
             return None
         position = view.column(engine, item)
@@ -519,7 +505,6 @@ class ServingLoop:
             row,
             position,
             index=item.index,
-            power_cap_w=engine.machine.clamp_power(config.power_w),
             deadline_s=adjusted.deadline_s,
             period_s=period,
         )
@@ -583,9 +568,9 @@ class ServingLoop:
         All decisions are collected up front (``decide_batch`` when the
         scheduler offers it) and grouped by configuration; each group
         is read from the view's planes at the run's timing, or
-        realised with one pure ``evaluate_batch`` pass at the cap the
-        actuator would have enforced when the view cannot serve it;
-        violation flags are computed on each group's arrays.  Nothing
+        realised with one pure ``evaluate_batch`` pass of its
+        configuration when the view cannot serve it; violation flags
+        are computed on each group's arrays.  Nothing
         is metered and ``observe`` is never called (feedback-free
         policies declare it a no-op).
 
@@ -671,22 +656,18 @@ class ServingLoop:
             config = group_config[key]
             model = config.model
             effective = engine.actuator.set_power_cap(config.power_w)
+            cap = clamp(config.power_w)
             # One index array per group: indexing with the list itself
             # would convert it again on every access.
             index = np.fromiter(positions, np.intp, len(positions))
             row = None
             if planes is not None:
-                row = view.row_for(model, effective, config.rung_cap)
+                row = view.row_for(model, cap, config.rung_cap)
             if row is not None:
                 source, columns = planes, grid_columns[index]
             else:
-                shim_key = (id(model), effective, config.rung_cap)
-                shim = self._batch_configs.get(shim_key)
-                if shim is None:
-                    shim = (_CapOverride(model, effective, config.rung_cap),)
-                    self._batch_configs[shim_key] = shim
                 source = engine.evaluate_batch(
-                    configs=shim,
+                    configs=(config,),
                     indices=[item_indices[p] for p in positions],
                     work_factors=[items[p].work_factor for p in positions],
                 ).timing(deadline, period)
@@ -704,7 +685,7 @@ class ServingLoop:
             arr_metric[index] = group.metric
             arr_violated[index] = missed | accuracy | budget
             arr_missed[index] = missed
-            group_payloads.append((positions, clamp(config.power_w), group))
+            group_payloads.append((positions, cap, group))
         # The sequential path leaves the actuator at the last decision.
         engine.actuator.set_power_cap(configs[-1].power_w)
         self.clock.tick_many(total_occupied, n)
@@ -959,14 +940,12 @@ class CrossSchemeLockstepLoop:
         Config identities are stable (cells hand out their candidate
         objects), so the actuator/row resolution runs once per distinct
         decision; the entry pins its config, keeping the id unambiguous.
+        Rows are looked up by the clamped request, as on every path.
         """
-        effective = engine.actuator.set_power_cap(config.power_w)
-        row = view.row_for(config.model, effective, config.rung_cap)
-        entry = (
-            row if row is not None else -1,
-            engine.machine.clamp_power(config.power_w),
-            config,
-        )
+        engine.actuator.set_power_cap(config.power_w)
+        cap = engine.machine.clamp_power(config.power_w)
+        row = view.row_for(config.model, cap, config.rung_cap)
+        entry = (row if row is not None else -1, cap, config)
         memo[id(config)] = entry
         return entry
 
@@ -1177,7 +1156,7 @@ class CrossSchemeLockstepLoop:
                 accuracy, budget, bounds, group_row,
                 [goals_by_id[i] for i in base_of[starts].tolist()],
                 [config.model.name for config in grid.configs],
-                grid.power_cap_w.tolist(), grid.inference_power_w.tolist(),
+                grid.effective_cap_w.tolist(), grid.inference_power_w.tolist(),
                 np.searchsorted(goal_of, np.arange(n_goals + 1)).tolist(),
                 np.searchsorted(group_goal, np.arange(n_goals + 1)).tolist(),
             )

@@ -199,6 +199,7 @@ class _ScriptedEngine:
             work_factors=np.ones(indices.size),
             env_factor=np.ones(indices.size),
             power_cap_w=np.array([c.power_w for c in configs]),
+            effective_cap_w=np.array([c.power_w for c in configs]),
             inference_power_w=np.array([row[0][1] for row in points]),
             idle_power_w=np.zeros((len(configs), indices.size)),
             full_latency_s=np.array([[full for full, _ in row] for row in points]),

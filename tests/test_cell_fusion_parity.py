@@ -185,25 +185,41 @@ def test_cell_builds_one_grid_for_every_timing(image_scenario, monkeypatch):
     assert len(calls) == 1
 
 
-def test_grid_served_feedback_run_never_calls_engine_run(
-    image_scenario, monkeypatch
-):
+@pytest.mark.parametrize("platform", ["CPU1", "GPU"])
+def test_grid_served_feedback_run_never_calls_engine_run(platform, monkeypatch):
+    """Every decision reads its row from the scenario's one grid, on
+    the GPU too, whose power table enforces caps below the request:
+    feedback runs never reach the live engine, and the feedback-free
+    schemes' batch path realises no grid beside the scenario's."""
     from repro.models.inference import InferenceEngine
 
+    scenario = build_scenario(platform, "image", "default", "standard", seed=99)
     calls = []
+    grids = []
     real = InferenceEngine.run
+    real_batch = InferenceEngine.evaluate_batch
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         return real(self, *args, **kwargs)
 
+    def counting_batch(self, *args, **kwargs):
+        grids.append(args)
+        return real_batch(self, *args, **kwargs)
+
     monkeypatch.setattr(InferenceEngine, "run", counting)
-    goal = _goals(image_scenario)[0]
+    monkeypatch.setattr(InferenceEngine, "evaluate_batch", counting_batch)
+    goal = _goals(scenario)[0]
     evaluate_schemes(
-        image_scenario, [goal], ("ALERT", "Sys-only", "No-coord"),
-        n_inputs=20,
+        scenario, [goal], ("ALERT", "Sys-only", "No-coord"), n_inputs=20,
     )
     assert calls == []
+    grids.clear()
+    evaluate_schemes(
+        scenario, [goal], ("Oracle", "OracleStatic", "App-only"), n_inputs=20,
+    )
+    assert calls == []
+    assert len(grids) == 1
 
 
 @pytest.mark.parametrize(

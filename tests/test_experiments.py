@@ -115,6 +115,28 @@ def test_table4_cell_orderings():
     assert "Table 4" in result.describe()
 
 
+@pytest.mark.parametrize("platform", ["CPU1", "CPU2", "GPU"])
+def test_oracle_violates_no_more_settings_than_oracle_static(platform):
+    """Oracle picks per input with perfect knowledge, OracleStatic one
+    configuration per setting, so on every image cell Oracle violates
+    no more settings.  On GPU this holds only when the oracles plan on
+    the outcomes the power table actually serves."""
+    result = table4_overall.run(
+        platforms=(platform,),
+        tasks=("image",),
+        envs=("default",),
+        schemes=("ALERT", "Oracle", "OracleStatic"),
+        settings_stride=3,
+        n_inputs=40,
+    )
+    assert len(result.cells) == 2
+    for key, cell in result.cells.items():
+        assert (
+            cell["Oracle"].violated_settings
+            <= cell["OracleStatic"].violated_settings
+        ), key
+
+
 def test_table5_candidate_sets():
     result = table5_dnn_sets.run(
         platforms=("CPU1",),

@@ -66,3 +66,35 @@ def test_gpu_table_requires_gpu_platform():
 def test_make_actuator_dispatches_on_kind():
     assert isinstance(make_actuator(CPU1), RaplPowerActuator)
     assert isinstance(make_actuator(GPU), GpuPowerTable)
+
+
+@pytest.mark.parametrize("actuator", [RaplPowerActuator(CPU1), GpuPowerTable(GPU)])
+def test_enforced_cap_is_the_query_set_power_cap_enforces(actuator):
+    machine = actuator.machine
+    requests = machine.power_levels() + [
+        machine.power_min_w / 2, machine.power_max_w * 2
+    ]
+    for power in requests:
+        enforced = actuator.effective_cap_w
+        query = actuator.enforced_cap(power)
+        # A pure query: nothing is actuated.
+        assert actuator.effective_cap_w == enforced
+        assert actuator.set_power_cap(power) == query
+        assert actuator.effective_cap_w == pytest.approx(query)
+    with pytest.raises(PowerCapError):
+        actuator.enforced_cap(0.0)
+
+
+def test_gpu_lattice_maps_onto_table_draws():
+    # The paper's 5 W lattice (25 requests, 105-225 W) enforces the
+    # eight table draws from 102.4 to 215.0 W: the highest draw at or
+    # below each request, the lowest one below the first draw.
+    table = GpuPowerTable(GPU)
+    draws = [draw for _, draw in table.table()]
+    enforced = [table.enforced_cap(power) for power in GPU.power_levels()]
+    assert len(set(enforced)) == 8
+    assert min(enforced) == pytest.approx(102.4, abs=0.01)
+    assert max(enforced) == 215.0
+    for power, cap in zip(GPU.power_levels(), enforced):
+        assert cap in draws
+        assert cap <= power

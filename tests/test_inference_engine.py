@@ -135,10 +135,12 @@ class _QuantizingActuator(PowerActuator):
         super().__init__(machine)
         self._effective = machine.clamp_power(machine.default_power())
 
-    def _apply(self, power_w: float) -> float:
-        quantized = math.floor(power_w / 10.0) * 10.0
-        self._effective = max(self.machine.power_min_w, quantized)
-        return self._effective
+    def _enforced(self, clamped_w: float) -> float:
+        quantized = math.floor(clamped_w / 10.0) * 10.0
+        return max(self.machine.power_min_w, quantized)
+
+    def _apply(self, enforced_w: float) -> None:
+        self._effective = enforced_w
 
     @property
     def effective_cap_w(self) -> float:
@@ -148,7 +150,9 @@ class _QuantizingActuator(PowerActuator):
 def test_run_computes_outcome_at_effective_cap(seeds, dense):
     # Regression: run() used to evaluate at the machine-clamped
     # *requested* cap and only patch effective_cap_w into the record,
-    # describing a cap the hardware never set.
+    # describing a cap the hardware never set.  evaluate() now computes
+    # at the cap the actuator would enforce, so a probe at the request
+    # predicts the metered run exactly.
     contention = ContentionProcess(
         kind=ContentionKind.NONE, machine=CPU1, rng=seeds.stream("contention")
     )
@@ -159,13 +163,15 @@ def test_run_computes_outcome_at_effective_cap(seeds, dense):
         actuator=_QuantizingActuator(CPU1),
     )
     requested = 37.5
+    assert engine.actuator.enforced_cap(requested) == 30.0
     outcome = engine.run(dense, requested, 0, deadline_s=5.0)
     assert outcome.power_cap_w == requested
     assert outcome.effective_cap_w == 30.0
 
     at_effective = engine.evaluate(dense, 30.0, 0, deadline_s=5.0)
     at_requested = engine.evaluate(dense, requested, 0, deadline_s=5.0)
-    assert at_effective.latency_s != at_requested.latency_s
+    assert at_effective.latency_s == at_requested.latency_s
+    assert at_requested == outcome
     assert outcome.latency_s == at_effective.latency_s
     assert outcome.inference_power_w == at_effective.inference_power_w
     assert outcome.energy_j == pytest.approx(at_effective.energy_j)

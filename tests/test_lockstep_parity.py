@@ -1022,8 +1022,11 @@ def test_lockstep_never_calls_engine_run(image_scenario, monkeypatch):
     assert calls == []
 
 
-def test_grid_complete_cell_never_calls_engine_run(monkeypatch):
-    scenario = build_scenario("CPU1", "image", "default", "standard", seed=5)
+@pytest.mark.parametrize("platform", ["CPU1", "GPU"])
+def test_grid_complete_cell_never_calls_engine_run(platform, monkeypatch):
+    # On GPU every decided cap resolves too: rows are keyed on the
+    # requested cap and computed at the cap the power table enforces.
+    scenario = build_scenario(platform, "image", "default", "standard", seed=5)
     anchor = scenario.anchor_latency_s()
     # One grid serves the whole cell, whatever each goal's timing.
     goals = [

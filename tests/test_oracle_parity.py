@@ -187,23 +187,24 @@ def _fields(outcome) -> dict:
     ],
 )
 def test_grid_derived_outcomes_equal_run(platform, task):
-    """Every configuration's outcome derived from the timing-free grid
-    equals the metered engine's on every field but the cap labels, at
-    every kind of deadline and period.  GPU rows resolve only where the
-    actuator enforces the requested cap."""
+    """Every configuration's outcome derived from the timing-free grid,
+    and :meth:`InferenceEngine.evaluate`'s, equal the metered engine's
+    on every field, at every kind of deadline and period.  Rows are
+    looked up by the machine-clamped requested cap and resolve on every
+    platform: on GPU each row is computed at the cap the power table
+    enforces for its request."""
     scenario = build_scenario(platform, task, "memory", "standard", seed=17)
     space = scenario.space()
     stream = scenario.make_stream()
     grid_engine = scenario.make_engine()
     view = GridView(oracle_outcome_grid(grid_engine, space, stream, 4))
     engine = scenario.make_engine()
-    resolved = 0
     for config in space:
         effective = engine.actuator.set_power_cap(config.power_w)
-        row = view.row_for(config.model, effective, config.rung_cap)
-        if row is None:
-            continue
-        resolved += 1
+        requested = engine.machine.clamp_power(config.power_w)
+        row = view.row_for(config.model, requested, config.rung_cap)
+        assert row is not None, config.describe()
+        assert view.grid.effective_cap_w[row] == effective
         for index in (0, 3):
             item = stream.item(index)
             position = view.column(engine, item)
@@ -219,10 +220,20 @@ def test_grid_derived_outcomes_equal_run(platform, task):
                     rung_cap=config.rung_cap,
                 )
                 context = (config.describe(), index, deadline, period)
-                got = view.outcome(
-                    row, position, index, want.power_cap_w, deadline, period
+                probe = engine.evaluate(
+                    model=config.model,
+                    power_cap_w=config.power_w,
+                    index=index,
+                    deadline_s=deadline,
+                    period_s=period,
+                    work_factor=item.work_factor,
+                    rung_cap=config.rung_cap,
                 )
-                assert _fields(got) == _fields(want), context
+                got = view.outcome(row, position, index, deadline, period)
+                for outcome in (probe, got):
+                    assert _fields(outcome) == _fields(want), context
+                    assert outcome.power_cap_w == want.power_cap_w, context
+                    assert outcome.effective_cap_w == want.effective_cap_w
                 paired = view.grid.timing_at(
                     np.array([row]), np.array([position]),
                     np.array([deadline]), np.array([period]),
@@ -237,10 +248,6 @@ def test_grid_derived_outcomes_equal_run(platform, task):
                         want.energy.inference_j
                     ), context
                     assert derived.idle_j[at] == want.energy.idle_j
-    if platform == "GPU":
-        assert 0 < resolved < len(space)
-    else:
-        assert resolved == len(space)
 
 
 # ----------------------------------------------------------------------
